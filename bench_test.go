@@ -455,7 +455,7 @@ func BenchmarkMoldableRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := moldable.Run(t, 8, s, prof, nil); err != nil {
+		if _, err := sim.Run(t, 8, s, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mres, err := moldable.Run(t, p, ms, prof, &moldable.Options{CheckMemory: true, Bound: m})
+		mres, err := sim.Run(t, p, ms, &sim.Options{CheckMemory: true, Bound: m})
 		if err != nil {
 			log.Fatal(err)
 		}

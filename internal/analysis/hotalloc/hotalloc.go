@@ -104,8 +104,6 @@ var roots = map[string]map[string]rootKind{
 		"EventHeap.Filter":   eventRoot,
 		"RankHeap.Push":      eventRoot,
 		"RankHeap.Pop":       eventRoot,
-		"FloatHeap.Push":     eventRoot,
-		"FloatHeap.Pop":      eventRoot,
 	},
 	"multitree": {
 		"Run": streamRoot,

@@ -1,6 +1,7 @@
 package baseline_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -214,10 +215,11 @@ func TestMemBookingRedTreeTightMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err = sim.Run(s.Tree(), 4, s, &sim.Options{CheckMemory: true, Bound: m})
-		switch err.(type) {
-		case nil:
+		var dead *core.ErrDeadlock
+		switch {
+		case err == nil:
 			completed++
-		case *sim.ErrDeadlock:
+		case errors.As(err, &dead):
 			deadlocked++
 		default:
 			t.Fatalf("n=%d: %v", tr.Len(), err)

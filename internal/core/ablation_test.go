@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,7 +54,8 @@ func TestEagerDispatchSafety(t *testing.T) {
 		s.SetDispatch(core.DispatchEager)
 		_, err := sim.Run(tr, 4, s, &sim.Options{CheckMemory: true, Bound: m})
 		if err != nil {
-			if _, dead := err.(*sim.ErrDeadlock); dead {
+			var dead *core.ErrDeadlock
+			if errors.As(err, &dead) {
 				continue // eager may deadlock below the guarantee; that is the point
 			}
 			t.Fatalf("eager dispatch violated memory safety: %v", err)
@@ -96,7 +98,8 @@ func TestEagerDispatchCanDeadlockAtPeak(t *testing.T) {
 		s, _ := core.NewMemBooking(tr, peak, ao, ao)
 		s.SetDispatch(core.DispatchEager)
 		if _, err := sim.Run(tr, 4, s, nil); err != nil {
-			if _, dead := err.(*sim.ErrDeadlock); dead {
+			var dead *core.ErrDeadlock
+			if errors.As(err, &dead) {
 				deadlocks++
 			} else {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,7 +159,8 @@ func TestMemBookingDeadlockDetected(t *testing.T) {
 	tr := tree.MustNew([]tree.NodeID{tree.None}, []float64{5}, []float64{5}, nil)
 	s := newMB(t, tr, 5)
 	_, err := sim.Run(tr, 1, s, nil)
-	if _, ok := err.(*sim.ErrDeadlock); !ok {
+	var dead *core.ErrDeadlock
+	if !errors.As(err, &dead) {
 		t.Fatalf("want ErrDeadlock, got %v", err)
 	}
 }

@@ -3,15 +3,17 @@ package core
 import "fmt"
 
 // ErrDeadlock is returned by an execution engine — the discrete-event
-// simulator (internal/sim), the live executor (internal/executor), the
-// moldable simulator (internal/moldable) or the distributed engine
-// (internal/distributed) — when the scheduler can make no progress: no
-// task is running (and, distributed, nothing is in flight) and none can
-// be launched, yet the tree is unfinished. Activation and
-// MemBookingRedTree hit it when the memory bound is too small;
-// MemBooking never does while M ≥ peak(AO) (Theorem 1). It lives here,
-// next to the Scheduler interface, so all four engines share one type
-// and callers can match any engine's deadlock with a single errors.As.
+// simulator (internal/sim, rigid and moldable schedulers alike), the
+// distributed engine (internal/distributed), the cluster simulator
+// (internal/multitree) or the live executor (internal/executor) — when
+// the scheduler can make no progress: no task is running (and,
+// distributed, nothing is in flight) and none can be launched, yet the
+// tree is unfinished. Activation and MemBookingRedTree hit it when the
+// memory bound is too small; MemBooking never does while M ≥ peak(AO)
+// (Theorem 1). It lives here, next to the Scheduler interface, as the
+// one deadlock type: there are no per-package aliases, each engine
+// constructs it at a single site, and callers match any engine's
+// deadlock with errors.As on *core.ErrDeadlock.
 type ErrDeadlock struct {
 	Scheduler string
 	Finished  int

@@ -169,14 +169,9 @@ func TestDistributedDeadlockDetected(t *testing.T) {
 	ao, _ := order.MinMemPostOrder(tr)
 	plat := distributed.Uniform(1, 1, 5, 0)
 	_, err := distributed.Run(tr, plat, []int32{0}, ao, ao)
-	if _, ok := err.(*distributed.ErrDeadlock); !ok {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-	// distributed.ErrDeadlock is an alias of core.ErrDeadlock: the same
-	// errors.As target matches every engine's deadlock.
 	var dead *core.ErrDeadlock
 	if !errors.As(err, &dead) {
-		t.Fatalf("errors.As(core.ErrDeadlock) failed on %v", err)
+		t.Fatalf("want *core.ErrDeadlock, got %v", err)
 	}
 	if dead.Scheduler != "distributed" || dead.Total != 1 {
 		t.Fatalf("deadlock fields wrong: %+v", dead)
@@ -215,10 +210,11 @@ func TestDistributedMemoryAudit(t *testing.T) {
 		mem := peak * (0.5 + 2*rng.Float64())
 		plat := distributed.Uniform(nd, 1+rng.Intn(3), mem, float64(rng.Intn(3)))
 		_, err := distributed.Run(tr, plat, distributed.ProportionalMapping(tr, nd), ao, ao)
-		switch err.(type) {
-		case nil:
+		var dead *core.ErrDeadlock
+		switch {
+		case err == nil:
 			completed++
-		case *distributed.ErrDeadlock:
+		case errors.As(err, &dead):
 			deadlocked++
 		default:
 			t.Fatalf("audit failure: %v", err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/order"
 	"repro/internal/pqueue"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -25,24 +26,6 @@ type Result struct {
 	TransferTime   float64
 	// BusyTime is the per-domain processor-seconds of useful work.
 	BusyTime []float64
-}
-
-// ErrDeadlock reports a stalled distributed execution: nothing runs,
-// nothing is in flight, and no memory can be freed to admit more work.
-// It is an alias of core.ErrDeadlock — the one deadlock type shared by
-// all four engines (sim, executor, moldable, distributed) — with
-// Scheduler set to "distributed" and Booked the total booked memory
-// summed over the domains, so errors.As matches every engine's
-// deadlock with a single target.
-type ErrDeadlock = core.ErrDeadlock
-
-// deadlock builds the typed error from the per-domain booked totals.
-func deadlock(finished, total int, booked []float64) *ErrDeadlock {
-	sum := 0.0
-	for _, b := range booked {
-		sum += b
-	}
-	return &ErrDeadlock{Scheduler: "distributed", Finished: finished, Total: total, Booked: sum}
 }
 
 // Run executes t on the platform with the given task→domain mapping,
@@ -100,10 +83,12 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 	// Transfers waiting for destination memory, per destination domain.
 	waiting := make([][]tree.NodeID, nd)
 
-	var events pqueue.EventHeap // id < n: task finish; id >= n: transfer done
+	// The simulated clock. Event ids below n are task finishes, n and
+	// above transfer arrivals; each running task or in-flight transfer
+	// owns exactly one heap entry.
+	var clock sim.Kernel
+	events := &clock.Events
 	now := 0.0
-	running := 0
-	inFlight := 0
 	finished := 0
 
 	mark := func(d int) {
@@ -152,30 +137,14 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 			res.Transfers++
 			res.TransferVolume += f
 			res.TransferTime += dur
-			inFlight++
 			events.Push(now+dur, int32(int(c)+n))
 		}
 		waiting[d] = q
 	}
 
-	launch := func() {
-		for d := 0; d < nd; d++ {
-			for freeProcs[d] > 0 && avail[d].Len() > 0 {
-				i := tree.NodeID(avail[d].Pop())
-				freeProcs[d]--
-				running++
-				used[d] += t.Exec(i) + t.Out(i)
-				mark(d)
-				res.BusyTime[d] += t.Time(i)
-				events.Push(now+t.Time(i), int32(i))
-			}
-		}
-	}
-
 	finishTask := func(j tree.NodeID) {
 		d := domainOf[j]
 		freeProcs[d]++
-		running--
 		finished++
 		// Free execution data and every input (local children outputs
 		// and reserved cross inputs all live in this domain's memory).
@@ -204,7 +173,6 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 
 	finishTransfer := func(j tree.NodeID) {
 		src := domainOf[j]
-		inFlight--
 		// The output has left the source domain.
 		booked[src] -= t.Out(j)
 		used[src] -= t.Out(j)
@@ -216,7 +184,34 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 		}
 	}
 
-	audit := func() error {
+	// One step of the clock: retire the task finishes and transfer
+	// arrivals of the instant, let every domain admit waiting transfers
+	// and activate, launch on the free processors, then audit the
+	// memory. The kernel's opening call (no events) is the initial
+	// activation.
+	makespan, err := clock.Run(func(at float64, ids []int32) error {
+		now = at
+		for _, id := range ids {
+			if int(id) < n {
+				finishTask(tree.NodeID(id))
+			} else {
+				finishTransfer(tree.NodeID(int(id) - n))
+			}
+		}
+		for d := 0; d < nd; d++ {
+			admitTransfers(d)
+			tryActivate(d)
+		}
+		for d := 0; d < nd; d++ {
+			for freeProcs[d] > 0 && avail[d].Len() > 0 {
+				i := tree.NodeID(avail[d].Pop())
+				freeProcs[d]--
+				used[d] += t.Exec(i) + t.Out(i)
+				mark(d)
+				res.BusyTime[d] += t.Time(i)
+				events.Push(now+t.Time(i), int32(i))
+			}
+		}
 		for d := 0; d < nd; d++ {
 			if used[d] > booked[d]+eps[d] {
 				return fmt.Errorf("distributed: domain %d uses %g but booked %g at t=%g", d, used[d], booked[d], now)
@@ -226,44 +221,20 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 			}
 		}
 		return nil
-	}
-
-	for d := 0; d < nd; d++ {
-		tryActivate(d)
-	}
-	launch()
-	if err := audit(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	if running == 0 && finished < n {
-		return nil, deadlock(finished, n, booked)
-	}
-
-	for events.Len() > 0 {
-		now = events.Min().Time
-		for events.Len() > 0 && events.Min().Time == now {
-			ev := events.Pop()
-			if int(ev.ID) < n {
-				finishTask(tree.NodeID(ev.ID))
-			} else {
-				finishTransfer(tree.NodeID(int(ev.ID) - n))
-			}
-		}
-		for d := 0; d < nd; d++ {
-			admitTransfers(d)
-			tryActivate(d)
-		}
-		launch()
-		if err := audit(); err != nil {
-			return nil, err
-		}
-		if running == 0 && inFlight == 0 && finished < n {
-			return nil, deadlock(finished, n, booked)
-		}
-	}
 	if finished != n {
-		return nil, fmt.Errorf("distributed: finished %d of %d tasks", finished, n)
+		// Nothing runs, nothing is in flight, and no memory can be freed to
+		// admit more work. No termination theorem is known for private
+		// domain memories, so this is an expected outcome at tight bounds.
+		sum := 0.0
+		for _, b := range booked {
+			sum += b
+		}
+		return nil, &core.ErrDeadlock{Scheduler: "distributed", Finished: finished, Total: n, Booked: sum}
 	}
-	res.Makespan = now
+	res.Makespan = makespan
 	return res, nil
 }

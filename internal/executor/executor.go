@@ -130,6 +130,9 @@ func RunWithOptions(t *tree.Tree, s core.Scheduler, task Task, opt Options) (*Re
 		res      = &Result{}
 		start    = time.Now()
 		firstErr error
+		// One completion arrives at a time, so OnFinish always gets this
+		// one-element batch; schedulers must not retain it.
+		batch = make([]tree.NodeID, 1)
 	)
 
 	// attempt runs one task to success or retry exhaustion inside its
@@ -229,7 +232,8 @@ func RunWithOptions(t *tree.Tree, s core.Scheduler, task Task, opt Options) (*Re
 		if firstErr != nil {
 			continue // drain running tasks, start nothing new
 		}
-		s.OnFinish([]tree.NodeID{c.id})
+		batch[0] = c.id
+		s.OnFinish(batch)
 		launch(s.Select(workers - running))
 	}
 	if firstErr != nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/executor"
 	"repro/internal/order"
-	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -125,18 +124,12 @@ func TestRunDeadlockReported(t *testing.T) {
 	if err == nil {
 		t.Fatal("deadlock not reported")
 	}
-	// The executor's deadlock is the same typed error as the simulator's,
-	// so callers can match either engine with one errors.As.
 	var dead *core.ErrDeadlock
 	if !errors.As(err, &dead) {
 		t.Fatalf("deadlock error is %T, want *core.ErrDeadlock", err)
 	}
 	if dead.Scheduler != s.Name() || dead.Finished != 0 || dead.Total != 1 {
 		t.Fatalf("deadlock fields %+v", dead)
-	}
-	var simDead *sim.ErrDeadlock
-	if !errors.As(err, &simDead) {
-		t.Fatal("executor deadlock not matched by *sim.ErrDeadlock alias")
 	}
 }
 

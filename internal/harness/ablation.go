@@ -46,7 +46,7 @@ func ablationStudy(cfg *Config) (*Table, error) {
 				s.SetRecomputeBBS(v.recompute)
 				res, err := sim.Run(pr.inst.Tree, p, s, cfg.simOpts(m, true))
 				if err != nil {
-					var dead *sim.ErrDeadlock
+					var dead *core.ErrDeadlock
 					if errors.As(err, &dead) {
 						continue
 					}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/distributed"
 	"repro/internal/stats"
 )
@@ -37,7 +38,7 @@ func distStudy(cfg *Config) (*Table, error) {
 				mapping := distributed.ProportionalMapping(pr.inst.Tree, nd)
 				res, err := distributed.Run(pr.inst.Tree, plat, mapping, pr.ao, pr.ao)
 				if err != nil {
-					var dead *distributed.ErrDeadlock
+					var dead *core.ErrDeadlock
 					if errors.As(err, &dead) {
 						continue
 					}

@@ -500,7 +500,7 @@ func memProfile(cfg *Config) (*Table, error) {
 			}
 		}
 		if err != nil {
-			var dead *sim.ErrDeadlock
+			var dead *core.ErrDeadlock
 			if !errors.As(err, &dead) {
 				return nil, err
 			}

@@ -41,7 +41,7 @@ func moldableStudy(cfg *Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			mres, err := moldable.Run(pr.inst.Tree, p, ms, prof, &moldable.Options{CheckMemory: true, Bound: m})
+			mres, err := sim.Run(pr.inst.Tree, p, ms, &sim.Options{CheckMemory: true, Bound: m})
 			if err != nil {
 				return nil, fmt.Errorf("moldable on %s: %w", pr.inst.Name, err)
 			}

@@ -394,7 +394,7 @@ func (e *Engine) evalGroup(g *group, r *sim.Runner) {
 		}
 		res, err := r.Run(run, g.procs, s, &opts)
 		if err != nil {
-			var dead *sim.ErrDeadlock
+			var dead *core.ErrDeadlock
 			if errors.As(err, &dead) {
 				j.entry.out = outcome{ok: false}
 			} else {

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/order"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -131,21 +132,6 @@ func RigidProfile(t *tree.Tree) *Profile {
 	return p
 }
 
-// Launch is a width-annotated scheduling decision.
-type Launch struct {
-	Node  tree.NodeID
-	Procs int
-}
-
-// Scheduler extends the rigid contract with width decisions.
-type Scheduler interface {
-	Name() string
-	Init() error
-	OnFinish(batch []tree.NodeID)
-	SelectMoldable(free int) []Launch
-	BookedMemory() float64
-}
-
 // MemBookingMoldable wraps the paper's MemBooking with a width policy:
 // tasks are activated, booked and released exactly as in the rigid
 // algorithm; leftover processors are then dealt round-robin to the
@@ -153,15 +139,25 @@ type Scheduler interface {
 // workspace to fit under the memory bound. Widths degrade gracefully to
 // 1 under memory pressure, so Theorem 1's completion guarantee carries
 // over unchanged.
+//
+// It is a core.Scheduler that is also sim.Wide, so the one simulator
+// runs it: sim.Run(t, p, s, opts) with procs == p. There is no separate
+// moldable engine — a scheduler that never widens (RigidProfile) is the
+// rigid model, event for event.
 type MemBookingMoldable struct {
 	inner   *core.MemBooking
 	t       *tree.Tree
 	profile *Profile
 	procs   int
+	// width[i] is the processor count granted to task i by the Select
+	// that started it.
+	width []int32
 	// extra[i] is the workspace reserved for a running task, to be
 	// released when it finishes.
 	extra map[tree.NodeID]float64
 }
+
+var _ sim.Wide = (*MemBookingMoldable)(nil)
 
 // NewMemBookingMoldable builds the moldable scheduler.
 func NewMemBookingMoldable(t *tree.Tree, m float64, ao, eo *order.Order, prof *Profile, procs int) (*MemBookingMoldable, error) {
@@ -183,20 +179,21 @@ func NewMemBookingMoldable(t *tree.Tree, m float64, ao, eo *order.Order, prof *P
 		t:       t,
 		profile: prof,
 		procs:   procs,
+		width:   make([]int32, t.Len()),
 		extra:   make(map[tree.NodeID]float64),
 	}, nil
 }
 
-// Name implements Scheduler.
+// Name implements core.Scheduler.
 func (s *MemBookingMoldable) Name() string { return "MemBookingMoldable" }
 
-// Init implements Scheduler.
+// Init implements core.Scheduler.
 func (s *MemBookingMoldable) Init() error { return s.inner.Init() }
 
-// BookedMemory implements Scheduler.
+// BookedMemory implements core.Scheduler.
 func (s *MemBookingMoldable) BookedMemory() float64 { return s.inner.BookedMemory() }
 
-// OnFinish implements Scheduler: releases the finished tasks' workspaces
+// OnFinish implements core.Scheduler: releases the finished tasks' workspaces
 // before the rigid bookkeeping runs.
 func (s *MemBookingMoldable) OnFinish(batch []tree.NodeID) {
 	for _, j := range batch {
@@ -208,28 +205,23 @@ func (s *MemBookingMoldable) OnFinish(batch []tree.NodeID) {
 	s.inner.OnFinish(batch)
 }
 
-// SelectMoldable implements Scheduler: the rigid core picks which tasks
+// Select implements core.Scheduler: the rigid core picks which tasks
 // start; leftover processors are then spread round-robin, workspace
 // permitting.
-func (s *MemBookingMoldable) SelectMoldable(free int) []Launch {
+func (s *MemBookingMoldable) Select(free int) []tree.NodeID {
 	tasks := s.inner.Select(free)
-	if len(tasks) == 0 {
-		return nil
-	}
-	launches := make([]Launch, len(tasks))
-	for i, id := range tasks {
-		launches[i] = Launch{Node: id, Procs: 1}
+	for _, id := range tasks {
+		s.width[id] = 1
 	}
 	leftover := free - len(tasks)
 	// Round-robin widening in EO-priority order (Select's order).
 	for leftover > 0 {
 		progressed := false
-		for i := range launches {
+		for _, id := range tasks {
 			if leftover == 0 {
 				break
 			}
-			id := launches[i].Node
-			if launches[i].Procs >= s.profile.widthCap(id, s.procs) {
+			if int(s.width[id]) >= s.profile.widthCap(id, s.procs) {
 				continue
 			}
 			if s.profile.Alpha[id] == 0 {
@@ -238,7 +230,7 @@ func (s *MemBookingMoldable) SelectMoldable(free int) []Launch {
 			if !s.inner.ReserveTransient(s.profile.Workspace[id]) {
 				continue // workspace does not fit; keep the task narrow
 			}
-			launches[i].Procs++
+			s.width[id]++
 			s.extra[id] += s.profile.Workspace[id]
 			leftover--
 			progressed = true
@@ -247,5 +239,12 @@ func (s *MemBookingMoldable) SelectMoldable(free int) []Launch {
 			break
 		}
 	}
-	return launches
+	return tasks
+}
+
+// Shape implements sim.Wide: the width Select granted task i, its
+// Amdahl duration at that width, and the workspace it holds meanwhile.
+func (s *MemBookingMoldable) Shape(i tree.NodeID) (procs int, time, workspace float64) {
+	q := int(s.width[i])
+	return q, s.profile.Time(s.t, i, q), s.profile.ExtraMem(i, q)
 }

@@ -90,7 +90,7 @@ func TestRigidProfileMatchesRigidSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := moldable.Run(tr, 4, ms, prof, nil)
+		got, err := sim.Run(tr, 4, ms, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestMoldableCompletesAtExactPeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := moldable.Run(tr, 8, ms, prof, &moldable.Options{CheckMemory: true, Bound: peak})
+		res, err := sim.Run(tr, 8, ms, &sim.Options{CheckMemory: true, Bound: peak})
 		if err != nil {
 			t.Fatalf("n=%d: %v", tr.Len(), err)
 		}
@@ -147,7 +147,7 @@ func TestMoldableBeatsRigidOnRootHeavyTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ms, _ := moldable.NewMemBookingMoldable(tr, m, ao, ao, prof, 8)
-	got, err := moldable.Run(tr, 8, ms, prof, &moldable.Options{CheckMemory: true, Bound: m})
+	got, err := sim.Run(tr, 8, ms, &sim.Options{CheckMemory: true, Bound: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestMoldableDegradesUnderMemoryPressure(t *testing.T) {
 	prof.Workspace[root] = 1e9 // workspace can never fit
 
 	ms, _ := moldable.NewMemBookingMoldable(tr, peak, ao, ao, prof, 8)
-	res, err := moldable.Run(tr, 8, ms, prof, &moldable.Options{CheckMemory: true, Bound: peak})
+	res, err := sim.Run(tr, 8, ms, &sim.Options{CheckMemory: true, Bound: peak})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +188,8 @@ func TestMoldableDegradesUnderMemoryPressure(t *testing.T) {
 }
 
 // A bound below any single task's need can never make progress; the
-// moldable simulator must report it as the shared typed core.ErrDeadlock
-// (the same target errors.As matches for sim, executor and distributed).
+// simulator must report a stalled moldable scheduler as the one typed
+// core.ErrDeadlock, like any rigid one.
 func TestMoldableDeadlockIsTyped(t *testing.T) {
 	tr := tree.MustNew([]tree.NodeID{tree.None}, []float64{5}, []float64{5}, nil)
 	ao, _ := order.MinMemPostOrder(tr)
@@ -197,7 +197,7 @@ func TestMoldableDeadlockIsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = moldable.Run(tr, 2, ms, nil, nil)
+	_, err = sim.Run(tr, 2, ms, nil)
 	var dead *core.ErrDeadlock
 	if !errors.As(err, &dead) {
 		t.Fatalf("want core.ErrDeadlock, got %v", err)

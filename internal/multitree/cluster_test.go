@@ -1,0 +1,145 @@
+package multitree
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// violation checks the cluster-state invariants that must hold between
+// any two transitions and returns the first one broken ("" when all
+// hold). It lives here, not in the production loop: Run pays for no
+// per-event assertion.
+func (c *cluster) violation() string {
+	reserved, running := 0.0, 0
+	where := make(map[*job]string, len(c.jobs))
+	place := func(set string, js []*job) string {
+		for _, j := range js {
+			if prev, dup := where[j]; dup {
+				return fmt.Sprintf("job %q is in both %s and %s", j.spec.Name, prev, set)
+			}
+			where[j] = set
+		}
+		return ""
+	}
+	for _, s := range []struct {
+		name string
+		js   []*job
+	}{{"queue", c.queue}, {"retryQ", c.retryQ}, {"active", c.active}} {
+		if msg := place(s.name, s.js); msg != "" {
+			return msg
+		}
+	}
+	for _, j := range c.active {
+		reserved += j.slice
+		running += j.running
+		if j.sched == nil {
+			return fmt.Sprintf("active job %q has no scheduler", j.spec.Name)
+		}
+	}
+	if got := c.freeMem + reserved; math.Abs(got-c.opt.Mem) > c.eps {
+		return fmt.Sprintf("freeMem %g + Σ active slices %g = %g, want Mem %g", c.freeMem, reserved, got, c.opt.Mem)
+	}
+	if c.freeProcs+c.runningT != c.opt.Procs {
+		return fmt.Sprintf("freeProcs %d + runningT %d != Procs %d", c.freeProcs, c.runningT, c.opt.Procs)
+	}
+	if len(c.freeSlots) != c.freeProcs {
+		return fmt.Sprintf("%d free slots for %d free processors", len(c.freeSlots), c.freeProcs)
+	}
+	if running != c.runningT || c.events.Len() != c.runningT {
+		return fmt.Sprintf("runningT %d, but Σ job.running = %d and %d completion events pending", c.runningT, running, c.events.Len())
+	}
+	// relOrder: the active set, sorted by (estEnd, slice, idx).
+	if len(c.relOrder) != len(c.active) {
+		return fmt.Sprintf("relOrder has %d jobs, active %d", len(c.relOrder), len(c.active))
+	}
+	for k, j := range c.relOrder {
+		if where[j] != "active" {
+			return fmt.Sprintf("relOrder holds %q, which is not active", j.spec.Name)
+		}
+		if k == 0 {
+			continue
+		}
+		p := c.relOrder[k-1]
+		if p == j {
+			return fmt.Sprintf("relOrder holds %q twice", j.spec.Name)
+		}
+		pk, jk := []float64{p.estEnd, p.slice, float64(p.idx)}, []float64{j.estEnd, j.slice, float64(j.idx)}
+		if slices.Compare(pk, jk) >= 0 {
+			return fmt.Sprintf("relOrder out of order at %d: %v before %v", k, pk, jk)
+		}
+	}
+	return ""
+}
+
+// TestClusterInvariantsEveryTransition drives the cluster state machine
+// by hand — the same transitions in the same order as Run — over the
+// chaos grid (every fault class × checkpoint policy, EASY backfilling,
+// a pool tight enough to queue), and checks the state invariants after
+// every transition rather than only on the final Result: the memory and
+// processor ledgers balance, free slots match free processors, relOrder
+// is the sorted active set, and no job sits in two of queue, retryQ and
+// active. The stepped run must also equal Run's own result, which pins
+// this loop to the production one.
+func TestClusterInvariantsEveryTransition(t *testing.T) {
+	specs, mem := faultStream(t, 21, 14)
+	chaosGrid(func(name string, mk func() *FaultOptions) {
+		c, err := newCluster(specs, &Options{Procs: 3, Mem: mem, Policy: EASY{}, Faults: mk()})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		transitions := 0
+		check := func(after string) {
+			t.Helper()
+			transitions++
+			if msg := c.violation(); msg != "" {
+				t.Fatalf("%s: after %s at t=%g (transition %d): %s", name, after, c.now, transitions, msg)
+			}
+		}
+		check("newCluster")
+		for {
+			c.rejoin()
+			check("rejoin")
+			if err := c.admit(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check("admit")
+			if err := c.dispatch(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check("dispatch")
+			if idle, err := c.drained(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			} else if idle {
+				break
+			}
+			c.advance()
+			check("advance")
+			c.complete()
+			check("complete")
+			c.strike()
+			check("strike")
+			c.arrive()
+			check("arrive")
+		}
+		if n := len(c.queue) + len(c.retryQ) + len(c.active); n != 0 {
+			t.Fatalf("%s: %d jobs still in the cluster at the end", name, n)
+		}
+		got, err := c.result()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := Run(specs, &Options{Procs: 3, Mem: mem, Policy: EASY{}, Faults: mk()})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the hand-stepped run diverged from Run", name)
+		}
+		if got.Restarts == 0 && got.FailedJobs == 0 {
+			t.Logf("%s: no fault struck; invariants checked on the fault-free path only", name)
+		}
+	})
+}

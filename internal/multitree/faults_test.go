@@ -58,12 +58,14 @@ func checkSurvivors(t *testing.T, res *Result, maxRetries int) (survived, failed
 	return survived, failed
 }
 
-// TestChaosInvariants is the chaos oracle: every fault class × every
-// checkpoint policy × contended admission, asserting the partition
-// invariant, exactly-once commits, retry-cap accounting, and that the
-// whole faulty run is deterministic (two runs deeply equal).
-func TestChaosInvariants(t *testing.T) {
-	specs, mem := faultStream(t, 21, 14)
+// chaosRetries is the chaos grid's retry cap.
+const chaosRetries = 6
+
+// chaosGrid calls fn once per cell of the chaos grid: every fault class
+// × every checkpoint policy. mk builds the cell's FaultOptions with a
+// fresh plan each time (a Plan is single-use), always from the same
+// (model, seed), so two calls yield identical fault schedules.
+func chaosGrid(fn func(name string, mk func() *FaultOptions)) {
 	models := []faults.Model{
 		faults.TaskFailures(0.003),
 		faults.ProcCrashes(2e-4),
@@ -71,52 +73,61 @@ func TestChaosInvariants(t *testing.T) {
 		faults.Mixed(0.002, 1e-4, 2e-5),
 	}
 	policies := []core.CheckpointPolicy{nil, core.CheckpointEvery{K: 4}, core.CheckpointOnPeak{}}
-	const retries = 6
-	sawRestart := false
 	for _, m := range models {
 		for _, ck := range policies {
-			mk := func() *FaultOptions {
-				return &FaultOptions{
-					Plan:            m.NewPlan(faults.Seed(99, m, "chaos")),
-					MaxRetries:      retries,
-					Backoff:         faults.Backoff{Base: 50, Cap: 800, Jitter: 0.3},
-					Checkpoint:      ck,
-					RecordSchedules: true,
-				}
-			}
 			name := m.Name
 			if ck != nil {
 				name += "/" + ck.Name()
 			}
-			opt := &Options{Procs: 3, Mem: mem, Policy: EASY{}, Faults: mk()}
-			res, err := Run(specs, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if res.Restarts > 0 {
-				sawRestart = true
-			}
-			checkSurvivors(t, res, retries)
-			if res.PeakReserved > mem*(1+1e-9) {
-				t.Fatalf("%s: reserved %g over the pool %g", name, res.PeakReserved, mem)
-			}
-			if res.WastedWork < 0 || res.BusyTime < 0 {
-				t.Fatalf("%s: negative work accounting: busy %g wasted %g", name, res.BusyTime, res.WastedWork)
-			}
-			if ck != nil && res.Restarts > 0 && res.Checkpoints == 0 {
-				t.Logf("%s: restarts without checkpoints (allowed, policy may not have fired)", name)
-			}
-			// Determinism: a fresh plan from the same (model, seed) must
-			// replay the identical run.
-			res2, err := Run(specs, &Options{Procs: 3, Mem: mem, Policy: EASY{}, Faults: mk()})
-			if err != nil {
-				t.Fatalf("%s rerun: %v", name, err)
-			}
-			if !reflect.DeepEqual(res, res2) {
-				t.Fatalf("%s: two runs of the same fault schedule diverged", name)
-			}
+			fn(name, func() *FaultOptions {
+				return &FaultOptions{
+					Plan:            m.NewPlan(faults.Seed(99, m, "chaos")),
+					MaxRetries:      chaosRetries,
+					Backoff:         faults.Backoff{Base: 50, Cap: 800, Jitter: 0.3},
+					Checkpoint:      ck,
+					RecordSchedules: true,
+				}
+			})
 		}
 	}
+}
+
+// TestChaosInvariants is the chaos oracle: every fault class × every
+// checkpoint policy × contended admission, asserting the partition
+// invariant, exactly-once commits, retry-cap accounting, and that the
+// whole faulty run is deterministic (two runs deeply equal).
+func TestChaosInvariants(t *testing.T) {
+	specs, mem := faultStream(t, 21, 14)
+	sawRestart := false
+	chaosGrid(func(name string, mk func() *FaultOptions) {
+		opt := &Options{Procs: 3, Mem: mem, Policy: EASY{}, Faults: mk()}
+		res, err := Run(specs, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Restarts > 0 {
+			sawRestart = true
+		}
+		checkSurvivors(t, res, chaosRetries)
+		if res.PeakReserved > mem*(1+1e-9) {
+			t.Fatalf("%s: reserved %g over the pool %g", name, res.PeakReserved, mem)
+		}
+		if res.WastedWork < 0 || res.BusyTime < 0 {
+			t.Fatalf("%s: negative work accounting: busy %g wasted %g", name, res.BusyTime, res.WastedWork)
+		}
+		if opt.Faults.Checkpoint != nil && res.Restarts > 0 && res.Checkpoints == 0 {
+			t.Logf("%s: restarts without checkpoints (allowed, policy may not have fired)", name)
+		}
+		// Determinism: a fresh plan from the same (model, seed) must
+		// replay the identical run.
+		res2, err := Run(specs, &Options{Procs: 3, Mem: mem, Policy: EASY{}, Faults: mk()})
+		if err != nil {
+			t.Fatalf("%s rerun: %v", name, err)
+		}
+		if !reflect.DeepEqual(res, res2) {
+			t.Fatalf("%s: two runs of the same fault schedule diverged", name)
+		}
+	})
 	if !sawRestart {
 		t.Fatalf("chaos grid injected no restarts — rates too low to test anything")
 	}

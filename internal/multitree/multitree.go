@@ -208,7 +208,6 @@ type job struct {
 	sinceCk     int              // commits since the last snapshot
 	workSinceCk float64          // committed work a restart would lose
 	peakBooked  float64          // booked-memory high-water mark of this attempt
-	started     bool             // Start has been recorded (first admission)
 	commitSched []tree.NodeID    // committed task sequence (RecordSchedules)
 	ckCommits   int              // len(commitSched) at the last snapshot
 }
@@ -223,6 +222,53 @@ type slotRec struct {
 	start, finish float64
 }
 
+// cluster is the whole mutable state of one run. Its methods are the
+// lifecycle transitions of DESIGN.md §8 — rejoin, admit (start),
+// dispatch, advance, complete (commit, checkpoint), strike (fail),
+// arrive, and the record/retire pair that ends an attempt — and Run is
+// the loop that applies them in order. A job is in at most one of queue,
+// retryQ and active: in none before it arrives and after it is recorded.
+type cluster struct {
+	opt   *Options
+	pol   Policy
+	ob    *obs.Observer
+	fo    *FaultOptions // nil in fault-free mode
+	plan  *faults.Plan  // fo.Plan, nil when nothing is injected
+	ckpol core.CheckpointPolicy
+	eps   float64
+	res   *Result
+
+	jobs      []job
+	byArrival []*job // arrival order: by time, submission index breaking ties
+	arrIdx    int    // next byArrival entry to arrive
+
+	queue    []*job // waiting for admission, arrival order
+	retryQ   []*job // failed jobs waiting out backoff, (retryAt, idx) order
+	active   []*job // admitted, admission order
+	relOrder []*job // active, sorted by (estEnd, slice, idx) — EASY's shadow order
+
+	now, prev float64 // the current instant and the one advance left
+	events    pqueue.EventHeap
+	slots     []slotRec
+	freeSlots []int32
+	freeProcs int
+	runningT  int // tasks running across all jobs
+	freeMem   float64
+	pool      core.MemBookingPool
+	// admitDirty gates the admission pass: policies are pure functions
+	// of (queue, free memory), so re-invoking them is pointless until
+	// the queue gains a member or memory returns to the pool (see the
+	// State doc comment for why advancing time alone cannot help).
+	admitDirty bool
+	st         State
+
+	idbuf     []int32         // PopBatch destination, recycled
+	admitMark []bool          // per-round admitted marks, recycled
+	touched   []*job          // per-instant OnFinish grouping, recycled
+	victims   []*job          // burst kill list, recycled
+	batchFree [][]tree.NodeID // retired jobs' batch buffers, recycled
+}
+
 // Run simulates the job stream under the options' policy. Per-job
 // schedulers are core.MemBooking over the job's memPO activation order,
 // so the admission invariant M_j ≥ peak(AO_j) makes every admitted job
@@ -230,41 +276,77 @@ type slotRec struct {
 // policy breaks the invariant the validator here lets through (it
 // rejects slices below peak or over the free pool up front).
 func Run(specs []JobSpec, opt *Options) (*Result, error) {
+	c, err := newCluster(specs, opt)
+	if err != nil {
+		return nil, err
+	}
+	// Every emission in the loop is an array store behind one branch
+	// (obs.Emit is nil-safe and allocation-free), so the fault-free fast
+	// path and the steady-state alloc guarantee hold with telemetry on.
+	// The deferred Flush publishes the tail of the single-producer batch.
+	defer c.ob.Flush()
+	for {
+		c.rejoin()
+		if err := c.admit(); err != nil {
+			return nil, err
+		}
+		if err := c.dispatch(); err != nil {
+			return nil, err
+		}
+		if idle, err := c.drained(); err != nil {
+			return nil, err
+		} else if idle {
+			return c.result()
+		}
+		// One instant drains in this order, so a completion at a fault
+		// epoch commits before the fault strikes, and a same-instant
+		// arrival burst is batched through a single policy pass at the top
+		// of the next iteration rather than one admission round each.
+		c.advance()
+		c.complete()
+		c.strike()
+		c.arrive()
+	}
+}
+
+// newCluster validates the inputs and builds the initial state: every
+// job outside the cluster, all processors and memory free, time 0.
+func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 	if opt == nil || opt.Procs < 1 {
 		return nil, fmt.Errorf("multitree: need at least one processor")
 	}
 	if !(opt.Mem > 0) || math.IsInf(opt.Mem, 0) {
 		return nil, fmt.Errorf("multitree: memory pool must be positive and finite, got %g", opt.Mem)
 	}
-	pol := opt.Policy
-	if pol == nil {
-		pol = FCFS{}
-	}
 	p := opt.Procs
-	// The observer hook: every emission below is an array store behind
-	// one branch (obs.Emit is nil-safe and allocation-free), so the
-	// fault-free fast path and the steady-state alloc guarantee hold
-	// with telemetry on. The deferred Flush publishes the tail of the
-	// single-producer batch once the loop is done.
-	ob := opt.Observer
-	defer ob.Flush()
-
-	fo := opt.Faults
-	var plan *faults.Plan
-	ckpol := core.CheckpointPolicy(core.CheckpointNever{})
-	if fo != nil {
-		plan = fo.Plan
-		if fo.Checkpoint != nil {
-			ckpol = fo.Checkpoint
+	c := &cluster{
+		opt: opt, pol: opt.Policy, ob: opt.Observer, fo: opt.Faults,
+		ckpol: core.CheckpointNever{},
+		eps:   1e-9 * (1 + opt.Mem),
+		// One backing array for every job's runtime state: a 10k-job
+		// stream costs one allocation here, not 10k.
+		jobs:       make([]job, len(specs)),
+		byArrival:  make([]*job, len(specs)),
+		res:        &Result{Jobs: make([]JobResult, len(specs))},
+		slots:      make([]slotRec, p),
+		freeSlots:  make([]int32, p),
+		freeProcs:  p,
+		freeMem:    opt.Mem,
+		admitDirty: true,
+		st:         State{Procs: p, Mem: opt.Mem},
+	}
+	if c.pol == nil {
+		c.pol = FCFS{}
+	}
+	if c.fo != nil {
+		c.plan = c.fo.Plan
+		if c.fo.Checkpoint != nil {
+			c.ckpol = c.fo.Checkpoint
 		}
-		if fo.MaxRetries < 0 {
-			return nil, fmt.Errorf("multitree: negative retry cap %d", fo.MaxRetries)
+		if c.fo.MaxRetries < 0 {
+			return nil, fmt.Errorf("multitree: negative retry cap %d", c.fo.MaxRetries)
 		}
 	}
-
-	// One backing array for every job's runtime state: a 10k-job stream
-	// costs one allocation here, not 10k.
-	jobs := make([]job, len(specs))
 	for i, sp := range specs {
 		if sp.Tree == nil || sp.Tree.Len() == 0 {
 			return nil, fmt.Errorf("multitree: job %q has no tree", sp.Name)
@@ -279,524 +361,510 @@ func Run(specs []JobSpec, opt *Options) (*Result, error) {
 		if peak > opt.Mem {
 			return nil, fmt.Errorf("multitree: job %q needs %g memory, over the cluster pool %g — no slice can admit it", sp.Name, peak, opt.Mem)
 		}
-		jobs[i] = job{spec: sp, idx: i, ao: ao, peak: peak, minSlice: peak, est: bounds.Classical(sp.Tree, p)}
+		c.jobs[i] = job{spec: sp, idx: i, ao: ao, peak: peak, minSlice: peak, est: bounds.Classical(sp.Tree, p)}
+		c.byArrival[i] = &c.jobs[i]
 	}
-	// Arrival order: by time, submission index breaking ties.
-	byArrival := make([]*job, len(jobs))
-	for i := range jobs {
-		byArrival[i] = &jobs[i]
-	}
-	slices.SortStableFunc(byArrival, func(a, b *job) int {
-		if c := cmp.Compare(a.spec.Arrival, b.spec.Arrival); c != 0 {
-			return c
+	slices.SortStableFunc(c.byArrival, func(a, b *job) int {
+		if d := cmp.Compare(a.spec.Arrival, b.spec.Arrival); d != 0 {
+			return d
 		}
 		return cmp.Compare(a.idx, b.idx)
 	})
-
-	var (
-		res       = &Result{Jobs: make([]JobResult, len(jobs))}
-		events    pqueue.EventHeap
-		slots     = make([]slotRec, p)
-		freeSlots = make([]int32, p)
-		queue     []*job // waiting for admission, arrival order
-		retryQ    []*job // failed jobs waiting out backoff, (retryAt, idx) order
-		active    []*job // admitted, admission order
-		relOrder  []*job // active, sorted by (estEnd, slice, idx) — EASY's shadow order
-		arrIdx    = 0
-		now       = 0.0
-		freeProcs = p
-		freeMem   = opt.Mem
-		runningT  = 0 // tasks running across all jobs
-		eps       = 1e-9 * (1 + opt.Mem)
-		idbuf     []int32 // PopBatch destination, recycled
-		finished  = 0
-		pool      core.MemBookingPool
-		// admitDirty gates the admission pass: policies are pure functions
-		// of (queue, free memory), so re-invoking them is pointless until
-		// the queue gains a member or memory returns to the pool (see the
-		// State doc comment for why advancing time alone cannot help).
-		admitDirty = true
-		admitMark  []bool          // per-round admitted marks, recycled
-		touched    []*job          // per-instant OnFinish grouping, recycled
-		victims    []*job          // burst kill list, recycled
-		batchFree  [][]tree.NodeID // retired jobs' batch buffers, recycled
-	)
-	events.Grow(p)
-	for i := range freeSlots {
-		freeSlots[i] = int32(p - 1 - i) // pop order 0,1,2,…
+	c.events.Grow(p)
+	for i := range c.freeSlots {
+		c.freeSlots[i] = int32(p - 1 - i) // pop order 0,1,2,…
 	}
+	return c, nil
+}
 
-	// failJob is the fail-stop path: kill the job's in-flight tasks
-	// (cancelling their completion events and crediting their partial
-	// work as wasted), release its slice back to the pool, and either
-	// re-queue it after backoff or report it Failed once retries run out.
-	failJob := func(j *job) {
-		if j.sched == nil {
-			return // already failed at this instant (e.g. crash after burst)
+// join appends js to the admission queue (outside → queued, or
+// retry-wait → queued) and reports the new depth.
+func (c *cluster) join(js []*job) {
+	if len(js) == 0 {
+		return
+	}
+	c.queue = append(c.queue, js...)
+	c.admitDirty = true
+	if len(c.queue) > c.res.MaxQueue {
+		c.res.MaxQueue = len(c.queue)
+	}
+	c.ob.Emit(obs.KindQueueDepth, c.now, -1, -1, float64(len(c.queue)), 0)
+}
+
+// rejoin moves the retries whose backoff has elapsed back into the
+// admission queue (behind any same-instant fresh arrivals, which arrive
+// appended at the end of the previous iteration).
+func (c *cluster) rejoin() {
+	k := 0
+	for k < len(c.retryQ) && c.retryQ[k].retryAt <= c.now {
+		k++
+	}
+	c.join(c.retryQ[:k])
+	c.retryQ = c.retryQ[k:]
+}
+
+// arrive queues every job submitted at this instant.
+func (c *cluster) arrive() {
+	k := c.arrIdx
+	for k < len(c.byArrival) && c.byArrival[k].spec.Arrival == c.now {
+		k++
+	}
+	c.join(c.byArrival[c.arrIdx:k])
+	c.arrIdx = k
+}
+
+// retriesBefore orders retryQ: by retry instant, submission index
+// breaking ties.
+func retriesBefore(a, b *job) bool {
+	if a.retryAt != b.retryAt {
+		return a.retryAt < b.retryAt
+	}
+	return a.idx < b.idx
+}
+
+// releasesBefore orders relOrder: by estimated end, then slice, then
+// submission index — the order EASY's shadow walk consumes.
+func releasesBefore(a, b *job) bool {
+	if a.estEnd != b.estEnd {
+		return a.estEnd < b.estEnd
+	}
+	if a.slice != b.slice {
+		return a.slice < b.slice
+	}
+	return a.idx < b.idx
+}
+
+// insertSorted places j in s, sorted by before, after every element not
+// ordered behind it. Admissions arrive with ever-later estEnd far more
+// often than not, so the search lands near the tail and the copy moves
+// little (temporal coherence, à la sweep-and-prune).
+func insertSorted(s []*job, j *job, before func(a, b *job) bool) []*job {
+	at := sort.Search(len(s), func(k int) bool { return before(j, s[k]) })
+	s = append(s, nil)
+	copy(s[at+1:], s[at:])
+	s[at] = j
+	return s
+}
+
+// without removes j from s in place, keeping the order of the rest.
+func without(s []*job, j *job) []*job {
+	at := slices.Index(s, j)
+	return slices.Delete(s, at, at+1)
+}
+
+// admit lets the policy carve slices while jobs wait (queued → active).
+// Skipped while neither the queue nor the free pool has changed since
+// the last pass — a pure policy would only repeat its empty answer.
+func (c *cluster) admit() error {
+	if !c.admitDirty || len(c.queue) == 0 {
+		return nil
+	}
+	c.admitDirty = false
+	c.st.Now, c.st.FreeProcs, c.st.FreeMem = c.now, c.freeProcs, c.freeMem
+	c.st.fill(c.queue, c.active, c.relOrder)
+	ads := c.pol.Admit(&c.st)
+	if len(ads) == 0 {
+		return nil
+	}
+	if cap(c.admitMark) < len(c.queue) {
+		c.admitMark = make([]bool, len(c.queue))
+	} else {
+		c.admitMark = c.admitMark[:len(c.queue)]
+		clear(c.admitMark)
+	}
+	// Mark first, then delete from the queue, so admission indices stay
+	// valid while the policy's list is applied.
+	for _, ad := range ads {
+		if ad.Queue < 0 || ad.Queue >= len(c.queue) || c.admitMark[ad.Queue] {
+			return fmt.Errorf("multitree: policy %q admitted invalid queue index %d", c.pol.Name(), ad.Queue)
 		}
-		ob.Emit(obs.KindFault, now, int32(j.idx), -1, j.slice, 0)
-		for s := range slots {
-			rec := &slots[s]
-			if rec.job != j {
+		j := c.queue[ad.Queue]
+		if ad.Slice < j.minSlice-c.eps {
+			return fmt.Errorf("multitree: policy %q granted job %q slice %g below its floor %g (peak %g) — Theorem 1 would not hold", c.pol.Name(), j.spec.Name, ad.Slice, j.minSlice, j.peak)
+		}
+		if ad.Slice > c.freeMem+c.eps {
+			return fmt.Errorf("multitree: policy %q granted job %q slice %g over the free pool %g — Σ slices would exceed M", c.pol.Name(), j.spec.Name, ad.Slice, c.freeMem)
+		}
+		c.admitMark[ad.Queue] = true
+		if err := c.start(j, ad.Slice); err != nil {
+			return err
+		}
+	}
+	// An admission that jumps over a still-waiting earlier queue position
+	// is a backfill: the policy (EASY, SBF) moved a job ahead of the queue
+	// head's reservation.
+	kept := c.queue[:0]
+	for qi, j := range c.queue {
+		if !c.admitMark[qi] {
+			kept = append(kept, j)
+			continue
+		}
+		c.ob.Emit(obs.KindAdmit, c.now, int32(j.idx), -1, j.slice, c.freeMem)
+		if len(kept) > 0 {
+			c.ob.Emit(obs.KindBackfill, c.now, int32(j.idx), -1, j.slice, 0)
+		}
+	}
+	c.queue = kept
+	c.ob.Emit(obs.KindQueueDepth, c.now, -1, -1, float64(len(c.queue)), 0)
+	if reserved := c.opt.Mem - c.freeMem; reserved > c.res.PeakReserved {
+		c.res.PeakReserved = reserved
+	}
+	return nil
+}
+
+// start carves j its slice and binds it a pooled scheduler — restored
+// from the latest checkpoint on a retry, initialised otherwise — then
+// enters it in active and relOrder.
+func (c *cluster) start(j *job, slice float64) error {
+	j.slice = slice
+	sched, err := c.pool.Get(j.spec.Tree, j.slice, j.ao, j.ao)
+	if err != nil {
+		return fmt.Errorf("multitree: job %q: %w", j.spec.Name, err)
+	}
+	if j.cp != nil {
+		// The admission floor guarantees the slice covers the snapshot's
+		// booked memory.
+		if err := sched.Restore(j.cp); err != nil {
+			return fmt.Errorf("multitree: job %q restart: %w", j.spec.Name, err)
+		}
+		j.remaining = j.cp.Remaining()
+	} else {
+		if err := sched.Init(); err != nil {
+			return fmt.Errorf("multitree: job %q: %w", j.spec.Name, err)
+		}
+		j.remaining = j.spec.Tree.Len()
+	}
+	j.sched = sched
+	j.running = 0
+	if j.attempt == 0 {
+		j.start = c.now // first admission; a retry keeps its original start
+	}
+	j.estEnd = c.now + j.est
+	if c.fo != nil {
+		j.sinceCk = 0
+		j.workSinceCk = 0
+		j.peakBooked = sched.BookedMemory()
+	}
+	c.freeMem -= j.slice
+	c.active = append(c.active, j)
+	c.relOrder = insertSorted(c.relOrder, j, releasesBefore)
+	return nil
+}
+
+// dispatch offers the free processors to active jobs in admission order
+// (greedy and deterministic; a job starved this round gets its chance at
+// the next completion).
+func (c *cluster) dispatch() error {
+	for _, j := range c.active {
+		if c.freeProcs == 0 {
+			break
+		}
+		for _, nid := range j.sched.Select(c.freeProcs) {
+			if c.freeProcs == 0 {
+				return fmt.Errorf("multitree: job %q over-selected tasks", j.spec.Name)
+			}
+			slot := c.freeSlots[len(c.freeSlots)-1]
+			c.freeSlots = c.freeSlots[:len(c.freeSlots)-1]
+			d := j.spec.Tree.Time(nid)
+			c.slots[slot] = slotRec{job: j, node: nid, start: c.now, finish: c.now + d}
+			c.events.Push(c.now+d, slot)
+			c.ob.Emit(obs.KindStart, c.now, int32(j.idx), int32(nid), d, 0)
+			c.res.BusyTime += d
+			c.freeProcs--
+			j.running++
+			c.runningT++
+		}
+	}
+	return nil
+}
+
+// drained is the progress check between dispatch and advance. It
+// reports true once nothing runs and nothing is left to arrive or
+// retry, and an error when the cluster is idle with work it should have
+// been able to start.
+func (c *cluster) drained() (bool, error) {
+	if c.runningT > 0 {
+		return false, nil
+	}
+	// With every active slice ≥ its peak, an active job with no running
+	// task can always launch (Theorem 1), so a globally idle cluster with
+	// active jobs is a policy/scheduler invariant violation, surfaced as
+	// the shared deadlock type.
+	if len(c.active) > 0 {
+		j := c.active[0]
+		return false, fmt.Errorf("multitree: job %q stalled the cluster: %w", j.spec.Name,
+			&core.ErrDeadlock{Scheduler: j.sched.Name(), Finished: j.spec.Tree.Len() - j.remaining,
+				Total: j.spec.Tree.Len(), Booked: j.sched.BookedMemory()})
+	}
+	if c.arrIdx < len(c.byArrival) || len(c.retryQ) > 0 {
+		return false, nil
+	}
+	if len(c.queue) > 0 {
+		// Nothing running, nothing arriving, memory fully free — the
+		// policy refused every admissible job.
+		return false, fmt.Errorf("multitree: policy %q admitted nothing on an idle cluster with %d queued jobs", c.pol.Name(), len(c.queue))
+	}
+	return true, nil
+}
+
+// advance moves the clock to the next instant: the earliest of the next
+// completion, arrival, retry expiry, and — in fault mode, while
+// anything runs — the next crash or burst epoch.
+func (c *cluster) advance() {
+	tNext := math.Inf(1)
+	if c.events.Len() > 0 {
+		tNext = c.events.Min().Time
+	}
+	if c.arrIdx < len(c.byArrival) && c.byArrival[c.arrIdx].spec.Arrival < tNext {
+		tNext = c.byArrival[c.arrIdx].spec.Arrival
+	}
+	if len(c.retryQ) > 0 && c.retryQ[0].retryAt < tNext {
+		tNext = c.retryQ[0].retryAt
+	}
+	if c.plan != nil && c.runningT > 0 {
+		for s := range c.slots {
+			if c.slots[s].job == nil {
 				continue
 			}
-			res.WastedWork += now - rec.start
-			res.BusyTime -= rec.finish - now // charged at launch; the remainder never runs
-			rec.job = nil
-			freeSlots = append(freeSlots, int32(s))
-			freeProcs++
-			runningT--
-		}
-		j.running = 0
-		events.Filter(func(id int32) bool { return slots[id].job != nil })
-		// Commits past the restart point will be redone: wasted.
-		res.WastedWork += j.workSinceCk
-		j.workSinceCk = 0
-		if fo.RecordSchedules {
-			j.commitSched = j.commitSched[:j.ckCommits]
-		}
-		freeMem += j.slice
-		admitDirty = true
-		kept := active[:0]
-		for _, a := range active {
-			if a != j {
-				kept = append(kept, a)
+			if t := c.plan.NextCrash(s, c.now); t < tNext {
+				tNext = t
 			}
 		}
-		active = kept
-		keptR := relOrder[:0]
-		for _, a := range relOrder {
-			if a != j {
-				keptR = append(keptR, a)
-			}
+		if b := c.plan.NextBurst(c.now); b < tNext {
+			tNext = b
 		}
-		relOrder = keptR
-		pool.Put(j.sched)
-		j.sched = nil
-		j.attempt++
-		if j.cp != nil && j.cp.BookedMemory() > j.minSlice {
-			j.minSlice = j.cp.BookedMemory()
-		}
-		if j.attempt > fo.MaxRetries {
-			if j.batch != nil {
-				batchFree = append(batchFree, j.batch[:0])
-				j.batch = nil
-			}
-			res.FailedJobs++
-			finished++
-			res.Jobs[j.idx] = JobResult{
-				Name: j.spec.Name, Nodes: j.spec.Tree.Len(),
-				Arrival: j.spec.Arrival, Start: j.start, Finish: now,
-				Peak: j.peak, Slice: j.slice, Estimate: j.est,
-				Attempts: j.attempt, Failed: true,
-			}
-			ob.Emit(obs.KindDone, now, int32(j.idx), -1, j.slice, 1)
-			if now > res.Makespan {
-				res.Makespan = now
-			}
-			return
-		}
-		res.Restarts++
-		j.retryAt = now + fo.Backoff.Delay(j.spec.Name, j.attempt-1)
-		ob.Emit(obs.KindRestart, now, int32(j.idx), -1, j.retryAt, float64(j.attempt))
-		at := sort.Search(len(retryQ), func(k int) bool {
-			r := retryQ[k]
-			if r.retryAt != j.retryAt {
-				return r.retryAt > j.retryAt
-			}
-			return r.idx > j.idx
-		})
-		retryQ = append(retryQ, nil)
-		copy(retryQ[at+1:], retryQ[at:])
-		retryQ[at] = j
 	}
+	c.res.AvgQueue += float64(len(c.queue)) * (tNext - c.now)
+	c.prev, c.now = c.now, tNext
+}
 
-	st := &State{Procs: p, Mem: opt.Mem}
-	for finished < len(jobs) {
-		// Retries whose backoff has elapsed rejoin the admission queue
-		// (behind any same-instant fresh arrivals, already appended).
-		rejoined := false
-		for len(retryQ) > 0 && retryQ[0].retryAt <= now {
-			queue = append(queue, retryQ[0])
-			retryQ = retryQ[1:]
-			admitDirty = true
-			rejoined = true
-			if len(queue) > res.MaxQueue {
-				res.MaxQueue = len(queue)
-			}
-		}
-		if rejoined {
-			ob.Emit(obs.KindQueueDepth, now, -1, -1, float64(len(queue)), 0)
-		}
-		// Admission: let the policy carve slices while jobs wait. Skipped
-		// while neither the queue nor the free pool has changed since the
-		// last pass — a pure policy would only repeat its empty answer.
-		if admitDirty && len(queue) > 0 {
-			admitDirty = false
-			st.Now, st.FreeProcs, st.FreeMem = now, freeProcs, freeMem
-			st.fill(queue, active, relOrder)
-			ads := pol.Admit(st)
-			if cap(admitMark) < len(queue) {
-				admitMark = make([]bool, len(queue))
+// complete drains the tasks finishing at this instant, grouped per job
+// (first-touch order) so each job's scheduler sees exactly one OnFinish
+// per instant, as the engine contract requires.
+func (c *cluster) complete() {
+	if c.events.Len() == 0 || c.events.Min().Time != c.now {
+		return
+	}
+	_, c.idbuf = c.events.PopBatch(c.idbuf[:0])
+	c.touched = c.touched[:0]
+	for _, slot := range c.idbuf {
+		rec := c.slots[slot]
+		c.slots[slot].job = nil
+		c.freeSlots = append(c.freeSlots, slot)
+		j := rec.job
+		if j.batch == nil {
+			if k := len(c.batchFree); k > 0 {
+				j.batch = c.batchFree[k-1]
+				c.batchFree = c.batchFree[:k-1]
 			} else {
-				admitMark = admitMark[:len(queue)]
-				clear(admitMark)
-			}
-			nAdmitted := 0
-			// Collect first, then delete from the queue, so admission
-			// indices stay valid while the policy's list is applied.
-			for _, ad := range ads {
-				if ad.Queue < 0 || ad.Queue >= len(queue) || admitMark[ad.Queue] {
-					return nil, fmt.Errorf("multitree: policy %q admitted invalid queue index %d", pol.Name(), ad.Queue)
-				}
-				j := queue[ad.Queue]
-				if ad.Slice < j.minSlice-eps {
-					return nil, fmt.Errorf("multitree: policy %q granted job %q slice %g below its floor %g (peak %g) — Theorem 1 would not hold", pol.Name(), j.spec.Name, ad.Slice, j.minSlice, j.peak)
-				}
-				if ad.Slice > freeMem+eps {
-					return nil, fmt.Errorf("multitree: policy %q granted job %q slice %g over the free pool %g — Σ slices would exceed M", pol.Name(), j.spec.Name, ad.Slice, freeMem)
-				}
-				admitMark[ad.Queue] = true
-				nAdmitted++
-				j.slice = ad.Slice
-				sched, err := pool.Get(j.spec.Tree, j.slice, j.ao, j.ao)
-				if err != nil {
-					return nil, fmt.Errorf("multitree: job %q: %w", j.spec.Name, err)
-				}
-				if j.cp != nil {
-					// Restart from the latest snapshot: the floor above
-					// guarantees the slice covers its booked memory.
-					if err := sched.Restore(j.cp); err != nil {
-						return nil, fmt.Errorf("multitree: job %q restart: %w", j.spec.Name, err)
-					}
-					j.remaining = j.cp.Remaining()
-				} else {
-					if err := sched.Init(); err != nil {
-						return nil, fmt.Errorf("multitree: job %q: %w", j.spec.Name, err)
-					}
-					j.remaining = j.spec.Tree.Len()
-				}
-				j.sched = sched
-				j.running = 0
-				if !j.started {
-					j.start = now
-					j.started = true
-				}
-				j.estEnd = now + j.est
-				if fo != nil {
-					j.sinceCk = 0
-					j.workSinceCk = 0
-					j.peakBooked = sched.BookedMemory()
-				}
-				freeMem -= j.slice
-				active = append(active, j)
-				// Keep the release order sorted through the insertion:
-				// admissions arrive with ever-later estEnd far more often
-				// than not, so the search lands near the tail and the copy
-				// moves little (temporal coherence, à la sweep-and-prune).
-				at := sort.Search(len(relOrder), func(k int) bool {
-					r := relOrder[k]
-					if r.estEnd != j.estEnd {
-						return r.estEnd > j.estEnd
-					}
-					if r.slice != j.slice {
-						return r.slice > j.slice
-					}
-					return r.idx > j.idx
-				})
-				relOrder = append(relOrder, nil)
-				copy(relOrder[at+1:], relOrder[at:])
-				relOrder[at] = j
-			}
-			if nAdmitted > 0 {
-				if ob != nil {
-					// An admission that jumps over a still-waiting earlier
-					// queue position is a backfill: the policy (EASY, SBF)
-					// moved a job ahead of the queue head's reservation.
-					firstSkipped := -1
-					for qi, marked := range admitMark {
-						if !marked {
-							firstSkipped = qi
-							break
-						}
-					}
-					for qi, marked := range admitMark {
-						if !marked {
-							continue
-						}
-						j := queue[qi]
-						ob.Emit(obs.KindAdmit, now, int32(j.idx), -1, j.slice, freeMem)
-						if firstSkipped >= 0 && qi > firstSkipped {
-							ob.Emit(obs.KindBackfill, now, int32(j.idx), -1, j.slice, 0)
-						}
-					}
-				}
-				kept := queue[:0]
-				for qi, j := range queue {
-					if !admitMark[qi] {
-						kept = append(kept, j)
-					}
-				}
-				queue = kept
-				ob.Emit(obs.KindQueueDepth, now, -1, -1, float64(len(queue)), 0)
-				if reserved := opt.Mem - freeMem; reserved > res.PeakReserved {
-					res.PeakReserved = reserved
-				}
+				j.batch = make([]tree.NodeID, 0, 4)
 			}
 		}
+		if len(j.batch) == 0 {
+			c.touched = append(c.touched, j)
+		}
+		j.batch = append(j.batch, rec.node)
+	}
+	for _, j := range c.touched {
+		c.commit(j)
+	}
+}
 
-		// Dispatch: offer the free processors to active jobs in admission
-		// order (greedy and deterministic; a job starved this round gets
-		// its chance at the next completion).
-		for _, j := range active {
-			if freeProcs == 0 {
+// commit applies j's completion batch: its tasks leave their processors
+// and — unless an injected failure voids the batch — are committed to
+// the scheduler, after which the job either is done (active → done) or
+// reaches a task boundary where it may checkpoint.
+func (c *cluster) commit(j *job) {
+	n := len(j.batch)
+	j.running -= n
+	c.runningT -= n
+	c.freeProcs += n
+	if c.plan != nil {
+		// A failed attempt is detected at its completion instant:
+		// fail-stop, so the whole job dies and the batch — fully run — is
+		// wasted, never committed.
+		doomed := false
+		for _, nid := range j.batch {
+			if c.plan.TaskFails(j.spec.Name, int(nid), j.attempt) {
+				doomed = true
 				break
 			}
-			sel := j.sched.Select(freeProcs)
-			for _, nid := range sel {
-				if freeProcs == 0 {
-					return nil, fmt.Errorf("multitree: job %q over-selected tasks", j.spec.Name)
-				}
-				slot := freeSlots[len(freeSlots)-1]
-				freeSlots = freeSlots[:len(freeSlots)-1]
-				d := j.spec.Tree.Time(nid)
-				slots[slot] = slotRec{job: j, node: nid, start: now, finish: now + d}
-				events.Push(now+d, slot)
-				ob.Emit(obs.KindStart, now, int32(j.idx), int32(nid), d, 0)
-				res.BusyTime += d
-				freeProcs--
-				j.running++
-				runningT++
+		}
+		if doomed {
+			for _, nid := range j.batch {
+				c.res.WastedWork += j.spec.Tree.Time(nid)
 			}
-		}
-
-		// Progress check: with every active slice ≥ its peak, an active
-		// job with no running task can always launch (Theorem 1), so a
-		// globally idle cluster with active jobs is a policy/scheduler
-		// invariant violation, surfaced as the shared deadlock type.
-		if runningT == 0 && len(active) > 0 {
-			j := active[0]
-			return nil, fmt.Errorf("multitree: job %q stalled the cluster: %w", j.spec.Name,
-				&core.ErrDeadlock{Scheduler: j.sched.Name(), Finished: j.spec.Tree.Len() - j.remaining,
-					Total: j.spec.Tree.Len(), Booked: j.sched.BookedMemory()})
-		}
-		if runningT == 0 && arrIdx >= len(byArrival) && len(retryQ) == 0 {
-			if len(queue) > 0 {
-				// Nothing running, nothing arriving, memory fully free —
-				// the policy refused every admissible job.
-				return nil, fmt.Errorf("multitree: policy %q admitted nothing on an idle cluster with %d queued jobs", pol.Name(), len(queue))
-			}
-			break // all jobs done
-		}
-
-		// Advance to the next instant: the earliest of the next
-		// completion, arrival, retry expiry, and — in fault mode, while
-		// anything runs — the next crash or burst epoch. Coinciding
-		// instants drain in that order, so a completion at a fault epoch
-		// commits before the fault strikes.
-		tNext := math.Inf(1)
-		if events.Len() > 0 {
-			tNext = events.Min().Time
-		}
-		if arrIdx < len(byArrival) && byArrival[arrIdx].spec.Arrival < tNext {
-			tNext = byArrival[arrIdx].spec.Arrival
-		}
-		if len(retryQ) > 0 && retryQ[0].retryAt < tNext {
-			tNext = retryQ[0].retryAt
-		}
-		if plan != nil && runningT > 0 {
-			for s := range slots {
-				if slots[s].job == nil {
-					continue
-				}
-				if c := plan.NextCrash(s, now); c < tNext {
-					tNext = c
-				}
-			}
-			if b := plan.NextBurst(now); b < tNext {
-				tNext = b
-			}
-		}
-		res.AvgQueue += float64(len(queue)) * (tNext - now)
-		prev := now
-		now = tNext
-
-		if events.Len() > 0 && events.Min().Time == now {
-			var ids []int32
-			_, ids = events.PopBatch(idbuf[:0])
-			idbuf = ids
-			// Group the batch per job (first-touch order) so each job's
-			// scheduler sees exactly one OnFinish per instant, as the
-			// engine contract requires.
-			touched = touched[:0]
-			for _, slot := range ids {
-				rec := slots[slot]
-				slots[slot].job = nil
-				freeSlots = append(freeSlots, slot)
-				j := rec.job
-				if j.batch == nil {
-					if k := len(batchFree); k > 0 {
-						j.batch = batchFree[k-1]
-						batchFree = batchFree[:k-1]
-					} else {
-						j.batch = make([]tree.NodeID, 0, 4)
-					}
-				}
-				if len(j.batch) == 0 {
-					touched = append(touched, j)
-				}
-				j.batch = append(j.batch, rec.node)
-			}
-			for _, j := range touched {
-				n := len(j.batch)
-				if plan != nil {
-					// A failed attempt is detected at its completion
-					// instant: fail-stop, so the whole job dies and the
-					// batch — fully run — is wasted, never committed.
-					doomed := false
-					for _, nid := range j.batch {
-						if plan.TaskFails(j.spec.Name, int(nid), j.attempt) {
-							doomed = true
-							break
-						}
-					}
-					if doomed {
-						for _, nid := range j.batch {
-							res.WastedWork += j.spec.Tree.Time(nid)
-						}
-						j.batch = j.batch[:0]
-						j.running -= n
-						runningT -= n
-						freeProcs += n
-						failJob(j)
-						continue
-					}
-				}
-				j.sched.OnFinish(j.batch)
-				if fo != nil {
-					for _, nid := range j.batch {
-						j.workSinceCk += j.spec.Tree.Time(nid)
-					}
-					j.sinceCk += n
-					if fo.RecordSchedules {
-						j.commitSched = append(j.commitSched, j.batch...)
-					}
-				}
-				if ob != nil {
-					for _, nid := range j.batch {
-						ob.Emit(obs.KindFinish, now, int32(j.idx), int32(nid), 0, 0)
-					}
-				}
-				j.batch = j.batch[:0]
-				j.remaining -= n
-				j.running -= n
-				runningT -= n
-				freeProcs += n
-				res.Events += n
-				if j.remaining == 0 {
-					freeMem += j.slice
-					admitDirty = true
-					jr := JobResult{
-						Name: j.spec.Name, Nodes: j.spec.Tree.Len(),
-						Arrival: j.spec.Arrival, Start: j.start, Finish: now,
-						Peak: j.peak, Slice: j.slice, Estimate: j.est,
-						Attempts: j.attempt + 1,
-					}
-					if fo != nil && fo.RecordSchedules {
-						//lint:ignore hotalloc RecordSchedules is a test-oracle mode: the copy runs once per finished job, only when a test asks for schedules
-						jr.Schedule = append([]tree.NodeID(nil), j.commitSched...)
-					}
-					res.Jobs[j.idx] = jr
-					ob.Emit(obs.KindDone, now, int32(j.idx), -1, j.slice, 0)
-					if now > res.Makespan {
-						res.Makespan = now
-					}
-					finished++
-					kept := active[:0]
-					for _, a := range active {
-						if a != j {
-							kept = append(kept, a)
-						}
-					}
-					active = kept
-					keptR := relOrder[:0]
-					for _, a := range relOrder {
-						if a != j {
-							keptR = append(keptR, a)
-						}
-					}
-					relOrder = keptR
-					// Retire the job's scheduler and batch buffer: a later
-					// admission of a same-size-class job reuses both.
-					pool.Put(j.sched)
-					j.sched = nil
-					if j.batch != nil {
-						batchFree = append(batchFree, j.batch[:0])
-						j.batch = nil
-					}
-				} else if fo != nil {
-					// Task boundary: after the batch's OnFinish, before any
-					// launch at this instant — the checkpoint contract.
-					booked := j.sched.BookedMemory()
-					if ckpol.Should(j.sinceCk, booked, j.peakBooked) {
-						j.cp = j.sched.CheckpointInto(j.cp)
-						j.ckCommits = len(j.commitSched)
-						j.sinceCk = 0
-						j.workSinceCk = 0
-						res.Checkpoints++
-						ob.Emit(obs.KindCheckpoint, now, int32(j.idx), -1, booked, 0)
-					}
-					if booked > j.peakBooked {
-						j.peakBooked = booked
-					}
-				}
-			}
-		}
-		// Fault epochs at this instant strike after same-instant
-		// completions commit: a crash kills the job running on that
-		// processor, a burst kills every job with running work.
-		if plan != nil {
-			for s := range slots {
-				if slots[s].job != nil && plan.NextCrash(s, prev) == now {
-					failJob(slots[s].job)
-				}
-			}
-			if plan.NextBurst(prev) == now {
-				victims = victims[:0]
-				for _, j := range active {
-					if j.running > 0 {
-						victims = append(victims, j)
-					}
-				}
-				for _, j := range victims {
-					failJob(j)
-				}
-			}
-		}
-		// A whole same-instant arrival burst joins the queue here and is
-		// batched through a single policy pass at the top of the next
-		// iteration, rather than one admission round per arrival.
-		arrived := false
-		for arrIdx < len(byArrival) && byArrival[arrIdx].spec.Arrival == now {
-			queue = append(queue, byArrival[arrIdx])
-			arrIdx++
-			admitDirty = true
-			arrived = true
-			if len(queue) > res.MaxQueue {
-				res.MaxQueue = len(queue)
-			}
-		}
-		if arrived {
-			ob.Emit(obs.KindQueueDepth, now, -1, -1, float64(len(queue)), 0)
+			j.batch = j.batch[:0]
+			c.fail(j)
+			return
 		}
 	}
-	if fo != nil && math.Abs(freeMem-opt.Mem) > eps {
+	j.sched.OnFinish(j.batch)
+	if c.fo != nil {
+		for _, nid := range j.batch {
+			j.workSinceCk += j.spec.Tree.Time(nid)
+		}
+		j.sinceCk += n
+		if c.fo.RecordSchedules {
+			j.commitSched = append(j.commitSched, j.batch...)
+		}
+	}
+	if c.ob != nil {
+		for _, nid := range j.batch {
+			c.ob.Emit(obs.KindFinish, c.now, int32(j.idx), int32(nid), 0, 0)
+		}
+	}
+	j.batch = j.batch[:0]
+	j.remaining -= n
+	c.res.Events += n
+	if j.remaining == 0 {
+		c.record(j, false)
+		c.retire(j)
+	} else if c.fo != nil {
+		c.checkpoint(j)
+	}
+}
+
+// checkpoint runs at a task boundary — after the batch's OnFinish,
+// before any launch at this instant, the checkpoint contract — and
+// snapshots j when the policy says so.
+func (c *cluster) checkpoint(j *job) {
+	booked := j.sched.BookedMemory()
+	if c.ckpol.Should(j.sinceCk, booked, j.peakBooked) {
+		j.cp = j.sched.CheckpointInto(j.cp)
+		j.ckCommits = len(j.commitSched)
+		j.sinceCk = 0
+		j.workSinceCk = 0
+		c.res.Checkpoints++
+		c.ob.Emit(obs.KindCheckpoint, c.now, int32(j.idx), -1, booked, 0)
+	}
+	if booked > j.peakBooked {
+		j.peakBooked = booked
+	}
+}
+
+// strike applies the fault epochs of this instant, after same-instant
+// completions have committed: a crash kills the job running on that
+// processor, a burst kills every job with running work.
+func (c *cluster) strike() {
+	if c.plan == nil {
+		return
+	}
+	for s := range c.slots {
+		if c.slots[s].job != nil && c.plan.NextCrash(s, c.prev) == c.now {
+			c.fail(c.slots[s].job)
+		}
+	}
+	if c.plan.NextBurst(c.prev) == c.now {
+		c.victims = c.victims[:0]
+		for _, j := range c.active {
+			if j.running > 0 {
+				c.victims = append(c.victims, j)
+			}
+		}
+		for _, j := range c.victims {
+			c.fail(j)
+		}
+	}
+}
+
+// fail is the fail-stop path: kill the job's in-flight tasks (cancelling
+// their completion events and crediting their partial work as wasted),
+// release its slice back to the pool, and either park it in retryQ until
+// its backoff elapses (active → retry-wait) or report it Failed once
+// retries run out (active → failed).
+func (c *cluster) fail(j *job) {
+	if j.sched == nil {
+		return // already failed at this instant (e.g. crash after burst)
+	}
+	c.ob.Emit(obs.KindFault, c.now, int32(j.idx), -1, j.slice, 0)
+	for s := range c.slots {
+		rec := &c.slots[s]
+		if rec.job != j {
+			continue
+		}
+		c.res.WastedWork += c.now - rec.start
+		c.res.BusyTime -= rec.finish - c.now // charged at launch; the remainder never runs
+		rec.job = nil
+		c.freeSlots = append(c.freeSlots, int32(s))
+		c.freeProcs++
+		c.runningT--
+	}
+	j.running = 0
+	c.events.Filter(func(id int32) bool { return c.slots[id].job != nil })
+	// Commits past the restart point will be redone: wasted.
+	c.res.WastedWork += j.workSinceCk
+	j.workSinceCk = 0
+	if c.fo.RecordSchedules {
+		j.commitSched = j.commitSched[:j.ckCommits]
+	}
+	c.retire(j)
+	j.attempt++
+	if j.cp != nil && j.cp.BookedMemory() > j.minSlice {
+		j.minSlice = j.cp.BookedMemory()
+	}
+	if j.attempt > c.fo.MaxRetries {
+		c.record(j, true)
+		return
+	}
+	c.res.Restarts++
+	j.retryAt = c.now + c.fo.Backoff.Delay(j.spec.Name, j.attempt-1)
+	c.ob.Emit(obs.KindRestart, c.now, int32(j.idx), -1, j.retryAt, float64(j.attempt))
+	c.retryQ = insertSorted(c.retryQ, j, retriesBefore)
+}
+
+// retire ends j's current attempt, finished or failed: its slice returns
+// to the pool, it leaves active and relOrder, and its scheduler and
+// batch buffer go back for a later admission of a same-size-class job
+// to reuse.
+func (c *cluster) retire(j *job) {
+	c.freeMem += j.slice
+	c.admitDirty = true
+	c.active = without(c.active, j)
+	c.relOrder = without(c.relOrder, j)
+	c.pool.Put(j.sched)
+	j.sched = nil
+	if j.batch != nil {
+		c.batchFree = append(c.batchFree, j.batch[:0])
+		j.batch = nil
+	}
+}
+
+// record writes j's final JobResult: completed, or failed for good
+// after exhausting its retries (Finish is then the final failure).
+func (c *cluster) record(j *job, failed bool) {
+	jr := JobResult{
+		Name: j.spec.Name, Nodes: j.spec.Tree.Len(),
+		Arrival: j.spec.Arrival, Start: j.start, Finish: c.now,
+		Peak: j.peak, Slice: j.slice, Estimate: j.est,
+		Attempts: j.attempt + 1, Failed: failed,
+	}
+	code := 0.0
+	if failed {
+		jr.Attempts = j.attempt // fail already counted the attempt that died
+		code = 1
+		c.res.FailedJobs++
+	} else if c.fo != nil && c.fo.RecordSchedules {
+		//lint:ignore hotalloc RecordSchedules is a test-oracle mode: the copy runs once per finished job, only when a test asks for schedules
+		jr.Schedule = append([]tree.NodeID(nil), j.commitSched...)
+	}
+	c.res.Jobs[j.idx] = jr
+	c.ob.Emit(obs.KindDone, c.now, int32(j.idx), -1, j.slice, code)
+	if c.now > c.res.Makespan {
+		c.res.Makespan = c.now
+	}
+}
+
+// result closes the run: the slice ledger must balance, and the queue
+// integral becomes a time average.
+func (c *cluster) result() (*Result, error) {
+	if c.fo != nil && math.Abs(c.freeMem-c.opt.Mem) > c.eps {
 		// Every slice must have been released exactly once across the
 		// fail/retry windows; a leak here is a partition-invariant bug.
-		return nil, fmt.Errorf("multitree: slice accounting leak: %g of %g back in the pool", freeMem, opt.Mem)
+		return nil, fmt.Errorf("multitree: slice accounting leak: %g of %g back in the pool", c.freeMem, c.opt.Mem)
 	}
-	if res.Makespan > 0 {
-		res.AvgQueue /= res.Makespan
+	if c.res.Makespan > 0 {
+		c.res.AvgQueue /= c.res.Makespan
 	}
-	return res, nil
+	return c.res, nil
 }

@@ -108,7 +108,7 @@ func TestObserverEventConsistency(t *testing.T) {
 	if cks != res.Checkpoints {
 		t.Errorf("checkpoint events %d, Checkpoints %d", cks, res.Checkpoints)
 	}
-	// Every failJob either re-queues (restart) or is terminal (failed).
+	// Every fail either re-queues (restart) or is terminal (failed).
 	if faultEvs != res.Restarts+res.FailedJobs {
 		t.Errorf("fault events %d, Restarts+FailedJobs %d", faultEvs, res.Restarts+res.FailedJobs)
 	}

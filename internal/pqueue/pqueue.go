@@ -229,70 +229,3 @@ func (h *EventHeap) down(i int) {
 		i = small
 	}
 }
-
-// FloatHeap is a max-heap of int32 items keyed by a float64 priority,
-// used for k-way merges where the largest key must come first (for
-// example Liu's hill−valley segment merge).
-type FloatHeap struct {
-	items []int32
-	key   []float64
-}
-
-// NewFloatHeap returns a max-heap over the given key slice (captured by
-// reference; keys of queued items must not change).
-func NewFloatHeap(key []float64) *FloatHeap {
-	return &FloatHeap{key: key}
-}
-
-// Len returns the number of queued items.
-func (h *FloatHeap) Len() int { return len(h.items) }
-
-// Push inserts an item.
-func (h *FloatHeap) Push(x int32) {
-	h.items = append(h.items, x)
-	h.up(len(h.items) - 1)
-}
-
-// Pop removes and returns the largest-key item.
-func (h *FloatHeap) Pop() int32 {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	return top
-}
-
-func (h *FloatHeap) more(i, j int) bool { return h.key[h.items[i]] > h.key[h.items[j]] }
-
-func (h *FloatHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.more(i, p) {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
-}
-
-func (h *FloatHeap) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && h.more(l, big) {
-			big = l
-		}
-		if r < n && h.more(r, big) {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h.items[i], h.items[big] = h.items[big], h.items[i]
-		i = big
-	}
-}

@@ -298,22 +298,3 @@ func TestEventHeapGrow(t *testing.T) {
 		t.Fatalf("Grow lost events: second pop %d", e.ID)
 	}
 }
-
-func TestFloatHeapMaxFirst(t *testing.T) {
-	key := []float64{1.5, 9.0, 4.2, 9.0}
-	h := NewFloatHeap(key)
-	for i := int32(0); i < 4; i++ {
-		h.Push(i)
-	}
-	first := h.Pop()
-	if key[first] != 9.0 {
-		t.Fatalf("first key = %v, want 9.0", key[first])
-	}
-	second := h.Pop()
-	if key[second] != 9.0 {
-		t.Fatalf("second key = %v, want 9.0", key[second])
-	}
-	if key[h.Pop()] != 4.2 || key[h.Pop()] != 1.5 {
-		t.Fatal("remaining order wrong")
-	}
-}

@@ -55,6 +55,10 @@ type Result struct {
 	BusyTime float64
 	// Events is the number of completion events processed.
 	Events int
+	// MaxWidth is the widest processor allocation granted to any task and
+	// WideTasks the number of tasks that ran on more than one processor:
+	// 1 and 0 unless the scheduler is Wide.
+	MaxWidth, WideTasks int
 	// SchedTime is the wall-clock time spent inside the scheduler
 	// (Init, OnFinish, Select), i.e. the runtime overhead of the policy.
 	SchedTime time.Duration
@@ -68,13 +72,53 @@ func (r *Result) Utilization(p int) float64 {
 	return r.BusyTime / (float64(p) * r.Makespan)
 }
 
-// ErrDeadlock is returned when the scheduler can make no progress: no
-// task is running and none can be launched, yet the tree is unfinished.
-// Activation and MemBookingRedTree hit it when the memory bound is too
-// small; MemBooking never does while M ≥ peak(AO) (Theorem 1). The type
-// is shared with the live executor (it is an alias of core.ErrDeadlock),
-// so errors.As catches the deadlock of either engine.
-type ErrDeadlock = core.ErrDeadlock
+// Wide is implemented by schedulers whose tasks may occupy several
+// processors (the moldable extension of the paper's §8). The simulator
+// asks for a task's shape when it starts and again when it finishes, so
+// the answer must not change between the Select that returned the task
+// and its completion. A scheduler that is not Wide runs every task on
+// one processor for t.Time(i) with no workspace: the paper's rigid model
+// is the width-1, zero-workspace case of the same accounting.
+type Wide interface {
+	// Shape returns the processors task i occupies, its duration at that
+	// width, and the workspace memory it holds on top of its MemNeeded
+	// while it runs.
+	Shape(i tree.NodeID) (procs int, time, workspace float64)
+}
+
+// Kernel is the simulated clock the simulated engines (this package,
+// moldable through it, distributed) run on: a heap of timed events and
+// the one loop that drains it an instant at a time.
+type Kernel struct {
+	// Events holds the pending events. An engine's step pushes one per
+	// task it starts or transfer it admits, so the heap is empty exactly
+	// when nothing is running or in flight.
+	Events pqueue.EventHeap
+	ids    []int32 // PopBatch destination, recycled across batches
+}
+
+// Run empties the heap, calls step once at time 0 with no events — the
+// engine's initial launch — and then once per distinct event time, in
+// time order, with the IDs of every event at that instant (in push
+// order). It returns the time of the last batch when the heap runs dry,
+// or step's first error. The kernel has a single exit, so an engine
+// detects deadlock in one place: Run returned without error and tasks
+// remain unfinished, which means nothing is running and the last step
+// could launch nothing.
+func (k *Kernel) Run(step func(now float64, ids []int32) error) (float64, error) {
+	k.Events.Reset()
+	now := 0.0
+	if err := step(now, nil); err != nil {
+		return now, err
+	}
+	for k.Events.Len() > 0 {
+		now, k.ids = k.Events.PopBatch(k.ids[:0])
+		if err := step(now, k.ids); err != nil {
+			return now, err
+		}
+	}
+	return now, nil
+}
 
 // Run simulates the execution of t on p processors driven by s.
 func Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Result, error) {
@@ -87,9 +131,8 @@ func Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Result, error) 
 // Runner is not safe for concurrent use; the sweep engine keeps one per
 // worker.
 type Runner struct {
-	events pqueue.EventHeap
-	batch  []tree.NodeID
-	ids    []int32 // PopBatch destination, recycled across batches
+	k     Kernel
+	batch []tree.NodeID
 }
 
 // Run simulates the execution of t on p processors driven by s.
@@ -105,6 +148,7 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 	}
 	n := t.Len()
 	res := &Result{}
+	wide, _ := s.(Wide)
 
 	wall := time.Now
 	if opts.Clock != nil {
@@ -122,8 +166,7 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 		return nil, err
 	}
 
-	events := &r.events
-	events.Reset()
+	events := &r.k.Events
 	// At most min(p, n) tasks run — and hence events are pending — at any
 	// instant; pre-sizing the heap and both batch buffers from the tree
 	// removes every growth re-allocation from the event loop.
@@ -135,16 +178,75 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 	if cap(r.batch) < hint {
 		r.batch = make([]tree.NodeID, 0, hint)
 	}
-	if cap(r.ids) < hint {
-		r.ids = make([]int32, 0, hint)
+	if cap(r.k.ids) < hint {
+		r.k.ids = make([]int32, 0, hint)
 	}
-	now := 0.0
 	used := 0.0 // model memory currently resident
 	free := p
 	finished := 0
-	running := 0
 
-	audit := func() error {
+	// step retires the tasks completing at one instant, tells the
+	// scheduler, launches what it selects and audits the memory; the
+	// kernel's opening call (no completions) is the initial launch.
+	step := func(now float64, ids []int32) error {
+		batch := r.batch[:0]
+		for _, id := range ids {
+			j := tree.NodeID(id)
+			batch = append(batch, j)
+			q, extra := 1, 0.0
+			if wide != nil {
+				q, _, extra = wide.Shape(j)
+			}
+			free += q
+			finished++
+			res.Events++
+			used -= t.Exec(j) + extra
+			for _, c := range t.Children(j) {
+				used -= t.Out(c)
+			}
+			if t.Parent(j) == tree.None {
+				// The computation is over: the final result leaves the
+				// working memory, mirroring the scheduler freeing the
+				// root's booking.
+				used -= t.Out(j)
+			}
+		}
+		r.batch = batch // keep the grown buffer even on early-error returns
+		var st time.Time
+		if measure {
+			st = wall()
+		}
+		if len(batch) > 0 {
+			s.OnFinish(batch)
+		}
+		sel := s.Select(free)
+		if measure {
+			res.SchedTime += wall().Sub(st)
+		}
+		for _, i := range sel {
+			q, d, extra := 1, t.Time(i), 0.0
+			if wide != nil {
+				q, d, extra = wide.Shape(i)
+			}
+			if q < 1 || q > free {
+				return fmt.Errorf("sim: %s over-selected: task %d wants %d processors with %d free", s.Name(), i, q, free)
+			}
+			free -= q
+			if q > res.MaxWidth {
+				res.MaxWidth = q
+			}
+			if q > 1 {
+				res.WideTasks++
+			}
+			// extra is exactly 0 for a rigid task, so this one expression
+			// keeps the rigid engine's rounding bit for bit.
+			used += t.Exec(i) + t.Out(i) + extra
+			if used > res.PeakMem {
+				res.PeakMem = used
+			}
+			res.BusyTime += t.Time(i)
+			events.Push(now+d, int32(i))
+		}
 		booked := s.BookedMemory()
 		if booked > res.PeakBooked {
 			res.PeakBooked = booked
@@ -164,89 +266,17 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 		return nil
 	}
 
-	launch := func(batch []tree.NodeID) error {
-		for _, i := range batch {
-			if free == 0 {
-				return fmt.Errorf("sim: %s over-selected tasks", s.Name())
-			}
-			free--
-			running++
-			used += t.Exec(i) + t.Out(i)
-			if used > res.PeakMem {
-				res.PeakMem = used
-			}
-			res.BusyTime += t.Time(i)
-			events.Push(now+t.Time(i), int32(i))
-		}
-		return nil
-	}
-
-	var st time.Time
-	if measure {
-		st = wall()
-	}
-	first := s.Select(free)
-	if measure {
-		res.SchedTime += wall().Sub(st)
-	}
-	if err := launch(first); err != nil {
+	end, err := r.k.Run(step)
+	if err != nil {
 		return nil, err
 	}
-	if err := audit(); err != nil {
-		return nil, err
-	}
-	if running == 0 && finished < n {
-		return nil, &ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
-	}
-
-	batch := r.batch[:0]
-	for events.Len() > 0 {
-		// Drain the whole same-time completion batch in one heap call.
-		var ids []int32
-		now, ids = events.PopBatch(r.ids[:0])
-		r.ids = ids
-		batch = batch[:0]
-		for _, id := range ids {
-			j := tree.NodeID(id)
-			batch = append(batch, j)
-			free++
-			running--
-			finished++
-			res.Events++
-			used -= t.Exec(j)
-			for _, c := range t.Children(j) {
-				used -= t.Out(c)
-			}
-			if t.Parent(j) == tree.None {
-				// The computation is over: the final result leaves the
-				// working memory, mirroring the scheduler freeing the
-				// root's booking.
-				used -= t.Out(j)
-			}
-		}
-		r.batch = batch // keep the grown buffer even on early-error returns
-		if measure {
-			st = wall()
-		}
-		s.OnFinish(batch)
-		sel := s.Select(free)
-		if measure {
-			res.SchedTime += wall().Sub(st)
-		}
-		if err := launch(sel); err != nil {
-			return nil, err
-		}
-		if err := audit(); err != nil {
-			return nil, err
-		}
-		if running == 0 && finished < n {
-			return nil, &ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
-		}
-	}
-	r.batch = batch
 	if finished != n {
-		return nil, fmt.Errorf("sim: finished %d of %d tasks", finished, n)
+		// The heap ran dry short of the tree: nothing is running and the
+		// last Select launched nothing. Activation and MemBookingRedTree
+		// get here when the memory bound is too small; MemBooking never
+		// does while M ≥ peak(AO) (Theorem 1).
+		return nil, &core.ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
 	}
-	res.Makespan = now
+	res.Makespan = end
 	return res, nil
 }

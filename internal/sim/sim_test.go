@@ -141,7 +141,7 @@ func TestMemTraceMonotoneTime(t *testing.T) {
 }
 
 func TestDeadlockErrorText(t *testing.T) {
-	e := &sim.ErrDeadlock{Scheduler: "X", Finished: 1, Total: 3, Booked: 2.5}
+	e := &core.ErrDeadlock{Scheduler: "X", Finished: 1, Total: 3, Booked: 2.5}
 	if e.Error() == "" {
 		t.Fatal("empty error text")
 	}

@@ -1,27 +1,20 @@
-// Command treeschedlint is the repo's contract checker: a vet-style
-// multichecker bundling the analyzers of internal/analysis
-// (policypure, detfree, poollife, errtyped, hotalloc, locksafe,
-// goroleak). It runs two ways:
-//
-// As a vet tool — the mode CI uses (scripts/lint.sh):
-//
-//	go build -o bin/treeschedlint ./cmd/treeschedlint
-//	go vet -vettool=$(pwd)/bin/treeschedlint ./...
-//
-// go vet hands it one compilation unit at a time with compiler export
-// data, so typechecking is fast and results are build-cached.
-//
-// Standalone — convenient during development:
+// Command treeschedlint is the repo's contract checker: it bundles the
+// analyzers of internal/analysis (policypure, detfree, poollife,
+// errtyped, goroleak), loads the named packages from source — no build
+// step, no export data — and runs every selected analyzer over each:
 //
 //	go run ./cmd/treeschedlint ./...
 //	go run ./cmd/treeschedlint -detfree ./internal/trace
+//	go run ./cmd/treeschedlint -goroleak=false -json ./...
 //
-// Standalone mode loads packages from source (no build step needed).
-// In both modes -<analyzer>[=false] selects a subset, diagnostics are
-// printed as file:line:col: message [analyzer], and the exit status is
-// nonzero iff diagnostics were reported. Standalone mode also takes
-// -json, which emits one JSON object per finding (analyzer, pos,
-// message, suppressed) on stdout — suppressed findings included, for
+// With no pattern it checks ./... below the working directory, nested
+// modules (bench/) included. Flags come before patterns. Naming
+// analyzers (-detfree) runs only those; switching some off
+// (-goroleak=false) runs the rest. Diagnostics are printed as
+// file:line:col: message [analyzer], and the exit status is 1 iff
+// diagnostics were reported, 2 if a package could not be loaded. -json
+// instead emits one JSON object per finding (analyzer, pos, message,
+// suppressed) on stdout — suppressed findings included, for
 // auditability — with exit status keyed to unsuppressed findings only.
 // A finding that is a proven false positive can be suppressed at the
 // site with
@@ -33,58 +26,34 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/detfree"
 	"repro/internal/analysis/driver"
 	"repro/internal/analysis/errtyped"
 	"repro/internal/analysis/goroleak"
-	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/locksafe"
 	"repro/internal/analysis/policypure"
 	"repro/internal/analysis/poollife"
-	"repro/internal/analysis/unitchecker"
 )
+
+const progname = "treeschedlint"
 
 var analyzers = []*analysis.Analyzer{
 	policypure.Analyzer,
 	detfree.Analyzer,
 	poollife.Analyzer,
 	errtyped.Analyzer,
-	hotalloc.Analyzer,
-	locksafe.Analyzer,
 	goroleak.Analyzer,
 }
 
 func main() {
-	progname := filepath.Base(os.Args[0])
-	args := os.Args[1:]
-
-	// `go vet` speaks the unitchecker protocol: -flags, -V=full, or a
-	// single *.cfg argument. Anything else is a standalone invocation
-	// with package patterns.
-	if unitchecker.IsCfgArgs(args) || hasProtocolFlag(args) {
-		if err := unitchecker.Main(progname, args, analyzers); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
-			os.Exit(2)
-		}
-		return
-	}
-	os.Exit(standalone(progname, args))
-}
-
-func hasProtocolFlag(args []string) bool {
-	for _, a := range args {
-		switch a {
-		case "-flags", "--flags", "-V=full", "--V=full":
-			return true
-		}
-	}
-	return false
+	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // jsonFinding is the -json output shape: one object per finding, one
@@ -96,43 +65,47 @@ type jsonFinding struct {
 	Suppressed bool   `json:"suppressed"`
 }
 
-func standalone(progname string, args []string) int {
-	jsonMode := false
-	var rest []string
-	for _, a := range args {
-		if a == "-json" || a == "--json" {
-			jsonMode = true
-			continue
-		}
-		rest = append(rest, a)
+// run checks the packages args name, resolved against dir, and
+// returns the process exit status.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(progname, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonMode := fs.Bool("json", false, "emit one JSON object per finding, suppressed ones included")
+	want := map[string]*bool{}
+	for _, a := range analyzers {
+		summary, _, _ := strings.Cut(a.Doc, "\n")
+		want[a.Name] = fs.Bool(a.Name, false, summary)
 	}
-	selected, patterns := unitchecker.SelectByFlags(analyzers, rest)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	loader, err := load.New(".")
+	loader, err := load.New(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
+		fmt.Fprintf(stderr, "%s: %v\n", progname, err)
 		return 2
 	}
 	paths, err := loader.Expand(patterns)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
+		fmt.Fprintf(stderr, "%s: %v\n", progname, err)
 		return 2
 	}
-	session := driver.New(loader, selected)
-	enc := json.NewEncoder(os.Stdout)
+	session := driver.New(loader, selectAnalyzers(fs, want))
+	enc := json.NewEncoder(stdout)
 	exit := 0
 	for _, path := range paths {
 		findings, err := session.Run(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
+			fmt.Fprintf(stderr, "%s: %v\n", progname, err)
 			exit = 2
 			continue
 		}
 		for _, f := range findings {
 			pos := loader.Fset().Position(f.Diag.Pos).String()
-			if jsonMode {
+			if *jsonMode {
 				enc.Encode(jsonFinding{
 					Analyzer:   f.Analyzer,
 					Pos:        pos,
@@ -140,7 +113,7 @@ func standalone(progname string, args []string) int {
 					Suppressed: f.Diag.Suppressed,
 				})
 			} else if !f.Diag.Suppressed {
-				fmt.Printf("%s: %s [%s]\n", pos, f.Diag.Message, f.Analyzer)
+				fmt.Fprintf(stdout, "%s: %s [%s]\n", pos, f.Diag.Message, f.Analyzer)
 			}
 			if !f.Diag.Suppressed && exit == 0 {
 				exit = 1
@@ -148,4 +121,25 @@ func standalone(progname string, args []string) int {
 		}
 	}
 	return exit
+}
+
+// selectAnalyzers applies the -<analyzer>[=false] flags the command
+// line set: if any analyzer was switched on, only those run;
+// otherwise all run minus the ones switched off.
+func selectAnalyzers(fs *flag.FlagSet, want map[string]*bool) []*analysis.Analyzer {
+	explicit := map[string]bool{} // value of each analyzer flag the command line set
+	anyOn := false
+	fs.Visit(func(f *flag.Flag) {
+		if v, ok := want[f.Name]; ok {
+			explicit[f.Name] = *v
+			anyOn = anyOn || *v
+		}
+	})
+	var out []*analysis.Analyzer
+	for _, a := range analyzers {
+		if on, ok := explicit[a.Name]; on || !ok && !anyOn {
+			out = append(out, a)
+		}
+	}
+	return out
 }

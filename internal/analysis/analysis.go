@@ -2,16 +2,19 @@
 // only re-implementation of the golang.org/x/tools/go/analysis API
 // shape (Analyzer, Pass, Diagnostic) plus the repo's suppression
 // directive. The x/tools module is deliberately not a dependency — the
-// repo has none — so the suite carries its own driver layer:
+// repo has none — so the suite carries its own driver layer, one path
+// for the command and the tests alike:
 //
 //	internal/analysis/load         loads+typechecks packages from source
-//	internal/analysis/unitchecker  speaks the `go vet -vettool` protocol
-//	internal/analysis/analysistest runs analyzers over testdata fixtures
+//	internal/analysis/driver       runs the analyzers over a loaded package
+//	internal/analysis/analysistest checks driver output against fixtures
 //
-// The analyzers themselves (policypure, detfree, poollife, errtyped)
-// live in subpackages and are registered by cmd/treeschedlint. Each
-// enforces one contract the repo's correctness story otherwise states
-// only in prose; DESIGN.md §11 documents the contracts.
+// The analyzers themselves (policypure, detfree, poollife, errtyped,
+// goroleak) live in subpackages and are registered by
+// cmd/treeschedlint. Each enforces one contract whose violation is
+// silent at run time; DESIGN.md §11 documents the contracts and §13
+// the rule an analyzer must meet to be here. poollife runs on the
+// CFG/fixpoint engine in internal/analysis/cfg.
 package analysis
 
 import (
@@ -32,14 +35,6 @@ type Analyzer struct {
 	// Run applies the check to one package and reports diagnostics
 	// through pass.Report/Reportf.
 	Run func(pass *Pass) error
-	// FactTypes lists the fact types this analyzer exports or
-	// imports, one zero value per type. A non-empty list makes the
-	// drivers run the analyzer on dependency packages first (facts
-	// only, diagnostics discarded) and carry the exported facts to
-	// dependents — across build units via unitchecker's vetx files,
-	// in-process via a shared FactStore. Each listed type must be
-	// gob-encodable.
-	FactTypes []Fact
 }
 
 func (a *Analyzer) String() string { return a.Name }
@@ -51,31 +46,9 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Report publishes one diagnostic. Drivers install a hook that
-	// marks diagnostics suppressed by a //lint:ignore directive.
+	// Report publishes one diagnostic. RunAnalyzer installs a hook
+	// that marks diagnostics suppressed by a //lint:ignore directive.
 	Report func(Diagnostic)
-
-	facts *FactStore
-}
-
-// ExportObjectFact associates fact with obj for dependent packages to
-// import. obj must belong to the package under analysis.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if p.facts == nil || obj == nil || obj.Pkg() == nil {
-		return
-	}
-	p.facts.put(p.Analyzer.Name, obj.Pkg().Path(), ObjectKey(obj), fact)
-}
-
-// ImportObjectFact copies the fact previously exported for obj (by
-// this analyzer, possibly in another package) into *fact and reports
-// whether one was found. fact must be a non-nil pointer of the
-// concrete fact type.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.facts == nil || obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return p.facts.get(p.Analyzer.Name, obj.Pkg().Path(), ObjectKey(obj), fact)
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -83,7 +56,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// InTestFile reports whether pos lies in a *_test.go file. The four
+// InTestFile reports whether pos lies in a *_test.go file. The
 // contract analyzers skip test files: tests deliberately construct
 // violations (chaos tests compare error strings, benchmarks time with
 // the wall clock) and the contracts govern production code.
@@ -96,13 +69,13 @@ type Diagnostic struct {
 	Pos     token.Pos
 	Message string
 	// Suppressed marks a finding covered by a //lint:ignore
-	// directive. Drivers keep suppressed findings in the stream (the
-	// -json mode lists them for auditability) but must not print them
-	// as failures or let them affect the exit status.
+	// directive. Suppressed findings stay in the stream (the -json
+	// mode lists them for auditability) but must not be printed as
+	// failures or affect the exit status.
 	Suppressed bool
 }
 
-// IgnoreDirective is the suppression marker the drivers honor:
+// IgnoreDirective is the suppression marker RunAnalyzer honors:
 //
 //	//lint:ignore <analyzer> <reason>
 //
@@ -160,15 +133,9 @@ func (s ignoreSet) suppressed(fset *token.FileSet, name string, pos token.Pos) b
 // RunAnalyzer applies one analyzer to a typechecked package and returns
 // its diagnostics in source order, //lint:ignore'd ones marked
 // Suppressed rather than dropped. It installs the Report hook and
-// sorts by position, so every driver (vet protocol, standalone,
-// analysistest) reports the same findings for the same input. store
-// carries cross-package facts between runs; nil is fine for analyzers
-// without FactTypes (an ephemeral store is created so Export/Import
-// still work within the package).
-func RunAnalyzer(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, store *FactStore) ([]Diagnostic, error) {
-	if store == nil {
-		store = NewFactStore()
-	}
+// sorts by position, so the command and analysistest report the same
+// findings for the same input.
+func RunAnalyzer(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
 	ignores := make(map[*token.File]ignoreSet)
 	for _, f := range files {
 		if tf := fset.File(f.Pos()); tf != nil {
@@ -182,7 +149,6 @@ func RunAnalyzer(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types
 		Files:     files,
 		Pkg:       pkg,
 		TypesInfo: info,
-		facts:     store,
 		Report: func(d Diagnostic) {
 			if set := ignores[fset.File(d.Pos)]; set.suppressed(fset, a.Name, d.Pos) {
 				d.Suppressed = true

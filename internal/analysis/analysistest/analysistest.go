@@ -13,17 +13,6 @@
 // unexpected diagnostics and unmatched annotations both fail the test.
 // Lines with no annotation assert the absence of diagnostics, so the
 // same fixture carries positive and negative cases.
-//
-// A pattern may name its analyzer, x/tools style:
-//
-//	s := fmt.Sprintf("%d", n) // want hotalloc:`allocates`
-//
-// Naming an analyzer that is not under test fails the run immediately
-// — a typoed name must not pass silently as an always-unmatched want.
-//
-// Analyzers with FactTypes get their in-tree fixture dependencies
-// analyzed first (facts kept, diagnostics discarded), so cross-package
-// facts work inside fixtures exactly as they do under the vet driver.
 package analysistest
 
 import (
@@ -78,13 +67,6 @@ type want struct {
 	matched bool
 }
 
-// wantPat is one parsed pattern: the regexp plus the analyzer it
-// names ("" for the analyzer under test).
-type wantPat struct {
-	analyzer string
-	re       *regexp.Regexp
-}
-
 func check(t *testing.T, fset *token.FileSet, files []*ast.File, analyzer, pkgPath string, diags []analysis.Diagnostic) {
 	t.Helper()
 	var wants []*want
@@ -96,12 +78,8 @@ func check(t *testing.T, fset *token.FileSet, files []*ast.File, analyzer, pkgPa
 				if err != nil {
 					t.Fatalf("%s:%d: %v", pos.Filename, pos.Line, err)
 				}
-				for _, wp := range ws {
-					if wp.analyzer != "" && wp.analyzer != analyzer {
-						t.Fatalf("%s:%d: want names analyzer %q, but only %q is under test",
-							pos.Filename, pos.Line, wp.analyzer, analyzer)
-					}
-					wants = append(wants, &want{file: pos.Filename, line: pos.Line, re: wp.re, raw: wp.re.String()})
+				for _, re := range ws {
+					wants = append(wants, &want{file: pos.Filename, line: pos.Line, re: re, raw: re.String()})
 				}
 			}
 		}
@@ -129,9 +107,8 @@ func check(t *testing.T, fset *token.FileSet, files []*ast.File, analyzer, pkgPa
 }
 
 // parseWant extracts the patterns of a // want comment, or nil if the
-// comment is not a want annotation. Each pattern may carry an
-// `analyzer:` prefix naming the analyzer it expects.
-func parseWant(text string) ([]wantPat, error) {
+// comment is not a want annotation.
+func parseWant(text string) ([]*regexp.Regexp, error) {
 	rest, ok := strings.CutPrefix(text, "// want ")
 	if !ok {
 		rest, ok = strings.CutPrefix(text, "//want ")
@@ -139,17 +116,9 @@ func parseWant(text string) ([]wantPat, error) {
 	if !ok {
 		return nil, nil
 	}
-	var out []wantPat
+	var out []*regexp.Regexp
 	rest = strings.TrimSpace(rest)
 	for rest != "" {
-		name := ""
-		if i := strings.IndexAny(rest, ":`\""); i > 0 && rest[i] == ':' && isIdent(rest[:i]) {
-			name = rest[:i]
-			rest = strings.TrimSpace(rest[i+1:])
-			if rest == "" {
-				return nil, fmt.Errorf("want analyzer prefix %q with no pattern", name)
-			}
-		}
 		var pat string
 		switch rest[0] {
 		case '`':
@@ -176,28 +145,11 @@ func parseWant(text string) ([]wantPat, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad want regexp %q: %v", pat, err)
 		}
-		out = append(out, wantPat{analyzer: name, re: re})
+		out = append(out, re)
 		rest = strings.TrimSpace(rest)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty want annotation")
 	}
 	return out, nil
-}
-
-// isIdent reports whether s is a plausible analyzer name (letters,
-// digits, underscores, not starting with a digit).
-func isIdent(s string) bool {
-	for i, r := range s {
-		switch {
-		case r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z'):
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return s != ""
 }

@@ -1,9 +1,9 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and solves forward/backward dataflow problems on
-// them. It is the shared flow framework of the treeschedlint
-// analyzers (poollife, hotalloc, locksafe): one graph builder, one
-// fixpoint solver, so every flow-sensitive checker agrees on what the
-// control flow of a function is.
+// them. It is the flow framework of treeschedlint's flow-sensitive
+// analyzer, poollife: the graph builder and the fixpoint solver are
+// tested here on their own (cfg_test.go), apart from the pool-lifecycle
+// lattice that runs on them.
 //
 // The graph is statement-level: each basic block holds the AST nodes
 // (statements, plus condition/tag expressions) that execute when the
@@ -50,7 +50,7 @@ type Graph struct {
 	Entry  *Block
 	Exit   *Block
 	// Panic collects explicit panic(...) exits. It has no successors
-	// and is distinct from Exit so lock/resource analyzers can decide
+	// and is distinct from Exit so a resource analyzer can decide
 	// whether dying counts as leaking.
 	Panic *Block
 	// Defers lists the deferred calls of the function in source
@@ -58,17 +58,15 @@ type Graph struct {
 	// into the block structure (that would create spurious edges) but
 	// exposed here for analyzers to fold into their exit handling.
 	Defers []*ast.DeferStmt
-	// DefersInLoop records which deferred statements sit in a block
-	// that is part of a cycle (so they pile up per iteration).
-	DefersInLoop map[*ast.DeferStmt]bool
 
 	inCycle []bool // lazily computed by InCycle
 }
 
 // InCycle reports whether b lies on a control-flow cycle (is part of
 // a strongly connected component of size > 1, or has a self edge).
-// Hot-path analyzers use this to tell a function's once-per-call
-// prologue from its per-iteration interior.
+// It tells a function's once-per-call prologue from its per-iteration
+// interior; cfg_test.go uses it as the oracle that loop lowering
+// produced a back edge.
 func (g *Graph) InCycle(b *Block) bool {
 	if g.inCycle == nil {
 		g.computeCycles()
@@ -175,9 +173,6 @@ type builder struct {
 	// the end.
 	labels       map[string]*Block
 	pendingGotos map[string][]*Block
-	// loopDepth counts enclosing for/range statements, to classify
-	// defers syntactically inside loops.
-	loopDepth int
 	// curLabel is the name of the LabeledStmt currently being
 	// lowered, consumed by the next loop/switch/select statement so
 	// `break L` / `continue L` resolve to it.
@@ -193,7 +188,7 @@ type targets struct {
 // the Body of an *ast.FuncDecl or *ast.FuncLit; a nil body (extern
 // declaration) yields a graph whose Entry falls straight to Exit.
 func New(body *ast.BlockStmt) *Graph {
-	g := &Graph{DefersInLoop: map[*ast.DeferStmt]bool{}}
+	g := &Graph{}
 	b := &builder{
 		g:            g,
 		labels:       map[string]*Block{},
@@ -306,10 +301,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		}
 		addEdge(head, body)
 		b.pushLoop(label, after, post)
-		b.loopDepth++
 		b.start(body)
 		b.stmt(s.Body)
-		b.loopDepth--
 		b.popLoop()
 		b.jump(post)
 		if s.Post != nil {
@@ -334,10 +327,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		addEdge(head, body)
 		addEdge(head, after)
 		b.pushLoop(label, after, head)
-		b.loopDepth++
 		b.start(body)
 		b.stmt(s.Body)
-		b.loopDepth--
 		b.popLoop()
 		b.jump(head)
 		b.start(after)
@@ -437,9 +428,6 @@ func (b *builder) stmt(s ast.Stmt) {
 	case *ast.DeferStmt:
 		b.add(s)
 		b.g.Defers = append(b.g.Defers, s)
-		if b.loopDepth > 0 {
-			b.g.DefersInLoop[s] = true
-		}
 
 	case *ast.ExprStmt:
 		b.add(s)

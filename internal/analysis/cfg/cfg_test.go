@@ -351,15 +351,6 @@ func TestDefersCollected(t *testing.T) {
 	if len(g.Defers) != 2 {
 		t.Fatalf("want 2 defers, got %d", len(g.Defers))
 	}
-	var inLoop int
-	for _, d := range g.Defers {
-		if g.DefersInLoop[d] {
-			inLoop++
-		}
-	}
-	if inLoop != 1 {
-		t.Fatalf("want exactly the loop defer marked, got %d", inLoop)
-	}
 }
 
 func TestGotoForwardAndBackward(t *testing.T) {

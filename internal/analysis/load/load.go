@@ -1,6 +1,6 @@
 // Package load typechecks packages from source using only the standard
-// library — the driver substrate for treeschedlint's standalone mode
-// and for analysistest fixtures. Intra-module imports ("repro/..." in
+// library — the substrate under internal/analysis/driver, for
+// cmd/treeschedlint and analysistest fixtures alike. Intra-module imports ("repro/..." in
 // the real tree, bare directory names under a fixture root) are
 // resolved recursively from source; everything else is delegated to
 // go/importer's "source" compiler, which reads the standard library
@@ -107,14 +107,6 @@ func (l *Loader) dirFor(importPath string) string {
 		return dir
 	}
 	return ""
-}
-
-// InTree reports whether importPath resolves to a source directory
-// under the loader's root (as opposed to the standard library). The
-// fact-aware drivers use it to decide which dependencies need their
-// own analysis pass before a dependent package runs.
-func (l *Loader) InTree(importPath string) bool {
-	return l.dirFor(importPath) != ""
 }
 
 // Import implements types.Importer, resolving the dependency graph of

@@ -13,8 +13,6 @@ import (
 // max(total work / p, critical path length). It is an admission-time
 // estimate computed once per job (its critical-path scan allocates),
 // never part of the per-event loop.
-//
-//perf:cold
 func Classical(t *tree.Tree, p int) float64 {
 	w := t.TotalWork() / float64(p)
 	if cp := t.CriticalPath(); cp > w {

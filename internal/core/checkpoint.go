@@ -100,8 +100,6 @@ func (s *MemBooking) CheckpointInto(cp *Checkpoint) *Checkpoint {
 // never re-runs preparation. Restore runs once per fault recovery —
 // not per event — so its per-restart scratch is off the hot-path
 // allocation budget.
-//
-//perf:cold
 func (s *MemBooking) Restore(cp *Checkpoint) error {
 	n := s.t.Len()
 	if cp == nil || cp.n != n {

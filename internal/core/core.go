@@ -376,8 +376,6 @@ func (s *MemBooking) Done() bool { return s.remaining == 0 }
 // is enabled. The first violation is kept in InvariantErr. It is
 // diagnostic-only and off by default, so its boxing and closure
 // allocations are deliberately outside the hot-path allocation budget.
-//
-//perf:cold
 func (s *MemBooking) check() {
 	if !s.CheckInvariants || s.InvariantErr != nil {
 		return

@@ -113,31 +113,89 @@ func TestSweepTimedUpgrade(t *testing.T) {
 
 // Re-running a scheduler through the reusable sim.Runner must not
 // allocate per run: Init rebuilds the state in place and the runner
-// reuses its event heap and batch buffer.
+// reuses its event heap and batch buffer. The pooled case holds the
+// stream path to the same standard: MemBookingPool.Get rebinds a
+// recycled instance and Put files it back without allocating, so a
+// new allocation in Get, Rebind or Put fails here rather than hiding
+// inside TestSteadyStateAllocsPerJob's per-job bound.
 func TestReRunAllocations(t *testing.T) {
-	inst := workload.SyntheticCorpus(3, 1, []int{2000})[0]
-	ao, peak := order.MinMemPostOrder(inst.Tree)
-	s, err := core.NewMemBooking(inst.Tree, 2*peak, ao, ao)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r sim.Runner
-	run := func() {
-		if _, err := r.Run(inst.Tree, 8, s, &sim.Options{NoSchedTime: true}); err != nil {
+	opts := &sim.Options{NoSchedTime: true}
+
+	t.Run("reset", func(t *testing.T) {
+		inst := workload.SyntheticCorpus(3, 1, []int{2000})[0]
+		ao, peak := order.MinMemPostOrder(inst.Tree)
+		s, err := core.NewMemBooking(inst.Tree, 2*peak, ao, ao)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	run() // warm up: first run allocates the O(n) state
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := s.Reset(2 * peak); err != nil {
-			t.Fatal(err)
+		var r sim.Runner
+		run := func() {
+			if _, err := r.Run(inst.Tree, 8, s, opts); err != nil {
+				t.Fatal(err)
+			}
 		}
-		run()
+		run() // warm up: first run allocates the O(n) state
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := s.Reset(2 * peak); err != nil {
+				t.Fatal(err)
+			}
+			run()
+		})
+		// The Result struct and the closures in Run are the only survivors.
+		if allocs > 8 {
+			t.Errorf("re-run allocated %.0f objects per run, want ≤ 8", allocs)
+		}
 	})
-	// The Result struct and the closures in Run are the only survivors.
-	if allocs > 8 {
-		t.Errorf("re-run allocated %.0f objects per run, want ≤ 8", allocs)
-	}
+
+	// 2048 nodes, not 2000: a fresh instance has exact-capacity state,
+	// which Put files under ⌊log₂ cap⌋ while Get looks under ⌈log₂ n⌉,
+	// so a tree whose size is not a power of two never gets its own
+	// instance back (18 allocations per cycle at 2000 nodes, every
+	// cycle a fresh NewMemBooking); its retired instances serve the
+	// size class below. DESIGN §10 has the arithmetic.
+	t.Run("pooled", func(t *testing.T) {
+		inst := workload.SyntheticCorpus(3, 1, []int{2048})[0]
+		ao, peak := order.MinMemPostOrder(inst.Tree)
+		var pool core.MemBookingPool
+		var r sim.Runner
+		run := func(s *core.MemBooking) {
+			if _, err := r.Run(inst.Tree, 8, s, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle := func() {
+			s, err := pool.Get(inst.Tree, 2*peak, ao, ao)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(s)
+			pool.Put(s)
+		}
+		cycle() // allocates the instance and the runner's buffers
+		cycle() // first recycled cycle
+		pooled := testing.AllocsPerRun(5, cycle)
+		if pooled > 4 {
+			t.Errorf("Get → Run → Put allocated %.0f objects per cycle, want ≤ 4", pooled)
+		}
+		// Whatever Run itself allocates (its Result), the pool adds
+		// nothing to it: the same run on an instance held across runs
+		// is the floor, and one allocation in Get, Rebind or Put lifts
+		// the cycle above it.
+		held, err := pool.Get(inst.Tree, 2*peak, ao, ao)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(held)
+		rerun := testing.AllocsPerRun(5, func() {
+			if err := held.Reset(2 * peak); err != nil {
+				t.Fatal(err)
+			}
+			run(held)
+		})
+		if pooled > rerun {
+			t.Errorf("Get → Run → Put allocated %.0f objects per cycle, Reset → Run %.0f: the pool cycle must add none", pooled, rerun)
+		}
+	})
 }
 
 // The deterministic grids must also hold across two independent engines

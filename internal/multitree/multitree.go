@@ -845,7 +845,8 @@ func (c *cluster) record(j *job, failed bool) {
 		code = 1
 		c.res.FailedJobs++
 	} else if c.fo != nil && c.fo.RecordSchedules {
-		//lint:ignore hotalloc RecordSchedules is a test-oracle mode: the copy runs once per finished job, only when a test asks for schedules
+		// RecordSchedules is a test-oracle mode: the copy runs once per
+		// finished job, only when a test asks for schedules.
 		jr.Schedule = append([]tree.NodeID(nil), j.commitSched...)
 	}
 	c.res.Jobs[j.idx] = jr

@@ -202,8 +202,6 @@ func New(opts *Options) *Observer {
 // costs the one branch below. In SingleProducer mode only the owning
 // goroutine may call it; events become visible to the drainer in
 // batches of spFlushBatch — call Flush when the producing loop ends.
-//
-//perf:hot
 func (o *Observer) Emit(kind Kind, t float64, jobID, node int32, a, b float64) {
 	if o == nil {
 		return

@@ -52,8 +52,6 @@ type Order struct {
 // shared between the sweep engine's workers. The memoisation amortises
 // IsTopological's position buffer to one allocation per (order, tree)
 // pair, so hot callers (Rebind, on the admission path) may use it.
-//
-//perf:cold
 func (o *Order) TopologicalFor(t *tree.Tree) bool {
 	if !o.Topological {
 		return false

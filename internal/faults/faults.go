@@ -16,7 +16,6 @@ package faults
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/workload"
@@ -97,28 +96,83 @@ func Mixed(taskP, crashRate, burstRate float64) Model {
 // like perturb.Seed: the same (base, model, instance) triple names the
 // same fault schedule in every process.
 func Seed(base uint64, m Model, instance string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(m.Name))
-	h.Write([]byte{0})
-	h.Write([]byte(instance))
-	return base ^ h.Sum64()
+	return base ^ fnv1a(fnv1a(fnv1a(fnvOffset, m.Name), "\x00"), instance)
+}
+
+// FNV-1a, 64 bit: the content hash behind every name-keyed draw.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// fnv1a folds s into the running hash h (start from fnvOffset). It is
+// hash/fnv's New64a written as a loop over the string, so the per-task
+// callers pay no hasher allocation and no []byte conversion.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
 
 // Plan is the realised fault schedule of one run: the pure function
 // (model, seed) → {task-attempt verdicts, crash epochs, burst epochs}.
 // Task verdicts are hash-keyed (no shared stream), so queries commute;
-// the Poisson epoch streams are generated lazily per processor and
-// cached, so repeated NextCrash/NextBurst queries — monotone or not —
-// always see the same sequence. A Plan is not safe for concurrent use;
-// engines own one per run.
+// the Poisson epoch streams are generated lazily, one per processor and
+// one for bursts, and the generated prefix is kept, so repeated
+// NextCrash/NextBurst queries — monotone or not — always see the same
+// sequence. A Plan is not safe for concurrent use; engines own one per
+// run.
 type Plan struct {
 	model Model
 	seed  uint64
 
-	crashes map[int][]float64 // generated crash-epoch prefix per processor
-	crng    map[int]*workload.RNG
-	bursts  []float64 // generated burst-epoch prefix
-	brng    *workload.RNG
+	crash []epochStream // indexed by processor, grown to the highest one queried
+	burst epochStream
+}
+
+// epochStream is one Poisson epoch sequence: the prefix generated so
+// far and a cursor on the answer to the latest query. The engines ask
+// with non-decreasing t, so the cursor moves forward by the epochs the
+// clock passed — usually none — and a query costs O(1) whatever the
+// horizon; a query for an earlier t walks the cursor back over the kept
+// prefix. The prefix only ever grows, each epoch the previous one plus
+// one draw, so every query order sees one fixed sequence.
+type epochStream struct {
+	rng    *workload.RNG // nil until the first query
+	epochs []float64     // generated prefix, non-decreasing
+	cur    int           // epochs[cur] answered the latest query
+}
+
+// after returns the first epoch strictly after t, generating from rng
+// at the given rate until one exists. A fresh stream always draws its
+// first epoch, so no t (not even a negative one) is answered with a
+// value that is not in the sequence.
+func (s *epochStream) after(rate, t float64) float64 {
+	es, i := s.epochs, s.cur
+	for i > 0 && es[i-1] > t {
+		i--
+	}
+	for i < len(es) && es[i] <= t {
+		i++
+	}
+	if i == len(es) {
+		last := 0.0
+		if i > 0 {
+			last = es[i-1]
+		}
+		for {
+			last += s.rng.Exp(rate)
+			es = append(es, last)
+			if last > t {
+				break
+			}
+		}
+		s.epochs = es
+		i = len(es) - 1
+	}
+	s.cur = i
+	return es[i]
 }
 
 // NewPlan realises the model under seed.
@@ -146,9 +200,7 @@ func (p *Plan) TaskFails(job string, task, attempt int) bool {
 	if p.model.TaskRate == 0 {
 		return false
 	}
-	h := fnv.New64a()
-	h.Write([]byte(job))
-	key := p.seed ^ h.Sum64()
+	key := p.seed ^ fnv1a(fnvOffset, job)
 	key = splitmix64(key ^ uint64(task)*0x9e3779b97f4a7c15)
 	key = splitmix64(key ^ uint64(attempt)*0xbf58476d1ce4e5b9)
 	u := float64(key>>11) / (1 << 53)
@@ -158,20 +210,19 @@ func (p *Plan) TaskFails(job string, task, attempt int) bool {
 // NextCrash returns the first crash epoch of processor proc strictly
 // after time t (+Inf when the model has no crash process). Epochs form
 // a Poisson process per processor, deterministic per (seed, proc).
+// Processors index a slice, so a negative proc panics.
 func (p *Plan) NextCrash(proc int, t float64) float64 {
 	if p.model.CrashRate == 0 {
 		return math.Inf(1)
 	}
-	if p.crashes == nil {
-		p.crashes = make(map[int][]float64)
-		p.crng = make(map[int]*workload.RNG)
+	if proc >= len(p.crash) {
+		p.crash = append(p.crash, make([]epochStream, proc+1-len(p.crash))...)
 	}
-	rng := p.crng[proc]
-	if rng == nil {
-		rng = workload.NewRNG(splitmix64(p.seed ^ uint64(proc)*0x94d049bb133111eb))
-		p.crng[proc] = rng
+	s := &p.crash[proc]
+	if s.rng == nil {
+		s.rng = workload.NewRNG(splitmix64(p.seed ^ uint64(proc)*0x94d049bb133111eb))
 	}
-	return nextEpoch(&p.crashes, proc, rng, p.model.CrashRate, t)
+	return s.after(p.model.CrashRate, t)
 }
 
 // NextBurst returns the first cluster-wide outage epoch strictly after
@@ -180,42 +231,10 @@ func (p *Plan) NextBurst(t float64) float64 {
 	if p.model.BurstRate == 0 {
 		return math.Inf(1)
 	}
-	if p.brng == nil {
-		p.brng = workload.NewRNG(splitmix64(p.seed ^ 0x6275727374)) // "burst"
+	if p.burst.rng == nil {
+		p.burst.rng = workload.NewRNG(splitmix64(p.seed ^ 0x6275727374)) // "burst"
 	}
-	return nextAfter(&p.bursts, p.brng, p.model.BurstRate, t)
-}
-
-// nextEpoch extends the cached epoch prefix of one keyed stream until
-// it passes t, then returns the first epoch > t.
-func nextEpoch(cache *map[int][]float64, key int, rng *workload.RNG, rate, t float64) float64 {
-	s := (*cache)[key]
-	out := nextAfter(&s, rng, rate, t)
-	(*cache)[key] = s
-	return out
-}
-
-// nextAfter returns the first epoch strictly after t of the Poisson
-// stream cached in *epochs, extending it from rng as needed. The cached
-// prefix only ever grows, so queries at any t see one fixed sequence.
-func nextAfter(epochs *[]float64, rng *workload.RNG, rate, t float64) float64 {
-	es := *epochs
-	last := 0.0
-	if len(es) > 0 {
-		last = es[len(es)-1]
-	}
-	for last <= t {
-		last += rng.Exp(rate)
-		es = append(es, last)
-	}
-	*epochs = es
-	for _, e := range es {
-		if e > t {
-			return e
-		}
-	}
-	// Unreachable: the loop above extends past t.
-	return last
+	return p.burst.after(p.model.BurstRate, t)
 }
 
 // Backoff is capped exponential backoff with deterministic jitter: the
@@ -253,9 +272,7 @@ func (b Backoff) Delay(key string, retry int) float64 {
 		d = b.Cap
 	}
 	if b.Jitter > 0 {
-		h := fnv.New64a()
-		h.Write([]byte(key))
-		u := float64(splitmix64(h.Sum64()^uint64(retry)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
+		u := float64(splitmix64(fnv1a(fnvOffset, key)^uint64(retry)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
 		d *= 1 + b.Jitter*u
 	}
 	return d

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // violation checks the cluster-state invariants that must hold between
@@ -74,6 +76,38 @@ func (c *cluster) violation() string {
 	return ""
 }
 
+// staleEpoch is the fault-mode invariant of the window between advance
+// and strike: every busy slot's cached crash epoch, and while anything
+// runs the cached burst epoch, is the first epoch after prev — the
+// instant advance left. The oracle is a twin plan built from the same
+// (model, seed) as the cluster's own, so its answers owe nothing to the
+// cursors and caches under test.
+func (c *cluster) staleEpoch(twin *faults.Plan, prev float64) string {
+	if c.plan == nil || c.runningT == 0 {
+		return ""
+	}
+	fault := twin.NextBurst(prev)
+	if c.burstAt != fault {
+		return fmt.Sprintf("cached burst epoch %g, the plan's first after %g is %g", c.burstAt, prev, fault)
+	}
+	for s := range c.slots {
+		if c.slots[s].job == nil {
+			continue
+		}
+		want := twin.NextCrash(s, prev)
+		if c.crashAt[s] != want {
+			return fmt.Sprintf("slot %d: cached crash epoch %g, the plan's first after %g is %g", s, c.crashAt[s], prev, want)
+		}
+		fault = min(fault, want)
+	}
+	// faultAt was taken over the slots busy at advance, a superset of the
+	// ones still busy: it may undercut their minimum, never exceed it.
+	if c.faultAt > fault || c.faultAt < c.now {
+		return fmt.Sprintf("faultAt %g outside [now %g, earliest busy epoch %g]", c.faultAt, c.now, fault)
+	}
+	return ""
+}
+
 // TestClusterInvariantsEveryTransition drives the cluster state machine
 // by hand — the same transitions in the same order as Run — over the
 // chaos grid (every fault class × checkpoint policy, EASY backfilling,
@@ -81,8 +115,10 @@ func (c *cluster) violation() string {
 // every transition rather than only on the final Result: the memory and
 // processor ledgers balance, free slots match free processors, relOrder
 // is the sorted active set, and no job sits in two of queue, retryQ and
-// active. The stepped run must also equal Run's own result, which pins
-// this loop to the production one.
+// active; after advance and after complete — the states strike reads —
+// the cached fault epochs are checked against a twin plan. The stepped
+// run must also equal Run's own result, which pins this loop to the
+// production one.
 func TestClusterInvariantsEveryTransition(t *testing.T) {
 	specs, mem := faultStream(t, 21, 14)
 	chaosGrid(func(name string, mk func() *FaultOptions) {
@@ -90,11 +126,16 @@ func TestClusterInvariantsEveryTransition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		twin, prev := mk().Plan, 0.0
 		transitions := 0
 		check := func(after string) {
 			t.Helper()
 			transitions++
-			if msg := c.violation(); msg != "" {
+			msg := c.violation()
+			if msg == "" && (after == "advance" || after == "complete") {
+				msg = c.staleEpoch(twin, prev)
+			}
+			if msg != "" {
 				t.Fatalf("%s: after %s at t=%g (transition %d): %s", name, after, c.now, transitions, msg)
 			}
 		}
@@ -115,6 +156,7 @@ func TestClusterInvariantsEveryTransition(t *testing.T) {
 			} else if idle {
 				break
 			}
+			prev = c.now
 			c.advance()
 			check("advance")
 			c.complete()

@@ -247,7 +247,7 @@ type cluster struct {
 	active   []*job // admitted, admission order
 	relOrder []*job // active, sorted by (estEnd, slice, idx) — EASY's shadow order
 
-	now, prev float64 // the current instant and the one advance left
+	now       float64 // the current instant
 	events    pqueue.EventHeap
 	slots     []slotRec
 	freeSlots []int32
@@ -261,6 +261,18 @@ type cluster struct {
 	// State doc comment for why advancing time alone cannot help).
 	admitDirty bool
 	st         State
+
+	// Fault mode keeps the plan's answers as state instead of asking per
+	// instant: crashAt[s] is slot s's first crash epoch after the instant
+	// it was last looked up at, burstAt the same for bursts. Either is
+	// current while it lies ahead of the clock and looked up again once
+	// the clock has reached it, so a plan query happens per epoch passed,
+	// not per busy slot per instant. faultAt is the earliest of them over
+	// the slots busy at the latest advance: strike has work only at an
+	// instant the clock stopped on it.
+	crashAt []float64
+	burstAt float64
+	faultAt float64
 
 	idbuf     []int32         // PopBatch destination, recycled
 	admitMark []bool          // per-round admitted marks, recycled
@@ -340,6 +352,9 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 	}
 	if c.fo != nil {
 		c.plan = c.fo.Plan
+		if c.plan != nil {
+			c.crashAt = make([]float64, p)
+		}
 		if c.fo.Checkpoint != nil {
 			c.ckpol = c.fo.Checkpoint
 		}
@@ -609,7 +624,10 @@ func (c *cluster) drained() (bool, error) {
 
 // advance moves the clock to the next instant: the earliest of the next
 // completion, arrival, retry expiry, and — in fault mode, while
-// anything runs — the next crash or burst epoch.
+// anything runs — the next crash epoch of a busy slot or burst epoch.
+// A cached epoch at or behind the clock is stale (the zero value always
+// is) and looked up afresh; one still ahead is, by being the first epoch
+// after an earlier instant, also the first after this one.
 func (c *cluster) advance() {
 	tNext := math.Inf(1)
 	if c.events.Len() > 0 {
@@ -622,20 +640,28 @@ func (c *cluster) advance() {
 		tNext = c.retryQ[0].retryAt
 	}
 	if c.plan != nil && c.runningT > 0 {
+		if c.burstAt <= c.now {
+			c.burstAt = c.plan.NextBurst(c.now)
+		}
+		fault := c.burstAt
 		for s := range c.slots {
 			if c.slots[s].job == nil {
 				continue
 			}
-			if t := c.plan.NextCrash(s, c.now); t < tNext {
-				tNext = t
+			if c.crashAt[s] <= c.now {
+				c.crashAt[s] = c.plan.NextCrash(s, c.now)
+			}
+			if t := c.crashAt[s]; t < fault {
+				fault = t
 			}
 		}
-		if b := c.plan.NextBurst(c.now); b < tNext {
-			tNext = b
+		c.faultAt = fault
+		if fault < tNext {
+			tNext = fault
 		}
 	}
 	c.res.AvgQueue += float64(len(c.queue)) * (tNext - c.now)
-	c.prev, c.now = c.now, tNext
+	c.now = tNext
 }
 
 // complete drains the tasks finishing at this instant, grouped per job
@@ -745,17 +771,22 @@ func (c *cluster) checkpoint(j *job) {
 
 // strike applies the fault epochs of this instant, after same-instant
 // completions have committed: a crash kills the job running on that
-// processor, a burst kills every job with running work.
+// processor, a burst kills every job with running work. It reads the
+// epochs advance cached instead of the plan: between the two only
+// complete runs, which frees slots and starts nothing, so every slot
+// busy here was busy — and had its epoch brought up to date — in
+// advance, and none of those epochs is this instant unless their
+// minimum, faultAt, is.
 func (c *cluster) strike() {
-	if c.plan == nil {
+	if c.plan == nil || c.faultAt != c.now {
 		return
 	}
 	for s := range c.slots {
-		if c.slots[s].job != nil && c.plan.NextCrash(s, c.prev) == c.now {
+		if c.slots[s].job != nil && c.crashAt[s] == c.now {
 			c.fail(c.slots[s].job)
 		}
 	}
-	if c.plan.NextBurst(c.prev) == c.now {
+	if c.burstAt == c.now {
 		c.victims = c.victims[:0]
 		for _, j := range c.active {
 			if j.running > 0 {

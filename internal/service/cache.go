@@ -1,6 +1,7 @@
 package service
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
@@ -10,29 +11,68 @@ import (
 	"repro/internal/tree"
 )
 
-// treeCache canonicalises submitted trees by content: two submissions
-// with byte-identical node data resolve to the same *tree.Tree, so the
-// pointer-keyed harness.InstanceCache behind it memoizes the O(n log n)
-// preparation (memPO + peak), named orders and lower bounds across
-// requests — repeated submissions of the same tree skip all of it.
+// treeCache resolves a submission to its cache-resident tree on two
+// levels. The first is the submitted text itself: a SHA-256 of the
+// .tree bytes names the resident tree that text last parsed to, so a
+// byte-identical resubmission is recognised before it is parsed. The
+// second is the parsed content: two submissions with identical node
+// data — whatever their line order, comments or source — resolve to the
+// same *tree.Tree, so the pointer-keyed harness.InstanceCache behind it
+// memoizes the O(n log n) preparation (memPO + peak), named orders and
+// lower bounds across requests.
 //
-// The key is content-derived exactly like perturb.Seed derives
+// The content key is derived exactly like perturb.Seed derives
 // realisation seeds: an FNV-64a over the node count, parents and the
 // bit patterns of the attributes. A 64-bit digest can collide in
-// principle, so a hit additionally verifies full content equality and
-// falls back to a miss on mismatch (never serving another tree's
-// results); the verification is O(n) but allocation-free and far below
-// the cost of the preparation it saves.
+// principle, so a content hit additionally verifies full content
+// equality and falls back to a miss on mismatch (never serving another
+// tree's results); the verification is O(n) but allocation-free and far
+// below the cost of the preparation it saves. The text level cannot
+// verify without keeping the text, which is why it uses a 256-bit
+// cryptographic digest instead: equal digests are equal texts on the
+// standard content-addressing assumption, at 40 bytes per tree.
+//
+// Each resident tree has at most one alias — the latest text that
+// resolved to it — and the alias leaves byText in the critical section
+// that takes its tree out of byKey, so len(byText) ≤ len(byKey) and an
+// alias never resolves to, or pins, a forgotten tree.
 type treeCache struct {
 	inst *harness.InstanceCache
 
 	mu       sync.Mutex
-	byKey    map[uint64]*tree.Tree
-	max      int // entry-count cap
-	maxNodes int // total-node cap across all resident trees
-	nodes    int // current total
-	hits     int
+	byKey    map[uint64]resident
+	byText   map[textDigest]uint64 // text digest → content key of its tree
+	max      int                   // entry-count cap
+	maxNodes int                   // total-node cap across all resident trees
+	nodes    int                   // current total
+	hits     int                   // both levels
+	textHits int
 	misses   int
+}
+
+// textDigest is the SHA-256 of an inline .tree submission.
+type textDigest = [sha256.Size]byte
+
+// digestText hashes an inline submission. Feeding the hash through a
+// stack buffer avoids the heap copy of the whole text that a []byte
+// conversion would make.
+func digestText(text string) (d textDigest) {
+	h := sha256.New()
+	var buf [8192]byte
+	for len(text) > 0 {
+		n := copy(buf[:], text)
+		h.Write(buf[:n])
+		text = text[n:]
+	}
+	h.Sum(d[:0])
+	return d
+}
+
+// resident is one canonical tree and the text alias it currently owns.
+type resident struct {
+	t       *tree.Tree
+	text    textDigest
+	aliased bool
 }
 
 func newTreeCache(maxEntries, maxNodes int) *treeCache {
@@ -44,7 +84,8 @@ func newTreeCache(maxEntries, maxNodes int) *treeCache {
 	}
 	return &treeCache{
 		inst:     harness.NewInstanceCache(),
-		byKey:    make(map[uint64]*tree.Tree, maxEntries),
+		byKey:    make(map[uint64]resident, maxEntries),
+		byText:   make(map[textDigest]uint64, maxEntries),
 		max:      maxEntries,
 		maxNodes: maxNodes,
 	}
@@ -90,41 +131,67 @@ func sameContent(a, b *tree.Tree) bool {
 	return true
 }
 
+// byTextDigest returns the resident tree that the text with digest d
+// last parsed to, and its content key (a hit on both counters).
+func (c *treeCache) byTextDigest(d textDigest) (ct *tree.Tree, key uint64, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	key, ok = c.byText[d]
+	if !ok {
+		return nil, 0, false
+	}
+	c.hits++
+	c.textHits++
+	return c.byKey[key].t, key, true
+}
+
 // canonical returns the cache-resident tree with t's content (a hit,
 // counting one) or inserts t as the new canonical instance (a miss,
 // evicting an arbitrary entry — and its memoized artefacts — when the
 // cache is full). The returned key is the content digest, which also
-// names the instance for content-derived perturbation seeds.
-func (c *treeCache) canonical(t *tree.Tree) (ct *tree.Tree, key uint64, hit bool) {
+// names the instance for content-derived perturbation seeds. A non-nil
+// text is the digest of the text t was parsed from and validated: it
+// becomes the resident tree's one alias, replacing any earlier one.
+func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (ct *tree.Tree, key uint64) {
 	key = contentKey(t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	got, collided := c.byKey[key]
-	if collided && sameContent(got, t) {
+	r, collided := c.byKey[key]
+	if collided && sameContent(r.t, t) {
 		c.hits++
-		return got, key, true
+	} else {
+		c.misses++
+		c.insert(key, t, collided)
+		r = resident{t: t}
 	}
-	c.misses++
-	evicted := false
+	if text != nil {
+		if r.aliased {
+			delete(c.byText, r.text)
+		}
+		r.text, r.aliased = *text, true
+		c.byKey[key] = r
+		c.byText[*text] = key
+	}
+	return r.t, key
+}
+
+// insert makes t the resident tree under key, whose previous holder (a
+// digest collision) it replaces. The caller holds c.mu.
+func (c *treeCache) insert(key uint64, t *tree.Tree, collided bool) {
+	evicted := collided
 	if collided {
-		// Digest collision: the newcomer replaces the resident tree.
-		delete(c.byKey, key)
-		c.nodes -= got.Len()
-		c.inst.Forget(got)
-		evicted = true
+		c.forget(key)
 	}
 	// Evict until both budgets hold — the entry count and the total node
 	// count, which bounds resident memory when every entry is large.
 	for len(c.byKey) > 0 && (len(c.byKey) >= c.max || c.nodes+t.Len() > c.maxNodes) {
-		for k, old := range c.byKey {
-			delete(c.byKey, k)
-			c.nodes -= old.Len()
-			c.inst.Forget(old)
+		for k := range c.byKey {
+			c.forget(k)
 			break
 		}
 		evicted = true
 	}
-	c.byKey[key] = t
+	c.byKey[key] = resident{t: t}
 	c.nodes += t.Len()
 	if evicted {
 		// A request that looked its tree up before this eviction may
@@ -132,17 +199,29 @@ func (c *treeCache) canonical(t *tree.Tree) (ct *tree.Tree, key uint64, hit bool
 		// instance cache; sweeping against the live set here bounds such
 		// orphans to the races in flight since the previous eviction.
 		live := make(map[*tree.Tree]bool, len(c.byKey))
-		for _, lt := range c.byKey {
-			live[lt] = true
+		for _, lr := range c.byKey {
+			live[lr.t] = true
 		}
 		c.inst.Retain(func(t *tree.Tree) bool { return live[t] })
 	}
-	return t, key, false
 }
 
-// snapshot returns (hits, misses, entries, totalNodes).
-func (c *treeCache) snapshot() (hits, misses, entries, totalNodes int) {
+// forget takes the tree under key out of the cache together with its
+// alias and its memoized artefacts: the one place a tree leaves byKey,
+// so no alias can outlive its tree. The caller holds c.mu.
+func (c *treeCache) forget(key uint64) {
+	r := c.byKey[key]
+	delete(c.byKey, key)
+	if r.aliased {
+		delete(c.byText, r.text)
+	}
+	c.nodes -= r.t.Len()
+	c.inst.Forget(r.t)
+}
+
+// snapshot returns (hits, textHits, misses, entries, totalNodes).
+func (c *treeCache) snapshot() (hits, textHits, misses, entries, totalNodes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.byKey), c.nodes
+	return c.hits, c.textHits, c.misses, len(c.byKey), c.nodes
 }

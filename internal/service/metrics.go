@@ -99,6 +99,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
 	}
 	metric("treesched_cache_hits_total", "counter", "Prepared-instance cache hits.", float64(st.CacheHits))
+	metric("treesched_cache_text_hits_total", "counter", "Cache hits recognised by the submitted text, before parsing.", float64(st.CacheTextHits))
 	metric("treesched_cache_misses_total", "counter", "Prepared-instance cache misses.", float64(st.CacheMisses))
 	metric("treesched_cached_trees", "gauge", "Canonical trees resident in the content cache.", float64(st.CachedTrees))
 	metric("treesched_cached_nodes", "gauge", "Total nodes of resident canonical trees.", float64(st.CachedNodes))

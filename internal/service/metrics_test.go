@@ -57,6 +57,9 @@ func TestMetricszEndpoint(t *testing.T) {
 		"treesched_go_heap_objects_bytes ",
 		"treesched_go_gc_cycles_total ",
 		"# TYPE treesched_cache_hits_total counter",
+		// The second post repeated the first one's tree text exactly.
+		"treesched_cache_hits_total 1\n",
+		"treesched_cache_text_hits_total 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics lack %q:\n%s", want, out)

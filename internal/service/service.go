@@ -27,10 +27,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -232,11 +232,14 @@ type Response struct {
 type Stats struct {
 	// CacheHits / CacheMisses count prepared-instance cache lookups;
 	// CachedTrees and CachedNodes are the current number of canonical
-	// trees resident and their total node count.
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-	CachedTrees int `json:"cached_trees"`
-	CachedNodes int `json:"cached_nodes"`
+	// trees resident and their total node count. CacheTextHits is the
+	// part of CacheHits recognised by the submitted text alone — the
+	// requests that were never parsed.
+	CacheHits     int `json:"cache_hits"`
+	CacheTextHits int `json:"cache_text_hits"`
+	CacheMisses   int `json:"cache_misses"`
+	CachedTrees   int `json:"cached_trees"`
+	CachedNodes   int `json:"cached_nodes"`
 	// InFlight counts requests currently holding a worker slot.
 	InFlight int64 `json:"in_flight"`
 	// Served counts completed 200 responses; Rejected counts 4xx.
@@ -453,11 +456,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // Stats returns a snapshot of the service counters.
 func (s *Server) Stats() Stats {
-	hits, misses, entries, nodes := s.cache.snapshot()
+	hits, textHits, misses, entries, nodes := s.cache.snapshot()
 	queued, running, pendingBytes, done, failed, tracked := s.jobs.gauges()
 	restarts, expired, wasted := s.jobs.faultGauges()
 	return Stats{
 		CacheHits:           hits,
+		CacheTextHits:       textHits,
 		CacheMisses:         misses,
 		CachedTrees:         entries,
 		CachedNodes:         nodes,
@@ -545,28 +549,35 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	var req Request
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.reject(w, fail(http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit))
-			return nil, false
+	err := dec.Decode(&req)
+	trailing := false
+	if err == nil {
+		// One request per body: Decode stops after the first JSON value,
+		// and whatever follows it would otherwise be silently dropped.
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return &req, true
 		}
-		s.reject(w, fail(http.StatusBadRequest, "bad request: %v", err))
-		return nil, false
+		trailing = true
 	}
-	return &req, true
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.reject(w, fail(http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit))
+	case trailing:
+		s.reject(w, fail(http.StatusBadRequest, "bad request: trailing data"))
+	default:
+		s.reject(w, fail(http.StatusBadRequest, "bad request: %v", err))
+	}
+	return nil, false
 }
 
 // schedule evaluates one request: the HTTP-free core of the handler.
 // The caller holds a worker-pool slot for the duration.
 func (s *Server) schedule(req *Request) (*Response, *httpError) {
-	t, herr := s.materialise(req)
+	ct, key, herr := s.resolve(req)
 	if herr != nil {
 		return nil, herr
 	}
-	// Canonicalise by content: a repeat submission lands on the cached
-	// tree pointer and every per-instance artefact below is a cache hit.
-	ct, key, _ := s.cache.canonical(t)
 	pr := s.cache.inst.Prepare(ct)
 
 	procs := req.Procs
@@ -745,9 +756,13 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 	return resp, nil
 }
 
-// materialise builds the instance tree from whichever source the
-// request names, enforcing the node cap before any superlinear work.
-func (s *Server) materialise(req *Request) (*tree.Tree, *httpError) {
+// resolve maps the request's one instance source to its cache-resident
+// tree and content key. A repeat submission lands on the cached tree
+// pointer, so every per-instance artefact schedule reads is a cache hit;
+// an inline text seen before is recognised by its digest and not parsed
+// at all, with the key — and so every response byte — the parse would
+// have produced.
+func (s *Server) resolve(req *Request) (*tree.Tree, uint64, *httpError) {
 	sources := 0
 	if req.Tree != "" {
 		sources++
@@ -762,11 +777,31 @@ func (s *Server) materialise(req *Request) (*tree.Tree, *httpError) {
 		sources++
 	}
 	if sources != 1 {
-		return nil, fail(http.StatusBadRequest, "want exactly one of tree, synthetic, grid2d, grid3d; got %d", sources)
+		return nil, 0, fail(http.StatusBadRequest, "want exactly one of tree, synthetic, grid2d, grid3d; got %d", sources)
 	}
+	var text *textDigest
+	if req.Tree != "" {
+		d := digestText(req.Tree)
+		if ct, key, ok := s.cache.byTextDigest(d); ok {
+			return ct, key, nil
+		}
+		text = &d
+	}
+	t, herr := s.materialise(req)
+	if herr != nil {
+		// A text that fails to parse or validate never gains an alias.
+		return nil, 0, herr
+	}
+	ct, key := s.cache.canonical(t, text)
+	return ct, key, nil
+}
+
+// materialise builds the instance tree from the request's source,
+// enforcing the node cap before any superlinear work.
+func (s *Server) materialise(req *Request) (*tree.Tree, *httpError) {
 	switch {
 	case req.Tree != "":
-		t, err := tree.ReadLimited(strings.NewReader(req.Tree), s.opts.MaxNodes)
+		t, err := tree.ParseLimited(req.Tree, s.opts.MaxNodes)
 		if err != nil {
 			if errors.Is(err, tree.ErrTooLarge) {
 				return nil, fail(http.StatusRequestEntityTooLarge, "%v", err)

@@ -51,47 +51,51 @@ func treePayload(t *testing.T, tr *tree.Tree, extra string) string {
 	return fmt.Sprintf(`{"tree":%s%s}`, enc, extra)
 }
 
-// The handler contract: hostile and invalid payloads map to 4xx with a
-// JSON error body — never to 500, never to a crash.
+// handlerCases is the handler contract, for a server with MaxNodes 100:
+// hostile and invalid payloads map to 4xx with a JSON error body — never
+// to 500, never to a crash.
+var handlerCases = []struct {
+	name   string
+	body   string
+	status int
+	substr string
+}{
+	{"empty body", ``, http.StatusBadRequest, "bad request"},
+	{"not json", `schedule my tree please`, http.StatusBadRequest, "bad request"},
+	{"unknown field", `{"tree":"0 -1 1 1 1\n","bogus":1}`, http.StatusBadRequest, "bogus"},
+	{"trailing garbage", `{"synthetic":{"seed":1,"nodes":5}} garbage`, http.StatusBadRequest, "trailing data"},
+	{"two objects", `{"tree":"0 -1 1 1 1\n"}{"tree":"0 -1 1 1 1\n"}`, http.StatusBadRequest, "trailing data"},
+	{"no source", `{}`, http.StatusBadRequest, "exactly one"},
+	{"two sources", `{"tree":"0 -1 1 1 1\n","synthetic":{"seed":1,"nodes":5}}`, http.StatusBadRequest, "exactly one"},
+	{"negative id", `{"tree":"-2 -1 1 1 1\n"}`, http.StatusBadRequest, "bad id"},
+	{"absurd id", `{"tree":"1000000000000000 -1 1 1 1\n"}`, http.StatusBadRequest, "bad id"},
+	{"nan attribute", `{"tree":"0 -1 NaN 1 1\n"}`, http.StatusBadRequest, "NaN"},
+	{"inf attribute", `{"tree":"0 -1 inf 1 1\n"}`, http.StatusBadRequest, "infinite"},
+	{"inf time", `{"tree":"0 -1 1 1 inf\n"}`, http.StatusBadRequest, "infinite"},
+	{"negative attribute", `{"tree":"0 -1 -5 1 1\n"}`, http.StatusBadRequest, "negative"},
+	{"two roots", `{"tree":"0 -1 1 1 1\n1 -1 1 1 1\n"}`, http.StatusBadRequest, "root"},
+	{"oversized tree", `{"tree":"101 -1 1 1 1\n"}`, http.StatusRequestEntityTooLarge, "limit"},
+	{"oversized synthetic", `{"synthetic":{"seed":1,"nodes":101}}`, http.StatusRequestEntityTooLarge, "limit"},
+	{"oversized grid2d", `{"grid2d":{"n":1000}}`, http.StatusRequestEntityTooLarge, "limit"},
+	{"oversized grid3d", `{"grid3d":{"n":1000}}`, http.StatusRequestEntityTooLarge, "limit"},
+	{"bad grid", `{"grid2d":{"n":-3}}`, http.StatusBadRequest, "positive"},
+	{"bad synthetic", `{"synthetic":{"seed":1,"nodes":0}}`, http.StatusBadRequest, "positive"},
+	{"unknown heuristic", `{"tree":"0 -1 1 1 1\n","heuristic":"Magic"}`, http.StatusBadRequest, "unknown heuristic"},
+	{"unknown order", `{"tree":"0 -1 1 1 1\n","ao":"bogus"}`, http.StatusBadRequest, "bad activation order"},
+	{"non-topological ao", `{"tree":"0 -1 1 1 1\n1 0 1 1 1\n","ao":"CP"}`, http.StatusBadRequest, "not topological"},
+	{"bad procs", `{"tree":"0 -1 1 1 1\n","procs":-1}`, http.StatusBadRequest, "procs"},
+	{"bad bound", `{"tree":"0 -1 1 1 1\n","mem":-4}`, http.StatusBadRequest, "positive"},
+	{"unknown perturbation", `{"tree":"0 -1 1 1 1\n","perturb":"chaos(1)"}`, http.StatusBadRequest, "unknown perturbation"},
+	{"overflowing factor", `{"tree":"0 -1 1 1 1\n","mem_factor":1e308}`, http.StatusBadRequest, "finite"},
+	{"overflowing result", `{"tree":"0 -1 1 1 1e308\n1 0 1 1 1e308\n","mem":10}`, http.StatusUnprocessableEntity, "overflow"},
+	// Admission control: the single node needs exec+out = 2.
+	{"admission reject", `{"tree":"0 -1 1 1 1\n","mem":1}`, http.StatusUnprocessableEntity, "deadlock"},
+	{"ok", `{"tree":"0 -1 1 1 1\n"}`, http.StatusOK, `"makespan"`},
+}
+
 func TestHandlerTable(t *testing.T) {
 	_, ts := newTestServer(t, &service.Options{MaxNodes: 100})
-	cases := []struct {
-		name   string
-		body   string
-		status int
-		substr string
-	}{
-		{"empty body", ``, http.StatusBadRequest, "bad request"},
-		{"not json", `schedule my tree please`, http.StatusBadRequest, "bad request"},
-		{"unknown field", `{"tree":"0 -1 1 1 1\n","bogus":1}`, http.StatusBadRequest, "bogus"},
-		{"no source", `{}`, http.StatusBadRequest, "exactly one"},
-		{"two sources", `{"tree":"0 -1 1 1 1\n","synthetic":{"seed":1,"nodes":5}}`, http.StatusBadRequest, "exactly one"},
-		{"negative id", `{"tree":"-2 -1 1 1 1\n"}`, http.StatusBadRequest, "bad id"},
-		{"absurd id", `{"tree":"1000000000000000 -1 1 1 1\n"}`, http.StatusBadRequest, "bad id"},
-		{"nan attribute", `{"tree":"0 -1 NaN 1 1\n"}`, http.StatusBadRequest, "NaN"},
-		{"inf attribute", `{"tree":"0 -1 inf 1 1\n"}`, http.StatusBadRequest, "infinite"},
-		{"inf time", `{"tree":"0 -1 1 1 inf\n"}`, http.StatusBadRequest, "infinite"},
-		{"negative attribute", `{"tree":"0 -1 -5 1 1\n"}`, http.StatusBadRequest, "negative"},
-		{"two roots", `{"tree":"0 -1 1 1 1\n1 -1 1 1 1\n"}`, http.StatusBadRequest, "root"},
-		{"oversized tree", `{"tree":"101 -1 1 1 1\n"}`, http.StatusRequestEntityTooLarge, "limit"},
-		{"oversized synthetic", `{"synthetic":{"seed":1,"nodes":101}}`, http.StatusRequestEntityTooLarge, "limit"},
-		{"oversized grid2d", `{"grid2d":{"n":1000}}`, http.StatusRequestEntityTooLarge, "limit"},
-		{"oversized grid3d", `{"grid3d":{"n":1000}}`, http.StatusRequestEntityTooLarge, "limit"},
-		{"bad grid", `{"grid2d":{"n":-3}}`, http.StatusBadRequest, "positive"},
-		{"bad synthetic", `{"synthetic":{"seed":1,"nodes":0}}`, http.StatusBadRequest, "positive"},
-		{"unknown heuristic", `{"tree":"0 -1 1 1 1\n","heuristic":"Magic"}`, http.StatusBadRequest, "unknown heuristic"},
-		{"unknown order", `{"tree":"0 -1 1 1 1\n","ao":"bogus"}`, http.StatusBadRequest, "bad activation order"},
-		{"non-topological ao", `{"tree":"0 -1 1 1 1\n1 0 1 1 1\n","ao":"CP"}`, http.StatusBadRequest, "not topological"},
-		{"bad procs", `{"tree":"0 -1 1 1 1\n","procs":-1}`, http.StatusBadRequest, "procs"},
-		{"bad bound", `{"tree":"0 -1 1 1 1\n","mem":-4}`, http.StatusBadRequest, "positive"},
-		{"unknown perturbation", `{"tree":"0 -1 1 1 1\n","perturb":"chaos(1)"}`, http.StatusBadRequest, "unknown perturbation"},
-		{"overflowing factor", `{"tree":"0 -1 1 1 1\n","mem_factor":1e308}`, http.StatusBadRequest, "finite"},
-		{"overflowing result", `{"tree":"0 -1 1 1 1e308\n1 0 1 1 1e308\n","mem":10}`, http.StatusUnprocessableEntity, "overflow"},
-		// Admission control: the single node needs exec+out = 2.
-		{"admission reject", `{"tree":"0 -1 1 1 1\n","mem":1}`, http.StatusUnprocessableEntity, "deadlock"},
-		{"ok", `{"tree":"0 -1 1 1 1\n"}`, http.StatusOK, `"makespan"`},
-	}
-	for _, tc := range cases {
+	for _, tc := range handlerCases {
 		t.Run(tc.name, func(t *testing.T) {
 			status, body := post(t, ts, tc.body)
 			if status != tc.status {
@@ -100,8 +104,104 @@ func TestHandlerTable(t *testing.T) {
 			if !strings.Contains(string(body), tc.substr) {
 				t.Fatalf("body %s does not mention %q", body, tc.substr)
 			}
+			if tc.substr == "trailing data" {
+				// POST /jobs reads its body through the same decoder.
+				if status, _, body := postJob(t, ts, tc.body); status != tc.status || !strings.Contains(string(body), tc.substr) {
+					t.Fatalf("/jobs: %d %s, want %d mentioning %q", status, body, tc.status, tc.substr)
+				}
+			}
 		})
 	}
+}
+
+// The text alias must be invisible in the response: a body posted twice
+// to one server (the second post may be recognised by its text) and once
+// to a fresh server (never is) gives three identical (status, body)
+// results — for every inline case of the handler table, rejections
+// included, and for every schedule variant over an inline tree. The
+// second post is a text hit exactly when the first got the text past
+// parsing and validation, so a failing text never gains an alias.
+func TestTextAliasEquivalence(t *testing.T) {
+	type group struct {
+		opts   *service.Options
+		bodies []string
+	}
+	table := group{opts: &service.Options{MaxNodes: 100}}
+	for _, tc := range handlerCases {
+		table.bodies = append(table.bodies, tc.body)
+	}
+	var variants group
+	tr := workload.MustSynthetic(workload.NewRNG(3), workload.SyntheticOptions{Nodes: 300})
+	for _, opt := range variantOptions {
+		variants.bodies = append(variants.bodies, treePayload(t, tr, opt))
+	}
+	textHits := 0
+	for _, g := range []group{table, variants} {
+		srv, ts := newTestServer(t, g.opts)
+		for _, body := range g.bodies {
+			status1, body1 := post(t, ts, body)
+			before := srv.Stats().CacheTextHits
+			status2, body2 := post(t, ts, body)
+			hit := srv.Stats().CacheTextHits - before
+			fresh, fts := newTestServer(t, g.opts)
+			status3, body3 := post(t, fts, body)
+			if status2 != status1 || status3 != status1 || !bytes.Equal(body2, body1) || !bytes.Equal(body3, body1) {
+				t.Fatalf("%.60s: first %d %s, repeat %d %s, fresh server %d %s", body, status1, body1, status2, body2, status3, body3)
+			}
+			// The fresh server holds a tree exactly when this body's source
+			// was accepted, and only an inline source has a text to alias.
+			var req service.Request
+			inline := json.Unmarshal([]byte(body), &req) == nil && req.Tree != "" && req.Synthetic == nil
+			want := 0
+			if inline && fresh.Stats().CachedTrees == 1 {
+				want = 1
+			}
+			if hit != want {
+				t.Fatalf("%.60s (status %d): repeat scored %d text hits, want %d", body, status1, hit, want)
+			}
+			textHits += hit
+		}
+	}
+	if textHits < len(variantOptions) {
+		t.Fatalf("only %d repeats were recognised by text; the alias is not being exercised", textHits)
+	}
+}
+
+// FuzzInlineTwice posts arbitrary text as an inline tree twice through
+// the handler: whatever the text, and whatever the cache holds by then,
+// both posts give the same status and body, and never a 5xx.
+func FuzzInlineTwice(f *testing.F) {
+	f.Add("0 -1 1 1 1\n")
+	f.Add("# c\n1 0 0 1 1\n0 -1 0.5 2 3\n2 0 0 1 1\n")
+	f.Add("0 -1 NaN 1 1\n")
+	f.Add("0 -1 1 1 1e308\n1 0 1 1 1e308\n")
+	f.Add("-2 -1 1 1 1\n")
+	f.Add("0 -1 1 1 1\n1 -1 1 1 1\n")
+	f.Add("")
+	// One server for the whole run, small enough that the fuzzer's own
+	// inputs drive evictions between and around the paired posts.
+	srv := service.New(&service.Options{MaxNodes: 64, MaxCachedTrees: 4})
+	f.Cleanup(srv.CloseStreams)
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, text string) {
+		body, err := json.Marshal(service.Request{Tree: text})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first *httptest.ResponseRecorder
+		for i := 0; i < 2; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/schedule", bytes.NewReader(body)))
+			if rec.Code >= http.StatusInternalServerError {
+				t.Fatalf("post %d: %d %s", i+1, rec.Code, rec.Body)
+			}
+			if first == nil {
+				first = rec
+			} else if rec.Code != first.Code || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("first post %d %s, second %d %s", first.Code, first.Body, rec.Code, rec.Body)
+			}
+		}
+	})
 }
 
 // A 422 admission rejection must carry both the offending bound and the
@@ -168,18 +268,27 @@ func TestRepeatSubmissionHitsCacheBytewise(t *testing.T) {
 	}
 }
 
+// variantOptions are request options that each take a different path
+// through schedule: every heuristic, a named execution order, perturbed
+// execution and the trace.
+var variantOptions = []string{
+	``,
+	`,"heuristic":"Activation","eo":"CP"`,
+	`,"heuristic":"MemBookingRedTree","mem_factor":4`,
+	`,"perturb":"lognormal(0.3)","perturb_seed":11`,
+	`,"perturb":"stragglers(0.05,10)","perturb_seed":1`,
+	`,"heuristic":"MemBookingRedTree","mem_factor":4,"trace":true`,
+}
+
 // All three heuristics, perturbed execution, the trace, and the
 // synthetic/grid sources work end to end over HTTP.
 func TestScheduleVariants(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	for _, body := range []string{
-		`{"synthetic":{"seed":3,"nodes":300}}`,
-		`{"synthetic":{"seed":3,"nodes":300},"heuristic":"Activation","eo":"CP"}`,
-		`{"synthetic":{"seed":3,"nodes":300},"heuristic":"MemBookingRedTree","mem_factor":4}`,
-		`{"synthetic":{"seed":3,"nodes":300},"perturb":"lognormal(0.3)","perturb_seed":11}`,
-		`{"grid2d":{"n":12,"amalgamation":8}}`,
-		`{"grid3d":{"n":5}}`,
-	} {
+	bodies := []string{`{"grid2d":{"n":12,"amalgamation":8}}`, `{"grid3d":{"n":5}}`}
+	for _, opt := range variantOptions {
+		bodies = append(bodies, `{"synthetic":{"seed":3,"nodes":300}`+opt+`}`)
+	}
+	for _, body := range bodies {
 		status, b := post(t, ts, body)
 		if status != http.StatusOK {
 			t.Fatalf("%s -> %d %s", body, status, b)
@@ -382,6 +491,16 @@ func TestHealthAndStats(t *testing.T) {
 	post(t, ts, `{"tree":"-2 -1 1 1 1\n"}`)
 	if got := srvStats(t, ts).Rejected; got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
+	}
+	// "Did this request parse?": a byte-identical resubmission is a text
+	// hit, a re-commented one a content hit only; CacheHits counts both.
+	for _, body := range []string{`{"tree":"0 -1 1 1 1\n"}`, `{"tree":"0 -1 1 1 1\n"}`, `{"tree":"# again\n0 -1 1 1 1\n"}`} {
+		if status, b := post(t, ts, body); status != http.StatusOK {
+			t.Fatalf("%s: %d %s", body, status, b)
+		}
+	}
+	if st := srvStats(t, ts); st.CacheMisses != 1 || st.CacheHits != 2 || st.CacheTextHits != 1 {
+		t.Fatalf("misses/hits/text hits = %d/%d/%d, want 1/2/1", st.CacheMisses, st.CacheHits, st.CacheTextHits)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The .tree text format, one task per line:
@@ -48,6 +50,10 @@ var ErrTooLarge = errors.New("tree: input exceeds the node limit")
 // read and k is known to be a dense 0..n-1 id).
 func Read(r io.Reader) (*Tree, error) { return ReadLimited(r, 0) }
 
+// maxLineBytes is the longest line either entry point accepts; a
+// longer one fails with bufio.ErrTooLong.
+const maxLineBytes = 1<<20 - 1
+
 // ReadLimited is Read with an upper bound on the node count: any input
 // with more than maxNodes data lines — or naming an id ≥ maxNodes — is
 // rejected as soon as the excess is seen, with an error wrapping
@@ -56,76 +62,162 @@ func Read(r io.Reader) (*Tree, error) { return ReadLimited(r, 0) }
 // parser nor make it allocate beyond the limit.
 func ReadLimited(r io.Reader, maxNodes int) (*Tree, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	type entry struct {
-		id, line        int
-		parent          NodeID
-		exec, out, time float64
-	}
-	var entries []entry
-	maxID, maxIDLine := -1, 0
-	lineNo := 0
+	// The scanner doubles this up to the cap, so a small tree never pays
+	// for the longest line the format allows.
+	sc.Buffer(make([]byte, 4096), maxLineBytes+1)
+	p := parser{maxNodes: maxNodes, maxID: -1}
 	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		if len(f) != 5 {
-			return nil, fmt.Errorf("tree: line %d: want 5 fields, got %d", lineNo, len(f))
-		}
-		id, err := strconv.Atoi(f[0])
-		if err != nil {
-			return nil, fmt.Errorf("tree: line %d: bad id: %v", lineNo, err)
-		}
-		if id < 0 || id > math.MaxInt32-1 {
-			return nil, fmt.Errorf("tree: line %d: bad id %d (ids are 0..n-1)", lineNo, id)
-		}
-		if maxNodes > 0 && (id >= maxNodes || len(entries) >= maxNodes) {
-			return nil, fmt.Errorf("tree: line %d: %w (%d nodes allowed)", lineNo, ErrTooLarge, maxNodes)
-		}
-		p, err := strconv.Atoi(f[1])
-		if err != nil {
-			return nil, fmt.Errorf("tree: line %d: bad parent: %v", lineNo, err)
-		}
-		if p < -1 || p > math.MaxInt32-1 {
-			// Reject before the int32 conversion below can wrap a huge
-			// parent into a plausible-looking NodeID.
-			return nil, fmt.Errorf("tree: line %d: bad parent %d", lineNo, p)
-		}
-		var vals [3]float64
-		for k := 0; k < 3; k++ {
-			vals[k], err = strconv.ParseFloat(f[2+k], 64)
-			if err != nil {
-				return nil, fmt.Errorf("tree: line %d: bad float: %v", lineNo, err)
-			}
-		}
-		entries = append(entries, entry{id, lineNo, NodeID(p), vals[0], vals[1], vals[2]})
-		if id > maxID {
-			maxID, maxIDLine = id, lineNo
+		if err := p.line(sc.Text()); err != nil {
+			return nil, err
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(entries) == 0 {
+	return p.tree()
+}
+
+// ParseLimited is ReadLimited over text already in memory: the same
+// trees, the same errors with the same line numbers, but lines and
+// fields are cut as substrings of text, so the parse allocates a
+// constant number of blocks (the entry table and the tree's own
+// arrays) whatever the node count.
+func ParseLimited(text string, maxNodes int) (*Tree, error) {
+	// A data line is at least 10 bytes ("0 -1 0 0 0"), so the entry table
+	// sized here stays proportional to the input however the bytes are
+	// arranged, and is exact for a well-formed file.
+	rows := min(strings.Count(text, "\n")+1, len(text)/10+1)
+	if maxNodes > 0 {
+		rows = min(rows, maxNodes)
+	}
+	p := parser{maxNodes: maxNodes, maxID: -1, entries: make([]entry, 0, rows)}
+	for len(text) > 0 {
+		line, rest, _ := strings.Cut(text, "\n")
+		if len(line) > maxLineBytes {
+			return nil, bufio.ErrTooLong
+		}
+		if err := p.line(line); err != nil {
+			return nil, err
+		}
+		text = rest
+	}
+	return p.tree()
+}
+
+// entry is one data line, held until the whole input has proved its ids
+// dense.
+type entry struct {
+	id, line        int
+	parent          NodeID
+	exec, out, time float64
+}
+
+// parser is the state both entry points share: they differ only in how
+// they cut the input into lines.
+type parser struct {
+	maxNodes         int
+	lineNo           int
+	entries          []entry
+	maxID, maxIDLine int
+}
+
+// fields cuts s around runs of white space exactly as strings.Fields
+// does, without allocating: the first five fields land in f and the
+// return value counts them all.
+func fields(s string, f *[5]string) (n int) {
+	start := -1
+	for i := 0; i < len(s); {
+		c, w := s[i], 1
+		space := c == ' ' || '\t' <= c && c <= '\r'
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, w = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+		}
+		if !space {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			if n < len(f) {
+				f[n] = s[start:i]
+			}
+			n, start = n+1, -1
+		}
+		i += w
+	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = s[start:]
+		}
+		n++
+	}
+	return n
+}
+
+// line consumes the next input line (without its terminator).
+func (p *parser) line(line string) error {
+	p.lineNo++
+	line = strings.TrimSpace(line)
+	if line == "" || line[0] == '#' {
+		return nil
+	}
+	var f [5]string
+	if n := fields(line, &f); n != 5 {
+		return fmt.Errorf("tree: line %d: want 5 fields, got %d", p.lineNo, n)
+	}
+	id, err := strconv.Atoi(f[0])
+	if err != nil {
+		return fmt.Errorf("tree: line %d: bad id: %v", p.lineNo, err)
+	}
+	if id < 0 || id > math.MaxInt32-1 {
+		return fmt.Errorf("tree: line %d: bad id %d (ids are 0..n-1)", p.lineNo, id)
+	}
+	if p.maxNodes > 0 && (id >= p.maxNodes || len(p.entries) >= p.maxNodes) {
+		return fmt.Errorf("tree: line %d: %w (%d nodes allowed)", p.lineNo, ErrTooLarge, p.maxNodes)
+	}
+	par, err := strconv.Atoi(f[1])
+	if err != nil {
+		return fmt.Errorf("tree: line %d: bad parent: %v", p.lineNo, err)
+	}
+	if par < -1 || par > math.MaxInt32-1 {
+		// Reject before the int32 conversion below can wrap a huge
+		// parent into a plausible-looking NodeID.
+		return fmt.Errorf("tree: line %d: bad parent %d", p.lineNo, par)
+	}
+	var vals [3]float64
+	for k := range vals {
+		vals[k], err = strconv.ParseFloat(f[2+k], 64)
+		if err != nil {
+			return fmt.Errorf("tree: line %d: bad float: %v", p.lineNo, err)
+		}
+	}
+	p.entries = append(p.entries, entry{id, p.lineNo, NodeID(par), vals[0], vals[1], vals[2]})
+	if id > p.maxID {
+		p.maxID, p.maxIDLine = id, p.lineNo
+	}
+	return nil
+}
+
+// tree builds the tree once every line has been consumed.
+func (p *parser) tree() (*Tree, error) {
+	if len(p.entries) == 0 {
 		return nil, fmt.Errorf("tree: empty input")
 	}
-	n := len(entries)
-	if maxID >= n {
+	n := len(p.entries)
+	if p.maxID >= n {
 		// IDs must be dense 0..n-1, so an id at or beyond the data-line
 		// count can never be valid — and node storage is only allocated
 		// once this holds, so one hostile line cannot demand unbounded
 		// memory.
-		return nil, fmt.Errorf("tree: line %d: bad id %d in %d-line input (ids are 0..n-1)", maxIDLine, maxID, n)
+		return nil, fmt.Errorf("tree: line %d: bad id %d in %d-line input (ids are 0..n-1)", p.maxIDLine, p.maxID, n)
 	}
 	parent := make([]NodeID, n)
 	exec := make([]float64, n)
 	out := make([]float64, n)
 	tm := make([]float64, n)
 	seen := make([]int, n)
-	for _, e := range entries {
+	for _, e := range p.entries {
 		if seen[e.id] != 0 {
 			return nil, fmt.Errorf("tree: line %d: duplicate id %d (first on line %d)", e.line, e.id, seen[e.id])
 		}

@@ -1,7 +1,9 @@
 package tree
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -57,7 +59,7 @@ func TestReadLimited(t *testing.T) {
 		"5 -1 1 1 1\n",      // id beyond the limit on the first line
 		"0 -1 1 1 1\n" + ok, // line count over the limit
 	} {
-		_, err := ReadLimited(strings.NewReader(in), 2)
+		_, err := parseBoth(t, in, 2)
 		if !errors.Is(err, ErrTooLarge) {
 			t.Errorf("ReadLimited(%q, 2) = %v, want ErrTooLarge", in, err)
 		}
@@ -65,6 +67,49 @@ func TestReadLimited(t *testing.T) {
 	// Unlimited (0) still parses.
 	if _, err := ReadLimited(strings.NewReader(ok), 0); err != nil {
 		t.Fatalf("ReadLimited unlimited: %v", err)
+	}
+}
+
+// Both forms accept a line of up to maxLineBytes and fail one byte
+// later with bufio.ErrTooLong, terminated or not — after reporting any
+// earlier line's error first.
+func TestLongLines(t *testing.T) {
+	head, tail := "0 -1 1 1 1\n", "\n1 0 1 1 1\n"
+	for _, tc := range []struct {
+		name, in string
+		want     error
+	}{
+		{"longest comment", head + "#" + strings.Repeat("x", maxLineBytes-1) + tail, nil},
+		{"comment one over", head + "#" + strings.Repeat("x", maxLineBytes) + tail, bufio.ErrTooLong},
+		{"longest blank tail", head + strings.Repeat(" ", maxLineBytes), nil},
+		{"blank tail one over", head + strings.Repeat(" ", maxLineBytes+1), bufio.ErrTooLong},
+		{"CR counts", head + strings.Repeat(" ", maxLineBytes) + "\r\n", bufio.ErrTooLong},
+	} {
+		if _, err := parseBoth(t, tc.in, 0); err != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	_, err := parseBoth(t, "0 -1 1 1\n"+strings.Repeat("x", maxLineBytes+1), 0)
+	if err == nil || !strings.Contains(err.Error(), "line 1: want 5 fields, got 4") {
+		t.Errorf("bad line before an over-long one: %v", err)
+	}
+}
+
+// First sight of a tree should cost a handful of blocks — the entry
+// table and the tree's own arrays — not a string and a field slice per
+// line: the count must not grow with the node count.
+func TestParseLimitedAllocs(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# 10k-node chain\n0 -1 0.5 2 3\n")
+	for i := 1; i < 10000; i++ {
+		fmt.Fprintf(&b, "%d %d 0.25 %d.5 1e-3\n", i, i-1, i)
+	}
+	text := b.String()
+	if tr, err := ParseLimited(text, 10000); err != nil || tr.Len() != 10000 {
+		t.Fatalf("ParseLimited: %v, %v", tr, err)
+	}
+	if got := testing.AllocsPerRun(5, func() { ParseLimited(text, 10000) }); got > 64 {
+		t.Fatalf("ParseLimited allocates %v blocks for 10k nodes, want <= 64", got)
 	}
 }
 

@@ -151,12 +151,12 @@ func checkpointJobs(pending []service.Request, path string) error {
 }
 
 // run serves until SIGINT/SIGTERM, then shuts down gracefully: the
-// HTTP server stops taking connections, pending async jobs drain for
-// up to drainWait, and — when ckFile is set — jobs still pending at
-// the end of the window are checkpointed there for the next boot
-// (which resubmits them before serving). When ready is non-nil it
-// receives the bound listener before serving starts (tests use it to
-// learn the port and to trigger shutdown).
+// HTTP server stops taking connections and /streamz responses end,
+// pending async jobs drain for up to drainWait, and — when ckFile is
+// set — jobs still pending at the end of the window are checkpointed
+// there for the next boot (which resubmits them before serving). When
+// ready is non-nil it receives the bound listener before serving
+// starts (tests use it to learn the port and to trigger shutdown).
 func run(addr string, opts *service.Options, ckFile string, drainWait time.Duration, ready chan<- net.Listener) error {
 	srv := service.New(opts)
 	if ckFile != "" {
@@ -198,18 +198,24 @@ func run(addr string, opts *service.Options, ckFile string, drainWait time.Durat
 		return err
 	case <-ctx.Done():
 	}
+	// A /streamz handler returns only on drain, a closed bus or its client
+	// leaving, so Shutdown would wait out its whole window on one
+	// subscriber: close the bus as shutdown begins. Once the handlers are
+	// gone nobody can subscribe, and Emit stays safe on a closed bus.
+	hs.RegisterOnShutdown(srv.CloseStreams)
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := hs.Shutdown(shutCtx); err != nil {
-		return err
-	}
-	// Drain-or-checkpoint: finish what the window allows, save the rest.
+	shutErr := hs.Shutdown(shutCtx)
+	// Drain-or-checkpoint, whatever Shutdown reported: finish what the
+	// window allows, save the rest.
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), drainWait)
 	defer cancelDrain()
-	pending := srv.Drain(drainCtx)
-	// The event bus outlived the job runners so late completions could
-	// still stream; now flush it and release any /streamz stragglers.
-	srv.CloseStreams()
+	return errors.Join(shutErr, savePending(srv.Drain(drainCtx), ckFile))
+}
+
+// savePending checkpoints the jobs the drain window could not finish,
+// or says that they are lost when no checkpoint file is configured.
+func savePending(pending []service.Request, ckFile string) error {
 	if len(pending) == 0 {
 		return nil
 	}

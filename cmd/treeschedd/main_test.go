@@ -5,29 +5,38 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 )
 
-// End-to-end: boot the daemon on an ephemeral port, schedule over HTTP,
-// read stats, then shut down cleanly via the signal path.
-func TestServeScheduleShutdown(t *testing.T) {
+// boot starts the daemon on an ephemeral port and returns its base URL
+// and the channel run's result arrives on.
+func boot(t *testing.T, ckFile string, drainWait time.Duration) (base string, done <-chan error) {
+	t.Helper()
 	ready := make(chan net.Listener, 1)
-	done := make(chan error, 1)
+	exited := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", nil, "", 5*time.Second, ready)
+		exited <- run("127.0.0.1:0", nil, ckFile, drainWait, ready)
 	}()
-	var ln net.Listener
 	select {
-	case ln = <-ready:
-	case err := <-done:
+	case ln := <-ready:
+		return fmt.Sprintf("http://%s", ln.Addr()), exited
+	case err := <-exited:
 		t.Fatalf("server exited early: %v", err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not start")
 	}
-	base := fmt.Sprintf("http://%s", ln.Addr())
+	return "", nil
+}
+
+// End-to-end: boot the daemon on an ephemeral port, schedule over HTTP,
+// read stats, then shut down cleanly via the signal path.
+func TestServeScheduleShutdown(t *testing.T) {
+	base, done := boot(t, "", 5*time.Second)
 
 	get := func(path string) string {
 		resp, err := http.Get(base + path)
@@ -68,6 +77,55 @@ func TestServeScheduleShutdown(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("server did not shut down on SIGINT")
+	}
+}
+
+// A live /streamz subscriber must not cost the shutdown its drain: the
+// stream ends as shutdown begins, run returns nil well inside the 10 s
+// shutdown window, and the job the (zero) drain window could not finish
+// is checkpointed.
+func TestShutdownWithStreamSubscriber(t *testing.T) {
+	ckFile := filepath.Join(t.TempDir(), "jobs.ckpt")
+	base, done := boot(t, ckFile, time.Nanosecond)
+	stream, err := http.Get(base + "/streamz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("GET /streamz: %d", stream.StatusCode)
+	}
+	// Headers are back, so the handler is subscribed and in its loop.
+	resp, err := http.Post(base+"/jobs", "application/json",
+		strings.NewReader(`{"synthetic":{"seed":1,"nodes":200000}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /jobs: %d", resp.StatusCode)
+	}
+
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a /streamz subscriber held the shutdown past 5 s")
+	}
+	if _, err := io.Copy(io.Discard, stream.Body); err != nil {
+		t.Errorf("the stream did not end cleanly: %v", err)
+	}
+	b, err := os.ReadFile(ckFile)
+	if err != nil {
+		t.Fatalf("the pending job was not checkpointed: %v", err)
+	}
+	if !strings.Contains(string(b), `"nodes": 200000`) {
+		t.Errorf("checkpoint does not hold the pending job: %s", b)
 	}
 }
 

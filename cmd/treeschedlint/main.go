@@ -1,7 +1,7 @@
 // Command treeschedlint is the repo's contract checker: it bundles the
-// analyzers of internal/analysis (policypure, detfree, poollife,
-// errtyped, goroleak), loads the named packages from source — no build
-// step, no export data — and runs every selected analyzer over each:
+// analyzers of internal/analysis (policypure, detfree, errtyped,
+// goroleak), loads the named packages from source — no build step, no
+// export data — and runs every selected analyzer over each:
 //
 //	go run ./cmd/treeschedlint ./...
 //	go run ./cmd/treeschedlint -detfree ./internal/trace
@@ -39,7 +39,6 @@ import (
 	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/policypure"
-	"repro/internal/analysis/poollife"
 )
 
 const progname = "treeschedlint"
@@ -47,7 +46,6 @@ const progname = "treeschedlint"
 var analyzers = []*analysis.Analyzer{
 	policypure.Analyzer,
 	detfree.Analyzer,
-	poollife.Analyzer,
 	errtyped.Analyzer,
 	goroleak.Analyzer,
 }

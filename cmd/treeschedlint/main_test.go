@@ -89,6 +89,22 @@ func TestJSONListsSuppressedFindings(t *testing.T) {
 	}
 }
 
+// TestAnalyzerSet pins the suite: four analyzers, each kept under the
+// rule of DESIGN.md §13.1. poollife was dropped under it, so its flag
+// is a usage error like any unknown one.
+func TestAnalyzerSet(t *testing.T) {
+	var names []string
+	for _, a := range analyzers {
+		names = append(names, a.Name)
+	}
+	if got, want := strings.Join(names, " "), "policypure detfree errtyped goroleak"; got != want {
+		t.Errorf("analyzers are %q, want %q", got, want)
+	}
+	if exit, _, stderr := lint(t, fixtures, "-poollife", "free"); exit != 2 || !strings.Contains(stderr, "-poollife") {
+		t.Errorf("-poollife: exit %d, stderr %q; want 2 and a usage message naming the flag", exit, stderr)
+	}
+}
+
 func TestAnalyzerSelection(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -97,7 +113,7 @@ func TestAnalyzerSelection(t *testing.T) {
 		{[]string{"-detfree", "harness"}, 1},
 		{[]string{"-detfree", "errtyped"}, 0}, // only detfree runs; the errtyped findings are not looked for
 		{[]string{"-detfree=false", "harness"}, 0},
-		{[]string{"-detfree=false", "errtyped"}, 1}, // the other four still run
+		{[]string{"-detfree=false", "errtyped"}, 1}, // the other three still run
 		{[]string{"-detfree", "-errtyped", "errtyped"}, 1},
 	} {
 		if exit, lines, stderr := lint(t, fixtures, tc.args...); exit != tc.exit {

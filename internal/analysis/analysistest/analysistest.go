@@ -30,7 +30,7 @@ import (
 )
 
 // Run loads each fixture package (an import path under
-// testdata/src, e.g. "poollife") and applies the analyzer, comparing
+// testdata/src, e.g. "errtyped") and applies the analyzer, comparing
 // diagnostics against the fixtures' // want annotations.
 func Run(t *testing.T, testdataSrc string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()

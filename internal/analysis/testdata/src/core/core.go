@@ -1,44 +1,7 @@
 // Package core is a fixture stub of repro/internal/core: the
-// MemBookingPool lifecycle surface for the poollife fixtures and the
-// ErrDeadlock type for the errtyped fixtures. Both analyzers match by
-// (package name, type name), so the stubs exercise the real code path.
+// ErrDeadlock type for the errtyped fixtures. The analyzer matches by
+// (package name, type name), so the stub exercises the real code path.
 package core
-
-// Tree stands in for tree.Tree.
-type Tree struct{}
-
-// MemBooking stands in for the pooled scheduler state.
-type MemBooking struct {
-	booked float64
-}
-
-// Init mimics the scheduler contract.
-func (s *MemBooking) Init() error { return nil }
-
-// BookedMemory mimics the scheduler contract.
-func (s *MemBooking) BookedMemory() float64 { return s.booked }
-
-// MemBookingPool recycles MemBooking instances.
-type MemBookingPool struct {
-	items []*MemBooking
-}
-
-// Get returns a pooled or fresh instance.
-func (p *MemBookingPool) Get(t *Tree, m float64) (*MemBooking, error) {
-	if n := len(p.items); n > 0 {
-		s := p.items[n-1]
-		p.items = p.items[:n-1]
-		return s, nil
-	}
-	return &MemBooking{booked: m}, nil
-}
-
-// Put retires an instance; it may be rebound by the next Get.
-func (p *MemBookingPool) Put(s *MemBooking) {
-	if s != nil {
-		p.items = append(p.items, s)
-	}
-}
 
 // ErrDeadlock is the shared typed deadlock error.
 type ErrDeadlock struct {

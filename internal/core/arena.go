@@ -96,9 +96,19 @@ func (p *MemBookingPool) Get(t *tree.Tree, m float64, ao, eo *order.Order) (*Mem
 // pin finished jobs' trees in memory; the next Get rebinds it. Instances
 // that never allocated state (NewMemBooking without Init) are recycled
 // all the same.
+//
+// After Put the caller must drop its reference: the next Get of the size
+// class hands the instance to another job. The dropped tree reference is
+// what enforces that at run time — Init, Restore and OnFinish on a
+// retired instance dereference it and fault, and a second Put of an
+// instance still in the pool panics here rather than letting two Gets
+// share it.
 func (p *MemBookingPool) Put(s *MemBooking) {
 	if s == nil {
 		return
+	}
+	if s.t == nil {
+		panic("core: MemBookingPool.Put of a scheduler that is already in the pool")
 	}
 	var b int
 	if c := cap(s.need); c > 0 {

@@ -134,6 +134,37 @@ func TestPoolServesSizeClass(t *testing.T) {
 	}
 }
 
+// TestPoolRefusesSecondPut pins the half of the pool contract Put can
+// see: retiring an instance that is already in the pool panics — both
+// entries would otherwise be handed out, and two jobs would share one
+// scheduler — while a single Put still recycles.
+func TestPoolRefusesSecondPut(t *testing.T) {
+	var p MemBookingPool
+	tr, ao, peak := ckTree(t, 256, 12) // a power of two: Put's class is Get's
+	l := newCkLoop(t, tr, ao, 2*peak, 4)
+	p.Put(l.s)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second Put of the same instance did not panic")
+			}
+		}()
+		p.Put(l.s)
+	}()
+	// The refused Put left one entry behind, not two.
+	got, err := p.Get(tr, 2*peak, ao, ao)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != l.s {
+		t.Error("Get after a single Put did not recycle the instance")
+	}
+	if again, _ := p.Get(tr, 2*peak, ao, ao); again == l.s {
+		t.Error("the pool handed out one instance twice")
+	}
+	p.Put(got) // checked out again, so retiring it is legal again
+}
+
 // TestPoolRestoreMatchesFreshRestore reruns the checkpoint oracle
 // through the pool: a checkpoint restored into a recycled, rebound
 // instance must continue exactly like the same checkpoint restored

@@ -1,19 +1,23 @@
 package multitree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 )
 
 // violation checks the cluster-state invariants that must hold between
-// any two transitions and returns the first one broken ("" when all
-// hold). It lives here, not in the production loop: Run pays for no
-// per-event assertion.
+// any two transitions — the ledgers, one place per job, relOrder, and
+// who owns which pooled scheduler — and returns the first one broken
+// ("" when all hold). It lives here, not in the production loop: Run
+// pays for no per-event assertion.
 func (c *cluster) violation() string {
 	reserved, running := 0.0, 0
 	where := make(map[*job]string, len(c.jobs))
@@ -34,11 +38,24 @@ func (c *cluster) violation() string {
 			return msg
 		}
 	}
+	// Ownership of pooled schedulers: a job holds one exactly while it is
+	// active, and no two jobs hold the same one. A reference kept past
+	// retire would alias the next job the pool hands the instance to.
+	owner := make(map[*core.MemBooking]*job, len(c.active))
 	for _, j := range c.active {
 		reserved += j.slice
 		running += j.running
 		if j.sched == nil {
 			return fmt.Sprintf("active job %q has no scheduler", j.spec.Name)
+		}
+		if o, shared := owner[j.sched]; shared {
+			return fmt.Sprintf("active jobs %q and %q share one scheduler", o.spec.Name, j.spec.Name)
+		}
+		owner[j.sched] = j
+	}
+	for i := range c.jobs {
+		if j := &c.jobs[i]; j.sched != nil && where[j] != "active" {
+			return fmt.Sprintf("job %q holds a scheduler but is not active (%s)", j.spec.Name, cmp.Or(where[j], "outside the cluster"))
 		}
 	}
 	if got := c.freeMem + reserved; math.Abs(got-c.opt.Mem) > c.eps {
@@ -114,11 +131,12 @@ func (c *cluster) staleEpoch(twin *faults.Plan, prev float64) string {
 // a pool tight enough to queue), and checks the state invariants after
 // every transition rather than only on the final Result: the memory and
 // processor ledgers balance, free slots match free processors, relOrder
-// is the sorted active set, and no job sits in two of queue, retryQ and
-// active; after advance and after complete — the states strike reads —
-// the cached fault epochs are checked against a twin plan. The stepped
-// run must also equal Run's own result, which pins this loop to the
-// production one.
+// is the sorted active set, no job sits in two of queue, retryQ and
+// active, and a job holds a pooled scheduler exactly while it is active,
+// never one another job holds; after advance and after complete — the
+// states strike reads — the cached fault epochs are checked against a
+// twin plan. The stepped run must also equal Run's own result, which
+// pins this loop to the production one.
 func TestClusterInvariantsEveryTransition(t *testing.T) {
 	specs, mem := faultStream(t, 21, 14)
 	chaosGrid(func(name string, mk func() *FaultOptions) {
@@ -184,4 +202,67 @@ func TestClusterInvariantsEveryTransition(t *testing.T) {
 			t.Logf("%s: no fault struck; invariants checked on the fault-free path only", name)
 		}
 	})
+}
+
+// TestViolationSeesSchedulerAliases gives the ownership invariant its
+// teeth: on a cluster stepped to an instant with two active jobs, one
+// queued and one recorded, each way a scheduler reference can outlive
+// its Put — the only pool-contract breach that neither panics nor moves
+// a digest by itself — is planted by hand and must be reported.
+func TestViolationSeesSchedulerAliases(t *testing.T) {
+	// All 12 jobs arrive together into a pool of two peaks: some run, the
+	// rest queue, and the first completion leaves a recorded job behind.
+	specs := stream(t, 5, 12, []int{40, 80, 120}, PoissonArrivals(), 300)
+	for i := range specs {
+		specs[i].Arrival = 0
+	}
+	c, err := newCluster(specs, &Options{Procs: 4, Mem: 2 * maxPeak(specs), Policy: FCFS{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded *job
+	for recorded == nil || len(c.active) < 2 || len(c.queue) == 0 {
+		c.rejoin()
+		if err := c.admit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.dispatch(); err != nil {
+			t.Fatal(err)
+		}
+		if idle, err := c.drained(); err != nil || idle {
+			t.Fatalf("the stream drained (err %v) before two jobs ran beside a queued and a recorded one", err)
+		}
+		c.advance()
+		c.complete()
+		c.arrive()
+		for i := range c.res.Jobs {
+			if c.res.Jobs[i].Nodes > 0 {
+				recorded = &c.jobs[i]
+			}
+		}
+	}
+	if msg := c.violation(); msg != "" {
+		t.Fatalf("before any plant: %s", msg)
+	}
+	a, b := c.active[0], c.active[1]
+	for _, plant := range []struct {
+		name   string
+		holder *job
+		sched  *core.MemBooking
+		want   string
+	}{
+		{"two active jobs share one scheduler", b, a.sched, "share one scheduler"},
+		{"a queued job still holds one", c.queue[0], a.sched, "holds a scheduler but is not active (queue)"},
+		{"a recorded job still holds one", recorded, a.sched, "holds a scheduler but is not active (outside the cluster)"},
+	} {
+		kept := plant.holder.sched
+		plant.holder.sched = plant.sched
+		if msg := c.violation(); !strings.Contains(msg, plant.want) {
+			t.Errorf("%s: violation() = %q, want it to say %q", plant.name, msg, plant.want)
+		}
+		plant.holder.sched = kept
+	}
+	if msg := c.violation(); msg != "" {
+		t.Fatalf("after undoing the plants: %s", msg)
+	}
 }

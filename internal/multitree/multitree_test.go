@@ -128,7 +128,7 @@ func TestSingleJobMatchesSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := Run([]JobSpec{{Name: "solo", Tree: tr, Arrival: 0}},
-			&Options{Procs: 4, Mem: m, Policy: FCFS{SliceFactor: factor}})
+			&Options{Procs: 4, Mem: m, Policy: FairShare{Shares: 1}}) // one share: the slice is all of M
 		if err != nil {
 			t.Fatal(err)
 		}

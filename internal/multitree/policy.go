@@ -122,33 +122,11 @@ type Policy interface {
 	Admit(st *State) []Admission
 }
 
-// grant sizes a slice for q: factor × peak, at least the peak, shrunk
-// to the free pool when the stretched slice does not fit (never below
-// the peak — the caller only asks when peak ≤ free). q is a value
-// copy: policies must not hand pointers into the State snapshot to
-// helpers (the policypure analyzer enforces it).
-func grant(q QueuedJob, factor, free float64) float64 {
-	s := q.Peak
-	if factor > 1 {
-		s = factor * q.Peak
-	}
-	if s > free {
-		s = free
-	}
-	if s < q.Peak {
-		s = q.Peak
-	}
-	return s
-}
-
 // FCFS admits strictly in arrival order: the queue head is admitted
 // whenever its slice fits, and a head that does not fit blocks every
-// job behind it (the no-starvation baseline).
-type FCFS struct {
-	// SliceFactor stretches every slice to factor × peak when memory is
-	// plentiful (values ≤ 1 grant the minimal slice).
-	SliceFactor float64
-}
+// job behind it (the no-starvation baseline). Slices are minimal —
+// exactly the peak; FairShare is the policy that stretches them.
+type FCFS struct{}
 
 // Name implements Policy.
 func (f FCFS) Name() string { return "fcfs" }
@@ -162,9 +140,8 @@ func (f FCFS) Admit(st *State) []Admission {
 		if q.Peak > free {
 			break
 		}
-		s := grant(q, f.SliceFactor, free)
-		out = append(out, Admission{Queue: i, Slice: s})
-		free -= s
+		out = append(out, Admission{Queue: i, Slice: q.Peak})
+		free -= q.Peak
 	}
 	return out
 }
@@ -174,10 +151,7 @@ func (f FCFS) Admit(st *State) []Admission {
 // durations are unknown but the bound is computable from the tree.
 // Long jobs can starve under sustained load; that trade-off is the
 // point of comparing it against FCFS and EASY.
-type SBF struct {
-	// SliceFactor as in FCFS.
-	SliceFactor float64
-}
+type SBF struct{}
 
 // Name implements Policy.
 func (s SBF) Name() string { return "sbf" }
@@ -201,9 +175,8 @@ func (s SBF) Admit(st *State) []Admission {
 		if best < 0 {
 			return out
 		}
-		g := grant(st.Queue[best], s.SliceFactor, free)
-		out = append(out, Admission{Queue: best, Slice: g})
-		free -= g
+		out = append(out, Admission{Queue: best, Slice: st.Queue[best].Peak})
+		free -= st.Queue[best].Peak
 		taken[best] = true
 	}
 }
@@ -256,14 +229,10 @@ func (f FairShare) Admit(st *State) []Admission {
 // need. Estimates are lower bounds, so a late job can overrun its
 // promise and push the reservation; the head is still never overtaken
 // indefinitely, because backfilled jobs must fit the shadow computed
-// from the state at each round. Backfilled slices are minimal (exactly
-// the peak): stretching them would consume the very headroom the
+// from the state at each round. Slices are minimal (exactly the peak):
+// stretching a backfilled one would consume the very headroom the
 // reservation protects.
-type EASY struct {
-	// SliceFactor stretches head slices as in FCFS; backfilled jobs
-	// always get their peak.
-	SliceFactor float64
-}
+type EASY struct{}
 
 // Name implements Policy.
 func (e EASY) Name() string { return "easy" }
@@ -275,9 +244,8 @@ func (e EASY) Admit(st *State) []Admission {
 	// Admit from the head while it fits (FCFS fast path).
 	next := 0
 	for next < len(st.Queue) && st.Queue[next].Peak <= free {
-		s := grant(st.Queue[next], e.SliceFactor, free)
-		out = append(out, Admission{Queue: next, Slice: s})
-		free -= s
+		out = append(out, Admission{Queue: next, Slice: st.Queue[next].Peak})
+		free -= st.Queue[next].Peak
 		next++
 	}
 	if next >= len(st.Queue) || len(st.Active)+len(out) == 0 {

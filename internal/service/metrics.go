@@ -90,41 +90,62 @@ func runtimeGauges() (heapBytes, gcCycles, goroutines uint64) {
 	return vals[0], vals[1], vals[2]
 }
 
+// statsMetrics is the /metricsz rendering of Stats: one row per field,
+// in exposition order. Names, types, help strings and order are a wire
+// contract — scripts/obs_smoke.sh and bench/ grep them — pinned by
+// TestMetricszCoversStats.
+var statsMetrics = []struct {
+	name, typ, help string
+	get             func(*Stats) float64
+}{
+	{"treesched_cache_hits_total", "counter", "Prepared-instance cache hits.", func(s *Stats) float64 { return float64(s.CacheHits) }},
+	{"treesched_cache_text_hits_total", "counter", "Cache hits recognised by the submitted text, before parsing.", func(s *Stats) float64 { return float64(s.CacheTextHits) }},
+	{"treesched_cache_misses_total", "counter", "Prepared-instance cache misses.", func(s *Stats) float64 { return float64(s.CacheMisses) }},
+	{"treesched_cached_trees", "gauge", "Canonical trees resident in the content cache.", func(s *Stats) float64 { return float64(s.CachedTrees) }},
+	{"treesched_cached_nodes", "gauge", "Total nodes of resident canonical trees.", func(s *Stats) float64 { return float64(s.CachedNodes) }},
+	{"treesched_in_flight", "gauge", "Requests holding a worker slot.", func(s *Stats) float64 { return float64(s.InFlight) }},
+	{"treesched_in_flight_high_water", "gauge", "Worker-pool occupancy high-water mark.", func(s *Stats) float64 { return float64(s.InFlightHighWater) }},
+	{"treesched_workers", "gauge", "Worker-pool width.", func(s *Stats) float64 { return float64(s.Workers) }},
+	{"treesched_served_total", "counter", "Completed 200 responses.", func(s *Stats) float64 { return float64(s.Served) }},
+	{"treesched_rejected_total", "counter", "4xx verdicts.", func(s *Stats) float64 { return float64(s.Rejected) }},
+	{"treesched_jobs_queued", "gauge", "Async jobs waiting for a worker slot.", func(s *Stats) float64 { return float64(s.JobsQueued) }},
+	{"treesched_jobs_running", "gauge", "Async jobs mid-evaluation.", func(s *Stats) float64 { return float64(s.JobsRunning) }},
+	{"treesched_jobs_pending_bytes", "gauge", "Payload bytes retained by pending jobs.", func(s *Stats) float64 { return float64(s.JobsPendingBytes) }},
+	{"treesched_jobs_done_total", "counter", "Async jobs completed successfully.", func(s *Stats) float64 { return float64(s.JobsDone) }},
+	{"treesched_jobs_failed_total", "counter", "Async jobs that failed.", func(s *Stats) float64 { return float64(s.JobsFailed) }},
+	{"treesched_jobs_tracked", "gauge", "Job records retained for polling.", func(s *Stats) float64 { return float64(s.JobsTracked) }},
+	{"treesched_jobs_restarts_total", "counter", "Transient-failure re-queues of async jobs.", func(s *Stats) float64 { return float64(s.JobsRestarts) }},
+	{"treesched_jobs_expired_total", "counter", "Async jobs expired at their deadline.", func(s *Stats) float64 { return float64(s.JobsExpired) }},
+	{"treesched_jobs_restored_total", "counter", "Jobs admitted from a shutdown checkpoint.", func(s *Stats) float64 { return float64(s.JobsRestored) }},
+	{"treesched_wasted_work_seconds_total", "counter", "Evaluation seconds discarded by retried attempts.", func(s *Stats) float64 { return s.WastedWorkSeconds }},
+	{"treesched_stream_subscribers", "gauge", "Live /streamz subscriptions.", func(s *Stats) float64 { return float64(s.StreamSubscribers) }},
+	{"treesched_stream_dropped_frames_total", "counter", "Event frames dropped to slow /streamz consumers.", func(s *Stats) float64 { return float64(s.StreamDroppedFrames) }},
+	{"treesched_stream_dropped_events_total", "counter", "Events refused by a full ring.", func(s *Stats) float64 { return float64(s.StreamDroppedEvents) }},
+}
+
+// writeMetric renders one unlabelled sample in the Prometheus text
+// exposition format.
+func writeMetric(b *bytes.Buffer, name, typ, help string, v float64) {
+	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
+}
+
+// writeStatsMetrics renders st through the statsMetrics table.
+func writeStatsMetrics(b *bytes.Buffer, st *Stats) {
+	for _, m := range statsMetrics {
+		writeMetric(b, m.name, m.typ, m.help, m.get(st))
+	}
+}
+
 // handleMetricsz writes every service gauge in the Prometheus text
 // exposition format.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	var b bytes.Buffer
-	metric := func(name, typ, help string, v float64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", name, help, name, typ, name, v)
-	}
-	metric("treesched_cache_hits_total", "counter", "Prepared-instance cache hits.", float64(st.CacheHits))
-	metric("treesched_cache_text_hits_total", "counter", "Cache hits recognised by the submitted text, before parsing.", float64(st.CacheTextHits))
-	metric("treesched_cache_misses_total", "counter", "Prepared-instance cache misses.", float64(st.CacheMisses))
-	metric("treesched_cached_trees", "gauge", "Canonical trees resident in the content cache.", float64(st.CachedTrees))
-	metric("treesched_cached_nodes", "gauge", "Total nodes of resident canonical trees.", float64(st.CachedNodes))
-	metric("treesched_in_flight", "gauge", "Requests holding a worker slot.", float64(st.InFlight))
-	metric("treesched_in_flight_high_water", "gauge", "Worker-pool occupancy high-water mark.", float64(st.InFlightHighWater))
-	metric("treesched_workers", "gauge", "Worker-pool width.", float64(st.Workers))
-	metric("treesched_served_total", "counter", "Completed 200 responses.", float64(st.Served))
-	metric("treesched_rejected_total", "counter", "4xx verdicts.", float64(st.Rejected))
-	metric("treesched_jobs_queued", "gauge", "Async jobs waiting for a worker slot.", float64(st.JobsQueued))
-	metric("treesched_jobs_running", "gauge", "Async jobs mid-evaluation.", float64(st.JobsRunning))
-	metric("treesched_jobs_pending_bytes", "gauge", "Payload bytes retained by pending jobs.", float64(st.JobsPendingBytes))
-	metric("treesched_jobs_done_total", "counter", "Async jobs completed successfully.", float64(st.JobsDone))
-	metric("treesched_jobs_failed_total", "counter", "Async jobs that failed.", float64(st.JobsFailed))
-	metric("treesched_jobs_tracked", "gauge", "Job records retained for polling.", float64(st.JobsTracked))
-	metric("treesched_jobs_restarts_total", "counter", "Transient-failure re-queues of async jobs.", float64(st.JobsRestarts))
-	metric("treesched_jobs_expired_total", "counter", "Async jobs expired at their deadline.", float64(st.JobsExpired))
-	metric("treesched_jobs_restored_total", "counter", "Jobs admitted from a shutdown checkpoint.", float64(st.JobsRestored))
-	metric("treesched_wasted_work_seconds_total", "counter", "Evaluation seconds discarded by retried attempts.", st.WastedWorkSeconds)
-	metric("treesched_stream_subscribers", "gauge", "Live /streamz subscriptions.", float64(st.StreamSubscribers))
-	metric("treesched_stream_dropped_frames_total", "counter", "Event frames dropped to slow /streamz consumers.", float64(st.StreamDroppedFrames))
-	metric("treesched_stream_dropped_events_total", "counter", "Events refused by a full ring.", float64(st.StreamDroppedEvents))
+	writeStatsMetrics(&b, &st)
 	heapBytes, gcCycles, goroutines := runtimeGauges()
-	metric("treesched_go_heap_objects_bytes", "gauge", "Bytes of live heap objects (runtime/metrics).", float64(heapBytes))
-	metric("treesched_go_gc_cycles_total", "counter", "Completed GC cycles.", float64(gcCycles))
-	metric("treesched_go_goroutines", "gauge", "Live goroutines.", float64(goroutines))
+	writeMetric(&b, "treesched_go_heap_objects_bytes", "gauge", "Bytes of live heap objects (runtime/metrics).", float64(heapBytes))
+	writeMetric(&b, "treesched_go_gc_cycles_total", "counter", "Completed GC cycles.", float64(gcCycles))
+	writeMetric(&b, "treesched_go_goroutines", "gauge", "Live goroutines.", float64(goroutines))
 
 	fmt.Fprintf(&b, "# HELP treesched_admissions_total Evaluation verdicts per heuristic and decision.\n# TYPE treesched_admissions_total counter\n")
 	s.admMu.Lock()

@@ -1,14 +1,64 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestMetricszCoversStats holds the statsMetrics table to the Stats
+// struct and to the wire: every exported field feeds exactly one row
+// (a field added without a row, or a row reading the wrong field, fails
+// here), and a Stats whose k-th field holds k+1 renders byte for byte
+// what the pre-table handler wrote for it — names, types, help strings
+// and order are what scripts/obs_smoke.sh and bench/ grep.
+func TestMetricszCoversStats(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	if len(statsMetrics) != typ.NumField() {
+		t.Errorf("%d rows for %d Stats fields", len(statsMetrics), typ.NumField())
+	}
+	var all Stats
+	for k := 0; k < typ.NumField(); k++ {
+		var one Stats
+		for _, st := range []*Stats{&one, &all} {
+			switch f := reflect.ValueOf(st).Elem().Field(k); f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(int64(k + 1))
+			case reflect.Uint64:
+				f.SetUint(uint64(k + 1))
+			case reflect.Float64:
+				f.SetFloat(float64(k) + 1.5)
+			default:
+				t.Fatalf("Stats.%s: no rule to fill a %s", typ.Field(k).Name, f.Kind())
+			}
+		}
+		var rows []string
+		for _, m := range statsMetrics {
+			if m.get(&one) != 0 {
+				rows = append(rows, m.name)
+			}
+		}
+		if len(rows) != 1 {
+			t.Errorf("Stats.%s feeds %d rows %v, want exactly one", typ.Field(k).Name, len(rows), rows)
+		}
+	}
+	want, err := os.ReadFile("testdata/metricsz_stats.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	writeStatsMetrics(&got, &all)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("/metricsz rendering of Stats moved off testdata/metricsz_stats.golden:\n%s", got.Bytes())
+	}
+}
 
 // TestStalledStreamSubscriberDoesNotBlockJobs is the service-level
 // backpressure oracle: a subscriber with a one-frame buffer that never

@@ -351,8 +351,10 @@ func New(opts *Options) *Server {
 
 // CloseStreams shuts the event bus down: the drain goroutine flushes
 // what the ring holds and exits, and every /streamz subscription's
-// channel closes so in-flight stream handlers return. Call it after
-// Drain, before the process exits (goroleak-clean shutdown).
+// channel closes so in-flight stream handlers return. Call it as the
+// HTTP server begins to shut down — a graceful http.Server.Shutdown
+// waits for those handlers — and at the latest before the process
+// exits (goroleak-clean shutdown). Emitting stays safe afterwards.
 func (s *Server) CloseStreams() {
 	s.obs.Close()
 }

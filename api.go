@@ -184,7 +184,8 @@ func Realise(t *Tree, m PerturbModel, seed uint64) (*Tree, error) {
 // Serving (DESIGN.md §7).
 
 // NewServiceHandler returns the scheduling service's HTTP handler
-// (POST /schedule, GET /healthz, GET /statsz) — the API that
+// (POST /schedule, POST /jobs, GET /jobs/{id}, GET /healthz,
+// GET /statsz, GET /metricsz, GET /streamz) — the API that
 // cmd/treeschedd serves. nil opts selects the defaults. Embed it in an
 // existing mux to serve scheduling next to other endpoints.
 func NewServiceHandler(opts *ServiceOptions) http.Handler {

@@ -41,14 +41,7 @@ func (s *MemBooking) Rebind(t *tree.Tree, m float64, ao, eo *order.Order) error 
 	}
 	n := t.Len()
 	if cap(s.need) < n {
-		c := 1 << bits.Len(uint(n-1))
-		s.need = make([]float64, n, c)
-		s.booked = make([]float64, n, c)
-		s.bbs = make([]float64, n, c)
-		s.childSum = make([]float64, n, c)
-		s.state = make([]uint8, n, c)
-		s.chNotAct = make([]int32, n, c)
-		s.chNotFin = make([]int32, n, c)
+		s.alloc(1 << sizeClass(n))
 	} else {
 		s.need = s.need[:n]
 		s.booked = s.booked[:n]
@@ -57,10 +50,14 @@ func (s *MemBooking) Rebind(t *tree.Tree, m float64, ao, eo *order.Order) error 
 		s.state = s.state[:n]
 		s.chNotAct = s.chNotAct[:n]
 		s.chNotFin = s.chNotFin[:n]
+		t.MemNeededInto(s.need)
 	}
-	t.MemNeededInto(s.need)
 	return nil
 }
+
+// sizeClass is ⌈log₂ n⌉: the pool bucket that serves an n-node tree,
+// and the exponent of the capacity a pooled instance is built with.
+func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
 
 // MemBookingPool recycles MemBooking instances across the jobs of a
 // stream. Instances are kept in power-of-two size-class buckets keyed by
@@ -75,11 +72,13 @@ type MemBookingPool struct {
 }
 
 // Get returns a scheduler for (t, m, ao, eo): a recycled instance
-// rebound in place when the size class has one, a fresh NewMemBooking
-// otherwise. The caller must Init (or Restore) it, as with a fresh
-// instance.
+// rebound in place when the size class has one, otherwise a fresh one
+// whose arrays have the class capacity 2^⌈log₂ n⌉ — not n, as a bare
+// NewMemBooking would get — so Put files it in the bucket the next Get
+// for the same tree looks in. The caller must Init (or Restore) it, as
+// with a fresh instance.
 func (p *MemBookingPool) Get(t *tree.Tree, m float64, ao, eo *order.Order) (*MemBooking, error) {
-	b := bits.Len(uint(t.Len() - 1)) // ceil(log2 n): every pooled cap ≥ 2^b ≥ n
+	b := sizeClass(t.Len()) // every pooled cap ≥ 2^b ≥ n
 	if l := p.buckets[b]; len(l) > 0 {
 		s := l[len(l)-1]
 		p.buckets[b] = l[:len(l)-1]
@@ -88,7 +87,12 @@ func (p *MemBookingPool) Get(t *tree.Tree, m float64, ao, eo *order.Order) (*Mem
 		}
 		return s, nil
 	}
-	return NewMemBooking(t, m, ao, eo)
+	s, err := NewMemBooking(t, m, ao, eo)
+	if err != nil {
+		return nil, err
+	}
+	s.alloc(1 << b)
+	return s, nil
 }
 
 // Put retires a scheduler into its size-class bucket. The instance's

@@ -246,11 +246,32 @@ func TestPoolBucketMath(t *testing.T) {
 	// capacity that can hold n — spot-check the arithmetic around the
 	// class edges.
 	for _, n := range []int{1, 2, 3, 255, 256, 257, 1023, 1024} {
-		get := bits.Len(uint(n - 1))
-		capc := 1 << get // the capacity Rebind would allocate
+		get := sizeClass(n)
+		capc := 1 << get // the capacity Get and Rebind allocate
 		put := bits.Len(uint(capc)) - 1
 		if put != get {
 			t.Fatalf("n=%d: Get bucket %d, Put bucket %d — a grown instance would change class", n, get, put)
+		}
+	}
+	// And through the pool itself: a tree gets its own instance back,
+	// whether or not its size is a power of two.
+	for _, n := range []int{3, 255, 257, 2000} {
+		var p MemBookingPool
+		tr, ao, peak := ckTree(t, n, 13)
+		s, err := p.Get(tr, 2*peak, ao, ao)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Init(); err != nil {
+			t.Fatal(err)
+		}
+		p.Put(s)
+		again, err := p.Get(tr, 2*peak, ao, ao)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != s {
+			t.Errorf("n=%d: Get → Init → Put → Get built a second instance (cap %d)", n, cap(s.need))
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/pqueue"
 	"repro/internal/tree"
 )
 
@@ -116,14 +115,7 @@ func (s *MemBooking) Restore(cp *Checkpoint) error {
 	if s.need == nil {
 		// A fresh scheduler (NewMemBooking, never Init-ed) can restore
 		// directly; allocate the run state Init would have.
-		s.need = s.t.MemNeededAll()
-		s.booked = make([]float64, n)
-		s.bbs = make([]float64, n)
-		s.childSum = make([]float64, n)
-		s.state = make([]uint8, n)
-		s.chNotAct = make([]int32, n)
-		s.chNotFin = make([]int32, n)
-		s.actf = pqueue.NewRankHeap(nil)
+		s.alloc(n)
 	}
 	copy(s.state, cp.state)
 	copy(s.booked, cp.booked)

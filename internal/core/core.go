@@ -161,6 +161,24 @@ func (s *MemBooking) ReleaseTransient(amount float64) {
 	}
 }
 
+// alloc gives the scheduler the seven O(n) state arrays of its tree,
+// with room for c nodes, and the execution heap if it has none yet.
+// Init and Restore size a fresh instance exactly (c = n); Rebind and the
+// pool round c up to the size class so a recycled instance serves it.
+func (s *MemBooking) alloc(c int) {
+	n := s.t.Len()
+	s.need = s.t.MemNeededInto(make([]float64, n, c))
+	s.booked = make([]float64, n, c)
+	s.bbs = make([]float64, n, c)
+	s.childSum = make([]float64, n, c)
+	s.state = make([]uint8, n, c)
+	s.chNotAct = make([]int32, n, c)
+	s.chNotFin = make([]int32, n, c)
+	if s.actf == nil {
+		s.actf = pqueue.NewRankHeap(nil)
+	}
+}
+
 // Init implements Scheduler: it sets every leaf as a candidate and runs
 // the first activation round. Init may be called again after a run (and
 // after an optional Reset to a new bound): the second and later calls
@@ -169,14 +187,7 @@ func (s *MemBooking) ReleaseTransient(amount float64) {
 func (s *MemBooking) Init() error {
 	n := s.t.Len()
 	if s.need == nil {
-		s.need = s.t.MemNeededAll()
-		s.booked = make([]float64, n)
-		s.bbs = make([]float64, n)
-		s.childSum = make([]float64, n)
-		s.state = make([]uint8, n)
-		s.chNotAct = make([]int32, n)
-		s.chNotFin = make([]int32, n)
-		s.actf = pqueue.NewRankHeap(nil)
+		s.alloc(n)
 	}
 	s.actf.Reset(s.eo.Rank())
 	s.aoPos = 0

@@ -8,20 +8,25 @@ import (
 	"repro/internal/tree"
 )
 
-// InstanceCache memoizes the per-instance artefacts every evaluation
-// shares — the memPO activation order with its sequential peak memory,
-// named traversal orders, and the normalisation lower bounds — keyed by
-// tree pointer. It is the layer of the sweep engine that the serving
-// path (internal/service) reuses: the service canonicalises submissions
-// to one tree pointer per distinct content, and from then on every
-// per-instance computation behind a request is memoized here exactly as
-// it is for the batch experiments. Safe for concurrent use.
-type InstanceCache struct {
+// Entry is one tree together with the per-instance artefacts every
+// evaluation of it shares: the memPO activation order with its
+// sequential peak memory, named traversal orders, and the normalisation
+// lower bounds. The artefacts live with the tree, so whoever holds the
+// tree's Entry holds them and dropping the Entry drops them: the sweep
+// engine keeps one per corpus tree in an InstanceCache, and the serving
+// path (internal/service) keeps one per cache-resident tree, canonical
+// by content, so every per-instance computation behind a request is
+// memoized exactly as it is for the batch experiments. Safe for
+// concurrent use.
+type Entry struct {
+	t *tree.Tree
+
+	once sync.Once
+	prep Prepared
+
 	mu     sync.Mutex
-	prep   map[*tree.Tree]Prepared
-	orders map[orderKey]*order.Order
+	orders map[string]*order.Order
 	lb     map[lbKey]float64
-	stats  CacheStats
 }
 
 // Prepared is the memoized preparation of one tree: the min-peak
@@ -30,6 +35,87 @@ type InstanceCache struct {
 type Prepared struct {
 	AO   *order.Order
 	Peak float64
+}
+
+type lbKey struct {
+	procs int
+	m     float64
+}
+
+// NewEntry returns t with nothing memoized yet.
+func NewEntry(t *tree.Tree) *Entry {
+	return &Entry{t: t, orders: make(map[string]*order.Order), lb: make(map[lbKey]float64)}
+}
+
+// Tree returns the entry's tree.
+func (e *Entry) Tree() *tree.Tree { return e.t }
+
+// Prepare returns the preparation of the tree. The first call runs the
+// O(n log n) computation; callers racing it wait and share the result.
+func (e *Entry) Prepare() Prepared {
+	pr, _ := e.prepare()
+	return pr
+}
+
+// prepare also reports whether this call was the one that computed.
+func (e *Entry) prepare() (pr Prepared, computed bool) {
+	e.once.Do(func() {
+		ao, peak := order.MinMemPostOrder(e.t)
+		e.prep = Prepared{AO: ao, Peak: peak}
+		computed = true
+	})
+	return e.prep, computed
+}
+
+// Order returns the named order of the tree, memoized (memPO is the
+// preparation's).
+func (e *Entry) Order(name string) (*order.Order, error) {
+	if name == order.NameMemPO {
+		return e.Prepare().AO, nil
+	}
+	e.mu.Lock()
+	o, ok := e.orders[name]
+	e.mu.Unlock()
+	if ok {
+		return o, nil
+	}
+	o, _, err := order.ByName(e.t, name)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.orders[name] = o
+	e.mu.Unlock()
+	return o, nil
+}
+
+// LowerBound returns bounds.Best(t, p, m), memoized; errors are folded
+// to zero exactly as normalisation treats them.
+func (e *Entry) LowerBound(p int, m float64) float64 {
+	k := lbKey{p, m}
+	e.mu.Lock()
+	lb, ok := e.lb[k]
+	e.mu.Unlock()
+	if ok {
+		return lb
+	}
+	lb, err := bounds.Best(e.t, p, m)
+	if err != nil {
+		lb = 0
+	}
+	e.mu.Lock()
+	e.lb[k] = lb
+	e.mu.Unlock()
+	return lb
+}
+
+// InstanceCache is the sweep engine's set of entries, one per tree
+// pointer, with the preparation traffic counted. Safe for concurrent
+// use.
+type InstanceCache struct {
+	mu      sync.Mutex
+	entries map[*tree.Tree]*Entry
+	stats   CacheStats
 }
 
 // CacheStats counts preparation traffic; hits are requested − computed.
@@ -41,24 +127,9 @@ type CacheStats struct {
 	PrepComputed int
 }
 
-type orderKey struct {
-	tree *tree.Tree
-	name string
-}
-
-type lbKey struct {
-	tree  *tree.Tree
-	procs int
-	m     float64
-}
-
 // NewInstanceCache returns an empty cache.
 func NewInstanceCache() *InstanceCache {
-	return &InstanceCache{
-		prep:   make(map[*tree.Tree]Prepared),
-		orders: make(map[orderKey]*order.Order),
-		lb:     make(map[lbKey]float64),
-	}
+	return &InstanceCache{entries: make(map[*tree.Tree]*Entry)}
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -68,143 +139,27 @@ func (c *InstanceCache) Stats() CacheStats {
 	return c.stats
 }
 
+// Entry returns t's entry, creating it on first sight.
+func (c *InstanceCache) Entry(t *tree.Tree) *Entry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[t]
+	if !ok {
+		e = NewEntry(t)
+		c.entries[t] = e
+	}
+	return e
+}
+
 // Prepare returns the preparation of t, computing and memoizing it on a
-// miss. Two goroutines racing on the same uncached tree may both compute
-// it (the results are identical; last store wins) — the callers that
-// care, the sweep engine and the service, deduplicate above this layer.
+// miss. Goroutines racing on the same uncached tree compute it once.
 func (c *InstanceCache) Prepare(t *tree.Tree) Prepared {
+	pr, computed := c.Entry(t).prepare()
 	c.mu.Lock()
 	c.stats.PrepRequested++
-	if pr, ok := c.prep[t]; ok {
-		c.mu.Unlock()
-		return pr
+	if computed {
+		c.stats.PrepComputed++
 	}
-	c.stats.PrepComputed++
 	c.mu.Unlock()
-	ao, peak := order.MinMemPostOrder(t)
-	pr := Prepared{AO: ao, Peak: peak}
-	c.storePrep(t, pr)
 	return pr
-}
-
-// lookupPrepBatch fills prs with the cached preparations of trees and
-// returns the indices of the misses, counting the whole batch in the
-// stats. The sweep engine computes the misses on its worker pool and
-// hands them back through storePrepBatch.
-func (c *InstanceCache) lookupPrepBatch(trees []*tree.Tree, prs []Prepared) []int {
-	var missing []int
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.PrepRequested += len(trees)
-	for i, t := range trees {
-		if pr, ok := c.prep[t]; ok {
-			prs[i] = pr
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	c.stats.PrepComputed += len(missing)
-	return missing
-}
-
-// storePrepBatch memoizes the preparations at the given indices.
-func (c *InstanceCache) storePrepBatch(trees []*tree.Tree, prs []Prepared, idx []int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, i := range idx {
-		c.prep[trees[i]] = prs[i]
-		c.orders[orderKey{trees[i], order.NameMemPO}] = prs[i].AO
-	}
-}
-
-func (c *InstanceCache) storePrep(t *tree.Tree, pr Prepared) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.prep[t] = pr
-	c.orders[orderKey{t, order.NameMemPO}] = pr.AO
-}
-
-// Order returns the named order for t, memoized per tree (memPO comes
-// from the preparation when available).
-func (c *InstanceCache) Order(t *tree.Tree, name string) (*order.Order, error) {
-	k := orderKey{t, name}
-	c.mu.Lock()
-	if o, ok := c.orders[k]; ok {
-		c.mu.Unlock()
-		return o, nil
-	}
-	c.mu.Unlock()
-	o, _, err := order.ByName(t, name)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.orders[k] = o
-	c.mu.Unlock()
-	return o, nil
-}
-
-// LowerBound returns bounds.Best(t, p, m), memoized; errors are folded
-// to zero exactly as normalisation treats them.
-func (c *InstanceCache) LowerBound(t *tree.Tree, p int, m float64) float64 {
-	k := lbKey{t, p, m}
-	c.mu.Lock()
-	if lb, ok := c.lb[k]; ok {
-		c.mu.Unlock()
-		return lb
-	}
-	c.mu.Unlock()
-	lb, err := bounds.Best(t, p, m)
-	if err != nil {
-		lb = 0
-	}
-	c.mu.Lock()
-	c.lb[k] = lb
-	c.mu.Unlock()
-	return lb
-}
-
-// Forget drops every memoized artefact of t: the service calls it when
-// it evicts a tree from its content cache, so the instance cache cannot
-// outgrow the set of live trees.
-func (c *InstanceCache) Forget(t *tree.Tree) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.prep, t)
-	for k := range c.orders {
-		if k.tree == t {
-			delete(c.orders, k)
-		}
-	}
-	for k := range c.lb {
-		if k.tree == t {
-			delete(c.lb, k)
-		}
-	}
-}
-
-// Retain drops every memoized artefact whose tree fails keep. A request
-// can race an eviction — compute an artefact for a tree that was
-// evicted (and Forgotten) between its lookup and its store — leaving an
-// entry Forget will never be called for again; the service closes that
-// leak by sweeping with its live set at every eviction, so orphans
-// survive at most until the next one.
-func (c *InstanceCache) Retain(keep func(*tree.Tree) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for t := range c.prep {
-		if !keep(t) {
-			delete(c.prep, t)
-		}
-	}
-	for k := range c.orders {
-		if !keep(k.tree) {
-			delete(c.orders, k)
-		}
-	}
-	for k := range c.lb {
-		if !keep(k.tree) {
-			delete(c.lb, k)
-		}
-	}
 }

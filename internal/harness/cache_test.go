@@ -1,10 +1,10 @@
 package harness
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/order"
-	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
@@ -20,44 +20,73 @@ func TestInstanceCacheMemoizesAndForgets(t *testing.T) {
 	if st := c.Stats(); st.PrepRequested != 2 || st.PrepComputed != 1 {
 		t.Fatalf("stats %+v, want 2 requested / 1 computed", st)
 	}
-	// memPO is registered by the preparation; other names memoize too.
-	if o, err := c.Order(tr, order.NameMemPO); err != nil || o != pr1.AO {
+	// memPO is the preparation's; other names memoize too.
+	e := c.Entry(tr)
+	if e != c.Entry(tr) || e.Tree() != tr {
+		t.Fatal("a tree has more than one entry")
+	}
+	if o, err := e.Order(order.NameMemPO); err != nil || o != pr1.AO {
 		t.Fatalf("memPO not shared with the preparation: %v %v", o, err)
 	}
-	cp1, err := c.Order(tr, order.NameCP)
+	cp1, err := e.Order(order.NameCP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp2, _ := c.Order(tr, order.NameCP); cp2 != cp1 {
+	if cp2, _ := e.Order(order.NameCP); cp2 != cp1 {
 		t.Fatal("Order not memoized")
 	}
-	if _, err := c.Order(tr, "bogus"); err == nil {
+	if _, err := e.Order("bogus"); err == nil {
 		t.Fatal("bogus order accepted")
 	}
-	lb := c.LowerBound(tr, 8, 2*pr1.Peak)
+	lb := e.LowerBound(8, 2*pr1.Peak)
 	if lb <= 0 {
 		t.Fatalf("lower bound %g", lb)
 	}
-	if got := c.LowerBound(tr, 8, 2*pr1.Peak); got != lb {
+	if got := e.LowerBound(8, 2*pr1.Peak); got != lb {
 		t.Fatal("LowerBound not memoized")
 	}
 
-	c.Forget(tr)
-	if st := c.Stats(); st.PrepComputed != 1 {
-		t.Fatalf("Forget touched counters: %+v", st)
+	// The artefacts live in the entry and nowhere else: a holder that
+	// drops it (the service evicting a tree) has forgotten them, and a
+	// second entry for the same tree starts from nothing.
+	e2 := NewEntry(tr)
+	if pr := e2.Prepare(); pr.AO == pr1.AO || pr.Peak != pr1.Peak {
+		t.Fatalf("a new entry shares the old one's preparation (peak %g vs %g)", pr.Peak, pr1.Peak)
 	}
-	c.Prepare(tr)
-	if st := c.Stats(); st.PrepComputed != 2 {
-		t.Fatalf("Forget did not drop the preparation: %+v", st)
+	if cp, _ := e2.Order(order.NameCP); cp == cp1 {
+		t.Fatal("a new entry shares the old one's orders")
 	}
+	if st := c.Stats(); st.PrepRequested != 2 || st.PrepComputed != 1 {
+		t.Fatalf("an entry outside the cache touched its counters: %+v", st)
+	}
+}
 
-	// Retain keeps only trees the predicate accepts.
-	other := workload.MustSynthetic(workload.NewRNG(4), workload.SyntheticOptions{Nodes: 100})
-	c.Prepare(other)
-	c.Retain(func(x *tree.Tree) bool { return x == other })
-	c.Prepare(other)
-	c.Prepare(tr)
-	if st := c.Stats(); st.PrepComputed != 4 {
-		t.Fatalf("Retain should have kept other and dropped tr: %+v", st)
+// TestPrepareComputesOnce races goroutines on one uncached tree: the
+// preparation runs once, everyone gets the same order, and the counters
+// say so. Run under -race in CI.
+func TestPrepareComputesOnce(t *testing.T) {
+	const n = 8
+	c := NewInstanceCache()
+	tr := workload.MustSynthetic(workload.NewRNG(5), workload.SyntheticOptions{Nodes: 5000})
+	got := make([]Prepared, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = c.Prepare(tr)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if got[i].AO == nil || got[i].AO != got[0].AO {
+			t.Fatalf("goroutine %d got order %p, goroutine 0 got %p", i, got[i].AO, got[0].AO)
+		}
+	}
+	if st := c.Stats(); st.PrepRequested != n || st.PrepComputed != 1 {
+		t.Fatalf("stats %+v, want %d requested / 1 computed", st, n)
 	}
 }

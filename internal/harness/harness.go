@@ -2,8 +2,8 @@
 // evaluation (§6–7). Each experiment is a function from a Config to a
 // Table of rows matching the series plotted in the paper; the registry in
 // registry.go maps experiment IDs (fig2 … fig15, lb, redfail, avgmem) to
-// runners. cmd/experiments and the root bench_test.go are thin wrappers
-// around this package.
+// runners. cmd/experiments, the root BenchmarkExperiment and bench/'s
+// sweep_paper workload are thin wrappers around this package.
 package harness
 
 import (

@@ -89,8 +89,8 @@ type EngineStats struct {
 // level of the computation. One Engine is attached to each Config (see
 // Config.Engine); all experiments run through the same Config share it.
 // The per-instance levels (preparation, named orders, lower bounds)
-// live in an InstanceCache (cache.go) so the serving layer can reuse
-// them; the cell memo stays here. An Engine's public methods are safe
+// live in each tree's Entry (cache.go), the type the serving layer
+// reuses; the cell memo stays here. An Engine's public methods are safe
 // for use from a single experiment runner at a time (harness.Run is
 // sequential); the parallelism lives inside EvalAll.
 type Engine struct {
@@ -148,37 +148,24 @@ func newFakeClock() func() time.Time {
 // parallel and memoizing them — through the InstanceCache — for every
 // later experiment on the same Config.
 func (e *Engine) prepare(insts []workload.Instance) []prepared {
-	trees := make([]*tree.Tree, len(insts))
-	for i := range insts {
-		trees[i] = insts[i].Tree
-	}
-	prs := make([]Prepared, len(insts))
-	missing := e.cache.lookupPrepBatch(trees, prs)
-	if len(missing) > 0 {
-		e.fanOut(len(missing), func(k int) {
-			i := missing[k]
-			ao, peak := order.MinMemPostOrder(trees[i])
-			prs[i] = Prepared{AO: ao, Peak: peak}
-		})
-		e.cache.storePrepBatch(trees, prs, missing)
-	}
 	out := make([]prepared, len(insts))
-	for i := range insts {
-		out[i] = prepared{inst: insts[i], ao: prs[i].AO, peak: prs[i].Peak}
-	}
+	e.fanOut(len(insts), func(i int) {
+		pr := e.cache.Prepare(insts[i].Tree)
+		out[i] = prepared{inst: insts[i], ao: pr.AO, peak: pr.Peak}
+	})
 	return out
 }
 
 // orderByName returns the named order for t, memoized per tree (memPO
-// comes from the preparation cache when available).
+// is the preparation's).
 func (e *Engine) orderByName(t *tree.Tree, name string) (*order.Order, error) {
-	return e.cache.Order(t, name)
+	return e.cache.Entry(t).Order(name)
 }
 
 // lowerBound returns bounds.Best(t, p, m), memoized; errors are folded
 // to zero exactly as normalization treats them.
 func (e *Engine) lowerBound(t *tree.Tree, p int, m float64) float64 {
-	return e.cache.LowerBound(t, p, m)
+	return e.cache.Entry(t).LowerBound(p, m)
 }
 
 // normalize returns the makespan divided by the best lower bound (the

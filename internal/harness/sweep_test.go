@@ -147,14 +147,12 @@ func TestReRunAllocations(t *testing.T) {
 		}
 	})
 
-	// 2048 nodes, not 2000: a fresh instance has exact-capacity state,
-	// which Put files under ⌊log₂ cap⌋ while Get looks under ⌈log₂ n⌉,
-	// so a tree whose size is not a power of two never gets its own
-	// instance back (18 allocations per cycle at 2000 nodes, every
-	// cycle a fresh NewMemBooking); its retired instances serve the
-	// size class below. DESIGN §10 has the arithmetic.
+	// 2000 nodes, not a power of two: the pool builds a missed instance
+	// at its size-class capacity (2048), so Put files it where the next
+	// Get for the same tree looks. Built at cap = n it would land one
+	// class down and every cycle would be a fresh NewMemBooking.
 	t.Run("pooled", func(t *testing.T) {
-		inst := workload.SyntheticCorpus(3, 1, []int{2048})[0]
+		inst := workload.SyntheticCorpus(3, 1, []int{2000})[0]
 		ao, peak := order.MinMemPostOrder(inst.Tree)
 		var pool core.MemBookingPool
 		var r sim.Runner

@@ -17,9 +17,10 @@ import (
 // byte-identical resubmission is recognised before it is parsed. The
 // second is the parsed content: two submissions with identical node
 // data — whatever their line order, comments or source — resolve to the
-// same *tree.Tree, so the pointer-keyed harness.InstanceCache behind it
-// memoizes the O(n log n) preparation (memPO + peak), named orders and
-// lower bounds across requests.
+// same harness.Entry, which memoizes the O(n log n) preparation (memPO
+// + peak) and named orders across requests. The artefacts live in the
+// entry, so evicting a tree drops them with it, and a request still
+// holding an evicted entry computes into garbage, not into the cache.
 //
 // The content key is derived exactly like perturb.Seed derives
 // realisation seeds: an FNV-64a over the node count, parents and the
@@ -37,8 +38,6 @@ import (
 // that takes its tree out of byKey, so len(byText) ≤ len(byKey) and an
 // alias never resolves to, or pins, a forgotten tree.
 type treeCache struct {
-	inst *harness.InstanceCache
-
 	mu       sync.Mutex
 	byKey    map[uint64]resident
 	byText   map[textDigest]uint64 // text digest → content key of its tree
@@ -70,7 +69,7 @@ func digestText(text string) (d textDigest) {
 
 // resident is one canonical tree and the text alias it currently owns.
 type resident struct {
-	t       *tree.Tree
+	e       *harness.Entry
 	text    textDigest
 	aliased bool
 }
@@ -83,7 +82,6 @@ func newTreeCache(maxEntries, maxNodes int) *treeCache {
 		maxNodes = 1
 	}
 	return &treeCache{
-		inst:     harness.NewInstanceCache(),
 		byKey:    make(map[uint64]resident, maxEntries),
 		byText:   make(map[textDigest]uint64, maxEntries),
 		max:      maxEntries,
@@ -133,7 +131,7 @@ func sameContent(a, b *tree.Tree) bool {
 
 // byTextDigest returns the resident tree that the text with digest d
 // last parsed to, and its content key (a hit on both counters).
-func (c *treeCache) byTextDigest(d textDigest) (ct *tree.Tree, key uint64, ok bool) {
+func (c *treeCache) byTextDigest(d textDigest) (e *harness.Entry, key uint64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key, ok = c.byText[d]
@@ -142,7 +140,7 @@ func (c *treeCache) byTextDigest(d textDigest) (ct *tree.Tree, key uint64, ok bo
 	}
 	c.hits++
 	c.textHits++
-	return c.byKey[key].t, key, true
+	return c.byKey[key].e, key, true
 }
 
 // canonical returns the cache-resident tree with t's content (a hit,
@@ -152,17 +150,16 @@ func (c *treeCache) byTextDigest(d textDigest) (ct *tree.Tree, key uint64, ok bo
 // names the instance for content-derived perturbation seeds. A non-nil
 // text is the digest of the text t was parsed from and validated: it
 // becomes the resident tree's one alias, replacing any earlier one.
-func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (ct *tree.Tree, key uint64) {
+func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (e *harness.Entry, key uint64) {
 	key = contentKey(t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, collided := c.byKey[key]
-	if collided && sameContent(r.t, t) {
+	if collided && sameContent(r.e.Tree(), t) {
 		c.hits++
 	} else {
 		c.misses++
-		c.insert(key, t, collided)
-		r = resident{t: t}
+		r = c.insert(key, t, collided)
 	}
 	if text != nil {
 		if r.aliased {
@@ -172,13 +169,12 @@ func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (ct *tree.Tree, ke
 		c.byKey[key] = r
 		c.byText[*text] = key
 	}
-	return r.t, key
+	return r.e, key
 }
 
 // insert makes t the resident tree under key, whose previous holder (a
 // digest collision) it replaces. The caller holds c.mu.
-func (c *treeCache) insert(key uint64, t *tree.Tree, collided bool) {
-	evicted := collided
+func (c *treeCache) insert(key uint64, t *tree.Tree, collided bool) resident {
 	if collided {
 		c.forget(key)
 	}
@@ -189,34 +185,24 @@ func (c *treeCache) insert(key uint64, t *tree.Tree, collided bool) {
 			c.forget(k)
 			break
 		}
-		evicted = true
 	}
-	c.byKey[key] = resident{t: t}
+	r := resident{e: harness.NewEntry(t)}
+	c.byKey[key] = r
 	c.nodes += t.Len()
-	if evicted {
-		// A request that looked its tree up before this eviction may
-		// store artefacts for it afterwards, orphaning them in the
-		// instance cache; sweeping against the live set here bounds such
-		// orphans to the races in flight since the previous eviction.
-		live := make(map[*tree.Tree]bool, len(c.byKey))
-		for _, lr := range c.byKey {
-			live[lr.t] = true
-		}
-		c.inst.Retain(func(t *tree.Tree) bool { return live[t] })
-	}
+	return r
 }
 
 // forget takes the tree under key out of the cache together with its
-// alias and its memoized artefacts: the one place a tree leaves byKey,
-// so no alias can outlive its tree. The caller holds c.mu.
+// alias and — they live in its entry — its memoized artefacts: the one
+// place a tree leaves byKey, so no alias can outlive its tree. The
+// caller holds c.mu.
 func (c *treeCache) forget(key uint64) {
 	r := c.byKey[key]
 	delete(c.byKey, key)
 	if r.aliased {
 		delete(c.byText, r.text)
 	}
-	c.nodes -= r.t.Len()
-	c.inst.Forget(r.t)
+	c.nodes -= r.e.Tree().Len()
 }
 
 // snapshot returns (hits, textHits, misses, entries, totalNodes).

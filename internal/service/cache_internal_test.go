@@ -32,7 +32,7 @@ func checkAliases(c *treeCache) error {
 	}
 	nodes, aliased := 0, 0
 	for key, r := range c.byKey {
-		nodes += r.t.Len()
+		nodes += r.e.Tree().Len()
 		if r.aliased {
 			aliased++
 			if c.byText[r.text] != key {
@@ -138,5 +138,56 @@ func TestAliasNeverOutlivesItsTree(t *testing.T) {
 	}
 	if st.CacheTextHits < total/4 || st.CacheHits == st.CacheTextHits {
 		t.Fatalf("text hits %d of %d hits over %d requests: the alias paths were not exercised", st.CacheTextHits, st.CacheHits, total)
+	}
+}
+
+// TestEvictionDropsArtefacts holds an evicted tree's entry the way a
+// request racing the eviction does, and stores artefacts into it late.
+// Nothing of the evicted tree may be reachable from the cache
+// afterwards, and the gauges must describe exactly the resident trees.
+func TestEvictionDropsArtefacts(t *testing.T) {
+	s := New(&Options{MaxCachedTrees: 1})
+	defer s.CloseStreams()
+	held, _, herr := s.resolve(&Request{Synthetic: &SyntheticSpec{Seed: 1, Nodes: 300}})
+	if herr != nil {
+		t.Fatalf("%+v", herr)
+	}
+	next, _, herr := s.resolve(&Request{Synthetic: &SyntheticSpec{Seed: 2, Nodes: 200}})
+	if herr != nil {
+		t.Fatalf("%+v", herr)
+	}
+	// The late stores: the preparation and a named order.
+	if pr := held.Prepare(); pr.AO == nil {
+		t.Fatal("evicted entry no longer prepares")
+	}
+	if _, err := held.Order("CP"); err != nil {
+		t.Fatal(err)
+	}
+	s.cache.mu.Lock()
+	for key, r := range s.cache.byKey {
+		if r.e == held || r.e.Tree() == held.Tree() {
+			t.Errorf("key %016x still reaches the evicted tree", key)
+		}
+		if r.e != next {
+			t.Errorf("key %016x holds an entry no request resolved to", key)
+		}
+	}
+	s.cache.mu.Unlock()
+	if err := checkAliases(s.cache); err != nil {
+		t.Error(err)
+	}
+	if st := s.Stats(); st.CachedTrees != 1 || st.CachedNodes != 200 {
+		t.Errorf("CachedTrees %d, CachedNodes %d after the eviction; want 1 and 200", st.CachedTrees, st.CachedNodes)
+	}
+	// The evicted content comes back as a miss with a fresh entry.
+	again, _, herr := s.resolve(&Request{Synthetic: &SyntheticSpec{Seed: 1, Nodes: 300}})
+	if herr != nil {
+		t.Fatalf("%+v", herr)
+	}
+	if again == held {
+		t.Error("the evicted entry was served again")
+	}
+	if st := s.Stats(); st.CacheMisses != 3 || st.CacheHits != 0 || st.CachedTrees != 1 || st.CachedNodes != 300 {
+		t.Errorf("after resubmitting the evicted tree: %+v", st)
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bounds"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/order"
 	"repro/internal/perturb"
@@ -399,7 +400,8 @@ func (s *Server) RestoreJobs(reqs []Request) int {
 }
 
 // Handler returns the HTTP API: POST /schedule, POST /jobs,
-// GET /jobs/{id}, GET /healthz, GET /statsz.
+// GET /jobs/{id}, GET /healthz, GET /statsz, GET /metricsz,
+// GET /streamz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /schedule", s.handleSchedule)
@@ -576,11 +578,11 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 // schedule evaluates one request: the HTTP-free core of the handler.
 // The caller holds a worker-pool slot for the duration.
 func (s *Server) schedule(req *Request) (*Response, *httpError) {
-	ct, key, herr := s.resolve(req)
+	e, key, herr := s.resolve(req)
 	if herr != nil {
 		return nil, herr
 	}
-	pr := s.cache.inst.Prepare(ct)
+	ct, pr := e.Tree(), e.Prepare()
 
 	procs := req.Procs
 	if procs == 0 {
@@ -592,7 +594,7 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 
 	ao := pr.AO
 	if req.AO != "" && req.AO != order.NameMemPO {
-		o, err := s.cache.inst.Order(ct, req.AO)
+		o, err := e.Order(req.AO)
 		if err != nil {
 			return nil, fail(http.StatusBadRequest, "bad activation order: %v", err)
 		}
@@ -603,7 +605,7 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 	}
 	eo := ao
 	if req.EO != "" {
-		o, err := s.cache.inst.Order(ct, req.EO)
+		o, err := e.Order(req.EO)
 		if err != nil {
 			return nil, fail(http.StatusBadRequest, "bad execution order: %v", err)
 		}
@@ -759,12 +761,12 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 }
 
 // resolve maps the request's one instance source to its cache-resident
-// tree and content key. A repeat submission lands on the cached tree
-// pointer, so every per-instance artefact schedule reads is a cache hit;
+// entry and content key. A repeat submission lands on the cached entry,
+// so every per-instance artefact schedule reads is a cache hit;
 // an inline text seen before is recognised by its digest and not parsed
 // at all, with the key — and so every response byte — the parse would
 // have produced.
-func (s *Server) resolve(req *Request) (*tree.Tree, uint64, *httpError) {
+func (s *Server) resolve(req *Request) (*harness.Entry, uint64, *httpError) {
 	sources := 0
 	if req.Tree != "" {
 		sources++
@@ -784,8 +786,8 @@ func (s *Server) resolve(req *Request) (*tree.Tree, uint64, *httpError) {
 	var text *textDigest
 	if req.Tree != "" {
 		d := digestText(req.Tree)
-		if ct, key, ok := s.cache.byTextDigest(d); ok {
-			return ct, key, nil
+		if e, key, ok := s.cache.byTextDigest(d); ok {
+			return e, key, nil
 		}
 		text = &d
 	}
@@ -794,8 +796,8 @@ func (s *Server) resolve(req *Request) (*tree.Tree, uint64, *httpError) {
 		// A text that fails to parse or validate never gains an alias.
 		return nil, 0, herr
 	}
-	ct, key := s.cache.canonical(t, text)
-	return ct, key, nil
+	e, key := s.cache.canonical(t, text)
+	return e, key, nil
 }
 
 // materialise builds the instance tree from the request's source,

@@ -229,6 +229,47 @@ func TestCheckpointRestoreParallelKill(t *testing.T) {
 	}
 }
 
+// TestAvailableIsWhatSelectReturns pins Available, the count a caller
+// may keep as state in place of an empty Select: over seeded trees,
+// bounds and processor counts it must equal, at every task boundary,
+// the number of tasks Select then hands out — on the running scheduler
+// after Init and after each OnFinish (up to the free processors, the
+// rest staying available), and in full on a twin restored from that
+// boundary's checkpoint, where the in-flight tasks are available again.
+func TestAvailableIsWhatSelectReturns(t *testing.T) {
+	for seed := uint64(1); seed <= 24; seed++ {
+		tr, ao, peak := ckTree(t, 20+int(seed*37%200), seed)
+		m := peak * (1 + float64(seed%5)/4)
+		l := newCkLoop(t, tr, ao, m, 1+int(seed%7))
+		twin, err := NewMemBooking(tr, m, ao, ao)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for boundary := 0; ; boundary++ {
+			if err := twin.Restore(l.s.Checkpoint()); err != nil {
+				t.Fatalf("seed %d boundary %d: %v", seed, boundary, err)
+			}
+			inFlight := len(l.running)
+			if a, got := twin.Available(), len(twin.Select(tr.Len())); a != got || twin.Available() != 0 {
+				t.Fatalf("seed %d boundary %d: restored Available() = %d, Select returned %d and left %d", seed, boundary, a, got, twin.Available())
+			} else if a != l.s.Available()+inFlight {
+				t.Fatalf("seed %d boundary %d: restored Available() = %d, want the running scheduler's %d + %d in flight", seed, boundary, a, l.s.Available(), inFlight)
+			}
+			a, free, before := l.s.Available(), l.procs-inFlight, len(l.sched)
+			l.launch()
+			if got := len(l.sched) - before; got != min(a, free) || l.s.Available() != a-got {
+				t.Fatalf("seed %d boundary %d: Available() = %d with %d free: Select returned %d and left %d", seed, boundary, a, free, got, l.s.Available())
+			}
+			if !l.finishNext() {
+				break
+			}
+		}
+		if !l.s.Done() || l.s.InvariantErr != nil {
+			t.Fatalf("seed %d: run incomplete (invariant error %v)", seed, l.s.InvariantErr)
+		}
+	}
+}
+
 // TestRestoreValidation: mismatched trees, orders and too-small bounds
 // are rejected.
 func TestRestoreValidation(t *testing.T) {

@@ -380,6 +380,13 @@ func (s *MemBooking) Select(free int) []tree.NodeID {
 	return out
 }
 
+// Available returns how many activated tasks wait for a processor: what
+// Select would return given that many. It changes only in Init, Restore
+// and OnFinish (up) and in Select (down), so a caller driving many
+// schedulers can keep "has work to launch" as state instead of asking
+// each one with a Select.
+func (s *MemBooking) Available() int { return s.actf.Len() }
+
 // Done reports whether every task has finished.
 func (s *MemBooking) Done() bool { return s.remaining == 0 }
 

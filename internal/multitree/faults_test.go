@@ -61,33 +61,40 @@ func checkSurvivors(t *testing.T, res *Result, maxRetries int) (survived, failed
 // chaosRetries is the chaos grid's retry cap.
 const chaosRetries = 6
 
-// chaosGrid calls fn once per cell of the chaos grid: every fault class
-// × every checkpoint policy. mk builds the cell's FaultOptions with a
-// fresh plan each time (a Plan is single-use), always from the same
-// (model, seed), so two calls yield identical fault schedules.
-func chaosGrid(fn func(name string, mk func() *FaultOptions)) {
-	models := []faults.Model{
+// The chaos grid: every fault class × every checkpoint policy.
+var (
+	chaosModels = []faults.Model{
 		faults.TaskFailures(0.003),
 		faults.ProcCrashes(2e-4),
 		faults.Bursts(5e-5),
 		faults.Mixed(0.002, 1e-4, 2e-5),
 	}
-	policies := []core.CheckpointPolicy{nil, core.CheckpointEvery{K: 4}, core.CheckpointOnPeak{}}
-	for _, m := range models {
-		for _, ck := range policies {
+	chaosCheckpoints = []core.CheckpointPolicy{nil, core.CheckpointEvery{K: 4}, core.CheckpointOnPeak{}}
+)
+
+// chaosFaults builds one cell's FaultOptions with a fresh plan (a Plan
+// is single-use), always from the same (model, seed), so two calls yield
+// identical fault schedules.
+func chaosFaults(m faults.Model, ck core.CheckpointPolicy) *FaultOptions {
+	return &FaultOptions{
+		Plan:            m.NewPlan(faults.Seed(99, m, "chaos")),
+		MaxRetries:      chaosRetries,
+		Backoff:         faults.Backoff{Base: 50, Cap: 800, Jitter: 0.3},
+		Checkpoint:      ck,
+		RecordSchedules: true,
+	}
+}
+
+// chaosGrid calls fn once per cell of the chaos grid; mk is the cell's
+// chaosFaults.
+func chaosGrid(fn func(name string, mk func() *FaultOptions)) {
+	for _, m := range chaosModels {
+		for _, ck := range chaosCheckpoints {
 			name := m.Name
 			if ck != nil {
 				name += "/" + ck.Name()
 			}
-			fn(name, func() *FaultOptions {
-				return &FaultOptions{
-					Plan:            m.NewPlan(faults.Seed(99, m, "chaos")),
-					MaxRetries:      chaosRetries,
-					Backoff:         faults.Backoff{Base: 50, Cap: 800, Jitter: 0.3},
-					Checkpoint:      ck,
-					RecordSchedules: true,
-				}
-			})
+			fn(name, func() *FaultOptions { return chaosFaults(m, ck) })
 		}
 	}
 }

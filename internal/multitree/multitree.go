@@ -19,6 +19,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -194,6 +195,7 @@ type job struct {
 
 	slice     float64
 	sched     *core.MemBooking
+	pos       int // index in cluster.active while admitted
 	remaining int
 	running   int
 	start     float64
@@ -228,6 +230,12 @@ type slotRec struct {
 // arrive, and the record/retire pair that ends an attempt — and Run is
 // the loop that applies them in order. A job is in at most one of queue,
 // retryQ and active: in none before it arrives and after it is recorded.
+//
+// Three pieces of the state are derived from the rest and edited by the
+// transition that changes their source, never rebuilt: active[k].pos ==
+// k; bit k of ready is set exactly while active[k]'s scheduler has a
+// task to launch; and the policy snapshot st mirrors queue, active and
+// relOrder entry for entry.
 type cluster struct {
 	opt   *Options
 	pol   Policy
@@ -246,6 +254,11 @@ type cluster struct {
 	retryQ   []*job // failed jobs waiting out backoff, (retryAt, idx) order
 	active   []*job // admitted, admission order
 	relOrder []*job // active, sorted by (estEnd, slice, idx) — EASY's shadow order
+	// ready has one bit per position of active: set by the transitions
+	// that can release a task (start, commit), cleared by the Select that
+	// takes a job's last one, closed up in retire. dispatch reads it
+	// instead of asking every job in turn.
+	ready []uint64
 
 	now       float64 // the current instant
 	events    pqueue.EventHeap
@@ -260,7 +273,10 @@ type cluster struct {
 	// the queue gains a member or memory returns to the pool (see the
 	// State doc comment for why advancing time alone cannot help).
 	admitDirty bool
-	st         State
+	// st is the policies' snapshot, kept as state: join, admit, start and
+	// retire edit the entry of the job they move, and a pass only stamps
+	// the clock and the free counters on it.
+	st State
 
 	// Fault mode keeps the plan's answers as state instead of asking per
 	// instant: crashAt[s] is slot s's first crash epoch after the instant
@@ -393,12 +409,17 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 }
 
 // join appends js to the admission queue (outside → queued, or
-// retry-wait → queued) and reports the new depth.
+// retry-wait → queued) and reports the new depth. The snapshot entry is
+// written here once: minSlice and attempt change only in fail, while the
+// job is in neither queue.
 func (c *cluster) join(js []*job) {
 	if len(js) == 0 {
 		return
 	}
 	c.queue = append(c.queue, js...)
+	for _, j := range js {
+		c.st.Queue = append(c.st.Queue, queuedView(j))
+	}
 	c.admitDirty = true
 	if len(c.queue) > c.res.MaxQueue {
 		c.res.MaxQueue = len(c.queue)
@@ -450,21 +471,13 @@ func releasesBefore(a, b *job) bool {
 }
 
 // insertSorted places j in s, sorted by before, after every element not
-// ordered behind it. Admissions arrive with ever-later estEnd far more
-// often than not, so the search lands near the tail and the copy moves
-// little (temporal coherence, à la sweep-and-prune).
-func insertSorted(s []*job, j *job, before func(a, b *job) bool) []*job {
+// ordered behind it, and returns where. Admissions arrive with
+// ever-later estEnd far more often than not, so the search lands near
+// the tail and the copy moves little (temporal coherence, à la
+// sweep-and-prune).
+func insertSorted(s []*job, j *job, before func(a, b *job) bool) ([]*job, int) {
 	at := sort.Search(len(s), func(k int) bool { return before(j, s[k]) })
-	s = append(s, nil)
-	copy(s[at+1:], s[at:])
-	s[at] = j
-	return s
-}
-
-// without removes j from s in place, keeping the order of the rest.
-func without(s []*job, j *job) []*job {
-	at := slices.Index(s, j)
-	return slices.Delete(s, at, at+1)
+	return slices.Insert(s, at, j), at
 }
 
 // admit lets the policy carve slices while jobs wait (queued → active).
@@ -476,7 +489,6 @@ func (c *cluster) admit() error {
 	}
 	c.admitDirty = false
 	c.st.Now, c.st.FreeProcs, c.st.FreeMem = c.now, c.freeProcs, c.freeMem
-	c.st.fill(c.queue, c.active, c.relOrder)
 	ads := c.pol.Admit(&c.st)
 	if len(ads) == 0 {
 		return nil
@@ -511,6 +523,9 @@ func (c *cluster) admit() error {
 	kept := c.queue[:0]
 	for qi, j := range c.queue {
 		if !c.admitMark[qi] {
+			if len(kept) != qi {
+				c.st.Queue[len(kept)] = c.st.Queue[qi]
+			}
 			kept = append(kept, j)
 			continue
 		}
@@ -520,6 +535,7 @@ func (c *cluster) admit() error {
 		}
 	}
 	c.queue = kept
+	c.st.Queue = c.st.Queue[:len(kept)]
 	c.ob.Emit(obs.KindQueueDepth, c.now, -1, -1, float64(len(c.queue)), 0)
 	if reserved := c.opt.Mem - c.freeMem; reserved > c.res.PeakReserved {
 		c.res.PeakReserved = reserved
@@ -529,7 +545,8 @@ func (c *cluster) admit() error {
 
 // start carves j its slice and binds it a pooled scheduler — restored
 // from the latest checkpoint on a retry, initialised otherwise — then
-// enters it in active and relOrder.
+// enters it in active and relOrder, and in the snapshot's and the ready
+// index's mirrors of the two.
 func (c *cluster) start(j *job, slice float64) error {
 	j.slice = slice
 	sched, err := c.pool.Get(j.spec.Tree, j.slice, j.ao, j.ao)
@@ -561,19 +578,40 @@ func (c *cluster) start(j *job, slice float64) error {
 		j.peakBooked = sched.BookedMemory()
 	}
 	c.freeMem -= j.slice
+	j.pos = len(c.active)
 	c.active = append(c.active, j)
-	c.relOrder = insertSorted(c.relOrder, j, releasesBefore)
+	c.st.Active = append(c.st.Active, ActiveJob{Name: j.spec.Name, Slice: j.slice, Start: j.start, EstEnd: j.estEnd})
+	var at int
+	c.relOrder, at = insertSorted(c.relOrder, j, releasesBefore)
+	c.st.Releases = slices.Insert(c.st.Releases, at, Release{At: j.estEnd, Mem: j.slice})
+	if j.pos>>6 == len(c.ready) {
+		c.ready = append(c.ready, 0)
+	}
+	c.markReady(j)
 	return nil
+}
+
+// markReady sets j's ready bit if its scheduler has a task to launch. It
+// follows every call that can release one: Init, Restore, OnFinish.
+func (c *cluster) markReady(j *job) {
+	if j.sched.Available() > 0 {
+		c.ready[j.pos>>6] |= 1 << (j.pos & 63)
+	}
 }
 
 // dispatch offers the free processors to active jobs in admission order
 // (greedy and deterministic; a job starved this round gets its chance at
-// the next completion).
+// the next completion). Only jobs with a task to launch are visited: the
+// lowest set bit of ready is the first job, in that order, whose Select
+// would not come back empty.
 func (c *cluster) dispatch() error {
-	for _, j := range c.active {
-		if c.freeProcs == 0 {
-			break
+	for w := 0; w < len(c.ready) && c.freeProcs > 0; {
+		if c.ready[w] == 0 {
+			w++
+			continue
 		}
+		b := bits.TrailingZeros64(c.ready[w])
+		j := c.active[w<<6+b]
 		for _, nid := range j.sched.Select(c.freeProcs) {
 			if c.freeProcs == 0 {
 				return fmt.Errorf("multitree: job %q over-selected tasks", j.spec.Name)
@@ -588,6 +626,11 @@ func (c *cluster) dispatch() error {
 			c.freeProcs--
 			j.running++
 			c.runningT++
+		}
+		// A job still ready here was cut short by the processors running
+		// out, which ends the loop.
+		if j.sched.Available() == 0 {
+			c.ready[w] &^= 1 << b
 		}
 	}
 	return nil
@@ -746,7 +789,10 @@ func (c *cluster) commit(j *job) {
 	if j.remaining == 0 {
 		c.record(j, false)
 		c.retire(j)
-	} else if c.fo != nil {
+		return
+	}
+	c.markReady(j)
+	if c.fo != nil {
 		c.checkpoint(j)
 	}
 }
@@ -831,8 +877,12 @@ func (c *cluster) fail(j *job) {
 	}
 	c.retire(j)
 	j.attempt++
-	if j.cp != nil && j.cp.BookedMemory() > j.minSlice {
-		j.minSlice = j.cp.BookedMemory()
+	if j.cp != nil {
+		// A snapshot books at most its slice plus the scheduler's rounding
+		// tolerance, so under a pool of exactly one peak the floor can come
+		// out an ulp over Mem: a job no policy could admit again. The pool
+		// is the ceiling (Restore grants the same tolerance back).
+		j.minSlice = min(max(j.minSlice, j.cp.BookedMemory()), c.opt.Mem)
 	}
 	if j.attempt > c.fo.MaxRetries {
 		c.record(j, true)
@@ -841,23 +891,44 @@ func (c *cluster) fail(j *job) {
 	c.res.Restarts++
 	j.retryAt = c.now + c.fo.Backoff.Delay(j.spec.Name, j.attempt-1)
 	c.ob.Emit(obs.KindRestart, c.now, int32(j.idx), -1, j.retryAt, float64(j.attempt))
-	c.retryQ = insertSorted(c.retryQ, j, retriesBefore)
+	c.retryQ, _ = insertSorted(c.retryQ, j, retriesBefore)
 }
 
 // retire ends j's current attempt, finished or failed: its slice returns
-// to the pool, it leaves active and relOrder, and its scheduler and
-// batch buffer go back for a later admission of a same-size-class job
-// to reuse.
+// to the pool, it leaves active and relOrder — and the snapshot and the
+// ready index with them, every later active job moving down one
+// position — and its scheduler and batch buffer go back for a later
+// admission of a same-size-class job to reuse.
 func (c *cluster) retire(j *job) {
 	c.freeMem += j.slice
 	c.admitDirty = true
-	c.active = without(c.active, j)
-	c.relOrder = without(c.relOrder, j)
+	c.active = slices.Delete(c.active, j.pos, j.pos+1)
+	c.st.Active = slices.Delete(c.st.Active, j.pos, j.pos+1)
+	for _, later := range c.active[j.pos:] {
+		later.pos--
+	}
+	dropBit(c.ready, j.pos)
+	// relOrder is sorted and idx makes its keys unique, so the search
+	// lands on j itself.
+	at := sort.Search(len(c.relOrder), func(k int) bool { return !releasesBefore(c.relOrder[k], j) })
+	c.relOrder = slices.Delete(c.relOrder, at, at+1)
+	c.st.Releases = slices.Delete(c.st.Releases, at, at+1)
 	c.pool.Put(j.sched)
 	j.sched = nil
 	if j.batch != nil {
 		c.batchFree = append(c.batchFree, j.batch[:0])
 		j.batch = nil
+	}
+}
+
+// dropBit removes bit k from the bit set, moving every higher bit down
+// one position.
+func dropBit(set []uint64, k int) {
+	w, low := k>>6, uint64(1)<<(k&63)-1
+	set[w] = set[w]&low | set[w]>>1&^low
+	for ; w+1 < len(set); w++ {
+		set[w] |= set[w+1] << 63
+		set[w+1] >>= 1
 	}
 }
 

@@ -37,8 +37,6 @@ type ActiveJob struct {
 	// EstEnd is admission time + the job's estimate; backfilling treats
 	// it as the instant the job's slice returns to the pool.
 	EstEnd float64
-	// Running counts the job's tasks currently on processors.
-	Running int
 }
 
 // Release is one active job's promise to return its slice: backfilling
@@ -48,18 +46,26 @@ type Release struct {
 	Mem float64
 }
 
-// State is the read-only cluster snapshot a policy decides from. The
-// slices are reused between admission rounds; policies must not retain
-// them.
+// State is the read-only cluster snapshot a policy decides from. It is
+// not rebuilt for a pass: the simulator keeps it as state, writing a
+// job's Queue entry when the job joins the queue and removing it when it
+// is admitted, and editing Active and Releases as jobs start and retire.
+// Only Now, FreeProcs and FreeMem are stamped per pass. Read-only is
+// therefore load-bearing — a write through the snapshot is not
+// overwritten by the next pass, it stays for the rest of the run and
+// every later decision reads it (treeschedlint's policypure analyzer
+// rejects such writes) — and policies must not retain the slices.
 //
 // Policies must be pure functions of (Now, Mem, FreeMem, Queue,
-// Releases): the simulator re-invokes Admit only when the queue gains
-// members or memory returns to the pool, because between those events a
-// pure policy's decision can only stay empty — advancing Now alone never
-// makes an infeasible admission feasible (EASY's endsInTime test only
-// flips from true to false as Now grows). In particular policies must
-// not key on FreeProcs: processors churn every event without changing
-// memory feasibility.
+// Releases, len(Active)): the simulator re-invokes Admit only when the
+// queue gains members or memory returns to the pool, because between
+// those events a pure policy's decision can only stay empty — advancing
+// Now alone never makes an infeasible admission feasible (EASY's
+// endsInTime test only flips from true to false as Now grows). In
+// particular policies must not key on FreeProcs, nor on anything else
+// about the tasks of the active jobs: processors churn every event
+// without changing memory feasibility, so the snapshot carries no
+// per-event field.
 type State struct {
 	Now       float64
 	Procs     int
@@ -79,27 +85,13 @@ type State struct {
 	Releases []Release
 }
 
-// fill refreshes the snapshot's job views from the simulator's state.
-// relOrder is the active set in (estEnd, slice, idx) order, maintained
-// incrementally by the simulator.
-func (st *State) fill(queue, active, relOrder []*job) {
-	st.Queue = st.Queue[:0]
-	for _, j := range queue {
-		st.Queue = append(st.Queue, QueuedJob{
-			Name: j.spec.Name, Nodes: j.spec.Tree.Len(), Arrival: j.spec.Arrival,
-			Peak: j.minSlice, Estimate: j.est, Retries: j.attempt,
-		})
-	}
-	st.Active = st.Active[:0]
-	for _, j := range active {
-		st.Active = append(st.Active, ActiveJob{
-			Name: j.spec.Name, Slice: j.slice, Start: j.start, EstEnd: j.estEnd,
-			Running: j.running,
-		})
-	}
-	st.Releases = st.Releases[:0]
-	for _, j := range relOrder {
-		st.Releases = append(st.Releases, Release{At: j.estEnd, Mem: j.slice})
+// queuedView is j's Queue entry. Every field is fixed while j waits:
+// the floor and the retry count move only when an attempt fails, which
+// happens to active jobs.
+func queuedView(j *job) QueuedJob {
+	return QueuedJob{
+		Name: j.spec.Name, Nodes: j.spec.Tree.Len(), Arrival: j.spec.Arrival,
+		Peak: j.minSlice, Estimate: j.est, Retries: j.attempt,
 	}
 }
 
@@ -160,23 +152,44 @@ func (s SBF) Name() string { return "sbf" }
 func (s SBF) Admit(st *State) []Admission {
 	var out []Admission
 	free := st.FreeMem
-	taken := make([]bool, len(st.Queue))
+	// taken marks the jobs admitted by earlier scans of this pass. Most
+	// passes never scan twice, so it waits for the first that does.
+	var taken []bool
 	for {
-		best := -1
+		// lo and lo2 are the two smallest peaks still waiting: with them
+		// the scan that picks best also tells whether anything fits behind
+		// it.
+		best, lo, lo2 := -1, math.Inf(1), math.Inf(1)
 		for i := range st.Queue {
-			if taken[i] || st.Queue[i].Peak > free {
+			if taken != nil && taken[i] {
 				continue
 			}
+			pk := st.Queue[i].Peak
+			if pk < lo {
+				lo, lo2 = pk, lo
+			} else if pk < lo2 {
+				lo2 = pk
+			}
 			// Ties go to the earlier arrival (lower queue index).
-			if best < 0 || st.Queue[i].Estimate < st.Queue[best].Estimate {
+			if pk <= free && (best < 0 || st.Queue[i].Estimate < st.Queue[best].Estimate) {
 				best = i
 			}
 		}
 		if best < 0 {
 			return out
 		}
-		out = append(out, Admission{Queue: best, Slice: st.Queue[best].Peak})
-		free -= st.Queue[best].Peak
+		pk := st.Queue[best].Peak
+		out = append(out, Admission{Queue: best, Slice: pk})
+		free -= pk
+		if pk == lo {
+			lo = lo2
+		}
+		if lo > free {
+			return out
+		}
+		if taken == nil {
+			taken = make([]bool, len(st.Queue))
+		}
 		taken[best] = true
 	}
 }

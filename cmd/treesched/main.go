@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/bounds"
@@ -27,7 +28,7 @@ import (
 
 func main() {
 	var (
-		heur      = flag.String("heur", "MemBooking", "heuristic: MemBooking, Activation, MemBookingRedTree")
+		heur      = flag.String("heur", "MemBooking", "heuristic: "+strings.Join(baseline.Names, ", "))
 		p         = flag.Int("p", 8, "processors")
 		mem       = flag.Float64("mem", 0, "absolute memory bound (overrides -memfactor)")
 		memFactor = flag.Float64("memfactor", 2, "memory bound as a multiple of the minimum sequential memory")
@@ -71,28 +72,12 @@ func run(path, heur string, p int, mem, memFactor float64, aoName, eoName string
 		return err
 	}
 
-	var (
-		s   core.Scheduler
-		run = t
-	)
-	var recorder *trace.Recorder
-	switch heur {
-	case "MemBooking":
-		s, err = core.NewMemBooking(t, m, ao, eo)
-	case "Activation":
-		s, err = baseline.NewActivation(t, m, ao, eo)
-	case "MemBookingRedTree":
-		var rs *baseline.MemBookingRedTree
-		rs, err = baseline.NewMemBookingRedTree(t, m, ao, eo)
-		if err == nil {
-			s, run = rs, rs.Tree()
-		}
-	default:
-		return fmt.Errorf("unknown heuristic %q", heur)
-	}
+	var s core.Scheduler // -gantt wraps it in the recorder
+	s, run, err := baseline.New(heur, t, m, ao, eo)
 	if err != nil {
 		return err
 	}
+	var recorder *trace.Recorder
 
 	fmt.Printf("tree        %s (%d nodes, height %d, max degree %d)\n",
 		path, st.Nodes, st.Height, st.MaxDegree)

@@ -15,12 +15,6 @@ type QueuedJob struct {
 // snapshot-owned element is a purity violation.
 func (q *QueuedJob) Bump() { q.Peak++ }
 
-// ActiveJob is one admitted job.
-type ActiveJob struct {
-	Name  string
-	Slice float64
-}
-
 // Release is one promised slice return.
 type Release struct{ At, Mem float64 }
 
@@ -30,7 +24,7 @@ type State struct {
 	Mem      float64
 	FreeMem  float64
 	Queue    []QueuedJob
-	Active   []ActiveJob
+	Active   int
 	Releases []Release
 }
 

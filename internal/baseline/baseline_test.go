@@ -245,3 +245,43 @@ func TestMemBookingRedTreeSequentialMakespanUnchanged(t *testing.T) {
 		t.Fatalf("sequential makespan %g != original total work %g", res.Makespan, tr.TotalWork())
 	}
 }
+
+// New is the one construction site of the heuristic set: every name in
+// Names builds, completes on the run tree New hands back (the reduction
+// transform for RedTree) with generous memory, and Resets to a second
+// bound; anything else is ErrUnknown.
+func TestNew(t *testing.T) {
+	tr := randTree(rand.New(rand.NewSource(67)), 60)
+	ao, peak := order.MinMemPostOrder(tr)
+	for _, name := range baseline.Names {
+		s, run, err := baseline.New(name, tr, 2*peak, ao, ao)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.Name() != name {
+			t.Errorf("New(%q) built %q", name, s.Name())
+		}
+		if wantRun := name == "MemBookingRedTree"; (run != tr) != wantRun {
+			t.Errorf("%s: run tree is the input tree = %v, want %v", name, run == tr, !wantRun)
+		}
+		for _, m := range []float64{2 * peak, 10 * peak} {
+			if err := s.Reset(m); err != nil {
+				t.Fatalf("%s: Reset(%g): %v", name, m, err)
+			}
+			res, err := sim.Run(run, 4, s, &sim.Options{CheckMemory: true, Bound: m})
+			if err != nil {
+				t.Fatalf("%s at bound %g: %v", name, m, err)
+			}
+			if res.Makespan <= 0 {
+				t.Errorf("%s at bound %g: makespan %g", name, m, res.Makespan)
+			}
+		}
+	}
+	s, run, err := baseline.New("Magic", tr, 2*peak, ao, ao)
+	if !errors.Is(err, baseline.ErrUnknown) || s != nil || run != nil {
+		t.Fatalf("New(Magic) = %v, %v, %v; want nil, nil, ErrUnknown", s, run, err)
+	}
+	if got, want := err.Error(), `unknown heuristic "Magic"`; got != want {
+		t.Errorf("error reads %q, want %q", got, want)
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // ablationStudy quantifies the two design choices behind MemBooking
@@ -34,7 +33,6 @@ func ablationStudy(cfg *Config) (*Table, error) {
 	for _, factor := range cfg.factors() {
 		for _, v := range variants {
 			var vals []float64
-			done := 0
 			total := 0.0
 			for _, pr := range prep {
 				m := factor * pr.peak
@@ -52,18 +50,12 @@ func ablationStudy(cfg *Config) (*Table, error) {
 					}
 					return nil, fmt.Errorf("ablation %s on %s: %w", v.name, pr.inst.Name, err)
 				}
-				done++
 				vals = append(vals, cfg.normalize(pr.inst.Tree, p, m, res.Makespan))
 				total += res.SchedTime.Seconds()
 			}
-			frac := float64(done) / float64(len(prep))
-			mean := "NA"
-			if frac >= 0.95 {
-				mean = fmt.Sprintf("%.4g", stats.Mean(vals))
-			}
+			mean, frac := meanIfCompleted(vals, len(prep))
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%.4g", factor), v.name, mean,
-				fmt.Sprintf("%.3f", frac), fmt.Sprintf("%.6g", total)})
+				fmt.Sprintf("%.4g", factor), v.name, mean, frac, fmt.Sprintf("%.6g", total)})
 		}
 	}
 	return t, nil

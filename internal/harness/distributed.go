@@ -30,7 +30,6 @@ func distStudy(cfg *Config) (*Table, error) {
 		}
 		for _, factor := range cfg.factors() {
 			var vals, vols []float64
-			done := 0
 			for _, pr := range prep {
 				// The total memory budget factor×peak is split evenly.
 				memPer := factor * pr.peak / float64(nd)
@@ -44,18 +43,13 @@ func distStudy(cfg *Config) (*Table, error) {
 					}
 					return nil, fmt.Errorf("dist on %s: %w", pr.inst.Name, err)
 				}
-				done++
 				vals = append(vals, cfg.normalize(pr.inst.Tree, totalProcs, factor*pr.peak, res.Makespan))
 				vols = append(vols, res.TransferVolume)
 			}
-			frac := float64(done) / float64(len(prep))
-			mean := "NA"
-			if frac >= 0.95 {
-				mean = fmt.Sprintf("%.4g", stats.Mean(vals))
-			}
+			mean, frac := meanIfCompleted(vals, len(prep))
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(nd), fmt.Sprintf("%.4g", factor), mean,
-				fmt.Sprintf("%.3f", frac), fmt.Sprintf("%.4g", stats.Mean(vols))})
+				fmt.Sprint(nd), fmt.Sprintf("%.4g", factor), mean, frac,
+				fmt.Sprintf("%.4g", stats.Mean(vols))})
 		}
 		cfg.logf("dist: %d domains done", nd)
 	}

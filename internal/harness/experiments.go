@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/bounds"
@@ -11,58 +12,57 @@ import (
 	"repro/internal/order"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
-// Every sweep below runs in two passes over the same loop structure:
-// the first plans the experiment's simulation cells into the Config's
+// Every engine-backed sweep below plans its cells into the Config's
 // sweep engine (which deduplicates them against everything already
-// computed and evaluates the misses on its worker pool), the second
-// reads the memoized outcomes back in deterministic order to assemble
-// the table. See sweep.go.
+// computed and evaluates the misses on its worker pool) and gets back
+// the handles the outcomes are written to; after run() it walks its row
+// layout once, reading through the handles. See sweep.go.
+
+// meanIfCompleted is the paper's reporting rule (§7): a heuristic's
+// average is only reported when it scheduled at least 95% of the trees
+// within the bound. vals holds one value per completed tree.
+func meanIfCompleted(vals []float64, trees int) (mean, completed string) {
+	frac := float64(len(vals)) / float64(trees)
+	mean = "NA"
+	if frac >= 0.95 {
+		mean = fmt.Sprintf("%.4g", stats.Mean(vals))
+	}
+	return mean, fmt.Sprintf("%.3f", frac)
+}
+
+// normalized returns the normalised makespans of the completed cells of
+// one column (cells[i] is prep[i] on p processors at the given factor).
+func (c *Config) normalized(prep []prepared, cells []*outcome, p int, factor float64) []float64 {
+	var vals []float64
+	for i, pr := range prep {
+		if out := cells[i]; out.ok {
+			vals = append(vals, c.normalize(pr.inst.Tree, p, factor*pr.peak, out.makespan))
+		}
+	}
+	return vals
+}
 
 // makespanSweep implements Figures 2 and 10: average normalised makespan
 // of the three heuristics as a function of the normalised memory bound.
-// Following the paper, a heuristic's average is only reported when it
-// scheduled at least 95% of the trees within the bound.
 func makespanSweep(id, title string, insts []workload.Instance, cfg *Config) (*Table, error) {
 	t := &Table{ID: id, Title: title,
 		Header: []string{"mem_factor", "heuristic", "norm_makespan_mean", "completed_fraction", "trees"}}
 	prep := cfg.prepare(insts)
 	p := cfg.procs()
 	pl := cfg.plan()
-	for _, factor := range cfg.factors() {
-		for _, heur := range AllHeuristics {
-			for _, pr := range prep {
-				pl.want(pr, heur, p, factor, pr.ao, pr.ao, false)
-			}
-		}
+	blk := pl.block(prep, AllHeuristics, p, cfg.factors(), false)
+	if err := pl.run(); err != nil {
+		return nil, err
 	}
-	pl.run()
-	for _, factor := range cfg.factors() {
-		for _, heur := range AllHeuristics {
-			var vals []float64
-			done := 0
-			for _, pr := range prep {
-				m := factor * pr.peak
-				out, err := pl.get(pr, heur, p, factor, pr.ao, pr.ao)
-				if err != nil {
-					return nil, fmt.Errorf("%s on %s: %w", heur, pr.inst.Name, err)
-				}
-				if !out.ok {
-					continue
-				}
-				done++
-				vals = append(vals, cfg.normalize(pr.inst.Tree, p, m, out.makespan))
-			}
-			frac := float64(done) / float64(len(prep))
-			mean := "NA"
-			if frac >= 0.95 {
-				mean = fmt.Sprintf("%.4g", stats.Mean(vals))
-			}
+	for fi, factor := range cfg.factors() {
+		for hi, heur := range AllHeuristics {
+			mean, frac := meanIfCompleted(cfg.normalized(prep, blk[fi][hi], p, factor), len(prep))
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%.4g", factor), heur, mean,
-				fmt.Sprintf("%.3f", frac), fmt.Sprint(len(prep))})
+				fmt.Sprintf("%.4g", factor), heur, mean, frac, fmt.Sprint(len(prep))})
 		}
 		cfg.logf("%s: factor %.3g done", id, factor)
 	}
@@ -76,26 +76,15 @@ func speedupSweep(id, title string, insts []workload.Instance, cfg *Config) (*Ta
 	t := &Table{ID: id, Title: title,
 		Header: []string{"mem_factor", "speedup_mean", "speedup_median", "d1", "d9", "min", "max", "pairs"}}
 	prep := cfg.prepare(insts)
-	p := cfg.procs()
 	pl := cfg.plan()
-	for _, factor := range cfg.factors() {
-		for _, pr := range prep {
-			pl.want(pr, HeurActivation, p, factor, pr.ao, pr.ao, false)
-			pl.want(pr, HeurMemBooking, p, factor, pr.ao, pr.ao, false)
-		}
+	blk := pl.block(prep, []string{HeurActivation, HeurMemBooking}, cfg.procs(), cfg.factors(), false)
+	if err := pl.run(); err != nil {
+		return nil, err
 	}
-	pl.run()
-	for _, factor := range cfg.factors() {
+	for fi, factor := range cfg.factors() {
 		var sp []float64
-		for _, pr := range prep {
-			a, err := pl.get(pr, HeurActivation, p, factor, pr.ao, pr.ao)
-			if err != nil {
-				return nil, err
-			}
-			b, err := pl.get(pr, HeurMemBooking, p, factor, pr.ao, pr.ao)
-			if err != nil {
-				return nil, err
-			}
+		for i := range prep {
+			a, b := blk[fi][0][i], blk[fi][1][i]
 			if a.ok && b.ok && b.makespan > 0 {
 				sp = append(sp, a.makespan/b.makespan)
 			}
@@ -113,35 +102,45 @@ func memFractionSweep(id, title string, insts []workload.Instance, cfg *Config) 
 	t := &Table{ID: id, Title: title,
 		Header: []string{"mem_factor", "heuristic", "mem_used_fraction_mean", "booked_fraction_mean", "completed_fraction"}}
 	prep := cfg.prepare(insts)
-	p := cfg.procs()
 	pl := cfg.plan()
-	for _, factor := range cfg.factors() {
-		for _, heur := range AllHeuristics {
-			for _, pr := range prep {
-				pl.want(pr, heur, p, factor, pr.ao, pr.ao, false)
-			}
-		}
+	blk := pl.block(prep, AllHeuristics, cfg.procs(), cfg.factors(), false)
+	if err := pl.run(); err != nil {
+		return nil, err
 	}
-	pl.run()
-	for _, factor := range cfg.factors() {
-		for _, heur := range AllHeuristics {
+	for fi, factor := range cfg.factors() {
+		for hi, heur := range AllHeuristics {
 			var used, booked []float64
-			done := 0
-			for _, pr := range prep {
-				m := factor * pr.peak
-				out, err := pl.get(pr, heur, p, factor, pr.ao, pr.ao)
-				if err != nil {
-					return nil, err
+			for i, pr := range prep {
+				if out := blk[fi][hi][i]; out.ok {
+					m := factor * pr.peak
+					used = append(used, out.peakMem/m)
+					booked = append(booked, out.booked/m)
 				}
-				if !out.ok {
-					continue
-				}
-				done++
-				used = append(used, out.peakMem/m)
-				booked = append(booked, out.booked/m)
 			}
 			t.Add(factor, heur, stats.Mean(used), stats.Mean(booked),
-				float64(done)/float64(len(prep)))
+				float64(len(used))/float64(len(prep)))
+		}
+	}
+	return t, nil
+}
+
+// schedTimeSweep is the body of the scheduling-time figures: every
+// heuristic on every tree at normalised memory bound 2, timed; row
+// formats one completed cell.
+func schedTimeSweep(t *Table, insts []workload.Instance, cfg *Config,
+	row func(name string, st tree.Stats, heur string, sched time.Duration)) (*Table, error) {
+	prep := cfg.prepare(insts)
+	pl := cfg.plan()
+	cells := pl.block(prep, AllHeuristics, cfg.procs(), []float64{2}, true)[0]
+	if err := pl.run(); err != nil {
+		return nil, err
+	}
+	for i, pr := range prep {
+		st := pr.inst.Tree.ComputeStats()
+		for hi, heur := range AllHeuristics {
+			if out := cells[hi][i]; out.ok {
+				row(pr.inst.Name, st, heur, out.schedTime)
+			}
 		}
 	}
 	return t, nil
@@ -152,29 +151,9 @@ func memFractionSweep(id, title string, insts []workload.Instance, cfg *Config) 
 func schedTimeBySize(id, title string, insts []workload.Instance, cfg *Config) (*Table, error) {
 	t := &Table{ID: id, Title: title,
 		Header: []string{"tree", "nodes", "height", "heuristic", "sched_seconds"}}
-	prep := cfg.prepare(insts)
-	p := cfg.procs()
-	pl := cfg.plan()
-	for _, pr := range prep {
-		for _, heur := range AllHeuristics {
-			pl.want(pr, heur, p, 2, pr.ao, pr.ao, true)
-		}
-	}
-	pl.run()
-	for _, pr := range prep {
-		st := pr.inst.Tree.ComputeStats()
-		for _, heur := range AllHeuristics {
-			out, err := pl.get(pr, heur, p, 2, pr.ao, pr.ao)
-			if err != nil {
-				return nil, err
-			}
-			if !out.ok {
-				continue
-			}
-			t.Add(pr.inst.Name, st.Nodes, st.Height, heur, out.schedTime)
-		}
-	}
-	return t, nil
+	return schedTimeSweep(t, insts, cfg, func(name string, st tree.Stats, heur string, sched time.Duration) {
+		t.Add(name, st.Nodes, st.Height, heur, sched)
+	})
 }
 
 // schedTimePerNode implements Figure 6: average scheduling time per node
@@ -182,30 +161,9 @@ func schedTimeBySize(id, title string, insts []workload.Instance, cfg *Config) (
 func schedTimePerNode(id, title string, insts []workload.Instance, cfg *Config) (*Table, error) {
 	t := &Table{ID: id, Title: title,
 		Header: []string{"tree", "height", "nodes", "heuristic", "sched_seconds_per_node"}}
-	prep := cfg.prepare(insts)
-	p := cfg.procs()
-	pl := cfg.plan()
-	for _, pr := range prep {
-		for _, heur := range AllHeuristics {
-			pl.want(pr, heur, p, 2, pr.ao, pr.ao, true)
-		}
-	}
-	pl.run()
-	for _, pr := range prep {
-		st := pr.inst.Tree.ComputeStats()
-		for _, heur := range AllHeuristics {
-			out, err := pl.get(pr, heur, p, 2, pr.ao, pr.ao)
-			if err != nil {
-				return nil, err
-			}
-			if !out.ok {
-				continue
-			}
-			t.Add(pr.inst.Name, st.Height, st.Nodes, heur,
-				out.schedTime.Seconds()/float64(st.Nodes))
-		}
-	}
-	return t, nil
+	return schedTimeSweep(t, insts, cfg, func(name string, st tree.Stats, heur string, sched time.Duration) {
+		t.Add(name, st.Height, st.Nodes, heur, sched.Seconds()/float64(st.Nodes))
+	})
 }
 
 // speedupByHeight implements Figure 7: per-tree speedup of MemBooking
@@ -214,22 +172,13 @@ func speedupByHeight(id, title string, insts []workload.Instance, cfg *Config) (
 	t := &Table{ID: id, Title: title,
 		Header: []string{"tree", "height", "nodes", "speedup"}}
 	prep := cfg.prepare(insts)
-	p := cfg.procs()
 	pl := cfg.plan()
-	for _, pr := range prep {
-		pl.want(pr, HeurActivation, p, 2, pr.ao, pr.ao, false)
-		pl.want(pr, HeurMemBooking, p, 2, pr.ao, pr.ao, false)
+	cells := pl.block(prep, []string{HeurActivation, HeurMemBooking}, cfg.procs(), []float64{2}, false)[0]
+	if err := pl.run(); err != nil {
+		return nil, err
 	}
-	pl.run()
-	for _, pr := range prep {
-		a, err := pl.get(pr, HeurActivation, p, 2, pr.ao, pr.ao)
-		if err != nil {
-			return nil, err
-		}
-		b, err := pl.get(pr, HeurMemBooking, p, 2, pr.ao, pr.ao)
-		if err != nil {
-			return nil, err
-		}
+	for i, pr := range prep {
+		a, b := cells[0][i], cells[1][i]
 		if !a.ok || !b.ok {
 			continue
 		}
@@ -257,51 +206,36 @@ func orderStudy(id, title string, insts []workload.Instance, cfg *Config) (*Tabl
 	p := cfg.procs()
 	prep := cfg.prepare(insts)
 	eng := cfg.Engine()
-	// All orders per tree, memoized in the engine across experiments.
-	cache := make([]map[string]*order.Order, len(prep))
-	for i, pr := range prep {
-		cache[i] = map[string]*order.Order{order.NameMemPO: pr.ao}
-		for _, name := range []string{order.NameCP, order.NameOptSeq, order.NamePerfPO} {
-			o, err := eng.orderByName(pr.inst.Tree, name)
+	pl := cfg.plan()
+	// cells[factor][combo][instance]; the named orders are memoized per
+	// tree in the engine across experiments.
+	cells := make([][][]*outcome, len(cfg.factors()))
+	for fi := range cells {
+		cells[fi] = make([][]*outcome, len(orderCombos))
+	}
+	for ci, combo := range orderCombos {
+		for _, pr := range prep {
+			ao, err := eng.orderByName(pr.inst.Tree, combo[0])
 			if err != nil {
 				return nil, err
 			}
-			cache[i][name] = o
-		}
-	}
-	pl := cfg.plan()
-	for _, factor := range cfg.factors() {
-		for _, combo := range orderCombos {
-			for i, pr := range prep {
-				pl.want(pr, HeurMemBooking, p, factor, cache[i][combo[0]], cache[i][combo[1]], false)
+			eo, err := eng.orderByName(pr.inst.Tree, combo[1])
+			if err != nil {
+				return nil, err
+			}
+			for fi, factor := range cfg.factors() {
+				cells[fi][ci] = append(cells[fi][ci], pl.want(pr, HeurMemBooking, p, factor, ao, eo, false, draw{}))
 			}
 		}
 	}
-	pl.run()
-	for _, factor := range cfg.factors() {
-		for _, combo := range orderCombos {
-			var vals []float64
-			done := 0
-			for i, pr := range prep {
-				m := factor * pr.peak
-				out, err := pl.get(pr, HeurMemBooking, p, factor, cache[i][combo[0]], cache[i][combo[1]])
-				if err != nil {
-					return nil, err
-				}
-				if !out.ok {
-					continue
-				}
-				done++
-				vals = append(vals, cfg.normalize(pr.inst.Tree, p, m, out.makespan))
-			}
-			frac := float64(done) / float64(len(prep))
-			mean := "NA"
-			if frac >= 0.95 {
-				mean = fmt.Sprintf("%.4g", stats.Mean(vals))
-			}
+	if err := pl.run(); err != nil {
+		return nil, err
+	}
+	for fi, factor := range cfg.factors() {
+		for ci, combo := range orderCombos {
+			mean, frac := meanIfCompleted(cfg.normalized(prep, cells[fi][ci], p, factor), len(prep))
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%.4g", factor), combo[0] + "/" + combo[1], mean,
-				fmt.Sprintf("%.3f", frac)})
+				fmt.Sprintf("%.4g", factor), combo[0] + "/" + combo[1], mean, frac})
 		}
 		cfg.logf("%s: factor %.3g done", id, factor)
 	}
@@ -316,41 +250,19 @@ func procSweep(id, title string, insts []workload.Instance, cfg *Config) (*Table
 	prep := cfg.prepare(insts)
 	procsList := []int{2, 4, 8, 16, 32}
 	pl := cfg.plan()
-	for _, p := range procsList {
-		for _, factor := range cfg.factors() {
-			for _, heur := range AllHeuristics {
-				for _, pr := range prep {
-					pl.want(pr, heur, p, factor, pr.ao, pr.ao, false)
-				}
-			}
-		}
+	blks := make([][][][]*outcome, len(procsList))
+	for pi, p := range procsList {
+		blks[pi] = pl.block(prep, AllHeuristics, p, cfg.factors(), false)
 	}
-	pl.run()
-	for _, p := range procsList {
-		for _, factor := range cfg.factors() {
-			for _, heur := range AllHeuristics {
-				var vals []float64
-				done := 0
-				for _, pr := range prep {
-					m := factor * pr.peak
-					out, err := pl.get(pr, heur, p, factor, pr.ao, pr.ao)
-					if err != nil {
-						return nil, err
-					}
-					if !out.ok {
-						continue
-					}
-					done++
-					vals = append(vals, cfg.normalize(pr.inst.Tree, p, m, out.makespan))
-				}
-				frac := float64(done) / float64(len(prep))
-				mean := "NA"
-				if frac >= 0.95 {
-					mean = fmt.Sprintf("%.4g", stats.Mean(vals))
-				}
+	if err := pl.run(); err != nil {
+		return nil, err
+	}
+	for pi, p := range procsList {
+		for fi, factor := range cfg.factors() {
+			for hi, heur := range AllHeuristics {
+				mean, frac := meanIfCompleted(cfg.normalized(prep, blks[pi][fi][hi], p, factor), len(prep))
 				t.Rows = append(t.Rows, []string{
-					fmt.Sprint(p), fmt.Sprintf("%.4g", factor), heur, mean,
-					fmt.Sprintf("%.3f", frac)})
+					fmt.Sprint(p), fmt.Sprintf("%.4g", factor), heur, mean, frac})
 			}
 		}
 		cfg.logf("%s: p=%d done", id, p)
@@ -405,25 +317,16 @@ func redTreeFailures(cfg *Config) (*Table, error) {
 	t := &Table{ID: "redfail", Title: "RedTree completion failures on synthetic trees (§7.4)",
 		Header: []string{"mem_factor", "heuristic", "failed_fraction"}}
 	prep := cfg.prepare(cfg.synthetic())
-	p := cfg.procs()
 	factors := []float64{1, 1.1, 1.2, 1.3, 1.4, 1.6, 2, 3}
 	pl := cfg.plan()
-	for _, factor := range factors {
-		for _, heur := range AllHeuristics {
-			for _, pr := range prep {
-				pl.want(pr, heur, p, factor, pr.ao, pr.ao, false)
-			}
-		}
+	blk := pl.block(prep, AllHeuristics, cfg.procs(), factors, false)
+	if err := pl.run(); err != nil {
+		return nil, err
 	}
-	pl.run()
-	for _, factor := range factors {
-		for _, heur := range AllHeuristics {
+	for fi, factor := range factors {
+		for hi, heur := range AllHeuristics {
 			failed := 0
-			for _, pr := range prep {
-				out, err := pl.get(pr, heur, p, factor, pr.ao, pr.ao)
-				if err != nil {
-					return nil, err
-				}
+			for _, out := range blk[fi][hi] {
 				if !out.ok {
 					failed++
 				}
@@ -474,38 +377,19 @@ func memProfile(cfg *Config) (*Table, error) {
 	pr := cfg.prepare(insts[:1])[0]
 	m := 2 * pr.peak
 	for _, heur := range AllHeuristics {
-		heur := heur
-		var err error
-		var rows [][]string
 		opts := &sim.Options{CheckMemory: true, Bound: m, NoSchedTime: true,
 			MemTrace: func(at, used, booked float64) {
-				rows = append(rows, []string{heur,
+				t.Rows = append(t.Rows, []string{heur,
 					fmt.Sprintf("%.6g", at), fmt.Sprintf("%.6g", used), fmt.Sprintf("%.6g", booked)})
 			}}
-		switch heur {
-		case HeurActivation:
-			sch, e := baseline.NewActivation(pr.inst.Tree, m, pr.ao, pr.ao)
-			if e == nil {
-				_, err = sim.Run(pr.inst.Tree, cfg.procs(), sch, opts)
-			}
-		case HeurRedTree:
-			sch, e := baseline.NewMemBookingRedTree(pr.inst.Tree, m, pr.ao, pr.ao)
-			if e == nil {
-				_, err = sim.Run(sch.Tree(), cfg.procs(), sch, opts)
-			}
-		case HeurMemBooking:
-			sch, e := core.NewMemBooking(pr.inst.Tree, m, pr.ao, pr.ao)
-			if e == nil {
-				_, err = sim.Run(pr.inst.Tree, cfg.procs(), sch, opts)
-			}
+		sch, run, err := baseline.New(heur, pr.inst.Tree, m, pr.ao, pr.ao)
+		if err == nil {
+			_, err = sim.Run(run, cfg.procs(), sch, opts)
 		}
-		if err != nil {
-			var dead *core.ErrDeadlock
-			if !errors.As(err, &dead) {
-				return nil, err
-			}
+		var dead *core.ErrDeadlock
+		if err != nil && !errors.As(err, &dead) {
+			return nil, err
 		}
-		t.Rows = append(t.Rows, rows...)
 	}
 	return t, nil
 }

@@ -63,16 +63,14 @@ func faultsStudy(cfg *Config) (*Table, error) {
 
 	// One deterministic corpus and arrival stream shared by every cell,
 	// so the only variable across cells is (model, checkpoint, policy).
-	trees := make([]*workload.Instance, faultJobs)
+	specs := make([]multitree.JobSpec, faultJobs)
 	maxPeak, totalWork := 0.0, 0.0
-	for i := 0; i < faultJobs; i++ {
+	for i := range specs {
 		sz := faultSizes[i%len(faultSizes)]
 		tr := workload.MustSynthetic(workload.NewRNG(cfg.Seed+uint64(i)*999983+uint64(sz)), workload.SyntheticOptions{Nodes: sz})
-		trees[i] = &workload.Instance{Name: fmt.Sprintf("fjob%02d-n%d", i, sz), Tree: tr}
-		_, peak := order.MinMemPostOrder(tr)
-		if peak > maxPeak {
-			maxPeak = peak
-		}
+		ao, peak := order.MinMemPostOrder(tr)
+		specs[i] = multitree.JobSpec{Name: fmt.Sprintf("fjob%02d-n%d", i, sz), Tree: tr, AO: ao, Peak: peak}
+		maxPeak = max(maxPeak, peak)
 		totalWork += tr.TotalWork()
 	}
 	// Three maximal slices: tight enough that a restarted job really
@@ -80,9 +78,8 @@ func faultsStudy(cfg *Config) (*Table, error) {
 	mem := 3 * maxPeak
 	meanGap := totalWork / float64(faultJobs) / float64(p)                                  // offered load 1
 	times := multitree.PoissonArrivals().Times(cfg.Seed^0x6661756c7473, faultJobs, meanGap) // "faults" tag
-	specs := make([]multitree.JobSpec, faultJobs)
 	for k := range specs {
-		specs[k] = multitree.JobSpec{Name: trees[k].Name, Tree: trees[k].Tree, Arrival: times[k]}
+		specs[k].Arrival = times[k]
 	}
 
 	models := faults.DefaultModels()

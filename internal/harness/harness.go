@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/order"
 	"repro/internal/sim"
 	"repro/internal/tree"
@@ -26,8 +27,9 @@ const (
 	HeurMemBooking = "MemBooking"
 )
 
-// AllHeuristics lists the three compared policies in paper order.
-var AllHeuristics = []string{HeurActivation, HeurRedTree, HeurMemBooking}
+// AllHeuristics lists the three compared policies in paper order; the
+// set and its construction live in internal/baseline.
+var AllHeuristics = baseline.Names
 
 // Config scales an experiment run.
 type Config struct {

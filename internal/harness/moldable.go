@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/moldable"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -23,32 +22,34 @@ func moldableStudy(cfg *Config) (*Table, error) {
 			"moldable_speedup_mean", "wide_tasks_mean", "max_width_max"}}
 	prep := cfg.prepare(cfg.assembly())
 	p := cfg.procs()
-	for _, factor := range cfg.factors() {
+	// The rigid half is Figure 2's MemBooking column: planned through
+	// the engine, it is a memo hit whenever fig2 ran on this Config.
+	pl := cfg.plan()
+	rigid := pl.block(prep, []string{HeurMemBooking}, p, cfg.factors(), false)
+	if err := pl.run(); err != nil {
+		return nil, err
+	}
+	for fi, factor := range cfg.factors() {
 		var rigidVals, moldVals, speedups, wides []float64
 		maxWidth := 0
-		for _, pr := range prep {
+		for i, pr := range prep {
 			m := factor * pr.peak
-			prof := moldable.DefaultProfile(pr.inst.Tree)
-			rigid, err := core.NewMemBooking(pr.inst.Tree, m, pr.ao, pr.ao)
+			rres := rigid[fi][0][i]
+			if !rres.ok {
+				return nil, fmt.Errorf("rigid on %s: not completed at factor %g", pr.inst.Name, factor)
+			}
+			ms, err := moldable.NewMemBookingMoldable(pr.inst.Tree, m, pr.ao, pr.ao, moldable.DefaultProfile(pr.inst.Tree), p)
 			if err != nil {
 				return nil, err
 			}
-			rres, err := sim.Run(pr.inst.Tree, p, rigid, &sim.Options{CheckMemory: true, Bound: m})
-			if err != nil {
-				return nil, fmt.Errorf("rigid on %s: %w", pr.inst.Name, err)
-			}
-			ms, err := moldable.NewMemBookingMoldable(pr.inst.Tree, m, pr.ao, pr.ao, prof, p)
-			if err != nil {
-				return nil, err
-			}
-			mres, err := sim.Run(pr.inst.Tree, p, ms, &sim.Options{CheckMemory: true, Bound: m})
+			mres, err := sim.Run(pr.inst.Tree, p, ms, cfg.simOpts(m, false))
 			if err != nil {
 				return nil, fmt.Errorf("moldable on %s: %w", pr.inst.Name, err)
 			}
-			rigidVals = append(rigidVals, cfg.normalize(pr.inst.Tree, p, m, rres.Makespan))
+			rigidVals = append(rigidVals, cfg.normalize(pr.inst.Tree, p, m, rres.makespan))
 			moldVals = append(moldVals, cfg.normalize(pr.inst.Tree, p, m, mres.Makespan))
 			if mres.Makespan > 0 {
-				speedups = append(speedups, rres.Makespan/mres.Makespan)
+				speedups = append(speedups, rres.makespan/mres.Makespan)
 			}
 			wides = append(wides, float64(mres.WideTasks))
 			if mres.MaxWidth > maxWidth {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/multitree"
 	"repro/internal/order"
@@ -55,16 +56,14 @@ func multiStudy(cfg *Config) (*Table, error) {
 	// One deterministic corpus shared by every cell: trees from the
 	// Config seed, sizes cycling, plus the per-job peak (for the pool
 	// size) and total work (for the load calibration).
-	trees := make([]*workload.Instance, multiJobs)
+	corpus := make([]multitree.JobSpec, multiJobs)
 	maxPeak, totalWork := 0.0, 0.0
-	for i := 0; i < multiJobs; i++ {
+	for i := range corpus {
 		sz := multiSizes[i%len(multiSizes)]
 		tr := workload.MustSynthetic(workload.NewRNG(cfg.Seed+uint64(i)*1000003+uint64(sz)), workload.SyntheticOptions{Nodes: sz})
-		trees[i] = &workload.Instance{Name: fmt.Sprintf("mjob%02d-n%d", i, sz), Tree: tr}
-		_, peak := order.MinMemPostOrder(tr)
-		if peak > maxPeak {
-			maxPeak = peak
-		}
+		ao, peak := order.MinMemPostOrder(tr)
+		corpus[i] = multitree.JobSpec{Name: fmt.Sprintf("mjob%02d-n%d", i, sz), Tree: tr, AO: ao, Peak: peak}
+		maxPeak = max(maxPeak, peak)
 		totalWork += tr.TotalWork()
 	}
 	// The pool holds four maximal slices: enough concurrency for the
@@ -98,9 +97,9 @@ func multiStudy(cfg *Config) (*Table, error) {
 		c := cells[i]
 		meanGap := meanService / c.load
 		times := c.model.Times(cfg.Seed^0x6d756c7469, multiJobs, meanGap) // "multi" tag keeps the stream off other seeds
-		specs := make([]multitree.JobSpec, multiJobs)
+		specs := slices.Clone(corpus)
 		for k := range specs {
-			specs[k] = multitree.JobSpec{Name: trees[k].Name, Tree: trees[k].Tree, Arrival: times[k]}
+			specs[k].Arrival = times[k]
 		}
 		c.res, c.err = multitree.Run(specs, &multitree.Options{Procs: p, Mem: mem, Policy: c.pol})
 	})

@@ -42,46 +42,40 @@ func robustStudy(cfg *Config) (*Table, error) {
 	models := perturb.DefaultModels()
 	factors := robustFactors()
 
-	// One factor vector per (model, instance), derived from the Config
-	// seed and content keys only — two independently-built Configs with
-	// the same seed realise identical perturbations.
-	perTask := make([][][]float64, len(models))
-	for mi, m := range models {
-		perTask[mi] = make([][]float64, len(prep))
-		for i, pr := range prep {
-			perTask[mi][i] = m.Factors(pr.inst.Tree.Len(), perturb.Seed(cfg.Seed, m, pr.inst.Name))
-		}
-	}
-
+	// The nominal denominators, then per model one draw per instance,
+	// derived from the Config seed and content keys only — two
+	// independently-built Configs with the same seed realise identical
+	// perturbations. perturbed[model] is indexed like nominal.
 	pl := cfg.plan()
-	for _, factor := range factors {
-		for _, heur := range AllHeuristics {
-			for _, pr := range prep {
-				pl.want(pr, heur, p, factor, pr.ao, pr.ao, false) // nominal denominator
-			}
-		}
-	}
+	nominal := pl.block(prep, AllHeuristics, p, factors, false)
+	perturbed := make([][][][]*outcome, len(models))
 	for mi, m := range models {
-		for _, factor := range factors {
-			for _, heur := range AllHeuristics {
+		draws := make([]draw, len(prep))
+		for i, pr := range prep {
+			draws[i] = draw{m.Name, m.Factors(pr.inst.Tree.Len(), perturb.Seed(cfg.Seed, m, pr.inst.Name))}
+		}
+		perturbed[mi] = make([][][]*outcome, len(factors))
+		for fi, factor := range factors {
+			perturbed[mi][fi] = make([][]*outcome, len(AllHeuristics))
+			for hi, heur := range AllHeuristics {
 				for i, pr := range prep {
-					pl.wantPerturbed(pr, heur, p, factor, pr.ao, pr.ao, m.Name, perTask[mi][i])
+					perturbed[mi][fi][hi] = append(perturbed[mi][fi][hi],
+						pl.want(pr, heur, p, factor, pr.ao, pr.ao, false, draws[i]))
 				}
 			}
 		}
 	}
-	pl.run()
+	if err := pl.run(); err != nil {
+		return nil, fmt.Errorf("robust: %w", err)
+	}
 
 	for mi, m := range models {
-		for _, factor := range factors {
-			for _, heur := range AllHeuristics {
+		for fi, factor := range factors {
+			for hi, heur := range AllHeuristics {
 				var slow []float64
 				done, safe := 0, 0
-				for _, pr := range prep {
-					out, err := pl.getPerturbed(pr, heur, p, factor, pr.ao, pr.ao, m.Name)
-					if err != nil {
-						return nil, fmt.Errorf("robust: %s under %s on %s: %w", heur, m.Name, pr.inst.Name, err)
-					}
+				for i, pr := range prep {
+					out, nom := perturbed[mi][fi][hi][i], nominal[fi][hi][i]
 					if !out.ok {
 						continue
 					}
@@ -90,10 +84,6 @@ func robustStudy(cfg *Config) (*Table, error) {
 					eps := 1e-9 * (1 + bound)
 					if out.peakMem <= out.booked+eps && out.booked <= bound+eps {
 						safe++
-					}
-					nom, err := pl.get(pr, heur, p, factor, pr.ao, pr.ao)
-					if err != nil {
-						return nil, err
 					}
 					if nom.ok && nom.makespan > 0 {
 						slow = append(slow, out.makespan/nom.makespan)

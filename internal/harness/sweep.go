@@ -67,6 +67,8 @@ type cellReq struct {
 	m       float64 // factor × peak, precomputed by the planner
 	timed   bool
 	factors []float64
+	inst    string   // the instance's name, for planner.run's error
+	out     *outcome // the planner's handle; EvalAll does not touch it
 }
 
 // EngineStats counts the engine's cache behaviour; the exactly-once
@@ -237,7 +239,7 @@ type groupKey struct {
 }
 
 // EvalAll computes every requested cell not already memoized. It never
-// fails itself: per-cell errors are memoized and surfaced by cell().
+// fails itself: per-cell errors are memoized and surfaced by planner.run.
 func (e *Engine) EvalAll(reqs []cellReq) {
 	var (
 		groups  []*group
@@ -306,54 +308,28 @@ func countJobs(groups []*group) int {
 	return n
 }
 
-// evalGroup simulates every cell of a group, constructing the group's
-// scheduler once and Reset-ing it between memory bounds. Perturbed
-// realisations of the group's run tree are derived once per
+// evalGroup simulates every cell of a group: the group's scheduler is
+// built for its first cell and Reset to each later memory bound.
+// Perturbed realisations of the group's run tree are derived once per
 // perturbation and shared by every memory bound of the group.
 func (e *Engine) evalGroup(g *group, r *sim.Runner) {
 	var (
-		act      *baseline.Activation
-		red      *baseline.MemBookingRedTree
-		mb       *core.MemBooking
+		s        baseline.Scheduler
+		nominal  *tree.Tree // the tree s executes: g.t, or its reduction transform
 		realised map[string]*tree.Tree
 	)
 	for _, j := range g.jobs {
-		var (
-			s   core.Scheduler
-			run = g.t
-			err error
-		)
-		switch g.heur {
-		case HeurActivation:
-			if act == nil {
-				act, err = baseline.NewActivation(g.t, j.m, g.ao, g.eo)
-			} else {
-				err = act.Reset(j.m)
-			}
-			s = act
-		case HeurRedTree:
-			if red == nil {
-				red, err = baseline.NewMemBookingRedTree(g.t, j.m, g.ao, g.eo)
-			} else {
-				err = red.Reset(j.m)
-			}
-			if err == nil {
-				s, run = red, red.Tree()
-			}
-		case HeurMemBooking:
-			if mb == nil {
-				mb, err = core.NewMemBooking(g.t, j.m, g.ao, g.eo)
-			} else {
-				err = mb.Reset(j.m)
-			}
-			s = mb
-		default:
-			err = fmt.Errorf("harness: unknown heuristic %q", g.heur)
+		var err error
+		if s == nil {
+			s, nominal, err = baseline.New(g.heur, g.t, j.m, g.ao, g.eo)
+		} else {
+			err = s.Reset(j.m)
 		}
 		if err != nil {
 			j.entry.err = err
 			continue
 		}
+		run := nominal
 		if j.factors != nil {
 			// Execute the perturbed realisation: same shape and sizes,
 			// scaled durations. The scheduler above was built from — and
@@ -363,7 +339,7 @@ func (e *Engine) evalGroup(g *group, r *sim.Runner) {
 			// have zero duration, so the nominal factor vector applies.
 			pt, ok := realised[j.perturb]
 			if !ok {
-				pt, err = perturb.Apply(run, j.factors)
+				pt, err = perturb.Apply(nominal, j.factors)
 				if err != nil {
 					j.entry.err = err
 					continue
@@ -399,21 +375,9 @@ func (e *Engine) evalGroup(g *group, r *sim.Runner) {
 	}
 }
 
-// cell returns the memoized outcome of a cell; it must have been part
-// of a previous EvalAll on this engine.
-func (e *Engine) cell(key cellKey) (outcome, error) {
-	e.mu.Lock()
-	ent, ok := e.cells[key]
-	e.mu.Unlock()
-	if !ok {
-		return outcome{}, fmt.Errorf("harness: cell %v was never planned", key)
-	}
-	return ent.out, ent.err
-}
-
-// planner accumulates the cell grid of one experiment and reads the
-// results back after a single EvalAll. Runners make two passes with the
-// same loop structure: want() every cell, run(), then get() each cell.
+// planner accumulates the cell grid of one experiment. want and block
+// hand back the handles the results will be written to, so a runner
+// lays its rows out once: plan, run, read through the handles.
 type planner struct {
 	eng  *Engine
 	reqs []cellReq
@@ -423,36 +387,60 @@ func (c *Config) plan() *planner {
 	return &planner{eng: c.Engine()}
 }
 
-func cellKeyOf(pr prepared, heur string, procs int, factor float64, ao, eo *order.Order, pname string) cellKey {
-	return cellKey{tree: pr.inst.Tree, heur: heur, procs: procs, factor: factor, ao: ao.Name, eo: eo.Name, perturb: pname}
+// draw is one realisation of a duration-perturbation model on one
+// instance: the model's name (the memo key) and the per-task duration
+// multipliers. The zero draw is the nominal run.
+type draw struct {
+	name    string
+	factors []float64
 }
 
-// want plans one nominal-duration cell; timed requests a SchedTime
-// measurement.
-func (p *planner) want(pr prepared, heur string, procs int, factor float64, ao, eo *order.Order, timed bool) {
-	key := cellKeyOf(pr, heur, procs, factor, ao, eo, "")
-	p.reqs = append(p.reqs, cellReq{key: key, ao: ao, eo: eo, m: factor * pr.peak, timed: timed})
+// want plans one cell — pr under heur on procs processors at factor ×
+// pr.peak, activated by ao and executed by eo — and returns where run
+// will write its outcome. timed requests a SchedTime measurement; a
+// non-zero d makes the simulation execute d's perturbed durations while
+// the scheduler keeps working from nominal data.
+func (p *planner) want(pr prepared, heur string, procs int, factor float64, ao, eo *order.Order, timed bool, d draw) *outcome {
+	out := new(outcome)
+	p.reqs = append(p.reqs, cellReq{
+		key: cellKey{tree: pr.inst.Tree, heur: heur, procs: procs, factor: factor, ao: ao.Name, eo: eo.Name, perturb: d.name},
+		ao:  ao, eo: eo, m: factor * pr.peak, timed: timed, factors: d.factors,
+		inst: pr.inst.Name, out: out})
+	return out
 }
 
-// wantPerturbed plans one cell whose simulation executes perturbed
-// durations (per-task multipliers in factors, named pname) while the
-// scheduler keeps working from nominal data.
-func (p *planner) wantPerturbed(pr prepared, heur string, procs int, factor float64, ao, eo *order.Order, pname string, factors []float64) {
-	key := cellKeyOf(pr, heur, procs, factor, ao, eo, pname)
-	p.reqs = append(p.reqs, cellReq{key: key, ao: ao, eo: eo, m: factor * pr.peak, factors: factors})
+// block plans the factors × heuristics × instances grid nearly every
+// figure reduces, each instance under its memPO order with nominal
+// durations, and returns the handles indexed [factor][heuristic][instance].
+func (p *planner) block(prep []prepared, heuristics []string, procs int, factors []float64, timed bool) [][][]*outcome {
+	blk := make([][][]*outcome, len(factors))
+	for fi, factor := range factors {
+		blk[fi] = make([][]*outcome, len(heuristics))
+		for hi, heur := range heuristics {
+			col := make([]*outcome, len(prep))
+			for i, pr := range prep {
+				col[i] = p.want(pr, heur, procs, factor, pr.ao, pr.ao, timed, draw{})
+			}
+			blk[fi][hi] = col
+		}
+	}
+	return blk
 }
 
-// run evaluates every planned cell (parallel, deduplicated, memoized).
-func (p *planner) run() {
+// run evaluates every planned cell (parallel, deduplicated, memoized)
+// and fills the handles. A deadlock is an outcome (ok false); any other
+// cell failure is returned, the first in plan order.
+func (p *planner) run() error {
 	p.eng.EvalAll(p.reqs)
-}
-
-// get reads one evaluated nominal cell.
-func (p *planner) get(pr prepared, heur string, procs int, factor float64, ao, eo *order.Order) (outcome, error) {
-	return p.eng.cell(cellKeyOf(pr, heur, procs, factor, ao, eo, ""))
-}
-
-// getPerturbed reads one evaluated perturbed cell.
-func (p *planner) getPerturbed(pr prepared, heur string, procs int, factor float64, ao, eo *order.Order, pname string) (outcome, error) {
-	return p.eng.cell(cellKeyOf(pr, heur, procs, factor, ao, eo, pname))
+	p.eng.mu.Lock()
+	defer p.eng.mu.Unlock()
+	for i := range p.reqs {
+		r := &p.reqs[i]
+		ent := p.eng.cells[r.key]
+		if ent.err != nil {
+			return fmt.Errorf("%s on %s: %w", r.key.heur, r.inst, ent.err)
+		}
+		*r.out = ent.out
+	}
+	return nil
 }

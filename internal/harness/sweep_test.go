@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -213,5 +214,32 @@ func TestSweepDeterministicAcrossEngines(t *testing.T) {
 	}
 	if !bytes.Equal(tsvOf(t, ta), tsvOf(t, tb)) {
 		t.Error("fig9 differs between two independently-built configs")
+	}
+}
+
+// A cell that cannot be built (here: CP, root first, as activation
+// order) is not a deadlock outcome: run reports it, naming the
+// heuristic and the instance, and the cells planned before it are filled.
+func TestPlannerRunNamesFailingCell(t *testing.T) {
+	cfg := tinyConfig()
+	pr := cfg.prepare(cfg.Assembly[:1])[0]
+	cp, err := cfg.Engine().orderByName(pr.inst.Tree, order.NameCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := cfg.plan()
+	good := pl.want(pr, HeurMemBooking, 4, 2, pr.ao, pr.ao, false, draw{})
+	pl.want(pr, HeurActivation, 4, 2, cp, cp, false, draw{})
+	err = pl.run()
+	if err == nil {
+		t.Fatal("run accepted a non-topological activation order")
+	}
+	for _, want := range []string{HeurActivation, pr.inst.Name, "not topological"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("run() = %q, want it to mention %q", err, want)
+		}
+	}
+	if !good.ok || good.makespan <= 0 {
+		t.Errorf("the cell planned before the failing one reads %+v", *good)
 	}
 }

@@ -16,11 +16,12 @@ import (
 )
 
 // violation checks the cluster-state invariants that must hold between
-// any two transitions — the ledgers, one place per job, relOrder, who
-// owns which pooled scheduler, and that the derived state (positions,
-// ready bits, the policy snapshot) equals what a rebuild from the job
-// lists would give — and returns the first one broken ("" when all
-// hold). It lives here, not in the production loop: Run pays for no
+// any two transitions — the ledgers, one place per job, the release
+// order, who owns which pooled scheduler, that the derived state
+// (positions, ready bits) equals what a rebuild from the job lists would
+// give, and that every snapshot entry still reads what its job says (a
+// policy writing through the snapshot breaks exactly that) — and returns
+// the first one broken ("" when all hold). It lives here, not in the production loop: Run pays for no
 // per-event assertion.
 func (c *cluster) violation() string {
 	reserved, running := 0.0, 0
@@ -34,10 +35,14 @@ func (c *cluster) violation() string {
 		}
 		return ""
 	}
+	queued := make([]*job, len(c.st.Queue))
+	for k := range queued {
+		queued[k] = c.st.Queue[k].j
+	}
 	for _, s := range []struct {
 		name string
 		js   []*job
-	}{{"queue", c.queue}, {"retryQ", c.retryQ}, {"active", c.active}} {
+	}{{"queue", queued}, {"retryQ", c.retryQ}, {"active", c.active}} {
 		if msg := place(s.name, s.js); msg != "" {
 			return msg
 		}
@@ -74,24 +79,26 @@ func (c *cluster) violation() string {
 	if running != c.runningT || c.events.Len() != c.runningT {
 		return fmt.Sprintf("runningT %d, but Σ job.running = %d and %d completion events pending", c.runningT, running, c.events.Len())
 	}
-	// relOrder: the active set, sorted by (estEnd, slice, idx).
-	if len(c.relOrder) != len(c.active) {
-		return fmt.Sprintf("relOrder has %d jobs, active %d", len(c.relOrder), len(c.active))
+	// The release order: the active set, each entry reading what its job
+	// says, sorted by (At, Mem, idx).
+	if len(c.st.Releases) != len(c.active) || c.st.Active != len(c.active) {
+		return fmt.Sprintf("snapshot has %d releases and Active %d for %d active jobs", len(c.st.Releases), c.st.Active, len(c.active))
 	}
-	for k, j := range c.relOrder {
+	for k, r := range c.st.Releases {
+		j := r.j
 		if where[j] != "active" {
-			return fmt.Sprintf("relOrder holds %q, which is not active", j.spec.Name)
+			return fmt.Sprintf("snapshot release %d holds %q, which is not active", k, j.spec.Name)
+		}
+		if want := (Release{At: j.estEnd, Mem: j.slice, j: j}); r != want {
+			return fmt.Sprintf("snapshot release %d is %+v, job %q now reads %+v", k, r, j.spec.Name, want)
 		}
 		if k == 0 {
 			continue
 		}
-		p := c.relOrder[k-1]
-		if p == j {
-			return fmt.Sprintf("relOrder holds %q twice", j.spec.Name)
-		}
-		pk, jk := []float64{p.estEnd, p.slice, float64(p.idx)}, []float64{j.estEnd, j.slice, float64(j.idx)}
-		if slices.Compare(pk, jk) >= 0 {
-			return fmt.Sprintf("relOrder out of order at %d: %v before %v", k, pk, jk)
+		p := c.st.Releases[k-1]
+		pk, rk := []float64{p.At, p.Mem, float64(p.j.idx)}, []float64{r.At, r.Mem, float64(j.idx)}
+		if slices.Compare(pk, rk) >= 0 {
+			return fmt.Sprintf("snapshot releases out of order at %d: %v before %v", k, pk, rk)
 		}
 	}
 	// The ready index: positions are current, and bit k is set exactly
@@ -112,29 +119,9 @@ func (c *cluster) violation() string {
 			return fmt.Sprintf("ready bit %d is set past the %d active jobs", k, len(c.active))
 		}
 	}
-	// The policy snapshot: entry for entry what a rebuild would write.
-	if len(c.st.Queue) != len(c.queue) {
-		return fmt.Sprintf("snapshot queue has %d entries, queue %d", len(c.st.Queue), len(c.queue))
-	}
-	for k, j := range c.queue {
-		if got, want := c.st.Queue[k], queuedView(j); got != want {
-			return fmt.Sprintf("snapshot queue entry %d is %+v, job %q now reads %+v", k, got, j.spec.Name, want)
-		}
-	}
-	if len(c.st.Active) != len(c.active) {
-		return fmt.Sprintf("snapshot has %d active entries, active %d", len(c.st.Active), len(c.active))
-	}
-	for k, j := range c.active {
-		if got, want := c.st.Active[k], (ActiveJob{Name: j.spec.Name, Slice: j.slice, Start: j.start, EstEnd: j.estEnd}); got != want {
-			return fmt.Sprintf("snapshot active entry %d is %+v, job %q now reads %+v", k, got, j.spec.Name, want)
-		}
-	}
-	if len(c.st.Releases) != len(c.relOrder) {
-		return fmt.Sprintf("snapshot has %d releases, relOrder %d", len(c.st.Releases), len(c.relOrder))
-	}
-	for k, j := range c.relOrder {
-		if got, want := c.st.Releases[k], (Release{At: j.estEnd, Mem: j.slice}); got != want {
-			return fmt.Sprintf("snapshot release %d is %+v, relOrder[%d] = %q gives %+v", k, got, k, j.spec.Name, want)
+	for k, q := range c.st.Queue {
+		if want := queuedView(q.j); q != want {
+			return fmt.Sprintf("snapshot queue entry %d is %+v, job %q now reads %+v", k, q, q.j.spec.Name, want)
 		}
 	}
 	return ""
@@ -213,7 +200,7 @@ func stepped(t *testing.T, name string, specs []JobSpec, mk func() *Options) *Re
 	for iter := 0; ; iter++ {
 		if iter == 1<<20 {
 			t.Fatalf("%s: no end after %d iterations (t=%g, %d queued, %d active, %d retrying)",
-				name, iter, c.now, len(c.queue), len(c.active), len(c.retryQ))
+				name, iter, c.now, len(c.st.Queue), len(c.active), len(c.retryQ))
 		}
 		c.rejoin()
 		check("rejoin")
@@ -240,7 +227,7 @@ func stepped(t *testing.T, name string, specs []JobSpec, mk func() *Options) *Re
 		c.arrive()
 		check("arrive")
 	}
-	if n := len(c.queue) + len(c.retryQ) + len(c.active); n != 0 {
+	if n := len(c.st.Queue) + len(c.retryQ) + len(c.active); n != 0 {
 		t.Fatalf("%s: %d jobs still in the cluster at the end", name, n)
 	}
 	got, err := c.result()
@@ -260,7 +247,7 @@ func stepped(t *testing.T, name string, specs []JobSpec, mk func() *Options) *Re
 // TestClusterInvariantsEveryTransition steps the chaos grid (every fault
 // class × checkpoint policy, a pool tight enough to queue) under every
 // admission policy: the memory and processor ledgers balance, free slots
-// match free processors, relOrder is the sorted active set, no job sits
+// match free processors, the releases are the sorted active set, no job sits
 // in two of queue, retryQ and active, a job holds a pooled scheduler
 // exactly while it is active and never one another job holds, every
 // active job knows its position, the ready bits say which schedulers
@@ -381,8 +368,9 @@ func FuzzCluster(f *testing.F) {
 // a digest by itself — is planted by hand and must be reported. So are
 // the two ways derived state can go stale without a fault: a ready bit
 // that disagrees with its scheduler (a job dispatch skips, or visits for
-// nothing), and a snapshot queue entry that no longer describes its job
-// (what a policy writing through the snapshot leaves behind).
+// nothing), and a snapshot queue entry or release that no longer reads
+// what its job says (what a policy writing through the snapshot leaves
+// behind).
 func TestViolationSeesSchedulerAliases(t *testing.T) {
 	// All 12 jobs arrive together into a pool of two peaks: some run, the
 	// rest queue, and the first completion leaves a recorded job behind.
@@ -395,7 +383,7 @@ func TestViolationSeesSchedulerAliases(t *testing.T) {
 		t.Fatal(err)
 	}
 	var recorded *job
-	for recorded == nil || len(c.active) < 2 || len(c.queue) == 0 {
+	for recorded == nil || len(c.active) < 2 || len(c.st.Queue) == 0 {
 		c.rejoin()
 		if err := c.admit(); err != nil {
 			t.Fatal(err)
@@ -426,7 +414,7 @@ func TestViolationSeesSchedulerAliases(t *testing.T) {
 		want   string
 	}{
 		{"two active jobs share one scheduler", b, a.sched, "share one scheduler"},
-		{"a queued job still holds one", c.queue[0], a.sched, "holds a scheduler but is not active (queue)"},
+		{"a queued job still holds one", c.st.Queue[0].j, a.sched, "holds a scheduler but is not active (queue)"},
 		{"a recorded job still holds one", recorded, a.sched, "holds a scheduler but is not active (outside the cluster)"},
 	} {
 		kept := plant.holder.sched

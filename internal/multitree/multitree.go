@@ -228,14 +228,15 @@ type slotRec struct {
 // lifecycle transitions of DESIGN.md §8 — rejoin, admit (start),
 // dispatch, advance, complete (commit, checkpoint), strike (fail),
 // arrive, and the record/retire pair that ends an attempt — and Run is
-// the loop that applies them in order. A job is in at most one of queue,
-// retryQ and active: in none before it arrives and after it is recorded.
+// the loop that applies them in order. A job is in at most one of
+// st.Queue, retryQ and active: in none before it arrives and after it is
+// recorded.
 //
-// Three pieces of the state are derived from the rest and edited by the
-// transition that changes their source, never rebuilt: active[k].pos ==
-// k; bit k of ready is set exactly while active[k]'s scheduler has a
-// task to launch; and the policy snapshot st mirrors queue, active and
-// relOrder entry for entry.
+// The admission queue and EASY's release order are stored once, in the
+// policy snapshot st, each entry carrying its job. One structure is
+// derived from the rest and edited by the transition that changes its
+// source, never rebuilt: active[k].pos == k, and bit k of ready is set
+// exactly while active[k]'s scheduler has a task to launch.
 type cluster struct {
 	opt   *Options
 	pol   Policy
@@ -250,10 +251,8 @@ type cluster struct {
 	byArrival []*job // arrival order: by time, submission index breaking ties
 	arrIdx    int    // next byArrival entry to arrive
 
-	queue    []*job // waiting for admission, arrival order
-	retryQ   []*job // failed jobs waiting out backoff, (retryAt, idx) order
-	active   []*job // admitted, admission order
-	relOrder []*job // active, sorted by (estEnd, slice, idx) — EASY's shadow order
+	retryQ []*job // failed jobs waiting out backoff, (retryAt, idx) order
+	active []*job // admitted, admission order
 	// ready has one bit per position of active: set by the transitions
 	// that can release a task (start, commit), cleared by the Select that
 	// takes a job's last one, closed up in retire. dispatch reads it
@@ -273,9 +272,11 @@ type cluster struct {
 	// the queue gains a member or memory returns to the pool (see the
 	// State doc comment for why advancing time alone cannot help).
 	admitDirty bool
-	// st is the policies' snapshot, kept as state: join, admit, start and
+	// st is the policies' snapshot, kept as state. st.Queue is the
+	// admission queue (arrival order) and st.Releases the active jobs by
+	// (estEnd, slice, idx), EASY's shadow order: join, admit, start and
 	// retire edit the entry of the job they move, and a pass only stamps
-	// the clock and the free counters on it.
+	// the clock and the free memory on it.
 	st State
 
 	// Fault mode keeps the plan's answers as state instead of asking per
@@ -361,7 +362,7 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		freeProcs:  p,
 		freeMem:    opt.Mem,
 		admitDirty: true,
-		st:         State{Procs: p, Mem: opt.Mem},
+		st:         State{Mem: opt.Mem},
 	}
 	if c.pol == nil {
 		c.pol = FCFS{}
@@ -416,15 +417,14 @@ func (c *cluster) join(js []*job) {
 	if len(js) == 0 {
 		return
 	}
-	c.queue = append(c.queue, js...)
 	for _, j := range js {
 		c.st.Queue = append(c.st.Queue, queuedView(j))
 	}
 	c.admitDirty = true
-	if len(c.queue) > c.res.MaxQueue {
-		c.res.MaxQueue = len(c.queue)
+	if len(c.st.Queue) > c.res.MaxQueue {
+		c.res.MaxQueue = len(c.st.Queue)
 	}
-	c.ob.Emit(obs.KindQueueDepth, c.now, -1, -1, float64(len(c.queue)), 0)
+	c.ob.Emit(obs.KindQueueDepth, c.now, -1, -1, float64(len(c.st.Queue)), 0)
 }
 
 // rejoin moves the retries whose backoff has elapsed back into the
@@ -458,54 +458,52 @@ func retriesBefore(a, b *job) bool {
 	return a.idx < b.idx
 }
 
-// releasesBefore orders relOrder: by estimated end, then slice, then
-// submission index — the order EASY's shadow walk consumes.
-func releasesBefore(a, b *job) bool {
-	if a.estEnd != b.estEnd {
-		return a.estEnd < b.estEnd
-	}
-	if a.slice != b.slice {
-		return a.slice < b.slice
-	}
-	return a.idx < b.idx
-}
-
-// insertSorted places j in s, sorted by before, after every element not
-// ordered behind it, and returns where. Admissions arrive with
-// ever-later estEnd far more often than not, so the search lands near
-// the tail and the copy moves little (temporal coherence, à la
-// sweep-and-prune).
-func insertSorted(s []*job, j *job, before func(a, b *job) bool) ([]*job, int) {
-	at := sort.Search(len(s), func(k int) bool { return before(j, s[k]) })
-	return slices.Insert(s, at, j), at
+// releaseAt returns j's position in st.Releases, or where it would be
+// inserted: the entries are sorted by (At, Mem, j.idx) — the order
+// EASY's shadow walk consumes — and idx makes the keys unique.
+// Admissions arrive with ever-later estEnd far more often than not, so
+// an insert lands near the tail and moves little (temporal coherence, à
+// la sweep-and-prune).
+func (c *cluster) releaseAt(j *job) int {
+	return sort.Search(len(c.st.Releases), func(k int) bool {
+		r := &c.st.Releases[k]
+		if r.At != j.estEnd {
+			return r.At > j.estEnd
+		}
+		if r.Mem != j.slice {
+			return r.Mem > j.slice
+		}
+		return r.j.idx >= j.idx
+	})
 }
 
 // admit lets the policy carve slices while jobs wait (queued → active).
 // Skipped while neither the queue nor the free pool has changed since
 // the last pass — a pure policy would only repeat its empty answer.
 func (c *cluster) admit() error {
-	if !c.admitDirty || len(c.queue) == 0 {
+	queue := c.st.Queue
+	if !c.admitDirty || len(queue) == 0 {
 		return nil
 	}
 	c.admitDirty = false
-	c.st.Now, c.st.FreeProcs, c.st.FreeMem = c.now, c.freeProcs, c.freeMem
+	c.st.Now, c.st.FreeMem = c.now, c.freeMem
 	ads := c.pol.Admit(&c.st)
 	if len(ads) == 0 {
 		return nil
 	}
-	if cap(c.admitMark) < len(c.queue) {
-		c.admitMark = make([]bool, len(c.queue))
+	if cap(c.admitMark) < len(queue) {
+		c.admitMark = make([]bool, len(queue))
 	} else {
-		c.admitMark = c.admitMark[:len(c.queue)]
+		c.admitMark = c.admitMark[:len(queue)]
 		clear(c.admitMark)
 	}
 	// Mark first, then delete from the queue, so admission indices stay
 	// valid while the policy's list is applied.
 	for _, ad := range ads {
-		if ad.Queue < 0 || ad.Queue >= len(c.queue) || c.admitMark[ad.Queue] {
+		if ad.Queue < 0 || ad.Queue >= len(queue) || c.admitMark[ad.Queue] {
 			return fmt.Errorf("multitree: policy %q admitted invalid queue index %d", c.pol.Name(), ad.Queue)
 		}
-		j := c.queue[ad.Queue]
+		j := queue[ad.Queue].j
 		if ad.Slice < j.minSlice-c.eps {
 			return fmt.Errorf("multitree: policy %q granted job %q slice %g below its floor %g (peak %g) — Theorem 1 would not hold", c.pol.Name(), j.spec.Name, ad.Slice, j.minSlice, j.peak)
 		}
@@ -520,23 +518,20 @@ func (c *cluster) admit() error {
 	// An admission that jumps over a still-waiting earlier queue position
 	// is a backfill: the policy (EASY, SBF) moved a job ahead of the queue
 	// head's reservation.
-	kept := c.queue[:0]
-	for qi, j := range c.queue {
+	kept := queue[:0]
+	for qi := range queue {
 		if !c.admitMark[qi] {
-			if len(kept) != qi {
-				c.st.Queue[len(kept)] = c.st.Queue[qi]
-			}
-			kept = append(kept, j)
+			kept = append(kept, queue[qi])
 			continue
 		}
+		j := queue[qi].j
 		c.ob.Emit(obs.KindAdmit, c.now, int32(j.idx), -1, j.slice, c.freeMem)
 		if len(kept) > 0 {
 			c.ob.Emit(obs.KindBackfill, c.now, int32(j.idx), -1, j.slice, 0)
 		}
 	}
-	c.queue = kept
-	c.st.Queue = c.st.Queue[:len(kept)]
-	c.ob.Emit(obs.KindQueueDepth, c.now, -1, -1, float64(len(c.queue)), 0)
+	c.st.Queue = kept
+	c.ob.Emit(obs.KindQueueDepth, c.now, -1, -1, float64(len(kept)), 0)
 	if reserved := c.opt.Mem - c.freeMem; reserved > c.res.PeakReserved {
 		c.res.PeakReserved = reserved
 	}
@@ -545,8 +540,8 @@ func (c *cluster) admit() error {
 
 // start carves j its slice and binds it a pooled scheduler — restored
 // from the latest checkpoint on a retry, initialised otherwise — then
-// enters it in active and relOrder, and in the snapshot's and the ready
-// index's mirrors of the two.
+// enters it in active (and the ready index) and in the snapshot's
+// release order.
 func (c *cluster) start(j *job, slice float64) error {
 	j.slice = slice
 	sched, err := c.pool.Get(j.spec.Tree, j.slice, j.ao, j.ao)
@@ -580,10 +575,8 @@ func (c *cluster) start(j *job, slice float64) error {
 	c.freeMem -= j.slice
 	j.pos = len(c.active)
 	c.active = append(c.active, j)
-	c.st.Active = append(c.st.Active, ActiveJob{Name: j.spec.Name, Slice: j.slice, Start: j.start, EstEnd: j.estEnd})
-	var at int
-	c.relOrder, at = insertSorted(c.relOrder, j, releasesBefore)
-	c.st.Releases = slices.Insert(c.st.Releases, at, Release{At: j.estEnd, Mem: j.slice})
+	c.st.Active = len(c.active)
+	c.st.Releases = slices.Insert(c.st.Releases, c.releaseAt(j), Release{At: j.estEnd, Mem: j.slice, j: j})
 	if j.pos>>6 == len(c.ready) {
 		c.ready = append(c.ready, 0)
 	}
@@ -657,10 +650,10 @@ func (c *cluster) drained() (bool, error) {
 	if c.arrIdx < len(c.byArrival) || len(c.retryQ) > 0 {
 		return false, nil
 	}
-	if len(c.queue) > 0 {
+	if len(c.st.Queue) > 0 {
 		// Nothing running, nothing arriving, memory fully free — the
 		// policy refused every admissible job.
-		return false, fmt.Errorf("multitree: policy %q admitted nothing on an idle cluster with %d queued jobs", c.pol.Name(), len(c.queue))
+		return false, fmt.Errorf("multitree: policy %q admitted nothing on an idle cluster with %d queued jobs", c.pol.Name(), len(c.st.Queue))
 	}
 	return true, nil
 }
@@ -703,7 +696,7 @@ func (c *cluster) advance() {
 			tNext = fault
 		}
 	}
-	c.res.AvgQueue += float64(len(c.queue)) * (tNext - c.now)
+	c.res.AvgQueue += float64(len(c.st.Queue)) * (tNext - c.now)
 	c.now = tNext
 }
 
@@ -891,27 +884,25 @@ func (c *cluster) fail(j *job) {
 	c.res.Restarts++
 	j.retryAt = c.now + c.fo.Backoff.Delay(j.spec.Name, j.attempt-1)
 	c.ob.Emit(obs.KindRestart, c.now, int32(j.idx), -1, j.retryAt, float64(j.attempt))
-	c.retryQ, _ = insertSorted(c.retryQ, j, retriesBefore)
+	at := sort.Search(len(c.retryQ), func(k int) bool { return retriesBefore(j, c.retryQ[k]) })
+	c.retryQ = slices.Insert(c.retryQ, at, j)
 }
 
 // retire ends j's current attempt, finished or failed: its slice returns
-// to the pool, it leaves active and relOrder — and the snapshot and the
-// ready index with them, every later active job moving down one
-// position — and its scheduler and batch buffer go back for a later
-// admission of a same-size-class job to reuse.
+// to the pool, it leaves active — and the ready index with it, every
+// later active job moving down one position — and the snapshot's release
+// order, and its scheduler and batch buffer go back for a later admission
+// of a same-size-class job to reuse.
 func (c *cluster) retire(j *job) {
 	c.freeMem += j.slice
 	c.admitDirty = true
 	c.active = slices.Delete(c.active, j.pos, j.pos+1)
-	c.st.Active = slices.Delete(c.st.Active, j.pos, j.pos+1)
+	c.st.Active = len(c.active)
 	for _, later := range c.active[j.pos:] {
 		later.pos--
 	}
 	dropBit(c.ready, j.pos)
-	// relOrder is sorted and idx makes its keys unique, so the search
-	// lands on j itself.
-	at := sort.Search(len(c.relOrder), func(k int) bool { return !releasesBefore(c.relOrder[k], j) })
-	c.relOrder = slices.Delete(c.relOrder, at, at+1)
+	at := c.releaseAt(j) // lands on j's own entry
 	c.st.Releases = slices.Delete(c.st.Releases, at, at+1)
 	c.pool.Put(j.sched)
 	j.sched = nil

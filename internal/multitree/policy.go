@@ -27,61 +27,55 @@ type QueuedJob struct {
 	// Retries counts the job's failed attempts so far (0 for a fresh
 	// submission); policies may use it to prioritise or age out retries.
 	Retries int
-}
 
-// ActiveJob is the policy's view of one admitted, unfinished job.
-type ActiveJob struct {
-	Name  string
-	Slice float64
-	Start float64
-	// EstEnd is admission time + the job's estimate; backfilling treats
-	// it as the instant the job's slice returns to the pool.
-	EstEnd float64
+	j *job // the simulator's own handle on the waiting job
 }
 
 // Release is one active job's promise to return its slice: backfilling
-// treats EstEnd as the instant Mem memory rejoins the pool.
+// treats At — admission time + the job's estimate — as the instant Mem
+// memory rejoins the pool.
 type Release struct {
 	At  float64
 	Mem float64
+
+	j *job // the simulator's own handle on the active job
 }
 
 // State is the read-only cluster snapshot a policy decides from. It is
-// not rebuilt for a pass: the simulator keeps it as state, writing a
-// job's Queue entry when the job joins the queue and removing it when it
-// is admitted, and editing Active and Releases as jobs start and retire.
-// Only Now, FreeProcs and FreeMem are stamped per pass. Read-only is
-// therefore load-bearing — a write through the snapshot is not
-// overwritten by the next pass, it stays for the rest of the run and
+// not rebuilt for a pass: Queue and Releases are the simulator's own
+// lists, a job's Queue entry written when the job joins the queue and
+// removed when it is admitted, its Release inserted when it starts and
+// removed when it retires. Only Now and FreeMem are stamped per pass.
+// Read-only is therefore load-bearing — a write through the snapshot is
+// not overwritten by the next pass, it stays for the rest of the run and
 // every later decision reads it (treeschedlint's policypure analyzer
 // rejects such writes) — and policies must not retain the slices.
 //
 // Policies must be pure functions of (Now, Mem, FreeMem, Queue,
-// Releases, len(Active)): the simulator re-invokes Admit only when the
+// Releases, Active): the simulator re-invokes Admit only when the
 // queue gains members or memory returns to the pool, because between
 // those events a pure policy's decision can only stay empty — advancing
 // Now alone never makes an infeasible admission feasible (EASY's
 // endsInTime test only flips from true to false as Now grows). In
-// particular policies must not key on FreeProcs, nor on anything else
-// about the tasks of the active jobs: processors churn every event
+// particular policies cannot key on the free processors, nor on anything
+// else about the tasks of the active jobs: processors churn every event
 // without changing memory feasibility, so the snapshot carries no
 // per-event field.
 type State struct {
-	Now       float64
-	Procs     int
-	FreeProcs int
+	Now float64
 	// Mem is the pool size; FreeMem is Mem − Σ active slices.
 	Mem     float64
 	FreeMem float64
-	// Queue lists waiting jobs in arrival order; Active lists admitted
-	// jobs in admission order.
-	Queue  []QueuedJob
-	Active []ActiveJob
-	// Releases mirrors Active sorted ascending by (At, Mem): the order
-	// EASY's shadow walk consumes. The simulator maintains the sort
-	// incrementally — admissions insert, completions remove — because
-	// release times exhibit temporal coherence (the order barely changes
-	// between rounds), so no per-decision sort is ever needed.
+	// Queue lists waiting jobs in arrival order.
+	Queue []QueuedJob
+	// Active counts the admitted, unfinished jobs.
+	Active int
+	// Releases holds one entry per active job, sorted ascending by
+	// (At, Mem): the order EASY's shadow walk consumes. The simulator
+	// maintains the sort incrementally — admissions insert, completions
+	// remove — because release times exhibit temporal coherence (the
+	// order barely changes between rounds), so no per-decision sort is
+	// ever needed.
 	Releases []Release
 }
 
@@ -91,7 +85,7 @@ type State struct {
 func queuedView(j *job) QueuedJob {
 	return QueuedJob{
 		Name: j.spec.Name, Nodes: j.spec.Tree.Len(), Arrival: j.spec.Arrival,
-		Peak: j.minSlice, Estimate: j.est, Retries: j.attempt,
+		Peak: j.minSlice, Estimate: j.est, Retries: j.attempt, j: j,
 	}
 }
 
@@ -261,7 +255,7 @@ func (e EASY) Admit(st *State) []Admission {
 		free -= st.Queue[next].Peak
 		next++
 	}
-	if next >= len(st.Queue) || len(st.Active)+len(out) == 0 {
+	if next >= len(st.Queue) || st.Active+len(out) == 0 {
 		return out
 	}
 	head := st.Queue[next]

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/metrics"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/obs"
 )
 
@@ -43,12 +45,8 @@ func (s *Server) enterFlight() {
 // decision). Unknown heuristic names collapse into one label so a
 // hostile client cannot grow the metric's cardinality.
 func (s *Server) recordAdmission(req *Request, herr *httpError) {
-	h := req.Heuristic
-	switch h {
-	case "":
-		h = "MemBooking"
-	case "MemBooking", "Activation", "MemBookingRedTree":
-	default:
+	h := req.heuristic()
+	if !slices.Contains(baseline.Names, h) {
 		h = "unknown"
 	}
 	d := "ok"

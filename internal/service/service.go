@@ -192,6 +192,14 @@ type Request struct {
 	Deadline float64 `json:"deadline,omitempty"`
 }
 
+// heuristic is the requested heuristic, MemBooking when none is named.
+func (r *Request) heuristic() string {
+	if r.Heuristic == "" {
+		return "MemBooking"
+	}
+	return r.Heuristic
+}
+
 // SyntheticSpec generates a synthetic tree (§7.1 distribution).
 type SyntheticSpec struct {
 	Seed  uint64 `json:"seed"`
@@ -664,24 +672,10 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 		factors = model.Factors(ct.Len(), seed)
 	}
 
-	var (
-		sched core.Scheduler
-		run   = ct
-		err   error
-	)
-	switch h := req.Heuristic; h {
-	case "", "MemBooking":
-		sched, err = core.NewMemBooking(ct, m, ao, eo)
-	case "Activation":
-		sched, err = baseline.NewActivation(ct, m, ao, eo)
-	case "MemBookingRedTree":
-		var rs *baseline.MemBookingRedTree
-		rs, err = baseline.NewMemBookingRedTree(ct, m, ao, eo)
-		if err == nil {
-			sched, run = rs, rs.Tree()
-		}
-	default:
-		return nil, fail(http.StatusBadRequest, "unknown heuristic %q", h)
+	var sched core.Scheduler // req.Trace wraps it in the recorder
+	sched, run, err := baseline.New(req.heuristic(), ct, m, ao, eo)
+	if errors.Is(err, baseline.ErrUnknown) {
+		return nil, fail(http.StatusBadRequest, "%v", err)
 	}
 	if err != nil {
 		return nil, fail(http.StatusBadRequest, "building scheduler: %v", err)

@@ -81,6 +81,8 @@ var handlerCases = []struct {
 	{"bad grid", `{"grid2d":{"n":-3}}`, http.StatusBadRequest, "positive"},
 	{"bad synthetic", `{"synthetic":{"seed":1,"nodes":0}}`, http.StatusBadRequest, "positive"},
 	{"unknown heuristic", `{"tree":"0 -1 1 1 1\n","heuristic":"Magic"}`, http.StatusBadRequest, "unknown heuristic"},
+	// The message is baseline.ErrUnknown's, passed through bare.
+	{"unknown heuristic, whole message", `{"tree":"0 -1 1 1 1\n","heuristic":"Magic"}`, http.StatusBadRequest, `{"error":"unknown heuristic \"Magic\""}`},
 	{"unknown order", `{"tree":"0 -1 1 1 1\n","ao":"bogus"}`, http.StatusBadRequest, "bad activation order"},
 	{"non-topological ao", `{"tree":"0 -1 1 1 1\n1 0 1 1 1\n","ao":"CP"}`, http.StatusBadRequest, "not topological"},
 	{"bad procs", `{"tree":"0 -1 1 1 1\n","procs":-1}`, http.StatusBadRequest, "procs"},

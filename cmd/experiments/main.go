@@ -200,7 +200,7 @@ func configFor(scale string, seed uint64, procs int) (*harness.Config, error) {
 		cfg.Synthetic = workload.SyntheticCorpus(seed, 4, []int{500, 2000})
 		cfg.MemFactors = []float64{1, 1.25, 2, 5, 10}
 	case "default":
-		// The Config defaults (see harness.Default) are used lazily.
+		// The zero Config fields fall back to their defaults lazily.
 	case "full":
 		assembly, err := workload.AssemblyCorpus(seed, workload.DefaultAssemblyCorpus())
 		if err != nil {

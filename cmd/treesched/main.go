@@ -19,10 +19,8 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/bounds"
-	"repro/internal/core"
 	"repro/internal/order"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/tree"
 )
 
@@ -34,7 +32,7 @@ func main() {
 		memFactor = flag.Float64("memfactor", 2, "memory bound as a multiple of the minimum sequential memory")
 		aoName    = flag.String("ao", order.NameMemPO, "activation order: memPO, perfPO, OptSeq, naturalPO, avgMemPO")
 		eoName    = flag.String("eo", order.NameMemPO, "execution order: memPO, perfPO, CP, OptSeq, naturalPO, avgMemPO")
-		gantt     = flag.Bool("gantt", false, "render an ASCII Gantt chart (MemBooking only)")
+		gantt     = flag.Bool("gantt", false, "render an ASCII Gantt chart")
 		memProf   = flag.Bool("memprofile", false, "render an ASCII memory profile")
 	)
 	flag.Parse()
@@ -72,27 +70,18 @@ func run(path, heur string, p int, mem, memFactor float64, aoName, eoName string
 		return err
 	}
 
-	var s core.Scheduler // -gantt wraps it in the recorder
 	s, run, err := baseline.New(heur, t, m, ao, eo)
 	if err != nil {
 		return err
 	}
-	var recorder *trace.Recorder
 
 	fmt.Printf("tree        %s (%d nodes, height %d, max degree %d)\n",
 		path, st.Nodes, st.Height, st.MaxDegree)
 	fmt.Printf("min memory  %.6g (peak of memPO)\n", minPeak)
 	fmt.Printf("bound       %.6g (%.3gx)\n", m, m/minPeak)
-	if gantt {
-		recorder = trace.NewRecorder(run, s)
-		s = recorder
-	}
-	var samples []trace.MemSample
 	opts := &sim.Options{CheckMemory: true, Bound: m}
-	if memProf {
-		opts.MemTrace = func(at, used, booked float64) {
-			samples = append(samples, trace.MemSample{Time: at, Used: used, Booked: booked})
-		}
+	if gantt || memProf {
+		opts.Trace = &sim.Trace{}
 	}
 	res, err := sim.Run(run, p, s, opts)
 	if err != nil {
@@ -110,15 +99,15 @@ func run(path, heur string, p int, mem, memFactor float64, aoName, eoName string
 	fmt.Printf("memory      peak used %.6g (%.1f%% of bound), peak booked %.6g\n",
 		res.PeakMem, 100*res.PeakMem/m, res.PeakBooked)
 	fmt.Printf("utilization %.1f%%  scheduling time %v\n", 100*res.Utilization(p), res.SchedTime)
-	if recorder != nil {
+	if gantt {
 		fmt.Println()
-		if err := trace.Gantt(os.Stdout, recorder.Spans(), res.Makespan, 100); err != nil {
+		if err := sim.Gantt(os.Stdout, opts.Trace.Spans, res.Makespan, 100); err != nil {
 			return err
 		}
 	}
 	if memProf {
 		fmt.Println()
-		if err := trace.RenderMemory(os.Stdout, samples, m, 100, 10); err != nil {
+		if err := sim.RenderMemory(os.Stdout, opts.Trace.Mem, m, 100, 10); err != nil {
 			return err
 		}
 	}

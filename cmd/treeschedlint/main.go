@@ -4,7 +4,7 @@
 // export data — and runs every selected analyzer over each:
 //
 //	go run ./cmd/treeschedlint ./...
-//	go run ./cmd/treeschedlint -detfree ./internal/trace
+//	go run ./cmd/treeschedlint -detfree ./internal/sim
 //	go run ./cmd/treeschedlint -goroleak=false -json ./...
 //
 // With no pattern it checks ./... below the working directory, nested

@@ -6,7 +6,7 @@
 // once the multitree event loop is sharded across cores.
 //
 // In a boundary package (core, order, multitree, perturb, faults,
-// workload, harness, trace, sparse, sim, distributed, stats, pqueue,
+// workload, harness, sparse, sim, distributed, stats, pqueue,
 // bounds, tree — matched by package name), the analyzer flags:
 //
 //   - time.Now / time.Since / time.Until — simulated time only; wall
@@ -48,8 +48,7 @@ var Analyzer = &analysis.Analyzer{
 // declare `package harness` and hit the same code path as the repo.
 var boundary = map[string]bool{
 	"core": true, "order": true, "multitree": true, "perturb": true,
-	"faults": true, "workload": true, "harness": true, "trace": true,
-	"sparse": true, "sim": true, "distributed": true, "stats": true,
+	"faults": true, "workload": true, "harness": true, "sparse": true, "sim": true, "distributed": true, "stats": true,
 	"pqueue": true, "bounds": true, "tree": true,
 }
 

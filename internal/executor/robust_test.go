@@ -11,7 +11,6 @@ import (
 	"repro/internal/order"
 	"repro/internal/perturb"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
@@ -83,7 +82,7 @@ func TestPerturbedOracleAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runTraced := func(recompute bool) ([]trace.Span, *sim.Result) {
+	runTraced := func(recompute bool) ([]sim.Span, *sim.Result) {
 		s, err := core.NewMemBooking(nominal, peak, ao, ao)
 		if err != nil {
 			t.Fatal(err)
@@ -92,15 +91,15 @@ func TestPerturbedOracleAgreement(t *testing.T) {
 		if !recompute {
 			s.CheckInvariants = true
 		}
-		rec := trace.NewRecorder(perturbed, s)
-		res, err := sim.Run(perturbed, 4, rec, &sim.Options{CheckMemory: true, Bound: peak, NoSchedTime: true})
+		tr := &sim.Trace{}
+		res, err := sim.Run(perturbed, 4, s, &sim.Options{CheckMemory: true, Bound: peak, NoSchedTime: true, Trace: tr})
 		if err != nil {
 			t.Fatalf("recompute=%v: %v", recompute, err)
 		}
 		if s.InvariantErr != nil {
 			t.Fatalf("invariant violated under perturbed durations: %v", s.InvariantErr)
 		}
-		return rec.Spans(), res
+		return tr.Spans, res
 	}
 	incSpans, incRes := runTraced(false)
 	oraSpans, oraRes := runTraced(true)

@@ -376,19 +376,21 @@ func memProfile(cfg *Config) (*Table, error) {
 	insts := cfg.assembly()
 	pr := cfg.prepare(insts[:1])[0]
 	m := 2 * pr.peak
+	opts := &sim.Options{CheckMemory: true, Bound: m, NoSchedTime: true, Trace: &sim.Trace{}}
 	for _, heur := range AllHeuristics {
-		opts := &sim.Options{CheckMemory: true, Bound: m, NoSchedTime: true,
-			MemTrace: func(at, used, booked float64) {
-				t.Rows = append(t.Rows, []string{heur,
-					fmt.Sprintf("%.6g", at), fmt.Sprintf("%.6g", used), fmt.Sprintf("%.6g", booked)})
-			}}
 		sch, run, err := baseline.New(heur, pr.inst.Tree, m, pr.ao, pr.ao)
-		if err == nil {
-			_, err = sim.Run(run, cfg.procs(), sch, opts)
+		if err != nil {
+			return nil, err
 		}
+		// A deadlocked run keeps its samples up to the deadlock.
+		_, err = sim.Run(run, cfg.procs(), sch, opts)
 		var dead *core.ErrDeadlock
 		if err != nil && !errors.As(err, &dead) {
 			return nil, err
+		}
+		for _, s := range opts.Trace.Mem {
+			t.Rows = append(t.Rows, []string{heur,
+				fmt.Sprintf("%.6g", s.Time), fmt.Sprintf("%.6g", s.Used), fmt.Sprintf("%.6g", s.Booked)})
 		}
 	}
 	return t, nil

@@ -74,11 +74,6 @@ func (c *Config) Engine() *Engine {
 	return c.eng
 }
 
-// Default returns the laptop-scale defaults used by the benchmarks.
-func Default() *Config {
-	return &Config{Seed: 1, Procs: 8}
-}
-
 func (c *Config) procs() int {
 	if c.Procs <= 0 {
 		return 8

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// Timeline is the cluster-wide generalisation of trace.Gantt: where a
+// Timeline is the cluster-wide generalisation of sim.Gantt: where a
 // Gantt chart lays task spans onto processor lanes for one tree, the
 // timeline lays job lifecycles onto per-job memory-occupancy lanes for
 // a whole cluster run, reconstructed from a recorded event stream

@@ -9,8 +9,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/trace"
-	"repro/internal/tree"
+	"repro/internal/sim"
 )
 
 // This file is the asynchronous job API: POST /jobs enqueues a
@@ -474,12 +473,8 @@ func (s *Server) writeJobTimeline(w http.ResponseWriter, v *JobView) {
 		s.reject(w, fail(http.StatusUnprocessableEntity, "job %d has no trace: submit it with \"trace\": true", v.ID))
 		return
 	}
-	spans := make([]trace.Span, len(v.Response.Trace))
-	for i, sp := range v.Response.Trace {
-		spans[i] = trace.Span{Node: tree.NodeID(sp.Node), Start: sp.Start, End: sp.End}
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := trace.Gantt(w, spans, v.Response.Makespan, 100); err != nil {
+	if err := sim.Gantt(w, v.Response.Trace, v.Response.Makespan, 100); err != nil {
 		fmt.Fprintf(w, "timeline rendering failed: %v\n", err)
 	}
 }

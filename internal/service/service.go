@@ -44,7 +44,6 @@ import (
 	"repro/internal/perturb"
 	"repro/internal/sim"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
@@ -212,29 +211,22 @@ type GridSpec struct {
 	Amalgamation int `json:"amalgamation,omitempty"`
 }
 
-// Span is one task execution in the returned trace.
-type Span struct {
-	Node  int     `json:"node"`
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
-}
-
 // Response reports one scheduled instance.
 type Response struct {
-	Nodes       int     `json:"nodes"`
-	Heuristic   string  `json:"heuristic"`
-	Procs       int     `json:"procs"`
-	Mem         float64 `json:"mem"`
-	MinMemory   float64 `json:"min_memory"`
-	Makespan    float64 `json:"makespan"`
-	PeakMem     float64 `json:"peak_mem"`
-	PeakBooked  float64 `json:"peak_booked"`
-	LowerBound  float64 `json:"lower_bound"`
-	ClassicalLB float64 `json:"classical_lb"`
-	MemoryLB    float64 `json:"memory_lb"`
-	Utilization float64 `json:"utilization"`
-	Events      int     `json:"events"`
-	Trace       []Span  `json:"trace,omitempty"`
+	Nodes       int        `json:"nodes"`
+	Heuristic   string     `json:"heuristic"`
+	Procs       int        `json:"procs"`
+	Mem         float64    `json:"mem"`
+	MinMemory   float64    `json:"min_memory"`
+	Makespan    float64    `json:"makespan"`
+	PeakMem     float64    `json:"peak_mem"`
+	PeakBooked  float64    `json:"peak_booked"`
+	LowerBound  float64    `json:"lower_bound"`
+	ClassicalLB float64    `json:"classical_lb"`
+	MemoryLB    float64    `json:"memory_lb"`
+	Utilization float64    `json:"utilization"`
+	Events      int        `json:"events"`
+	Trace       []sim.Span `json:"trace,omitempty"`
 }
 
 // Stats is the /statsz payload.
@@ -672,7 +664,6 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 		factors = model.Factors(ct.Len(), seed)
 	}
 
-	var sched core.Scheduler // req.Trace wraps it in the recorder
 	sched, run, err := baseline.New(req.heuristic(), ct, m, ao, eo)
 	if errors.Is(err, baseline.ErrUnknown) {
 		return nil, fail(http.StatusBadRequest, "%v", err)
@@ -690,12 +681,11 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 			return nil, fail(http.StatusInternalServerError, "perturbing: %v", err)
 		}
 	}
-	var rec *trace.Recorder
+	opts := &sim.Options{CheckMemory: true, Bound: m, NoSchedTime: true}
 	if req.Trace {
-		rec = trace.NewRecorder(run, sched)
-		sched = rec
+		opts.Trace = &sim.Trace{}
 	}
-	res, err := sim.Run(run, procs, sched, &sim.Options{CheckMemory: true, Bound: m, NoSchedTime: true})
+	res, err := sim.Run(run, procs, sched, opts)
 	if err != nil {
 		var dead *core.ErrDeadlock
 		if errors.As(err, &dead) {
@@ -737,17 +727,16 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 			return nil, fail(http.StatusUnprocessableEntity, "result overflows float64: instance attributes too large")
 		}
 	}
-	if rec != nil {
+	if opts.Trace != nil {
 		// Spans are recorded on the run tree; for RedTree that is the
 		// reduction transform, whose first Len(ct) nodes map one-to-one
 		// onto the submitted tasks and whose appended fictitious leaves
 		// mean nothing to the client — keep only the real tasks, so the
 		// trace always has one span per submitted task.
-		spans := rec.Spans()
-		resp.Trace = make([]Span, 0, ct.Len())
-		for _, sp := range spans {
+		resp.Trace = make([]sim.Span, 0, ct.Len())
+		for _, sp := range opts.Trace.Spans {
 			if int(sp.Node) < ct.Len() {
-				resp.Trace = append(resp.Trace, Span{Node: int(sp.Node), Start: sp.Start, End: sp.End})
+				resp.Trace = append(resp.Trace, sp)
 			}
 		}
 	}

@@ -24,9 +24,11 @@ type Options struct {
 	CheckMemory bool
 	// Bound is the memory bound used by CheckMemory.
 	Bound float64
-	// MemTrace, when non-nil, receives (time, usedMemory, bookedMemory)
-	// after every event batch; used to plot memory profiles.
-	MemTrace func(t, used, booked float64)
+	// Trace, when non-nil, records the run: Run truncates it, then
+	// appends one span per launched task and one memory sample per event
+	// batch as it goes, so a run that deadlocks keeps what happened
+	// before the deadlock.
+	Trace *Trace
 	// NoSchedTime disables the wall-clock measurement of the scheduler's
 	// decision time (Result.SchedTime stays zero). Measuring costs two
 	// time.Now calls per event batch, which dominates the simulator's own
@@ -140,6 +142,10 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 	if opts == nil {
 		opts = &Options{}
 	}
+	tr := opts.Trace
+	if tr != nil {
+		tr.Spans, tr.Mem = tr.Spans[:0], tr.Mem[:0]
+	}
 	if p <= 0 {
 		return nil, fmt.Errorf("sim: need at least one processor, got %d", p)
 	}
@@ -246,6 +252,9 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 			}
 			res.BusyTime += t.Time(i)
 			events.Push(now+d, int32(i))
+			if tr != nil {
+				tr.Spans = append(tr.Spans, Span{Node: i, Start: now, End: now + d})
+			}
 		}
 		booked := s.BookedMemory()
 		if booked > res.PeakBooked {
@@ -260,13 +269,16 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 				return fmt.Errorf("sim: %s booked %g over bound %g at t=%g", s.Name(), booked, opts.Bound, now)
 			}
 		}
-		if opts.MemTrace != nil {
-			opts.MemTrace(now, used, booked)
+		if tr != nil {
+			tr.Mem = append(tr.Mem, MemSample{Time: now, Used: used, Booked: booked})
 		}
 		return nil
 	}
 
 	end, err := r.k.Run(step)
+	if tr != nil {
+		tr.sortSpans()
+	}
 	if err != nil {
 		return nil, err
 	}

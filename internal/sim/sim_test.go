@@ -125,18 +125,22 @@ func TestMemTraceMonotoneTime(t *testing.T) {
 	tr := randTree(rng, 40)
 	ao, peak := order.MinMemPostOrder(tr)
 	s, _ := core.NewMemBooking(tr, peak, ao, ao)
-	last := -1.0
-	opts := &sim.Options{MemTrace: func(at, used, booked float64) {
-		if at < last {
-			t.Fatalf("trace time went backwards: %g after %g", at, last)
-		}
-		last = at
-		if used > booked+1e-9 {
-			t.Fatalf("trace: used %g > booked %g", used, booked)
-		}
-	}}
-	if _, err := sim.Run(tr, 4, s, opts); err != nil {
+	rec := &sim.Trace{}
+	if _, err := sim.Run(tr, 4, s, &sim.Options{Trace: rec}); err != nil {
 		t.Fatal(err)
+	}
+	if len(rec.Mem) == 0 {
+		t.Fatal("no memory samples")
+	}
+	last := -1.0
+	for _, m := range rec.Mem {
+		if m.Time < last {
+			t.Fatalf("trace time went backwards: %g after %g", m.Time, last)
+		}
+		last = m.Time
+		if m.Used > m.Booked+1e-9 {
+			t.Fatalf("trace: used %g > booked %g", m.Used, m.Booked)
+		}
 	}
 }
 

@@ -51,34 +51,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 // Median returns the 0.5-quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// Min returns the minimum (NaN for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum (NaN for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Summary is the five-line aggregate the paper's ribbons use: mean,
 // median, first and ninth decile, and extremes.
 type Summary struct {
@@ -105,20 +77,4 @@ func Summarize(xs []float64) Summary {
 	s.Min = sorted[0]
 	s.Max = sorted[len(sorted)-1]
 	return s
-}
-
-// Geomean returns the geometric mean of positive values (NaN if empty or
-// any value is non-positive).
-func Geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }

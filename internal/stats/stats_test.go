@@ -42,11 +42,11 @@ func TestQuantileInterpolation(t *testing.T) {
 }
 
 func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min/max = %v/%v", Min(xs), Max(xs))
+	s := Summarize([]float64{3, -1, 7})
+	if s.Min != -1 || s.Max != 7 {
+		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
 	}
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
+	if e := Summarize(nil); !math.IsNaN(e.Min) || !math.IsNaN(e.Max) {
 		t.Fatal("empty min/max not NaN")
 	}
 }
@@ -147,16 +147,7 @@ func TestSummarizeMatchesQuantile(t *testing.T) {
 	if s.Median != Median(xs) || s.D1 != Quantile(xs, 0.1) || s.D9 != Quantile(xs, 0.9) {
 		t.Fatalf("Summarize disagrees with Quantile: %+v", s)
 	}
-	if s.Min != Min(xs) || s.Max != Max(xs) {
+	if s.Min != 1 || s.Max != 9 {
 		t.Fatalf("Summarize extremes disagree: %+v", s)
-	}
-}
-
-func TestGeomean(t *testing.T) {
-	if got := Geomean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("geomean = %v", got)
-	}
-	if !math.IsNaN(Geomean([]float64{1, -1})) {
-		t.Fatal("geomean of negative not NaN")
 	}
 }

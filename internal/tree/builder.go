@@ -49,15 +49,6 @@ func (b *Builder) add(parent NodeID, exec, out, tm float64) NodeID {
 // Len returns the number of nodes added so far.
 func (b *Builder) Len() int { return len(b.parent) }
 
-// SetTime overrides the processing time of an already-added node.
-func (b *Builder) SetTime(i NodeID, tm float64) { b.time[i] = tm }
-
-// SetOut overrides the output size of an already-added node.
-func (b *Builder) SetOut(i NodeID, out float64) { b.out[i] = out }
-
-// SetExec overrides the execution-data size of an already-added node.
-func (b *Builder) SetExec(i NodeID, exec float64) { b.exec[i] = exec }
-
 // Build finalises the tree.
 func (b *Builder) Build() (*Tree, error) {
 	return New(b.parent, b.exec, b.out, b.time)

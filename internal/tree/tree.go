@@ -199,17 +199,6 @@ func (t *Tree) MemNeededInto(m []float64) []float64 {
 	return m
 }
 
-// Leaves returns the leaves of the tree in increasing ID order.
-func (t *Tree) Leaves() []NodeID {
-	var ls []NodeID
-	for i := 0; i < t.Len(); i++ {
-		if t.IsLeaf(NodeID(i)) {
-			ls = append(ls, NodeID(i))
-		}
-	}
-	return ls
-}
-
 // Depths returns the depth of every node (root = 0).
 func (t *Tree) Depths() []int32 {
 	d := make([]int32, t.Len())
@@ -266,21 +255,6 @@ func (t *Tree) PostOrderNatural() []NodeID {
 		stack = stack[:len(stack)-1]
 	}
 	return ord
-}
-
-// SubtreeSizes returns, for every node, the number of nodes in its subtree
-// (including itself).
-func (t *Tree) SubtreeSizes() []int32 {
-	sz := make([]int32, t.Len())
-	td := t.TopDown()
-	for i := len(td) - 1; i >= 0; i-- {
-		v := td[i]
-		sz[v]++
-		if p := t.parent[v]; p != None {
-			sz[p] += sz[v]
-		}
-	}
-	return sz
 }
 
 // SubtreeWork returns, for every node, the total processing time of its

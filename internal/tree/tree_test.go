@@ -121,10 +121,6 @@ func TestHeightDepthSubtreeSizes(t *testing.T) {
 	if d[4] != 4 || d[0] != 0 {
 		t.Errorf("depths = %v", d)
 	}
-	sz := tr.SubtreeSizes()
-	if sz[0] != 5 || sz[4] != 1 {
-		t.Errorf("subtree sizes = %v", sz)
-	}
 	st := star(10)
 	if h := st.Height(); h != 2 {
 		t.Errorf("star height = %d, want 2", h)
@@ -248,9 +244,8 @@ func TestWriteDOT(t *testing.T) {
 func TestBuilder(t *testing.T) {
 	b := NewBuilder(4)
 	r := b.AddRoot(1, 2, 3)
-	c1 := b.Add(r, 0, 1, 1)
+	c1 := b.Add(r, 0, 1, 9)
 	b.Add(c1, 0, 1, 1)
-	b.SetTime(c1, 9)
 	tr := b.MustBuild()
 	if tr.Len() != 3 || tr.Root() != r || tr.Time(c1) != 9 {
 		t.Errorf("builder tree wrong: len=%d root=%d t=%v", tr.Len(), tr.Root(), tr.Time(c1))

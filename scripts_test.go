@@ -7,10 +7,11 @@ import (
 )
 
 // TestScriptsNamedInDocsExist keeps CI, the README and the verify skill
-// from naming a script that a later change deleted: a dangling step
-// fails here, not on the first push after the merge.
+// from naming a script or a ./internal/… or ./cmd/… package directory
+// that a later change deleted: a dangling step fails here, not on the
+// first push after the merge.
 func TestScriptsNamedInDocsExist(t *testing.T) {
-	script := regexp.MustCompile(`\b(?:scripts|bench)/[\w.-]+\.sh\b`)
+	script := regexp.MustCompile(`\b(?:scripts|bench)/[\w.-]+\.sh\b|\./(?:internal|cmd)/[\w/-]+`)
 	for _, doc := range []string{".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {

@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -129,7 +128,7 @@ func (o *Options) withDefaults() Options {
 	}
 	// One maximal request must always be queueable, or the byte budget
 	// could deadlock submissions that the node cap admits.
-	if lim := int64(out.MaxNodes)*128 + 1<<20; out.MaxQueuedBytes < lim {
+	if lim := bodyLimit(out.MaxNodes); out.MaxQueuedBytes < lim {
 		out.MaxQueuedBytes = lim
 	}
 	// Any accepted tree must be cacheable, or an oversized submission
@@ -537,42 +536,6 @@ func (s *Server) reject(w http.ResponseWriter, e *httpError) {
 		s.rejected.Add(1)
 	}
 	writeJSON(w, e.status, e.body)
-}
-
-// decodeRequest reads one Request body under the shared size limit,
-// writing the 413/400 rejection itself on failure. Both the
-// synchronous and the asynchronous submission handlers go through it,
-// so the limit formula and the decode policy cannot diverge. The
-// caller must hold a worker-pool slot: buffering and decoding a
-// near-limit payload is as attacker-reachable as the simulation.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, bool) {
-	// A .tree line is at least ~10 bytes, so this bounds the body well
-	// above any in-limit tree while stopping unbounded uploads early.
-	limit := int64(s.opts.MaxNodes)*128 + 1<<20
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req Request
-	err := dec.Decode(&req)
-	trailing := false
-	if err == nil {
-		// One request per body: Decode stops after the first JSON value,
-		// and whatever follows it would otherwise be silently dropped.
-		if _, err = dec.Token(); errors.Is(err, io.EOF) {
-			return &req, true
-		}
-		trailing = true
-	}
-	var tooBig *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooBig):
-		s.reject(w, fail(http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit))
-	case trailing:
-		s.reject(w, fail(http.StatusBadRequest, "bad request: trailing data"))
-	default:
-		s.reject(w, fail(http.StatusBadRequest, "bad request: %v", err))
-	}
-	return nil, false
 }
 
 // schedule evaluates one request: the HTTP-free core of the handler.

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/harness"
 	"repro/internal/tree"
@@ -37,6 +38,9 @@ import (
 // resolved to it — and the alias leaves byText in the critical section
 // that takes its tree out of byKey, so len(byText) ≤ len(byKey) and an
 // alias never resolves to, or pins, a forgotten tree.
+//
+// Each resident tree also owns one answer slot, the third level, which
+// Server.schedule reads and fills; forget drops it with the tree.
 type treeCache struct {
 	mu       sync.Mutex
 	byKey    map[uint64]resident
@@ -67,11 +71,35 @@ func digestText(text string) (d textDigest) {
 	return d
 }
 
-// resident is one canonical tree and the text alias it currently owns.
+// resident is one canonical tree, the text alias it currently owns and
+// its answer slot.
 type resident struct {
 	e       *harness.Entry
 	text    textDigest
 	aliased bool
+	answer  *atomic.Pointer[answer]
+}
+
+// answer is one stored outcome of schedule — a response or a non-5xx
+// verdict — and the resolved options it answers. Every request it
+// answers shares resp and herr, so neither is written once stored.
+type answer struct {
+	key  answerKey
+	resp *Response
+	herr *httpError
+}
+
+// answerKey is a request's options as schedule resolves them, so an
+// omitted default and its explicit spelling share one answer. Orders go
+// by name: two requests racing a name's first Entry.Order can hold
+// different *order.Order values of the same order.
+type answerKey struct {
+	heuristic   string
+	procs       int
+	mem         uint64 // math.Float64bits of the bound
+	ao, eo      string
+	perturb     string
+	perturbSeed uint64 // zero unless perturb names a model
 }
 
 func newTreeCache(maxEntries, maxNodes int) *treeCache {
@@ -131,16 +159,16 @@ func sameContent(a, b *tree.Tree) bool {
 
 // byTextDigest returns the resident tree that the text with digest d
 // last parsed to, and its content key (a hit on both counters).
-func (c *treeCache) byTextDigest(d textDigest) (e *harness.Entry, key uint64, ok bool) {
+func (c *treeCache) byTextDigest(d textDigest) (r resident, key uint64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key, ok = c.byText[d]
 	if !ok {
-		return nil, 0, false
+		return resident{}, 0, false
 	}
 	c.hits++
 	c.textHits++
-	return c.byKey[key].e, key, true
+	return c.byKey[key], key, true
 }
 
 // canonical returns the cache-resident tree with t's content (a hit,
@@ -150,7 +178,7 @@ func (c *treeCache) byTextDigest(d textDigest) (e *harness.Entry, key uint64, ok
 // names the instance for content-derived perturbation seeds. A non-nil
 // text is the digest of the text t was parsed from and validated: it
 // becomes the resident tree's one alias, replacing any earlier one.
-func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (e *harness.Entry, key uint64) {
+func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (r resident, key uint64) {
 	key = contentKey(t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -169,7 +197,7 @@ func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (e *harness.Entry,
 		c.byKey[key] = r
 		c.byText[*text] = key
 	}
-	return r.e, key
+	return r, key
 }
 
 // insert makes t the resident tree under key, whose previous holder (a
@@ -186,16 +214,16 @@ func (c *treeCache) insert(key uint64, t *tree.Tree, collided bool) resident {
 			break
 		}
 	}
-	r := resident{e: harness.NewEntry(t)}
+	r := resident{e: harness.NewEntry(t), answer: new(atomic.Pointer[answer])}
 	c.byKey[key] = r
 	c.nodes += t.Len()
 	return r
 }
 
 // forget takes the tree under key out of the cache together with its
-// alias and — they live in its entry — its memoized artefacts: the one
-// place a tree leaves byKey, so no alias can outlive its tree. The
-// caller holds c.mu.
+// alias and — they live in its resident entry — its answer slot and
+// memoized artefacts: the one place a tree leaves byKey, so no alias or
+// answer can outlive its tree. The caller holds c.mu.
 func (c *treeCache) forget(key uint64) {
 	r := c.byKey[key]
 	delete(c.byKey, key)

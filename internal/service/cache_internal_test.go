@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/tree"
@@ -15,6 +16,9 @@ import (
 // checkAliases asserts the alias table's invariants under the cache
 // lock: no more aliases than trees, every alias names a resident tree
 // that owns exactly that alias, and the node gauge matches the trees.
+// It holds the answer slots to their trees the same way: every resident
+// tree owns a slot no other tree shares, and an answer in it is about
+// that tree, so no answer outlives its tree or is reachable from another.
 func checkAliases(c *treeCache) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -31,6 +35,7 @@ func checkAliases(c *treeCache) error {
 		}
 	}
 	nodes, aliased := 0, 0
+	slots := make(map[*atomic.Pointer[answer]]bool, len(c.byKey))
 	for key, r := range c.byKey {
 		nodes += r.e.Tree().Len()
 		if r.aliased {
@@ -38,6 +43,13 @@ func checkAliases(c *treeCache) error {
 			if c.byText[r.text] != key {
 				return fmt.Errorf("tree %016x owns alias %x, which byText does not hold for it", key, r.text[:4])
 			}
+		}
+		if r.answer == nil || slots[r.answer] {
+			return fmt.Errorf("tree %016x has no answer slot of its own", key)
+		}
+		slots[r.answer] = true
+		if a := r.answer.Load(); a != nil && a.resp != nil && a.resp.Nodes != r.e.Tree().Len() {
+			return fmt.Errorf("tree %016x of %d nodes holds an answer about %d nodes", key, r.e.Tree().Len(), a.resp.Nodes)
 		}
 	}
 	if aliased != len(c.byText) {
@@ -142,13 +154,29 @@ func TestAliasNeverOutlivesItsTree(t *testing.T) {
 }
 
 // TestEvictionDropsArtefacts holds an evicted tree's entry the way a
-// request racing the eviction does, and stores artefacts into it late.
-// Nothing of the evicted tree may be reachable from the cache
-// afterwards, and the gauges must describe exactly the resident trees.
+// request racing the eviction does, and stores artefacts into it late:
+// the preparation, a named order, and an answer filed under a real
+// request's options but wrong on purpose. Nothing of the evicted tree
+// may be reachable from the cache afterwards, the gauges must describe
+// exactly the resident trees, and re-posting that request must miss on
+// every level and answer what a fresh server answers.
 func TestEvictionDropsArtefacts(t *testing.T) {
 	s := New(&Options{MaxCachedTrees: 1})
 	defer s.CloseStreams()
-	held, _, herr := s.resolve(&Request{Synthetic: &SyntheticSpec{Seed: 1, Nodes: 300}})
+	ref := New(nil)
+	defer ref.CloseStreams()
+	req := &Request{Synthetic: &SyntheticSpec{Seed: 1, Nodes: 300}}
+	want, herr := ref.schedule(req)
+	if herr != nil {
+		t.Fatalf("%+v", herr)
+	}
+	stored, _, _ := ref.resolve(req)
+	orig := stored.answer.Load()
+	if orig == nil {
+		t.Fatal("the reference server stored no answer")
+	}
+
+	held, _, herr := s.resolve(req)
 	if herr != nil {
 		t.Fatalf("%+v", herr)
 	}
@@ -156,19 +184,20 @@ func TestEvictionDropsArtefacts(t *testing.T) {
 	if herr != nil {
 		t.Fatalf("%+v", herr)
 	}
-	// The late stores: the preparation and a named order.
-	if pr := held.Prepare(); pr.AO == nil {
+	// The late stores: the preparation, a named order and the answer.
+	if pr := held.e.Prepare(); pr.AO == nil {
 		t.Fatal("evicted entry no longer prepares")
 	}
-	if _, err := held.Order("CP"); err != nil {
+	if _, err := held.e.Order("CP"); err != nil {
 		t.Fatal(err)
 	}
+	held.answer.Store(&answer{key: orig.key, resp: &Response{Makespan: -1}})
 	s.cache.mu.Lock()
 	for key, r := range s.cache.byKey {
-		if r.e == held || r.e.Tree() == held.Tree() {
+		if r.e == held.e || r.e.Tree() == held.e.Tree() || r.answer == held.answer {
 			t.Errorf("key %016x still reaches the evicted tree", key)
 		}
-		if r.e != next {
+		if r.e != next.e {
 			t.Errorf("key %016x holds an entry no request resolved to", key)
 		}
 	}
@@ -179,15 +208,23 @@ func TestEvictionDropsArtefacts(t *testing.T) {
 	if st := s.Stats(); st.CachedTrees != 1 || st.CachedNodes != 200 {
 		t.Errorf("CachedTrees %d, CachedNodes %d after the eviction; want 1 and 200", st.CachedTrees, st.CachedNodes)
 	}
-	// The evicted content comes back as a miss with a fresh entry.
-	again, _, herr := s.resolve(&Request{Synthetic: &SyntheticSpec{Seed: 1, Nodes: 300}})
+	// The evicted content comes back as a miss with a fresh entry and an
+	// empty answer slot, so the re-post is evaluated again.
+	got, herr := s.schedule(req)
 	if herr != nil {
 		t.Fatalf("%+v", herr)
 	}
-	if again == held {
-		t.Error("the evicted entry was served again")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("re-post after the eviction answered %+v, a fresh server %+v", got, want)
 	}
-	if st := s.Stats(); st.CacheMisses != 3 || st.CacheHits != 0 || st.CachedTrees != 1 || st.CachedNodes != 300 {
+	if st := s.Stats(); st.CacheMisses != 3 || st.CacheHits != 0 || st.CacheAnswerHits != 0 || st.CachedTrees != 1 || st.CachedNodes != 300 {
 		t.Errorf("after resubmitting the evicted tree: %+v", st)
+	}
+	again, _, herr := s.resolve(req)
+	if herr != nil {
+		t.Fatalf("%+v", herr)
+	}
+	if again.e == held.e || again.answer == held.answer {
+		t.Error("the evicted entry was served again")
 	}
 }

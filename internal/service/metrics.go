@@ -119,6 +119,7 @@ var statsMetrics = []struct {
 	{"treesched_stream_subscribers", "gauge", "Live /streamz subscriptions.", func(s *Stats) float64 { return float64(s.StreamSubscribers) }},
 	{"treesched_stream_dropped_frames_total", "counter", "Event frames dropped to slow /streamz consumers.", func(s *Stats) float64 { return float64(s.StreamDroppedFrames) }},
 	{"treesched_stream_dropped_events_total", "counter", "Events refused by a full ring.", func(s *Stats) float64 { return float64(s.StreamDroppedEvents) }},
+	{"treesched_cache_answer_hits_total", "counter", "Cache hits answered from the tree's stored outcome, without simulating.", func(s *Stats) float64 { return float64(s.CacheAnswerHits) }},
 }
 
 // writeMetric renders one unlabelled sample in the Prometheus text

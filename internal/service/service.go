@@ -37,7 +37,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bounds"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/order"
 	"repro/internal/perturb"
@@ -274,6 +273,9 @@ type Stats struct {
 	StreamSubscribers   int    `json:"stream_subscribers"`
 	StreamDroppedFrames uint64 `json:"stream_dropped_frames"`
 	StreamDroppedEvents uint64 `json:"stream_dropped_events"`
+	// CacheAnswerHits is the part of CacheHits answered from the
+	// resident tree's stored outcome, without simulating.
+	CacheAnswerHits int `json:"cache_answer_hits"`
 }
 
 // errorBody is every non-200 payload. Bound and MinMemory are set on
@@ -307,6 +309,7 @@ type Server struct {
 	served     atomic.Int64
 	rejected   atomic.Int64
 	restored   atomic.Int64
+	answerHits atomic.Int64
 
 	// obs is the event bus behind /streamz: every emitter (handlers,
 	// job runners) is its own goroutine, so it runs the multi-producer
@@ -486,6 +489,7 @@ func (s *Server) Stats() Stats {
 		StreamSubscribers:   s.obs.Subscribers(),
 		StreamDroppedFrames: s.obs.DroppedFrames(),
 		StreamDroppedEvents: s.obs.DroppedEvents(),
+		CacheAnswerHits:     int(s.answerHits.Load()),
 	}
 }
 
@@ -539,13 +543,14 @@ func (s *Server) reject(w http.ResponseWriter, e *httpError) {
 }
 
 // schedule evaluates one request: the HTTP-free core of the handler.
-// The caller holds a worker-pool slot for the duration.
-func (s *Server) schedule(req *Request) (*Response, *httpError) {
-	e, key, herr := s.resolve(req)
+// The caller holds a worker-pool slot for the duration. A valid request
+// repeating its tree's last untraced options gets the stored outcome.
+func (s *Server) schedule(req *Request) (resp *Response, herr *httpError) {
+	r, key, herr := s.resolve(req)
 	if herr != nil {
 		return nil, herr
 	}
-	ct, pr := e.Tree(), e.Prepare()
+	ct, pr := r.e.Tree(), r.e.Prepare()
 
 	procs := req.Procs
 	if procs == 0 {
@@ -555,24 +560,24 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 		return nil, fail(http.StatusBadRequest, "procs must be positive, got %d", procs)
 	}
 
-	ao := pr.AO
+	ao, aoName := pr.AO, order.NameMemPO
 	if req.AO != "" && req.AO != order.NameMemPO {
-		o, err := e.Order(req.AO)
+		o, err := r.e.Order(req.AO)
 		if err != nil {
 			return nil, fail(http.StatusBadRequest, "bad activation order: %v", err)
 		}
 		if !o.Topological {
 			return nil, fail(http.StatusBadRequest, "activation order %q is not topological", req.AO)
 		}
-		ao = o
+		ao, aoName = o, req.AO
 	}
-	eo := ao
+	eo, eoName := ao, aoName
 	if req.EO != "" {
-		o, err := e.Order(req.EO)
+		o, err := r.e.Order(req.EO)
 		if err != nil {
 			return nil, fail(http.StatusBadRequest, "bad execution order: %v", err)
 		}
-		eo = o
+		eo, eoName = o, req.EO
 	}
 
 	m := req.Mem
@@ -614,12 +619,39 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 		}}
 	}
 
-	var factors []float64
+	var model perturb.Model
 	if req.Perturb != "" {
-		model, ok := findModel(req.Perturb)
-		if !ok {
+		var ok bool
+		if model, ok = findModel(req.Perturb); !ok {
 			return nil, fail(http.StatusBadRequest, "unknown perturbation model %q (see perturb.DefaultModels)", req.Perturb)
 		}
+	}
+
+	// Every option is valid and resolved, so an answer stored under the
+	// same resolved options is this request's answer. A traced response
+	// carries spans an untraced repeat must not get, so a traced request
+	// neither reads nor fills the slot; a 5xx is the attempt's failure,
+	// not the request's answer (runJob retries it), so it is not stored;
+	// nor is the nothing a panicking evaluation leaves behind.
+	k := answerKey{heuristic: req.heuristic(), procs: procs, mem: math.Float64bits(m),
+		ao: aoName, eo: eoName, perturb: req.Perturb}
+	if req.Perturb != "" {
+		k.perturbSeed = req.PerturbSeed
+	}
+	if !req.Trace {
+		if a := r.answer.Load(); a != nil && a.key == k {
+			s.answerHits.Add(1)
+			return a.resp, a.herr
+		}
+		defer func() {
+			if resp != nil || (herr != nil && herr.status < http.StatusInternalServerError) {
+				r.answer.Store(&answer{key: k, resp: resp, herr: herr})
+			}
+		}()
+	}
+
+	var factors []float64
+	if req.Perturb != "" {
 		// The instance key is the content digest, so the realisation is a
 		// pure function of (request seed, model, tree content) — identical
 		// submissions replay identical realisations.
@@ -667,7 +699,7 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 	// client grow the map without bound by varying its mem value.
 	classical := bounds.Classical(ct, procs)
 	memLB, _ := bounds.Memory(ct, m)
-	resp := &Response{
+	resp = &Response{
 		Nodes:       ct.Len(),
 		Heuristic:   sched.Name(),
 		Procs:       procs,
@@ -707,12 +739,12 @@ func (s *Server) schedule(req *Request) (*Response, *httpError) {
 }
 
 // resolve maps the request's one instance source to its cache-resident
-// entry and content key. A repeat submission lands on the cached entry,
+// tree and content key. A repeat submission lands on the cached entry,
 // so every per-instance artefact schedule reads is a cache hit;
 // an inline text seen before is recognised by its digest and not parsed
 // at all, with the key — and so every response byte — the parse would
 // have produced.
-func (s *Server) resolve(req *Request) (*harness.Entry, uint64, *httpError) {
+func (s *Server) resolve(req *Request) (resident, uint64, *httpError) {
 	sources := 0
 	if req.Tree != "" {
 		sources++
@@ -727,23 +759,23 @@ func (s *Server) resolve(req *Request) (*harness.Entry, uint64, *httpError) {
 		sources++
 	}
 	if sources != 1 {
-		return nil, 0, fail(http.StatusBadRequest, "want exactly one of tree, synthetic, grid2d, grid3d; got %d", sources)
+		return resident{}, 0, fail(http.StatusBadRequest, "want exactly one of tree, synthetic, grid2d, grid3d; got %d", sources)
 	}
 	var text *textDigest
 	if req.Tree != "" {
 		d := digestText(req.Tree)
-		if e, key, ok := s.cache.byTextDigest(d); ok {
-			return e, key, nil
+		if r, key, ok := s.cache.byTextDigest(d); ok {
+			return r, key, nil
 		}
 		text = &d
 	}
 	t, herr := s.materialise(req)
 	if herr != nil {
 		// A text that fails to parse or validate never gains an alias.
-		return nil, 0, herr
+		return resident{}, 0, herr
 	}
-	e, key := s.cache.canonical(t, text)
-	return e, key, nil
+	r, key := s.cache.canonical(t, text)
+	return r, key, nil
 }
 
 // materialise builds the instance tree from the request's source,

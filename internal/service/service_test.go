@@ -239,7 +239,7 @@ func TestRepeatSubmissionHitsCacheBytewise(t *testing.T) {
 		t.Fatalf("first submission: %d %s", status1, body1)
 	}
 	st := srv.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != 0 {
+	if st.CacheMisses != 1 || st.CacheHits != 0 || st.CacheAnswerHits != 0 {
 		t.Fatalf("after first submission: %+v", st)
 	}
 	status2, body2 := post(t, ts, payload)
@@ -247,8 +247,8 @@ func TestRepeatSubmissionHitsCacheBytewise(t *testing.T) {
 		t.Fatalf("second submission: %d %s", status2, body2)
 	}
 	st = srv.Stats()
-	if st.CacheHits != 1 {
-		t.Fatalf("second identical submission did not hit the cache: %+v", st)
+	if st.CacheHits != 1 || st.CacheAnswerHits != 1 {
+		t.Fatalf("second identical submission was not answered from the cache: %+v", st)
 	}
 	if !bytes.Equal(body1, body2) {
 		t.Fatalf("responses differ:\n%s\n%s", body1, body2)
@@ -259,14 +259,34 @@ func TestRepeatSubmissionHitsCacheBytewise(t *testing.T) {
 	if status3 != http.StatusOK {
 		t.Fatalf("third submission: %d %s", status3, body3)
 	}
-	if st = srv.Stats(); st.CacheHits != 2 {
-		t.Fatalf("same tree with a new bound missed the cache: %+v", st)
+	if st = srv.Stats(); st.CacheHits != 2 || st.CacheAnswerHits != 1 {
+		t.Fatalf("same tree with a new bound missed the cache or reused an answer: %+v", st)
 	}
 	if bytes.Equal(body1, body3) {
 		t.Fatal("different bound returned identical bytes")
 	}
 	if st.Served != 3 || st.InFlight != 0 {
 		t.Fatalf("counter drift: %+v", st)
+	}
+	// A traced request neither reads nor stores an answer: its repeat is
+	// simulated again, to the same bytes.
+	traced := treePayload(t, tr, `,"mem_factor":3,"heuristic":"Activation","trace":true`)
+	_, body4 := post(t, ts, traced)
+	_, body5 := post(t, ts, traced)
+	if !bytes.Equal(body4, body5) {
+		t.Fatalf("traced responses differ:\n%s\n%s", body4, body5)
+	}
+	if st = srv.Stats(); st.CacheAnswerHits != 1 {
+		t.Fatalf("a traced repeat was answered from the cache: %+v", st)
+	}
+	// Omitted defaults and their explicit spelling resolve to one answer.
+	_, bare := post(t, ts, treePayload(t, tr, ``))
+	_, explicit := post(t, ts, treePayload(t, tr, `,"procs":8,"mem_factor":2,"ao":"memPO"`))
+	if !bytes.Equal(bare, explicit) {
+		t.Fatalf("explicit defaults answered differently:\n%s\n%s", bare, explicit)
+	}
+	if st = srv.Stats(); st.CacheAnswerHits != 2 {
+		t.Fatalf("explicit defaults were not answered from the bare request's outcome: %+v", st)
 	}
 }
 
@@ -358,21 +378,28 @@ func TestPerturbedDeterminism(t *testing.T) {
 }
 
 // Concurrent clients hammering a small working set: every response must
-// be correct for its tree (run under -race in CI). A 1-worker pool must
-// serve concurrent clients too — the semaphore queues, never drops.
+// be the bytes a fresh server gives for that request (run under -race in
+// CI). Each tree is asked for under two option sets, taken alternately,
+// so its one stored answer keeps being replaced while other clients read
+// it. A 1-worker pool must serve concurrent clients too — the semaphore
+// queues, never drops.
 func TestConcurrentClients(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		srv, ts := newTestServer(t, &service.Options{Workers: workers, MaxCachedTrees: 8})
-		payloads := make([]string, 3)
-		for i := range payloads {
-			tr := workload.MustSynthetic(workload.NewRNG(uint64(40+i)), workload.SyntheticOptions{Nodes: 200 + 50*i})
-			payloads[i] = treePayload(t, tr, "")
+		_, ref := newTestServer(t, nil)
+		const trees = 3
+		var payloads []string
+		for _, opt := range []string{``, `,"procs":4,"mem_factor":3`} {
+			for i := 0; i < trees; i++ {
+				tr := workload.MustSynthetic(workload.NewRNG(uint64(40+i)), workload.SyntheticOptions{Nodes: 200 + 50*i})
+				payloads = append(payloads, treePayload(t, tr, opt))
+			}
 		}
 		want := make([][]byte, len(payloads))
 		for i, p := range payloads {
-			status, b := post(t, ts, p)
+			status, b := post(t, ref, p)
 			if status != http.StatusOK {
-				t.Fatalf("seed request %d: %d %s", i, status, b)
+				t.Fatalf("reference request %d: %d %s", i, status, b)
 			}
 			want[i] = b
 		}
@@ -401,7 +428,7 @@ func TestConcurrentClients(t *testing.T) {
 						return
 					}
 					if !bytes.Equal(b, want[i]) {
-						errs <- fmt.Errorf("client %d got a response for the wrong tree", c)
+						errs <- fmt.Errorf("client %d: request %d answered other bytes than a fresh server", c, i)
 						return
 					}
 					// Interleave stats reads to race them against updates.
@@ -424,11 +451,12 @@ func TestConcurrentClients(t *testing.T) {
 		if st.InFlight != 0 {
 			t.Fatalf("in-flight not drained: %+v", st)
 		}
-		if got := st.Served; got != clients*perClient+int64(len(payloads)) {
-			t.Fatalf("served %d, want %d", got, clients*perClient+len(payloads))
+		if got := st.Served; got != clients*perClient {
+			t.Fatalf("served %d, want %d", got, clients*perClient)
 		}
-		if st.CacheHits != clients*perClient {
-			t.Fatalf("cache hits %d, want %d (misses %d)", st.CacheHits, clients*perClient, st.CacheMisses)
+		if st.CacheMisses != trees || st.CacheHits != clients*perClient-trees || st.CacheAnswerHits > st.CacheHits {
+			t.Fatalf("cache hits %d (answer hits %d), misses %d; want %d hits, %d misses",
+				st.CacheHits, st.CacheAnswerHits, st.CacheMisses, clients*perClient-trees, trees)
 		}
 	}
 }

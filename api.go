@@ -220,21 +220,19 @@ func SyntheticCorpus(seed uint64, count int, sizes []int) []Instance {
 // AssemblyTreeFromGrid2D factors an n×n 5-point grid under nested
 // dissection and returns its assembly tree.
 func AssemblyTreeFromGrid2D(n, amalgamation int) (*Tree, error) {
-	p, coords := sparse.Grid2D(n, n)
-	res, err := sparse.AssemblyTree(p, sparse.NestedDissection(coords, 8),
-		&sparse.AssemblyOptions{Amalgamation: amalgamation})
-	if err != nil {
-		return nil, err
-	}
-	return res.Tree, nil
+	return gridTree(2, n, amalgamation)
 }
 
 // AssemblyTreeFromGrid3D factors an n×n×n 7-point grid under nested
 // dissection and returns its assembly tree.
 func AssemblyTreeFromGrid3D(n, amalgamation int) (*Tree, error) {
-	p, coords := sparse.Grid3D(n, n, n)
-	res, err := sparse.AssemblyTree(p, sparse.NestedDissection(coords, 12),
-		&sparse.AssemblyOptions{Amalgamation: amalgamation})
+	return gridTree(3, n, amalgamation)
+}
+
+// gridTree is the assembly tree of sparse.GridND(dim, n).
+func gridTree(dim, n, amalgamation int) (*Tree, error) {
+	p, perm := sparse.GridND(dim, n)
+	res, err := sparse.AssemblyTree(p, perm, &sparse.AssemblyOptions{Amalgamation: amalgamation})
 	if err != nil {
 		return nil, err
 	}

@@ -71,49 +71,31 @@ func main() {
 }
 
 func generate(kind string, n, side, deg, bw, amalg int, seed int64) (*tree.Tree, error) {
+	var (
+		p    *sparse.Pattern
+		perm []int32 // nil: natural order
+	)
 	switch kind {
 	case "synthetic":
 		return workload.Synthetic(workload.NewRNG(uint64(seed)), workload.SyntheticOptions{Nodes: n})
 	case "grid2d":
-		p, coords := sparse.Grid2D(side, side)
-		res, err := sparse.AssemblyTree(p, sparse.NestedDissection(coords, 8),
-			&sparse.AssemblyOptions{Amalgamation: amalg})
-		if err != nil {
-			return nil, err
-		}
-		return res.Tree, nil
+		p, perm = sparse.GridND(2, side)
 	case "grid2d-rcm":
-		p, _ := sparse.Grid2D(side, side)
-		res, err := sparse.AssemblyTree(p, sparse.ReverseCuthillMcKee(p),
-			&sparse.AssemblyOptions{Amalgamation: amalg})
-		if err != nil {
-			return nil, err
-		}
-		return res.Tree, nil
+		p, _ = sparse.Grid2D(side, side)
+		perm = sparse.ReverseCuthillMcKee(p)
 	case "grid3d":
-		p, coords := sparse.Grid3D(side, side, side)
-		res, err := sparse.AssemblyTree(p, sparse.NestedDissection(coords, 12),
-			&sparse.AssemblyOptions{Amalgamation: amalg})
-		if err != nil {
-			return nil, err
-		}
-		return res.Tree, nil
+		p, perm = sparse.GridND(3, side)
 	case "random":
-		rng := rand.New(rand.NewSource(seed))
-		p := sparse.RandomSym(n, deg, rng)
-		res, err := sparse.AssemblyTree(p, sparse.MinimumDegree(p),
-			&sparse.AssemblyOptions{Amalgamation: amalg})
-		if err != nil {
-			return nil, err
-		}
-		return res.Tree, nil
+		p = sparse.RandomSym(n, deg, rand.New(rand.NewSource(seed)))
+		perm = sparse.MinimumDegree(p)
 	case "band":
-		p := sparse.Band(n, bw)
-		res, err := sparse.AssemblyTree(p, nil, &sparse.AssemblyOptions{Amalgamation: amalg})
-		if err != nil {
-			return nil, err
-		}
-		return res.Tree, nil
+		p = sparse.Band(n, bw)
+	default:
+		return nil, fmt.Errorf("unknown kind %q", kind)
 	}
-	return nil, fmt.Errorf("unknown kind %q", kind)
+	res, err := sparse.AssemblyTree(p, perm, &sparse.AssemblyOptions{Amalgamation: amalg})
+	if err != nil {
+		return nil, err
+	}
+	return res.Tree, nil
 }

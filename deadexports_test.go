@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis/load"
@@ -18,39 +19,76 @@ var testOnlyExports = map[string]string{
 	"repro/internal/distributed.StatsOf":       "the distributed tests check the engine's transfer ledger",
 	"repro/internal/baseline.IsReductionTree":  "the RedTree tests check the transform's shape",
 	"repro/internal/moldable.RigidProfile":     "the moldable tests pin the width-1 case to the rigid engine",
-	"repro/internal/workload.FrontierRandom":   "the zero policy; the workload tests set it to compare tree heights",
 	"repro/internal/harness.HeurRedTree":       "the harness tests name the RedTree rows they check",
 	"repro/internal/analysis/analysistest.Run": "every analyzer test drives its fixtures through it",
 }
 
-// TestNoDeadExports fails on any exported package-level func, type,
-// const or var under internal/ that no non-test file of the module —
-// bench/, cmd/ and examples/ included — references outside its own
-// declaration, unless testOnlyExports names it.
-func TestNoDeadExports(t *testing.T) {
+// testOnlyFields are exported struct fields under internal/ that only
+// tests set, each an oracle switch a test turns on.
+var testOnlyFields = map[string]string{
+	"repro/internal/core.MemBooking.CheckInvariants":        "the Lemma 2–5 checker the core tests run after every event",
+	"repro/internal/multitree.FaultOptions.RecordSchedules": "the witness the restart-determinism oracle compares",
+}
+
+var (
+	moduleOnce sync.Once
+	modulePkgs []*load.Package
+	moduleErr  error
+)
+
+// loadModule typechecks every non-test file of the module — bench/,
+// cmd/ and examples/ included — once for the checks below.
+func loadModule(t *testing.T) []*load.Package {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("typechecks the whole module from source")
 	}
-	l, err := load.New(".")
-	if err != nil {
-		t.Fatal(err)
+	moduleOnce.Do(func() {
+		l, err := load.New(".")
+		if err != nil {
+			moduleErr = err
+			return
+		}
+		paths, err := l.Expand([]string{"./..."})
+		if err != nil {
+			moduleErr = err
+			return
+		}
+		for _, path := range paths {
+			pkg, err := l.Load(path)
+			if err != nil {
+				moduleErr = err
+				return
+			}
+			modulePkgs = append(modulePkgs, pkg)
+		}
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
 	}
-	paths, err := l.Expand([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
+	return modulePkgs
+}
+
+// internalPkgs yields the loaded packages under internal/.
+func internalPkgs(pkgs []*load.Package) []*load.Package {
+	var out []*load.Package
+	for _, pkg := range pkgs {
+		if strings.HasPrefix(pkg.Path, "repro/internal/") {
+			out = append(out, pkg)
+		}
 	}
+	return out
+}
+
+// TestNoDeadExports fails on any exported package-level func, type,
+// const or var under internal/ that no non-test file of the module
+// references outside its own declaration, unless testOnlyExports names
+// it.
+func TestNoDeadExports(t *testing.T) {
+	pkgs := loadModule(t)
 	type span struct{ pos, end token.Pos }
 	decls := map[types.Object]span{} // candidate → its declaration
-	var pkgs []*load.Package
-	for _, path := range paths {
-		pkg, err := l.Load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, pkg)
-		if !strings.HasPrefix(path, "repro/internal/") {
-			continue
-		}
+	for _, pkg := range internalPkgs(pkgs) {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
@@ -102,6 +140,126 @@ func TestNoDeadExports(t *testing.T) {
 	for name := range testOnlyExports {
 		if obj := lookup(pkgs, name); obj == nil || used[obj] {
 			t.Errorf("testOnlyExports names %s, which is gone or read outside tests: drop the entry", name)
+		}
+	}
+}
+
+// TestNoUnsetFields fails on any exported, untagged, non-embedded field
+// of an exported struct type under internal/ that no non-test file of
+// the module writes, unless testOnlyFields names it. A field is written
+// by a composite-literal element (keyed or positional), as the target
+// of an assignment or ++/-- (also through an index expression), or as
+// the operand of &. Tagged fields are skipped: a decoder sets them.
+func TestNoUnsetFields(t *testing.T) {
+	pkgs := loadModule(t)
+	fields := map[*types.Var]string{} // candidate → "path.Type.Field"
+	for _, pkg := range internalPkgs(pkgs) {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				d, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, s := range d.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						if fl.Tag != nil {
+							continue
+						}
+						for _, n := range fl.Names {
+							if n.IsExported() {
+								fields[pkg.Info.Defs[n].(*types.Var)] = pkg.Path + "." + ts.Name.Name + "." + n.Name
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	set := map[*types.Var]bool{}
+	for _, pkg := range pkgs {
+		info := pkg.Info
+		// target marks the field an assignment target or & operand
+		// names, looking through parentheses and index expressions.
+		target := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.ParenExpr:
+					e = x.X
+					continue
+				case *ast.IndexExpr:
+					e = x.X
+					continue
+				case *ast.SelectorExpr:
+					if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+						set[v.Origin()] = true
+					}
+				}
+				return
+			}
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := info.TypeOf(n)
+					if p, ok := typ.Underlying().(*types.Pointer); ok {
+						typ = p.Elem() // an elided &T{...} element
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+								set[v.Origin()] = true
+							}
+						} else {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unset []string
+	for v, name := range fields {
+		if _, ok := testOnlyFields[name]; !ok && !set[v] {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("%s is exported but no non-test file of the module sets it: make it a constant or delete it, or name it in testOnlyFields with the test that sets it", name)
+	}
+	for name := range testOnlyFields {
+		found := false
+		for v, n := range fields {
+			if n == name {
+				found = !set[v]
+			}
+		}
+		if !found {
+			t.Errorf("testOnlyFields names %s, which is gone or set outside tests: drop the entry", name)
 		}
 	}
 }

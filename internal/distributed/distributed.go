@@ -4,9 +4,11 @@
 // are mapped to domains with the classical proportional mapping (in the
 // spirit of the paper's reference [2], Agullo et al., "Robust
 // memory-aware mappings for parallel multifrontal factorizations");
-// outputs crossing a domain boundary are transferred over a finite
-// bandwidth and occupy memory at the destination from the moment the
-// transfer is admitted.
+// an output crossing a domain boundary must be admitted into the
+// destination's memory before it moves, and occupies that memory from
+// the moment of admission. The interconnect itself is instantaneous: a
+// transfer arrives at its admission instant, so what the model studies
+// is the memory a crossing edge holds, not its time on the wire.
 //
 // The scheduling policy is an activation scheme per domain: within each
 // domain tasks are activated in AO order by booking their execution and
@@ -31,11 +33,9 @@ type Domain struct {
 	Mem   float64
 }
 
-// Platform is a set of domains plus the interconnect bandwidth (data
-// units per time unit; 0 means instantaneous transfers).
+// Platform is a set of domains.
 type Platform struct {
-	Domains   []Domain
-	Bandwidth float64
+	Domains []Domain
 }
 
 // Validate checks the platform.
@@ -51,19 +51,16 @@ func (p *Platform) Validate() error {
 			return fmt.Errorf("distributed: domain %d has no memory", i)
 		}
 	}
-	if p.Bandwidth < 0 {
-		return fmt.Errorf("distributed: negative bandwidth")
-	}
 	return nil
 }
 
 // Uniform returns a platform of nd identical domains.
-func Uniform(nd, procs int, mem, bandwidth float64) *Platform {
+func Uniform(nd, procs int, mem float64) *Platform {
 	ds := make([]Domain, nd)
 	for i := range ds {
 		ds[i] = Domain{Procs: procs, Mem: mem}
 	}
-	return &Platform{Domains: ds, Bandwidth: bandwidth}
+	return &Platform{Domains: ds}
 }
 
 // ProportionalMapping assigns every task to one of nd domains by the

@@ -99,7 +99,7 @@ func TestSingleDomainMatchesActivation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plat := distributed.Uniform(1, 4, m, 0)
+		plat := distributed.Uniform(1, 4, m)
 		got, err := distributed.Run(tr, plat, distributed.ProportionalMapping(tr, 1), ao, ao)
 		if err != nil {
 			t.Fatal(err)
@@ -120,46 +120,23 @@ func TestDistributedCompletesWithAmpleMemory(t *testing.T) {
 		tr := randTree(rng, 1+rng.Intn(120))
 		ao, _ := order.MinMemPostOrder(tr)
 		for _, nd := range []int{2, 4} {
-			for _, bw := range []float64{0, 5} {
-				plat := distributed.Uniform(nd, 2, 1e9, bw)
-				mapping := distributed.ProportionalMapping(tr, nd)
-				res, err := distributed.Run(tr, plat, mapping, ao, ao)
-				if err != nil {
-					t.Fatalf("nd=%d bw=%g n=%d: %v", nd, bw, tr.Len(), err)
-				}
-				if res.Makespan < tr.CriticalPath()-1e-9 {
-					t.Fatalf("makespan %g below critical path", res.Makespan)
-				}
-				st := distributed.StatsOf(tr, mapping, nd)
-				if res.Transfers != st.CrossEdges {
-					t.Fatalf("transfers %d != cross edges %d", res.Transfers, st.CrossEdges)
-				}
-				if math.Abs(res.TransferVolume-st.CrossVolume) > 1e-9 {
-					t.Fatalf("volume %g != cross volume %g", res.TransferVolume, st.CrossVolume)
-				}
+			plat := distributed.Uniform(nd, 2, 1e9)
+			mapping := distributed.ProportionalMapping(tr, nd)
+			res, err := distributed.Run(tr, plat, mapping, ao, ao)
+			if err != nil {
+				t.Fatalf("nd=%d n=%d: %v", nd, tr.Len(), err)
+			}
+			if res.Makespan < tr.CriticalPath()-1e-9 {
+				t.Fatalf("makespan %g below critical path", res.Makespan)
+			}
+			st := distributed.StatsOf(tr, mapping, nd)
+			if res.Transfers != st.CrossEdges {
+				t.Fatalf("transfers %d != cross edges %d", res.Transfers, st.CrossEdges)
+			}
+			if math.Abs(res.TransferVolume-st.CrossVolume) > 1e-9 {
+				t.Fatalf("volume %g != cross volume %g", res.TransferVolume, st.CrossVolume)
 			}
 		}
-	}
-}
-
-func TestDistributedBandwidthSlowsCompletion(t *testing.T) {
-	rng := rand.New(rand.NewSource(227))
-	tr := randTree(rng, 200)
-	ao, _ := order.MinMemPostOrder(tr)
-	mapping := distributed.ProportionalMapping(tr, 4)
-	fast, err := distributed.Run(tr, distributed.Uniform(4, 2, 1e9, 0), mapping, ao, ao)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := distributed.Run(tr, distributed.Uniform(4, 2, 1e9, 0.5), mapping, ao, ao)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.Makespan < fast.Makespan {
-		t.Fatalf("finite bandwidth faster (%g) than infinite (%g)", slow.Makespan, fast.Makespan)
-	}
-	if fast.Transfers > 0 && slow.Makespan == fast.Makespan {
-		t.Log("bandwidth had no effect (transfers off the critical path)")
 	}
 }
 
@@ -167,7 +144,7 @@ func TestDistributedDeadlockDetected(t *testing.T) {
 	// A single task that cannot fit in its domain memory.
 	tr := tree.MustNew([]tree.NodeID{tree.None}, []float64{10}, []float64{10}, nil)
 	ao, _ := order.MinMemPostOrder(tr)
-	plat := distributed.Uniform(1, 1, 5, 0)
+	plat := distributed.Uniform(1, 1, 5)
 	_, err := distributed.Run(tr, plat, []int32{0}, ao, ao)
 	var dead *core.ErrDeadlock
 	if !errors.As(err, &dead) {
@@ -184,7 +161,7 @@ func TestDistributedValidation(t *testing.T) {
 	if _, err := distributed.Run(tr, &distributed.Platform{}, []int32{0}, ao, ao); err == nil {
 		t.Error("empty platform accepted")
 	}
-	plat := distributed.Uniform(2, 1, 10, 0)
+	plat := distributed.Uniform(2, 1, 10)
 	if _, err := distributed.Run(tr, plat, []int32{5}, ao, ao); err == nil {
 		t.Error("out-of-range mapping accepted")
 	}
@@ -208,7 +185,7 @@ func TestDistributedMemoryAudit(t *testing.T) {
 		peak, _ := order.PeakMemory(tr, ao.Seq)
 		nd := 1 + rng.Intn(4)
 		mem := peak * (0.5 + 2*rng.Float64())
-		plat := distributed.Uniform(nd, 1+rng.Intn(3), mem, float64(rng.Intn(3)))
+		plat := distributed.Uniform(nd, 1+rng.Intn(3), mem)
 		_, err := distributed.Run(tr, plat, distributed.ProportionalMapping(tr, nd), ao, ao)
 		var dead *core.ErrDeadlock
 		switch {

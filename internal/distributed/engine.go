@@ -19,11 +19,9 @@ type Result struct {
 	PeakMem    []float64
 	PeakBooked []float64
 	// Transfers counts cross-domain output movements; TransferVolume is
-	// their total size and TransferTime the total time they spent on the
-	// wire.
+	// their total size.
 	Transfers      int
 	TransferVolume float64
-	TransferTime   float64
 	// BusyTime is the per-domain processor-seconds of useful work.
 	BusyTime []float64
 }
@@ -31,8 +29,8 @@ type Result struct {
 // Run executes t on the platform with the given task→domain mapping,
 // using a per-domain activation policy: local tasks activate in AO order
 // by booking n_i + f_i against their domain's memory; outputs crossing
-// domains are admitted into the destination's memory before the transfer
-// starts and travel at the platform bandwidth.
+// domains are admitted into the destination's memory and arrive at the
+// instant of their admission.
 func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*Result, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
@@ -130,14 +128,9 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 			booked[d] += f
 			used[d] += f
 			mark(d)
-			dur := 0.0
-			if plat.Bandwidth > 0 {
-				dur = f / plat.Bandwidth
-			}
 			res.Transfers++
 			res.TransferVolume += f
-			res.TransferTime += dur
-			events.Push(now+dur, int32(int(c)+n))
+			events.Push(now, int32(int(c)+n))
 		}
 		waiting[d] = q
 	}

@@ -11,11 +11,13 @@ import (
 
 // distStudy evaluates the §8 distributed-memory extension: the same
 // total processor and memory budget spread over 1, 2 or 4 domains with
-// private memories, proportional mapping, and a finite interconnect.
-// Expected: more domains shrink the per-domain memory (termination
-// failures appear at tight bounds) and cross-domain transfers stretch
-// the makespan, while a generous budget keeps the penalty small — the
-// trade-off §8 describes for clusters of cores.
+// private memories and proportional mapping. Transfers are
+// instantaneous, so more domains cost through memory and balance: each
+// domain's share shrinks and a crossing edge holds destination memory
+// from its admission, so termination failures appear at tight bounds,
+// and waits for admission or for a busy domain stretch the makespan,
+// while a generous budget keeps the penalty small — the trade-off §8
+// describes for clusters of cores.
 func distStudy(cfg *Config) (*Table, error) {
 	t := &Table{ID: "dist",
 		Title: "distributed domains (§8 extension): makespan vs domain count, assembly trees",
@@ -33,7 +35,7 @@ func distStudy(cfg *Config) (*Table, error) {
 			for _, pr := range prep {
 				// The total memory budget factor×peak is split evenly.
 				memPer := factor * pr.peak / float64(nd)
-				plat := distributed.Uniform(nd, procsPer, memPer, 0)
+				plat := distributed.Uniform(nd, procsPer, memPer)
 				mapping := distributed.ProportionalMapping(pr.inst.Tree, nd)
 				res, err := distributed.Run(pr.inst.Tree, plat, mapping, pr.ao, pr.ao)
 				if err != nil {

@@ -125,7 +125,6 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
-	Notes  []string
 }
 
 // Add appends a row, formatting each cell with %v (floats as %.4g).
@@ -144,15 +143,10 @@ func (t *Table) Add(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// WriteTSV emits the table as tab-separated values with # metadata lines.
+// WriteTSV emits the table as tab-separated values under a "# ID: title" line.
 func (t *Table) WriteTSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# %s: %s\n", t.ID, t.Title); err != nil {
 		return err
-	}
-	for _, n := range t.Notes {
-		if _, err := fmt.Fprintf(w, "# %s\n", n); err != nil {
-			return err
-		}
 	}
 	if _, err := fmt.Fprintln(w, strings.Join(t.Header, "\t")); err != nil {
 		return err

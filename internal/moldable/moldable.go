@@ -33,14 +33,12 @@ type Profile struct {
 	// Workspace is the extra memory a task needs per processor beyond
 	// the first.
 	Workspace []float64
-	// MaxWidth caps the processors a task may use (0 = no cap).
-	MaxWidth []int32
 }
 
 // Validate checks the profile against a tree.
 func (p *Profile) Validate(t *tree.Tree) error {
 	n := t.Len()
-	if len(p.Alpha) != n || len(p.Workspace) != n || len(p.MaxWidth) != n {
+	if len(p.Alpha) != n || len(p.Workspace) != n {
 		return fmt.Errorf("moldable: profile arrays must have %d entries", n)
 	}
 	for i := 0; i < n; i++ {
@@ -49,9 +47,6 @@ func (p *Profile) Validate(t *tree.Tree) error {
 		}
 		if p.Workspace[i] < 0 {
 			return fmt.Errorf("moldable: negative workspace[%d]", i)
-		}
-		if p.MaxWidth[i] < 0 {
-			return fmt.Errorf("moldable: negative max width[%d]", i)
 		}
 	}
 	return nil
@@ -75,16 +70,6 @@ func (p *Profile) ExtraMem(i tree.NodeID, q int) float64 {
 	return float64(q-1) * p.Workspace[i]
 }
 
-// widthCap returns the effective processor cap of task i given p
-// processors total.
-func (p *Profile) widthCap(i tree.NodeID, procs int) int {
-	cap_ := procs
-	if p.MaxWidth[i] > 0 && int(p.MaxWidth[i]) < cap_ {
-		cap_ = int(p.MaxWidth[i])
-	}
-	return cap_
-}
-
 // DefaultProfile derives a realistic profile from the tree itself: tasks
 // with more work parallelise better (a large dense front scales almost
 // linearly, a tiny one not at all), and the per-processor workspace is a
@@ -94,7 +79,6 @@ func DefaultProfile(t *tree.Tree) *Profile {
 	p := &Profile{
 		Alpha:     make([]float64, n),
 		Workspace: make([]float64, n),
-		MaxWidth:  make([]int32, n),
 	}
 	// Median work sets the scale: alpha = w/(w+median) grows with work.
 	works := make([]float64, n)
@@ -111,25 +95,16 @@ func DefaultProfile(t *tree.Tree) *Profile {
 		id := tree.NodeID(i)
 		p.Alpha[i] = works[i] / (works[i] + median)
 		p.Workspace[i] = 0.1 * (t.Exec(id) + t.Out(id))
-		p.MaxWidth[i] = 0
 	}
 	return p
 }
 
 // RigidProfile returns a profile under which widening never helps: all
-// tasks are sequential (alpha 0, width cap 1). Scheduling with it must
-// reproduce the rigid model exactly.
+// tasks are sequential (alpha 0). Scheduling with it must reproduce the
+// rigid model exactly.
 func RigidProfile(t *tree.Tree) *Profile {
 	n := t.Len()
-	p := &Profile{
-		Alpha:     make([]float64, n),
-		Workspace: make([]float64, n),
-		MaxWidth:  make([]int32, n),
-	}
-	for i := range p.MaxWidth {
-		p.MaxWidth[i] = 1
-	}
-	return p
+	return &Profile{Alpha: make([]float64, n), Workspace: make([]float64, n)}
 }
 
 // MemBookingMoldable wraps the paper's MemBooking with a width policy:
@@ -221,7 +196,7 @@ func (s *MemBookingMoldable) Select(free int) []tree.NodeID {
 			if leftover == 0 {
 				break
 			}
-			if int(s.width[id]) >= s.profile.widthCap(id, s.procs) {
+			if int(s.width[id]) >= s.procs {
 				continue
 			}
 			if s.profile.Alpha[id] == 0 {

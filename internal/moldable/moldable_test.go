@@ -40,7 +40,7 @@ func TestProfileValidate(t *testing.T) {
 	if err := p.Validate(tr); err == nil {
 		t.Fatal("alpha > 1 accepted")
 	}
-	short := &moldable.Profile{Alpha: []float64{0}, Workspace: []float64{0}, MaxWidth: []int32{0}}
+	short := &moldable.Profile{Alpha: []float64{0}, Workspace: []float64{0}}
 	if err := short.Validate(tr); err == nil {
 		t.Fatal("short profile accepted")
 	}
@@ -138,7 +138,6 @@ func TestMoldableBeatsRigidOnRootHeavyTree(t *testing.T) {
 	m := 4 * peak
 	prof := moldable.RigidProfile(tr)
 	prof.Alpha[root] = 0.95
-	prof.MaxWidth[root] = 0
 	prof.Workspace[root] = 1
 
 	rigid, _ := core.NewMemBooking(tr, m, ao, ao)
@@ -174,7 +173,6 @@ func TestMoldableDegradesUnderMemoryPressure(t *testing.T) {
 	ao, peak := order.MinMemPostOrder(tr)
 	prof := moldable.RigidProfile(tr)
 	prof.Alpha[root] = 0.95
-	prof.MaxWidth[root] = 0
 	prof.Workspace[root] = 1e9 // workspace can never fit
 
 	ms, _ := moldable.NewMemBookingMoldable(tr, peak, ao, ao, prof, 8)
@@ -213,7 +211,7 @@ func TestNewMemBookingMoldableValidation(t *testing.T) {
 	if _, err := moldable.NewMemBookingMoldable(tr, 10, ao, ao, nil, 0); err == nil {
 		t.Fatal("procs=0 accepted")
 	}
-	bad := &moldable.Profile{Alpha: []float64{2}, Workspace: []float64{0}, MaxWidth: []int32{0}}
+	bad := &moldable.Profile{Alpha: []float64{2}, Workspace: []float64{0}}
 	if _, err := moldable.NewMemBookingMoldable(tr, 10, ao, ao, bad, 2); err == nil {
 		t.Fatal("invalid profile accepted")
 	}

@@ -1,6 +1,6 @@
 // Package obs is the live-telemetry layer: a fixed-capacity lock-free
 // ring buffer of typed cluster events written by the scheduling hot
-// paths (multitree's event loop, the executor, the service), drained
+// paths (multitree's event loop, the service), drained
 // asynchronously into pooled frames and fanned out to subscribers over
 // buffered channels with drop-oldest semantics. The design contract is
 // one-directional backpressure-freedom: an emitter never blocks and
@@ -10,8 +10,8 @@
 //
 // Two producer modes share one Observer type. The default is
 // multi-producer (Vyukov-style sequenced slots, one CAS per emit),
-// safe for the service's concurrent handlers and the executor's
-// workers. SingleProducer mode is for the simulator's single-threaded
+// safe for the service's concurrent handlers and job runners.
+// SingleProducer mode is for the simulator's single-threaded
 // event loop: events land in a plain array through one cached-bound
 // check, and visibility is published in batches of spFlushBatch
 // (finished by an explicit Flush from the producer), so the per-event

@@ -439,7 +439,6 @@ func (s *Server) expireJob(rec *jobRecord) {
 	s.jobs.expire(rec, fail(http.StatusGatewayTimeout,
 		"deadline exceeded after %d attempt(s)", rec.attempts))
 	s.obs.Emit(obs.KindDone, s.uptime(), int32(rec.id), -1, 0, 1)
-	s.rejected.Add(1)
 }
 
 // handleJobGet reports one job's lifecycle. With ?timeline=1 a done job

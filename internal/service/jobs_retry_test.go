@@ -153,6 +153,10 @@ func TestJobDeadlineExpires(t *testing.T) {
 	if _, _, bytes, _, _, _ := srv.jobs.gauges(); bytes != 0 {
 		t.Fatalf("expired job left %d pending bytes reserved", bytes)
 	}
+	// A 504 expiry is not a 4xx verdict: it shows in JobsExpired only.
+	if s := srv.Stats(); s.Rejected != 0 || s.JobsExpired != 1 {
+		t.Fatalf("after the expiry: rejected %d, expired %d; want 0, 1", s.Rejected, s.JobsExpired)
+	}
 }
 
 // Negative retries/deadline are rejected at submission.

@@ -836,20 +836,8 @@ func (s *Server) grid(g *GridSpec, dim int) (*tree.Tree, *httpError) {
 	if am <= 0 {
 		am = 1
 	}
-	var (
-		p      *sparse.Pattern
-		coords [][3]int32
-		leaf   int
-	)
-	if dim == 2 {
-		p, coords = sparse.Grid2D(g.N, g.N)
-		leaf = 8
-	} else {
-		p, coords = sparse.Grid3D(g.N, g.N, g.N)
-		leaf = 12
-	}
-	res, err := sparse.AssemblyTree(p, sparse.NestedDissection(coords, leaf),
-		&sparse.AssemblyOptions{Amalgamation: am})
+	p, perm := sparse.GridND(dim, g.N)
+	res, err := sparse.AssemblyTree(p, perm, &sparse.AssemblyOptions{Amalgamation: am})
 	if err != nil {
 		return nil, fail(http.StatusBadRequest, "grid%dd: %v", dim, err)
 	}

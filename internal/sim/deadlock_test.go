@@ -50,7 +50,7 @@ func TestEveryEngineDeadlocksWithOneType(t *testing.T) {
 			return err
 		}},
 		{"distributed", "distributed", 1, func(t *testing.T) error {
-			_, err := distributed.Run(tr, distributed.Uniform(1, 2, bound, 0), []int32{0, 0}, ao, ao)
+			_, err := distributed.Run(tr, distributed.Uniform(1, 2, bound), []int32{0, 0}, ao, ao)
 			return err
 		}},
 		{"executor", "MemBooking", 2, func(t *testing.T) error {

@@ -124,23 +124,25 @@ func RenderMemory(w io.Writer, samples []MemSample, bound float64, width, height
 			bound = 1
 		}
 	}
-	// Bucket the samples per column, keeping the max of each column.
+	// Bucket the samples per column (max and last of each), then carry
+	// levels across: a sampled column shows the max of the level it was
+	// entered at and its own samples; an unsampled column holds the level
+	// the last sample left, not the peak of that sample's column.
 	usedCol := make([]float64, width)
 	bookedCol := make([]float64, width)
-	for _, s := range samples {
+	last := make([]*MemSample, width)
+	for i, s := range samples {
 		c := int(s.Time / tmax * float64(width-1))
-		if s.Used > usedCol[c] {
-			usedCol[c] = s.Used
-		}
-		if s.Booked > bookedCol[c] {
-			bookedCol[c] = s.Booked
-		}
+		usedCol[c] = max(usedCol[c], s.Used)
+		bookedCol[c] = max(bookedCol[c], s.Booked)
+		last[c] = &samples[i]
 	}
-	// Carry values forward over empty columns.
-	for c := 1; c < width; c++ {
-		if usedCol[c] == 0 && bookedCol[c] == 0 {
-			usedCol[c] = usedCol[c-1]
-			bookedCol[c] = bookedCol[c-1]
+	var level MemSample
+	for c, s := range last {
+		usedCol[c] = max(usedCol[c], level.Used)
+		bookedCol[c] = max(bookedCol[c], level.Booked)
+		if s != nil {
+			level = *s
 		}
 	}
 	for row := height; row >= 1; row-- {

@@ -192,4 +192,16 @@ func TestRenderMemory(t *testing.T) {
 	if err := sim.RenderMemory(&buf, nil, 1, 40, 4); err == nil {
 		t.Fatal("empty samples accepted")
 	}
+
+	// A momentary peak is not a plateau: after t = 0.3 the level is 10,
+	// then 0, so no column past the peak's own reaches the top row.
+	buf.Reset()
+	spike := []sim.MemSample{{Time: 0, Used: 50}, {Time: 0.2, Used: 100}, {Time: 0.3, Used: 10}, {Time: 10, Used: 0}}
+	if err := sim.RenderMemory(&buf, spike, 100, 20, 4); err != nil {
+		t.Fatal(err)
+	}
+	top := strings.SplitN(buf.String(), "\n", 2)[0]
+	if want := "|#                   | 100 (bound)"; top != want {
+		t.Fatalf("top row %q, want %q; chart:\n%s", top, want, buf.String())
+	}
 }

@@ -13,10 +13,11 @@ type AssemblyOptions struct {
 	// multifrontal codes to enlarge fronts). 0 or 1 keeps fundamental
 	// supernodes only.
 	Amalgamation int
-	// FlopScale converts factorization flops into the processing times
-	// t_i of the scheduling model. Defaults to 1e-9 (a 1 Gflop/s core).
-	FlopScale float64
 }
+
+// flopScale converts factorization flops into the processing times t_i
+// of the scheduling model: a 1 Gflop/s core.
+const flopScale = 1e-9
 
 // Front describes one node of an assembly tree: a dense frontal matrix of
 // order M in which the first K variables are eliminated.
@@ -65,14 +66,10 @@ type AssemblyResult struct {
 //	f_i = contribution-block entries (output passed to the parent),
 //	n_i = factor entries (freed when the front completes — the factors
 //	      are written out, as in an out-of-core multifrontal solver),
-//	t_i = factorization flops × FlopScale.
+//	t_i = factorization flops × flopScale.
 func AssemblyTree(p *Pattern, perm []int32, opt *AssemblyOptions) (*AssemblyResult, error) {
 	if opt == nil {
 		opt = &AssemblyOptions{}
-	}
-	scale := opt.FlopScale
-	if scale == 0 {
-		scale = 1e-9
 	}
 	if perm == nil {
 		perm = NaturalOrder(p.N())
@@ -213,7 +210,7 @@ func AssemblyTree(p *Pattern, perm []int32, opt *AssemblyOptions) (*AssemblyResu
 	for i, f := range fronts {
 		exec[i] = f.FactorSize()
 		out[i] = f.ContribSize()
-		tm[i] = f.Flops() * scale
+		tm[i] = f.Flops() * flopScale
 	}
 	tr, err := tree.New(parents, exec, out, tm)
 	if err != nil {

@@ -151,6 +151,19 @@ func mergeNeighbors(cur, clique []int32, u, v int32, eliminated []bool) []int32 
 	return out
 }
 
+// GridND returns the pattern of the n×n 5-point grid (dim 2) or the
+// n×n×n 7-point grid (dim 3) with its nested-dissection permutation,
+// regions of at most 8 (2-D) or 12 (3-D) vertices ordered naturally —
+// the one grid ordering every grid workload uses.
+func GridND(dim, n int) (*Pattern, []int32) {
+	if dim == 2 {
+		p, coords := Grid2D(n, n)
+		return p, NestedDissection(coords, 8)
+	}
+	p, coords := Grid3D(n, n, n)
+	return p, NestedDissection(coords, 12)
+}
+
 // NestedDissection orders a grid graph (given vertex coordinates) by
 // recursive geometric bisection: each region is split across its longest
 // axis, the two halves are ordered first and the separator plane last.

@@ -76,8 +76,7 @@ func AssemblyCorpus(seed uint64, opt AssemblyCorpusOptions) ([]Instance, error) 
 		return nil
 	}
 	for _, side := range opt.Grids2D {
-		p, coords := sparse.Grid2D(side, side)
-		perm := sparse.NestedDissection(coords, 8)
+		p, perm := sparse.GridND(2, side)
 		for _, a := range opt.Amalgamations {
 			if err := add(fmt.Sprintf("grid2d-%d", side), p, perm, a); err != nil {
 				return nil, err
@@ -94,8 +93,7 @@ func AssemblyCorpus(seed uint64, opt AssemblyCorpusOptions) ([]Instance, error) 
 		}
 	}
 	for _, side := range opt.Grids3D {
-		p, coords := sparse.Grid3D(side, side, side)
-		perm := sparse.NestedDissection(coords, 12)
+		p, perm := sparse.GridND(3, side)
 		for _, a := range opt.Amalgamations {
 			if err := add(fmt.Sprintf("grid3d-%d", side), p, perm, a); err != nil {
 				return nil, err

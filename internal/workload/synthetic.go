@@ -6,30 +6,10 @@ import (
 	"repro/internal/tree"
 )
 
-// FrontierPolicy chooses which open node receives the next children
-// during synthetic tree growth; it controls the depth of the trees
-// (the paper does not specify the construction order, see DESIGN.md).
-type FrontierPolicy int
-
-const (
-	// FrontierRandom expands a uniformly random open node (default);
-	// yields moderately deep trees.
-	FrontierRandom FrontierPolicy = iota
-	// FrontierFIFO expands breadth-first; yields shallow trees.
-	FrontierFIFO
-	// FrontierLIFO expands depth-first; yields deep trees.
-	FrontierLIFO
-)
-
 // SyntheticOptions parameterise the §7.1 synthetic generator.
 type SyntheticOptions struct {
 	// Nodes is the target tree size.
 	Nodes int
-	// Policy is the frontier expansion policy.
-	Policy FrontierPolicy
-	// DegreeWeights overrides the degree distribution over 1..5; nil
-	// uses the paper's table (0.58, 0.17, 0.08, 0.08, 0.08).
-	DegreeWeights []float64
 }
 
 // paperDegreeWeights is Pr(δ = 1..5) from §7.1.
@@ -45,31 +25,20 @@ func Synthetic(rng *RNG, opt SyntheticOptions) (*tree.Tree, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("workload: synthetic tree needs a positive size, got %d", n)
 	}
-	weights := opt.DegreeWeights
-	if weights == nil {
-		weights = paperDegreeWeights
-	}
 	parent := make([]tree.NodeID, n)
 	parent[0] = tree.None
+	// Grow from the root: each step expands a uniformly random open node
+	// (the paper does not specify the construction order, see DESIGN.md).
 	frontier := []tree.NodeID{0}
-	head := 0 // consumed prefix, for FIFO
 	next := 1
-	for next < n && head < len(frontier) {
-		var v tree.NodeID
-		switch opt.Policy {
-		case FrontierFIFO:
-			v = frontier[head]
-			head++
-		case FrontierLIFO:
-			v = frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-		default:
-			idx := head + rng.Intn(len(frontier)-head)
-			v = frontier[idx]
-			frontier[idx] = frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-		}
-		deg := rng.Pick(weights) + 1
+	// Every expansion adds at least one node, so the frontier never
+	// empties before the budget is spent.
+	for next < n {
+		idx := rng.Intn(len(frontier))
+		v := frontier[idx]
+		frontier[idx] = frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		deg := rng.Pick(paperDegreeWeights) + 1
 		if deg > n-next {
 			deg = n - next
 		}
@@ -79,8 +48,6 @@ func Synthetic(rng *RNG, opt SyntheticOptions) (*tree.Tree, error) {
 			next++
 		}
 	}
-	// The frontier never empties before the budget is exhausted (every
-	// expansion adds at least one node), so next == n here.
 	return paperTree(rng, parent)
 }
 

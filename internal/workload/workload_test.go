@@ -160,16 +160,6 @@ func TestSyntheticDeterministic(t *testing.T) {
 	}
 }
 
-func TestSyntheticPolicyDepths(t *testing.T) {
-	const n = 4000
-	hFIFO := MustSynthetic(NewRNG(13), SyntheticOptions{Nodes: n, Policy: FrontierFIFO}).Height()
-	hRand := MustSynthetic(NewRNG(13), SyntheticOptions{Nodes: n, Policy: FrontierRandom}).Height()
-	hLIFO := MustSynthetic(NewRNG(13), SyntheticOptions{Nodes: n, Policy: FrontierLIFO}).Height()
-	if !(hFIFO < hRand && hRand < hLIFO) {
-		t.Fatalf("expected depth ordering FIFO < random < LIFO, got %d %d %d", hFIFO, hRand, hLIFO)
-	}
-}
-
 func TestSyntheticDegreeDistribution(t *testing.T) {
 	tr := MustSynthetic(NewRNG(17), SyntheticOptions{Nodes: 60000})
 	counts := make(map[int]int)

@@ -52,6 +52,9 @@ func run(path, heur string, p int, mem, memFactor float64, aoName, eoName string
 	if err != nil {
 		return err
 	}
+	if err := t.Validate(); err != nil {
+		return err
+	}
 	st := t.ComputeStats()
 	_, minPeak := order.MinMemPostOrder(t)
 	m := mem

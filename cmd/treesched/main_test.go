@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/tree"
@@ -54,5 +55,25 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(filepath.Join(t.TempDir(), "missing.tree"), "MemBooking", 4, 0, 2, "memPO", "memPO", false, false); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// A file the parser accepts but whose attributes are negative, NaN or
+// infinite is refused with Validate's message, as the library readers
+// and the daemon refuse it, rather than scheduled into a NaN makespan.
+func TestRunRejectsInvalidAttributes(t *testing.T) {
+	for _, tc := range []struct{ text, want string }{
+		{"0 -1 1 1 1\n1 0 nan 1 1\n2 0 -5 1 1\n", "node 1 has NaN attribute"},
+		{"0 -1 1 1 1\n1 0 1 1 -5\n", "node 1 has negative attribute"},
+		{"0 -1 1 inf 1\n", "node 0 has infinite attribute"},
+	} {
+		path := filepath.Join(t.TempDir(), "bad.tree")
+		if err := os.WriteFile(path, []byte(tc.text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(path, "MemBooking", 4, 0, 2, "memPO", "memPO", false, false)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: run = %v, want an error containing %q", tc.text, err, tc.want)
+		}
 	}
 }

@@ -20,23 +20,42 @@ import (
 //
 // IDs must be 0..n-1; lines may appear in any order.
 
-// Write serialises t in the .tree format.
+// Write serialises t in the .tree format: attributes in the shortest
+// text that reads back to the same float64 (FormatFloat(x, 'g', -1,
+// 64)), each line appended into one reused buffer, so writing costs no
+// allocation per node.
 func Write(w io.Writer, t *Tree) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# task tree: %d nodes\n", t.Len())
-	fmt.Fprintf(bw, "# id parent exec out time\n")
+	buf := append(make([]byte, 0, 128), "# task tree: "...)
+	buf = strconv.AppendInt(buf, int64(t.Len()), 10)
+	if _, err := bw.Write(append(buf, " nodes\n# id parent exec out time\n"...)); err != nil {
+		return err
+	}
 	for i := 0; i < t.Len(); i++ {
 		id := NodeID(i)
-		_, err := fmt.Fprintf(bw, "%d %d %s %s %s\n", i, t.Parent(id),
-			fmtFloat(t.Exec(id)), fmtFloat(t.Out(id)), fmtFloat(t.Time(id)))
-		if err != nil {
+		buf = strconv.AppendInt(buf[:0], int64(i), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(t.Parent(id)), 10)
+		vals, prev := [3]float64{t.Exec(id), t.Out(id), t.Time(id)}, 0
+		for k, x := range vals {
+			buf = append(buf, ' ')
+			start := len(buf)
+			if k > 0 && math.Float64bits(x) == math.Float64bits(vals[k-1]) {
+				// The paper's generator sets t_i = f_i: a value equal to
+				// the one before it is copied, not formatted again.
+				buf = append(buf, buf[prev:start-1]...)
+			} else {
+				buf = strconv.AppendFloat(buf, x, 'g', -1, 64)
+			}
+			prev = start
+		}
+		buf = append(buf, '\n')
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
-
-func fmtFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
 // ErrTooLarge is wrapped by ReadLimited when the input names more nodes
 // than the caller allows; match it with errors.Is to distinguish "too
@@ -155,7 +174,11 @@ func fields(s string, f *[5]string) (n int) {
 	return n
 }
 
-// line consumes the next input line (without its terminator).
+// line consumes the next input line (without its terminator). Write's
+// shape — five fields at single spaces — is cut by spaced, not by
+// fields' rune-by-rune scan; a line that fails that way is cut and
+// parsed again by the general path, so every error is the general
+// path's.
 func (p *parser) line(line string) error {
 	p.lineNo++
 	line = strings.TrimSpace(line)
@@ -163,9 +186,38 @@ func (p *parser) line(line string) error {
 		return nil
 	}
 	var f [5]string
+	if spaced(line, &f) && p.record(&f) == nil {
+		return nil
+	}
 	if n := fields(line, &f); n != 5 {
 		return fmt.Errorf("tree: line %d: want 5 fields, got %d", p.lineNo, n)
 	}
+	return p.record(&f)
+}
+
+// spaced cuts s at its first four spaces into f and reports whether
+// every piece is non-empty and begins and ends with a printable ASCII
+// byte. Pieces that record accepts are then free of white space (Atoi
+// and ParseFloat read none), so fields would cut the same five; and a
+// line it cuts that record rejects has white space inside a piece or a
+// bad field, so the general path rejects it too.
+func spaced(s string, f *[5]string) bool {
+	for k := range f {
+		i := len(s)
+		if k < 4 {
+			i = strings.IndexByte(s, ' ')
+		}
+		if i <= 0 || s[0] <= ' ' || s[0] >= utf8.RuneSelf || s[i-1] <= ' ' || s[i-1] >= utf8.RuneSelf {
+			return false
+		}
+		f[k], s = s[:i], s[min(i+1, len(s)):]
+	}
+	return true
+}
+
+// record parses the five fields of a data line and appends its entry,
+// or returns an error naming the line and changes nothing.
+func (p *parser) record(f *[5]string) error {
 	id, err := strconv.Atoi(f[0])
 	if err != nil {
 		return fmt.Errorf("tree: line %d: bad id: %v", p.lineNo, err)
@@ -187,8 +239,9 @@ func (p *parser) line(line string) error {
 	}
 	var vals [3]float64
 	for k := range vals {
-		vals[k], err = strconv.ParseFloat(f[2+k], 64)
-		if err != nil {
+		if k > 0 && f[2+k] == f[1+k] {
+			vals[k] = vals[k-1] // the text Write copies for t_i = f_i
+		} else if vals[k], err = strconv.ParseFloat(f[2+k], 64); err != nil {
 			return fmt.Errorf("tree: line %d: bad float: %v", p.lineNo, err)
 		}
 	}

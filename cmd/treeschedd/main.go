@@ -13,11 +13,11 @@
 // or an instance spec (synthetic / grid2d / grid3d), plus heuristic,
 // procs, mem or mem_factor, ao/eo, an optional perturbation model, and
 // trace. POST /jobs enqueues the same request shape asynchronously —
-// with optional retries (transient failures re-run with backoff) and
-// deadline (seconds before a still-pending job fails with 504) — and
-// answers 202 with a job id; GET /jobs/{id} polls the lifecycle
-// (queued → running → done/failed) and carries the result or the
-// failure. GET /healthz answers 200 ok or 503 degraded (queue near a
+// with an optional deadline (seconds a job may wait for a worker slot
+// before it fails with 504) — and answers 202 with a job id; each job
+// is evaluated once. GET /jobs/{id} polls the lifecycle (queued →
+// running → done/failed) and carries the result or the failure.
+// GET /healthz answers 200 ok or 503 degraded (queue near a
 // backpressure cap, workers saturated, or shutting down); GET /statsz
 // reports the cache / worker-pool / job-queue counters.
 //
@@ -141,10 +141,16 @@ func checkpointJobs(pending []service.Request, path string) error {
 	if err != nil {
 		return fmt.Errorf("encoding checkpoint: %w", err)
 	}
-	// Write-then-rename so a crash mid-write cannot leave a half
-	// checkpoint where the next boot expects a whole one.
+	// Write, sync, then rename, so a crash cannot leave a half
+	// checkpoint where the next boot expects a whole one: the rename
+	// only ever publishes bytes already on disk.
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(b)
+	if err = errors.Join(err, f.Sync(), f.Close()); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

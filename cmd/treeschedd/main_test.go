@@ -129,6 +129,86 @@ func TestShutdownWithStreamSubscriber(t *testing.T) {
 	}
 }
 
+// A checkpoint written by an earlier daemon — here in the format that
+// still carried a "retries" field — is restored at boot: both jobs run
+// to done, /statsz counts them restored, and the file is consumed.
+// json.Unmarshal ignores the retired field, while POST /jobs, whose
+// decoder refuses unknown fields, answers 400 for the same request.
+func TestRestoreCheckpointAtBoot(t *testing.T) {
+	ckFile := filepath.Join(t.TempDir(), "jobs.ckpt")
+	const retired = `{"synthetic":{"seed":2,"nodes":200},"retries":3,"deadline":60}`
+	ckpt := `[
+  {
+    "synthetic": {
+      "seed": 1,
+      "nodes": 200
+    }
+  },
+  {
+    "synthetic": {
+      "seed": 2,
+      "nodes": 200
+    },
+    "retries": 3,
+    "deadline": 60
+  }
+]`
+	if err := os.WriteFile(ckFile, []byte(ckpt), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, done := boot(t, ckFile, 5*time.Second)
+	get := func(path string) string {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, b)
+		}
+		return string(b)
+	}
+	for _, id := range []string{"1", "2"} {
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			got := get("/jobs/" + id)
+			if strings.Contains(got, `"status":"done"`) {
+				break
+			}
+			if strings.Contains(got, `"status":"failed"`) || time.Now().After(deadline) {
+				t.Fatalf("restored job %s: %s", id, got)
+			}
+		}
+	}
+	if got := get("/statsz"); !strings.Contains(got, `"jobs_restored":2`) {
+		t.Fatalf("statsz: %s", got)
+	}
+	if _, err := os.Stat(ckFile); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint file not consumed: %v", err)
+	}
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(retired))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "unknown field") {
+		t.Fatalf("POST /jobs with retries: %d %s, want 400 unknown field", resp.StatusCode, b)
+	}
+
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("server did not shut down on SIGINT")
+	}
+}
+
 // The -pprof listener is separate from the API address and serves the
 // standard profile index.
 func TestServePprof(t *testing.T) {

@@ -28,17 +28,27 @@ import (
 // Kind is the event type tag.
 type Kind uint8
 
-// Cluster event kinds. The A and B payload meanings per kind:
+// Event kinds and their A/B payloads. The cluster simulator
+// (internal/multitree) emits every kind:
 //
 //	Admit      job admitted; A = granted slice, B = free memory after
 //	Start      task launched; Node set, A = duration
 //	Finish     task committed; Node set
-//	Fault      job killed by a fault (or service job expired); A = slice
+//	Fault      job attempt killed by a fault; A = slice
 //	Restart    job re-queued after a fault; A = retry instant, B = attempt
 //	Checkpoint job snapshot taken; A = booked memory
 //	Backfill   admission out of arrival order (reservation jumped the queue); A = slice
 //	QueueDepth admission queue length changed; A = new depth
 //	Done       job finished; A = slice, B = 1 for a job that exhausted retries
+//
+// The scheduling service (internal/service) emits four, one job per
+// POST /jobs request, with Node = -1 (and Job = -1 on QueueDepth):
+//
+//	Admit      job enqueued; A = payload bytes it retains
+//	QueueDepth a job was enqueued; A = jobs now waiting for a slot
+//	Start      evaluation began on a worker slot; A and B unused
+//	Done       job ended; B = 1 when it failed (a 4xx or 5xx verdict, or
+//	           a deadline that passed while it waited for a slot), A unused
 const (
 	KindAdmit Kind = iota
 	KindStart
@@ -67,7 +77,7 @@ func (k Kind) String() string {
 
 // Event is one typed cluster event. Time is the emitter's clock —
 // simulation time from multitree, wall seconds since start from the
-// executor and the service. Job and Node are -1 when not applicable.
+// service. Job and Node are -1 when not applicable.
 type Event struct {
 	Time float64 `json:"t"`
 	Job  int32   `json:"job"`

@@ -60,7 +60,7 @@ func FuzzDecodeBody(f *testing.F) {
 	for _, req := range []Request{
 		{Tree: "0 -1 1 2 1\n1 0 1 1 3\n"},
 		{Tree: "# c\t<&>\n0 -1 1 1 1\r\n", Procs: 3, Heuristic: "Activation", AO: "memPO", EO: "CP"},
-		{Tree: "# \\ \"q\" \x7f é\n0 -1 1 1 1\n", Mem: 7.5, Trace: true, Retries: 2, Deadline: 1.5},
+		{Tree: "# \\ \"q\" \x7f é\n0 -1 1 1 1\n", Mem: 7.5, Trace: true, Deadline: 1.5},
 		{Tree: "0 -1 1 1 1\n", Perturb: "lognormal(0.3)", PerturbSeed: 9, MemFactor: 1.5},
 		{Synthetic: &SyntheticSpec{Seed: 1, Nodes: 5}},
 		{Tree: "0 -1 1 1 1\n", Grid2D: &GridSpec{N: 3}},

@@ -2,12 +2,12 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -38,12 +38,10 @@ const (
 // JobView is the JSON shape of one job: the 202 body of POST /jobs and
 // the 200 body of GET /jobs/{id}. Response is set once Status is
 // "done"; Error/ErrorStatus (plus Bound/MinMemory on admission-control
-// failures) once it is "failed". Attempts counts evaluation attempts so
-// far (> 1 only for jobs retried after a transient failure).
+// failures) once it is "failed".
 type JobView struct {
 	ID          uint64    `json:"id"`
 	Status      string    `json:"status"`
-	Attempts    int       `json:"attempts,omitempty"`
 	Response    *Response `json:"response,omitempty"`
 	Error       string    `json:"error,omitempty"`
 	ErrorStatus int       `json:"error_status,omitempty"`
@@ -57,7 +55,6 @@ type jobRecord struct {
 	id        uint64
 	status    string
 	cost      int64     // payload bytes retained while queued or running
-	attempts  int       // evaluation attempts started
 	req       *Request  // retained while pending, for the shutdown checkpoint
 	deadline  time.Time // zero = none
 	resp      *Response
@@ -76,12 +73,10 @@ type jobStore struct {
 	bytes      int64 // Σ cost over queued + running jobs
 	done       int64
 	failed     int64
-	restarts   int64   // transient-failure re-queues
-	expired    int64   // deadline expiries (also counted in failed)
-	wasted     float64 // evaluation seconds of attempts that were retried
-	maxPending int     // queued + running cap
-	maxBytes   int64   // queued + running payload-byte cap
-	maxTracked int     // retained records cap
+	expired    int64 // deadline expiries (also counted in failed)
+	maxPending int   // queued + running cap
+	maxBytes   int64 // queued + running payload-byte cap
+	maxTracked int   // retained records cap
 }
 
 func newJobStore(maxPending int, maxBytes int64, maxTracked int) *jobStore {
@@ -142,30 +137,13 @@ func (js *jobStore) enqueue(req *Request, cost int64) (*jobRecord, bool) {
 	return rec, true
 }
 
-// setRunning moves a queued job to running, counting the attempt.
+// setRunning moves a queued job to running.
 func (js *jobStore) setRunning(rec *jobRecord) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	rec.status = JobRunning
-	rec.attempts++
 	js.queued--
 	js.running++
-}
-
-// requeue moves a running job back to queued after a transient failure:
-// its payload-byte reservation and retained request stay (the job is
-// still pending), its attempt count keeps the history. wasted is the
-// discarded attempt's evaluation seconds, folded into the wasted-work
-// ledger the way the simulator's Result.WastedWork accounts lost
-// processor time.
-func (js *jobStore) requeue(rec *jobRecord, wasted float64) {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	rec.status = JobQueued
-	js.running--
-	js.queued++
-	js.restarts++
-	js.wasted += wasted
 }
 
 // finish records the outcome of a running job and releases its
@@ -188,16 +166,12 @@ func (js *jobStore) finish(rec *jobRecord, resp *Response, herr *httpError) {
 	js.done++
 }
 
-// expire fails a pending job from either pending state (deadline
-// passed while queued, or mid-backoff between attempts).
+// expire fails a queued job whose deadline passed before it got a
+// worker slot.
 func (js *jobStore) expire(rec *jobRecord, herr *httpError) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if rec.status == JobQueued {
-		js.queued--
-	} else {
-		js.running--
-	}
+	js.queued--
 	js.bytes -= rec.cost
 	rec.req = nil
 	rec.status = JobFailed
@@ -231,7 +205,7 @@ func (js *jobStore) view(id uint64) (JobView, bool) {
 	if !ok {
 		return JobView{}, false
 	}
-	v := JobView{ID: rec.id, Status: rec.status, Attempts: rec.attempts, Response: rec.resp}
+	v := JobView{ID: rec.id, Status: rec.status, Response: rec.resp}
 	if rec.status == JobFailed {
 		v.Error = rec.errBody.Error
 		v.ErrorStatus = rec.errStatus
@@ -242,18 +216,11 @@ func (js *jobStore) view(id uint64) (JobView, bool) {
 }
 
 // gauges returns (queued, running, pendingBytes, done, failed,
-// tracked).
-func (js *jobStore) gauges() (queued, running int, pendingBytes, done, failed int64, tracked int) {
+// expired, tracked).
+func (js *jobStore) gauges() (queued, running int, pendingBytes, done, failed, expired int64, tracked int) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	return js.queued, js.running, js.bytes, js.done, js.failed, len(js.byID)
-}
-
-// faultGauges returns (restarts, expired, wastedSeconds).
-func (js *jobStore) faultGauges() (restarts, expired int64, wasted float64) {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	return js.restarts, js.expired, js.wasted
+	return js.queued, js.running, js.bytes, js.done, js.failed, js.expired, len(js.byID)
 }
 
 // depth returns the current queued-job count (for queue-depth events).
@@ -288,12 +255,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if req.Retries < 0 {
-		s.reject(w, fail(http.StatusBadRequest, "retries must be non-negative, got %d", req.Retries))
-		return
-	}
-	if req.Deadline < 0 {
-		s.reject(w, fail(http.StatusBadRequest, "deadline must be non-negative seconds, got %g", req.Deadline))
+	if herr := req.checkDeadline(); herr != nil {
+		s.reject(w, herr)
 		return
 	}
 	rec, ok := s.submitJob(req)
@@ -306,6 +269,20 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, JobView{ID: rec.id, Status: JobQueued})
+}
+
+// checkDeadline is POST /jobs' verdict on a request's deadline: it
+// must be non-negative, and small enough that time.Duration holds it
+// (a larger one would wrap negative and expire the job at once).
+func (r *Request) checkDeadline() *httpError {
+	if r.Deadline < 0 {
+		return fail(http.StatusBadRequest, "deadline must be non-negative seconds, got %g", r.Deadline)
+	}
+	if r.Deadline*float64(time.Second) >= math.MaxInt64 {
+		return fail(http.StatusBadRequest, "deadline must be below %g seconds, got %g",
+			math.MaxInt64/float64(time.Second), r.Deadline)
+	}
+	return nil
 }
 
 // submitJob enqueues one decoded request and starts its runner; it is
@@ -325,120 +302,51 @@ func (s *Server) submitJob(req *Request) (*jobRecord, bool) {
 	return rec, true
 }
 
-// jobBackoff paces retries of transiently-failed jobs (delays in
-// milliseconds, keyed by job id so simultaneous failures decorrelate).
-var jobBackoff = faults.Backoff{Base: 100, Cap: 5000, Jitter: 0.2}
-
-// runJob evaluates one queued job on a worker-pool slot and stores the
-// outcome. Transient failures (5xx: the request was fine, the attempt
-// was not) are retried up to the request's retry budget with capped
-// exponential backoff; 4xx outcomes are deterministic verdicts on the
-// request and never retried. A request deadline bounds the job's whole
-// pending life — queue wait, evaluation and backoff included — and
-// expires it with 504. Async completions count into the same
-// served/rejected ledger as synchronous responses.
+// runJob waits for a worker-pool slot, evaluates the job once and
+// stores the verdict, 5xx included: the evaluation is a pure function
+// of the request, so running it again would repeat the outcome. A
+// request deadline bounds the wait for a slot — a job whose turn comes
+// too late expires with 504 instead of starting — and an evaluation
+// that has started runs to completion. Async completions count into
+// the same served/rejected ledger as synchronous responses.
 func (s *Server) runJob(rec *jobRecord, req *Request) {
 	defer s.jobsWG.Done()
-	for {
-		if !rec.deadline.IsZero() {
-			// The slot wait is part of the pending life the deadline bounds:
-			// a queued job whose turn comes too late expires, it does not
-			// start a doomed evaluation.
-			t := time.NewTimer(time.Until(rec.deadline))
-			select {
-			case s.sem <- struct{}{}:
-				t.Stop()
-			case <-t.C:
-				s.expireJob(rec)
-				return
-			}
-		} else {
-			//lint:ignore goroleak back-pressure by design: a job without a deadline owes its caller an eventual run, and Drain waits for queued jobs, so the slot send must block
-			s.sem <- struct{}{}
-		}
-		s.enterFlight()
-		s.jobs.setRunning(rec)
-		s.obs.Emit(obs.KindStart, s.uptime(), int32(rec.id), -1, float64(rec.attempts), 0)
-		eval := s.schedule
-		if s.evalHook != nil {
-			eval = s.evalHook
-		}
-		began := time.Now()
-		resp, herr := eval(req)
-		elapsed := time.Since(began).Seconds()
-		s.recordAdmission(req, herr)
-		s.inFlight.Add(-1)
-		<-s.sem
-		transient := herr != nil && herr.status >= http.StatusInternalServerError
-		if transient && rec.attempts <= req.Retries {
-			s.obs.Emit(obs.KindFault, s.uptime(), int32(rec.id), -1, float64(rec.attempts), 0)
-			s.jobs.requeue(rec, elapsed)
-			if !s.waitRetry(rec) {
-				s.expireJob(rec)
-				return
-			}
-			s.obs.Emit(obs.KindRestart, s.uptime(), int32(rec.id), -1, float64(rec.attempts), 0)
-			continue
-		}
-		s.jobs.finish(rec, resp, herr)
-		failed := 0.0
-		if herr != nil {
-			failed = 1
-		}
-		s.obs.Emit(obs.KindDone, s.uptime(), int32(rec.id), -1, 0, failed)
-		if herr == nil {
-			s.served.Add(1)
-		} else if herr.status < http.StatusInternalServerError {
-			s.rejected.Add(1)
-		}
-		return
-	}
-}
-
-// waitRetry waits the backoff before the job's next attempt. A drain
-// cuts the wait short (the retry proceeds immediately, so pending work
-// resolves inside the shutdown window); a deadline expiring mid-wait
-// returns false, and a drain during that terminal wait expires the job
-// at once rather than holding shutdown for a deadline it cannot beat.
-func (s *Server) waitRetry(rec *jobRecord) bool {
-	d := time.Duration(jobBackoff.Delay("job#"+strconv.FormatUint(rec.id, 10), rec.attempts-1) * float64(time.Millisecond))
 	if !rec.deadline.IsZero() {
-		if left := time.Until(rec.deadline); left <= d {
-			// The deadline lands inside the backoff, so the job can
-			// never start another attempt: wait out the deadline, but
-			// let a drain resolve the doomed job immediately instead of
-			// holding the shutdown window open for it.
-			if left > 0 {
-				dt := time.NewTimer(left)
-				defer dt.Stop()
-				select {
-				case <-dt.C:
-				case <-s.drainCh:
-				}
-			}
-			return false
+		t := time.NewTimer(time.Until(rec.deadline))
+		select {
+		case s.sem <- struct{}{}:
+			t.Stop()
+		case <-t.C:
+			s.jobs.expire(rec, fail(http.StatusGatewayTimeout, "deadline exceeded while queued for a worker slot"))
+			s.obs.Emit(obs.KindDone, s.uptime(), int32(rec.id), -1, 0, 1)
+			return
 		}
+	} else {
+		//lint:ignore goroleak back-pressure by design: a job without a deadline owes its caller an eventual run, and Drain waits for queued jobs, so the slot send must block
+		s.sem <- struct{}{}
 	}
-	if d <= 0 {
-		return true
+	s.enterFlight()
+	s.jobs.setRunning(rec)
+	s.obs.Emit(obs.KindStart, s.uptime(), int32(rec.id), -1, 0, 0)
+	eval := s.schedule
+	if s.evalHook != nil {
+		eval = s.evalHook
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-s.drainCh:
+	resp, herr := eval(req)
+	s.recordAdmission(req, herr)
+	s.inFlight.Add(-1)
+	<-s.sem
+	s.jobs.finish(rec, resp, herr)
+	failed := 0.0
+	if herr != nil {
+		failed = 1
 	}
-	return true
-}
-
-// expireJob fails a pending job whose deadline passed before an attempt
-// could finish. Only the job's own runner goroutine drives the record's
-// transitions, so reading attempts here is ordered by its earlier store
-// calls.
-func (s *Server) expireJob(rec *jobRecord) {
-	s.jobs.expire(rec, fail(http.StatusGatewayTimeout,
-		"deadline exceeded after %d attempt(s)", rec.attempts))
-	s.obs.Emit(obs.KindDone, s.uptime(), int32(rec.id), -1, 0, 1)
+	s.obs.Emit(obs.KindDone, s.uptime(), int32(rec.id), -1, 0, failed)
+	if herr == nil {
+		s.served.Add(1)
+	} else if herr.status < http.StatusInternalServerError {
+		s.rejected.Add(1)
+	}
 }
 
 // handleJobGet reports one job's lifecycle. With ?timeline=1 a done job

@@ -13,10 +13,11 @@ import (
 	"time"
 )
 
-// These tests drive the async-job fault-tolerance path — retry with
-// backoff, deadline expiry, drain-or-checkpoint — through an injected
-// evaluator, so transient failures are deterministic instead of
-// depending on a way to make a real simulation fail transiently.
+// These tests drive the async-job lifecycle — one evaluation per job,
+// deadline expiry, backpressure, drain-or-checkpoint — through an
+// injected evaluator, so a failing or blocked evaluation is
+// deterministic instead of depending on a way to make a real
+// simulation fail or stall.
 
 // submitRaw posts one job body and decodes the 202 view.
 func submitRaw(t *testing.T, ts *httptest.Server, body string) (JobView, *http.Response) {
@@ -67,40 +68,10 @@ func pollDone(t *testing.T, ts *httptest.Server, id uint64) JobView {
 	}
 }
 
-// A job whose first attempts fail transiently (5xx) is requeued and
-// retried with its attempt history preserved; it succeeds within its
-// retry budget and counts as served exactly once.
-func TestJobRetriesTransientFailure(t *testing.T) {
-	srv := New(&Options{Workers: 2})
-	var calls atomic.Int32
-	srv.evalHook = func(req *Request) (*Response, *httpError) {
-		if calls.Add(1) <= 2 {
-			return nil, fail(http.StatusInternalServerError, "transient backend loss")
-		}
-		return &Response{Makespan: 42}, nil
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	v, resp := submitRaw(t, ts, `{"synthetic":{"seed":1,"nodes":20},"retries":3}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d", resp.StatusCode)
-	}
-	got := pollDone(t, ts, v.ID)
-	if got.Status != JobDone || got.Response == nil || got.Response.Makespan != 42 {
-		t.Fatalf("retried job did not recover: %+v", got)
-	}
-	if got.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", got.Attempts)
-	}
-	if s := srv.Stats(); s.Served != 1 || s.JobsFailed != 0 {
-		t.Fatalf("ledger after recovery: %+v", s)
-	}
-}
-
-// Retry exhaustion surfaces the last transient error; deterministic
-// 4xx verdicts are never retried at all.
-func TestJobRetryExhaustionAndNo4xxRetry(t *testing.T) {
+// A job is evaluated once and its verdict is final: a 4xx verdict on
+// the request and a 5xx failure of the evaluation alike are stored as
+// the job's outcome, and neither runs the evaluation again.
+func TestJobVerdictEvaluatedOnce(t *testing.T) {
 	srv := New(&Options{Workers: 2})
 	var calls atomic.Int32
 	srv.evalHook = func(req *Request) (*Response, *httpError) {
@@ -108,69 +79,117 @@ func TestJobRetryExhaustionAndNo4xxRetry(t *testing.T) {
 		if req.Heuristic == "bad" {
 			return nil, fail(http.StatusBadRequest, "deterministic verdict")
 		}
-		return nil, fail(http.StatusInternalServerError, "always down")
+		return nil, fail(http.StatusInternalServerError, "evaluation failed")
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	v, _ := submitRaw(t, ts, `{"synthetic":{"seed":1,"nodes":20},"retries":2}`)
-	got := pollDone(t, ts, v.ID)
-	if got.Status != JobFailed || got.ErrorStatus != http.StatusInternalServerError || got.Attempts != 3 {
-		t.Fatalf("exhausted job: %+v", got)
+	for _, c := range []struct {
+		body   string
+		status int
+	}{
+		{`{"synthetic":{"seed":1,"nodes":20}}`, http.StatusInternalServerError},
+		{`{"synthetic":{"seed":1,"nodes":20},"heuristic":"bad"}`, http.StatusBadRequest},
+	} {
+		calls.Store(0)
+		v, resp := submitRaw(t, ts, c.body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit %d", c.body, resp.StatusCode)
+		}
+		got := pollDone(t, ts, v.ID)
+		if got.Status != JobFailed || got.ErrorStatus != c.status {
+			t.Fatalf("%s: %+v, want failed with %d", c.body, got, c.status)
+		}
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("%s: evaluated %d times, want 1", c.body, n)
+		}
 	}
-
-	calls.Store(0)
-	v, _ = submitRaw(t, ts, `{"synthetic":{"seed":1,"nodes":20},"heuristic":"bad","retries":5}`)
-	got = pollDone(t, ts, v.ID)
-	if got.Status != JobFailed || got.ErrorStatus != http.StatusBadRequest || got.Attempts != 1 {
-		t.Fatalf("4xx job retried: %+v", got)
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("4xx evaluated %d times", n)
+	if s := srv.Stats(); s.JobsFailed != 2 || s.Rejected != 1 || s.JobsRestarts != 0 {
+		t.Fatalf("ledger: failed %d, rejected %d, restarts %d; want 2, 1, 0", s.JobsFailed, s.Rejected, s.JobsRestarts)
 	}
 }
 
-// A deadline bounds the whole pending life: a job stuck in transient
-// failures expires with 504 instead of burning its full retry budget.
+// A deadline bounds the wait for a worker slot: a job queued behind a
+// blocked slot expires with 504 and releases its bytes, while a job
+// whose deadline passes mid-evaluation runs to completion.
 func TestJobDeadlineExpires(t *testing.T) {
-	srv := New(&Options{Workers: 2})
+	srv := New(&Options{Workers: 1})
+	started := make(chan struct{}, 1)
+	block := make(chan struct{})
 	srv.evalHook = func(req *Request) (*Response, *httpError) {
-		return nil, fail(http.StatusInternalServerError, "always down")
+		started <- struct{}{}
+		<-block
+		return &Response{Makespan: 1}, nil
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Backoff after the first failure is ≥ 100ms; the 50ms deadline
-	// expires during it.
-	v, _ := submitRaw(t, ts, `{"synthetic":{"seed":1,"nodes":20},"retries":1000,"deadline":0.05}`)
-	got := pollDone(t, ts, v.ID)
+	// Submitted directly: the HTTP submit path needs a pool slot, and the
+	// running job holds the only one.
+	req := func() *Request { return &Request{Synthetic: &SyntheticSpec{Seed: 1, Nodes: 20}, Deadline: 0.05} }
+	running, ok := srv.submitJob(req())
+	if !ok {
+		t.Fatal("first submit refused")
+	}
+	<-started
+	queued, ok := srv.submitJob(req())
+	if !ok {
+		t.Fatal("second submit refused")
+	}
+	got := pollDone(t, ts, queued.id)
 	if got.Status != JobFailed || got.ErrorStatus != http.StatusGatewayTimeout {
-		t.Fatalf("deadline job: %+v", got)
+		t.Fatalf("queued job: %+v, want failed with 504", got)
 	}
-	if got.Attempts < 1 || got.Attempts > 3 {
-		t.Fatalf("deadline job burned %d attempts in 50ms", got.Attempts)
-	}
-	if _, _, bytes, _, _, _ := srv.jobs.gauges(); bytes != 0 {
-		t.Fatalf("expired job left %d pending bytes reserved", bytes)
+	if _, _, bytes, _, _, _, _ := srv.jobs.gauges(); bytes != running.cost {
+		t.Fatalf("pending bytes %d after the expiry, want the running job's %d", bytes, running.cost)
 	}
 	// A 504 expiry is not a 4xx verdict: it shows in JobsExpired only.
 	if s := srv.Stats(); s.Rejected != 0 || s.JobsExpired != 1 {
 		t.Fatalf("after the expiry: rejected %d, expired %d; want 0, 1", s.Rejected, s.JobsExpired)
 	}
+
+	// The running job's deadline passed while it waited on block.
+	close(block)
+	if got := pollDone(t, ts, running.id); got.Status != JobDone {
+		t.Fatalf("job past its deadline mid-evaluation: %+v, want done", got)
+	}
+	if _, _, bytes, _, _, _, _ := srv.jobs.gauges(); bytes != 0 {
+		t.Fatalf("pending bytes %d after both jobs ended", bytes)
+	}
 }
 
-// Negative retries/deadline are rejected at submission.
+// A retries field, a negative deadline and a deadline time.Duration
+// cannot hold are refused at submission; RestoreJobs, whose input is a
+// checkpoint file, refuses the same deadlines.
 func TestJobRetryFieldValidation(t *testing.T) {
 	srv := New(nil)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	for _, body := range []string{
-		`{"synthetic":{"seed":1,"nodes":20},"retries":-1}`,
-		`{"synthetic":{"seed":1,"nodes":20},"deadline":-2}`,
+	for _, c := range []struct{ body, want string }{
+		{`{"synthetic":{"seed":1,"nodes":20},"retries":-1}`, `unknown field \"retries\"`},
+		{`{"synthetic":{"seed":1,"nodes":20},"deadline":-2}`, "deadline must be non-negative seconds, got -2"},
+		{`{"synthetic":{"seed":1,"nodes":20},"deadline":1e10}`, "deadline must be below 9.223372036854776e+09 seconds, got 1e+10"},
 	} {
-		if _, resp := submitRaw(t, ts, body); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), c.want) {
+			t.Fatalf("%s: %d %s, want 400 %q", c.body, resp.StatusCode, b, c.want)
+		}
+	}
+	spec := &SyntheticSpec{Seed: 1, Nodes: 20}
+	if n := srv.RestoreJobs([]Request{
+		{Synthetic: spec, Deadline: -2},
+		{Synthetic: spec, Deadline: 1e10},
+		{Synthetic: spec, Deadline: 60},
+	}); n != 1 {
+		t.Fatalf("restored %d jobs, want only the one with a valid deadline", n)
+	}
+	if got := pollDone(t, ts, 1); got.Status != JobDone {
+		t.Fatalf("restored job: %+v", got)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestJobStorePendingBudget(t *testing.T) {
 	if !ok || v.Status != JobFailed || v.ErrorStatus != http.StatusUnprocessableEntity || v.Bound != 1 || v.MinMemory != 2 {
 		t.Fatalf("failed view %+v", v)
 	}
-	queued, running, bytes, done, failed, tracked := js.gauges()
+	queued, running, bytes, done, failed, _, tracked := js.gauges()
 	if queued != 1 || running != 0 || bytes != 100 || done != 1 || failed != 1 || tracked != 3 {
 		t.Fatalf("gauges %d %d %d %d %d %d", queued, running, bytes, done, failed, tracked)
 	}
@@ -89,61 +89,26 @@ func TestJobStoreBudgetClamp(t *testing.T) {
 			t.Fatalf("enqueue %d refused with a clamped tracked budget", i)
 		}
 	}
-	if _, _, _, _, _, tracked := js.gauges(); tracked != 8 {
+	if _, _, _, _, _, _, tracked := js.gauges(); tracked != 8 {
 		t.Fatalf("tracked %d, want 8", tracked)
 	}
 }
 
-// A failed-then-retried job walks queued → running → queued → running →
-// done with its attempt history intact, holding its byte reservation
-// and retained request the whole pending life.
-func TestJobStoreRequeueTransitions(t *testing.T) {
+// Expiry of a queued job releases its reservation and counts it both
+// failed and expired.
+func TestJobStoreExpire(t *testing.T) {
 	js := newJobStore(4, 1<<20, 10)
-	req := &Request{Heuristic: "MemBooking"}
-	rec, ok := js.enqueue(req, 300)
-	if !ok {
-		t.Fatal("enqueue refused")
+	rec, _ := js.enqueue(&Request{}, 100)
+	js.expire(rec, fail(http.StatusGatewayTimeout, "deadline"))
+	v, _ := js.view(rec.id)
+	if v.Status != JobFailed || v.ErrorStatus != http.StatusGatewayTimeout {
+		t.Fatalf("expired view: %+v", v)
 	}
-	js.setRunning(rec)
-	js.requeue(rec, 0)
-	if v, _ := js.view(rec.id); v.Status != JobQueued || v.Attempts != 1 {
-		t.Fatalf("after requeue: %+v", v)
-	}
-	if queued, running, bytes, _, _, _ := js.gauges(); queued != 1 || running != 0 || bytes != 300 {
-		t.Fatalf("requeue dropped the reservation: queued %d running %d bytes %d", queued, running, bytes)
-	}
-	if got := js.pending(); len(got) != 1 || got[0].Heuristic != "MemBooking" {
-		t.Fatalf("pending after requeue: %+v", got)
-	}
-	js.setRunning(rec)
-	js.finish(rec, &Response{Makespan: 7}, nil)
-	if v, _ := js.view(rec.id); v.Status != JobDone || v.Attempts != 2 || v.Response.Makespan != 7 {
-		t.Fatalf("after recovery: %+v", v)
-	}
-	if queued, running, bytes, done, failed, _ := js.gauges(); queued+running != 0 || bytes != 0 || done != 1 || failed != 0 {
-		t.Fatalf("ledger after recovery: %d %d %d %d %d", queued, running, bytes, done, failed)
+	if queued, running, bytes, _, failed, expired, _ := js.gauges(); queued != 0 || running != 0 || bytes != 0 || failed != 1 || expired != 1 {
+		t.Fatalf("ledger: %d %d %d %d %d", queued, running, bytes, failed, expired)
 	}
 	if got := js.pending(); len(got) != 0 {
-		t.Fatalf("finished job still pending: %+v", got)
-	}
-}
-
-// Expiry releases the reservation from either pending state.
-func TestJobStoreExpire(t *testing.T) {
-	for _, fromRunning := range []bool{false, true} {
-		js := newJobStore(4, 1<<20, 10)
-		rec, _ := js.enqueue(&Request{}, 100)
-		if fromRunning {
-			js.setRunning(rec)
-		}
-		js.expire(rec, fail(http.StatusGatewayTimeout, "deadline"))
-		v, _ := js.view(rec.id)
-		if v.Status != JobFailed || v.ErrorStatus != http.StatusGatewayTimeout {
-			t.Fatalf("fromRunning=%v: %+v", fromRunning, v)
-		}
-		if queued, running, bytes, _, failed, _ := js.gauges(); queued != 0 || running != 0 || bytes != 0 || failed != 1 {
-			t.Fatalf("fromRunning=%v ledger: %d %d %d %d", fromRunning, queued, running, bytes, failed)
-		}
+		t.Fatalf("expired job still pending: %+v", got)
 	}
 }
 
@@ -169,12 +134,11 @@ func TestJobStoreConcurrentFinishEviction(t *testing.T) {
 				if !ok {
 					continue // backpressure under contention is expected
 				}
-				js.setRunning(rec)
 				switch i % 3 {
 				case 0:
+					js.setRunning(rec)
 					js.finish(rec, &Response{}, nil)
 				case 1:
-					js.requeue(rec, 0)
 					js.setRunning(rec)
 					js.finish(rec, nil, fail(http.StatusInternalServerError, "boom"))
 				default:
@@ -184,7 +148,7 @@ func TestJobStoreConcurrentFinishEviction(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	queued, running, bytes, done, failed, tracked := js.gauges()
+	queued, running, bytes, done, failed, _, tracked := js.gauges()
 	if queued != 0 || running != 0 || bytes != 0 {
 		t.Fatalf("pending state leaked: queued %d running %d bytes %d", queued, running, bytes)
 	}
@@ -227,7 +191,7 @@ func TestJobStoreByteBudget(t *testing.T) {
 	if _, ok := js.enqueue(&Request{}, 10_000); !ok {
 		t.Fatal("lone over-budget request wedged")
 	}
-	if _, _, bytes, _, _, _ := js.gauges(); bytes != 10_000 {
+	if _, _, bytes, _, _, _, _ := js.gauges(); bytes != 10_000 {
 		t.Fatalf("pending bytes %d, want 10000", bytes)
 	}
 }

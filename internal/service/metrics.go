@@ -112,10 +112,9 @@ var statsMetrics = []struct {
 	{"treesched_jobs_done_total", "counter", "Async jobs completed successfully.", func(s *Stats) float64 { return float64(s.JobsDone) }},
 	{"treesched_jobs_failed_total", "counter", "Async jobs that failed.", func(s *Stats) float64 { return float64(s.JobsFailed) }},
 	{"treesched_jobs_tracked", "gauge", "Job records retained for polling.", func(s *Stats) float64 { return float64(s.JobsTracked) }},
-	{"treesched_jobs_restarts_total", "counter", "Transient-failure re-queues of async jobs.", func(s *Stats) float64 { return float64(s.JobsRestarts) }},
+	{"treesched_jobs_restarts_total", "counter", "Always 0: an async job is evaluated once, since a re-run of a pure evaluation repeats its outcome.", func(s *Stats) float64 { return float64(s.JobsRestarts) }},
 	{"treesched_jobs_expired_total", "counter", "Async jobs expired at their deadline.", func(s *Stats) float64 { return float64(s.JobsExpired) }},
 	{"treesched_jobs_restored_total", "counter", "Jobs admitted from a shutdown checkpoint.", func(s *Stats) float64 { return float64(s.JobsRestored) }},
-	{"treesched_wasted_work_seconds_total", "counter", "Evaluation seconds discarded by retried attempts.", func(s *Stats) float64 { return s.WastedWorkSeconds }},
 	{"treesched_stream_subscribers", "gauge", "Live /streamz subscriptions.", func(s *Stats) float64 { return float64(s.StreamSubscribers) }},
 	{"treesched_stream_dropped_frames_total", "counter", "Event frames dropped to slow /streamz consumers.", func(s *Stats) float64 { return float64(s.StreamDroppedFrames) }},
 	{"treesched_stream_dropped_events_total", "counter", "Events refused by a full ring.", func(s *Stats) float64 { return float64(s.StreamDroppedEvents) }},

@@ -51,7 +51,6 @@ func TestMetricszEndpoint(t *testing.T) {
 		"treesched_workers ",
 		"treesched_in_flight_high_water ",
 		"treesched_jobs_restarts_total 0",
-		"treesched_wasted_work_seconds_total 0",
 		"treesched_stream_dropped_frames_total 0",
 		"treesched_go_goroutines ",
 		"treesched_go_heap_objects_bytes ",

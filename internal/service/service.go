@@ -176,16 +176,11 @@ type Request struct {
 	// response.
 	Trace bool `json:"trace,omitempty"`
 
-	// Retries (async jobs only) re-runs the evaluation after a transient
-	// failure — a 5xx outcome, where the request was fine but the attempt
-	// was not — up to this many times, with capped exponential backoff
-	// between attempts. Deterministic 4xx verdicts are never retried.
-	Retries int `json:"retries,omitempty"`
-	// Deadline (async jobs only) bounds the job's whole pending life in
-	// wall-clock seconds from submission — queue wait, evaluation and
-	// retry backoff included. A job still pending at the deadline fails
-	// with 504. Zero means no deadline. After a checkpoint restore the
-	// clock restarts at the new submission.
+	// Deadline (async jobs only) bounds the wait for a worker slot, in
+	// wall-clock seconds from submission: a job still queued at the
+	// deadline fails with 504, and an evaluation that has started runs
+	// to completion. Zero means no deadline. After a checkpoint restore
+	// the clock restarts at the new submission.
 	Deadline float64 `json:"deadline,omitempty"`
 }
 
@@ -256,15 +251,14 @@ type Stats struct {
 	JobsDone         int64 `json:"jobs_done"`
 	JobsFailed       int64 `json:"jobs_failed"`
 	JobsTracked      int   `json:"jobs_tracked"`
-	// JobsRestarts counts transient-failure re-queues; JobsExpired
-	// counts deadline expiries (a subset of JobsFailed); JobsRestored
-	// counts jobs admitted from a shutdown checkpoint.
+	// JobsRestarts is always 0 (an async job is evaluated once: a re-run
+	// of a pure evaluation repeats its outcome); it stays because the
+	// benchmark's svc_jobs report reads it. JobsExpired counts deadline
+	// expiries (a subset of JobsFailed); JobsRestored counts jobs
+	// admitted from a shutdown checkpoint.
 	JobsRestarts int64 `json:"jobs_restarts"`
 	JobsExpired  int64 `json:"jobs_expired"`
 	JobsRestored int64 `json:"jobs_restored"`
-	// WastedWorkSeconds is evaluation wall time whose outcome was thrown
-	// away: attempts that failed transiently and were retried.
-	WastedWorkSeconds float64 `json:"wasted_work_seconds"`
 	// InFlightHighWater is the worker-pool occupancy high-water mark.
 	InFlightHighWater int64 `json:"in_flight_high_water"`
 	// StreamSubscribers / StreamDroppedFrames / StreamDroppedEvents
@@ -324,8 +318,7 @@ type Server struct {
 	admissions map[string]map[string]int64
 
 	// draining refuses new async jobs once Drain has been called;
-	// drainCh (closed by Drain) cuts retry backoff waits short so
-	// pending jobs resolve inside the shutdown window; jobsWG tracks
+	// drainCh (closed by Drain) ends /streamz responses; jobsWG tracks
 	// every job runner goroutine for the drain wait.
 	draining  atomic.Bool
 	drainOnce sync.Once
@@ -333,7 +326,7 @@ type Server struct {
 	jobsWG    sync.WaitGroup
 
 	// evalHook replaces schedule() on the async path when non-nil
-	// (tests inject deterministic transient failures through it).
+	// (tests substitute a blocking or counting evaluator through it).
 	evalHook func(*Request) (*Response, *httpError)
 }
 
@@ -363,10 +356,10 @@ func (s *Server) CloseStreams() {
 }
 
 // Drain stops accepting new asynchronous jobs (POST /jobs answers 503
-// with Retry-After) and waits for the pending ones to finish, cutting
-// retry backoff waits short. When ctx expires first, the requests of
-// the jobs still pending are returned oldest-first — the shutdown
-// checkpoint a restarted daemon can resubmit through RestoreJobs.
+// with Retry-After) and waits for the pending ones to finish. When ctx
+// expires first, the requests of the jobs still pending are returned
+// oldest-first — the shutdown checkpoint a restarted daemon can
+// resubmit through RestoreJobs.
 // Jobs mid-evaluation at expiry are checkpointed too: the evaluation
 // is a pure function of the request, so re-running it from scratch
 // loses nothing but time (fail-stop semantics).
@@ -388,11 +381,16 @@ func (s *Server) Drain(ctx context.Context) []Request {
 
 // RestoreJobs resubmits checkpointed requests from a previous daemon's
 // Drain, in order, and reports how many were admitted (the queue caps
-// still apply; a smaller restarted queue keeps the newest work out).
+// still apply; a smaller restarted queue keeps the newest work out). A
+// checkpoint file is input from outside the process, so a request
+// whose deadline POST /jobs would refuse is not admitted either.
 func (s *Server) RestoreJobs(reqs []Request) int {
 	admitted := 0
 	for i := range reqs {
 		req := reqs[i]
+		if req.checkDeadline() != nil {
+			continue
+		}
 		if _, ok := s.submitJob(&req); ok {
 			admitted++
 		}
@@ -432,7 +430,7 @@ type Health struct {
 // Healthz evaluates the degraded-state rules against the live gauges.
 func (s *Server) Healthz() Health {
 	var reasons []string
-	queued, running, pendingBytes, _, _, _ := s.jobs.gauges()
+	queued, running, pendingBytes, _, _, _, _ := s.jobs.gauges()
 	if pending := queued + running; pending*10 >= s.opts.MaxQueuedJobs*9 {
 		reasons = append(reasons, fmt.Sprintf("job queue at %d of %d", pending, s.opts.MaxQueuedJobs))
 	}
@@ -463,8 +461,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Stats returns a snapshot of the service counters.
 func (s *Server) Stats() Stats {
 	hits, textHits, misses, entries, nodes := s.cache.snapshot()
-	queued, running, pendingBytes, done, failed, tracked := s.jobs.gauges()
-	restarts, expired, wasted := s.jobs.faultGauges()
+	queued, running, pendingBytes, done, failed, expired, tracked := s.jobs.gauges()
 	return Stats{
 		CacheHits:           hits,
 		CacheTextHits:       textHits,
@@ -481,10 +478,8 @@ func (s *Server) Stats() Stats {
 		JobsDone:            done,
 		JobsFailed:          failed,
 		JobsTracked:         tracked,
-		JobsRestarts:        restarts,
 		JobsExpired:         expired,
 		JobsRestored:        s.restored.Load(),
-		WastedWorkSeconds:   wasted,
 		InFlightHighWater:   s.inFlightHW.Load(),
 		StreamSubscribers:   s.obs.Subscribers(),
 		StreamDroppedFrames: s.obs.DroppedFrames(),
@@ -630,9 +625,8 @@ func (s *Server) schedule(req *Request) (resp *Response, herr *httpError) {
 	// Every option is valid and resolved, so an answer stored under the
 	// same resolved options is this request's answer. A traced response
 	// carries spans an untraced repeat must not get, so a traced request
-	// neither reads nor fills the slot; a 5xx is the attempt's failure,
-	// not the request's answer (runJob retries it), so it is not stored;
-	// nor is the nothing a panicking evaluation leaves behind.
+	// neither reads nor fills the slot; nor is the nothing a panicking
+	// evaluation leaves behind stored.
 	k := answerKey{heuristic: req.heuristic(), procs: procs, mem: math.Float64bits(m),
 		ao: aoName, eo: eoName, perturb: req.Perturb}
 	if req.Perturb != "" {
@@ -644,7 +638,7 @@ func (s *Server) schedule(req *Request) (resp *Response, herr *httpError) {
 			return a.resp, a.herr
 		}
 		defer func() {
-			if resp != nil || (herr != nil && herr.status < http.StatusInternalServerError) {
+			if resp != nil || herr != nil {
 				r.answer.Store(&answer{key: k, resp: resp, herr: herr})
 			}
 		}()

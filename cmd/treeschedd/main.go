@@ -67,7 +67,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *pprofAddr != "" {
-		if err := servePprof(*pprofAddr); err != nil {
+		if _, err := servePprof(*pprofAddr); err != nil {
 			fmt.Fprintln(os.Stderr, "treeschedd:", err)
 			os.Exit(1)
 		}
@@ -93,11 +93,12 @@ func main() {
 // public port (bind it to localhost). The profile mux is registered on
 // a private ServeMux — importing net/http/pprof only for its handlers
 // would pollute http.DefaultServeMux, which the API does not use but
-// other imports might.
-func servePprof(addr string) error {
+// other imports might. Closing the returned listener stops the
+// server; the daemon never does, it serves until the process exits.
+func servePprof(addr string) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return fmt.Errorf("pprof listener: %w", err)
+		return nil, fmt.Errorf("pprof listener: %w", err)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -111,7 +112,7 @@ func servePprof(addr string) error {
 			fmt.Fprintln(os.Stderr, "treeschedd: pprof server:", err)
 		}
 	}()
-	return nil
+	return ln, nil
 }
 
 // restoreJobs resubmits the previous daemon's checkpointed jobs, if a

@@ -11,7 +11,11 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // boot starts the daemon on an ephemeral port and returns its base URL
 // and the channel run's result arrives on.
@@ -212,28 +216,12 @@ func TestRestoreCheckpointAtBoot(t *testing.T) {
 // The -pprof listener is separate from the API address and serves the
 // standard profile index.
 func TestServePprof(t *testing.T) {
-	if err := servePprof("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	// servePprof logs the bound address; bind a known port instead for a
-	// deterministic probe.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := servePprof("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	if err := servePprof(addr); err != nil {
-		t.Fatal(err)
-	}
-	var resp *http.Response
-	for i := 0; i < 50; i++ {
-		resp, err = http.Get("http://" + addr + "/debug/pprof/")
-		if err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	defer ln.Close()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Command treeschedlint is the repo's contract checker: it bundles the
-// analyzers of internal/analysis (policypure, detfree, errtyped,
-// goroleak), loads the named packages from source — no build step, no
-// export data — and runs every selected analyzer over each:
+// analyzers of internal/analysis (detfree, errtyped, goroleak), loads
+// the named packages from source — no build step, no export data — and
+// runs every selected analyzer over each:
 //
 //	go run ./cmd/treeschedlint ./...
 //	go run ./cmd/treeschedlint -detfree ./internal/sim
@@ -38,13 +38,11 @@ import (
 	"repro/internal/analysis/errtyped"
 	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/policypure"
 )
 
 const progname = "treeschedlint"
 
 var analyzers = []*analysis.Analyzer{
-	policypure.Analyzer,
 	detfree.Analyzer,
 	errtyped.Analyzer,
 	goroleak.Analyzer,

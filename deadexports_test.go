@@ -21,6 +21,7 @@ var testOnlyExports = map[string]string{
 	"repro/internal/moldable.RigidProfile":     "the moldable tests pin the width-1 case to the rigid engine",
 	"repro/internal/harness.HeurRedTree":       "the harness tests name the RedTree rows they check",
 	"repro/internal/analysis/analysistest.Run": "every analyzer test drives its fixtures through it",
+	"repro/internal/leakcheck.Main":            "the TestMain of each package that starts goroutines fails the binary on a leak",
 }
 
 // testOnlyFields are exported struct fields under internal/ that only

@@ -9,12 +9,12 @@
 //	internal/analysis/driver       runs the analyzers over a loaded package
 //	internal/analysis/analysistest checks driver output against fixtures
 //
-// The analyzers themselves (policypure, detfree, errtyped, goroleak)
-// live in subpackages and are registered by cmd/treeschedlint. Each
-// enforces one contract whose violation is silent at run time and
-// visible to the analyzer where production code commits it; DESIGN.md
-// §11 documents the contracts and §13 the rule an analyzer must meet
-// to be here.
+// The analyzers themselves (detfree, errtyped, goroleak) live in
+// subpackages and are registered by cmd/treeschedlint. Each enforces
+// one contract whose violation is silent at run time and visible to
+// the analyzer where production code commits it; DESIGN.md §11
+// documents the contracts and §13 the rule an analyzer must meet to be
+// here.
 package analysis
 
 import (

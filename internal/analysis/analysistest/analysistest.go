@@ -5,7 +5,7 @@
 //
 // A fixture file marks each expected diagnostic on the line it occurs:
 //
-//	st.FreeMem = 0 // want `writes through its \*State`
+//	if err == io.EOF { // want `errors compared with ==`
 //
 // The annotation is one or more backquoted or double-quoted regular
 // expressions; each must match a distinct diagnostic reported on that

@@ -11,9 +11,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/executor"
+	"repro/internal/leakcheck"
 	"repro/internal/order"
 	"repro/internal/tree"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func randTree(rng *rand.Rand, n int) *tree.Tree {
 	p := make([]tree.NodeID, n)

@@ -7,8 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // tinyConfig keeps experiment tests fast: a handful of small trees and
 // few memory factors.

@@ -8,11 +8,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/order"
 	"repro/internal/sim"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // stream builds a deterministic job stream: n synthetic trees with
 // sizes cycling through sizes, arrivals from the model at the given

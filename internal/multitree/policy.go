@@ -48,8 +48,11 @@ type Release struct {
 // removed when it retires. Only Now and FreeMem are stamped per pass.
 // Read-only is therefore load-bearing — a write through the snapshot is
 // not overwritten by the next pass, it stays for the rest of the run and
-// every later decision reads it (treeschedlint's policypure analyzer
-// rejects such writes) — and policies must not retain the slices.
+// every later decision reads it — and policies must not retain the
+// slices. The tests' violation() oracle catches such a write: the
+// stepped grid over allPolicies() compares every Queue and Releases
+// entry with its job after each transition, so a new built-in policy
+// must join allPolicies() for the grid to cover it.
 //
 // Policies must be pure functions of (Now, Mem, FreeMem, Queue,
 // Releases, Active): the simulator re-invokes Admit only when the

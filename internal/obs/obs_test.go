@@ -4,7 +4,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestObserverZeroAllocHotPath pins the emit hook at zero allocations
 // per call in both producer modes, on the store path and the

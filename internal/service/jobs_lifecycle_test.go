@@ -73,6 +73,7 @@ func pollDone(t *testing.T, ts *httptest.Server, id uint64) JobView {
 // the job's outcome, and neither runs the evaluation again.
 func TestJobVerdictEvaluatedOnce(t *testing.T) {
 	srv := New(&Options{Workers: 2})
+	t.Cleanup(srv.CloseStreams)
 	var calls atomic.Int32
 	srv.evalHook = func(req *Request) (*Response, *httpError) {
 		calls.Add(1)
@@ -114,6 +115,7 @@ func TestJobVerdictEvaluatedOnce(t *testing.T) {
 // whose deadline passes mid-evaluation runs to completion.
 func TestJobDeadlineExpires(t *testing.T) {
 	srv := New(&Options{Workers: 1})
+	t.Cleanup(srv.CloseStreams)
 	started := make(chan struct{}, 1)
 	block := make(chan struct{})
 	srv.evalHook = func(req *Request) (*Response, *httpError) {
@@ -163,6 +165,7 @@ func TestJobDeadlineExpires(t *testing.T) {
 // checkpoint file, refuses the same deadlines.
 func TestJobRetryFieldValidation(t *testing.T) {
 	srv := New(nil)
+	t.Cleanup(srv.CloseStreams)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	for _, c := range []struct{ body, want string }{
@@ -198,6 +201,7 @@ func TestJobRetryFieldValidation(t *testing.T) {
 // serves the HTTP submit path.
 func TestJobBackpressureRetryAfter(t *testing.T) {
 	srv := New(&Options{Workers: 2, MaxQueuedJobs: 1})
+	t.Cleanup(srv.CloseStreams)
 	block := make(chan struct{})
 	srv.evalHook = func(req *Request) (*Response, *httpError) {
 		<-block
@@ -226,6 +230,7 @@ func TestJobBackpressureRetryAfter(t *testing.T) {
 // and completes.
 func TestDrainCheckpointRestore(t *testing.T) {
 	srv := New(&Options{Workers: 1})
+	t.Cleanup(srv.CloseStreams)
 	block := make(chan struct{})
 	var calls atomic.Int32
 	hook := func(req *Request) (*Response, *httpError) {
@@ -272,6 +277,7 @@ func TestDrainCheckpointRestore(t *testing.T) {
 
 	// A restarted server resubmits the checkpoint and completes it.
 	srv2 := New(&Options{Workers: 2})
+	t.Cleanup(srv2.CloseStreams)
 	srv2.evalHook = hook
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()

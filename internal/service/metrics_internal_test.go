@@ -69,6 +69,7 @@ func TestMetricszCoversStats(t *testing.T) {
 // observer concurrently.
 func TestStalledStreamSubscriberDoesNotBlockJobs(t *testing.T) {
 	s := New(&Options{Workers: 4})
+	t.Cleanup(s.CloseStreams)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	stalled := s.obs.Subscribe(1)
@@ -124,6 +125,7 @@ func TestStalledStreamSubscriberDoesNotBlockJobs(t *testing.T) {
 // so a daemon shutdown never hangs on connected stream clients.
 func TestStreamzClosesOnCloseStreams(t *testing.T) {
 	s := New(nil)
+	t.Cleanup(s.CloseStreams)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/streamz")
@@ -163,6 +165,7 @@ func TestStreamzClosesOnCloseStreams(t *testing.T) {
 // TestEnterFlightHighWater exercises the occupancy high-water CAS.
 func TestEnterFlightHighWater(t *testing.T) {
 	s := New(nil)
+	t.Cleanup(s.CloseStreams)
 	for i := 0; i < 3; i++ {
 		s.enterFlight()
 	}
@@ -179,6 +182,7 @@ func TestEnterFlightHighWater(t *testing.T) {
 // not mint new metric labels.
 func TestRecordAdmissionClampsCardinality(t *testing.T) {
 	s := New(nil)
+	t.Cleanup(s.CloseStreams)
 	for i := 0; i < 5; i++ {
 		s.recordAdmission(&Request{Heuristic: fmt.Sprintf("evil-%d", i)},
 			fail(http.StatusBadRequest, "no"))

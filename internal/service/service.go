@@ -350,7 +350,7 @@ func New(opts *Options) *Server {
 // channel closes so in-flight stream handlers return. Call it as the
 // HTTP server begins to shut down — a graceful http.Server.Shutdown
 // waits for those handlers — and at the latest before the process
-// exits (goroleak-clean shutdown). Emitting stays safe afterwards.
+// exits. Emitting stays safe afterwards.
 func (s *Server) CloseStreams() {
 	s.obs.Close()
 }

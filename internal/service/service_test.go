@@ -11,16 +11,20 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/leakcheck"
 	"repro/internal/service"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func newTestServer(t *testing.T, opts *service.Options) (*service.Server, *httptest.Server) {
 	t.Helper()
 	s := service.New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	t.Cleanup(s.CloseStreams) // runs first, so an open /streamz ends before ts.Close waits on it
 	return s, ts
 }
 

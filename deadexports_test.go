@@ -27,8 +27,7 @@ var testOnlyExports = map[string]string{
 // testOnlyFields are exported struct fields under internal/ that only
 // tests set, each an oracle switch a test turns on.
 var testOnlyFields = map[string]string{
-	"repro/internal/core.MemBooking.CheckInvariants":        "the Lemma 2–5 checker the core tests run after every event",
-	"repro/internal/multitree.FaultOptions.RecordSchedules": "the witness the restart-determinism oracle compares",
+	"repro/internal/core.MemBooking.CheckInvariants": "the Lemma 2–5 checker the core tests run after every event",
 }
 
 var (

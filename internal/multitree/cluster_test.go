@@ -16,13 +16,13 @@ import (
 )
 
 // violation checks the cluster-state invariants that must hold between
-// any two transitions — the ledgers, one place per job, the release
-// order, who owns which pooled scheduler, that the derived state
-// (positions, ready bits) equals what a rebuild from the job lists would
-// give, and that every snapshot entry still reads what its job says (a
-// policy writing through the snapshot breaks exactly that) — and returns
-// the first one broken ("" when all hold). It lives here, not in the production loop: Run pays for no
-// per-event assertion.
+// any two transitions — the ledgers, one place per job, the due and
+// release orders, who owns which pooled scheduler, that the derived
+// state (positions, ready bits) equals what a rebuild from the job lists
+// would give, and that every snapshot entry still reads what its job
+// says (a policy writing through the snapshot breaks exactly that) — and
+// returns the first one broken ("" when all hold). It lives here, not in
+// the production loop: Run pays for no per-event assertion.
 func (c *cluster) violation() string {
 	reserved, running := 0.0, 0
 	where := make(map[*job]string, len(c.jobs))
@@ -42,9 +42,19 @@ func (c *cluster) violation() string {
 	for _, s := range []struct {
 		name string
 		js   []*job
-	}{{"queue", queued}, {"retryQ", c.retryQ}, {"active", c.active}} {
+	}{{"due", c.due}, {"queue", queued}, {"active", c.active}} {
 		if msg := place(s.name, s.js); msg != "" {
 			return msg
+		}
+	}
+	// The due list: latest first, and nothing due before the clock (join
+	// takes what is due, and advance stops at the earliest).
+	for k, j := range c.due {
+		if j.dueAt < c.now {
+			return fmt.Sprintf("job %q was due at %g, before now %g", j.spec.Name, j.dueAt, c.now)
+		}
+		if k > 0 && dueLater(c.due[k-1], j) >= 0 {
+			return fmt.Sprintf("due list out of order at %d: %q before %q", k, c.due[k-1].spec.Name, j.spec.Name)
 		}
 	}
 	// Ownership of pooled schedulers: a job holds one exactly while it is
@@ -127,6 +137,11 @@ func (c *cluster) violation() string {
 	return ""
 }
 
+// String names a transition in failure messages.
+func (tr transition) String() string {
+	return [...]string{"join", "admit", "dispatch", "drained", "advance", "complete", "strike", "end"}[tr]
+}
+
 // bitSet reports bit k of a ready-index bit set.
 func bitSet(set []uint64, k int) bool { return set[k>>6]>>(k&63)&1 == 1 }
 
@@ -162,13 +177,12 @@ func (c *cluster) staleEpoch(twin *faults.Plan, prev float64) string {
 	return ""
 }
 
-// stepped drives the cluster state machine by hand — the same
-// transitions in the same order as Run — and checks the state invariants
-// after every one rather than only on the final Result; after advance
-// and after complete — the states strike reads — the cached fault epochs
-// are checked against a twin plan. The run must end with every job out
-// of the cluster and equal Run's result on the same inputs, which pins
-// this loop to the production one. mk builds the run's options afresh
+// stepped drives the cluster through step — the loop Run runs — and
+// checks the state invariants after every transition rather than only
+// on the final Result; after advance and after complete — the states
+// strike reads — the cached fault epochs are checked against a twin
+// plan. The run must end with every job out of the cluster and equal
+// Run's result on the same inputs. mk builds the run's options afresh
 // on each call (a fault plan is single-use): one for the stepped run,
 // one for the twin, one for Run.
 func stepped(t *testing.T, name string, specs []JobSpec, mk func() *Options) *Result {
@@ -181,53 +195,38 @@ func stepped(t *testing.T, name string, specs []JobSpec, mk func() *Options) *Re
 	if fo := mk().Faults; fo != nil {
 		twin = fo.Plan
 	}
-	prev, transitions := 0.0, 0
-	check := func(after string) {
-		t.Helper()
-		transitions++
+	if msg := c.violation(); msg != "" {
+		t.Fatalf("%s: after newCluster: %s", name, msg)
+	}
+	// Every pass of the loop but the last commits a task, queues a due
+	// job, or passes a fault epoch; the cap is far above what the streams
+	// stepped here need and only turns a livelock into a failure.
+	prev := 0.0 // the instant the latest advance left
+	for n := 1; ; n++ {
+		if n == 1<<23 {
+			t.Fatalf("%s: no end after %d transitions (t=%g, %d due, %d queued, %d active)",
+				name, n, c.now, len(c.due), len(c.st.Queue), len(c.active))
+		}
+		before := c.now
+		ran, err := c.step()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ran == stepEnd {
+			break
+		}
+		if ran == stepAdvance {
+			prev = before
+		}
 		msg := c.violation()
-		if msg == "" && (after == "advance" || after == "complete") {
+		if msg == "" && (ran == stepAdvance || ran == stepComplete) {
 			msg = c.staleEpoch(twin, prev)
 		}
 		if msg != "" {
-			t.Fatalf("%s: after %s at t=%g (transition %d): %s", name, after, c.now, transitions, msg)
+			t.Fatalf("%s: after %v at t=%g (transition %d): %s", name, ran, c.now, n, msg)
 		}
 	}
-	check("newCluster")
-	// Every iteration but the last commits a task, queues an arrival or a
-	// retry, or passes a fault epoch; the cap is far above what the
-	// streams stepped here need and only turns a livelock into a failure.
-	for iter := 0; ; iter++ {
-		if iter == 1<<20 {
-			t.Fatalf("%s: no end after %d iterations (t=%g, %d queued, %d active, %d retrying)",
-				name, iter, c.now, len(c.st.Queue), len(c.active), len(c.retryQ))
-		}
-		c.rejoin()
-		check("rejoin")
-		if err := c.admit(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		check("admit")
-		if err := c.dispatch(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		check("dispatch")
-		if idle, err := c.drained(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		} else if idle {
-			break
-		}
-		prev = c.now
-		c.advance()
-		check("advance")
-		c.complete()
-		check("complete")
-		c.strike()
-		check("strike")
-		c.arrive()
-		check("arrive")
-	}
-	if n := len(c.st.Queue) + len(c.retryQ) + len(c.active); n != 0 {
+	if n := len(c.due) + len(c.st.Queue) + len(c.active); n != 0 {
 		t.Fatalf("%s: %d jobs still in the cluster at the end", name, n)
 	}
 	got, err := c.result()
@@ -247,8 +246,8 @@ func stepped(t *testing.T, name string, specs []JobSpec, mk func() *Options) *Re
 // TestClusterInvariantsEveryTransition steps the chaos grid (every fault
 // class × checkpoint policy, a pool tight enough to queue) under every
 // admission policy: the memory and processor ledgers balance, free slots
-// match free processors, the releases are the sorted active set, no job sits
-// in two of queue, retryQ and active, a job holds a pooled scheduler
+// match free processors, the due list and the releases are sorted, no
+// job sits in two of due, queue and active, a job holds a pooled scheduler
 // exactly while it is active and never one another job holds, every
 // active job knows its position, the ready bits say which schedulers
 // have work, and the policy snapshot equals a rebuild of it.
@@ -324,24 +323,30 @@ func TestDropBit(t *testing.T) {
 
 // FuzzCluster searches where the grid samples: the fuzzer picks the
 // stream (seed: which trees, how many jobs, how many processors), the
-// admission policy, the fault class, the checkpoint policy and how tight
-// the pool is, and every cell is stepped with the invariants checked
-// after every transition, must terminate, and must equal Run. The seed
-// corpus is the chaos grid under EASY, and
+// admission policy, the fault class, the checkpoint policy, how tight
+// the pool is and — in the policy byte's high bit, which the policy
+// index ignores — whether retries skip their backoff and so join at
+// their own fault instant. Every cell is stepped with the invariants
+// checked after every transition, must terminate, and must equal Run.
+// The seed corpus is the chaos grid under EASY, and
 // testdata/fuzz/FuzzCluster holds what the search has found.
 func FuzzCluster(f *testing.F) {
-	const easy = 3 // EASY's index in allPolicies
+	const (
+		easy      = 3    // EASY's index in allPolicies
+		noBackoff = 0x80 // the policy byte's retry-backoff bit
+	)
 	for model := range chaosModels {
 		for ck := range chaosCheckpoints {
 			f.Add(uint64(21), uint8(easy), uint8(model), uint8(ck), uint8(8))
 		}
 	}
 	// One cell away from the grid per remaining axis: the other policies,
-	// no faults, and a pool of exactly one peak.
+	// no faults, a pool of exactly one peak, and no backoff.
 	f.Add(uint64(21), uint8(0), uint8(3), uint8(1), uint8(8))
 	f.Add(uint64(21), uint8(1), uint8(3), uint8(2), uint8(8))
 	f.Add(uint64(21), uint8(2), uint8(3), uint8(1), uint8(8))
 	f.Add(uint64(5), uint8(easy), uint8(len(chaosModels)), uint8(0), uint8(0))
+	f.Add(uint64(21), uint8(easy|noBackoff), uint8(3), uint8(1), uint8(8))
 	f.Fuzz(func(t *testing.T, seed uint64, policy, faultModel, ckPolicy, memFactor uint8) {
 		// Seed 21 with memFactor 8 is the grid's cell: 14 jobs of 40, 80
 		// and 120 nodes, 3 processors, a pool of 1.5 peaks.
@@ -355,6 +360,9 @@ func FuzzCluster(f *testing.F) {
 			// One class in five injects nothing.
 			if m := int(faultModel) % (len(chaosModels) + 1); m < len(chaosModels) {
 				opt.Faults = chaosFaults(chaosModels[m], chaosCheckpoints[int(ckPolicy)%len(chaosCheckpoints)])
+				if policy&noBackoff != 0 {
+					opt.Faults.Backoff = faults.Backoff{}
+				}
 			}
 			return opt
 		})
@@ -384,19 +392,9 @@ func TestViolationSeesSchedulerAliases(t *testing.T) {
 	}
 	var recorded *job
 	for recorded == nil || len(c.active) < 2 || len(c.st.Queue) == 0 {
-		c.rejoin()
-		if err := c.admit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.dispatch(); err != nil {
-			t.Fatal(err)
-		}
-		if idle, err := c.drained(); err != nil || idle {
+		if ran, err := c.step(); err != nil || ran == stepEnd {
 			t.Fatalf("the stream drained (err %v) before two jobs ran beside a queued and a recorded one", err)
 		}
-		c.advance()
-		c.complete()
-		c.arrive()
 		for i := range c.res.Jobs {
 			if c.res.Jobs[i].Nodes > 0 {
 				recorded = &c.jobs[i]

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/tree"
 )
 
@@ -24,10 +25,30 @@ func faultStream(t *testing.T, seed uint64, n int) ([]JobSpec, float64) {
 	return specs, 1.5 * maxPeak(specs)
 }
 
-// checkSurvivors asserts the per-job outcome oracle: every job either
-// completed with each of its tasks committed exactly once, or failed
-// after exhausting exactly MaxRetries restarts.
-func checkSurvivors(t *testing.T, res *Result, maxRetries int) (survived, failed int) {
+// lineages rebuilds each job's surviving lineage — the committed task
+// sequence a restart did not take back — from a run's event stream: a
+// finish appends its task, a checkpoint marks the prefix a restart
+// resumes from, and a fault truncates back to the mark.
+func lineages(evs []obs.Event, jobs int) [][]tree.NodeID {
+	lin := make([][]tree.NodeID, jobs)
+	mark := make([]int, jobs)
+	for _, ev := range evs {
+		switch ev.Kind {
+		case obs.KindFinish:
+			lin[ev.Job] = append(lin[ev.Job], tree.NodeID(ev.Node))
+		case obs.KindCheckpoint:
+			mark[ev.Job] = len(lin[ev.Job])
+		case obs.KindFault:
+			lin[ev.Job] = lin[ev.Job][:mark[ev.Job]]
+		}
+	}
+	return lin
+}
+
+// checkSurvivors asserts the per-job outcome oracle on a run and its
+// lineages: every job either completed with each of its tasks committed
+// exactly once, or failed after exhausting exactly MaxRetries restarts.
+func checkSurvivors(t *testing.T, res *Result, lin [][]tree.NodeID, maxRetries int) (survived, failed int) {
 	t.Helper()
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
@@ -39,17 +60,15 @@ func checkSurvivors(t *testing.T, res *Result, maxRetries int) (survived, failed
 			continue
 		}
 		survived++
-		if j.Schedule != nil {
-			if len(j.Schedule) != j.Nodes {
-				t.Fatalf("job %q committed %d tasks of %d", j.Name, len(j.Schedule), j.Nodes)
+		if len(lin[i]) != j.Nodes {
+			t.Fatalf("job %q committed %d tasks of %d", j.Name, len(lin[i]), j.Nodes)
+		}
+		seen := make(map[tree.NodeID]bool, len(lin[i]))
+		for _, id := range lin[i] {
+			if seen[id] {
+				t.Fatalf("job %q committed task %d twice", j.Name, id)
 			}
-			seen := make(map[tree.NodeID]bool, len(j.Schedule))
-			for _, id := range j.Schedule {
-				if seen[id] {
-					t.Fatalf("job %q committed task %d twice", j.Name, id)
-				}
-				seen[id] = true
-			}
+			seen[id] = true
 		}
 		if j.Finish <= j.Start || j.Start < j.Arrival {
 			t.Fatalf("job %q lifecycle broken: arrival %g start %g finish %g", j.Name, j.Arrival, j.Start, j.Finish)
@@ -77,11 +96,10 @@ var (
 // identical fault schedules.
 func chaosFaults(m faults.Model, ck core.CheckpointPolicy) *FaultOptions {
 	return &FaultOptions{
-		Plan:            m.NewPlan(faults.Seed(99, m, "chaos")),
-		MaxRetries:      chaosRetries,
-		Backoff:         faults.Backoff{Base: 50, Cap: 800, Jitter: 0.3},
-		Checkpoint:      ck,
-		RecordSchedules: true,
+		Plan:       m.NewPlan(faults.Seed(99, m, "chaos")),
+		MaxRetries: chaosRetries,
+		Backoff:    faults.Backoff{Base: 50, Cap: 800, Jitter: 0.3},
+		Checkpoint: ck,
 	}
 }
 
@@ -102,20 +120,18 @@ func chaosGrid(fn func(name string, mk func() *FaultOptions)) {
 // TestChaosInvariants is the chaos oracle: every fault class × every
 // checkpoint policy × contended admission, asserting the partition
 // invariant, exactly-once commits, retry-cap accounting, and that the
-// whole faulty run is deterministic (two runs deeply equal).
+// whole faulty run is deterministic (two runs and their event streams
+// deeply equal).
 func TestChaosInvariants(t *testing.T) {
 	specs, mem := faultStream(t, 21, 14)
 	sawRestart := false
 	chaosGrid(func(name string, mk func() *FaultOptions) {
 		opt := &Options{Procs: 3, Mem: mem, Policy: EASY{}, Faults: mk()}
-		res, err := Run(specs, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		res, evs := observed(t, specs, opt)
 		if res.Restarts > 0 {
 			sawRestart = true
 		}
-		checkSurvivors(t, res, chaosRetries)
+		checkSurvivors(t, res, lineages(evs, len(specs)), chaosRetries)
 		if res.PeakReserved > mem*(1+1e-9) {
 			t.Fatalf("%s: reserved %g over the pool %g", name, res.PeakReserved, mem)
 		}
@@ -127,11 +143,8 @@ func TestChaosInvariants(t *testing.T) {
 		}
 		// Determinism: a fresh plan from the same (model, seed) must
 		// replay the identical run.
-		res2, err := Run(specs, &Options{Procs: 3, Mem: mem, Policy: EASY{}, Faults: mk()})
-		if err != nil {
-			t.Fatalf("%s rerun: %v", name, err)
-		}
-		if !reflect.DeepEqual(res, res2) {
+		res2, evs2 := observed(t, specs, &Options{Procs: 3, Mem: mem, Policy: EASY{}, Faults: mk()})
+		if !reflect.DeepEqual(res, res2) || !reflect.DeepEqual(evs, evs2) {
 			t.Fatalf("%s: two runs of the same fault schedule diverged", name)
 		}
 	})
@@ -152,25 +165,18 @@ func TestRestartDeterminismOracle(t *testing.T) {
 	for _, sp := range specs {
 		procs += sp.Tree.Len()
 	}
-	base := &Options{Procs: procs, Mem: mem, Policy: FCFS{},
-		Faults: &FaultOptions{RecordSchedules: true}}
-	ref, err := Run(specs, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, evs := observed(t, specs, &Options{Procs: procs, Mem: mem, Policy: FCFS{}})
+	ref := lineages(evs, len(specs))
 	m := faults.TaskFailures(0.004)
 	const retries = 8
-	faulty, err := Run(specs, &Options{Procs: procs, Mem: mem, Policy: FCFS{},
+	faulty, evs := observed(t, specs, &Options{Procs: procs, Mem: mem, Policy: FCFS{},
 		Faults: &FaultOptions{
-			Plan:            m.NewPlan(faults.Seed(7, m, "oracle")),
-			MaxRetries:      retries,
-			Backoff:         faults.Backoff{Base: 25, Cap: 400, Jitter: 0.2},
-			RecordSchedules: true,
+			Plan:       m.NewPlan(faults.Seed(7, m, "oracle")),
+			MaxRetries: retries,
+			Backoff:    faults.Backoff{Base: 25, Cap: 400, Jitter: 0.2},
 		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	survived, _ := checkSurvivors(t, faulty, retries)
+	lin := lineages(evs, len(specs))
+	survived, _ := checkSurvivors(t, faulty, lin, retries)
 	if faulty.Restarts == 0 {
 		t.Fatalf("oracle run injected no restarts")
 	}
@@ -178,11 +184,7 @@ func TestRestartDeterminismOracle(t *testing.T) {
 		t.Fatalf("no job survived — cannot compare schedules")
 	}
 	for i := range faulty.Jobs {
-		fj, rj := &faulty.Jobs[i], &ref.Jobs[i]
-		if fj.Failed {
-			continue
-		}
-		if !reflect.DeepEqual(fj.Schedule, rj.Schedule) {
+		if fj := &faulty.Jobs[i]; !fj.Failed && !reflect.DeepEqual(lin[i], ref[i]) {
 			t.Fatalf("job %q: committed schedule after %d attempts differs from its fault-free schedule",
 				fj.Name, fj.Attempts)
 		}
@@ -266,32 +268,57 @@ func TestRetriesExhaust(t *testing.T) {
 
 // TestCheckpointShrinksReplay: with checkpoints at every boundary, a
 // restart resumes from the last boundary instead of replaying from
-// scratch, so total committed events stay exactly one per task — and
-// the checkpointed run never commits a task more times than the
-// scratch-restart run does.
+// scratch, so each survivor's lineage commits every task exactly once.
 func TestCheckpointShrinksReplay(t *testing.T) {
 	specs, mem := faultStream(t, 55, 6)
 	m := faults.ProcCrashes(3e-4)
-	run := func(ck core.CheckpointPolicy) *Result {
-		res, err := Run(specs, &Options{Procs: 2, Mem: mem, Policy: FCFS{},
-			Faults: &FaultOptions{
-				Plan:            m.NewPlan(faults.Seed(3, m, "ck")),
-				MaxRetries:      20,
-				Backoff:         faults.Backoff{Base: 20, Cap: 200},
-				Checkpoint:      ck,
-				RecordSchedules: true,
-			}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	withCk := run(core.CheckpointEvery{K: 1})
+	withCk, evs := observed(t, specs, &Options{Procs: 2, Mem: mem, Policy: FCFS{},
+		Faults: &FaultOptions{
+			Plan:       m.NewPlan(faults.Seed(3, m, "ck")),
+			MaxRetries: 20,
+			Backoff:    faults.Backoff{Base: 20, Cap: 200},
+			Checkpoint: core.CheckpointEvery{K: 1},
+		}})
 	if withCk.Restarts == 0 {
 		t.Skipf("crash schedule hit nothing; oracle vacuous")
 	}
 	if withCk.Checkpoints == 0 {
 		t.Fatalf("every-1 policy took no checkpoints across %d restarts", withCk.Restarts)
 	}
-	checkSurvivors(t, withCk, 20)
+	checkSurvivors(t, withCk, lineages(evs, len(specs)), 20)
+}
+
+// TestRetryJoinsBehindSameInstantArrival pins the join order at one
+// instant: fresh arrivals queue before retries that expire then, even a
+// retry whose zero backoff expires at its own fault instant. Job A's only
+// task fails at t = 10 as job B arrives; with one processor and a pool of
+// one slice, FCFS admits the queue head, so B must start at 10 (A
+// retrying first would start B at 20).
+func TestRetryJoinsBehindSameInstantArrival(t *testing.T) {
+	specs := []JobSpec{
+		{Name: "A", Tree: chainTree(t, 1, 5, 10, 10), Arrival: 0},
+		{Name: "B", Tree: chainTree(t, 1, 5, 10, 30), Arrival: 10},
+	}
+	// The first plan that fails A's first attempt and nothing else.
+	m := faults.TaskFailures(0.5)
+	onlyA0 := func(seed uint64) bool {
+		p := m.NewPlan(seed)
+		return p.TaskFails("A", 0, 0) && !p.TaskFails("A", 0, 1) && !p.TaskFails("B", 0, 0)
+	}
+	seed := uint64(0)
+	for !onlyA0(seed) {
+		seed++
+	}
+	res, err := Run(specs, &Options{Procs: 1, Mem: maxPeak(specs), Policy: FCFS{},
+		Faults: &FaultOptions{Plan: m.NewPlan(seed), MaxRetries: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := &res.Jobs[0], &res.Jobs[1]
+	if res.Restarts != 1 || a.Attempts != 2 || a.Failed {
+		t.Fatalf("want one restart of A: restarts %d, A attempts %d failed %v", res.Restarts, a.Attempts, a.Failed)
+	}
+	if a.Start != 0 || b.Start != 10 || b.Finish != 40 || a.Finish != 50 {
+		t.Fatalf("A ran %g..%g and B %g..%g, want A 0..50 and B 10..40", a.Start, a.Finish, b.Start, b.Finish)
+	}
 }

@@ -43,7 +43,10 @@ type JobSpec struct {
 	// AO and Peak optionally carry the job's precomputed activation order
 	// (must be topological for Tree, with Peak its sequential peak). When
 	// AO is nil, Run computes both via order.MinMemPostOrder; corpora
-	// replayed across many runs precompute them once instead.
+	// replayed across many runs precompute them once instead. Run rejects
+	// a NaN, negative or infinite Peak but cannot see an understated one:
+	// slices are carved to Peak, so the job may stall in its slice, which
+	// Run reports as core.ErrDeadlock.
 	AO   *order.Order
 	Peak float64
 }
@@ -96,9 +99,6 @@ type FaultOptions struct {
 	// Checkpoint decides when active jobs snapshot at task boundaries;
 	// nil is core.CheckpointNever (every restart replays from scratch).
 	Checkpoint core.CheckpointPolicy
-	// RecordSchedules retains each job's committed task sequence in its
-	// JobResult — the witness the restart-determinism oracle compares.
-	RecordSchedules bool
 }
 
 // JobResult is the completed lifecycle of one job.
@@ -119,10 +119,6 @@ type JobResult struct {
 	// Failed reports a job that exhausted its retries; Finish is then the
 	// instant of its final failure.
 	Failed bool
-	// Schedule is the committed task sequence of the surviving lineage
-	// (commits lost to a restart are truncated back to the restored
-	// checkpoint). Recorded only under FaultOptions.RecordSchedules.
-	Schedule []tree.NodeID
 }
 
 // Response returns the job's response time (finish − arrival).
@@ -187,11 +183,12 @@ func (r *Result) Utilization(p int) float64 {
 
 // job is the runtime state of one submitted job.
 type job struct {
-	spec JobSpec
-	idx  int // submission index
-	ao   *order.Order
-	peak float64
-	est  float64
+	spec  JobSpec
+	idx   int // submission index
+	ao    *order.Order
+	peak  float64
+	est   float64
+	dueAt float64 // when it joins the queue: its arrival, then each retry's expiry
 
 	slice     float64
 	sched     *core.MemBooking
@@ -205,13 +202,10 @@ type job struct {
 	// Fault-mode state.
 	minSlice    float64          // required slice floor: max(peak, checkpoint's booked memory)
 	attempt     int              // restarts so far; also the fault plan's attempt key
-	retryAt     float64          // earliest re-queue instant while waiting to retry
 	cp          *core.Checkpoint // latest snapshot, nil before the first
 	sinceCk     int              // commits since the last snapshot
 	workSinceCk float64          // committed work a restart would lose
 	peakBooked  float64          // booked-memory high-water mark of this attempt
-	commitSched []tree.NodeID    // committed task sequence (RecordSchedules)
-	ckCommits   int              // len(commitSched) at the last snapshot
 }
 
 // slotRec maps a completion-event id back to its job and task; at most
@@ -225,12 +219,11 @@ type slotRec struct {
 }
 
 // cluster is the whole mutable state of one run. Its methods are the
-// lifecycle transitions of DESIGN.md §8 — rejoin, admit (start),
-// dispatch, advance, complete (commit, checkpoint), strike (fail),
-// arrive, and the record/retire pair that ends an attempt — and Run is
-// the loop that applies them in order. A job is in at most one of
-// st.Queue, retryQ and active: in none before it arrives and after it is
-// recorded.
+// lifecycle transitions of DESIGN.md §8 — join, admit (start),
+// dispatch, advance, complete (commit, checkpoint), strike (fail), and
+// the record/retire pair that ends an attempt — and step is the one
+// place that applies them in order. A job is in at most one of due,
+// st.Queue and active: in none once it is recorded.
 //
 // The admission queue and EASY's release order are stored once, in the
 // policy snapshot st, each entry carrying its job. One structure is
@@ -247,11 +240,11 @@ type cluster struct {
 	eps   float64
 	res   *Result
 
-	jobs      []job
-	byArrival []*job // arrival order: by time, submission index breaking ties
-	arrIdx    int    // next byArrival entry to arrive
-
-	retryQ []*job // failed jobs waiting out backoff, (retryAt, idx) order
+	jobs []job
+	// due holds the jobs that will join the queue, fresh arrivals and
+	// retries waiting out their backoff alike, latest first (dueLater):
+	// its tail is the next to join.
+	due    []*job
 	active []*job // admitted, admission order
 	// ready has one bit per position of active: set by the transitions
 	// that can release a task (start, commit), cleared by the Select that
@@ -259,7 +252,8 @@ type cluster struct {
 	// instead of asking every job in turn.
 	ready []uint64
 
-	now       float64 // the current instant
+	next      transition // what step runs next
+	now       float64    // the current instant
 	events    pqueue.EventHeap
 	slots     []slotRec
 	freeSlots []int32
@@ -303,7 +297,8 @@ type cluster struct {
 // so the admission invariant M_j ≥ peak(AO_j) makes every admitted job
 // deadlock-free (Theorem 1); Run surfaces core.ErrDeadlock only if a
 // policy breaks the invariant the validator here lets through (it
-// rejects slices below peak or over the free pool up front).
+// rejects slices below peak or over the free pool up front), or if a
+// precomputed JobSpec.Peak understates the order's peak.
 func Run(specs []JobSpec, opt *Options) (*Result, error) {
 	c, err := newCluster(specs, opt)
 	if err != nil {
@@ -315,27 +310,57 @@ func Run(specs []JobSpec, opt *Options) (*Result, error) {
 	// The deferred Flush publishes the tail of the single-producer batch.
 	defer c.ob.Flush()
 	for {
-		c.rejoin()
-		if err := c.admit(); err != nil {
+		if ran, err := c.step(); err != nil {
 			return nil, err
-		}
-		if err := c.dispatch(); err != nil {
-			return nil, err
-		}
-		if idle, err := c.drained(); err != nil {
-			return nil, err
-		} else if idle {
+		} else if ran == stepEnd {
 			return c.result()
 		}
-		// One instant drains in this order, so a completion at a fault
-		// epoch commits before the fault strikes, and a same-instant
-		// arrival burst is batched through a single policy pass at the top
-		// of the next iteration rather than one admission round each.
-		c.advance()
-		c.complete()
-		c.strike()
-		c.arrive()
 	}
+}
+
+// transition names a step of the cluster loop, in the order of one
+// instant: a completion at a fault epoch commits before the fault
+// strikes, and everything due at an instant joins the queue together for
+// a single policy pass.
+type transition uint8
+
+const (
+	stepJoin transition = iota
+	stepAdmit
+	stepDispatch
+	stepDrained
+	stepAdvance
+	stepComplete
+	stepStrike
+	stepEnd // drained found the run over; step must not be called again
+)
+
+// step runs the cluster's next transition and reports which one ran, or
+// stepEnd once the run is over. It is the only code that runs the
+// transitions in sequence: Run loops over it, and so do the tests.
+func (c *cluster) step() (ran transition, err error) {
+	ran, c.next = c.next, c.next+1
+	switch ran {
+	case stepJoin:
+		c.join()
+	case stepAdmit:
+		err = c.admit()
+	case stepDispatch:
+		err = c.dispatch()
+	case stepDrained:
+		var idle bool
+		if idle, err = c.drained(); idle {
+			return stepEnd, nil
+		}
+	case stepAdvance:
+		c.advance()
+	case stepComplete:
+		c.complete()
+	case stepStrike:
+		c.strike()
+		c.next = stepJoin
+	}
+	return ran, err
 }
 
 // newCluster validates the inputs and builds the initial state: every
@@ -355,7 +380,7 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		// One backing array for every job's runtime state: a 10k-job
 		// stream costs one allocation here, not 10k.
 		jobs:       make([]job, len(specs)),
-		byArrival:  make([]*job, len(specs)),
+		due:        make([]*job, len(specs)),
 		res:        &Result{Jobs: make([]JobResult, len(specs))},
 		slots:      make([]slotRec, p),
 		freeSlots:  make([]int32, p),
@@ -378,6 +403,12 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		if c.fo.MaxRetries < 0 {
 			return nil, fmt.Errorf("multitree: negative retry cap %d", c.fo.MaxRetries)
 		}
+		// A NaN delay would never expire and an infinite one never end.
+		for _, v := range [...]float64{c.fo.Backoff.Base, c.fo.Backoff.Cap, c.fo.Backoff.Jitter} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("multitree: retry backoff %+v is not finite", c.fo.Backoff)
+			}
+		}
 	}
 	for i, sp := range specs {
 		if sp.Tree == nil || sp.Tree.Len() == 0 {
@@ -390,18 +421,16 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		if ao == nil {
 			ao, peak = order.MinMemPostOrder(sp.Tree)
 		}
+		if !(peak >= 0) {
+			return nil, fmt.Errorf("multitree: job %q has invalid peak %g", sp.Name, peak)
+		}
 		if peak > opt.Mem {
 			return nil, fmt.Errorf("multitree: job %q needs %g memory, over the cluster pool %g — no slice can admit it", sp.Name, peak, opt.Mem)
 		}
-		c.jobs[i] = job{spec: sp, idx: i, ao: ao, peak: peak, minSlice: peak, est: bounds.Classical(sp.Tree, p)}
-		c.byArrival[i] = &c.jobs[i]
+		c.jobs[i] = job{spec: sp, idx: i, ao: ao, peak: peak, minSlice: peak, est: bounds.Classical(sp.Tree, p), dueAt: sp.Arrival}
+		c.due[len(specs)-1-i] = &c.jobs[i] // a stream in arrival order is sorted already
 	}
-	slices.SortStableFunc(c.byArrival, func(a, b *job) int {
-		if d := cmp.Compare(a.spec.Arrival, b.spec.Arrival); d != 0 {
-			return d
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	slices.SortFunc(c.due, dueLater)
 	c.events.Grow(p)
 	for i := range c.freeSlots {
 		c.freeSlots[i] = int32(p - 1 - i) // pop order 0,1,2,…
@@ -409,17 +438,20 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 	return c, nil
 }
 
-// join appends js to the admission queue (outside → queued, or
-// retry-wait → queued) and reports the new depth. The snapshot entry is
-// written here once: minSlice and attempt change only in fail, while the
-// job is in neither queue.
-func (c *cluster) join(js []*job) {
-	if len(js) == 0 {
+// join moves every job due by now from the due list to the admission
+// queue (arrived or retry-wait → queued) and reports the new depth. The
+// snapshot entry is written here once: minSlice and attempt change only
+// in fail, while the job is in neither queue.
+func (c *cluster) join() {
+	k := len(c.due)
+	for k > 0 && c.due[k-1].dueAt <= c.now {
+		k--
+		c.st.Queue = append(c.st.Queue, queuedView(c.due[k]))
+	}
+	if k == len(c.due) {
 		return
 	}
-	for _, j := range js {
-		c.st.Queue = append(c.st.Queue, queuedView(j))
-	}
+	c.due = c.due[:k]
 	c.admitDirty = true
 	if len(c.st.Queue) > c.res.MaxQueue {
 		c.res.MaxQueue = len(c.st.Queue)
@@ -427,35 +459,11 @@ func (c *cluster) join(js []*job) {
 	c.ob.Emit(obs.KindQueueDepth, c.now, -1, -1, float64(len(c.st.Queue)), 0)
 }
 
-// rejoin moves the retries whose backoff has elapsed back into the
-// admission queue (behind any same-instant fresh arrivals, which arrive
-// appended at the end of the previous iteration).
-func (c *cluster) rejoin() {
-	k := 0
-	for k < len(c.retryQ) && c.retryQ[k].retryAt <= c.now {
-		k++
-	}
-	c.join(c.retryQ[:k])
-	c.retryQ = c.retryQ[k:]
-}
-
-// arrive queues every job submitted at this instant.
-func (c *cluster) arrive() {
-	k := c.arrIdx
-	for k < len(c.byArrival) && c.byArrival[k].spec.Arrival == c.now {
-		k++
-	}
-	c.join(c.byArrival[c.arrIdx:k])
-	c.arrIdx = k
-}
-
-// retriesBefore orders retryQ: by retry instant, submission index
-// breaking ties.
-func retriesBefore(a, b *job) bool {
-	if a.retryAt != b.retryAt {
-		return a.retryAt < b.retryAt
-	}
-	return a.idx < b.idx
+// dueLater orders the due list latest first, so its tail joins next.
+// Jobs join by instant, a fresh arrival before a retry due at the same
+// one, submission index breaking ties.
+func dueLater(a, b *job) int {
+	return cmp.Or(cmp.Compare(b.dueAt, a.dueAt), cmp.Compare(min(b.attempt, 1), min(a.attempt, 1)), cmp.Compare(b.idx, a.idx))
 }
 
 // releaseAt returns j's position in st.Releases, or where it would be
@@ -630,9 +638,8 @@ func (c *cluster) dispatch() error {
 }
 
 // drained is the progress check between dispatch and advance. It
-// reports true once nothing runs and nothing is left to arrive or
-// retry, and an error when the cluster is idle with work it should have
-// been able to start.
+// reports true once nothing runs and nothing is due, and an error when
+// the cluster is idle with work it should have been able to start.
 func (c *cluster) drained() (bool, error) {
 	if c.runningT > 0 {
 		return false, nil
@@ -647,7 +654,7 @@ func (c *cluster) drained() (bool, error) {
 			&core.ErrDeadlock{Scheduler: j.sched.Name(), Finished: j.spec.Tree.Len() - j.remaining,
 				Total: j.spec.Tree.Len(), Booked: j.sched.BookedMemory()})
 	}
-	if c.arrIdx < len(c.byArrival) || len(c.retryQ) > 0 {
+	if len(c.due) > 0 {
 		return false, nil
 	}
 	if len(c.st.Queue) > 0 {
@@ -659,8 +666,9 @@ func (c *cluster) drained() (bool, error) {
 }
 
 // advance moves the clock to the next instant: the earliest of the next
-// completion, arrival, retry expiry, and — in fault mode, while
-// anything runs — the next crash epoch of a busy slot or burst epoch.
+// completion, the next due job (an arrival or a retry expiry), and — in
+// fault mode, while anything runs — the next crash epoch of a busy slot
+// or burst epoch.
 // A cached epoch at or behind the clock is stale (the zero value always
 // is) and looked up afresh; one still ahead is, by being the first epoch
 // after an earlier instant, also the first after this one.
@@ -669,11 +677,8 @@ func (c *cluster) advance() {
 	if c.events.Len() > 0 {
 		tNext = c.events.Min().Time
 	}
-	if c.arrIdx < len(c.byArrival) && c.byArrival[c.arrIdx].spec.Arrival < tNext {
-		tNext = c.byArrival[c.arrIdx].spec.Arrival
-	}
-	if len(c.retryQ) > 0 && c.retryQ[0].retryAt < tNext {
-		tNext = c.retryQ[0].retryAt
+	if k := len(c.due); k > 0 && c.due[k-1].dueAt < tNext {
+		tNext = c.due[k-1].dueAt
 	}
 	if c.plan != nil && c.runningT > 0 {
 		if c.burstAt <= c.now {
@@ -767,9 +772,6 @@ func (c *cluster) commit(j *job) {
 			j.workSinceCk += j.spec.Tree.Time(nid)
 		}
 		j.sinceCk += n
-		if c.fo.RecordSchedules {
-			j.commitSched = append(j.commitSched, j.batch...)
-		}
 	}
 	if c.ob != nil {
 		for _, nid := range j.batch {
@@ -797,7 +799,6 @@ func (c *cluster) checkpoint(j *job) {
 	booked := j.sched.BookedMemory()
 	if c.ckpol.Should(j.sinceCk, booked, j.peakBooked) {
 		j.cp = j.sched.CheckpointInto(j.cp)
-		j.ckCommits = len(j.commitSched)
 		j.sinceCk = 0
 		j.workSinceCk = 0
 		c.res.Checkpoints++
@@ -840,9 +841,9 @@ func (c *cluster) strike() {
 
 // fail is the fail-stop path: kill the job's in-flight tasks (cancelling
 // their completion events and crediting their partial work as wasted),
-// release its slice back to the pool, and either park it in retryQ until
-// its backoff elapses (active → retry-wait) or report it Failed once
-// retries run out (active → failed).
+// release its slice back to the pool, and either put it on the due list
+// until its backoff elapses (active → retry-wait) or report it Failed
+// once retries run out (active → failed).
 func (c *cluster) fail(j *job) {
 	if j.sched == nil {
 		return // already failed at this instant (e.g. crash after burst)
@@ -865,9 +866,6 @@ func (c *cluster) fail(j *job) {
 	// Commits past the restart point will be redone: wasted.
 	c.res.WastedWork += j.workSinceCk
 	j.workSinceCk = 0
-	if c.fo.RecordSchedules {
-		j.commitSched = j.commitSched[:j.ckCommits]
-	}
 	c.retire(j)
 	j.attempt++
 	if j.cp != nil {
@@ -882,10 +880,10 @@ func (c *cluster) fail(j *job) {
 		return
 	}
 	c.res.Restarts++
-	j.retryAt = c.now + c.fo.Backoff.Delay(j.spec.Name, j.attempt-1)
-	c.ob.Emit(obs.KindRestart, c.now, int32(j.idx), -1, j.retryAt, float64(j.attempt))
-	at := sort.Search(len(c.retryQ), func(k int) bool { return retriesBefore(j, c.retryQ[k]) })
-	c.retryQ = slices.Insert(c.retryQ, at, j)
+	j.dueAt = c.now + c.fo.Backoff.Delay(j.spec.Name, j.attempt-1)
+	c.ob.Emit(obs.KindRestart, c.now, int32(j.idx), -1, j.dueAt, float64(j.attempt))
+	at, _ := slices.BinarySearchFunc(c.due, j, dueLater)
+	c.due = slices.Insert(c.due, at, j)
 }
 
 // retire ends j's current attempt, finished or failed: its slice returns
@@ -937,10 +935,6 @@ func (c *cluster) record(j *job, failed bool) {
 		jr.Attempts = j.attempt // fail already counted the attempt that died
 		code = 1
 		c.res.FailedJobs++
-	} else if c.fo != nil && c.fo.RecordSchedules {
-		// RecordSchedules is a test-oracle mode: the copy runs once per
-		// finished job, only when a test asks for schedules.
-		jr.Schedule = append([]tree.NodeID(nil), j.commitSched...)
 	}
 	c.res.Jobs[j.idx] = jr
 	c.ob.Emit(obs.KindDone, c.now, int32(j.idx), -1, j.slice, code)

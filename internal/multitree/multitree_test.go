@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/leakcheck"
 	"repro/internal/order"
 	"repro/internal/sim"
@@ -249,17 +251,37 @@ func TestPolicyViolationsRejected(t *testing.T) {
 // A job whose minimal slice exceeds the whole pool can never be
 // admitted safely; Run rejects the stream up front — as it does any
 // non-finite arrival, which would otherwise poison every time-weighted
-// metric.
+// metric, a precomputed peak no slice can be carved to, and a retry
+// backoff that never expires (NaN) or never ends (+Inf).
 func TestJobLargerThanPoolRejected(t *testing.T) {
 	specs := stream(t, 9, 1, []int{300}, UniformArrivals(), 1)
-	_, pk := order.MinMemPostOrder(specs[0].Tree)
+	ao, pk := order.MinMemPostOrder(specs[0].Tree)
 	if _, err := Run(specs, &Options{Procs: 2, Mem: pk / 2}); err == nil {
 		t.Fatal("oversized job accepted")
 	}
-	for _, bad := range []float64{math.Inf(1), math.NaN(), -1} {
-		specs[0].Arrival = bad
-		if _, err := Run(specs, &Options{Procs: 2, Mem: 2 * pk}); err == nil {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []float64{inf, nan, -1} {
+		sp := specs[0]
+		sp.Arrival = bad
+		if _, err := Run([]JobSpec{sp}, &Options{Procs: 2, Mem: 2 * pk}); err == nil {
 			t.Fatalf("arrival %v accepted", bad)
+		}
+	}
+	for _, bad := range []float64{nan, -1, inf, -inf} {
+		sp := specs[0]
+		sp.AO, sp.Peak = ao, bad
+		for _, pol := range allPolicies() {
+			_, err := Run([]JobSpec{sp}, &Options{Procs: 2, Mem: 2 * pk, Policy: pol})
+			if err == nil || !strings.Contains(err.Error(), sp.Name) {
+				t.Fatalf("%s: peak %v: err %v, want a rejection naming job %q", pol.Name(), bad, err, sp.Name)
+			}
+		}
+	}
+	for _, bad := range []faults.Backoff{{Base: nan}, {Base: inf}, {Base: 10, Cap: nan}, {Base: 10, Cap: inf},
+		{Base: 10, Jitter: nan}, {Base: 10, Jitter: inf}} {
+		fo := &FaultOptions{Plan: faults.TaskFailures(0.5).NewPlan(1), MaxRetries: 3, Backoff: bad}
+		if _, err := Run(specs, &Options{Procs: 2, Mem: 2 * pk, Faults: fo}); err == nil {
+			t.Fatalf("backoff %+v accepted", bad)
 		}
 	}
 }

@@ -1,7 +1,13 @@
 package multitree
 
 import (
+	"bytes"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -54,25 +60,16 @@ func TestStalledSubscriberDoesNotBlockAdmission(t *testing.T) {
 func TestObserverEventConsistency(t *testing.T) {
 	specs, mem := faultStream(t, 17, 12)
 	m := faults.TaskFailures(0.008)
-	o := obs.New(&obs.Options{Ring: 1 << 18, Poll: time.Millisecond, Log: true, SingleProducer: true})
-	res, err := Run(specs, &Options{Procs: 8, Mem: mem, Policy: EASY{}, Observer: o,
+	res, evs := observed(t, specs, &Options{Procs: 8, Mem: mem, Policy: EASY{},
 		Faults: &FaultOptions{
 			Plan:       m.NewPlan(faults.Seed(5, m, "obs")),
 			MaxRetries: 6,
 			Backoff:    faults.Backoff{Base: 25, Cap: 400, Jitter: 0.2},
 			Checkpoint: core.CheckpointEvery{K: 3},
 		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Close()
-	if d := o.DroppedEvents(); d != 0 {
-		t.Fatalf("test ring overflowed (%d drops); the oracle needs the full stream", d)
-	}
 	if res.Restarts == 0 || res.Checkpoints == 0 {
 		t.Fatalf("fault grid too tame (restarts %d, checkpoints %d): the oracle is vacuous", res.Restarts, res.Checkpoints)
 	}
-	evs := o.Events()
 	var admits, finishes, faultEvs, restarts, cks, done, doneFailed int
 	for _, ev := range evs {
 		switch ev.Kind {
@@ -141,5 +138,76 @@ func TestObserverEventConsistency(t *testing.T) {
 	}
 	if tl.Jobs != len(res.Jobs) {
 		t.Errorf("timeline jobs %d, result %d", tl.Jobs, len(res.Jobs))
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/events.golden from this tree's event streams")
+
+// observed runs specs under opt with a logging observer dedicated to
+// the run and returns the result with the run's full event stream.
+func observed(t *testing.T, specs []JobSpec, opt *Options) (*Result, []obs.Event) {
+	t.Helper()
+	o := obs.New(&obs.Options{Ring: 1 << 16, Poll: time.Millisecond, Log: true, SingleProducer: true})
+	opt.Observer = o
+	res, err := Run(specs, opt)
+	o.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := o.DroppedEvents(); d != 0 {
+		t.Fatalf("event ring overflowed (%d drops); the stream is incomplete", d)
+	}
+	return res, o.Events()
+}
+
+// TestEventsGolden pins the cluster's whole event stream, not only the
+// Result it adds up to: FNV-64a over every event's kind, time, job,
+// node and payloads, per fault-injected case under EASY. A refactor of
+// the cluster loop leaves testdata/events.golden untouched; a change
+// that means to move an event regenerates it with
+// `go test ./internal/multitree -run TestEventsGolden -update`.
+func TestEventsGolden(t *testing.T) {
+	const path = "testdata/events.golden"
+	specs, mem := faultStream(t, 17, 12)
+	var got bytes.Buffer
+	for _, m := range []faults.Model{faults.TaskFailures(0.008), faults.Mixed(0.004, 2e-4, 4e-5)} {
+		for _, backoff := range []faults.Backoff{{}, {Base: 25, Cap: 400, Jitter: 0.2}} {
+			name := fmt.Sprintf("%s/backoff%g", m.Name, backoff.Base)
+			res, evs := observed(t, specs, &Options{Procs: 8, Mem: mem, Policy: EASY{},
+				Faults: &FaultOptions{
+					Plan:       m.NewPlan(faults.Seed(5, m, "events")),
+					MaxRetries: 6,
+					Backoff:    backoff,
+					Checkpoint: core.CheckpointEvery{K: 3},
+				}})
+			if res.Restarts == 0 || res.Checkpoints == 0 {
+				t.Fatalf("%s: too tame to pin anything (restarts %d, checkpoints %d)", name, res.Restarts, res.Checkpoints)
+			}
+			h := fnv.New64a()
+			var b []byte
+			for _, ev := range evs {
+				b = binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(ev.Time))
+				b = binary.LittleEndian.AppendUint32(b, uint32(ev.Job))
+				b = binary.LittleEndian.AppendUint32(b, uint32(ev.Node))
+				b = append(b, byte(ev.Kind))
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ev.A))
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ev.B))
+				h.Write(b)
+			}
+			fmt.Fprintf(&got, "%s %d %016x\n", name, len(evs), h.Sum64())
+		}
+	}
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("event stream digests differ from %s\n--- want ---\n%s--- got ---\n%s", path, want, got.Bytes())
 	}
 }

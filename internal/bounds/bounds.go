@@ -10,9 +10,8 @@ import (
 )
 
 // Classical returns the standard makespan lower bound for p processors:
-// max(total work / p, critical path length). It is an admission-time
-// estimate computed once per job (its critical-path scan allocates),
-// never part of the per-event loop.
+// max(total work / p, critical path length). The critical path is kept
+// on the tree, so this costs one pass summing the task times.
 func Classical(t *tree.Tree, p int) float64 {
 	w := t.TotalWork() / float64(p)
 	if cp := t.CriticalPath(); cp > w {

@@ -5,8 +5,8 @@
 // which every task finishes; this package makes the complementary
 // assumption testable by deciding, purely from a (model, seed) pair,
 // which task attempts fail, when each processor crashes, and when
-// cluster-wide burst outages strike. The engines (multitree's job
-// stream, the live executor) inject those faults and recover through
+// cluster-wide burst outages strike. The one engine that injects them is
+// multitree's cluster simulator, which recovers through
 // checkpoint/restart and retry-with-backoff; because every draw is a
 // pure function of content-derived keys — never of shared RNG stream
 // position — the same schedule replays identically whatever order the
@@ -106,14 +106,22 @@ const (
 )
 
 // fnv1a folds s into the running hash h (start from fnvOffset). It is
-// hash/fnv's New64a written as a loop over the string, so the per-task
-// callers pay no hasher allocation and no []byte conversion.
+// hash/fnv's New64a written as a loop over the string, so callers pay no
+// hasher allocation and no []byte conversion.
 func fnv1a(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
 }
+
+// Key is the job half of a per-job draw's content key: the FNV-1a hash
+// of the job's name, taken once per job (JobKey) instead of once per
+// verdict.
+type Key uint64
+
+// JobKey returns the draw key of the named job.
+func JobKey(name string) Key { return Key(fnv1a(fnvOffset, name)) }
 
 // Plan is the realised fault schedule of one run: the pure function
 // (model, seed) → {task-attempt verdicts, crash epochs, burst epochs}.
@@ -193,14 +201,14 @@ func splitmix64(x uint64) uint64 {
 }
 
 // TaskFails reports whether the given attempt (0-based) of task in the
-// named job fails at its completion. The verdict is a pure function of
-// (seed, job, task, attempt): retries of the same attempt index replay
-// the same verdict, distinct attempts draw independently.
-func (p *Plan) TaskFails(job string, task, attempt int) bool {
+// job whose key is job fails at its completion. The verdict is a pure
+// function of (seed, job, task, attempt): retries of the same attempt
+// index replay the same verdict, distinct attempts draw independently.
+func (p *Plan) TaskFails(job Key, task, attempt int) bool {
 	if p.model.TaskRate == 0 {
 		return false
 	}
-	key := p.seed ^ fnv1a(fnvOffset, job)
+	key := p.seed ^ uint64(job)
 	key = splitmix64(key ^ uint64(task)*0x9e3779b97f4a7c15)
 	key = splitmix64(key ^ uint64(attempt)*0xbf58476d1ce4e5b9)
 	u := float64(key>>11) / (1 << 53)
@@ -238,13 +246,12 @@ func (p *Plan) NextBurst(t float64) float64 {
 }
 
 // Backoff is capped exponential backoff with deterministic jitter: the
-// retry-delay rule shared by the cluster simulator, the live executor
-// and the service. Delay(key, retry) = min(Cap, Base·2^retry) stretched
-// by up to Jitter (a fraction, e.g. 0.2 for ±0%..+20%) using a draw
-// hashed from (key, retry) — deterministic, so simulated fault sweeps
-// replay identically, yet decorrelated across jobs so simultaneous
-// failures do not retry in lockstep. The zero value disables waiting
-// (every delay is 0).
+// cluster simulator's retry-delay rule. Delay(key, retry) =
+// min(Cap, Base·2^retry) stretched by up to Jitter (a fraction, e.g. 0.2
+// for ±0%..+20%) using a draw hashed from (key, retry) — deterministic,
+// so simulated fault sweeps replay identically, yet decorrelated across
+// jobs so simultaneous failures do not retry in lockstep. The zero value
+// disables waiting (every delay is 0).
 type Backoff struct {
 	// Base is the first retry's delay; ≤ 0 means no backoff.
 	Base float64
@@ -255,8 +262,8 @@ type Backoff struct {
 }
 
 // Delay returns the wait before retry number retry (0-based) of the
-// work keyed by key.
-func (b Backoff) Delay(key string, retry int) float64 {
+// job whose key is key.
+func (b Backoff) Delay(key Key, retry int) float64 {
 	if b.Base <= 0 {
 		return 0
 	}
@@ -272,7 +279,7 @@ func (b Backoff) Delay(key string, retry int) float64 {
 		d = b.Cap
 	}
 	if b.Jitter > 0 {
-		u := float64(splitmix64(fnv1a(fnvOffset, key)^uint64(retry)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
+		u := float64(splitmix64(uint64(key)^uint64(retry)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
 		d *= 1 + b.Jitter*u
 	}
 	return d

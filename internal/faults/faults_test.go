@@ -19,14 +19,14 @@ func TestTaskFailsDeterministicAndOrderFree(t *testing.T) {
 	qs := []q{{0, 0}, {5, 2}, {1, 0}, {5, 2}, {999, 7}, {0, 1}}
 	var first []bool
 	for _, x := range qs {
-		first = append(first, a.TaskFails("job", x.task, x.attempt))
+		first = append(first, a.TaskFails(JobKey("job"), x.task, x.attempt))
 	}
 	for i := len(qs) - 1; i >= 0; i-- { // reversed order on the twin plan
-		if got := b.TaskFails("job", qs[i].task, qs[i].attempt); got != first[i] {
+		if got := b.TaskFails(JobKey("job"), qs[i].task, qs[i].attempt); got != first[i] {
 			t.Fatalf("query order changed verdict for %+v", qs[i])
 		}
 	}
-	if a.TaskFails("job", 5, 2) != first[1] {
+	if a.TaskFails(JobKey("job"), 5, 2) != first[1] {
 		t.Fatalf("re-query changed verdict")
 	}
 }
@@ -40,13 +40,13 @@ func TestTaskFailsKeyedByJobSeedAttempt(t *testing.T) {
 	q := m.NewPlan(2)
 	diffJob, diffSeed, diffAtt := false, false, false
 	for i := 0; i < 200; i++ {
-		if p.TaskFails("a", i, 0) != p.TaskFails("b", i, 0) {
+		if p.TaskFails(JobKey("a"), i, 0) != p.TaskFails(JobKey("b"), i, 0) {
 			diffJob = true
 		}
-		if p.TaskFails("a", i, 0) != q.TaskFails("a", i, 0) {
+		if p.TaskFails(JobKey("a"), i, 0) != q.TaskFails(JobKey("a"), i, 0) {
 			diffSeed = true
 		}
-		if p.TaskFails("a", i, 0) != p.TaskFails("a", i, 1) {
+		if p.TaskFails(JobKey("a"), i, 0) != p.TaskFails(JobKey("a"), i, 1) {
 			diffAtt = true
 		}
 	}
@@ -62,7 +62,7 @@ func TestTaskFailureRate(t *testing.T) {
 		p := TaskFailures(rate).NewPlan(7)
 		n, fails := 20000, 0
 		for i := 0; i < n; i++ {
-			if p.TaskFails("j", i, 0) {
+			if p.TaskFails(JobKey("j"), i, 0) {
 				fails++
 			}
 		}
@@ -74,9 +74,10 @@ func TestTaskFailureRate(t *testing.T) {
 }
 
 // TestPinnedDraws pins name-hashed draws to the values hash/fnv's New64a
-// produced before the hash became the inline fnv1a loop: task verdicts,
-// jittered delays and run seeds must stay bit-identical, or every
-// committed fault schedule (and the benchmark's golden digest) moves.
+// produced before the hash became the inline fnv1a loop, and before it
+// moved out of the verdict into JobKey: task verdicts, jittered delays
+// and run seeds must stay bit-identical, or every committed fault
+// schedule (and the benchmark's golden digest) moves.
 func TestPinnedDraws(t *testing.T) {
 	p := TaskFailures(0.5).NewPlan(42)
 	for _, c := range []struct {
@@ -97,7 +98,7 @@ func TestPinnedDraws(t *testing.T) {
 		{"stream/job-0417", 63, 1, false},
 		{"stream/job-0417", 64, 1, true},
 	} {
-		if got := p.TaskFails(c.job, c.task, c.attempt); got != c.want {
+		if got := p.TaskFails(JobKey(c.job), c.task, c.attempt); got != c.want {
 			t.Errorf("TaskFails(%q, %d, %d) = %v, pinned %v", c.job, c.task, c.attempt, got, c.want)
 		}
 	}
@@ -114,7 +115,7 @@ func TestPinnedDraws(t *testing.T) {
 		{"job#17", 2, 5.340936111578218},
 		{"jöb", 9, 68.32891767928088},
 	} {
-		if got := b.Delay(c.key, c.retry); got != c.want {
+		if got := b.Delay(JobKey(c.key), c.retry); got != c.want {
 			t.Errorf("Delay(%q, %d) = %v, pinned %v", c.key, c.retry, got, c.want)
 		}
 	}
@@ -187,7 +188,7 @@ func TestBurstEpochs(t *testing.T) {
 	}
 
 	none := None().NewPlan(9)
-	if none.TaskFails("j", 0, 0) || !math.IsInf(none.NextCrash(0, 0), 1) || !math.IsInf(none.NextBurst(0), 1) {
+	if none.TaskFails(JobKey("j"), 0, 0) || !math.IsInf(none.NextCrash(0, 0), 1) || !math.IsInf(none.NextBurst(0), 1) {
 		t.Fatalf("None() injected a fault")
 	}
 }
@@ -346,26 +347,26 @@ func TestSeedContentKeyed(t *testing.T) {
 func TestBackoff(t *testing.T) {
 	b := Backoff{Base: 2, Cap: 16}
 	for i, want := range []float64{2, 4, 8, 16, 16, 16} {
-		if got := b.Delay("k", i); got != want {
+		if got := b.Delay(JobKey("k"), i); got != want {
 			t.Fatalf("retry %d: delay %g want %g", i, got, want)
 		}
 	}
 	// A huge retry index must not overflow past the cap.
-	if got := b.Delay("k", 500); got != 16 {
+	if got := b.Delay(JobKey("k"), 500); got != 16 {
 		t.Fatalf("retry 500: delay %g want 16", got)
 	}
 	j := Backoff{Base: 1, Cap: 64, Jitter: 0.5}
-	d1 := j.Delay("a", 3)
-	if d1 != j.Delay("a", 3) {
+	d1 := j.Delay(JobKey("a"), 3)
+	if d1 != j.Delay(JobKey("a"), 3) {
 		t.Fatalf("jittered delay not deterministic")
 	}
 	if base := 8.0; d1 < base || d1 > base*1.5 {
 		t.Fatalf("jittered delay %g outside [%g, %g]", d1, base, base*1.5)
 	}
-	if j.Delay("a", 3) == j.Delay("b", 3) {
+	if j.Delay(JobKey("a"), 3) == j.Delay(JobKey("b"), 3) {
 		t.Fatalf("jitter identical across keys")
 	}
-	if (Backoff{}).Delay("k", 9) != 0 {
+	if (Backoff{}).Delay(JobKey("k"), 9) != 0 {
 		t.Fatalf("zero-value backoff waited")
 	}
 }

@@ -303,7 +303,8 @@ func TestRetryJoinsBehindSameInstantArrival(t *testing.T) {
 	m := faults.TaskFailures(0.5)
 	onlyA0 := func(seed uint64) bool {
 		p := m.NewPlan(seed)
-		return p.TaskFails("A", 0, 0) && !p.TaskFails("A", 0, 1) && !p.TaskFails("B", 0, 0)
+		a, b := faults.JobKey("A"), faults.JobKey("B")
+		return p.TaskFails(a, 0, 0) && !p.TaskFails(a, 0, 1) && !p.TaskFails(b, 0, 0)
 	}
 	seed := uint64(0)
 	for !onlyA0(seed) {

@@ -200,6 +200,7 @@ type job struct {
 	batch     []tree.NodeID // per-round completion buffer
 
 	// Fault-mode state.
+	key         faults.Key       // the fault plan's and the backoff's draw key, hashed once
 	minSlice    float64          // required slice floor: max(peak, checkpoint's booked memory)
 	attempt     int              // restarts so far; also the fault plan's attempt key
 	cp          *core.Checkpoint // latest snapshot, nil before the first
@@ -277,13 +278,23 @@ type cluster struct {
 	// instant: crashAt[s] is slot s's first crash epoch after the instant
 	// it was last looked up at, burstAt the same for bursts. Either is
 	// current while it lies ahead of the clock and looked up again once
-	// the clock has reached it, so a plan query happens per epoch passed,
-	// not per busy slot per instant. faultAt is the earliest of them over
-	// the slots busy at the latest advance: strike has work only at an
-	// instant the clock stopped on it.
-	crashAt []float64
-	burstAt float64
-	faultAt float64
+	// the clock has reached it — a slot's as dispatch makes it busy, the
+	// burst's in advance — so a plan query happens per epoch passed, not
+	// per busy slot per instant. A busy slot's epoch is always ahead of
+	// the clock: reaching it strikes the slot's job.
+	//
+	// crashMin is the earliest crashAt over the busy slots and crashSlot
+	// the slot holding it (-1 while none is finite). dispatch lowers it;
+	// freeing crashSlot sets crashStale, and only then does advance
+	// rescan the busy slots. faultAt is min(burstAt, crashMin) at the
+	// latest advance: strike has work only at an instant the clock
+	// stopped on it.
+	crashAt    []float64
+	crashMin   float64
+	crashSlot  int32
+	crashStale bool
+	burstAt    float64
+	faultAt    float64
 
 	idbuf     []int32         // PopBatch destination, recycled
 	admitMark []bool          // per-round admitted marks, recycled
@@ -388,6 +399,8 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		freeMem:    opt.Mem,
 		admitDirty: true,
 		st:         State{Mem: opt.Mem},
+		crashMin:   math.Inf(1),
+		crashSlot:  -1,
 	}
 	if c.pol == nil {
 		c.pol = FCFS{}
@@ -403,10 +416,13 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		if c.fo.MaxRetries < 0 {
 			return nil, fmt.Errorf("multitree: negative retry cap %d", c.fo.MaxRetries)
 		}
-		// A NaN delay would never expire and an infinite one never end.
-		for _, v := range [...]float64{c.fo.Backoff.Base, c.fo.Backoff.Cap, c.fo.Backoff.Jitter} {
+		// A NaN delay would never expire and an infinite one never end;
+		// an uncapped one doubles past the largest float within ~1000
+		// retries.
+		b := c.fo.Backoff
+		for _, v := range [...]float64{b.Base, b.Cap, b.Jitter, longestDelay(b, c.fo.MaxRetries)} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("multitree: retry backoff %+v is not finite", c.fo.Backoff)
+				return nil, fmt.Errorf("multitree: retry backoff %+v is not finite over %d retries", b, c.fo.MaxRetries)
 			}
 		}
 	}
@@ -427,7 +443,8 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		if peak > opt.Mem {
 			return nil, fmt.Errorf("multitree: job %q needs %g memory, over the cluster pool %g — no slice can admit it", sp.Name, peak, opt.Mem)
 		}
-		c.jobs[i] = job{spec: sp, idx: i, ao: ao, peak: peak, minSlice: peak, est: bounds.Classical(sp.Tree, p), dueAt: sp.Arrival}
+		c.jobs[i] = job{spec: sp, idx: i, ao: ao, peak: peak, minSlice: peak, est: bounds.Classical(sp.Tree, p), dueAt: sp.Arrival,
+			key: faults.JobKey(sp.Name)}
 		c.due[len(specs)-1-i] = &c.jobs[i] // a stream in arrival order is sorted already
 	}
 	slices.SortFunc(c.due, dueLater)
@@ -436,6 +453,19 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		c.freeSlots[i] = int32(p - 1 - i) // pop order 0,1,2,…
 	}
 	return c, nil
+}
+
+// longestDelay bounds the backoff of any of maxRetries retries from
+// above: min(Cap, Base·2^(maxRetries−1)) stretched by the full Jitter.
+func longestDelay(b faults.Backoff, maxRetries int) float64 {
+	if b.Base <= 0 || maxRetries == 0 {
+		return 0
+	}
+	d := math.Ldexp(b.Base, maxRetries-1)
+	if b.Cap > 0 {
+		d = min(d, b.Cap)
+	}
+	return d * (1 + max(b.Jitter, 0))
 }
 
 // join moves every job due by now from the due list to the admission
@@ -621,6 +651,9 @@ func (c *cluster) dispatch() error {
 			c.freeSlots = c.freeSlots[:len(c.freeSlots)-1]
 			d := j.spec.Tree.Time(nid)
 			c.slots[slot] = slotRec{job: j, node: nid, start: c.now, finish: c.now + d}
+			if c.plan != nil {
+				c.occupy(slot)
+			}
 			c.events.Push(c.now+d, slot)
 			c.ob.Emit(obs.KindStart, c.now, int32(j.idx), int32(nid), d, 0)
 			c.res.BusyTime += d
@@ -635,6 +668,28 @@ func (c *cluster) dispatch() error {
 		}
 	}
 	return nil
+}
+
+// occupy brings the crash epoch of a slot dispatch just made busy up to
+// date and lowers the busy-slot minimum with it. The next advance runs at
+// this same instant, so the epoch is the one a lookup there would find.
+func (c *cluster) occupy(s int32) {
+	if c.crashAt[s] <= c.now {
+		c.crashAt[s] = c.plan.NextCrash(int(s), c.now)
+	}
+	if c.crashAt[s] < c.crashMin {
+		c.crashMin, c.crashSlot = c.crashAt[s], s
+	}
+}
+
+// vacate frees slot s. Freeing the slot that holds the busy-slot crash
+// minimum leaves the minimum stale until advance rescans.
+func (c *cluster) vacate(s int32) {
+	c.slots[s].job = nil
+	c.freeSlots = append(c.freeSlots, s)
+	if s == c.crashSlot {
+		c.crashStale = true
+	}
 }
 
 // drained is the progress check between dispatch and advance. It
@@ -669,9 +724,11 @@ func (c *cluster) drained() (bool, error) {
 // completion, the next due job (an arrival or a retry expiry), and — in
 // fault mode, while anything runs — the next crash epoch of a busy slot
 // or burst epoch.
-// A cached epoch at or behind the clock is stale (the zero value always
-// is) and looked up afresh; one still ahead is, by being the first epoch
-// after an earlier instant, also the first after this one.
+// A cached burst epoch at or behind the clock is stale (the zero value
+// always is) and looked up afresh; one still ahead is, by being the
+// first epoch after an earlier instant, also the first after this one.
+// The busy slots' epochs are current already (occupy), and their
+// minimum is rescanned only when vacate left it stale.
 func (c *cluster) advance() {
 	tNext := math.Inf(1)
 	if c.events.Len() > 0 {
@@ -684,21 +741,17 @@ func (c *cluster) advance() {
 		if c.burstAt <= c.now {
 			c.burstAt = c.plan.NextBurst(c.now)
 		}
-		fault := c.burstAt
-		for s := range c.slots {
-			if c.slots[s].job == nil {
-				continue
-			}
-			if c.crashAt[s] <= c.now {
-				c.crashAt[s] = c.plan.NextCrash(s, c.now)
-			}
-			if t := c.crashAt[s]; t < fault {
-				fault = t
+		if c.crashStale {
+			c.crashMin, c.crashSlot, c.crashStale = math.Inf(1), -1, false
+			for s := range c.slots {
+				if c.slots[s].job != nil && c.crashAt[s] < c.crashMin {
+					c.crashMin, c.crashSlot = c.crashAt[s], int32(s)
+				}
 			}
 		}
-		c.faultAt = fault
-		if fault < tNext {
-			tNext = fault
+		c.faultAt = min(c.burstAt, c.crashMin)
+		if c.faultAt < tNext {
+			tNext = c.faultAt
 		}
 	}
 	c.res.AvgQueue += float64(len(c.st.Queue)) * (tNext - c.now)
@@ -716,8 +769,7 @@ func (c *cluster) complete() {
 	c.touched = c.touched[:0]
 	for _, slot := range c.idbuf {
 		rec := c.slots[slot]
-		c.slots[slot].job = nil
-		c.freeSlots = append(c.freeSlots, slot)
+		c.vacate(slot)
 		j := rec.job
 		if j.batch == nil {
 			if k := len(c.batchFree); k > 0 {
@@ -752,7 +804,7 @@ func (c *cluster) commit(j *job) {
 		// wasted, never committed.
 		doomed := false
 		for _, nid := range j.batch {
-			if c.plan.TaskFails(j.spec.Name, int(nid), j.attempt) {
+			if c.plan.TaskFails(j.key, int(nid), j.attempt) {
 				doomed = true
 				break
 			}
@@ -812,11 +864,10 @@ func (c *cluster) checkpoint(j *job) {
 // strike applies the fault epochs of this instant, after same-instant
 // completions have committed: a crash kills the job running on that
 // processor, a burst kills every job with running work. It reads the
-// epochs advance cached instead of the plan: between the two only
+// cached epochs instead of the plan: between advance and strike only
 // complete runs, which frees slots and starts nothing, so every slot
-// busy here was busy — and had its epoch brought up to date — in
-// advance, and none of those epochs is this instant unless their
-// minimum, faultAt, is.
+// busy here was busy — with its epoch current — in advance, and none of
+// those epochs is this instant unless their minimum, faultAt, is.
 func (c *cluster) strike() {
 	if c.plan == nil || c.faultAt != c.now {
 		return
@@ -856,8 +907,7 @@ func (c *cluster) fail(j *job) {
 		}
 		c.res.WastedWork += c.now - rec.start
 		c.res.BusyTime -= rec.finish - c.now // charged at launch; the remainder never runs
-		rec.job = nil
-		c.freeSlots = append(c.freeSlots, int32(s))
+		c.vacate(int32(s))
 		c.freeProcs++
 		c.runningT--
 	}
@@ -880,7 +930,7 @@ func (c *cluster) fail(j *job) {
 		return
 	}
 	c.res.Restarts++
-	j.dueAt = c.now + c.fo.Backoff.Delay(j.spec.Name, j.attempt-1)
+	j.dueAt = c.now + c.fo.Backoff.Delay(j.key, j.attempt-1)
 	c.ob.Emit(obs.KindRestart, c.now, int32(j.idx), -1, j.dueAt, float64(j.attempt))
 	at, _ := slices.BinarySearchFunc(c.due, j, dueLater)
 	c.due = slices.Insert(c.due, at, j)

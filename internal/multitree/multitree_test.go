@@ -252,7 +252,8 @@ func TestPolicyViolationsRejected(t *testing.T) {
 // admitted safely; Run rejects the stream up front — as it does any
 // non-finite arrival, which would otherwise poison every time-weighted
 // metric, a precomputed peak no slice can be carved to, and a retry
-// backoff that never expires (NaN) or never ends (+Inf).
+// backoff that never expires (NaN) or never ends (+Inf, or a delay that
+// doubles past the largest float).
 func TestJobLargerThanPoolRejected(t *testing.T) {
 	specs := stream(t, 9, 1, []int{300}, UniformArrivals(), 1)
 	ao, pk := order.MinMemPostOrder(specs[0].Tree)
@@ -277,11 +278,20 @@ func TestJobLargerThanPoolRejected(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []faults.Backoff{{Base: nan}, {Base: inf}, {Base: 10, Cap: nan}, {Base: 10, Cap: inf},
-		{Base: 10, Jitter: nan}, {Base: 10, Jitter: inf}} {
-		fo := &FaultOptions{Plan: faults.TaskFailures(0.5).NewPlan(1), MaxRetries: 3, Backoff: bad}
-		if _, err := Run(specs, &Options{Procs: 2, Mem: 2 * pk, Faults: fo}); err == nil {
-			t.Fatalf("backoff %+v accepted", bad)
+	for _, bad := range []struct {
+		b       faults.Backoff
+		retries int
+	}{
+		{faults.Backoff{Base: nan}, 3}, {faults.Backoff{Base: inf}, 3},
+		{faults.Backoff{Base: 10, Cap: nan}, 3}, {faults.Backoff{Base: 10, Cap: inf}, 3},
+		{faults.Backoff{Base: 10, Jitter: nan}, 3}, {faults.Backoff{Base: 10, Jitter: inf}, 3},
+		// Uncapped, the 1025th delay is +Inf: the run would end with
+		// Makespan +Inf and AvgQueue NaN.
+		{faults.Backoff{Base: 1}, 1100},
+	} {
+		fo := &FaultOptions{Plan: faults.TaskFailures(1).NewPlan(1), MaxRetries: bad.retries, Backoff: bad.b}
+		if res, err := Run(specs, &Options{Procs: 2, Mem: 2 * pk, Faults: fo}); err == nil {
+			t.Fatalf("backoff %+v over %d retries accepted: makespan %g", bad.b, bad.retries, res.Makespan)
 		}
 	}
 }

@@ -36,6 +36,8 @@ type Tree struct {
 	// children in CSR layout: children of i are childList[childStart[i]:childStart[i+1]].
 	childStart []int32
 	childList  []NodeID
+
+	cp float64 // critical path, taken by walk
 }
 
 // New builds a tree from parallel arrays. parent[i] is the parent of node i
@@ -122,18 +124,46 @@ func (t *Tree) index() error {
 		fill[p]++
 	}
 	// Reachability from the root proves acyclicity (n-1 edges + connected).
-	seen := 0
-	stack := []NodeID{t.root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		seen++
-		stack = append(stack, t.Children(v)...)
-	}
-	if seen != n {
+	if seen := t.walk(); seen != n {
 		return fmt.Errorf("tree: %d of %d nodes unreachable from root (cycle or forest)", n-seen, n)
 	}
 	return nil
+}
+
+// walk visits the nodes reachable from the root, parents before
+// children, and returns how many it reached. On the way it forms every
+// node's bottom level, bl(v) = bl(parent) + t_v — the sums BottomLevels
+// forms — and stores their maximum as the critical path. Siblings are
+// pushed together and share their parent's bl, so the walk keeps one
+// float per pushed family, not one per node.
+func (t *Tree) walk() int {
+	type family struct {
+		start int     // stack index of the family's first member
+		bl    float64 // the parent's bottom level
+	}
+	seen, cp := 0, 0.0
+	stack := []NodeID{t.root}
+	fams := []family{{0, 0}}
+	for len(stack) > 0 {
+		k := len(stack) - 1
+		v := stack[k]
+		stack = stack[:k]
+		f := fams[len(fams)-1]
+		if f.start == k {
+			fams = fams[:len(fams)-1]
+		}
+		bl := f.bl + t.time[v]
+		if bl > cp {
+			cp = bl
+		}
+		seen++
+		if kids := t.Children(v); len(kids) > 0 {
+			fams = append(fams, family{k, bl})
+			stack = append(stack, kids...)
+		}
+	}
+	t.cp = cp
+	return seen
 }
 
 // Len returns the number of tasks.
@@ -297,16 +327,9 @@ func (t *Tree) BottomLevels() []float64 {
 }
 
 // CriticalPath returns the length of the longest leaf-to-root path, a
-// classical makespan lower bound.
-func (t *Tree) CriticalPath() float64 {
-	cp := 0.0
-	for _, b := range t.BottomLevels() {
-		if b > cp {
-			cp = b
-		}
-	}
-	return cp
-}
+// classical makespan lower bound: the largest of BottomLevels, taken
+// once when the tree is built.
+func (t *Tree) CriticalPath() float64 { return t.cp }
 
 // MaxDegree returns the largest number of children of any node.
 func (t *Tree) MaxDegree() int {
@@ -354,7 +377,8 @@ func (t *Tree) ComputeStats() Stats {
 // (internal/perturb): schedulers are built from the nominal tree while
 // the simulator executes a WithTimes realisation, and because the two
 // trees agree on every memory attribute the memory accounting and the
-// Theorem 1 bound carry over unchanged. O(1) beyond validating tm.
+// Theorem 1 bound carry over unchanged. Beyond validating tm it costs one
+// walk, which retakes the critical path under the new times.
 func (t *Tree) WithTimes(tm []float64) (*Tree, error) {
 	if len(tm) != t.Len() {
 		return nil, fmt.Errorf("tree: %d times for %d nodes", len(tm), t.Len())
@@ -366,6 +390,7 @@ func (t *Tree) WithTimes(tm []float64) (*Tree, error) {
 	}
 	nt := *t
 	nt.time = tm
+	nt.walk()
 	return &nt, nil
 }
 

@@ -178,6 +178,50 @@ func TestBottomLevelsAndCriticalPath(t *testing.T) {
 	}
 }
 
+// TestCriticalPathMatchesBottomLevels checks the critical path the
+// build walk keeps against the largest BottomLevels entry, bit for bit,
+// on random trees whose IDs are shuffled so parents are not numbered
+// before their children, with fractional times so that any other
+// summation order would show; and again on a WithTimes realisation of
+// each, which must retake the path under its own times.
+func TestCriticalPathMatchesBottomLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	maxLevel := func(tr *Tree) float64 {
+		m := 0.0
+		for _, b := range tr.BottomLevels() {
+			m = max(m, b)
+		}
+		return m
+	}
+	times := func(n int) []float64 {
+		tm := make([]float64, n)
+		for i := range tm {
+			tm[i] = rng.ExpFloat64() * 3.7
+		}
+		return tm
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		perm := rng.Perm(n) // node i of the attach-order tree is perm[i]
+		parent := make([]NodeID, n)
+		parent[perm[0]] = None
+		for i := 1; i < n; i++ {
+			parent[perm[i]] = NodeID(perm[rng.Intn(i)])
+		}
+		tr := MustNew(parent, nil, nil, times(n))
+		if got, want := tr.CriticalPath(), maxLevel(tr); got != want {
+			t.Fatalf("trial %d (%d nodes): CriticalPath %v, max bottom level %v", trial, n, got, want)
+		}
+		rt, err := tr.WithTimes(times(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rt.CriticalPath(), maxLevel(rt); got != want {
+			t.Fatalf("trial %d (%d nodes): WithTimes CriticalPath %v, max bottom level %v", trial, n, got, want)
+		}
+	}
+}
+
 func TestSubtreeWork(t *testing.T) {
 	tr := MustNew([]NodeID{None, 0, 0}, nil, nil, []float64{1, 2, 3})
 	w := tr.SubtreeWork()

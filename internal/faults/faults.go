@@ -92,27 +92,11 @@ func Mixed(taskP, crashRate, burstRate float64) Model {
 
 // Seed derives the deterministic schedule seed of one run from the
 // experiment base seed, the model and an instance key (conventionally
-// the corpus or job-stream name). FNV keeps it content-derived, exactly
-// like perturb.Seed: the same (base, model, instance) triple names the
-// same fault schedule in every process.
+// the corpus or job-stream name). workload.FNV1a keeps it
+// content-derived, exactly like perturb.Seed: the same (base, model,
+// instance) triple names the same fault schedule in every process.
 func Seed(base uint64, m Model, instance string) uint64 {
-	return base ^ fnv1a(fnv1a(fnv1a(fnvOffset, m.Name), "\x00"), instance)
-}
-
-// FNV-1a, 64 bit: the content hash behind every name-keyed draw.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// fnv1a folds s into the running hash h (start from fnvOffset). It is
-// hash/fnv's New64a written as a loop over the string, so callers pay no
-// hasher allocation and no []byte conversion.
-func fnv1a(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	return h
+	return base ^ workload.FNV1a(m.Name, "\x00", instance)
 }
 
 // Key is the job half of a per-job draw's content key: the FNV-1a hash
@@ -121,7 +105,7 @@ func fnv1a(h uint64, s string) uint64 {
 type Key uint64
 
 // JobKey returns the draw key of the named job.
-func JobKey(name string) Key { return Key(fnv1a(fnvOffset, name)) }
+func JobKey(name string) Key { return Key(workload.FNV1a(name)) }
 
 // Plan is the realised fault schedule of one run: the pure function
 // (model, seed) → {task-attempt verdicts, crash epochs, burst epochs}.
@@ -187,9 +171,6 @@ func (s *epochStream) after(rate, t float64) float64 {
 func (m Model) NewPlan(seed uint64) *Plan {
 	return &Plan{model: m, seed: seed}
 }
-
-// Model returns the plan's model.
-func (p *Plan) Model() Model { return p.model }
 
 // splitmix64 is the finaliser used to turn a content key into an
 // independent uniform draw.

@@ -74,8 +74,8 @@ func TestTaskFailureRate(t *testing.T) {
 }
 
 // TestPinnedDraws pins name-hashed draws to the values hash/fnv's New64a
-// produced before the hash became the inline fnv1a loop, and before it
-// moved out of the verdict into JobKey: task verdicts, jittered delays
+// produced before the hash became the inline loop of workload.FNV1a,
+// and before it moved out of the verdict into JobKey: task verdicts, jittered delays
 // and run seeds must stay bit-identical, or every committed fault
 // schedule (and the benchmark's golden digest) moves.
 func TestPinnedDraws(t *testing.T) {

@@ -1,22 +1,20 @@
-// Package obs is the live-telemetry layer: a fixed-capacity lock-free
-// ring buffer of typed cluster events written by the scheduling hot
-// paths (multitree's event loop, the service), drained
-// asynchronously into pooled frames and fanned out to subscribers over
-// buffered channels with drop-oldest semantics. The design contract is
-// one-directional backpressure-freedom: an emitter never blocks and
-// never allocates — a full ring drops the newest event and counts it,
-// a slow subscriber drops its oldest frame and counts it, and neither
-// can delay admission or dispatch by as much as a channel operation.
+// Package obs is the live-telemetry layer: a fixed-capacity ring
+// buffer of typed cluster events written by the scheduling hot paths
+// (multitree's event loop, the service), drained asynchronously into
+// pooled frames and fanned out to subscribers over buffered channels
+// with drop-oldest semantics. The design contract is one-directional
+// backpressure-freedom: an emitter never waits on a consumer and never
+// allocates — a full ring drops the newest event and counts it, a slow
+// subscriber drops its oldest frame and counts it, and neither can
+// delay admission or dispatch by as much as a channel operation.
 //
-// Two producer modes share one Observer type. The default is
-// multi-producer (Vyukov-style sequenced slots, one CAS per emit),
-// safe for the service's concurrent handlers and job runners.
-// SingleProducer mode is for the simulator's single-threaded
-// event loop: events land in a plain array through one cached-bound
-// check, and visibility is published in batches of spFlushBatch
-// (finished by an explicit Flush from the producer), so the per-event
-// cost is a handful of nanoseconds — cheap enough to sit inside the
-// loop the steady-state benchmarks guard.
+// Both producer modes write the one ring. SingleProducer mode is for
+// the simulator's single-threaded event loop: one cached-bound check
+// per event, visibility published every spFlushBatch events (and at
+// Flush), so an emit costs a handful of nanoseconds inside the loop the
+// steady-state benchmarks guard. The default shared mode does the same
+// bounded write under a mutex and publishes each event at once; its one
+// user, the service, emits a few events per async job.
 package obs
 
 import (
@@ -42,10 +40,12 @@ type Kind uint8
 //	Done       job finished; A = slice, B = 1 for a job that exhausted retries
 //
 // The scheduling service (internal/service) emits four, one job per
-// POST /jobs request, with Node = -1 (and Job = -1 on QueueDepth):
+// POST /jobs request, with Node = -1 (and Job = -1 on QueueDepth), each
+// inside the job-store transition it reports:
 //
 //	Admit      job enqueued; A = payload bytes it retains
-//	QueueDepth a job was enqueued; A = jobs now waiting for a slot
+//	QueueDepth a job was enqueued, started or expired; A = jobs now
+//	           waiting for a slot
 //	Start      evaluation began on a worker slot; A and B unused
 //	Done       job ended; B = 1 when it failed (a 4xx or 5xx verdict, or
 //	           a deadline that passed while it waited for a slot), A unused
@@ -109,16 +109,10 @@ type Options struct {
 	// Log retains every drained event in memory (for Timeline and
 	// tests); leave it off for long-running servers.
 	Log bool
-	// SingleProducer selects the batched single-producer emit path.
-	// Exactly one goroutine may call Emit and Flush; any number may
-	// Subscribe. The default multi-producer mode is safe for all.
+	// SingleProducer promises that one goroutine alone calls Emit and
+	// Flush (any number may Subscribe), for the batched lock-free path.
+	// The default shared mode locks per emit and is safe for all.
 	SingleProducer bool
-}
-
-// mpSlot is one sequenced ring slot of the multi-producer mode.
-type mpSlot struct {
-	seq atomic.Uint64
-	ev  Event
 }
 
 // Observer owns one event ring, its drain goroutine and the
@@ -129,20 +123,15 @@ type Observer struct {
 	mask uint64
 	sp   bool
 
-	// Single-producer mode: wpos and tailCache belong to the producer,
-	// head publishes wpos in batches, tail belongs to the drainer.
+	// wpos belongs to the producer (in shared mode, to the emitMu
+	// holder) and tailCache to the single producer; head publishes
+	// wpos; tail belongs to the drainer.
 	buf       []Event
 	wpos      uint64
 	tailCache uint64
 	head      atomic.Uint64
 	tail      atomic.Uint64
-
-	// Multi-producer mode: Vyukov sequenced slots; tailMP belongs to
-	// the drainer (fullness is detected through the slot sequences, so
-	// producers never read it).
-	slots  []mpSlot
-	headMP atomic.Uint64
-	tailMP uint64
+	emitMu    sync.Mutex
 
 	droppedEvents atomic.Uint64 // emits refused by a full ring
 	droppedFrames atomic.Uint64 // frames dropped across all subscribers
@@ -187,6 +176,7 @@ func New(opts *Options) *Observer {
 	ob := &Observer{
 		mask:     uint64(size - 1),
 		sp:       o.SingleProducer,
+		buf:      make([]Event, size),
 		frameMax: o.Frame,
 		logOn:    o.Log,
 		poll:     o.Poll,
@@ -195,23 +185,17 @@ func New(opts *Options) *Observer {
 		// receives from it, so shutdown is a struct{} done-channel pair.
 		drainedCh: make(chan struct{}),
 	}
-	if ob.sp {
-		ob.buf = make([]Event, size)
-	} else {
-		ob.slots = make([]mpSlot, size)
-		for i := range ob.slots {
-			ob.slots[i].seq.Store(uint64(i))
-		}
-	}
 	go ob.drainLoop()
 	return ob
 }
 
-// Emit records one event. It never blocks and never allocates: a full
-// ring drops the event and counts it in DroppedEvents. A nil observer
-// costs the one branch below. In SingleProducer mode only the owning
-// goroutine may call it; events become visible to the drainer in
-// batches of spFlushBatch — call Flush when the producing loop ends.
+// Emit records one event. It never waits on a consumer and never
+// allocates: a full ring drops the event and counts it in
+// DroppedEvents. A nil observer costs the one branch below. In
+// SingleProducer mode only the owning goroutine may call it; events
+// become visible to the drainer in batches of spFlushBatch — call
+// Flush when the producing loop ends. In shared mode each event is
+// visible at once.
 func (o *Observer) Emit(kind Kind, t float64, jobID, node int32, a, b float64) {
 	if o == nil {
 		return
@@ -231,30 +215,20 @@ func (o *Observer) Emit(kind Kind, t float64, jobID, node int32, a, b float64) {
 		}
 		return
 	}
-	for {
-		pos := o.headMP.Load()
-		s := &o.slots[pos&o.mask]
-		seq := s.seq.Load()
-		if seq == pos {
-			if o.headMP.CompareAndSwap(pos, pos+1) {
-				s.ev = Event{Time: t, Job: jobID, Node: node, Kind: kind, A: a, B: b}
-				s.seq.Store(pos + 1)
-				return
-			}
-			continue // another producer claimed pos; retry at the new head
-		}
-		if int64(seq-pos) < 0 {
-			// The slot still holds an undrained event a full ring ago.
-			o.droppedEvents.Add(1)
-			return
-		}
-		// seq > pos: stale head load; retry.
+	o.emitMu.Lock()
+	defer o.emitMu.Unlock()
+	if o.wpos-o.tail.Load() > o.mask {
+		o.droppedEvents.Add(1)
+		return
 	}
+	o.buf[o.wpos&o.mask] = Event{Time: t, Job: jobID, Node: node, Kind: kind, A: a, B: b}
+	o.wpos++
+	o.head.Store(o.wpos)
 }
 
 // Flush publishes any events still unpublished by the single-producer
 // batching; the producing goroutine calls it when its loop ends (it is
-// a no-op in multi-producer mode, which publishes per event).
+// a no-op in shared mode, which publishes per event).
 func (o *Observer) Flush() {
 	if o == nil {
 		return
@@ -283,33 +257,23 @@ func (o *Observer) drainLoop() {
 }
 
 // drain empties the published portion of the ring into frames and
-// fans them out; it is only ever called from the drain goroutine.
+// fans them out; it is only ever called from the drain goroutine. It
+// chases the head while each frame gets at least a publication batch
+// (spFlushBatch events, or a whole frame), and leaves a trickle for the
+// next tick, so emitters publishing one event at a time cannot keep it
+// spinning out one-event frames.
 func (o *Observer) drain() {
 	for {
 		f := o.newFrame()
-		if o.sp {
-			h := o.head.Load()
-			pos := o.tail.Load()
-			for pos != h && len(f.Events) < o.frameMax {
-				f.Events = append(f.Events, o.buf[pos&o.mask])
-				pos++
-			}
-			o.tail.Store(pos)
-		} else {
-			pos := o.tailMP
-			size := o.mask + 1
-			for len(f.Events) < o.frameMax {
-				s := &o.slots[pos&o.mask]
-				if s.seq.Load() != pos+1 {
-					break
-				}
-				f.Events = append(f.Events, s.ev)
-				s.seq.Store(pos + size)
-				pos++
-			}
-			o.tailMP = pos
+		h := o.head.Load()
+		pos := o.tail.Load()
+		for pos != h && len(f.Events) < o.frameMax {
+			f.Events = append(f.Events, o.buf[pos&o.mask])
+			pos++
 		}
-		if len(f.Events) == 0 {
+		o.tail.Store(pos)
+		n := len(f.Events)
+		if n == 0 {
 			o.free(f)
 			return
 		}
@@ -319,6 +283,9 @@ func (o *Observer) drain() {
 			o.logMu.Unlock()
 		}
 		o.fanout(f)
+		if n < min(spFlushBatch, o.frameMax) {
+			return
+		}
 	}
 }
 

@@ -66,9 +66,10 @@ func TestSingleProducerDeliversInOrder(t *testing.T) {
 	}
 }
 
-// TestMultiProducerDeliversAll hammers the Vyukov path from several
-// goroutines under the race detector: no event is lost while the ring
-// has room, and each producer's own events stay in its emit order.
+// TestMultiProducerDeliversAll hammers the shared-mode path from
+// several goroutines under the race detector: no event is lost while
+// the ring has room, and each producer's own events stay in its emit
+// order.
 func TestMultiProducerDeliversAll(t *testing.T) {
 	o := New(&Options{Ring: 1 << 16, Frame: 128, Poll: time.Millisecond})
 	sub := o.Subscribe(1 << 10)
@@ -87,7 +88,7 @@ func TestMultiProducerDeliversAll(t *testing.T) {
 	o.Close()
 	got := collect(sub)
 	if len(got) != producers*per {
-		t.Fatalf("delivered %d events, want %d (ring drops %d)", len(got), producers*per, o.DroppedEvents())
+		t.Fatalf("delivered %d events, want %d (ring drops %d, frame drops %d)", len(got), producers*per, o.DroppedEvents(), o.DroppedFrames())
 	}
 	next := make([]int32, producers)
 	for _, ev := range got {
@@ -209,4 +210,42 @@ func TestEmitThroughDrainer(t *testing.T) {
 	if got := len(o.Events()); got+int(o.DroppedEvents()) != n {
 		t.Fatalf("accounting leak: %d drained + %d dropped != %d emitted", got, o.DroppedEvents(), n)
 	}
+}
+
+// BenchmarkEmit times one Emit with the drainer running, in each
+// producer mode: single (the simulator's batched path), shared from
+// one goroutine, and shared from GOMAXPROCS goroutines at once. The
+// ring is big enough that no emit is dropped; a drop fails the run,
+// since a refused emit is cheaper than a stored one.
+func BenchmarkEmit(b *testing.B) {
+	run := func(b *testing.B, sp bool, emit func(o *Observer)) {
+		o := New(&Options{Ring: 1 << 20, SingleProducer: sp})
+		b.ReportAllocs()
+		b.ResetTimer()
+		emit(o)
+		b.StopTimer()
+		o.Flush()
+		o.Close()
+		if d := o.DroppedEvents(); d != 0 {
+			b.Fatalf("%d of %d emits dropped", d, b.N)
+		}
+	}
+	serial := func(b *testing.B) func(o *Observer) {
+		return func(o *Observer) {
+			for i := 0; i < b.N; i++ {
+				o.Emit(KindStart, float64(i), 1, 2, 3, 4)
+			}
+		}
+	}
+	b.Run("single", func(b *testing.B) { run(b, true, serial(b)) })
+	b.Run("shared", func(b *testing.B) { run(b, false, serial(b)) })
+	b.Run("shared-parallel", func(b *testing.B) {
+		run(b, false, func(o *Observer) {
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					o.Emit(KindStart, 1, 1, 2, 3, 4)
+				}
+			})
+		})
+	})
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Timeline is the cluster-wide generalisation of sim.Gantt: where a
@@ -265,46 +267,10 @@ func (tl *Timeline) WriteText(w io.Writer, width, maxJobs int) error {
 func (tl *Timeline) writeOccupancy(w io.Writer, width int) error {
 	const height = 5
 	scale := float64(width-1) / tl.Makespan
-	// Bucket the step series per column (max and final value of each),
-	// then carry levels across: a sampled column shows the max of the
-	// level it was entered at and its own samples; an unsampled column
-	// holds the level left by the last sampled one.
-	resCol := make([]float64, width)
-	finalRes := make([]float64, width)
-	queueCol := make([]int, width)
-	finalQ := make([]int, width)
-	has := make([]bool, width)
-	for _, s := range tl.Occupancy {
-		c := int(s.Time * scale)
-		if c >= width {
-			c = width - 1
-		}
-		if !has[c] {
-			resCol[c], queueCol[c], has[c] = s.Reserved, s.Queue, true
-		} else {
-			if s.Reserved > resCol[c] {
-				resCol[c] = s.Reserved
-			}
-			if s.Queue > queueCol[c] {
-				queueCol[c] = s.Queue
-			}
-		}
-		finalRes[c], finalQ[c] = s.Reserved, s.Queue
-	}
-	level, qlevel := 0.0, 0
-	for c := 0; c < width; c++ {
-		if has[c] {
-			if level > resCol[c] {
-				resCol[c] = level
-			}
-			if qlevel > queueCol[c] {
-				queueCol[c] = qlevel
-			}
-			level, qlevel = finalRes[c], finalQ[c]
-		} else {
-			resCol[c], queueCol[c] = level, qlevel
-		}
-	}
+	occ := tl.Occupancy
+	col := func(i int) int { return min(int(occ[i].Time*scale), width-1) }
+	resCol := stats.StepColumns(width, len(occ), col, func(i int) float64 { return occ[i].Reserved })
+	queueCol := stats.StepColumns(width, len(occ), col, func(i int) float64 { return float64(occ[i].Queue) })
 	bound := tl.Mem
 	if bound <= 0 {
 		for _, v := range resCol {
@@ -333,7 +299,7 @@ func (tl *Timeline) writeOccupancy(w io.Writer, width int) error {
 	}
 	qline := make([]byte, width)
 	for c := 0; c < width; c++ {
-		switch q := queueCol[c]; {
+		switch q := int(queueCol[c]); {
 		case q <= 0:
 			qline[c] = ' '
 		case q > 9:

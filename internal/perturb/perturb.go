@@ -19,7 +19,6 @@ package perturb
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/tree"
@@ -150,11 +149,7 @@ func DefaultModels() []Model {
 // process, which is what lets the sweep engine memoize perturbed cells
 // by (model name, instance) alone.
 func Seed(base uint64, m Model, instance string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(m.Name))
-	h.Write([]byte{0})
-	h.Write([]byte(instance))
-	return base ^ h.Sum64()
+	return base ^ workload.FNV1a(m.Name, "\x00", instance)
 }
 
 // Factors draws one multiplicative factor per task, deterministically

@@ -92,6 +92,14 @@ func TestSeedIsContentDerived(t *testing.T) {
 	if a == perturb.Seed(2, perturb.Lognormal(0.3), "inst") {
 		t.Fatal("Seed ignores the base seed")
 	}
+	// Pinned to hash/fnv's New64a over name, 0, instance: a moved seed
+	// moves every perturbed realisation (and the sweep's robust digest).
+	if a != 0xdb8d5b3723e521d9 {
+		t.Errorf("Seed(1, lognormal(0.3), inst) = %#x, pinned 0xdb8d5b3723e521d9", a)
+	}
+	if got := perturb.Seed(7, perturb.Stragglers(0.05, 10), "jöb/42"); got != 0xa5a623f4f3661e33 {
+		t.Errorf("Seed(7, stragglers, jöb/42) = %#x, pinned 0xa5a623f4f3661e33", got)
+	}
 }
 
 func TestModelFactorShapes(t *testing.T) {

@@ -62,8 +62,14 @@ type jobRecord struct {
 	errBody   errorBody
 }
 
-// jobStore tracks job records under the two budgets.
+// jobStore tracks job records under the two budgets, and emits each
+// transition's events onto obs inside the critical section that makes
+// it, so events come in transition order and each QueueDepth is the
+// depth its transition left. Event times are seconds since start.
 type jobStore struct {
+	obs   *obs.Observer
+	start time.Time
+
 	mu         sync.Mutex
 	byID       map[uint64]*jobRecord
 	fifo       []uint64 // insertion order, oldest first, for eviction
@@ -79,7 +85,7 @@ type jobStore struct {
 	maxTracked int   // retained records cap
 }
 
-func newJobStore(maxPending int, maxBytes int64, maxTracked int) *jobStore {
+func newJobStore(maxPending int, maxBytes int64, maxTracked int, ob *obs.Observer) *jobStore {
 	if maxPending < 1 {
 		maxPending = 1
 	}
@@ -91,7 +97,14 @@ func newJobStore(maxPending int, maxBytes int64, maxTracked int) *jobStore {
 	if maxTracked < maxPending {
 		maxTracked = maxPending
 	}
-	return &jobStore{byID: make(map[uint64]*jobRecord), maxPending: maxPending, maxBytes: maxBytes, maxTracked: maxTracked}
+	return &jobStore{obs: ob, start: time.Now(), byID: make(map[uint64]*jobRecord),
+		maxPending: maxPending, maxBytes: maxBytes, maxTracked: maxTracked}
+}
+
+// emit records one event of job id (Job = -1 for a queue-depth
+// reading); callers hold js.mu.
+func (js *jobStore) emit(kind obs.Kind, id int32, a, b float64) {
+	js.obs.Emit(kind, time.Since(js.start).Seconds(), id, -1, a, b)
 }
 
 // enqueue registers a new queued job retaining cost payload bytes,
@@ -119,6 +132,8 @@ func (js *jobStore) enqueue(req *Request, cost int64) (*jobRecord, bool) {
 	js.byID[rec.id] = rec
 	js.fifo = append(js.fifo, rec.id)
 	js.queued++
+	js.emit(obs.KindAdmit, int32(rec.id), float64(cost), 0)
+	js.emit(obs.KindQueueDepth, -1, float64(js.queued), 0)
 	for len(js.byID) > js.maxTracked {
 		evicted := false
 		for i, id := range js.fifo {
@@ -144,6 +159,8 @@ func (js *jobStore) setRunning(rec *jobRecord) {
 	rec.status = JobRunning
 	js.queued--
 	js.running++
+	js.emit(obs.KindStart, int32(rec.id), 0, 0)
+	js.emit(obs.KindQueueDepth, -1, float64(js.queued), 0)
 }
 
 // finish records the outcome of a running job and releases its
@@ -159,11 +176,13 @@ func (js *jobStore) finish(rec *jobRecord, resp *Response, herr *httpError) {
 		rec.errStatus = herr.status
 		rec.errBody = herr.body
 		js.failed++
+		js.emit(obs.KindDone, int32(rec.id), 0, 1)
 		return
 	}
 	rec.status = JobDone
 	rec.resp = resp
 	js.done++
+	js.emit(obs.KindDone, int32(rec.id), 0, 0)
 }
 
 // expire fails a queued job whose deadline passed before it got a
@@ -179,6 +198,8 @@ func (js *jobStore) expire(rec *jobRecord, herr *httpError) {
 	rec.errBody = herr.body
 	js.failed++
 	js.expired++
+	js.emit(obs.KindDone, int32(rec.id), 0, 1)
+	js.emit(obs.KindQueueDepth, -1, float64(js.queued), 0)
 }
 
 // pending returns the retained requests of every queued or running job,
@@ -221,13 +242,6 @@ func (js *jobStore) gauges() (queued, running int, pendingBytes, done, failed, e
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	return js.queued, js.running, js.bytes, js.done, js.failed, js.expired, len(js.byID)
-}
-
-// depth returns the current queued-job count (for queue-depth events).
-func (js *jobStore) depth() int {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	return js.queued
 }
 
 // handleJobSubmit enqueues one asynchronous job. The body is decoded
@@ -295,8 +309,6 @@ func (s *Server) submitJob(req *Request) (*jobRecord, bool) {
 	if !ok {
 		return nil, false
 	}
-	s.obs.Emit(obs.KindAdmit, s.uptime(), int32(rec.id), -1, float64(cost), 0)
-	s.obs.Emit(obs.KindQueueDepth, s.uptime(), -1, -1, float64(s.jobs.depth()), 0)
 	s.jobsWG.Add(1)
 	go s.runJob(rec, req)
 	return rec, true
@@ -318,7 +330,6 @@ func (s *Server) runJob(rec *jobRecord, req *Request) {
 			t.Stop()
 		case <-t.C:
 			s.jobs.expire(rec, fail(http.StatusGatewayTimeout, "deadline exceeded while queued for a worker slot"))
-			s.obs.Emit(obs.KindDone, s.uptime(), int32(rec.id), -1, 0, 1)
 			return
 		}
 	} else {
@@ -327,7 +338,6 @@ func (s *Server) runJob(rec *jobRecord, req *Request) {
 	}
 	s.enterFlight()
 	s.jobs.setRunning(rec)
-	s.obs.Emit(obs.KindStart, s.uptime(), int32(rec.id), -1, 0, 0)
 	eval := s.schedule
 	if s.evalHook != nil {
 		eval = s.evalHook
@@ -337,11 +347,6 @@ func (s *Server) runJob(rec *jobRecord, req *Request) {
 	s.inFlight.Add(-1)
 	<-s.sem
 	s.jobs.finish(rec, resp, herr)
-	failed := 0.0
-	if herr != nil {
-		failed = 1
-	}
-	s.obs.Emit(obs.KindDone, s.uptime(), int32(rec.id), -1, 0, failed)
 	if herr == nil {
 		s.served.Add(1)
 	} else if herr.status < http.StatusInternalServerError {

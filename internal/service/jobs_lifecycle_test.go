@@ -6,11 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // These tests drive the async-job lifecycle — one evaluation per job,
@@ -288,5 +291,76 @@ func TestDrainCheckpointRestore(t *testing.T) {
 		if got := pollDone(t, ts2, id); got.Status != JobDone {
 			t.Fatalf("restored job %d: %+v", id, got)
 		}
+	}
+}
+
+// The queue-depth track follows the queue down as well as up: every
+// enqueue, start and expiry emits the depth it left, in transition
+// order, so consecutive readings differ by one and the last is 0 once
+// the queue is empty. Four jobs wait behind one blocked worker slot,
+// one of them expires, and the rest run once the slot frees.
+func TestQueueDepthTrackReturnsToZero(t *testing.T) {
+	srv := New(&Options{Workers: 1})
+	t.Cleanup(srv.CloseStreams)
+	sub := srv.obs.Subscribe(1 << 12)
+	started := make(chan struct{}, 8)
+	block := make(chan struct{})
+	srv.evalHook = func(req *Request) (*Response, *httpError) {
+		started <- struct{}{}
+		<-block
+		return &Response{Makespan: 1}, nil
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	spec := &SyntheticSpec{Seed: 1, Nodes: 20}
+	var recs []*jobRecord
+	for i, deadline := range []float64{0, 0, 0, 0.05, 0} {
+		rec, ok := srv.submitJob(&Request{Synthetic: spec, Deadline: deadline})
+		if !ok {
+			t.Fatalf("submit %d refused", i)
+		}
+		recs = append(recs, rec)
+		if i == 0 {
+			<-started // the first job holds the only slot from here on
+		}
+	}
+	if got := pollDone(t, ts, recs[3].id); got.ErrorStatus != http.StatusGatewayTimeout {
+		t.Fatalf("job with a 50 ms deadline: %+v, want failed with 504", got)
+	}
+	close(block)
+	for _, rec := range recs {
+		pollDone(t, ts, rec.id)
+	}
+	if s := srv.Stats(); s.JobsQueued != 0 || s.JobsDone != 4 || s.JobsExpired != 1 {
+		t.Fatalf("after the wave: queued %d, done %d, expired %d; want 0, 4, 1", s.JobsQueued, s.JobsDone, s.JobsExpired)
+	}
+
+	srv.CloseStreams()
+	var depths []int
+	kinds := map[obs.Kind]int{}
+	for f := range sub.C {
+		for _, ev := range f.Events {
+			kinds[ev.Kind]++
+			if ev.Kind == obs.KindQueueDepth {
+				depths = append(depths, int(ev.A))
+			}
+		}
+		f.Release()
+	}
+	// 5 enqueues, 4 starts and 1 expiry; the track rises to 4 behind
+	// the blocked slot.
+	if len(depths) != 10 || slices.Max(depths) != 4 || depths[len(depths)-1] != 0 {
+		t.Fatalf("queue-depth track %v: want 10 readings peaking at 4 and ending at 0", depths)
+	}
+	prev := 0
+	for i, d := range depths {
+		if d != prev+1 && d != prev-1 {
+			t.Fatalf("queue-depth track %v: reading %d jumps from %d to %d", depths, i, prev, d)
+		}
+		prev = d
+	}
+	if kinds[obs.KindAdmit] != 5 || kinds[obs.KindStart] != 4 || kinds[obs.KindDone] != 5 {
+		t.Fatalf("event counts %v: want 5 admit, 4 start, 5 done", kinds)
 	}
 }

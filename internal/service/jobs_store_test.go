@@ -9,7 +9,7 @@ import (
 // The pending budget is backpressure: a store whose queued+running
 // count is at the cap refuses new jobs until one finishes.
 func TestJobStorePendingBudget(t *testing.T) {
-	js := newJobStore(2, 1<<20, 10)
+	js := newJobStore(2, 1<<20, 10, nil)
 	a, ok := js.enqueue(&Request{}, 100)
 	if !ok {
 		t.Fatal("first enqueue refused")
@@ -44,7 +44,7 @@ func TestJobStorePendingBudget(t *testing.T) {
 // Over the tracked budget the oldest *finished* records are evicted;
 // pending records never are.
 func TestJobStoreEvictsOldestFinished(t *testing.T) {
-	js := newJobStore(4, 1<<20, 4)
+	js := newJobStore(4, 1<<20, 4, nil)
 	recs := make([]*jobRecord, 0, 3)
 	for i := 0; i < 3; i++ {
 		r, ok := js.enqueue(&Request{}, 100)
@@ -83,7 +83,7 @@ func TestJobStoreEvictsOldestFinished(t *testing.T) {
 // The tracked budget can never fall below the pending budget, or
 // enqueueing could wedge with nothing evictable.
 func TestJobStoreBudgetClamp(t *testing.T) {
-	js := newJobStore(8, 1<<20, 2)
+	js := newJobStore(8, 1<<20, 2, nil)
 	for i := 0; i < 8; i++ {
 		if _, ok := js.enqueue(&Request{}, 100); !ok {
 			t.Fatalf("enqueue %d refused with a clamped tracked budget", i)
@@ -97,7 +97,7 @@ func TestJobStoreBudgetClamp(t *testing.T) {
 // Expiry of a queued job releases its reservation and counts it both
 // failed and expired.
 func TestJobStoreExpire(t *testing.T) {
-	js := newJobStore(4, 1<<20, 10)
+	js := newJobStore(4, 1<<20, 10, nil)
 	rec, _ := js.enqueue(&Request{}, 100)
 	js.expire(rec, fail(http.StatusGatewayTimeout, "deadline"))
 	v, _ := js.view(rec.id)
@@ -123,7 +123,7 @@ func TestJobStoreConcurrentFinishEviction(t *testing.T) {
 		workers    = 8
 		perWorker  = 200
 	)
-	js := newJobStore(maxPending, 1<<20, maxTracked)
+	js := newJobStore(maxPending, 1<<20, maxTracked, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -166,7 +166,7 @@ func TestJobStoreConcurrentFinishEviction(t *testing.T) {
 // The byte budget refuses further jobs while pending payloads hold it,
 // releases on finish, and never wedges a lone maximal request.
 func TestJobStoreByteBudget(t *testing.T) {
-	js := newJobStore(10, 250, 20)
+	js := newJobStore(10, 250, 20, nil)
 	a, ok := js.enqueue(&Request{}, 200)
 	if !ok {
 		t.Fatal("first enqueue refused")

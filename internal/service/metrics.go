@@ -24,11 +24,6 @@ import (
 // an emitter down (a stalled /streamz consumer loses frames, counted
 // on /metricsz as treesched_stream_dropped_frames_total).
 
-// uptime is the event clock: seconds since the server was created.
-func (s *Server) uptime() float64 {
-	return time.Since(s.start).Seconds()
-}
-
 // enterFlight counts a worker-slot occupancy and maintains the
 // high-water mark /metricsz reports as occupancy.
 func (s *Server) enterFlight() {

@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/bounds"
@@ -305,11 +304,11 @@ type Server struct {
 	restored   atomic.Int64
 	answerHits atomic.Int64
 
-	// obs is the event bus behind /streamz: every emitter (handlers,
-	// job runners) is its own goroutine, so it runs the multi-producer
-	// ring. start anchors event timestamps (seconds since boot).
-	obs   *obs.Observer
-	start time.Time
+	// obs is the event bus behind /streamz. Its one emitter is jobs,
+	// which writes each job transition's events under its own lock;
+	// the job runners are concurrent goroutines, so the ring runs in
+	// shared mode.
+	obs *obs.Observer
 
 	// admissions counts /schedule verdicts per (heuristic, decision)
 	// for /metricsz. Heuristic labels are clamped to the known set so
@@ -333,14 +332,14 @@ type Server struct {
 // New returns a Server with the given options (nil selects defaults).
 func New(opts *Options) *Server {
 	o := opts.withDefaults()
+	ob := obs.New(&obs.Options{Ring: 1 << 14, Frame: 64})
 	return &Server{
 		opts:       o,
 		cache:      newTreeCache(o.MaxCachedTrees, o.MaxCachedNodes),
-		jobs:       newJobStore(o.MaxQueuedJobs, o.MaxQueuedBytes, o.MaxTrackedJobs),
+		jobs:       newJobStore(o.MaxQueuedJobs, o.MaxQueuedBytes, o.MaxTrackedJobs, ob),
 		sem:        make(chan struct{}, o.Workers),
 		drainCh:    make(chan struct{}),
-		obs:        obs.New(&obs.Options{Ring: 1 << 14, Frame: 64}),
-		start:      time.Now(),
+		obs:        ob,
 		admissions: make(map[string]map[string]int64),
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/stats"
 	"repro/internal/tree"
 )
 
@@ -124,27 +125,9 @@ func RenderMemory(w io.Writer, samples []MemSample, bound float64, width, height
 			bound = 1
 		}
 	}
-	// Bucket the samples per column (max and last of each), then carry
-	// levels across: a sampled column shows the max of the level it was
-	// entered at and its own samples; an unsampled column holds the level
-	// the last sample left, not the peak of that sample's column.
-	usedCol := make([]float64, width)
-	bookedCol := make([]float64, width)
-	last := make([]*MemSample, width)
-	for i, s := range samples {
-		c := int(s.Time / tmax * float64(width-1))
-		usedCol[c] = max(usedCol[c], s.Used)
-		bookedCol[c] = max(bookedCol[c], s.Booked)
-		last[c] = &samples[i]
-	}
-	var level MemSample
-	for c, s := range last {
-		usedCol[c] = max(usedCol[c], level.Used)
-		bookedCol[c] = max(bookedCol[c], level.Booked)
-		if s != nil {
-			level = *s
-		}
-	}
+	col := func(i int) int { return int(samples[i].Time / tmax * float64(width-1)) }
+	usedCol := stats.StepColumns(width, len(samples), col, func(i int) float64 { return samples[i].Used })
+	bookedCol := stats.StepColumns(width, len(samples), col, func(i int) float64 { return samples[i].Booked })
 	for row := height; row >= 1; row-- {
 		threshold := bound * float64(row) / float64(height)
 		line := make([]byte, width)

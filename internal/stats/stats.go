@@ -1,5 +1,6 @@
 // Package stats provides the small aggregation toolkit behind the
-// experiment plots: means, medians, quantiles and grouped summaries.
+// experiment plots and the ASCII charts: means, medians, quantiles,
+// summaries, and the column fold of a step series.
 package stats
 
 import (
@@ -77,4 +78,35 @@ func Summarize(xs []float64) Summary {
 	s.Min = sorted[0]
 	s.Max = sorted[len(sorted)-1]
 	return s
+}
+
+// StepColumns folds a step series of n samples, in time order, onto
+// width chart columns: sample i sets the level to val(i) from column
+// col(i) < width on, and the level is 0 before the first. Each column
+// gets its highest level — the level it was entered at, or any sample
+// in it — so a column with no sample holds the level the last sample
+// left, and a momentary spike stays one column wide.
+func StepColumns(width, n int, col func(i int) int, val func(i int) float64) []float64 {
+	top := make([]float64, width)
+	last := make([]float64, width)
+	hit := make([]bool, width)
+	for i := 0; i < n; i++ {
+		c, v := col(i), val(i)
+		if hit[c] {
+			top[c] = max(top[c], v)
+		} else {
+			top[c], hit[c] = v, true
+		}
+		last[c] = v
+	}
+	level := 0.0
+	for c := range top {
+		if hit[c] {
+			top[c] = max(top[c], level)
+			level = last[c]
+		} else {
+			top[c] = level
+		}
+	}
+	return top
 }

@@ -151,3 +151,26 @@ func TestSummarizeMatchesQuantile(t *testing.T) {
 		t.Fatalf("Summarize extremes disagree: %+v", s)
 	}
 }
+
+// StepColumns gives each column the highest level it shows: a column
+// with samples takes the level it was entered at or any of its
+// samples, and a column without holds the level the last sample left.
+func TestStepColumns(t *testing.T) {
+	// (column, level): 5 from column 0; a spike to 9 and a drop to 2
+	// in column 2; 7 in column 5; back to 1 in column 5.
+	cols := []int{0, 2, 2, 5, 5}
+	vals := []float64{5, 9, 2, 7, 1}
+	got := StepColumns(8, len(cols), func(i int) int { return cols[i] }, func(i int) float64 { return vals[i] })
+	want := []float64{5, 5, 9, 2, 2, 7, 1, 1}
+	for c := range want {
+		if got[c] != want[c] {
+			t.Fatalf("columns %v, want %v", got, want)
+		}
+	}
+	// No samples: every column stays at the starting level, 0.
+	for c, v := range StepColumns(3, 0, nil, nil) {
+		if v != 0 {
+			t.Fatalf("column %d of an empty series is %g", c, v)
+		}
+	}
+}

@@ -104,3 +104,18 @@ func (r *RNG) Pick(weights []float64) int {
 	}
 	return len(weights) - 1
 }
+
+// FNV1a returns the 64-bit FNV-1a hash of the concatenated parts: the
+// content hash behind every name-keyed seed and draw (fault plans,
+// perturbation realisations). It is hash/fnv's New64a written as a
+// loop over the strings, so callers pay no hasher allocation and no
+// []byte conversion.
+func FNV1a(parts ...string) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range parts {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+	}
+	return h
+}

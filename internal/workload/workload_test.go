@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/tree"
@@ -278,6 +280,21 @@ func TestNorm(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if a.Norm() != b.Norm() {
 			t.Fatal("Norm stream is not deterministic")
+		}
+	}
+}
+
+// FNV1a is hash/fnv's New64a over the concatenated parts, however the
+// bytes are split into parts.
+func TestFNV1aMatchesHashFNV(t *testing.T) {
+	for _, parts := range [][]string{
+		nil, {""}, {"a"}, {"job", "\x00", "inst"}, {"jöb", "", "stream/job-0417"},
+		{strings.Repeat("xyz", 100)}, {"\xff\x00", "\x80"},
+	} {
+		h := fnv.New64a()
+		h.Write([]byte(strings.Join(parts, "")))
+		if got, want := FNV1a(parts...), h.Sum64(); got != want {
+			t.Errorf("FNV1a(%q) = %#x, hash/fnv says %#x", parts, got, want)
 		}
 	}
 }

@@ -4,15 +4,18 @@
 // which tasks may start. This is the "runtime execution" the paper's
 // abstract argues MemBooking is cheap enough for: task durations are
 // unknown in advance, only the tree shape and data sizes are.
+// Run drives the simulator's own step, sim.RunState, on a wall clock, so
+// the accounting, the over-selection check, sim.Wide widths and the
+// *core.ErrDeadlock exit are the simulator's.
 package executor
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
@@ -33,104 +36,60 @@ type Result struct {
 	Tasks int
 }
 
-// Run executes every task of t using at most workers concurrent
-// goroutines, in an order chosen dynamically by s. The scheduler's
-// memory accounting is authoritative: a task starts only when the
-// scheduler releases it, so the model memory never exceeds the
-// scheduler's bound.
+// completion is a task's outcome, sent by its worker goroutine.
+type completion struct {
+	id  int32
+	err error
+}
+
+// Run executes every task of t on workers processors, in an order chosen
+// dynamically by s: a task starts only when the scheduler releases it, so
+// the model memory never exceeds the scheduler's bound. The completions
+// waiting when Run wakes form one OnFinish batch. The first error stops
+// new launches, and Run returns it once the running tasks are done.
 func Run(t *tree.Tree, s core.Scheduler, workers int, task Task) (*Result, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("executor: need at least one worker, got %d", workers)
-	}
 	if task == nil {
 		return nil, fmt.Errorf("executor: nil task body")
 	}
-	if err := s.Init(); err != nil {
+	var st sim.RunState
+	if err := st.Start(t, workers, s, &sim.Options{NoSchedTime: true}); err != nil {
 		return nil, err
 	}
-
-	n := t.Len()
-	type completion struct {
-		id  tree.NodeID
-		err error
-	}
-	done := make(chan completion, workers)
-	var (
-		running  int
-		finished int
-		used     float64
-		res      = &Result{}
-		start    = time.Now()
-		firstErr error
-		// One completion arrives at a time, so OnFinish always gets this
-		// one-element batch; schedulers must not retain it.
-		batch = make([]tree.NodeID, 1)
-	)
-
-	// launch starts the selected tasks, enforcing the worker cap exactly
-	// like the simulator: a scheduler that returns more tasks than the
-	// free processors it was asked for is a contract violation, not a
-	// licence to run extra goroutines. Already-launched tasks keep
-	// running; the drain loop below collects them before returning.
-	launch := func(ids []tree.NodeID) {
-		for _, id := range ids {
-			if running == workers {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("executor: %s over-selected tasks", s.Name())
-				}
-				break
+	done := make(chan completion, workers) // every running task holds ≥ 1 worker
+	start := time.Now()
+	var ids []int32
+	var err error
+	running := 0
+	for {
+		if err == nil {
+			st.Finish(ids)
+			var spans []sim.Span
+			spans, err = st.Launch(time.Since(start).Seconds())
+			for _, sp := range spans {
+				running++
+				go func(id tree.NodeID) { done <- completion{int32(id), task(id)} }(sp.Node)
 			}
-			running++
-			used += t.Exec(id) + t.Out(id)
-			if used > res.PeakMem {
-				res.PeakMem = used
-			}
-			go func(id tree.NodeID) {
-				done <- completion{id, task(id)}
-			}(id)
 		}
-		if b := s.BookedMemory(); b > res.PeakBooked {
-			res.PeakBooked = b
-		}
-	}
-
-	launch(s.Select(workers))
-	for finished < n {
 		if running == 0 {
-			if firstErr != nil {
-				return nil, firstErr
+			break
+		}
+		// Wait for one completion, then take every one already queued.
+		ids = ids[:0]
+		for wait := true; wait || len(done) > 0; wait = false {
+			c := <-done
+			running--
+			ids = append(ids, c.id)
+			if c.err != nil && err == nil {
+				err = fmt.Errorf("executor: task %d: %w", c.id, c.err)
 			}
-			return nil, &core.ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
 		}
-		c := <-done
-		running--
-		finished++
-		used -= t.Exec(c.id)
-		for _, ch := range t.Children(c.id) {
-			used -= t.Out(ch)
-		}
-		if t.Parent(c.id) == tree.None {
-			used -= t.Out(c.id)
-		}
-		if c.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("executor: task %d: %w", c.id, c.err)
-		}
-		if firstErr != nil {
-			continue // drain running tasks, start nothing new
-		}
-		batch[0] = c.id
-		s.OnFinish(batch)
-		launch(s.Select(workers - running))
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	wall := time.Since(start)
+	res, err := st.End(wall.Seconds(), err)
+	if err != nil {
+		return nil, err
 	}
-	res.Wall = time.Since(start)
-	res.Tasks = n
-	if math.Abs(used) > 1e-6 {
-		return nil, fmt.Errorf("executor: memory accounting leak: %g left", used)
-	}
-	return res, nil
+	return &Result{Wall: wall, PeakMem: res.PeakMem, PeakBooked: res.PeakBooked, Tasks: res.Events}, nil
 }
 
 // MemoryLimiter is a helper for task bodies that want to actually

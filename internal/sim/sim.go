@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -75,10 +76,11 @@ func (r *Result) Utilization(p int) float64 {
 }
 
 // Wide is implemented by schedulers whose tasks may occupy several
-// processors (the moldable extension of the paper's §8). The simulator
-// asks for a task's shape when it starts and again when it finishes, so
-// the answer must not change between the Select that returned the task
-// and its completion. A scheduler that is not Wide runs every task on
+// processors (the moldable extension of the paper's §8). Both drivers of
+// RunState — the simulator's Runner and the live executor — ask for a
+// task's shape when it starts and again when it finishes, so the answer
+// must not change between the Select that returned the task and its
+// completion. A scheduler that is not Wide runs every task on
 // one processor for t.Time(i) with no workspace: the paper's rigid model
 // is the width-1, zero-workspace case of the same accounting.
 type Wide interface {
@@ -127,168 +129,203 @@ func Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Result, error) 
 	return new(Runner).Run(t, p, s, opts)
 }
 
-// Runner runs simulations while reusing the event heap and batch buffer
-// across runs, so that repeated sweeps (one cell per run) allocate
-// nothing per cell beyond the Result. The zero value is ready to use. A
-// Runner is not safe for concurrent use; the sweep engine keeps one per
-// worker.
+// Runner runs simulations while reusing the event heap and the run
+// state's buffers across runs, so that repeated sweeps (one cell per run)
+// allocate nothing per cell beyond the Result. The zero value is ready to
+// use. A Runner is not safe for concurrent use; the sweep engine keeps one
+// per worker.
 type Runner struct {
-	k     Kernel
-	batch []tree.NodeID
+	k  Kernel
+	st RunState
 }
 
-// Run simulates the execution of t on p processors driven by s.
+// Run simulates the execution of t on p processors driven by s: each task
+// RunState launches completes on the Kernel at its span's end.
 func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Result, error) {
+	if err := r.st.Start(t, p, s, opts); err != nil {
+		return nil, err
+	}
+	// At most min(p, n) events are pending at any instant: pre-sizing
+	// keeps every growth re-allocation out of the event loop.
+	hint := min(p, t.Len())
+	r.k.Events.Grow(hint)
+	r.k.ids = slices.Grow(r.k.ids[:0], hint)
+	end, err := r.k.Run(func(now float64, ids []int32) error {
+		r.st.Finish(ids)
+		spans, err := r.st.Launch(now)
+		for _, sp := range spans {
+			r.k.Events.Push(sp.End, int32(sp.Node))
+		}
+		return err
+	})
+	return r.st.End(end, err)
+}
+
+// RunState is the accounting of one tree's run under a scheduler, written
+// once for both clocks: Runner.Run drives it from the simulated Kernel,
+// and the live executor (internal/executor) from the completions of its
+// worker goroutines. A driver calls Start; then Finish and Launch for the
+// opening instant (no completions: the initial launch) and for every
+// batch of tasks that completed together, starting each task Launch
+// returns; then End once nothing is running. The zero value is ready for
+// Start, and a RunState reused across runs keeps its buffers.
+type RunState struct {
+	t        *tree.Tree
+	s        core.Scheduler
+	wide     Wide
+	opts     *Options
+	wall     func() time.Time // nil when the scheduler's time is not measured
+	entered  time.Time        // when Finish handed the instant to the scheduler
+	res      *Result
+	used     float64 // model memory currently resident
+	free     int
+	finished int
+	batch    []tree.NodeID // OnFinish destination, recycled across instants
+	spans    []Span        // Launch's result, recycled across instants
+}
+
+// Start begins a run of t on p processors driven by s: it checks the
+// arguments, truncates opts.Trace and calls s.Init.
+func (st *RunState) Start(t *tree.Tree, p int, s core.Scheduler, opts *Options) error {
 	if opts == nil {
 		opts = &Options{}
 	}
-	tr := opts.Trace
-	if tr != nil {
+	if tr := opts.Trace; tr != nil {
 		tr.Spans, tr.Mem = tr.Spans[:0], tr.Mem[:0]
 	}
 	if p <= 0 {
-		return nil, fmt.Errorf("sim: need at least one processor, got %d", p)
+		return fmt.Errorf("sim: need at least one processor, got %d", p)
 	}
 	if opts.NoSchedTime && opts.Clock != nil {
-		return nil, fmt.Errorf("sim: Options.Clock is set together with NoSchedTime, which disables the measurement the clock would drive")
+		return fmt.Errorf("sim: Options.Clock is set together with NoSchedTime, which disables the measurement the clock would drive")
 	}
-	n := t.Len()
-	res := &Result{}
 	wide, _ := s.(Wide)
-
-	wall := time.Now
+	*st = RunState{t: t, s: s, wide: wide, opts: opts, res: &Result{}, free: p, batch: st.batch, spans: st.spans}
+	// At most min(p, n) tasks complete or start at one instant.
+	hint := min(p, t.Len())
+	st.batch, st.spans = slices.Grow(st.batch[:0], hint), slices.Grow(st.spans[:0], hint)
+	if opts.NoSchedTime {
+		return s.Init()
+	}
+	st.wall = time.Now
 	if opts.Clock != nil {
-		wall = opts.Clock
+		st.wall = opts.Clock
 	}
-	measure := !opts.NoSchedTime
+	start := st.wall()
+	if err := s.Init(); err != nil {
+		return err
+	}
+	st.res.SchedTime += st.wall().Sub(start)
+	return nil
+}
 
-	if measure {
-		start := wall()
-		if err := s.Init(); err != nil {
-			return nil, err
+// Finish retires the tasks completing at one instant, frees their
+// processors and memory, and tells the scheduler.
+func (st *RunState) Finish(ids []int32) {
+	t := st.t
+	batch := st.batch[:0]
+	for _, id := range ids {
+		j := tree.NodeID(id)
+		batch = append(batch, j)
+		q, extra := 1, 0.0
+		if st.wide != nil {
+			q, _, extra = st.wide.Shape(j)
 		}
-		res.SchedTime += wall().Sub(start)
-	} else if err := s.Init(); err != nil {
-		return nil, err
+		st.free += q
+		st.finished++
+		st.res.Events++
+		st.used -= t.Exec(j) + extra
+		for _, c := range t.Children(j) {
+			st.used -= t.Out(c)
+		}
+		if t.Parent(j) == tree.None {
+			// The computation is over: the final result leaves the
+			// working memory, mirroring the scheduler freeing the
+			// root's booking.
+			st.used -= t.Out(j)
+		}
 	}
+	st.batch = batch
+	if st.wall != nil {
+		st.entered = st.wall()
+	}
+	if len(batch) > 0 {
+		st.s.OnFinish(batch)
+	}
+}
 
-	events := &r.k.Events
-	// At most min(p, n) tasks run — and hence events are pending — at any
-	// instant; pre-sizing the heap and both batch buffers from the tree
-	// removes every growth re-allocation from the event loop.
-	hint := p
-	if n < hint {
-		hint = n
+// Launch starts what the scheduler selects on the free processors at now,
+// audits the memory and records the trace sample. It returns each launched
+// task as the span it runs for, in a slice the next Launch reuses. An
+// error — an over-selection or a CheckMemory violation — ends the run,
+// and none of the instant's tasks is to be started.
+func (st *RunState) Launch(now float64) ([]Span, error) {
+	t, s, res, tr := st.t, st.s, st.res, st.opts.Trace
+	sel := s.Select(st.free)
+	if st.wall != nil {
+		res.SchedTime += st.wall().Sub(st.entered)
 	}
-	events.Grow(hint)
-	if cap(r.batch) < hint {
-		r.batch = make([]tree.NodeID, 0, hint)
-	}
-	if cap(r.k.ids) < hint {
-		r.k.ids = make([]int32, 0, hint)
-	}
-	used := 0.0 // model memory currently resident
-	free := p
-	finished := 0
-
-	// step retires the tasks completing at one instant, tells the
-	// scheduler, launches what it selects and audits the memory; the
-	// kernel's opening call (no completions) is the initial launch.
-	step := func(now float64, ids []int32) error {
-		batch := r.batch[:0]
-		for _, id := range ids {
-			j := tree.NodeID(id)
-			batch = append(batch, j)
-			q, extra := 1, 0.0
-			if wide != nil {
-				q, _, extra = wide.Shape(j)
-			}
-			free += q
-			finished++
-			res.Events++
-			used -= t.Exec(j) + extra
-			for _, c := range t.Children(j) {
-				used -= t.Out(c)
-			}
-			if t.Parent(j) == tree.None {
-				// The computation is over: the final result leaves the
-				// working memory, mirroring the scheduler freeing the
-				// root's booking.
-				used -= t.Out(j)
-			}
+	spans := st.spans[:0]
+	for _, i := range sel {
+		q, d, extra := 1, t.Time(i), 0.0
+		if st.wide != nil {
+			q, d, extra = st.wide.Shape(i)
 		}
-		r.batch = batch // keep the grown buffer even on early-error returns
-		var st time.Time
-		if measure {
-			st = wall()
+		if q < 1 || q > st.free {
+			return nil, fmt.Errorf("sim: %s over-selected: task %d wants %d processors with %d free", s.Name(), i, q, st.free)
 		}
-		if len(batch) > 0 {
-			s.OnFinish(batch)
+		st.free -= q
+		res.MaxWidth = max(res.MaxWidth, q)
+		if q > 1 {
+			res.WideTasks++
 		}
-		sel := s.Select(free)
-		if measure {
-			res.SchedTime += wall().Sub(st)
+		// extra is exactly 0 for a rigid task, so this one expression
+		// keeps the rigid engine's rounding bit for bit.
+		st.used += t.Exec(i) + t.Out(i) + extra
+		if st.used > res.PeakMem {
+			res.PeakMem = st.used
 		}
-		for _, i := range sel {
-			q, d, extra := 1, t.Time(i), 0.0
-			if wide != nil {
-				q, d, extra = wide.Shape(i)
-			}
-			if q < 1 || q > free {
-				return fmt.Errorf("sim: %s over-selected: task %d wants %d processors with %d free", s.Name(), i, q, free)
-			}
-			free -= q
-			if q > res.MaxWidth {
-				res.MaxWidth = q
-			}
-			if q > 1 {
-				res.WideTasks++
-			}
-			// extra is exactly 0 for a rigid task, so this one expression
-			// keeps the rigid engine's rounding bit for bit.
-			used += t.Exec(i) + t.Out(i) + extra
-			if used > res.PeakMem {
-				res.PeakMem = used
-			}
-			res.BusyTime += t.Time(i)
-			events.Push(now+d, int32(i))
-			if tr != nil {
-				tr.Spans = append(tr.Spans, Span{Node: i, Start: now, End: now + d})
-			}
-		}
-		booked := s.BookedMemory()
-		if booked > res.PeakBooked {
-			res.PeakBooked = booked
-		}
-		if opts.CheckMemory {
-			eps := 1e-9 * (1 + math.Abs(opts.Bound))
-			if used > booked+eps {
-				return fmt.Errorf("sim: %s uses %g but booked only %g at t=%g", s.Name(), used, booked, now)
-			}
-			if booked > opts.Bound+eps {
-				return fmt.Errorf("sim: %s booked %g over bound %g at t=%g", s.Name(), booked, opts.Bound, now)
-			}
-		}
+		res.BusyTime += t.Time(i)
+		spans = append(spans, Span{Node: i, Start: now, End: now + d})
 		if tr != nil {
-			tr.Mem = append(tr.Mem, MemSample{Time: now, Used: used, Booked: booked})
+			tr.Spans = append(tr.Spans, spans[len(spans)-1])
 		}
-		return nil
 	}
-
-	end, err := r.k.Run(step)
+	st.spans = spans
+	booked := s.BookedMemory()
+	if booked > res.PeakBooked {
+		res.PeakBooked = booked
+	}
+	if st.opts.CheckMemory {
+		eps := 1e-9 * (1 + math.Abs(st.opts.Bound))
+		if st.used > booked+eps {
+			return nil, fmt.Errorf("sim: %s uses %g but booked only %g at t=%g", s.Name(), st.used, booked, now)
+		}
+		if booked > st.opts.Bound+eps {
+			return nil, fmt.Errorf("sim: %s booked %g over bound %g at t=%g", s.Name(), booked, st.opts.Bound, now)
+		}
+	}
 	if tr != nil {
+		tr.Mem = append(tr.Mem, MemSample{Time: now, Used: st.used, Booked: booked})
+	}
+	return spans, nil
+}
+
+// End closes the run at now: it sorts the trace and returns err if the
+// driver stopped on one, else a *core.ErrDeadlock if tasks remain (nothing
+// runs and the last Select launched nothing: Activation and
+// MemBookingRedTree under too small a bound, never MemBooking while
+// M ≥ peak(AO), Theorem 1), else the Result.
+func (st *RunState) End(now float64, err error) (*Result, error) {
+	if tr := st.opts.Trace; tr != nil {
 		tr.sortSpans()
 	}
 	if err != nil {
 		return nil, err
 	}
-	if finished != n {
-		// The heap ran dry short of the tree: nothing is running and the
-		// last Select launched nothing. Activation and MemBookingRedTree
-		// get here when the memory bound is too small; MemBooking never
-		// does while M ≥ peak(AO) (Theorem 1).
-		return nil, &core.ErrDeadlock{Scheduler: s.Name(), Finished: finished, Total: n, Booked: s.BookedMemory()}
+	if n := st.t.Len(); st.finished != n {
+		return nil, &core.ErrDeadlock{Scheduler: st.s.Name(), Finished: st.finished, Total: n, Booked: st.s.BookedMemory()}
 	}
-	res.Makespan = end
-	return res, nil
+	st.res.Makespan = now
+	return st.res, nil
 }

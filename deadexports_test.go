@@ -15,13 +15,22 @@ import (
 // testOnlyExports are exported names under internal/ that only tests
 // read, each because a test uses it to check other code.
 var testOnlyExports = map[string]string{
-	"repro/internal/sparse.Bandwidth":          "the ordering tests measure what RCM buys",
-	"repro/internal/distributed.StatsOf":       "the distributed tests check the engine's transfer ledger",
-	"repro/internal/baseline.IsReductionTree":  "the RedTree tests check the transform's shape",
-	"repro/internal/moldable.RigidProfile":     "the moldable tests pin the width-1 case to the rigid engine",
-	"repro/internal/harness.HeurRedTree":       "the harness tests name the RedTree rows they check",
-	"repro/internal/analysis/analysistest.Run": "every analyzer test drives its fixtures through it",
-	"repro/internal/leakcheck.Main":            "the TestMain of each package that starts goroutines fails the binary on a leak",
+	"repro/internal/sparse.Bandwidth":           "the ordering tests measure what RCM buys",
+	"repro/internal/distributed.StatsOf":        "the distributed tests check the engine's transfer ledger",
+	"repro/internal/baseline.IsReductionTree":   "the RedTree tests check the transform's shape",
+	"repro/internal/moldable.RigidProfile":      "the moldable tests pin the width-1 case to the rigid engine",
+	"repro/internal/harness.HeurRedTree":        "the harness tests name the RedTree rows they check",
+	"repro/internal/analysis/analysistest.Run":  "every analyzer test drives its fixtures through it",
+	"repro/internal/leakcheck.Main":             "the TestMain of each package that starts goroutines fails the binary on a leak",
+	"repro/internal/analysis/detfree.Analyzer":  "TestContracts runs it over the module",
+	"repro/internal/analysis/errtyped.Analyzer": "TestContracts runs it over the module",
+	"repro/internal/analysis/goroleak.Analyzer": "TestContracts runs it over the module",
+}
+
+// testOnlyMethods are exported methods under internal/ that only tests
+// call, each because a test uses it to check other code.
+var testOnlyMethods = map[string]string{
+	"repro/internal/analysis/load.(*Loader).Expand": "loadModule expands ./... for TestContracts and the dead-code tests",
 }
 
 // testOnlyFields are exported struct fields under internal/ that only
@@ -31,13 +40,15 @@ var testOnlyFields = map[string]string{
 }
 
 var (
-	moduleOnce sync.Once
-	modulePkgs []*load.Package
-	moduleErr  error
+	moduleOnce   sync.Once
+	moduleLoader *load.Loader // its Fset positions every loaded file
+	modulePkgs   []*load.Package
+	moduleErr    error
 )
 
 // loadModule typechecks every non-test file of the module — bench/,
-// cmd/ and examples/ included — once for the checks below.
+// cmd/ and examples/ included — once for the checks below and
+// TestContracts.
 func loadModule(t *testing.T) []*load.Package {
 	t.Helper()
 	if testing.Short() {
@@ -49,6 +60,7 @@ func loadModule(t *testing.T) []*load.Package {
 			moduleErr = err
 			return
 		}
+		moduleLoader = l
 		paths, err := l.Expand([]string{"./..."})
 		if err != nil {
 			moduleErr = err
@@ -83,7 +95,11 @@ func internalPkgs(pkgs []*load.Package) []*load.Package {
 // TestNoDeadExports fails on any exported package-level func, type,
 // const or var under internal/ that no non-test file of the module
 // references outside its own declaration, unless testOnlyExports names
-// it.
+// it, and on any exported method there that no non-test file selects
+// or reaches through an interface, unless testOnlyMethods names it. A
+// method is reached through an interface when non-test code converts a
+// value of its receiver type to an interface type that has the method
+// (io.Reader, fmt.Stringer, core.Scheduler, …).
 func TestNoDeadExports(t *testing.T) {
 	pkgs := loadModule(t)
 	type span struct{ pos, end token.Pos }
@@ -93,7 +109,7 @@ func TestNoDeadExports(t *testing.T) {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
-					if d.Recv == nil && d.Name.IsExported() {
+					if d.Name.IsExported() {
 						decls[pkg.Info.Defs[d.Name]] = span{d.Pos(), d.End()}
 					}
 				case *ast.GenDecl:
@@ -125,22 +141,166 @@ func TestNoDeadExports(t *testing.T) {
 				used[obj] = true
 			}
 		}
+		markConverted(pkg, used)
 	}
+	byName := map[string]types.Object{}
 	var dead []string
 	for obj := range decls {
-		name := obj.Pkg().Path() + "." + obj.Name()
-		if _, ok := testOnlyExports[name]; !ok && !used[obj] {
+		name := qualified(obj)
+		byName[name] = obj
+		allow := testOnlyExports
+		if isMethod(obj) {
+			allow = testOnlyMethods
+		}
+		if _, ok := allow[name]; !ok && !used[obj] {
 			dead = append(dead, name)
 		}
 	}
 	sort.Strings(dead)
 	for _, name := range dead {
-		t.Errorf("%s is exported but no non-test file of the module reads it: delete it, or name it in testOnlyExports with the test that needs it", name)
-	}
-	for name := range testOnlyExports {
-		if obj := lookup(pkgs, name); obj == nil || used[obj] {
-			t.Errorf("testOnlyExports names %s, which is gone or read outside tests: drop the entry", name)
+		if isMethod(byName[name]) {
+			t.Errorf("%s is exported but no non-test file of the module calls it or converts its receiver to an interface that has it: delete it, or name it in testOnlyMethods with the test that needs it", name)
+		} else {
+			t.Errorf("%s is exported but no non-test file of the module reads it: delete it, or name it in testOnlyExports with the test that needs it", name)
 		}
+	}
+	for _, allow := range []map[string]string{testOnlyExports, testOnlyMethods} {
+		for name := range allow {
+			if obj := byName[name]; obj == nil || used[obj] {
+				t.Errorf("%s is gone or read outside tests: drop its test-only entry", name)
+			}
+		}
+	}
+}
+
+func isMethod(obj types.Object) bool {
+	f, ok := obj.(*types.Func)
+	return ok && f.Type().(*types.Signature).Recv() != nil
+}
+
+// qualified names obj the way a Go stack trace names a function:
+// "repro/internal/core.NewMemBooking", "repro/internal/service.(*Server).runJob".
+func qualified(obj types.Object) string {
+	name := obj.Name()
+	if isMethod(obj) {
+		recv := obj.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			name = "(*" + p.Elem().(*types.Named).Obj().Name() + ")." + name
+		} else {
+			name = recv.(*types.Named).Obj().Name() + "." + name
+		}
+	}
+	return obj.Pkg().Path() + "." + name
+}
+
+// markConverted marks used, for every value of a concrete type that
+// pkg converts to an interface type, the methods of that type the
+// interface has. A conversion is explicit (I(x)) or implicit: a call
+// argument, an assignment, a typed var, a return value, a composite
+// literal element or a channel send whose destination is an interface.
+func markConverted(pkg *load.Package, used map[types.Object]bool) {
+	info := pkg.Info
+	conv := func(dst types.Type, src ast.Expr) {
+		st := info.TypeOf(src)
+		if dst == nil || st == nil || types.IsInterface(st) {
+			return
+		}
+		iface, ok := dst.Underlying().(*types.Interface)
+		if !ok {
+			return
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			m := iface.Method(i)
+			obj, _, _ := types.LookupFieldOrMethod(st, true, m.Pkg(), m.Name())
+			if f, ok := obj.(*types.Func); ok {
+				used[f.Origin()] = true
+			}
+		}
+	}
+	var stack []ast.Node // the enclosing nodes, for a return's signature
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if tv := info.Types[n.Fun]; tv.IsType() {
+					if len(n.Args) == 1 {
+						conv(tv.Type, n.Args[0])
+					}
+				} else if sig, ok := info.TypeOf(n.Fun).Underlying().(*types.Signature); ok {
+					params := sig.Params()
+					for i, arg := range n.Args {
+						if sig.Variadic() && i >= params.Len()-1 {
+							last := params.At(params.Len() - 1).Type()
+							if !n.Ellipsis.IsValid() {
+								last = last.(*types.Slice).Elem()
+							}
+							conv(last, arg)
+						} else if i < params.Len() {
+							conv(params.At(i).Type(), arg)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						conv(info.TypeOf(lhs), n.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					for _, v := range n.Values {
+						conv(info.TypeOf(n.Type), v)
+					}
+				}
+			case *ast.ReturnStmt:
+				var sig *types.Signature
+				for i := len(stack) - 1; sig == nil && i >= 0; i-- {
+					switch fn := stack[i].(type) {
+					case *ast.FuncDecl:
+						sig = info.Defs[fn.Name].Type().(*types.Signature)
+					case *ast.FuncLit:
+						sig = info.TypeOf(fn).(*types.Signature)
+					}
+				}
+				if sig.Results().Len() == len(n.Results) {
+					for i, r := range n.Results {
+						conv(sig.Results().At(i).Type(), r)
+					}
+				}
+			case *ast.SendStmt:
+				conv(info.TypeOf(n.Chan).Underlying().(*types.Chan).Elem(), n.Value)
+			case *ast.CompositeLit:
+				typ := info.TypeOf(n)
+				if p, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = p.Elem() // an elided &T{...} element
+				}
+				for i, el := range n.Elts {
+					kv, keyed := el.(*ast.KeyValueExpr)
+					switch u := typ.Underlying().(type) {
+					case *types.Struct:
+						if keyed {
+							conv(info.Uses[kv.Key.(*ast.Ident)].Type(), kv.Value)
+						} else {
+							conv(u.Field(i).Type(), el)
+						}
+					case *types.Map:
+						conv(u.Key(), kv.Key)
+						conv(u.Elem(), kv.Value)
+					case interface{ Elem() types.Type }: // slice, array
+						if keyed {
+							el = kv.Value
+						}
+						conv(u.Elem(), el)
+					}
+				}
+			}
+			return true
+		})
 	}
 }
 
@@ -262,15 +422,4 @@ func TestNoUnsetFields(t *testing.T) {
 			t.Errorf("testOnlyFields names %s, which is gone or set outside tests: drop the entry", name)
 		}
 	}
-}
-
-// lookup resolves "import/path.Name" among the loaded packages.
-func lookup(pkgs []*load.Package, name string) types.Object {
-	i := strings.LastIndex(name, ".")
-	for _, pkg := range pkgs {
-		if pkg.Path == name[:i] {
-			return pkg.Types.Scope().Lookup(name[i+1:])
-		}
-	}
-	return nil
 }

@@ -25,7 +25,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/driver"
 	"repro/internal/analysis/load"
 )
 
@@ -38,21 +37,14 @@ func Run(t *testing.T, testdataSrc string, a *analysis.Analyzer, pkgs ...string)
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	session := driver.New(loader, []*analysis.Analyzer{a})
 	for _, pkgPath := range pkgs {
-		findings, err := session.Run(pkgPath)
-		if err != nil {
-			t.Fatalf("analysistest: run %s on %s: %v", a.Name, pkgPath, err)
-		}
 		pkg, err := loader.Load(pkgPath)
 		if err != nil {
 			t.Fatalf("analysistest: load %s: %v", pkgPath, err)
 		}
-		var diags []analysis.Diagnostic
-		for _, f := range findings {
-			if !f.Diag.Suppressed {
-				diags = append(diags, f.Diag)
-			}
+		diags, err := analysis.RunAnalyzer(a, loader.Fset(), pkg.Files, pkg.Types, pkg.Info)
+		if err != nil {
+			t.Fatalf("analysistest: run %s on %s: %v", a.Name, pkgPath, err)
 		}
 		check(t, loader.Fset(), pkg.Files, a.Name, pkgPath, diags)
 	}

@@ -7,10 +7,11 @@
 //
 // In a boundary package (core, order, multitree, perturb, faults,
 // workload, harness, sparse, sim, distributed, stats, pqueue,
-// bounds, tree — matched by package name), the analyzer flags:
+// bounds, tree, baseline, moldable — matched by package name), the
+// analyzer flags:
 //
 //   - time.Now / time.Since / time.Until — simulated time only; wall
-//     clock belongs to the live layers (executor, service, moldable);
+//     clock belongs to the live layers (executor, service);
 //   - the global math/rand source (rand.Intn, rand.Float64, ...) —
 //     randomness must flow from an explicit seeded source
 //     (workload.RNG, rand.New(rand.NewSource(seed)));
@@ -25,7 +26,8 @@
 //
 // Order-independent map loops (counting, set insertion, draining into
 // another map) are not flagged. A loop whose order provably cannot
-// reach output can be kept with //lint:ignore detfree <reason>.
+// reach output is kept by naming its function, with the reason, in the
+// root package's contractExceptions.
 package detfree
 
 import (
@@ -39,7 +41,6 @@ import (
 // Analyzer is the detfree analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "detfree",
-	Doc:  "forbid wall-clock, global randomness, unstable sorts and order-dependent map iteration in determinism-boundary packages",
 	Run:  run,
 }
 
@@ -49,7 +50,7 @@ var Analyzer = &analysis.Analyzer{
 var boundary = map[string]bool{
 	"core": true, "order": true, "multitree": true, "perturb": true,
 	"faults": true, "workload": true, "harness": true, "sparse": true, "sim": true, "distributed": true, "stats": true,
-	"pqueue": true, "bounds": true, "tree": true,
+	"pqueue": true, "bounds": true, "tree": true, "baseline": true, "moldable": true,
 }
 
 // randConstructors are the math/rand (and /v2) package-level functions

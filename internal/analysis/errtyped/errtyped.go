@@ -32,7 +32,6 @@ import (
 // Analyzer is the errtyped analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "errtyped",
-	Doc:  "require errors.Is/errors.As for error matching and %w-wrapping of core.ErrDeadlock for deadlock errors",
 	Run:  run,
 }
 

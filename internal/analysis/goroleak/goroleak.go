@@ -23,8 +23,8 @@
 // sync.WaitGroup.Wait is deliberately not tracked: the repo's Wait
 // calls are paired with Add/Done bookkeeping the analysis cannot see,
 // and flagging them would only breed suppressions. Channels stored in
-// struct fields cannot be proven buffered; a justified
-// //lint:ignore goroleak directive is the intended escape hatch.
+// struct fields cannot be proven buffered; a justified entry in the
+// root package's contractExceptions is the intended escape hatch.
 package goroleak
 
 import (
@@ -38,7 +38,6 @@ import (
 // Analyzer is the goroleak analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroleak",
-	Doc:  "check that goroutines in service/executor/multitree/obs have a cancellation path",
 	Run:  run,
 }
 

@@ -1,10 +1,11 @@
 // Package load typechecks packages from source using only the standard
-// library — the substrate under internal/analysis/driver, for
-// cmd/treeschedlint and analysistest fixtures alike. Intra-module imports ("repro/..." in
-// the real tree, bare directory names under a fixture root) are
-// resolved recursively from source; everything else is delegated to
-// go/importer's "source" compiler, which reads the standard library
-// from GOROOT. No export data, network or go/packages is needed.
+// library — the substrate under the root package's TestContracts and
+// TestNoDeadExports and the analysistest fixtures alike. Intra-module
+// imports ("repro/..." in the real tree, bare directory names under a
+// fixture root) are resolved recursively from source; everything else
+// is delegated to go/importer's "source" compiler, which reads the
+// standard library from GOROOT. No export data, network or go/packages
+// is needed.
 package load
 
 import (

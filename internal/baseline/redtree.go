@@ -26,10 +26,6 @@ type RedTree struct {
 	FicParent []tree.NodeID
 }
 
-// IsFictitious reports whether a node of the transformed tree is one of
-// the added fictitious leaves.
-func (r *RedTree) IsFictitious(i tree.NodeID) bool { return int(i) >= r.Orig }
-
 // ToReductionTree transforms t into a reduction tree. For every node i
 // with n_i > 0 or f_i > Σ f_children, a fictitious leaf child with output
 //

@@ -55,7 +55,7 @@ func TestRedTreeFictitiousSizes(t *testing.T) {
 	}
 	// MemNeeded of the original node: before 3+2+9 = 14, after 3+8+9 = 20
 	// (the inflation the paper's §3.2 describes).
-	if got := red.Tree.MemNeeded(0); got != 20 {
+	if got := red.Tree.MemNeededAll()[0]; got != 20 {
 		t.Fatalf("transformed MemNeeded %v, want 20", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestRedTreeFictitiousExecOnly(t *testing.T) {
 		t.Fatalf("fictitious output %v, want n_i = 5", got)
 	}
 	// MemNeeded preserved exactly in this case: 10+5+2 = 17.
-	if got := red.Tree.MemNeeded(0); got != 17 {
+	if got := red.Tree.MemNeededAll()[0]; got != 17 {
 		t.Fatalf("transformed MemNeeded %v, want 17", got)
 	}
 }

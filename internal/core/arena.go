@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the scheduler-state arena: the allocation recycling layer
-// behind job-stream simulations. A MemBooking instance owns seven O(n)
+// behind job-stream simulations. A MemBooking instance owns six O(n)
 // slices plus the execution heap; a stream of thousands of jobs that
 // builds a fresh scheduler per admission allocates O(total jobs × n)
 // state even though only O(max concurrent jobs) schedulers are ever live
@@ -48,7 +48,6 @@ func (s *MemBooking) Rebind(t *tree.Tree, m float64, ao, eo *order.Order) error 
 		s.bbs = s.bbs[:n]
 		s.childSum = s.childSum[:n]
 		s.state = s.state[:n]
-		s.chNotAct = s.chNotAct[:n]
 		s.chNotFin = s.chNotFin[:n]
 		t.MemNeededInto(s.need)
 	}

@@ -62,7 +62,7 @@ func TestRebindGrowsToPowerOfTwo(t *testing.T) {
 	if s.InvariantErr != nil {
 		t.Fatalf("invariant violated after growth: %v", s.InvariantErr)
 	}
-	if !s.Done() {
+	if s.remaining != 0 {
 		t.Fatal("rebound run did not finish")
 	}
 }
@@ -109,7 +109,7 @@ func TestPoolServesSizeClass(t *testing.T) {
 	ls := &ckLoop{t: trS, s: got, procs: 4}
 	for ls.step() {
 	}
-	if !got.Done() {
+	if got.remaining != 0 {
 		t.Fatal("recycled scheduler did not finish")
 	}
 
@@ -180,7 +180,7 @@ func TestPoolRestoreMatchesFreshRestore(t *testing.T) {
 	for ref.step() {
 		steps++
 		if steps == 20 {
-			cp = ref.s.Checkpoint()
+			cp = ref.s.CheckpointInto(nil)
 			break
 		}
 	}
@@ -202,7 +202,7 @@ func TestPoolRestoreMatchesFreshRestore(t *testing.T) {
 	if fresh.InvariantErr != nil {
 		t.Fatal(fresh.InvariantErr)
 	}
-	if !fresh.Done() {
+	if fresh.remaining != 0 {
 		t.Fatal("fresh restore did not finish the tree")
 	}
 
@@ -233,7 +233,7 @@ func TestPoolRestoreMatchesFreshRestore(t *testing.T) {
 	if s.InvariantErr != nil {
 		t.Fatalf("invariant violated after pooled restore: %v", s.InvariantErr)
 	}
-	if !s.Done() {
+	if s.remaining != 0 {
 		t.Fatal("pooled restore did not finish the tree")
 	}
 	if !equalSched(l.sched, lf.sched) {

@@ -13,12 +13,13 @@ import (
 // cheap — a run is fully described by the per-node state vector (which
 // tasks finished, which are activated), the booked map, the
 // BookedBySubtree vector and its cached child aggregate; no event-loop
-// or heap state needs saving, because both heaps are derivable from the
-// state vector in O(n). A Restore rebuilds the scheduler mid-schedule
-// without re-running preparation (the tree and orders are kept), with
-// every in-flight task demoted back to activated so the engine simply
-// re-selects it: the fail-stop semantics in which running work at the
-// failure instant is lost and re-executed.
+// or heap state needs saving, because the execution heap and the
+// activation cursor are derivable from the state vector in O(n). A
+// Restore rebuilds the scheduler mid-schedule without re-running
+// preparation (the tree and orders are kept), with every in-flight task
+// demoted back to activated so the engine simply re-selects it: the
+// fail-stop semantics in which running work at the failure instant is
+// lost and re-executed.
 
 // Checkpoint is a consistent snapshot of a MemBooking run taken at a
 // task boundary (between an OnFinish batch and the next Select). It is
@@ -45,17 +46,11 @@ func (cp *Checkpoint) Remaining() int { return cp.remaining }
 // floor any restore bound must clear.
 func (cp *Checkpoint) BookedMemory() float64 { return cp.mbooked + cp.transient }
 
-// Checkpoint snapshots the current run state. Allocation-free reuse is
-// available through CheckpointInto.
-func (s *MemBooking) Checkpoint() *Checkpoint {
-	return s.CheckpointInto(nil)
-}
-
-// CheckpointInto writes the snapshot into cp (allocating one when nil),
-// reusing its O(n) buffers so a checkpoint-every-k engine allocates
-// only on its first snapshot. It must be called at a task boundary:
-// after the OnFinish batch of an instant, before launching new tasks
-// selected at that instant.
+// CheckpointInto snapshots the current run state into cp (allocating
+// one when nil), reusing its O(n) buffers so a checkpoint-every-k
+// engine allocates only on its first snapshot. It must be called at a
+// task boundary: after the OnFinish batch of an instant, before
+// launching new tasks selected at that instant.
 func (s *MemBooking) CheckpointInto(cp *Checkpoint) *Checkpoint {
 	if s.need == nil {
 		panic("core: Checkpoint before Init")
@@ -95,10 +90,10 @@ func (s *MemBooking) CheckpointInto(cp *Checkpoint) *Checkpoint {
 // demoted to activated — their booking is intact, so the engine
 // re-selects and re-executes them; that lost work is exactly the
 // fail-stop model's wasted work. Restore reuses the scheduler's O(n)
-// state and rebuilds both heaps from the state vector, so a restart
-// never re-runs preparation. Restore runs once per fault recovery —
-// not per event — so its per-restart scratch is off the hot-path
-// allocation budget.
+// state and rebuilds the execution heap and the activation cursor from
+// the state vector, so a restart never re-runs preparation. Restore
+// runs once per fault recovery — not per event — so its per-restart
+// scratch is off the hot-path allocation budget.
 func (s *MemBooking) Restore(cp *Checkpoint) error {
 	n := s.t.Len()
 	if cp == nil || cp.n != n {
@@ -136,31 +131,22 @@ func (s *MemBooking) Restore(cp *Checkpoint) error {
 			s.state[i] = stateACT
 		}
 	}
-	// The children counters, the activation cursor and the execution heap
+	// The child counter, the activation cursor and the execution heap
 	// are pure functions of the state vector: rebuild them in O(n). The
 	// activated nodes always form a prefix of the activation order (see
 	// the aoPos field comment), so the cursor is the first position whose
 	// node is not yet activated.
 	for i := 0; i < n; i++ {
-		s.chNotAct[i] = 0
 		s.chNotFin[i] = 0
 	}
 	for i := 0; i < n; i++ {
-		p := s.t.Parent(tree.NodeID(i))
-		if p == tree.None {
-			continue
-		}
-		switch s.state[i] {
-		case stateUN, stateCAND:
-			s.chNotAct[p]++
-			s.chNotFin[p]++
-		case stateACT:
+		if p := s.t.Parent(tree.NodeID(i)); p != tree.None && s.state[i] != stateFN {
 			s.chNotFin[p]++
 		}
 	}
 	s.aoPos = n
 	for k, v := range s.ao.Seq {
-		if st := s.state[v]; st == stateUN || st == stateCAND {
+		if s.state[v] == stateUN {
 			s.aoPos = k
 			break
 		}

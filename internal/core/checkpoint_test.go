@@ -128,7 +128,7 @@ func TestCheckpointRestoreSerialExact(t *testing.T) {
 	}
 	var snaps []snap
 	for {
-		snaps = append(snaps, snap{ref.s.Checkpoint(), len(ref.sched)})
+		snaps = append(snaps, snap{ref.s.CheckpointInto(nil), len(ref.sched)})
 		if !ref.step() {
 			break
 		}
@@ -136,7 +136,7 @@ func TestCheckpointRestoreSerialExact(t *testing.T) {
 	if ref.s.InvariantErr != nil {
 		t.Fatal(ref.s.InvariantErr)
 	}
-	if !ref.s.Done() {
+	if ref.s.remaining != 0 {
 		t.Fatalf("reference run incomplete")
 	}
 	for bi, sn := range snaps {
@@ -154,7 +154,7 @@ func TestCheckpointRestoreSerialExact(t *testing.T) {
 		if fresh.InvariantErr != nil {
 			t.Fatalf("boundary %d: %v", bi, fresh.InvariantErr)
 		}
-		if !fresh.Done() {
+		if fresh.remaining != 0 {
 			t.Fatalf("boundary %d: restored run incomplete", bi)
 		}
 		if !equalSched(l.sched, ref.sched[sn.done:]) {
@@ -179,7 +179,7 @@ func TestCheckpointRestoreParallelKill(t *testing.T) {
 					break
 				}
 			}
-			cp := ref.s.Checkpoint()
+			cp := ref.s.CheckpointInto(nil)
 			finishedAt := tr.Len() - cp.Remaining()
 
 			runOut := func(s *MemBooking) []tree.NodeID {
@@ -189,7 +189,7 @@ func TestCheckpointRestoreParallelKill(t *testing.T) {
 				if s.InvariantErr != nil {
 					t.Fatal(s.InvariantErr)
 				}
-				if !s.Done() {
+				if s.remaining != 0 {
 					t.Fatalf("restored run incomplete")
 				}
 				return l.sched
@@ -246,7 +246,7 @@ func TestAvailableIsWhatSelectReturns(t *testing.T) {
 			t.Fatal(err)
 		}
 		for boundary := 0; ; boundary++ {
-			if err := twin.Restore(l.s.Checkpoint()); err != nil {
+			if err := twin.Restore(l.s.CheckpointInto(nil)); err != nil {
 				t.Fatalf("seed %d boundary %d: %v", seed, boundary, err)
 			}
 			inFlight := len(l.running)
@@ -264,7 +264,7 @@ func TestAvailableIsWhatSelectReturns(t *testing.T) {
 				break
 			}
 		}
-		if !l.s.Done() || l.s.InvariantErr != nil {
+		if l.s.remaining != 0 || l.s.InvariantErr != nil {
 			t.Fatalf("seed %d: run incomplete (invariant error %v)", seed, l.s.InvariantErr)
 		}
 	}
@@ -278,7 +278,7 @@ func TestRestoreValidation(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l.step()
 	}
-	cp := l.s.Checkpoint()
+	cp := l.s.CheckpointInto(nil)
 
 	other, oao, _ := ckTree(t, 41, 6)
 	s2, err := NewMemBooking(other, 2*peak, oao, oao)

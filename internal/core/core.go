@@ -45,13 +45,14 @@ type Scheduler interface {
 	BookedMemory() float64
 }
 
-// Node states, in the order the paper presents them (§4).
+// Node states, in the order the paper presents them (§4). The paper's
+// UN and CAND states are one here: the candidate is always the node at
+// the activation cursor (see the aoPos field comment).
 const (
-	stateUN   uint8 = iota // unprocessed: not yet considered
-	stateCAND              // candidate: all children activated
-	stateACT               // activated: enough memory booked in the subtree
-	stateRUN               // running
-	stateFN                // finished
+	stateUN  uint8 = iota // not yet activated
+	stateACT              // activated: enough memory booked in the subtree
+	stateRUN              // running
+	stateFN               // finished
 )
 
 // MemBooking is the paper's new scheduler. It activates nodes following a
@@ -81,7 +82,6 @@ type MemBooking struct {
 	childSum []float64
 
 	state    []uint8
-	chNotAct []int32 // children still in UN ∪ CAND
 	chNotFin []int32 // children not finished
 
 	// aoPos is the activation cursor: the position in AO.Seq of the next
@@ -161,7 +161,7 @@ func (s *MemBooking) ReleaseTransient(amount float64) {
 	}
 }
 
-// alloc gives the scheduler the seven O(n) state arrays of its tree,
+// alloc gives the scheduler the six O(n) state arrays of its tree,
 // with room for c nodes, and the execution heap if it has none yet.
 // Init and Restore size a fresh instance exactly (c = n); Rebind and the
 // pool round c up to the size class so a recycled instance serves it.
@@ -172,18 +172,17 @@ func (s *MemBooking) alloc(c int) {
 	s.bbs = make([]float64, n, c)
 	s.childSum = make([]float64, n, c)
 	s.state = make([]uint8, n, c)
-	s.chNotAct = make([]int32, n, c)
 	s.chNotFin = make([]int32, n, c)
 	if s.actf == nil {
 		s.actf = pqueue.NewRankHeap(nil)
 	}
 }
 
-// Init implements Scheduler: it sets every leaf as a candidate and runs
+// Init implements Scheduler: it marks every node unactivated and runs
 // the first activation round. Init may be called again after a run (and
 // after an optional Reset to a new bound): the second and later calls
-// rebuild the run state in place, reusing the seven O(n) slices and the
-// two heaps, so re-running a scheduler allocates nothing.
+// rebuild the run state in place, reusing the six O(n) slices and the
+// execution heap, so re-running a scheduler allocates nothing.
 func (s *MemBooking) Init() error {
 	n := s.t.Len()
 	if s.need == nil {
@@ -201,12 +200,7 @@ func (s *MemBooking) Init() error {
 		s.bbs[i] = -1
 		s.childSum[i] = 0
 		s.state[i] = stateUN
-		d := int32(s.t.Degree(tree.NodeID(i)))
-		s.chNotAct[i] = d
-		s.chNotFin[i] = d
-		if d == 0 {
-			s.state[i] = stateCAND
-		}
+		s.chNotFin[i] = int32(s.t.Degree(tree.NodeID(i)))
 	}
 	s.updateCandAct()
 	s.check()
@@ -343,12 +337,6 @@ func (s *MemBooking) updateCandAct() {
 		if s.chNotFin[i] == 0 {
 			s.actf.Push(int32(i))
 		}
-		if p := s.t.Parent(i); p != tree.None {
-			s.chNotAct[p]--
-			if s.chNotAct[p] == 0 {
-				s.state[p] = stateCAND
-			}
-		}
 	}
 }
 
@@ -387,9 +375,6 @@ func (s *MemBooking) Select(free int) []tree.NodeID {
 // each one with a Select.
 func (s *MemBooking) Available() int { return s.actf.Len() }
 
-// Done reports whether every task has finished.
-func (s *MemBooking) Done() bool { return s.remaining == 0 }
-
 // check verifies the proof invariants (Lemmas 2–5) when CheckInvariants
 // is enabled. The first violation is kept in InvariantErr. It is
 // diagnostic-only and off by default, so its boxing and closure
@@ -410,6 +395,10 @@ func (s *MemBooking) check() {
 		}
 	}
 	tol := s.eps * float64(s.t.Len()+1)
+	head := tree.None // the candidate: the only unactivated node that may have a bbs
+	if s.aoPos < len(s.ao.Seq) {
+		head = s.ao.Seq[s.aoPos]
+	}
 	sum := 0.0
 	for i := 0; i < s.t.Len(); i++ {
 		sum += s.booked[i]
@@ -432,12 +421,12 @@ func (s *MemBooking) check() {
 				fail("finished node %d: Booked %v bbs %v", i, s.booked[i], s.bbs[i])
 			}
 		case stateUN:
-			if s.bbs[i] != -1 {
-				fail("unprocessed node %d has bbs %v", i, s.bbs[i])
+			if s.bbs[i] != -1 && id != head {
+				fail("unactivated node %d off the cursor has bbs %v", i, s.bbs[i])
 			}
 		}
 		// Lemma 2 for nodes whose bbs is untouched.
-		if (s.state[i] == stateUN || s.state[i] == stateCAND) && s.bbs[i] == -1 {
+		if s.state[i] == stateUN && s.bbs[i] == -1 {
 			fin := 0.0
 			for _, c := range s.t.Children(id) {
 				if s.state[c] == stateFN {

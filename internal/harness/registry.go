@@ -80,7 +80,6 @@ func Run(id string, cfg *Config) (*Table, error) {
 func IDs() []string {
 	ids := make([]string, 0, len(registry))
 	for id := range registry {
-		//lint:ignore detfree the keys are sorted before they can reach output
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)

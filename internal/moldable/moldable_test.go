@@ -133,7 +133,10 @@ func TestMoldableBeatsRigidOnRootHeavyTree(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b.Add(root, 0, 1, 1)
 	}
-	tr := b.MustBuild()
+	tr, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ao, peak := order.MinMemPostOrder(tr)
 	m := 4 * peak
 	prof := moldable.RigidProfile(tr)
@@ -169,7 +172,10 @@ func TestMoldableDegradesUnderMemoryPressure(t *testing.T) {
 	root := b.AddRoot(10, 10, 100)
 	b.Add(root, 0, 1, 1)
 	b.Add(root, 0, 1, 1)
-	tr := b.MustBuild()
+	tr, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ao, peak := order.MinMemPostOrder(tr)
 	prof := moldable.RigidProfile(tr)
 	prof.Alpha[root] = 0.95

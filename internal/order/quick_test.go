@@ -79,9 +79,10 @@ func TestQuickPeakSanity(t *testing.T) {
 		_, p := MinMemPostOrder(tr)
 		maxNeed := 0.0
 		total := 0.0
+		need := tr.MemNeededAll()
 		for i := 0; i < tr.Len(); i++ {
 			id := tree.NodeID(i)
-			if m := tr.MemNeeded(id); m > maxNeed {
+			if m := need[i]; m > maxNeed {
 				maxNeed = m
 			}
 			total += tr.Exec(id) + tr.Out(id)

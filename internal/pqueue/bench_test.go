@@ -33,7 +33,7 @@ func BenchmarkEventHeapPopLoop(b *testing.B) {
 		for h.Len() > 0 {
 			now := h.Min().Time
 			for h.Len() > 0 && h.Min().Time == now {
-				h.Pop()
+				h.pop()
 			}
 		}
 	}

@@ -48,10 +48,6 @@ func (h *RankHeap) Push(x int32) {
 	h.up(len(h.items) - 1)
 }
 
-// Min returns the smallest-rank item without removing it. It panics on an
-// empty heap.
-func (h *RankHeap) Min() int32 { return h.items[0].id }
-
 // Pop removes and returns the smallest-rank item in O(log n).
 func (h *RankHeap) Pop() int32 {
 	top := h.items[0].id
@@ -138,26 +134,12 @@ func (h *EventHeap) Grow(n int) {
 // Min returns the earliest event without removing it.
 func (h *EventHeap) Min() Event { return h.ev[0] }
 
-// Pop removes and returns the earliest event.
-func (h *EventHeap) Pop() Event {
-	top := h.ev[0]
-	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
-	h.ev = h.ev[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	return top
-}
-
 // PopBatch removes the earliest event together with every event sharing
-// its exact time, appending the IDs to dst (in deterministic Seq order,
-// exactly as repeated Pop calls would yield them) and returning the
-// batch time. The peek-ahead after each sift-down replaces the
-// Pop-then-re-check-Min churn of driving the batch loop from outside the
-// heap: one call per completion batch, no Event copies out, and the
-// equal-time test short-circuits on the root slot. It panics on an
-// empty heap.
+// its exact time, appending the IDs to dst in deterministic Seq order
+// and returning the batch time. The peek-ahead after each sift-down
+// replaces a pop-then-re-check-Min loop outside the heap: one call per
+// completion batch, no Event copies out, and the equal-time test
+// short-circuits on the root slot. It panics on an empty heap.
 func (h *EventHeap) PopBatch(dst []int32) (float64, []int32) {
 	t := h.ev[0].Time
 	for {

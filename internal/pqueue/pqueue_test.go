@@ -74,11 +74,11 @@ func TestRankHeapMin(t *testing.T) {
 	h := NewRankHeap(rank)
 	h.Push(0)
 	h.Push(1)
-	if h.Min() != 1 {
-		t.Fatalf("Min = %d, want 1", h.Min())
+	if got := h.Pop(); got != 1 {
+		t.Fatalf("first Pop = %d, want the smallest-rank item 1", got)
 	}
-	if h.Pop() != 1 || h.Min() != 0 {
-		t.Fatal("pop/min sequence wrong")
+	if got := h.Pop(); got != 0 {
+		t.Fatalf("second Pop = %d, want 0", got)
 	}
 }
 
@@ -87,13 +87,13 @@ func TestEventHeapTimeOrder(t *testing.T) {
 	h.Push(3.0, 1)
 	h.Push(1.0, 2)
 	h.Push(2.0, 3)
-	if e := h.Pop(); e.Time != 1.0 || e.ID != 2 {
+	if e := h.pop(); e.Time != 1.0 || e.ID != 2 {
 		t.Fatalf("first event = %+v", e)
 	}
-	if e := h.Pop(); e.Time != 2.0 || e.ID != 3 {
+	if e := h.pop(); e.Time != 2.0 || e.ID != 3 {
 		t.Fatalf("second event = %+v", e)
 	}
-	if e := h.Pop(); e.Time != 3.0 || e.ID != 1 {
+	if e := h.pop(); e.Time != 3.0 || e.ID != 1 {
 		t.Fatalf("third event = %+v", e)
 	}
 }
@@ -104,7 +104,7 @@ func TestEventHeapFIFOTies(t *testing.T) {
 		h.Push(1.0, i)
 	}
 	for i := int32(0); i < 10; i++ {
-		if e := h.Pop(); e.ID != i {
+		if e := h.pop(); e.ID != i {
 			t.Fatalf("tie order broken: got %d want %d", e.ID, i)
 		}
 	}
@@ -130,7 +130,7 @@ func TestEventHeapFilter(t *testing.T) {
 		t.Fatalf("filtered len %d, want %d", h.Len(), want.Len())
 	}
 	for want.Len() > 0 {
-		a, b := h.Pop(), want.Pop()
+		a, b := h.pop(), want.pop()
 		if a.Time != b.Time || a.ID != b.ID {
 			t.Fatalf("pop order diverged: got (%g,%d) want (%g,%d)", a.Time, a.ID, b.Time, b.ID)
 		}
@@ -154,7 +154,7 @@ func TestEventHeapRandom(t *testing.T) {
 	}
 	last := -1.0
 	for h.Len() > 0 {
-		e := h.Pop()
+		e := h.pop()
 		if e.Time < last {
 			t.Fatalf("events out of order: %v after %v", e.Time, last)
 		}
@@ -162,8 +162,21 @@ func TestEventHeapRandom(t *testing.T) {
 	}
 }
 
+// pop removes and returns the earliest event: the one-at-a-time drain
+// that PopBatch batches, kept here as its oracle.
+func (h *EventHeap) pop() Event {
+	top := h.ev[0]
+	last := len(h.ev) - 1
+	h.ev[0] = h.ev[last]
+	h.ev = h.ev[:last]
+	if last > 0 {
+		h.down(0)
+	}
+	return top
+}
+
 // PopBatch must drain exactly the events sharing the minimum time, in
-// the same deterministic order repeated Pops would produce.
+// the same deterministic order repeated pops would produce.
 func TestEventHeapPopBatchMatchesPopLoop(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -183,7 +196,7 @@ func TestEventHeapPopBatchMatchesPopLoop(t *testing.T) {
 			now := a.Min().Time
 			var want []int32
 			for a.Len() > 0 && a.Min().Time == now {
-				want = append(want, a.Pop().ID)
+				want = append(want, a.pop().ID)
 			}
 			gotTime, got := b.PopBatch(buf[:0])
 			buf = got
@@ -291,10 +304,10 @@ func TestEventHeapGrow(t *testing.T) {
 	h.Push(2.0, 1)
 	h.Grow(100)
 	h.Push(1.0, 2)
-	if e := h.Pop(); e.ID != 2 {
+	if e := h.pop(); e.ID != 2 {
 		t.Fatalf("Grow lost heap order: first pop %d", e.ID)
 	}
-	if e := h.Pop(); e.ID != 1 {
+	if e := h.pop(); e.ID != 1 {
 		t.Fatalf("Grow lost events: second pop %d", e.ID)
 	}
 }

@@ -333,7 +333,9 @@ func (s *Server) runJob(rec *jobRecord, req *Request) {
 			return
 		}
 	} else {
-		//lint:ignore goroleak back-pressure by design: a job without a deadline owes its caller an eventual run, and Drain waits for queued jobs, so the slot send must block
+		// Back-pressure by design: a job without a deadline owes its
+		// caller an eventual run, and Drain waits for queued jobs, so
+		// the slot send must block (a contractExceptions entry).
 		s.sem <- struct{}{}
 	}
 	s.enterFlight()

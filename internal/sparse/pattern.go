@@ -36,9 +36,6 @@ func (p *Pattern) Adj(i int) []int32 {
 	return p.adj[p.start[i]:p.start[i+1]]
 }
 
-// NNZ returns the number of stored (strictly lower) nonzeros.
-func (p *Pattern) NNZ() int { return len(p.adj) }
-
 // NewPattern builds a Pattern from an edge list over vertices 0..n-1.
 // Self loops are ignored; duplicates are merged; edges may be given in
 // any orientation.

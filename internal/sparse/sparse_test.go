@@ -72,8 +72,8 @@ func TestNewPatternDedupAndOrientation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NNZ() != 2 {
-		t.Fatalf("nnz = %d, want 2", p.NNZ())
+	if len(p.adj) != 2 {
+		t.Fatalf("nnz = %d, want 2", len(p.adj))
 	}
 	if got := p.Adj(1); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Adj(1) = %v", got)
@@ -156,8 +156,8 @@ func TestPermuteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pp.NNZ() != p.NNZ() {
-		t.Fatalf("nnz changed: %d -> %d", p.NNZ(), pp.NNZ())
+	if len(pp.adj) != len(p.adj) {
+		t.Fatalf("nnz changed: %d -> %d", len(p.adj), len(pp.adj))
 	}
 	// Permuting back with the inverse recovers the original adjacency.
 	inv := make([]int32, 20)
@@ -190,20 +190,20 @@ func TestGridGenerators(t *testing.T) {
 		t.Fatalf("grid2d size %d", p2.N())
 	}
 	// 5-point stencil: edges = 3*(4-1) + 4*(3-1) = 9+8 = 17.
-	if p2.NNZ() != 17 {
-		t.Fatalf("grid2d nnz = %d, want 17", p2.NNZ())
+	if len(p2.adj) != 17 {
+		t.Fatalf("grid2d nnz = %d, want 17", len(p2.adj))
 	}
 	p3, c3 := Grid3D(3, 3, 3)
 	if p3.N() != 27 || len(c3) != 27 {
 		t.Fatalf("grid3d size %d", p3.N())
 	}
 	// 7-point: 3 directions × 2×3×3 faces... edges = 3 * (2*3*3) = 54.
-	if p3.NNZ() != 54 {
-		t.Fatalf("grid3d nnz = %d, want 54", p3.NNZ())
+	if len(p3.adj) != 54 {
+		t.Fatalf("grid3d nnz = %d, want 54", len(p3.adj))
 	}
 	b := Band(10, 2)
-	if b.NNZ() != 2*10-3 {
-		t.Fatalf("band nnz = %d, want 17", b.NNZ())
+	if len(b.adj) != 2*10-3 {
+		t.Fatalf("band nnz = %d, want 17", len(b.adj))
 	}
 }
 
@@ -354,8 +354,8 @@ func TestAssemblyTreeGridRealism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NNZL < int64(2*p.NNZ()) {
-		t.Fatalf("suspiciously little fill: nnz(L)=%d nnz(A)=%d", res.NNZL, p.NNZ())
+	if res.NNZL < int64(2*len(p.adj)) {
+		t.Fatalf("suspiciously little fill: nnz(L)=%d nnz(A)=%d", res.NNZL, len(p.adj))
 	}
 	stats := res.Tree.ComputeStats()
 	if stats.Height < 4 {

@@ -46,19 +46,7 @@ func (b *Builder) add(parent NodeID, exec, out, tm float64) NodeID {
 	return id
 }
 
-// Len returns the number of nodes added so far.
-func (b *Builder) Len() int { return len(b.parent) }
-
 // Build finalises the tree.
 func (b *Builder) Build() (*Tree, error) {
 	return New(b.parent, b.exec, b.out, b.time)
-}
-
-// MustBuild is Build but panics on error.
-func (b *Builder) MustBuild() *Tree {
-	t, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return t
 }

@@ -198,23 +198,15 @@ func (t *Tree) Out(i NodeID) float64 { return t.out[i] }
 // Time returns t_i, the processing time of i.
 func (t *Tree) Time(i NodeID) float64 { return t.time[i] }
 
-// MemNeeded returns the memory needed to process i (Equation (1) of the
-// paper): the outputs of all children plus the execution and output data.
-func (t *Tree) MemNeeded(i NodeID) float64 {
-	m := t.exec[i] + t.out[i]
-	for _, c := range t.Children(i) {
-		m += t.out[c]
-	}
-	return m
-}
-
-// MemNeededAll returns MemNeeded for every node in one pass.
+// MemNeededAll returns, for every node i, the memory needed to process
+// it (Equation (1) of the paper): the outputs of all children plus the
+// execution and output data of i.
 func (t *Tree) MemNeededAll() []float64 {
 	return t.MemNeededInto(make([]float64, t.Len()))
 }
 
-// MemNeededInto fills m (which must have length Len) with MemNeeded for
-// every node and returns it: the allocation-free variant schedulers
+// MemNeededInto fills m (which must have length Len) with MemNeededAll
+// and returns it: the allocation-free variant schedulers
 // rebound to a new tree use to recompute their need vector in place.
 func (t *Tree) MemNeededInto(m []float64) []float64 {
 	m = m[:t.Len()]

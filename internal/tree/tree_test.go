@@ -98,16 +98,21 @@ func TestMemNeeded(t *testing.T) {
 	// node 0 (root) children 1,2. f = [5, 3, 4], n = [2, 0, 1].
 	tr := MustNew([]NodeID{None, 0, 0},
 		[]float64{2, 0, 1}, []float64{5, 3, 4}, nil)
-	if got := tr.MemNeeded(0); got != 3+4+2+5 {
-		t.Errorf("MemNeeded(root) = %v, want 14", got)
-	}
-	if got := tr.MemNeeded(1); got != 0+3 {
-		t.Errorf("MemNeeded(leaf1) = %v, want 3", got)
-	}
 	all := tr.MemNeededAll()
+	if all[0] != 3+4+2+5 {
+		t.Errorf("MemNeeded(root) = %v, want 14", all[0])
+	}
+	if all[1] != 0+3 {
+		t.Errorf("MemNeeded(leaf1) = %v, want 3", all[1])
+	}
 	for i := range all {
-		if all[i] != tr.MemNeeded(NodeID(i)) {
-			t.Errorf("MemNeededAll[%d] = %v != MemNeeded %v", i, all[i], tr.MemNeeded(NodeID(i)))
+		id := NodeID(i)
+		want := tr.Exec(id) + tr.Out(id)
+		for _, c := range tr.Children(id) {
+			want += tr.Out(c)
+		}
+		if all[i] != want {
+			t.Errorf("MemNeededAll[%d] = %v, want %v", i, all[i], want)
 		}
 	}
 }
@@ -290,7 +295,10 @@ func TestBuilder(t *testing.T) {
 	r := b.AddRoot(1, 2, 3)
 	c1 := b.Add(r, 0, 1, 9)
 	b.Add(c1, 0, 1, 1)
-	tr := b.MustBuild()
+	tr, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if tr.Len() != 3 || tr.Root() != r || tr.Time(c1) != 9 {
 		t.Errorf("builder tree wrong: len=%d root=%d t=%v", tr.Len(), tr.Root(), tr.Time(c1))
 	}

@@ -39,6 +39,21 @@ var testOnlyFields = map[string]string{
 	"repro/internal/core.MemBooking.CheckInvariants": "the Lemma 2–5 checker the core tests run after every event",
 }
 
+// testOnlyReadFields are exported struct fields under internal/ that
+// only tests read, each an oracle a test checks other code against.
+var testOnlyReadFields = map[string]string{
+	"repro/internal/analysis/load.Package.Path":           "the module tests pick internal/ packages and name findings by it",
+	"repro/internal/distributed.MappingStats.CrossEdges":  "the distributed tests check the engine's transfer count against it",
+	"repro/internal/distributed.MappingStats.CrossVolume": "the distributed tests check the engine's transfer volume against it",
+	"repro/internal/distributed.MappingStats.Work":        "the mapping tests check that every domain gets work",
+	"repro/internal/distributed.Result.Transfers":         "the distributed tests check it against StatsOf's cross edges",
+	"repro/internal/executor.Result.PeakMem":              "the live-run tests check the model peak stays within the bound",
+	"repro/internal/multitree.JobResult.Nodes":            "the exactly-once oracles count a survivor's commits against it",
+	"repro/internal/sparse.AssemblyResult.Fronts":         "the assembly tests check the fronts cover every column",
+	"repro/internal/sparse.AssemblyResult.NNZL":           "the assembly tests pin the factor's fill",
+	"repro/internal/sparse.AssemblyResult.VirtualRoot":    "the assembly tests exempt the zero-cost root from the work check",
+}
+
 var (
 	moduleOnce   sync.Once
 	moduleLoader *load.Loader // its Fset positions every loaded file
@@ -312,57 +327,16 @@ func markConverted(pkg *load.Package, used map[types.Object]bool) {
 // the operand of &. Tagged fields are skipped: a decoder sets them.
 func TestNoUnsetFields(t *testing.T) {
 	pkgs := loadModule(t)
-	fields := map[*types.Var]string{} // candidate → "path.Type.Field"
-	for _, pkg := range internalPkgs(pkgs) {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				d, ok := d.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, s := range d.Specs {
-					ts, ok := s.(*ast.TypeSpec)
-					if !ok || !ts.Name.IsExported() {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, fl := range st.Fields.List {
-						if fl.Tag != nil {
-							continue
-						}
-						for _, n := range fl.Names {
-							if n.IsExported() {
-								fields[pkg.Info.Defs[n].(*types.Var)] = pkg.Path + "." + ts.Name.Name + "." + n.Name
-							}
-						}
-					}
-				}
-			}
-		}
-	}
+	fields := exportedFields(pkgs)
 	set := map[*types.Var]bool{}
 	for _, pkg := range pkgs {
 		info := pkg.Info
-		// target marks the field an assignment target or & operand
-		// names, looking through parentheses and index expressions.
+		// target marks the field an assignment target or & operand names.
 		target := func(e ast.Expr) {
-			for {
-				switch x := e.(type) {
-				case *ast.ParenExpr:
-					e = x.X
-					continue
-				case *ast.IndexExpr:
-					e = x.X
-					continue
-				case *ast.SelectorExpr:
-					if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
-						set[v.Origin()] = true
-					}
+			if x := selectorOf(e); x != nil {
+				if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+					set[v.Origin()] = true
 				}
-				return
 			}
 		}
 		for _, f := range pkg.Files {
@@ -401,25 +375,123 @@ func TestNoUnsetFields(t *testing.T) {
 			})
 		}
 	}
-	var unset []string
-	for v, name := range fields {
-		if _, ok := testOnlyFields[name]; !ok && !set[v] {
-			unset = append(unset, name)
+	checkFields(t, fields, set, testOnlyFields, "testOnlyFields",
+		"no non-test file of the module sets it: make it a constant or delete it", "set")
+}
+
+// TestNoUnreadFields is TestNoUnsetFields' mirror: it fails on any such
+// field that no non-test file of the module reads, unless
+// testOnlyReadFields names it. A read is any selector of the field that
+// is not the target of an assignment or ++/-- (also through an index
+// expression); & counts as a read, since the pointer may be read through.
+func TestNoUnreadFields(t *testing.T) {
+	pkgs := loadModule(t)
+	fields := exportedFields(pkgs)
+	read := map[*types.Var]bool{}
+	for _, pkg := range pkgs {
+		targets := map[*ast.SelectorExpr]bool{}
+		for _, f := range pkg.Files {
+			// Inspect visits a statement before its operands, so a target
+			// is known before its selector is reached.
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						targets[selectorOf(lhs)] = true
+					}
+				case *ast.IncDecStmt:
+					targets[selectorOf(n.X)] = true
+				case *ast.SelectorExpr:
+					if v, ok := pkg.Info.Uses[n.Sel].(*types.Var); ok && v.IsField() && !targets[n] {
+						read[v.Origin()] = true
+					}
+				}
+				return true
+			})
 		}
 	}
-	sort.Strings(unset)
-	for _, name := range unset {
-		t.Errorf("%s is exported but no non-test file of the module sets it: make it a constant or delete it, or name it in testOnlyFields with the test that sets it", name)
+	checkFields(t, fields, read, testOnlyReadFields, "testOnlyReadFields",
+		"no non-test file of the module reads it: delete it", "read")
+}
+
+// selectorOf returns the field selector an assignment target names,
+// looking through parentheses and index expressions, or nil.
+func selectorOf(e ast.Expr) *ast.SelectorExpr {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x
+		default:
+			return nil
+		}
 	}
-	for name := range testOnlyFields {
+}
+
+// checkFields reports every candidate field not in seen and not allowed,
+// and every allow entry that names no unseen candidate.
+func checkFields(t *testing.T, fields map[*types.Var]string, seen map[*types.Var]bool, allow map[string]string, allowName, fix, verb string) {
+	t.Helper()
+	var missing []string
+	for v, name := range fields {
+		if _, ok := allow[name]; !ok && !seen[v] {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		t.Errorf("%s is exported but %s, or name it in %s with the test that needs it", name, fix, allowName)
+	}
+	for name := range allow {
 		found := false
 		for v, n := range fields {
 			if n == name {
-				found = !set[v]
+				found = !seen[v]
 			}
 		}
 		if !found {
-			t.Errorf("testOnlyFields names %s, which is gone or set outside tests: drop the entry", name)
+			t.Errorf("%s names %s, which is gone or %s outside tests: drop the entry", allowName, name, verb)
 		}
 	}
+}
+
+// exportedFields returns every exported, untagged, non-embedded field of
+// an exported struct type under internal/, named "path.Type.Field".
+// Tagged fields are skipped: a decoder sets them and an encoder reads them.
+func exportedFields(pkgs []*load.Package) map[*types.Var]string {
+	fields := map[*types.Var]string{}
+	for _, pkg := range internalPkgs(pkgs) {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				d, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, s := range d.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						if fl.Tag != nil {
+							continue
+						}
+						for _, n := range fl.Names {
+							if n.IsExported() {
+								fields[pkg.Info.Defs[n].(*types.Var)] = pkg.Path + "." + ts.Name.Name + "." + n.Name
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return fields
 }

@@ -22,8 +22,6 @@ type Result struct {
 	// their total size.
 	Transfers      int
 	TransferVolume float64
-	// BusyTime is the per-domain processor-seconds of useful work.
-	BusyTime []float64
 }
 
 // Run executes t on the platform with the given task→domain mapping,
@@ -51,7 +49,6 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 	res := &Result{
 		PeakMem:    make([]float64, nd),
 		PeakBooked: make([]float64, nd),
-		BusyTime:   make([]float64, nd),
 	}
 
 	// Per-domain state.
@@ -201,7 +198,6 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 				freeProcs[d]--
 				used[d] += t.Exec(i) + t.Out(i)
 				mark(d)
-				res.BusyTime[d] += t.Time(i)
 				events.Push(now+t.Time(i), int32(i))
 			}
 		}

@@ -110,11 +110,10 @@ func JobKey(name string) Key { return Key(workload.FNV1a(name)) }
 // Plan is the realised fault schedule of one run: the pure function
 // (model, seed) → {task-attempt verdicts, crash epochs, burst epochs}.
 // Task verdicts are hash-keyed (no shared stream), so queries commute;
-// the Poisson epoch streams are generated lazily, one per processor and
-// one for bursts, and the generated prefix is kept, so repeated
-// NextCrash/NextBurst queries — monotone or not — always see the same
-// sequence. A Plan is not safe for concurrent use; engines own one per
-// run.
+// the Poisson epoch streams, one per processor and one for bursts, are
+// each fixed by their seed, so repeated NextCrash/NextBurst queries —
+// monotone or not — always see the same sequence. A Plan is not safe for
+// concurrent use; engines own one per run.
 type Plan struct {
 	model Model
 	seed  uint64
@@ -123,53 +122,52 @@ type Plan struct {
 	burst epochStream
 }
 
-// epochStream is one Poisson epoch sequence: the prefix generated so
-// far and a cursor on the answer to the latest query. The engines ask
-// with non-decreasing t, so the cursor moves forward by the epochs the
-// clock passed — usually none — and a query costs O(1) whatever the
-// horizon; a query for an earlier t walks the cursor back over the kept
-// prefix. The prefix only ever grows, each epoch the previous one plus
-// one draw, so every query order sees one fixed sequence.
+// epochStream is one Poisson epoch sequence, each epoch the previous one
+// (0 before the first) plus one draw, kept as its generator and the two
+// consecutive epochs around the latest query: prev ≤ t < next. The
+// engines ask with non-decreasing t, so a query draws the epochs the
+// clock passed — usually none — and costs O(1) whatever the horizon; a
+// query before prev redraws the stream from its seed. Its memory does
+// not grow with the horizon, and every query order sees one sequence.
 type epochStream struct {
-	rng    *workload.RNG // nil until the first query
-	epochs []float64     // generated prefix, non-decreasing
-	cur    int           // epochs[cur] answered the latest query
+	seeded, rng workload.RNG // the generator as seeded, and as drawn up to next
+	rate        float64
+	prev, next  float64 // prev is −Inf while next is the first epoch
 }
 
-// after returns the first epoch strictly after t, generating from rng
-// at the given rate until one exists. A fresh stream always draws its
-// first epoch, so no t (not even a negative one) is answered with a
+func newEpochStream(seed uint64, rate float64) epochStream {
+	s := epochStream{seeded: *workload.NewRNG(seed), rate: rate}
+	s.redraw()
+	return s
+}
+
+// redraw rewinds the stream to its first epoch.
+func (s *epochStream) redraw() {
+	s.rng = s.seeded
+	s.prev, s.next = math.Inf(-1), s.rng.Exp(s.rate)
+}
+
+// after returns the first epoch strictly after t. Every stream has drawn
+// its first epoch, so no t (not even a negative one) is answered with a
 // value that is not in the sequence.
-func (s *epochStream) after(rate, t float64) float64 {
-	es, i := s.epochs, s.cur
-	for i > 0 && es[i-1] > t {
-		i--
+func (s *epochStream) after(t float64) float64 {
+	if t < s.prev {
+		s.redraw()
 	}
-	for i < len(es) && es[i] <= t {
-		i++
+	for s.next <= t {
+		s.prev = s.next
+		s.next += s.rng.Exp(s.rate)
 	}
-	if i == len(es) {
-		last := 0.0
-		if i > 0 {
-			last = es[i-1]
-		}
-		for {
-			last += s.rng.Exp(rate)
-			es = append(es, last)
-			if last > t {
-				break
-			}
-		}
-		s.epochs = es
-		i = len(es) - 1
-	}
-	s.cur = i
-	return es[i]
+	return s.next
 }
 
 // NewPlan realises the model under seed.
 func (m Model) NewPlan(seed uint64) *Plan {
-	return &Plan{model: m, seed: seed}
+	p := &Plan{model: m, seed: seed}
+	if m.BurstRate > 0 {
+		p.burst = newEpochStream(splitmix64(seed^0x6275727374), m.BurstRate) // "burst"
+	}
+	return p
 }
 
 // splitmix64 is the finaliser used to turn a content key into an
@@ -204,14 +202,10 @@ func (p *Plan) NextCrash(proc int, t float64) float64 {
 	if p.model.CrashRate == 0 {
 		return math.Inf(1)
 	}
-	if proc >= len(p.crash) {
-		p.crash = append(p.crash, make([]epochStream, proc+1-len(p.crash))...)
+	for k := len(p.crash); k <= proc; k++ {
+		p.crash = append(p.crash, newEpochStream(splitmix64(p.seed^uint64(k)*0x94d049bb133111eb), p.model.CrashRate))
 	}
-	s := &p.crash[proc]
-	if s.rng == nil {
-		s.rng = workload.NewRNG(splitmix64(p.seed ^ uint64(proc)*0x94d049bb133111eb))
-	}
-	return s.after(p.model.CrashRate, t)
+	return p.crash[proc].after(t)
 }
 
 // NextBurst returns the first cluster-wide outage epoch strictly after
@@ -220,10 +214,7 @@ func (p *Plan) NextBurst(t float64) float64 {
 	if p.model.BurstRate == 0 {
 		return math.Inf(1)
 	}
-	if p.burst.rng == nil {
-		p.burst.rng = workload.NewRNG(splitmix64(p.seed ^ 0x6275727374)) // "burst"
-	}
-	return p.burst.after(p.model.BurstRate, t)
+	return p.burst.after(t)
 }
 
 // Backoff is capped exponential backoff with deterministic jitter: the

@@ -309,8 +309,9 @@ var sinkEpoch float64
 // BenchmarkPlanNextCrash sweeps a clock over one processor's stream the
 // way the cluster loop does — several queries between two epochs — for
 // horizons of 10³, 10⁵ and 10⁶ epochs. ns/query must not grow with the
-// horizon: the cursor makes a query O(1), where a rescan of the prefix
-// from index 0 made it O(epochs so far).
+// horizon: a query draws only the epochs the clock passed since the last
+// one, and the redraw from the seed when the sweep wraps to 0 is paid
+// once per 4·epochs queries.
 func BenchmarkPlanNextCrash(b *testing.B) {
 	for _, epochs := range []int{1_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("epochs=%d", epochs), func(b *testing.B) {

@@ -1,6 +1,7 @@
 package multitree
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -321,5 +322,46 @@ func TestRetryJoinsBehindSameInstantArrival(t *testing.T) {
 	}
 	if a.Start != 0 || b.Start != 10 || b.Finish != 40 || a.Finish != 50 {
 		t.Fatalf("A ran %g..%g and B %g..%g, want A 0..50 and B 10..40", a.Start, a.Finish, b.Start, b.Finish)
+	}
+}
+
+// TestCompletionAtCrashEpochCommitsFirst pins the tie rule of one
+// instant: a task finishing exactly at its processor's crash epoch
+// commits before the crash strikes, while one still running then is
+// killed there. e is processor 0's first crash epoch (≈ 56.66 at seed
+// 4), read off a twin plan. A completion event pushed at the finish
+// alone never sees the crash; one pushed at the epoch alone would strike
+// the task that finishes there.
+func TestCompletionAtCrashEpochCommitsFirst(t *testing.T) {
+	m := faults.ProcCrashes(0.01)
+	const seed = 4
+	e := m.NewPlan(seed).NextCrash(0, 0)
+	for _, c := range []struct {
+		dur      float64
+		restarts bool
+	}{{e, false}, {1.5 * e, true}} {
+		specs := []JobSpec{{Name: "tie", Tree: chainTree(t, 1, 5, 10, c.dur)}}
+		res, evs := observed(t, specs, &Options{Procs: 1, Mem: maxPeak(specs),
+			Faults: &FaultOptions{Plan: m.NewPlan(seed), MaxRetries: 50}})
+		j := &res.Jobs[0]
+		if j.Failed {
+			t.Fatalf("duration %g: the job failed after %d attempts", c.dur, j.Attempts)
+		}
+		if !c.restarts {
+			if res.Restarts != 0 || j.Finish != e {
+				t.Fatalf("duration e = %g: %d restarts, finish %g; want 0 restarts, finish at e", e, res.Restarts, j.Finish)
+			}
+			continue
+		}
+		first := math.NaN()
+		for _, ev := range evs {
+			if ev.Kind == obs.KindFault {
+				first = ev.Time
+				break
+			}
+		}
+		if res.Restarts == 0 || first != e {
+			t.Fatalf("duration 1.5e = %g: %d restarts, first fault at %g; want a restart, first fault at e = %g", c.dur, res.Restarts, first, e)
+		}
 	}
 }

@@ -18,8 +18,6 @@ type Metrics struct {
 	Jobs int
 	// Response summarises response times (finish − arrival).
 	Response stats.Summary
-	// Wait summarises queueing delays (start − arrival).
-	Wait stats.Summary
 	// BSLD summarises bounded slowdowns at threshold τ.
 	BSLD stats.Summary
 	// Utilization is busy-time over p × makespan.
@@ -47,7 +45,6 @@ func (r *Result) Metrics(p int, mem, tau float64) Metrics {
 		tau = DefaultBSLDThreshold
 	}
 	resp := make([]float64, 0, len(r.Jobs))
-	wait := make([]float64, 0, len(r.Jobs))
 	bsld := make([]float64, 0, len(r.Jobs))
 	completed := 0
 	for i := range r.Jobs {
@@ -60,13 +57,11 @@ func (r *Result) Metrics(p int, mem, tau float64) Metrics {
 		}
 		completed++
 		resp = append(resp, j.Response())
-		wait = append(wait, j.Wait())
 		bsld = append(bsld, j.BoundedSlowdown(tau))
 	}
 	m := Metrics{
 		Jobs:        completed,
 		Response:    stats.Summarize(resp),
-		Wait:        stats.Summarize(wait),
 		BSLD:        stats.Summarize(bsld),
 		Utilization: r.Utilization(p),
 		AvgQueue:    r.AvgQueue,

@@ -111,9 +111,6 @@ type JobResult struct {
 	// Peak is peak(AO_j), the minimal deadlock-free slice; Slice is the
 	// memory the policy actually granted.
 	Peak, Slice float64
-	// Estimate is the makespan lower bound the policies ordered and
-	// reserved by (bounds.Classical at the full processor count).
-	Estimate float64
 	// Attempts is how many times the job was started (1 = no restart).
 	Attempts int
 	// Failed reports a job that exhausted its retries; Finish is then the
@@ -123,9 +120,6 @@ type JobResult struct {
 
 // Response returns the job's response time (finish − arrival).
 func (j *JobResult) Response() float64 { return j.Finish - j.Arrival }
-
-// Wait returns the queueing delay (start − arrival).
-func (j *JobResult) Wait() float64 { return j.Start - j.Arrival }
 
 // BoundedSlowdown returns max(1, response / max(runtime, tau)): the
 // standard job-stream metric, with short jobs' slowdowns damped by the
@@ -280,21 +274,14 @@ type cluster struct {
 	// current while it lies ahead of the clock and looked up again once
 	// the clock has reached it — a slot's as dispatch makes it busy, the
 	// burst's in advance — so a plan query happens per epoch passed, not
-	// per busy slot per instant. A busy slot's epoch is always ahead of
-	// the clock: reaching it strikes the slot's job.
-	//
-	// crashMin is the earliest crashAt over the busy slots and crashSlot
-	// the slot holding it (-1 while none is finite). dispatch lowers it;
-	// freeing crashSlot sets crashStale, and only then does advance
-	// rescan the busy slots. faultAt is min(burstAt, crashMin) at the
-	// latest advance: strike has work only at an instant the clock
-	// stopped on it.
-	crashAt    []float64
-	crashMin   float64
-	crashSlot  int32
-	crashStale bool
-	burstAt    float64
-	faultAt    float64
+	// per busy slot per instant. A busy slot's completion event is pushed
+	// at min(finish, crashAt), so the event heap alone says when anything
+	// next happens to a running task. struck holds the slots complete
+	// popped at this instant whose task did not finish: the processor's
+	// crash epoch came first. strike empties it.
+	crashAt []float64
+	burstAt float64
+	struck  []int32
 
 	idbuf     []int32         // PopBatch destination, recycled
 	admitMark []bool          // per-round admitted marks, recycled
@@ -399,8 +386,6 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		freeMem:    opt.Mem,
 		admitDirty: true,
 		st:         State{Mem: opt.Mem},
-		crashMin:   math.Inf(1),
-		crashSlot:  -1,
 	}
 	if c.pol == nil {
 		c.pol = FCFS{}
@@ -470,8 +455,8 @@ func longestDelay(b faults.Backoff, maxRetries int) float64 {
 
 // join moves every job due by now from the due list to the admission
 // queue (arrived or retry-wait → queued) and reports the new depth. The
-// snapshot entry is written here once: minSlice and attempt change only
-// in fail, while the job is in neither queue.
+// snapshot entry is written here once: minSlice changes only in fail,
+// while the job is in neither queue.
 func (c *cluster) join() {
 	k := len(c.due)
 	for k > 0 && c.due[k-1].dueAt <= c.now {
@@ -651,10 +636,14 @@ func (c *cluster) dispatch() error {
 			c.freeSlots = c.freeSlots[:len(c.freeSlots)-1]
 			d := j.spec.Tree.Time(nid)
 			c.slots[slot] = slotRec{job: j, node: nid, start: c.now, finish: c.now + d}
+			at := c.now + d
 			if c.plan != nil {
-				c.occupy(slot)
+				if c.crashAt[slot] <= c.now {
+					c.crashAt[slot] = c.plan.NextCrash(int(slot), c.now)
+				}
+				at = min(at, c.crashAt[slot])
 			}
-			c.events.Push(c.now+d, slot)
+			c.events.Push(at, slot)
 			c.ob.Emit(obs.KindStart, c.now, int32(j.idx), int32(nid), d, 0)
 			c.res.BusyTime += d
 			c.freeProcs--
@@ -670,26 +659,10 @@ func (c *cluster) dispatch() error {
 	return nil
 }
 
-// occupy brings the crash epoch of a slot dispatch just made busy up to
-// date and lowers the busy-slot minimum with it. The next advance runs at
-// this same instant, so the epoch is the one a lookup there would find.
-func (c *cluster) occupy(s int32) {
-	if c.crashAt[s] <= c.now {
-		c.crashAt[s] = c.plan.NextCrash(int(s), c.now)
-	}
-	if c.crashAt[s] < c.crashMin {
-		c.crashMin, c.crashSlot = c.crashAt[s], s
-	}
-}
-
-// vacate frees slot s. Freeing the slot that holds the busy-slot crash
-// minimum leaves the minimum stale until advance rescans.
+// vacate frees slot s.
 func (c *cluster) vacate(s int32) {
 	c.slots[s].job = nil
 	c.freeSlots = append(c.freeSlots, s)
-	if s == c.crashSlot {
-		c.crashStale = true
-	}
 }
 
 // drained is the progress check between dispatch and advance. It
@@ -721,14 +694,12 @@ func (c *cluster) drained() (bool, error) {
 }
 
 // advance moves the clock to the next instant: the earliest of the next
-// completion, the next due job (an arrival or a retry expiry), and — in
-// fault mode, while anything runs — the next crash epoch of a busy slot
-// or burst epoch.
+// event (a completion, or in fault mode a busy slot's crash epoch), the
+// next due job (an arrival or a retry expiry), and — in fault mode,
+// while anything runs — the next burst epoch.
 // A cached burst epoch at or behind the clock is stale (the zero value
 // always is) and looked up afresh; one still ahead is, by being the
 // first epoch after an earlier instant, also the first after this one.
-// The busy slots' epochs are current already (occupy), and their
-// minimum is rescanned only when vacate left it stale.
 func (c *cluster) advance() {
 	tNext := math.Inf(1)
 	if c.events.Len() > 0 {
@@ -741,18 +712,7 @@ func (c *cluster) advance() {
 		if c.burstAt <= c.now {
 			c.burstAt = c.plan.NextBurst(c.now)
 		}
-		if c.crashStale {
-			c.crashMin, c.crashSlot, c.crashStale = math.Inf(1), -1, false
-			for s := range c.slots {
-				if c.slots[s].job != nil && c.crashAt[s] < c.crashMin {
-					c.crashMin, c.crashSlot = c.crashAt[s], int32(s)
-				}
-			}
-		}
-		c.faultAt = min(c.burstAt, c.crashMin)
-		if c.faultAt < tNext {
-			tNext = c.faultAt
-		}
+		tNext = min(tNext, c.burstAt)
 	}
 	c.res.AvgQueue += float64(len(c.st.Queue)) * (tNext - c.now)
 	c.now = tNext
@@ -760,7 +720,9 @@ func (c *cluster) advance() {
 
 // complete drains the tasks finishing at this instant, grouped per job
 // (first-touch order) so each job's scheduler sees exactly one OnFinish
-// per instant, as the engine contract requires.
+// per instant, as the engine contract requires. A popped slot whose task
+// does not finish now has reached its crash epoch: it stays busy, set
+// aside for strike.
 func (c *cluster) complete() {
 	if c.events.Len() == 0 || c.events.Min().Time != c.now {
 		return
@@ -769,6 +731,10 @@ func (c *cluster) complete() {
 	c.touched = c.touched[:0]
 	for _, slot := range c.idbuf {
 		rec := c.slots[slot]
+		if rec.finish != c.now {
+			c.struck = append(c.struck, slot)
+			continue
+		}
 		c.vacate(slot)
 		j := rec.job
 		if j.batch == nil {
@@ -863,20 +829,22 @@ func (c *cluster) checkpoint(j *job) {
 
 // strike applies the fault epochs of this instant, after same-instant
 // completions have committed: a crash kills the job running on that
-// processor, a burst kills every job with running work. It reads the
-// cached epochs instead of the plan: between advance and strike only
-// complete runs, which frees slots and starts nothing, so every slot
-// busy here was busy — with its epoch current — in advance, and none of
-// those epochs is this instant unless their minimum, faultAt, is.
+// processor, in slot order, then a burst kills every job with running
+// work. A struck slot whose job a commit has failed already is free by
+// now and skipped. The burst epoch is read from its cache: one at this
+// instant was looked up by the advance that stopped here, and had
+// nothing run then, nothing would run now.
 func (c *cluster) strike() {
-	if c.plan == nil || c.faultAt != c.now {
+	if c.plan == nil {
 		return
 	}
-	for s := range c.slots {
-		if c.slots[s].job != nil && c.crashAt[s] == c.now {
-			c.fail(c.slots[s].job)
+	slices.Sort(c.struck)
+	for _, s := range c.struck {
+		if j := c.slots[s].job; j != nil {
+			c.fail(j)
 		}
 	}
+	c.struck = c.struck[:0]
 	if c.burstAt == c.now {
 		c.victims = c.victims[:0]
 		for _, j := range c.active {
@@ -977,7 +945,7 @@ func (c *cluster) record(j *job, failed bool) {
 	jr := JobResult{
 		Name: j.spec.Name, Nodes: j.spec.Tree.Len(),
 		Arrival: j.spec.Arrival, Start: j.start, Finish: c.now,
-		Peak: j.peak, Slice: j.slice, Estimate: j.est,
+		Peak: j.peak, Slice: j.slice,
 		Attempts: j.attempt + 1, Failed: failed,
 	}
 	code := 0.0
@@ -996,9 +964,9 @@ func (c *cluster) record(j *job, failed bool) {
 // result closes the run: the slice ledger must balance, and the queue
 // integral becomes a time average.
 func (c *cluster) result() (*Result, error) {
-	if c.fo != nil && math.Abs(c.freeMem-c.opt.Mem) > c.eps {
-		// Every slice must have been released exactly once across the
-		// fail/retry windows; a leak here is a partition-invariant bug.
+	if math.Abs(c.freeMem-c.opt.Mem) > c.eps {
+		// Every slice must have been released exactly once, across the
+		// fail/retry windows too; a leak here is a partition-invariant bug.
 		return nil, fmt.Errorf("multitree: slice accounting leak: %g of %g back in the pool", c.freeMem, c.opt.Mem)
 	}
 	if c.res.Makespan > 0 {

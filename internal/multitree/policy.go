@@ -13,9 +13,6 @@ import "math"
 
 // QueuedJob is the policy's view of one waiting job.
 type QueuedJob struct {
-	Name    string
-	Nodes   int
-	Arrival float64
 	// Peak is the smallest admissible slice: peak(AO_j), raised to the
 	// checkpoint's booked memory for a job re-queued after a failure
 	// (restoring into a smaller slice would break the snapshot's
@@ -24,9 +21,6 @@ type QueuedJob struct {
 	// Estimate is the job's makespan lower bound at the full processor
 	// count — the "runtime estimate" ordering and backfill reserve by.
 	Estimate float64
-	// Retries counts the job's failed attempts so far (0 for a fresh
-	// submission); policies may use it to prioritise or age out retries.
-	Retries int
 
 	j *job // the simulator's own handle on the waiting job
 }
@@ -83,13 +77,10 @@ type State struct {
 }
 
 // queuedView is j's Queue entry. Every field is fixed while j waits:
-// the floor and the retry count move only when an attempt fails, which
-// happens to active jobs.
+// the floor moves only when an attempt fails, which happens to active
+// jobs.
 func queuedView(j *job) QueuedJob {
-	return QueuedJob{
-		Name: j.spec.Name, Nodes: j.spec.Tree.Len(), Arrival: j.spec.Arrival,
-		Peak: j.minSlice, Estimate: j.est, Retries: j.attempt, j: j,
-	}
+	return QueuedJob{Peak: j.minSlice, Estimate: j.est, j: j}
 }
 
 // Admission grants one queued job a memory slice.

@@ -341,7 +341,6 @@ type Stats struct {
 	Height    int
 	MaxDegree int
 	TotalWork float64
-	TotalOut  float64
 	MaxNeed   float64 // largest MemNeeded of any single node
 }
 
@@ -355,7 +354,6 @@ func (t *Tree) ComputeStats() Stats {
 			s.Leaves++
 		}
 		s.TotalWork += t.time[i]
-		s.TotalOut += t.out[i]
 		if need[i] > s.MaxNeed {
 			s.MaxNeed = need[i]
 		}

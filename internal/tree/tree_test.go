@@ -321,7 +321,7 @@ func TestComputeStats(t *testing.T) {
 	if s.Nodes != 4 || s.Leaves != 2 || s.Height != 3 || s.MaxDegree != 2 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.TotalWork != 4 || s.TotalOut != 10 {
+	if s.TotalWork != 4 {
 		t.Errorf("stats totals = %+v", s)
 	}
 	// MemNeeded(root) = 2+3+1+4 = 10 is the max.

@@ -279,15 +279,19 @@ func TestEpochQueriesMatchNaiveReference(t *testing.T) {
 	}
 }
 
-// TestSteadyStateQueriesDoNotAllocate: once a stream's prefix covers
-// the queried range, monotone queries move a cursor and nothing else.
+// TestSteadyStateQueriesDoNotAllocate: once each stream is seeded,
+// monotone queries draw the epochs the clock passes and allocate
+// nothing. The warm-up seeds each stream (a crash stream is made by its
+// processor's first query); the rounds must carry every stream past at
+// least one epoch, or they would time only queries that draw nothing.
 func TestSteadyStateQueriesDoNotAllocate(t *testing.T) {
-	const procs, horizon = 8, 2000.0
+	const procs = 8
 	p := Mixed(0, 0.1, 0.05).NewPlan(5)
-	for s := 0; s < procs; s++ {
-		p.NextCrash(s, horizon)
+	var first [procs]float64
+	for s := range first {
+		first[s] = p.NextCrash(s, 0)
 	}
-	p.NextBurst(horizon)
+	firstBurst := p.NextBurst(0)
 	at := 0.0
 	allocs := testing.AllocsPerRun(1000, func() {
 		for s := 0; s < procs; s++ {
@@ -296,11 +300,17 @@ func TestSteadyStateQueriesDoNotAllocate(t *testing.T) {
 		p.NextBurst(at)
 		at += 1.5
 	})
-	if at >= horizon {
-		t.Fatalf("queries ran to %g, past the generated prefix %g", at, horizon)
+	last := at - 1.5 // the latest time queried
+	for s, e := range first {
+		if e > last {
+			t.Fatalf("crash stream %d drew no epoch: its first, %g, lies past the last query at %g", s, e, last)
+		}
+	}
+	if firstBurst > last {
+		t.Fatalf("the burst stream drew no epoch: its first, %g, lies past the last query at %g", firstBurst, last)
 	}
 	if allocs != 0 {
-		t.Fatalf("monotone queries inside the generated prefix allocated %g objects per round", allocs)
+		t.Fatalf("monotone queries allocated %g objects per round", allocs)
 	}
 }
 

@@ -14,12 +14,18 @@ import (
 
 // treeCache resolves a submission to its cache-resident tree on two
 // levels. The first is the submitted text itself: a SHA-256 of the
-// .tree bytes names the resident tree that text last parsed to, so a
-// byte-identical resubmission is recognised before it is parsed. The
-// second is the parsed content: two submissions with identical node
-// data — whatever their line order, comments or source — resolve to the
-// same harness.Entry, which memoizes the O(n log n) preparation (memPO
-// + peak) and named orders across requests. The artefacts live in the
+// tree literal's bytes as the body carried them, escapes and all, names
+// the resident tree that literal last parsed to, so a byte-identical
+// resubmission is recognised before it is unquoted or parsed. Equal
+// literals unquote to equal texts, so this key is as sound as one over
+// the text. A request without a literal (restored, decoded whole, built
+// in process) skips the level: with one key form in the table, no text
+// can alias another text's literal, and soundness rests on SHA-256
+// alone rather than on which texts parse. The second level is the
+// parsed content: two submissions with identical node data — whatever
+// their line order, comments or source — resolve to the same
+// harness.Entry, which memoizes the O(n log n) preparation (memPO +
+// peak) and named orders across requests. The artefacts live in the
 // entry, so evicting a tree drops them with it, and a request still
 // holding an evicted entry computes into garbage, not into the cache.
 //
@@ -30,11 +36,11 @@ import (
 // equality and falls back to a miss on mismatch (never serving another
 // tree's results); the verification is O(n) but allocation-free and far
 // below the cost of the preparation it saves. The text level cannot
-// verify without keeping the text, which is why it uses a 256-bit
-// cryptographic digest instead: equal digests are equal texts on the
+// verify without keeping the literal, which is why it uses a 256-bit
+// cryptographic digest instead: equal digests are equal literals on the
 // standard content-addressing assumption, at 40 bytes per tree.
 //
-// Each resident tree has at most one alias — the latest text that
+// Each resident tree has at most one alias — the latest literal that
 // resolved to it — and the alias leaves byText in the critical section
 // that takes its tree out of byKey, so len(byText) ≤ len(byKey) and an
 // alias never resolves to, or pins, a forgotten tree.
@@ -53,23 +59,8 @@ type treeCache struct {
 	misses   int
 }
 
-// textDigest is the SHA-256 of an inline .tree submission.
+// textDigest is the SHA-256 of an inline tree literal.
 type textDigest = [sha256.Size]byte
-
-// digestText hashes an inline submission. Feeding the hash through a
-// stack buffer avoids the heap copy of the whole text that a []byte
-// conversion would make.
-func digestText(text string) (d textDigest) {
-	h := sha256.New()
-	var buf [8192]byte
-	for len(text) > 0 {
-		n := copy(buf[:], text)
-		h.Write(buf[:n])
-		text = text[n:]
-	}
-	h.Sum(d[:0])
-	return d
-}
 
 // resident is one canonical tree, the text alias it currently owns and
 // its answer slot.
@@ -157,7 +148,15 @@ func sameContent(a, b *tree.Tree) bool {
 	return true
 }
 
-// byTextDigest returns the resident tree that the text with digest d
+// knows reports whether d is a text alias, without counting a hit.
+func (c *treeCache) knows(d textDigest) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.byText[d]
+	return ok
+}
+
+// byTextDigest returns the resident tree that the literal with digest d
 // last parsed to, and its content key (a hit on both counters).
 func (c *treeCache) byTextDigest(d textDigest) (r resident, key uint64, ok bool) {
 	c.mu.Lock()
@@ -176,7 +175,7 @@ func (c *treeCache) byTextDigest(d textDigest) (r resident, key uint64, ok bool)
 // evicting an arbitrary entry — and its memoized artefacts — when the
 // cache is full). The returned key is the content digest, which also
 // names the instance for content-derived perturbation seeds. A non-nil
-// text is the digest of the text t was parsed from and validated: it
+// text is the digest of the literal t was parsed from and validated: it
 // becomes the resident tree's one alias, replacing any earlier one.
 func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (r resident, key uint64) {
 	key = contentKey(t)

@@ -2,7 +2,11 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -64,18 +68,21 @@ func checkAliases(c *treeCache) error {
 // TestAliasNeverOutlivesItsTree churns a 4-tree cache with 64 distinct
 // trees, each submitted as four texts of the same content (as written,
 // re-commented, CRLF with trailing blanks, lines reversed) and each text
-// twice in a row, from 4 clients at once. After every request the alias
-// table must be consistent with the resident set, and every text of a
-// tree must get that tree's response. Run under -race in CI.
+// twice in a row, from 4 clients at once. Each request is decoded from
+// its marshalled body against the live cache, as the handler does, so a
+// literal known at decode may lose its alias before it is resolved.
+// After every request the alias table must be consistent with the
+// resident set, and every text of a tree must get that tree's response.
+// Run under -race in CI.
 func TestAliasNeverOutlivesItsTree(t *testing.T) {
 	const trees, clients = 64, 4
 	s := New(&Options{MaxCachedTrees: 4})
 	defer s.CloseStreams()
 	ref := New(nil) // sees each tree once, as written: no alias is ever used
 	defer ref.CloseStreams()
-	texts := make([][]string, trees)
+	bodies := make([][][]byte, trees)
 	want := make([]*Response, trees)
-	for i := range texts {
+	for i := range bodies {
 		tr := workload.MustSynthetic(workload.NewRNG(uint64(900+i)), workload.SyntheticOptions{Nodes: 20 + i})
 		var buf bytes.Buffer
 		if err := tree.Write(&buf, tr); err != nil {
@@ -87,11 +94,17 @@ func TestAliasNeverOutlivesItsTree(t *testing.T) {
 		for k, l := range lines {
 			reversed[len(lines)-1-k] = l
 		}
-		texts[i] = []string{
+		for _, text := range []string{
 			plain,
 			"# resubmitted\n" + plain + "\n# end\n",
 			strings.ReplaceAll(plain, "\n", "  \r\n"),
 			strings.Join(reversed, "\n"),
+		} {
+			body, err := json.Marshal(Request{Tree: text})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i] = append(bodies[i], body)
 		}
 		resp, herr := ref.schedule(&Request{Tree: plain})
 		if herr != nil {
@@ -108,9 +121,14 @@ func TestAliasNeverOutlivesItsTree(t *testing.T) {
 				// Neighbouring clients overlap on some trees and evict each
 				// other's on the rest.
 				i := (c*trees/clients/2 + k) % trees
-				for v, text := range texts[i] {
+				for v, body := range bodies[i] {
 					for rep := 0; rep < 2; rep++ {
-						resp, herr := s.schedule(&Request{Tree: text})
+						req, err := decodeBody(body, s.cache.knows)
+						if err != nil {
+							t.Errorf("client %d tree %d text %d: %v", c, i, v, err)
+							return
+						}
+						resp, herr := s.schedule(req)
 						if herr != nil {
 							t.Errorf("client %d tree %d text %d: %+v", c, i, v, herr)
 							return
@@ -150,6 +168,49 @@ func TestAliasNeverOutlivesItsTree(t *testing.T) {
 	}
 	if st.CacheTextHits < total/4 || st.CacheHits == st.CacheTextHits {
 		t.Fatalf("text hits %d of %d hits over %d requests: the alias paths were not exercised", st.CacheTextHits, st.CacheHits, total)
+	}
+}
+
+// TestOneTextTwoLiterals posts one tree as two literals that unquote
+// to the same text — the second writes a comment's / as \/ — and then
+// the first again. The text level keys the literal, so the second and
+// third posts miss it and are content hits, each moving the tree's one
+// alias to the literal just posted; all three answers are the same
+// bytes, and the alias table stays consistent after every post.
+func TestOneTextTwoLiterals(t *testing.T) {
+	s := New(nil)
+	t.Cleanup(s.CloseStreams)
+	h := s.Handler()
+	first := `{"tree":"# a/b\n0 -1 1 2 1\n1 0 1 1 3\n"}`
+	second := strings.Replace(first, "a/b", `a\/b`, 1)
+	var answer []byte
+	for i, body := range []string{first, second, first} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/schedule", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("post %d: %d %s", i+1, rec.Code, rec.Body)
+		}
+		if answer == nil {
+			answer = rec.Body.Bytes()
+		} else if !bytes.Equal(rec.Body.Bytes(), answer) {
+			t.Fatalf("post %d answered %s, the first %s", i+1, rec.Body, answer)
+		}
+		if err := checkAliases(s.cache); err != nil {
+			t.Fatalf("after post %d: %v", i+1, err)
+		}
+		lit := body[len(`{"tree":"`) : len(body)-len(`"}`)]
+		s.cache.mu.Lock()
+		_, aliased := s.cache.byText[sha256.Sum256([]byte(lit))]
+		aliases := len(s.cache.byText)
+		s.cache.mu.Unlock()
+		if !aliased || aliases != 1 {
+			t.Fatalf("after post %d: %d aliases, the literal just posted among them: %v", i+1, aliases, aliased)
+		}
+		st := s.Stats()
+		if st.CacheMisses != 1 || st.CacheHits != i || st.CacheTextHits != 0 {
+			t.Fatalf("after post %d: misses/hits/text hits = %d/%d/%d, want 1/%d/0",
+				i+1, st.CacheMisses, st.CacheHits, st.CacheTextHits, i)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -34,7 +35,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 	var req *Request
 	if err == nil {
-		req, err = decodeBody(body)
+		req, err = decodeBody(body, s.cache.knows)
 	} else {
 		req, err = decodeWhole(io.MultiReader(bytes.NewReader(body), errReader{err}))
 	}
@@ -98,14 +99,24 @@ func decodeWhole(r io.Reader) (*Request, error) {
 // return, or fails with decodeWhole's error. An inline tree is most of
 // a warm request's bytes, and encoding/json's scanner and unquote are
 // most of its decode time, so when liftTree can take the tree literal
-// out, encoding/json decodes only the rest. Any doubt — the rest does
-// not decode, or decodes with a tree of its own — falls back to the
-// whole body.
-func decodeBody(body []byte) (*Request, error) {
-	if rest, text, ok := liftTree(body); ok {
+// out, encoding/json decodes only the rest. The literal is keyed by the
+// SHA-256 of its bytes. A key known reports is a text alias: its
+// literal was unquoted, parsed and validated before, verdicts of its
+// bytes alone, so it is carried as it is; any other is unquoted here.
+// Any doubt — the rest does not decode, or decodes with a tree of its
+// own, or unquoteTree refuses the literal — falls back to the whole body.
+func decodeBody(body []byte, known func(textDigest) bool) (*Request, error) {
+	if rest, lit, ok := liftTree(body); ok {
 		if req, err := decodeWhole(bytes.NewReader(rest)); err == nil && req.Tree == "" {
-			req.Tree = text
-			return req, nil
+			d := sha256.Sum256(lit)
+			req.litKey = &d
+			if known(d) {
+				req.lit = lit
+				return req, nil
+			}
+			if req.Tree, ok = unquoteTree(lit); ok {
+				return req, nil
+			}
 		}
 	}
 	return decodeWhole(bytes.NewReader(body))
@@ -114,73 +125,72 @@ func decodeBody(body []byte) (*Request, error) {
 // liftTree finds the string member of body's top-level object whose
 // key matches "tree" as encoding/json matches field names
 // (bytes.EqualFold), and returns body with that literal replaced by
-// "" together with the literal's unquoted text. It walks only the
-// top-level object, skipping other values without decoding them, and
-// gives up (ok false) on anything it does not expect: a key with an
-// escape, a second tree-like key, a non-string tree, malformed
-// structure, or a literal unquoteTree refuses. On valid JSON the walk
-// sees the tokens encoding/json sees, so a rest that decodes means the
-// body decodes to the same Request with Tree = text.
-func liftTree(body []byte) (rest []byte, text string, ok bool) {
+// "" together with the literal's bytes between its quotes, escapes and
+// all. It walks only the top-level object, skipping other values
+// without decoding them, and gives up (ok false) on anything it does
+// not expect: a key with an escape, a second tree-like key, a
+// non-string tree or malformed structure. On valid JSON the walk sees
+// the tokens encoding/json sees, so a rest that decodes, with a
+// literal unquoteTree accepts, means the body decodes to the same
+// Request with Tree = the literal unquoted.
+func liftTree(body []byte) (rest, literal []byte, ok bool) {
 	i := skipSpace(body, 0)
 	if i == len(body) || body[i] != '{' {
-		return nil, "", false
+		return nil, nil, false
 	}
 	lit := -1 // offset of the tree literal's opening quote
 	litEnd := 0
 	i = skipSpace(body, i+1)
 	for {
 		if i == len(body) || body[i] != '"' {
-			return nil, "", false
+			return nil, nil, false
 		}
 		end := i + 1
 		for end < len(body) && body[end] != '"' && body[end] != '\\' {
 			end++
 		}
 		if end == len(body) || body[end] == '\\' {
-			return nil, "", false
+			return nil, nil, false
 		}
 		key := body[i+1 : end]
 		i = skipSpace(body, end+1)
 		if i == len(body) || body[i] != ':' {
-			return nil, "", false
+			return nil, nil, false
 		}
 		i = skipSpace(body, i+1)
 		if bytes.EqualFold(key, []byte("tree")) {
 			if lit >= 0 || i == len(body) || body[i] != '"' {
-				return nil, "", false
+				return nil, nil, false
 			}
-			// unquoteTree refuses \", so the first quote closes the literal.
+			// unquoteTree refuses \", so the first quote closes any
+			// literal it accepts.
 			n := bytes.IndexByte(body[i+1:], '"')
 			if n < 0 {
-				return nil, "", false
+				return nil, nil, false
 			}
 			lit, litEnd = i, i+n+2
 			i = litEnd
 		} else if i, ok = skipValue(body, i); !ok {
-			return nil, "", false
+			return nil, nil, false
 		}
 		i = skipSpace(body, i)
 		if i == len(body) {
-			return nil, "", false
+			return nil, nil, false
 		}
 		if body[i] == '}' {
 			break
 		}
 		if body[i] != ',' {
-			return nil, "", false
+			return nil, nil, false
 		}
 		i = skipSpace(body, i+1)
 	}
 	if lit < 0 {
-		return nil, "", false
-	}
-	if text, ok = unquoteTree(body[lit+1 : litEnd-1]); !ok {
-		return nil, "", false
+		return nil, nil, false
 	}
 	rest = make([]byte, 0, len(body)-(litEnd-lit)+2)
 	rest = append(append(append(rest, body[:lit]...), `""`...), body[litEnd:]...)
-	return rest, text, true
+	return rest, body[lit+1 : litEnd-1], true
 }
 
 // skipSpace returns the offset of the first non-whitespace byte of

@@ -31,18 +31,40 @@ func inlineBody(t testing.TB, nodes int) ([]byte, string) {
 	return body, text.String()
 }
 
+// never and always stand for a cache that knows no tree literal and
+// one that knows every literal.
+func never(textDigest) bool  { return false }
+func always(textDigest) bool { return true }
+
 // checkDecodeAgrees fails unless decodeBody and the whole-body decode
-// both fail with the same message, or both return equal requests.
+// both fail with the same message, or both return equal requests once
+// the tree is materialised as text. A body whose literal decodeBody
+// lifted is decoded a second time with the literal reported known, as
+// a cache that has seen it would: that decode must carry the literal
+// instead of unquoting it, and agree all the same.
 func checkDecodeAgrees(t *testing.T, body []byte) {
 	t.Helper()
-	got, gerr := decodeBody(body)
 	want, werr := decodeWhole(bytes.NewReader(body))
+	got, gerr := decodeBody(body, never)
+	checkAgrees(t, body, got, gerr, want, werr)
+	if gerr != nil || got.litKey == nil {
+		return
+	}
+	known, kerr := decodeBody(body, always)
+	if kerr == nil && (known.Tree != "" || known.lit == nil) {
+		t.Fatalf("body %q: a known literal was unquoted at decode", body)
+	}
+	checkAgrees(t, body, known, kerr, want, werr)
+}
+
+func checkAgrees(t *testing.T, body []byte, got *Request, gerr error, want *Request, werr error) {
+	t.Helper()
 	switch {
 	case (gerr == nil) != (werr == nil):
 		t.Fatalf("body %q: decodeBody error %v, whole-body decode error %v", body, gerr, werr)
 	case gerr != nil && gerr.Error() != werr.Error():
 		t.Fatalf("body %q: decodeBody error %q, whole-body decode error %q", body, gerr, werr)
-	case !reflect.DeepEqual(got, want):
+	case gerr == nil && !reflect.DeepEqual(got.withText(), *want):
 		t.Fatalf("body %q: decodeBody %+v, whole-body decode %+v", body, got, want)
 	}
 }
@@ -87,12 +109,12 @@ func FuzzDecodeBody(f *testing.F) {
 // body).
 func TestInlineBodyTakesFastPath(t *testing.T) {
 	body, text := inlineBody(t, 10000)
-	rest, got, ok := liftTree(body)
+	rest, lit, ok := liftTree(body)
 	if !ok {
 		t.Fatal("liftTree gave up on a json.Marshal-ed inline body")
 	}
-	if got != text {
-		t.Fatal("liftTree's text differs from the marshalled tree text")
+	if got, ok := unquoteTree(lit); !ok || got != text {
+		t.Fatal("liftTree's literal does not unquote to the marshalled tree text")
 	}
 	if len(rest) > 200 {
 		t.Fatalf("rest is %d bytes, want the body without its tree: %s", len(rest), rest)
@@ -103,7 +125,7 @@ func TestInlineBodyTakesFastPath(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(runs, func() {
-		if _, err := decodeBody(body); err != nil {
+		if _, err := decodeBody(body, never); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -113,6 +135,26 @@ func TestInlineBodyTakesFastPath(t *testing.T) {
 	if limit := 1.2 * float64(len(body)); perRun > limit {
 		t.Errorf("decoding a %d-byte inline body allocates %.0f bytes (%.0f allocations), want ≤ %.0f",
 			len(body), perRun, allocs, limit)
+	}
+}
+
+// A literal the cache knows is never unquoted at decode: decoding a
+// known 10k-node body allocates the rest of the body, the Request and
+// the digest, and no copy of the 600 kB text.
+func TestKnownLiteralIsNotMaterialised(t *testing.T) {
+	body, _ := inlineBody(t, 10000)
+	const runs, limit = 50, 4 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		req, err := decodeBody(body, always)
+		if err != nil || req.lit == nil {
+			t.Fatalf("decode of a known literal: %v, literal carried %v", err, req != nil && req.lit != nil)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > limit {
+		t.Errorf("decoding a %d-byte body with a known literal allocates %d bytes, want ≤ %d", len(body), perRun, limit)
 	}
 }
 
@@ -166,16 +208,18 @@ func TestPlain8(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeBody times a warm request's decode — a json.Marshal-ed
-// 10k-node inline body — through the pre-pass and through the
-// whole-body decode it stands in for.
+// BenchmarkDecodeBody times a request's decode — a json.Marshal-ed
+// 10k-node inline body — through the pre-pass with its literal unknown
+// (first sight) and known (a warm request), and through the whole-body
+// decode the pre-pass stands in for.
 func BenchmarkDecodeBody(b *testing.B) {
 	body, _ := inlineBody(b, 10000)
 	for _, bc := range []struct {
 		name   string
 		decode func([]byte) (*Request, error)
 	}{
-		{"prepass", decodeBody},
+		{"prepass", func(body []byte) (*Request, error) { return decodeBody(body, never) }},
+		{"known", func(body []byte) (*Request, error) { return decodeBody(body, always) }},
 		{"whole", func(body []byte) (*Request, error) { return decodeWhole(bytes.NewReader(body)) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

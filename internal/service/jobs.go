@@ -203,8 +203,9 @@ func (js *jobStore) expire(rec *jobRecord, herr *httpError) {
 }
 
 // pending returns the retained requests of every queued or running job,
-// oldest first: the shutdown checkpoint of work the drain window did
-// not finish.
+// oldest first, each with its tree as text: the shutdown checkpoint of
+// work the drain window did not finish. The text goes into a copy,
+// since the job's runner may be reading its request.
 func (js *jobStore) pending() []Request {
 	js.mu.Lock()
 	defer js.mu.Unlock()
@@ -212,7 +213,7 @@ func (js *jobStore) pending() []Request {
 	for _, id := range js.fifo {
 		rec := js.byID[id]
 		if rec != nil && rec.req != nil && (rec.status == JobQueued || rec.status == JobRunning) {
-			out = append(out, *rec.req)
+			out = append(out, rec.req.withText())
 		}
 	}
 	return out
@@ -302,9 +303,9 @@ func (r *Request) checkDeadline() *httpError {
 // submitJob enqueues one decoded request and starts its runner; it is
 // the shared path of POST /jobs and the checkpoint-restore boot.
 func (s *Server) submitJob(req *Request) (*jobRecord, bool) {
-	// The retained payload is dominated by the inline tree text; the
-	// fixed fields of a Request are a few hundred bytes.
-	cost := int64(len(req.Tree)) + 512
+	// The retained payload is dominated by the inline tree, as text or as
+	// literal; the fixed fields of a Request are a few hundred bytes.
+	cost := int64(len(req.Tree)+len(req.lit)) + 512
 	rec, ok := s.jobs.enqueue(req, cost)
 	if !ok {
 		return nil, false

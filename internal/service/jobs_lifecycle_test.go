@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -230,7 +232,10 @@ func TestJobBackpressureRetryAfter(t *testing.T) {
 
 // Drain refuses new jobs (503 + Retry-After), finishes what fits in
 // the window, and checkpoints the rest — which a fresh server restores
-// and completes.
+// and completes. One queued job carries its tree as a literal the
+// cache knew at decode, not as text: the checkpoint must hold its text
+// all the same, and the restored job must answer what a synchronous
+// post of the same body answered.
 func TestDrainCheckpointRestore(t *testing.T) {
 	srv := New(&Options{Workers: 1})
 	t.Cleanup(srv.CloseStreams)
@@ -245,10 +250,27 @@ func TestDrainCheckpointRestore(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// The synchronous post gives the tree's literal an alias.
+	const text = "0 -1 1 2 1\n1 0 1 1 3\n"
+	body, err := json.Marshal(Request{Tree: text, Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Response
+	err = json.NewDecoder(resp.Body).Decode(&want)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("synchronous post: %d %v", resp.StatusCode, err)
+	}
+
 	// One running (holds the lone worker, and with it every pool slot),
-	// two queued behind it. Submitted directly — the HTTP submit path
-	// needs a pool slot to bound hostile bodies, and the parked runner
-	// holds the only one.
+	// three queued behind it, the last with its literal. Submitted
+	// directly — the HTTP submit path needs a pool slot to bound hostile
+	// bodies, and the parked runner holds the only one.
 	for i := 0; i < 3; i++ {
 		if _, ok := srv.submitJob(&Request{Synthetic: &SyntheticSpec{Seed: 1, Nodes: 20}, Procs: i + 1}); !ok {
 			t.Fatalf("submit %d refused", i)
@@ -257,19 +279,32 @@ func TestDrainCheckpointRestore(t *testing.T) {
 	for calls.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
+	lit, err := decodeBody(body, srv.cache.knows)
+	if err != nil || lit.Tree != "" || lit.lit == nil {
+		t.Fatalf("decoding a known literal: %v, Tree %q", err, lit.Tree)
+	}
+	if _, ok := srv.submitJob(lit); !ok {
+		t.Fatal("literal submit refused")
+	}
+	if got, want := srv.Stats().JobsPendingBytes, int64(4*512+len(lit.lit)); got != want {
+		t.Fatalf("pending bytes %d, want %d: the literal is what the job retains", got, want)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	pending := srv.Drain(ctx)
-	// The running job and both queued jobs were still pending: all three
-	// are in the checkpoint, submission order preserved.
-	if len(pending) != 3 {
-		t.Fatalf("drain checkpointed %d jobs, want 3", len(pending))
+	// The running job and all three queued jobs were still pending: all
+	// four are in the checkpoint, submission order preserved.
+	if len(pending) != 4 {
+		t.Fatalf("drain checkpointed %d jobs, want 4", len(pending))
 	}
 	for i, req := range pending {
 		if req.Procs != i+1 {
 			t.Fatalf("checkpoint order broken: job %d has procs %d", i, req.Procs)
 		}
+	}
+	if got := pending[3]; got.Tree != text || got.lit != nil || lit.Tree != "" {
+		t.Fatalf("checkpointed literal job has Tree %q and literal %q; the queued request has Tree %q", got.Tree, got.lit, lit.Tree)
 	}
 	if _, resp := submitRaw(t, ts, `{"synthetic":{"seed":9,"nodes":20}}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: %d, want 503", resp.StatusCode)
@@ -278,19 +313,30 @@ func TestDrainCheckpointRestore(t *testing.T) {
 	}
 	close(block) // let the old server's runners finish
 
-	// A restarted server resubmits the checkpoint and completes it.
+	// A restarted server reads the checkpoint back as the daemon does,
+	// from its JSON, and completes it, evaluating for real.
+	ckpt, err := json.Marshal(pending)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored []Request
+	if err := json.Unmarshal(ckpt, &restored); err != nil {
+		t.Fatal(err)
+	}
 	srv2 := New(&Options{Workers: 2})
 	t.Cleanup(srv2.CloseStreams)
-	srv2.evalHook = hook
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	if n := srv2.RestoreJobs(pending); n != 3 {
-		t.Fatalf("restored %d jobs, want 3", n)
+	if n := srv2.RestoreJobs(restored); n != 4 {
+		t.Fatalf("restored %d jobs, want 4", n)
 	}
-	for id := uint64(1); id <= 3; id++ {
+	for id := uint64(1); id <= 4; id++ {
 		if got := pollDone(t, ts2, id); got.Status != JobDone {
 			t.Fatalf("restored job %d: %+v", id, got)
 		}
+	}
+	if got := pollDone(t, ts2, 4); !reflect.DeepEqual(*got.Response, want) {
+		t.Fatalf("restored literal job answered %+v, the synchronous post %+v", *got.Response, want)
 	}
 }
 

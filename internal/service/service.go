@@ -181,6 +181,24 @@ type Request struct {
 	// to completion. Zero means no deadline. After a checkpoint restore
 	// the clock restarts at the new submission.
 	Deadline float64 `json:"deadline,omitempty"`
+
+	// lit is the body's tree literal, escapes and all, when decodeBody
+	// found it known and left Tree empty; litKey is its SHA-256 whenever
+	// decodeBody lifted one. lit points into the body.
+	lit    []byte
+	litKey *textDigest
+}
+
+// withText returns a copy of r that carries its tree as Tree alone: the
+// request decodeWhole returns for the same body. A literal is carried
+// only once a request has unquoted it, so it unquotes again.
+func (r *Request) withText() Request {
+	out := *r
+	if r.lit != nil {
+		out.Tree, _ = unquoteTree(r.lit)
+	}
+	out.lit, out.litKey = nil, nil
+	return out
 }
 
 // heuristic is the requested heuristic, MemBooking when none is named.
@@ -226,8 +244,8 @@ type Stats struct {
 	// CacheHits / CacheMisses count prepared-instance cache lookups;
 	// CachedTrees and CachedNodes are the current number of canonical
 	// trees resident and their total node count. CacheTextHits is the
-	// part of CacheHits recognised by the submitted text alone — the
-	// requests that were never parsed.
+	// part of CacheHits recognised by the tree literal's bytes alone —
+	// the requests whose tree was never unquoted or parsed.
 	CacheHits     int `json:"cache_hits"`
 	CacheTextHits int `json:"cache_text_hits"`
 	CacheMisses   int `json:"cache_misses"`
@@ -734,12 +752,13 @@ func (s *Server) schedule(req *Request) (resp *Response, herr *httpError) {
 // resolve maps the request's one instance source to its cache-resident
 // tree and content key. A repeat submission lands on the cached entry,
 // so every per-instance artefact schedule reads is a cache hit;
-// an inline text seen before is recognised by its digest and not parsed
-// at all, with the key — and so every response byte — the parse would
-// have produced.
+// an inline literal seen before is recognised by its digest and not
+// unquoted or parsed at all, with the key — and so every response byte
+// — the parse would have produced.
 func (s *Server) resolve(req *Request) (resident, uint64, *httpError) {
 	sources := 0
-	if req.Tree != "" {
+	inline := req.Tree != "" || len(req.lit) > 0
+	if inline {
 		sources++
 	}
 	if req.Synthetic != nil {
@@ -754,20 +773,19 @@ func (s *Server) resolve(req *Request) (resident, uint64, *httpError) {
 	if sources != 1 {
 		return resident{}, 0, fail(http.StatusBadRequest, "want exactly one of tree, synthetic, grid2d, grid3d; got %d", sources)
 	}
-	var text *textDigest
-	if req.Tree != "" {
-		d := digestText(req.Tree)
-		if r, key, ok := s.cache.byTextDigest(d); ok {
+	var alias *textDigest
+	if inline && req.litKey != nil {
+		if r, key, ok := s.cache.byTextDigest(*req.litKey); ok {
 			return r, key, nil
 		}
-		text = &d
+		alias = req.litKey
 	}
 	t, herr := s.materialise(req)
 	if herr != nil {
-		// A text that fails to parse or validate never gains an alias.
+		// A literal that fails to parse or validate never gains an alias.
 		return resident{}, 0, herr
 	}
-	r, key := s.cache.canonical(t, text)
+	r, key := s.cache.canonical(t, alias)
 	return r, key, nil
 }
 
@@ -775,8 +793,8 @@ func (s *Server) resolve(req *Request) (resident, uint64, *httpError) {
 // enforcing the node cap before any superlinear work.
 func (s *Server) materialise(req *Request) (*tree.Tree, *httpError) {
 	switch {
-	case req.Tree != "":
-		t, err := tree.ParseLimited(req.Tree, s.opts.MaxNodes)
+	case req.Tree != "" || len(req.lit) > 0:
+		t, err := tree.ParseLimited(req.withText().Tree, s.opts.MaxNodes)
 		if err != nil {
 			if errors.Is(err, tree.ErrTooLarge) {
 				return nil, fail(http.StatusRequestEntityTooLarge, "%v", err)

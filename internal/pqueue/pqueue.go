@@ -1,11 +1,15 @@
-// Package pqueue provides small typed binary heaps used by the schedulers
-// and the event-driven simulator. The schedulers need heaps of node IDs
-// keyed by a precomputed rank (a position in an activation or execution
-// order); the simulator needs a heap of timed events. Implementing them
-// directly (rather than through container/heap's interface indirection)
-// keeps the per-event scheduling cost low, which §5.1 of the paper insists
-// on.
+// Package pqueue provides the small typed priority queues used by the
+// schedulers and the event-driven simulator. The schedulers need heaps of
+// node IDs keyed by a precomputed rank (a position in an activation or
+// execution order): RankHeap, a binary heap. The simulator needs a queue
+// of timed events: EventHeap, a sorted array of the earliest events over
+// a binary heap of the rest, so that the minimum and each same-time batch
+// are read off the array's tail. Implementing them directly (rather than
+// through container/heap's interface indirection) keeps the per-event
+// scheduling cost low, which §5.1 of the paper insists on.
 package pqueue
+
+import "slices"
 
 // RankHeap is a min-heap of int32 items ordered by a caller-supplied rank
 // array: the item with the smallest rank[item] is at the top. It is the
@@ -99,87 +103,156 @@ type Event struct {
 	Seq  int64 // tie-breaker: insertion sequence, for determinism
 }
 
-// EventHeap is a min-heap of Events ordered by (Time, Seq).
+// frontCap is how many of the earliest events EventHeap keeps sorted.
+// It covers every width the engines run at in the sweep (p ≤ 32) and
+// the cluster's 32 slots, so there every event lives in the sorted
+// front; DESIGN §5 has the p-sweep it was chosen from.
+const frontCap = 64
+
+// EventHeap is a queue of Events ordered by (Time, Seq). The frontCap
+// earliest events sit in a sorted array, latest first, so Min is the
+// last entry and PopBatch truncates the tail. A push is one step of
+// insertion sort from the tail into an array that is already sorted,
+// so it moves only the front entries earlier than the new event. An
+// event later than every front entry goes to a binary min-heap beneath
+// the front when the front is full, or already has events beneath it;
+// the front refills from the heap when it runs dry. Every heap event is
+// later than every front event, so the queue stays O(log n) however
+// many events are pending.
 type EventHeap struct {
-	ev  []Event
-	seq int64
+	// front[:n] holds the earliest events, latest first. It is allocated
+	// apart from the queue so that a queue on a caller's stack frame
+	// stays small.
+	front *[frontCap]Event
+	n     int
+	heap  []Event // min-heap of the events later than front[0]
+	seq   int64
 }
 
 // Len returns the number of pending events.
-func (h *EventHeap) Len() int { return len(h.ev) }
+func (h *EventHeap) Len() int { return h.n + len(h.heap) }
 
-// Reset empties the heap, keeping the event storage for reuse.
+// Reset empties the queue, keeping the event storage for reuse.
 func (h *EventHeap) Reset() {
-	h.ev = h.ev[:0]
+	h.n = 0
+	h.heap = h.heap[:0]
 	h.seq = 0
 }
 
-// Push inserts an event at the given time.
+// Push inserts an event at the given time. It has the largest Seq so
+// far, so among equal times it is the latest.
 func (h *EventHeap) Push(time float64, id int32) {
+	if h.front == nil {
+		h.front = new([frontCap]Event)
+	}
 	h.seq++
-	h.ev = append(h.ev, Event{time, id, h.seq})
-	h.up(len(h.ev) - 1)
+	e := Event{time, id, h.seq}
+	f, n := h.front, h.n
+	if (n == frontCap || len(h.heap) > 0) && time >= f[0].Time {
+		h.heapPush(e)
+		return
+	}
+	if n == frontCap {
+		// The latest front entry moves to the heap to make room; it is
+		// still earlier than every event already there.
+		h.heapPush(f[0])
+		n--
+		copy(f[:n], f[1:])
+	}
+	// Insertion from the tail: every entry earlier than e moves down one.
+	i := n
+	for i > 0 && f[i-1].Time <= time {
+		f[i] = f[i-1]
+		i--
+	}
+	f[i] = e
+	h.n = n + 1
 }
 
 // Grow ensures capacity for at least n queued events, so a simulation
 // that knows its maximum concurrency can avoid every later re-allocation.
 func (h *EventHeap) Grow(n int) {
-	if cap(h.ev) < n {
-		ev := make([]Event, len(h.ev), n)
-		copy(ev, h.ev)
-		h.ev = ev
+	if h.front == nil {
+		h.front = new([frontCap]Event)
+	}
+	if n -= frontCap; cap(h.heap) < n {
+		h.heap = append(make([]Event, 0, n), h.heap...)
 	}
 }
 
 // Min returns the earliest event without removing it.
-func (h *EventHeap) Min() Event { return h.ev[0] }
+func (h *EventHeap) Min() Event { return h.front[h.n-1] }
 
 // PopBatch removes the earliest event together with every event sharing
 // its exact time, appending the IDs to dst in deterministic Seq order
-// and returning the batch time. The peek-ahead after each sift-down
-// replaces a pop-then-re-check-Min loop outside the heap: one call per
-// completion batch, no Event copies out, and the equal-time test
-// short-circuits on the root slot. It panics on an empty heap.
+// and returning the batch time: one call per completion batch, popping
+// from the front's tail and refilling the front when a batch empties
+// it. It panics on an empty queue.
 func (h *EventHeap) PopBatch(dst []int32) (float64, []int32) {
-	t := h.ev[0].Time
+	f, n := h.front, h.n-1
+	t := f[n].Time
+	dst = append(dst, f[n].ID)
 	for {
-		dst = append(dst, h.ev[0].ID)
-		last := len(h.ev) - 1
-		h.ev[0] = h.ev[last]
-		h.ev = h.ev[:last]
-		if last > 0 {
-			h.down(0)
+		for n > 0 && f[n-1].Time == t {
+			n--
+			dst = append(dst, f[n].ID)
 		}
-		if len(h.ev) == 0 || h.ev[0].Time != t {
+		h.n = n
+		if n > 0 || len(h.heap) == 0 {
 			return t, dst
 		}
+		h.refill()
+		n = h.n
 	}
 }
 
-// Filter removes every pending event whose keep(id) reports false and
-// re-heapifies, in O(n). Sequence numbers of survivors are untouched,
-// so the (Time, Seq) pop order of the kept events is exactly what it
-// would have been — the property the fault-injecting simulator relies
-// on when a fail-stop failure cancels the completion events of one
-// job's in-flight tasks without disturbing the rest of the timeline.
+// refill moves the earliest events of the heap into the empty front.
+func (h *EventHeap) refill() {
+	m := min(frontCap, len(h.heap))
+	for i := m - 1; i >= 0; i-- {
+		h.front[i] = h.heap[0]
+		last := len(h.heap) - 1
+		h.heap[0] = h.heap[last]
+		h.heap = h.heap[:last]
+		h.down(0)
+	}
+	h.n = m
+}
+
+// Filter removes every pending event whose keep(id) reports false, in
+// O(n). Sequence numbers of survivors are untouched, so the (Time, Seq)
+// pop order of the kept events is exactly what it would have been — the
+// property the fault-injecting simulator relies on when a fail-stop
+// failure cancels the completion events of one job's in-flight tasks
+// without disturbing the rest of the timeline.
 func (h *EventHeap) Filter(keep func(id int32) bool) {
-	kept := h.ev[:0]
-	for _, e := range h.ev {
-		if keep(e.ID) {
-			kept = append(kept, e)
+	n := 0
+	for i := 0; i < h.n; i++ {
+		if e := h.front[i]; keep(e.ID) {
+			h.front[n] = e
+			n++
 		}
 	}
-	h.ev = kept
-	for i := len(h.ev)/2 - 1; i >= 0; i-- {
+	h.n = n
+	h.heap = slices.DeleteFunc(h.heap, func(e Event) bool { return !keep(e.ID) })
+	for i := len(h.heap)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
+	if h.n == 0 {
+		h.refill()
+	}
+}
+
+func (h *EventHeap) heapPush(e Event) {
+	h.heap = append(h.heap, e)
+	h.up(len(h.heap) - 1)
 }
 
 func (h *EventHeap) less(i, j int) bool {
-	if h.ev[i].Time != h.ev[j].Time {
-		return h.ev[i].Time < h.ev[j].Time
+	if h.heap[i].Time != h.heap[j].Time {
+		return h.heap[i].Time < h.heap[j].Time
 	}
-	return h.ev[i].Seq < h.ev[j].Seq
+	return h.heap[i].Seq < h.heap[j].Seq
 }
 
 func (h *EventHeap) up(i int) {
@@ -188,13 +261,13 @@ func (h *EventHeap) up(i int) {
 		if !h.less(i, p) {
 			break
 		}
-		h.ev[i], h.ev[p] = h.ev[p], h.ev[i]
+		h.heap[i], h.heap[p] = h.heap[p], h.heap[i]
 		i = p
 	}
 }
 
 func (h *EventHeap) down(i int) {
-	n := len(h.ev)
+	n := len(h.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
@@ -207,7 +280,7 @@ func (h *EventHeap) down(i int) {
 		if small == i {
 			return
 		}
-		h.ev[i], h.ev[small] = h.ev[small], h.ev[i]
+		h.heap[i], h.heap[small] = h.heap[small], h.heap[i]
 		i = small
 	}
 }

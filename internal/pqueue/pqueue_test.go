@@ -1,7 +1,10 @@
 package pqueue
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -82,191 +85,222 @@ func TestRankHeapMin(t *testing.T) {
 	}
 }
 
+// refQueue is the naive reference EventHeap is checked against: a slice
+// kept sorted by (Time, Seq), each push inserted where it belongs.
+type refQueue struct {
+	ev  []Event
+	seq int64
+}
+
+func (r *refQueue) push(time float64, id int32) {
+	r.seq++
+	// A new event has the largest Seq, so it goes after every event at
+	// its time.
+	i := sort.Search(len(r.ev), func(i int) bool { return r.ev[i].Time > time })
+	r.ev = slices.Insert(r.ev, i, Event{time, id, r.seq})
+}
+
+// popBatch removes the earliest events one at a time while they share
+// the first one's time.
+func (r *refQueue) popBatch() (float64, []int32) {
+	t := r.ev[0].Time
+	var ids []int32
+	for len(r.ev) > 0 && r.ev[0].Time == t {
+		ids = append(ids, r.ev[0].ID)
+		r.ev = r.ev[1:]
+	}
+	return t, ids
+}
+
+func (r *refQueue) filter(keep func(id int32) bool) {
+	r.ev = slices.DeleteFunc(r.ev, func(e Event) bool { return !keep(e.ID) })
+}
+
+func (r *refQueue) reset() {
+	r.ev = r.ev[:0]
+	r.seq = 0
+}
+
+// match reports the first difference between h and r in length or
+// minimum, or "" when there is none.
+func match(h *EventHeap, r *refQueue) string {
+	if h.Len() != len(r.ev) {
+		return fmt.Sprintf("Len %d, reference holds %d", h.Len(), len(r.ev))
+	}
+	if h.Len() > 0 && h.Min() != r.ev[0] {
+		return fmt.Sprintf("Min %+v, reference %+v", h.Min(), r.ev[0])
+	}
+	return ""
+}
+
+// popBoth pops one batch from h and from r and reports the first
+// difference, or "" when the batches agree.
+func popBoth(h *EventHeap, r *refQueue) string {
+	wantT, want := r.popBatch()
+	gotT, got := h.PopBatch(nil)
+	if gotT != wantT || !slices.Equal(got, want) {
+		return fmt.Sprintf("PopBatch = %g %v, reference %g %v", gotT, got, wantT, want)
+	}
+	return match(h, r)
+}
+
+// drainBoth pops h and r dry, batch by batch.
+func drainBoth(h *EventHeap, r *refQueue) string {
+	for h.Len() > 0 && len(r.ev) > 0 {
+		if d := popBoth(h, r); d != "" {
+			return d
+		}
+	}
+	return match(h, r)
+}
+
+type batch struct {
+	time float64
+	ids  []int32
+}
+
+// expectBatches pops len(want) batches from h and checks each, then
+// that h is empty.
+func expectBatches(t *testing.T, h *EventHeap, want ...batch) {
+	t.Helper()
+	for _, w := range want {
+		gotT, got := h.PopBatch(nil)
+		if gotT != w.time || !slices.Equal(got, w.ids) {
+			t.Fatalf("PopBatch = %g %v, want %g %v", gotT, got, w.time, w.ids)
+		}
+	}
+	if h.Len() != 0 {
+		t.Fatalf("%d events left", h.Len())
+	}
+}
+
 func TestEventHeapTimeOrder(t *testing.T) {
 	var h EventHeap
 	h.Push(3.0, 1)
 	h.Push(1.0, 2)
 	h.Push(2.0, 3)
-	if e := h.pop(); e.Time != 1.0 || e.ID != 2 {
-		t.Fatalf("first event = %+v", e)
+	if e := h.Min(); e.Time != 1.0 || e.ID != 2 {
+		t.Fatalf("Min = %+v", e)
 	}
-	if e := h.pop(); e.Time != 2.0 || e.ID != 3 {
-		t.Fatalf("second event = %+v", e)
-	}
-	if e := h.pop(); e.Time != 3.0 || e.ID != 1 {
-		t.Fatalf("third event = %+v", e)
-	}
+	expectBatches(t, &h, batch{1, []int32{2}}, batch{2, []int32{3}}, batch{3, []int32{1}})
 }
 
+// Equal times pop in push order, in the front and across the heap
+// beneath it.
 func TestEventHeapFIFOTies(t *testing.T) {
 	var h EventHeap
-	for i := int32(0); i < 10; i++ {
+	var ids []int32
+	for i := int32(0); i < 4*frontCap; i++ {
 		h.Push(1.0, i)
+		ids = append(ids, i)
 	}
-	for i := int32(0); i < 10; i++ {
-		if e := h.pop(); e.ID != i {
-			t.Fatalf("tie order broken: got %d want %d", e.ID, i)
-		}
-	}
+	expectBatches(t, &h, batch{1, ids})
 }
 
 // Filter must drop exactly the rejected events and leave the pop order
-// of the survivors identical to an untouched heap that never held them.
+// of the survivors identical to a queue that never held them.
 func TestEventHeapFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	var h, want EventHeap
+	var h EventHeap
+	var want refQueue
 	drop := map[int32]bool{}
 	for i := int32(0); i < 300; i++ {
 		tm := float64(rng.Intn(40)) // many exact ties
 		h.Push(tm, i)
-		if i%3 == 0 {
-			drop[i] = true
-		} else {
-			want.Push(tm, i)
-		}
+		want.push(tm, i)
+		drop[i] = i%3 == 0
 	}
-	h.Filter(func(id int32) bool { return !drop[id] })
-	if h.Len() != want.Len() {
-		t.Fatalf("filtered len %d, want %d", h.Len(), want.Len())
+	keep := func(id int32) bool { return !drop[id] }
+	h.Filter(keep)
+	want.filter(keep)
+	if d := drainBoth(&h, &want); d != "" {
+		t.Fatal(d)
 	}
-	for want.Len() > 0 {
-		a, b := h.pop(), want.pop()
-		if a.Time != b.Time || a.ID != b.ID {
-			t.Fatalf("pop order diverged: got (%g,%d) want (%g,%d)", a.Time, a.ID, b.Time, b.ID)
-		}
+	// A filter that drops every event of the sorted front leaves the
+	// queue to the events beneath it.
+	for i := int32(0); i < 2*frontCap; i++ {
+		h.Push(float64(i), i)
+		want.push(float64(i), i)
 	}
-	// Filtering everything empties the heap; filtering an empty heap is a
-	// no-op.
+	early := func(id int32) bool { return id >= frontCap }
+	h.Filter(early)
+	want.filter(early)
+	if d := drainBoth(&h, &want); d != "" {
+		t.Fatal(d)
+	}
+	// Filtering everything empties the queue; filtering an empty queue
+	// is a no-op.
 	h.Push(1, 1)
 	h.Filter(func(int32) bool { return false })
 	if h.Len() != 0 {
 		t.Fatalf("filter-all left %d events", h.Len())
 	}
 	h.Filter(func(int32) bool { return true })
+	if h.Len() != 0 {
+		t.Fatalf("filtering an empty queue left %d events", h.Len())
+	}
 }
 
 func TestEventHeapRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var h EventHeap
-	n := 500
-	for i := 0; i < n; i++ {
-		h.Push(rng.Float64(), int32(i))
+	var r refQueue
+	for i := 0; i < 500; i++ {
+		tm := rng.Float64()
+		h.Push(tm, int32(i))
+		r.push(tm, int32(i))
 	}
 	last := -1.0
 	for h.Len() > 0 {
-		e := h.pop()
-		if e.Time < last {
-			t.Fatalf("events out of order: %v after %v", e.Time, last)
+		tm := h.Min().Time
+		if tm < last {
+			t.Fatalf("events out of order: %v after %v", tm, last)
 		}
-		last = e.Time
+		last = tm
+		if d := popBoth(&h, &r); d != "" {
+			t.Fatal(d)
+		}
 	}
-}
-
-// pop removes and returns the earliest event: the one-at-a-time drain
-// that PopBatch batches, kept here as its oracle.
-func (h *EventHeap) pop() Event {
-	top := h.ev[0]
-	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
-	h.ev = h.ev[:last]
-	if last > 0 {
-		h.down(0)
-	}
-	return top
 }
 
 // PopBatch must drain exactly the events sharing the minimum time, in
-// the same deterministic order repeated pops would produce.
+// the order a one-at-a-time drain of the sorted reference produces.
 func TestEventHeapPopBatchMatchesPopLoop(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(300)
-		times := make([]float64, n)
-		for i := range times {
+		var h EventHeap
+		var r refQueue
+		for i := 0; i < n; i++ {
 			// Few distinct times, so equal-time batches are common.
-			times[i] = float64(rng.Intn(8))
+			tm := float64(rng.Intn(8))
+			h.Push(tm, int32(i))
+			r.push(tm, int32(i))
 		}
-		var a, b EventHeap
-		for i, tm := range times {
-			a.Push(tm, int32(i))
-			b.Push(tm, int32(i))
-		}
-		var buf []int32
-		for a.Len() > 0 {
-			now := a.Min().Time
-			var want []int32
-			for a.Len() > 0 && a.Min().Time == now {
-				want = append(want, a.pop().ID)
-			}
-			gotTime, got := b.PopBatch(buf[:0])
-			buf = got
-			if gotTime != now || len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-		}
-		return b.Len() == 0
+		return drainBoth(&h, &r) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEventHeapFilterPopBatchInterleaved drives the heap through random
+// TestEventHeapFilterPopBatchInterleaved drives the queue through random
 // interleavings of Push, Grow, Filter and PopBatch — the exact operation
 // mix of the fault-injecting job-stream simulator, where a fail-stop
 // failure Filters one job's events out mid-timeline — and checks every
-// drained batch against a sorted-slice model ordered by (Time, Seq).
+// drained batch and every Min against the reference.
 func TestEventHeapFilterPopBatchInterleaved(t *testing.T) {
-	type ev struct {
-		time float64
-		id   int32
-		seq  int
-	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var h EventHeap
-		var model []ev
-		seq := 0
+		var r refQueue
 		nextID := int32(0)
-		popBatch := func() bool {
-			if h.Len() == 0 {
-				return len(model) == 0
-			}
-			sort.SliceStable(model, func(a, b int) bool {
-				if model[a].time != model[b].time {
-					return model[a].time < model[b].time
-				}
-				return model[a].seq < model[b].seq
-			})
-			tmin := model[0].time
-			var want []int32
-			for len(model) > 0 && model[0].time == tmin {
-				want = append(want, model[0].id)
-				model = model[1:]
-			}
-			gotT, got := h.PopBatch(nil)
-			if gotT != tmin || len(got) != len(want) {
-				return false
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					return false
-				}
-			}
-			return true
-		}
 		for step := 0; step < 200; step++ {
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3: // push, with frequent exact time ties
 				tm := float64(rng.Intn(6))
-				seq++
 				h.Push(tm, nextID)
-				model = append(model, ev{tm, nextID, seq})
+				r.push(tm, nextID)
 				nextID++
 			case 4: // grow mid-stream must not disturb order
 				h.Grow(h.Len() + rng.Intn(64))
@@ -274,25 +308,17 @@ func TestEventHeapFilterPopBatchInterleaved(t *testing.T) {
 				dropMod := int32(3 + rng.Intn(4))
 				keep := func(id int32) bool { return id%dropMod != 0 }
 				h.Filter(keep)
-				kept := model[:0]
-				for _, e := range model {
-					if keep(e.id) {
-						kept = append(kept, e)
-					}
-				}
-				model = kept
+				r.filter(keep)
 			default: // drain one batch
-				if !popBatch() {
+				if h.Len() > 0 && popBoth(&h, &r) != "" {
 					return false
 				}
 			}
-		}
-		for h.Len() > 0 || len(model) > 0 {
-			if !popBatch() {
+			if match(&h, &r) != "" {
 				return false
 			}
 		}
-		return true
+		return drainBoth(&h, &r) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -304,10 +330,66 @@ func TestEventHeapGrow(t *testing.T) {
 	h.Push(2.0, 1)
 	h.Grow(100)
 	h.Push(1.0, 2)
-	if e := h.pop(); e.ID != 2 {
-		t.Fatalf("Grow lost heap order: first pop %d", e.ID)
-	}
-	if e := h.pop(); e.ID != 1 {
-		t.Fatalf("Grow lost events: second pop %d", e.ID)
-	}
+	expectBatches(t, &h, batch{1, []int32{2}}, batch{2, []int32{1}})
+}
+
+// FuzzEventHeap runs byte-coded sequences of Push, PopBatch, Filter,
+// Reset and Grow, with times from a handful of values so ties are the
+// rule, on queues of 0 to 4×frontCap events, and checks every batch and
+// every Min against the sorted reference. A Filter by time empties the
+// sorted front while events wait beneath it.
+func FuzzEventHeap(f *testing.F) {
+	f.Add([]byte{0, 8, 16, 4, 4, 4})
+	f.Add([]byte{3, 3, 3, 3, 4, 5, 4, 13, 4, 6, 3, 4})
+	f.Add(bytes.Repeat([]byte{3, 11, 19, 4}, 16))
+	f.Add(append(bytes.Repeat([]byte{3}, 8), bytes.Repeat([]byte{4, 1, 9}, 40)...))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var h EventHeap
+		var r refQueue
+		var times []float64 // by ID
+		push := func(tm float64) {
+			if h.Len() < 4*frontCap {
+				id := int32(len(times))
+				h.Push(tm, id)
+				r.push(tm, id)
+				times = append(times, tm)
+			}
+		}
+		for k, b := range ops {
+			arg := int(b >> 3)
+			switch b & 7 {
+			case 0, 1, 2: // one event at one of eight times
+				push(float64(arg % 8))
+			case 3: // a burst of up to 32 events over a few times
+				for j := 0; j <= arg; j++ {
+					push(float64((arg + j*j) % 5))
+				}
+			case 4:
+				if h.Len() > 0 {
+					if d := popBoth(&h, &r); d != "" {
+						t.Fatalf("op %d: %s", k, d)
+					}
+				}
+			case 5: // drop every few IDs, or every event up to a time
+				mod := int32(2 + arg%5)
+				keep := func(id int32) bool { return id%mod != 0 }
+				if arg&1 == 1 {
+					keep = func(id int32) bool { return times[id] > float64(arg%8) }
+				}
+				h.Filter(keep)
+				r.filter(keep)
+			case 6:
+				h.Reset()
+				r.reset()
+			case 7:
+				h.Grow(arg * 8)
+			}
+			if d := match(&h, &r); d != "" {
+				t.Fatalf("op %d (%#x): %s", k, b, d)
+			}
+		}
+		if d := drainBoth(&h, &r); d != "" {
+			t.Fatal(d)
+		}
+	})
 }

@@ -91,20 +91,21 @@ type Wide interface {
 }
 
 // Kernel is the simulated clock the simulated engines (this package,
-// moldable through it, distributed) run on: a heap of timed events and
-// the one loop that drains it an instant at a time.
+// moldable through it, distributed) run on: a queue of timed events
+// (pqueue.EventHeap, the earliest kept sorted over a heap of the rest)
+// and the one loop that drains it an instant at a time.
 type Kernel struct {
 	// Events holds the pending events. An engine's step pushes one per
-	// task it starts or transfer it admits, so the heap is empty exactly
+	// task it starts or transfer it admits, so the queue is empty exactly
 	// when nothing is running or in flight.
 	Events pqueue.EventHeap
 	ids    []int32 // PopBatch destination, recycled across batches
 }
 
-// Run empties the heap, calls step once at time 0 with no events — the
+// Run empties the queue, calls step once at time 0 with no events — the
 // engine's initial launch — and then once per distinct event time, in
 // time order, with the IDs of every event at that instant (in push
-// order). It returns the time of the last batch when the heap runs dry,
+// order). It returns the time of the last batch when the queue runs dry,
 // or step's first error. The kernel has a single exit, so an engine
 // detects deadlock in one place: Run returned without error and tasks
 // remain unfinished, which means nothing is running and the last step
@@ -178,6 +179,7 @@ type RunState struct {
 	entered  time.Time        // when Finish handed the instant to the scheduler
 	res      *Result
 	used     float64 // model memory currently resident
+	eps      float64 // CheckMemory's tolerance, relative to opts.Bound
 	free     int
 	finished int
 	batch    []tree.NodeID // OnFinish destination, recycled across instants
@@ -200,7 +202,8 @@ func (st *RunState) Start(t *tree.Tree, p int, s core.Scheduler, opts *Options) 
 		return fmt.Errorf("sim: Options.Clock is set together with NoSchedTime, which disables the measurement the clock would drive")
 	}
 	wide, _ := s.(Wide)
-	*st = RunState{t: t, s: s, wide: wide, opts: opts, res: &Result{}, free: p, batch: st.batch, spans: st.spans}
+	*st = RunState{t: t, s: s, wide: wide, opts: opts, res: &Result{}, free: p, batch: st.batch, spans: st.spans,
+		eps: 1e-9 * (1 + math.Abs(opts.Bound))}
 	// At most min(p, n) tasks complete or start at one instant.
 	hint := min(p, t.Len())
 	st.batch, st.spans = slices.Grow(st.batch[:0], hint), slices.Grow(st.spans[:0], hint)
@@ -297,11 +300,10 @@ func (st *RunState) Launch(now float64) ([]Span, error) {
 		res.PeakBooked = booked
 	}
 	if st.opts.CheckMemory {
-		eps := 1e-9 * (1 + math.Abs(st.opts.Bound))
-		if st.used > booked+eps {
+		if st.used > booked+st.eps {
 			return nil, fmt.Errorf("sim: %s uses %g but booked only %g at t=%g", s.Name(), st.used, booked, now)
 		}
-		if booked > st.opts.Bound+eps {
+		if booked > st.opts.Bound+st.eps {
 			return nil, fmt.Errorf("sim: %s booked %g over bound %g at t=%g", s.Name(), booked, st.opts.Bound, now)
 		}
 	}

@@ -220,7 +220,10 @@ func MinMemPostOrder(t *tree.Tree) (*Order, float64) {
 		peak[v] = p
 		key[v] = p - t.Out(v)
 	}
-	o := &Order{Name: "memPO", Seq: postOrderCSR(t, sorted, start), Topological: true}
+	// A postorder of t by construction, so TopologicalFor(t) starts out
+	// verified: the scheduler built on it skips IsTopological's scan.
+	o := &Order{Name: "memPO", Seq: postOrderCSR(t, sorted, start), Topological: true,
+		topoTree: t, topoOK: true}
 	return o, peak[t.Root()]
 }
 

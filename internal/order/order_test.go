@@ -254,3 +254,42 @@ func TestAvgMemoryZeroTime(t *testing.T) {
 		t.Fatalf("avg = %v, err = %v", avg, err)
 	}
 }
+
+// MinMemPostOrder's order is a postorder of its own tree by
+// construction, so verifying it there costs nothing: not even the first
+// TopologicalFor allocates IsTopological's position buffer. A tree of
+// another shape is still checked, and refused when the order does not
+// fit it.
+func TestMemPOStartsVerified(t *testing.T) {
+	const n, runs = 500, 10
+	chain := make([]tree.NodeID, n) // i's parent is i-1
+	reversed := make([]tree.NodeID, n)
+	for i := range chain {
+		chain[i], reversed[i] = tree.NodeID(i-1), tree.NodeID(i+1)
+	}
+	reversed[n-1] = tree.None
+	tr, other := tree.MustNew(chain, nil, nil, nil), tree.MustNew(reversed, nil, nil, nil)
+
+	// One fresh order per call, so every measured call is a first one.
+	orders := make([]*Order, runs+1)
+	for i := range orders {
+		orders[i], _ = MinMemPostOrder(tr)
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if !orders[next].TopologicalFor(tr) {
+			t.Fatal("memPO is not topological for its own tree")
+		}
+		next++
+	}); allocs != 0 {
+		t.Errorf("TopologicalFor on memPO's own tree allocates %.0f times, want 0", allocs)
+	}
+
+	o := orders[0]
+	if o.TopologicalFor(other) {
+		t.Error("memPO of a chain accepted for the reversed chain")
+	}
+	if !o.TopologicalFor(tr) {
+		t.Error("memPO refused for its own tree after checking another")
+	}
+}

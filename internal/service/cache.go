@@ -3,6 +3,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"sync"
@@ -29,16 +30,19 @@ import (
 // entry, so evicting a tree drops them with it, and a request still
 // holding an evicted entry computes into garbage, not into the cache.
 //
-// The content key is derived exactly like perturb.Seed derives
-// realisation seeds: an FNV-64a over the node count, parents and the
-// bit patterns of the attributes. A 64-bit digest can collide in
-// principle, so a content hit additionally verifies full content
-// equality and falls back to a miss on mismatch (never serving another
-// tree's results); the verification is O(n) but allocation-free and far
-// below the cost of the preparation it saves. The text level cannot
-// verify without keeping the literal, which is why it uses a 256-bit
-// cryptographic digest instead: equal digests are equal literals on the
-// standard content-addressing assumption, at 40 bytes per tree.
+// The content key (cacheKey) is a word-parallel digest of the node
+// data, taken on every request that reaches this level; it names
+// nothing outside the table. The instance identity that seeds a
+// perturbed realisation is a different digest, instanceID's FNV-64a,
+// computed only when a request names a perturbation model. A 64-bit key
+// can collide in principle, so a content hit additionally verifies full
+// content equality and falls back to a miss on mismatch (never serving
+// another tree's results); the verification is O(n) but
+// allocation-free and far below the cost of the preparation it saves.
+// The text level cannot verify without keeping the literal, which is
+// why it uses a 256-bit cryptographic digest instead: equal digests are
+// equal literals on the standard content-addressing assumption, at 40
+// bytes per tree.
 //
 // Each resident tree has at most one alias — the latest literal that
 // resolved to it — and the alias leaves byText in the critical section
@@ -108,8 +112,36 @@ func newTreeCache(maxEntries, maxNodes int) *treeCache {
 	}
 }
 
-// contentKey digests the node data of t.
-func contentKey(t *tree.Tree) uint64 {
+// cacheKey digests the node data of t for byKey: four independent
+// multiply-xorshift lanes, one per attribute array, so the multiplies
+// of a node overlap where a byte-serial hash chains 28 of them. Each
+// lane step is a bijection of the lane for a fixed input word, so two
+// trees of one length that differ in a single word never share a key.
+func cacheKey(t *tree.Tree) uint64 {
+	n := t.Len()
+	var p, e, o, d uint64
+	for i := 0; i < n; i++ {
+		id := tree.NodeID(i)
+		p = lane(p, uint64(uint32(t.Parent(id))))
+		e = lane(e, math.Float64bits(t.Exec(id)))
+		o = lane(o, math.Float64bits(t.Out(id)))
+		d = lane(d, math.Float64bits(t.Time(id)))
+	}
+	return lane(lane(lane(lane(lane(0, uint64(n)), p), e), o), d)
+}
+
+// lane folds the word v into the lane h.
+func lane(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// instanceID is the tree's identity as perturb.Seed reads it: an
+// FNV-64a over the node count, parents and the bit patterns of the
+// attributes, in hex. Every perturbed answer depends on its value, so
+// it stays byte-serial FNV; it is computed only for a request that
+// names a perturbation model.
+func instanceID(t *tree.Tree) string {
 	h := fnv.New64a()
 	var buf [8]byte
 	put32 := func(v int32) {
@@ -128,7 +160,7 @@ func contentKey(t *tree.Tree) uint64 {
 		putF(t.Out(id))
 		putF(t.Time(id))
 	}
-	return h.Sum64()
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // sameContent reports whether a and b describe identical trees.
@@ -157,28 +189,27 @@ func (c *treeCache) knows(d textDigest) bool {
 }
 
 // byTextDigest returns the resident tree that the literal with digest d
-// last parsed to, and its content key (a hit on both counters).
-func (c *treeCache) byTextDigest(d textDigest) (r resident, key uint64, ok bool) {
+// last parsed to (a hit on both counters).
+func (c *treeCache) byTextDigest(d textDigest) (r resident, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key, ok = c.byText[d]
+	key, ok := c.byText[d]
 	if !ok {
-		return resident{}, 0, false
+		return resident{}, false
 	}
 	c.hits++
 	c.textHits++
-	return c.byKey[key], key, true
+	return c.byKey[key], true
 }
 
 // canonical returns the cache-resident tree with t's content (a hit,
 // counting one) or inserts t as the new canonical instance (a miss,
 // evicting an arbitrary entry — and its memoized artefacts — when the
-// cache is full). The returned key is the content digest, which also
-// names the instance for content-derived perturbation seeds. A non-nil
-// text is the digest of the literal t was parsed from and validated: it
-// becomes the resident tree's one alias, replacing any earlier one.
-func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (r resident, key uint64) {
-	key = contentKey(t)
+// cache is full). A non-nil text is the digest of the literal t was
+// parsed from and validated: it becomes the resident tree's one alias,
+// replacing any earlier one.
+func (c *treeCache) canonical(t *tree.Tree, text *textDigest) resident {
+	key := cacheKey(t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, collided := c.byKey[key]
@@ -196,7 +227,7 @@ func (c *treeCache) canonical(t *tree.Tree, text *textDigest) (r resident, key u
 		c.byKey[key] = r
 		c.byText[*text] = key
 	}
-	return r, key
+	return r
 }
 
 // insert makes t the resident tree under key, whose previous holder (a

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -231,17 +233,17 @@ func TestEvictionDropsArtefacts(t *testing.T) {
 	if herr != nil {
 		t.Fatalf("%+v", herr)
 	}
-	stored, _, _ := ref.resolve(req)
+	stored, _ := ref.resolve(req)
 	orig := stored.answer.Load()
 	if orig == nil {
 		t.Fatal("the reference server stored no answer")
 	}
 
-	held, _, herr := s.resolve(req)
+	held, herr := s.resolve(req)
 	if herr != nil {
 		t.Fatalf("%+v", herr)
 	}
-	next, _, herr := s.resolve(&Request{Synthetic: &SyntheticSpec{Seed: 2, Nodes: 200}})
+	next, herr := s.resolve(&Request{Synthetic: &SyntheticSpec{Seed: 2, Nodes: 200}})
 	if herr != nil {
 		t.Fatalf("%+v", herr)
 	}
@@ -281,7 +283,7 @@ func TestEvictionDropsArtefacts(t *testing.T) {
 	if st := s.Stats(); st.CacheMisses != 3 || st.CacheHits != 0 || st.CacheAnswerHits != 0 || st.CachedTrees != 1 || st.CachedNodes != 300 {
 		t.Errorf("after resubmitting the evicted tree: %+v", st)
 	}
-	again, _, herr := s.resolve(req)
+	again, herr := s.resolve(req)
 	if herr != nil {
 		t.Fatalf("%+v", herr)
 	}
@@ -289,3 +291,80 @@ func TestEvictionDropsArtefacts(t *testing.T) {
 		t.Error("the evicted entry was served again")
 	}
 }
+
+// The instance identity seeds every perturbed realisation, so its value
+// is part of every perturbed answer: pinned here on one fixed tree.
+func TestInstanceIDPinned(t *testing.T) {
+	tr, err := tree.ParseLimited("0 -1 1 2 1\n1 0 1 1 3\n2 0 0.5 0.25 2\n", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := instanceID(tr), "46ffb92b50e265da"; got != want {
+		t.Errorf("instanceID = %s, want %s: every perturbation seed would drift", got, want)
+	}
+}
+
+// cacheKey allocates nothing and tells apart 200 trees: 50 synthetic
+// trees and, for each, three near twins — one exec value an ulp away,
+// exec and out swapped, and the last node moved to another parent.
+func TestCacheKeyDistinct(t *testing.T) {
+	keys := make(map[uint64]*tree.Tree)
+	add := func(tr *tree.Tree) {
+		k := cacheKey(tr)
+		if prev, ok := keys[k]; ok {
+			t.Errorf("key %016x shared by two trees of %d and %d nodes (same content %v)",
+				k, prev.Len(), tr.Len(), sameContent(prev, tr))
+		}
+		keys[k] = tr
+	}
+	for seed := 0; seed < 50; seed++ {
+		base := workload.MustSynthetic(workload.NewRNG(uint64(seed)), workload.SyntheticOptions{Nodes: 20 + 7*seed})
+		n := base.Len()
+		p, e, o, d := make([]tree.NodeID, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range p {
+			id := tree.NodeID(i)
+			p[i], e[i], o[i], d[i] = base.Parent(id), base.Exec(id), base.Out(id), base.Time(id)
+		}
+		add(base)
+		nudged := slices.Clone(e)
+		nudged[seed%n] = math.Nextafter(nudged[seed%n], math.Inf(1))
+		add(tree.MustNew(p, nudged, o, d))
+		add(tree.MustNew(p, o, e, d))
+		moved := slices.Clone(p)
+		if moved[n-1] = 0; p[n-1] == 0 {
+			moved[n-1] = 1
+		}
+		add(tree.MustNew(moved, e, o, d))
+	}
+	if len(keys) != 200 {
+		t.Fatalf("%d distinct keys over the 200-tree corpus", len(keys))
+	}
+	tr := workload.MustSynthetic(workload.NewRNG(1), workload.SyntheticOptions{Nodes: 1000})
+	if allocs := testing.AllocsPerRun(10, func() { cacheKey(tr) }); allocs != 0 {
+		t.Errorf("cacheKey allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkContentKey times the cache key and the instance identity on
+// a 10k-node tree: the first runs on every request that reaches the
+// content level, the second only on a perturbed evaluation.
+func BenchmarkContentKey(b *testing.B) {
+	tr := workload.MustSynthetic(workload.NewRNG(7), workload.SyntheticOptions{Nodes: 10000})
+	b.Run("cacheKey", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keySink = cacheKey(tr)
+		}
+	})
+	b.Run("instanceID", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			idSink = instanceID(tr)
+		}
+	})
+}
+
+var (
+	keySink uint64
+	idSink  string
+)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"unicode/utf8"
 )
 
@@ -26,13 +27,15 @@ func bodyLimit(maxNodes int) int64 {
 // hold a worker-pool slot: buffering and decoding a near-limit payload
 // is as attacker-reachable as the simulation.
 //
-// The body is read once. A complete body goes through decodeBody; a
-// read that failed (over the limit, client gone) replays what arrived
-// followed by the error through decodeWhole, which is exactly what a
-// streaming decoder over the body would have seen.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, bool) {
+// The body is read once, into buf. A complete body goes through
+// decodeBody; a read that failed (over the limit, client gone) replays
+// what arrived followed by the error through decodeWhole, which is
+// exactly what a streaming decoder over the body would have seen. The
+// Request may point into buf (Request.lit), so buf must not be reused
+// while the Request is.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) (*Request, bool) {
 	limit := bodyLimit(s.opts.MaxNodes)
-	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit, buf)
 	var req *Request
 	if err == nil {
 		req, err = decodeBody(body, s.cache.knows)
@@ -54,16 +57,23 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request
 	return nil, false
 }
 
-// readBody reads r to its end into a buffer presized from the
-// Content-Length hint clamped to [0, limit]: a truthful header costs
-// one allocation, and a lying one cannot allocate past the limit the
-// reader enforces anyway.
-func readBody(r io.Reader, hint, limit int64) ([]byte, error) {
-	var buf bytes.Buffer
+// readBody reads r to its end into buf, emptied and presized from the
+// Content-Length hint clamped to [0, limit]: a truthful header costs at
+// most one allocation — none on a recycled buffer that is already large
+// enough — and a lying one cannot allocate past the limit the reader
+// enforces anyway.
+func readBody(r io.Reader, hint, limit int64, buf *bytes.Buffer) ([]byte, error) {
+	buf.Reset()
 	buf.Grow(int(min(max(hint, 0), limit)) + bytes.MinRead)
 	_, err := buf.ReadFrom(r)
 	return buf.Bytes(), err
 }
+
+// bodyPool recycles /schedule's body buffers, so a warm request neither
+// allocates nor zeroes its ~600 kB body. Only a handler that drops its
+// Request before returning may take one: POST /jobs reads into a fresh
+// buffer, because a queued job's Request.lit points into its body.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // errReader fails every read with its error.
 type errReader struct{ err error }

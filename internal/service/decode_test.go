@@ -158,6 +158,45 @@ func TestKnownLiteralIsNotMaterialised(t *testing.T) {
 	}
 }
 
+// A warm inline request — its literal known and its answer stored —
+// reads its 600 kB body into a recycled buffer: once warm, a 10k-node
+// post through the handler allocates a few kilobytes, not its body.
+func TestWarmInlinePostAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers at random")
+	}
+	srv := New(nil)
+	t.Cleanup(srv.CloseStreams)
+	h := srv.Handler()
+	_, text := inlineBody(t, 10000)
+	body, err := json.Marshal(Request{Tree: text, Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() {
+		req := httptest.NewRequest(http.MethodPost, "/schedule", bytes.NewReader(body))
+		req.ContentLength = int64(len(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%d %s", rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		post()
+	}
+	const runs, limit = 50, 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		post()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > limit {
+		t.Errorf("a warm %d-byte post allocates %d bytes, want ≤ %d", len(body), perRun, limit)
+	}
+}
+
 // The Content-Length header only sizes the read buffer: a header far
 // past the limit on a small body answers as if it were truthful, and
 // an over-limit body gets the same 413 whatever its header claims.

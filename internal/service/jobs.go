@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net/http"
@@ -266,7 +267,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.inFlight.Add(-1)
 		<-s.sem
 	}()
-	req, ok := s.decodeRequest(w, r)
+	req, ok := s.decodeRequest(w, r, new(bytes.Buffer))
 	if !ok {
 		return
 	}

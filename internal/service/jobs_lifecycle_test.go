@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,11 +12,14 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/tree"
+	"repro/internal/workload"
 )
 
 // These tests drive the async-job lifecycle — one evaluation per job,
@@ -408,5 +412,118 @@ func TestQueueDepthTrackReturnsToZero(t *testing.T) {
 	}
 	if kinds[obs.KindAdmit] != 5 || kinds[obs.KindStart] != 4 || kinds[obs.KindDone] != 5 {
 		t.Fatalf("event counts %v: want 5 admit, 4 start, 5 done", kinds)
+	}
+}
+
+// /schedule reads its body into a recycled buffer, and POST /jobs must
+// not: a queued job's request points into its body. Two jobs carry a
+// known literal and wait in the evaluator while a stream of /schedule
+// posts of a smaller tree cycles the buffers and evicts the jobs' tree,
+// so the first job's evaluation has to unquote its literal from the
+// body and the drain checkpoint has to unquote the second's. Both must
+// read the text that was posted.
+func TestJobLiteralSurvivesPooledBodies(t *testing.T) {
+	srv := New(&Options{Workers: 3, MaxCachedTrees: 1})
+	t.Cleanup(srv.CloseStreams)
+	gates := map[int]chan struct{}{4: make(chan struct{}), 5: make(chan struct{})}
+	var waiting atomic.Int32
+	srv.evalHook = func(req *Request) (*Response, *httpError) {
+		waiting.Add(1)
+		<-gates[req.Procs]
+		return srv.schedule(req)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer func() { // a failed check must not leave a job parked
+		for _, g := range gates {
+			select {
+			case <-g:
+			default:
+				close(g)
+			}
+		}
+	}()
+	body := func(nodes, procs int) ([]byte, string) {
+		var text strings.Builder
+		tr := workload.MustSynthetic(workload.NewRNG(uint64(nodes)), workload.SyntheticOptions{Nodes: nodes})
+		if err := tree.Write(&text, tr); err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(Request{Tree: text.String(), Procs: procs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, text.String()
+	}
+	schedule := func(b []byte) Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var r Response
+		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/schedule: %d %v", resp.StatusCode, err)
+		}
+		return r
+	}
+
+	first, text := body(300, 4)
+	second, _ := body(300, 5)
+	want := schedule(first) // gives the literal its alias
+	var ids []uint64
+	for _, b := range [][]byte{first, second} {
+		v, resp := submitRaw(t, ts, string(b))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job submit: %d", resp.StatusCode)
+		}
+		ids = append(ids, v.ID)
+	}
+	for waiting.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	_, lit, _ := liftTree(first)
+	if got, want := srv.Stats().JobsPendingBytes, 2*int64(512+len(lit)); got != want {
+		t.Fatalf("pending bytes %d, want %d: the jobs should carry their literals", got, want)
+	}
+
+	// Shorter, so a recycled buffer is overwritten in place; from four
+	// clients at once, so the buffers of more than one P are recycled.
+	other, _ := body(50, 4)
+	schedule(other)
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				resp, err := http.Post(ts.URL+"/schedule", "application/json", bytes.NewReader(other))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("warm /schedule: %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if srv.cache.knows(sha256.Sum256(lit)) {
+		t.Fatal("the jobs' tree is still cached: their literals would not be read")
+	}
+
+	close(gates[4])
+	if got := pollDone(t, ts, ids[0]); got.Status != JobDone || !reflect.DeepEqual(*got.Response, want) {
+		t.Fatalf("job answered %+v, the synchronous post %+v", got, want)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	pending := srv.Drain(ctx)
+	if len(pending) != 1 || pending[0].Tree != text || pending[0].Procs != 5 {
+		t.Fatalf("drain checkpointed %d jobs; want one with the posted text and procs 5", len(pending))
 	}
 }

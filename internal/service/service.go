@@ -23,6 +23,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -533,7 +534,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		s.inFlight.Add(-1)
 		<-s.sem
 	}()
-	req, ok := s.decodeRequest(w, r)
+	// The request is done with its body once the response is written:
+	// nothing schedule stores points into it.
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	req, ok := s.decodeRequest(w, r, buf)
 	if !ok {
 		return
 	}
@@ -558,7 +563,7 @@ func (s *Server) reject(w http.ResponseWriter, e *httpError) {
 // The caller holds a worker-pool slot for the duration. A valid request
 // repeating its tree's last untraced options gets the stored outcome.
 func (s *Server) schedule(req *Request) (resp *Response, herr *httpError) {
-	r, key, herr := s.resolve(req)
+	r, herr := s.resolve(req)
 	if herr != nil {
 		return nil, herr
 	}
@@ -663,10 +668,10 @@ func (s *Server) schedule(req *Request) (resp *Response, herr *httpError) {
 
 	var factors []float64
 	if req.Perturb != "" {
-		// The instance key is the content digest, so the realisation is a
-		// pure function of (request seed, model, tree content) — identical
-		// submissions replay identical realisations.
-		seed := perturb.Seed(req.PerturbSeed, model, fmt.Sprintf("%016x", key))
+		// The instance name is a digest of the content, so the
+		// realisation is a pure function of (request seed, model, tree
+		// content) — identical submissions replay identical realisations.
+		seed := perturb.Seed(req.PerturbSeed, model, instanceID(ct))
 		factors = model.Factors(ct.Len(), seed)
 	}
 
@@ -750,12 +755,12 @@ func (s *Server) schedule(req *Request) (resp *Response, herr *httpError) {
 }
 
 // resolve maps the request's one instance source to its cache-resident
-// tree and content key. A repeat submission lands on the cached entry,
-// so every per-instance artefact schedule reads is a cache hit;
-// an inline literal seen before is recognised by its digest and not
-// unquoted or parsed at all, with the key — and so every response byte
+// tree. A repeat submission lands on the cached entry, so every
+// per-instance artefact schedule reads is a cache hit; an inline
+// literal seen before is recognised by its digest and not unquoted or
+// parsed at all, and resolves to the tree — and so every response byte
 // — the parse would have produced.
-func (s *Server) resolve(req *Request) (resident, uint64, *httpError) {
+func (s *Server) resolve(req *Request) (resident, *httpError) {
 	sources := 0
 	inline := req.Tree != "" || len(req.lit) > 0
 	if inline {
@@ -771,22 +776,21 @@ func (s *Server) resolve(req *Request) (resident, uint64, *httpError) {
 		sources++
 	}
 	if sources != 1 {
-		return resident{}, 0, fail(http.StatusBadRequest, "want exactly one of tree, synthetic, grid2d, grid3d; got %d", sources)
+		return resident{}, fail(http.StatusBadRequest, "want exactly one of tree, synthetic, grid2d, grid3d; got %d", sources)
 	}
 	var alias *textDigest
 	if inline && req.litKey != nil {
-		if r, key, ok := s.cache.byTextDigest(*req.litKey); ok {
-			return r, key, nil
+		if r, ok := s.cache.byTextDigest(*req.litKey); ok {
+			return r, nil
 		}
 		alias = req.litKey
 	}
 	t, herr := s.materialise(req)
 	if herr != nil {
 		// A literal that fails to parse or validate never gains an alias.
-		return resident{}, 0, herr
+		return resident{}, herr
 	}
-	r, key := s.cache.canonical(t, alias)
-	return r, key, nil
+	return s.cache.canonical(t, alias), nil
 }
 
 // materialise builds the instance tree from the request's source,

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/order"
@@ -171,5 +172,17 @@ func TestOverSelectionGuard(t *testing.T) {
 	tr := tree.MustNew([]tree.NodeID{tree.None, 0, 0}, nil, nil, []float64{1, 1, 1})
 	if _, err := sim.Run(tr, 1, &overSelector{tr}, nil); err == nil {
 		t.Fatal("over-selection not detected")
+	}
+}
+
+// sim.Run is inlined and its Runner stays on the caller's stack, so
+// every byte a Runner gains grows the frame of each caller that runs one
+// per request (service.schedule) and every goroutine stack under it.
+func TestRunnerStaysSmall(t *testing.T) {
+	const limit = 256
+	if size := unsafe.Sizeof(sim.Runner{}); size > limit {
+		t.Errorf("sim.Runner is %d bytes, want ≤ %d: a Runner that grew by "+
+			"1.5 kB made svc_jobs +4 to +11 %% slower through larger stacks "+
+			"(DESIGN §5, the event queue); allocate large parts apart", size, limit)
 	}
 }

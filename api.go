@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"io"
 	"net/http"
 
 	"repro/internal/baseline"
@@ -33,14 +32,10 @@ type (
 	Scheduler = core.Scheduler
 	// SimResult summarises a simulated execution.
 	SimResult = sim.Result
-	// SimOptions tunes a simulation.
-	SimOptions = sim.Options
 	// ExecResult summarises a live execution.
 	ExecResult = executor.Result
 	// Task is the user work body for live execution.
 	Task = executor.Task
-	// Instance is a named workload tree.
-	Instance = workload.Instance
 	// ErrDeadlock is the typed no-progress error shared by the simulator
 	// and the live executor; match it with errors.As.
 	ErrDeadlock = core.ErrDeadlock
@@ -50,41 +45,21 @@ type (
 	// ServiceOptions configures the scheduling service (see
 	// internal/service and cmd/treeschedd).
 	ServiceOptions = service.Options
-	// ServiceStats is the service's /statsz payload.
-	ServiceStats = service.Stats
 )
 
 // None is the absent node (parent of the root).
 const None = tree.None
 
-// NewTree builds a tree from parallel attribute arrays; parent[i] is the
-// parent of task i (None for the root).
-func NewTree(parent []NodeID, exec, out, time []float64) (*Tree, error) {
-	return tree.New(parent, exec, out, time)
-}
-
 // NewTreeBuilder returns a Builder with capacity for n nodes.
 func NewTreeBuilder(n int) *TreeBuilder { return tree.NewBuilder(n) }
 
-// ReadTree parses the .tree text format and validates the result:
-// beyond the parser's structural checks it rejects NaN or negative
-// attributes, which the schedulers are not defined on. Inputs from
-// untrusted sources go through this entry point (internal callers that
-// deliberately construct degenerate trees can use the internal parser).
-func ReadTree(r io.Reader) (*Tree, error) {
-	t, err := tree.Read(r)
-	return validatedTree(t, err)
-}
-
-// ReadTreeFile reads a .tree file, validating like ReadTree.
+// ReadTreeFile reads a .tree file and validates the result: beyond the
+// parser's structural checks it rejects NaN or negative attributes,
+// which the schedulers are not defined on. Inputs from untrusted sources
+// go through this entry point (internal callers that deliberately
+// construct degenerate trees can use the internal parser).
 func ReadTreeFile(path string) (*Tree, error) {
 	t, err := tree.ReadFile(path)
-	return validatedTree(t, err)
-}
-
-// validatedTree chains attribute validation onto a parse result, so
-// both public readers share one definition of "acceptable input".
-func validatedTree(t *Tree, err error) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -93,12 +68,6 @@ func validatedTree(t *Tree, err error) (*Tree, error) {
 	}
 	return t, nil
 }
-
-// WriteTree serialises a tree in the .tree text format.
-func WriteTree(w io.Writer, t *Tree) error { return tree.Write(w, t) }
-
-// WriteTreeFile writes a tree to a .tree file.
-func WriteTreeFile(path string, t *Tree) error { return tree.WriteFile(path, t) }
 
 // Traversal orders (§3, §7.2 and Appendix A of the paper).
 
@@ -111,22 +80,9 @@ func MinMemPostOrder(t *Tree) (*Order, float64) { return order.MinMemPostOrder(t
 // postorder) minimising peak memory, and its peak.
 func OptSeq(t *Tree) (*Order, float64) { return order.OptSeq(t) }
 
-// PerfPostOrder returns the parallel-performance postorder (perfPO).
-func PerfPostOrder(t *Tree) *Order { return order.PerfPostOrder(t) }
-
 // CriticalPathOrder returns tasks by decreasing bottom-level (CP); an
 // execution order, not a topological one.
 func CriticalPathOrder(t *Tree) *Order { return order.CriticalPathOrder(t) }
-
-// AvgMemPostOrder returns the average-memory-minimising postorder.
-func AvgMemPostOrder(t *Tree) *Order { return order.AvgMemPostOrder(t) }
-
-// OrderByName computes the named order ("memPO", "perfPO", "CP",
-// "OptSeq", "naturalPO", "avgMemPO").
-func OrderByName(t *Tree, name string) (*Order, float64, error) { return order.ByName(t, name) }
-
-// PeakMemory returns the peak memory of a sequential execution of seq.
-func PeakMemory(t *Tree, seq []NodeID) (float64, error) { return order.PeakMemory(t, seq) }
 
 // Schedulers.
 
@@ -152,11 +108,6 @@ func NewMemBookingRedTree(t *Tree, m float64, ao, eo *Order) (*baseline.MemBooki
 // simulator, auditing that the model memory stays within bound m.
 func Simulate(t *Tree, p int, s Scheduler, m float64) (*SimResult, error) {
 	return sim.Run(t, p, s, &sim.Options{CheckMemory: true, Bound: m})
-}
-
-// SimulateOpts runs a simulation with full control over the options.
-func SimulateOpts(t *Tree, p int, s Scheduler, opts *SimOptions) (*SimResult, error) {
-	return sim.Run(t, p, s, opts)
 }
 
 // Execute runs the tree for real on a pool of worker goroutines, with
@@ -212,26 +163,10 @@ func SyntheticTree(seed uint64, nodes int) (*Tree, error) {
 	return workload.Synthetic(workload.NewRNG(seed), workload.SyntheticOptions{Nodes: nodes})
 }
 
-// SyntheticCorpus generates count trees of each size.
-func SyntheticCorpus(seed uint64, count int, sizes []int) []Instance {
-	return workload.SyntheticCorpus(seed, count, sizes)
-}
-
 // AssemblyTreeFromGrid2D factors an n×n 5-point grid under nested
 // dissection and returns its assembly tree.
 func AssemblyTreeFromGrid2D(n, amalgamation int) (*Tree, error) {
-	return gridTree(2, n, amalgamation)
-}
-
-// AssemblyTreeFromGrid3D factors an n×n×n 7-point grid under nested
-// dissection and returns its assembly tree.
-func AssemblyTreeFromGrid3D(n, amalgamation int) (*Tree, error) {
-	return gridTree(3, n, amalgamation)
-}
-
-// gridTree is the assembly tree of sparse.GridND(dim, n).
-func gridTree(dim, n, amalgamation int) (*Tree, error) {
-	p, perm := sparse.GridND(dim, n)
+	p, perm := sparse.GridND(2, n)
 	res, err := sparse.AssemblyTree(p, perm, &sparse.AssemblyOptions{Amalgamation: amalgamation})
 	if err != nil {
 		return nil, err

@@ -8,12 +8,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro"
+	"repro/internal/order"
+	"repro/internal/service"
+	"repro/internal/tree"
 )
 
 // Integration tests exercising the whole public API surface end to end:
@@ -55,7 +59,7 @@ func TestPublicPipelineAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr3, err := repro.AssemblyTreeFromGrid3D(6, 4)
+	tr3, err := repro.AssemblyTreeFromGrid2D(12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +92,12 @@ func TestPublicOrdersAgree(t *testing.T) {
 	if optPeak > poPeak+1e-9 {
 		t.Fatalf("OptSeq peak %g worse than memPO %g", optPeak, poPeak)
 	}
-	measured, err := repro.PeakMemory(tr, optOrd.Seq)
+	measured, err := order.PeakMemory(tr, optOrd.Seq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(measured-optPeak) > 1e-6 {
 		t.Fatalf("reported %g, measured %g", optPeak, measured)
-	}
-	for _, name := range []string{"memPO", "perfPO", "CP", "OptSeq", "naturalPO", "avgMemPO"} {
-		if _, _, err := repro.OrderByName(tr, name); err != nil {
-			t.Fatalf("OrderByName(%s): %v", name, err)
-		}
-	}
-	if _, _, err := repro.OrderByName(tr, "bogus"); err == nil {
-		t.Fatal("bogus order accepted")
 	}
 }
 
@@ -110,27 +106,20 @@ func TestPublicTreeIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "x.tree")
 	var buf bytes.Buffer
-	if err := repro.WriteTree(&buf, tr); err != nil {
+	if err := tree.Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	back, err := repro.ReadTree(&buf)
+	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	back, err := repro.ReadTreeFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Len() != tr.Len() {
 		t.Fatalf("round trip %d != %d nodes", back.Len(), tr.Len())
-	}
-	path := filepath.Join(t.TempDir(), "x.tree")
-	if err := repro.WriteTreeFile(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	back2, err := repro.ReadTreeFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back2.Len() != tr.Len() {
-		t.Fatal("file round trip size changed")
 	}
 }
 
@@ -154,7 +143,7 @@ func TestPublicServiceHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sr.Body.Close()
-	var st repro.ServiceStats
+	var st service.Stats
 	if err := json.NewDecoder(sr.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +152,7 @@ func TestPublicServiceHandler(t *testing.T) {
 	}
 }
 
-// The exported readers feed schedulers from untrusted bytes, so parse
+// The exported reader feeds schedulers from untrusted bytes, so parse
 // success is not enough: NaN or negative attributes (which the internal
 // parser tolerates structurally) and hostile ids must all surface as
 // errors, never as a tree or a panic.
@@ -178,9 +167,13 @@ func TestPublicReadTreeRejectsHostileInput(t *testing.T) {
 		"0 0 1 1 1\n",                 // self-parent
 		"0 -1 1 1 1\n1 -1 1 1 1\n",    // two roots
 	} {
-		tr, err := repro.ReadTree(strings.NewReader(in))
+		path := filepath.Join(t.TempDir(), "hostile.tree")
+		if err := os.WriteFile(path, []byte(in), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := repro.ReadTreeFile(path)
 		if err == nil {
-			t.Errorf("ReadTree(%q) accepted: %v", in, tr)
+			t.Errorf("ReadTreeFile(%q) accepted: %v", in, tr)
 		}
 	}
 }
@@ -211,7 +204,7 @@ func TestPublicExecute(t *testing.T) {
 	}
 }
 
-func TestPublicBuilderAndCorpus(t *testing.T) {
+func TestPublicBuilderAndBounds(t *testing.T) {
 	b := repro.NewTreeBuilder(3)
 	root := b.AddRoot(0, 2, 1)
 	b.Add(root, 0, 1, 1)
@@ -221,10 +214,6 @@ func TestPublicBuilderAndCorpus(t *testing.T) {
 	}
 	if tr.Len() != 2 {
 		t.Fatalf("builder tree has %d nodes", tr.Len())
-	}
-	c := repro.SyntheticCorpus(3, 2, []int{100})
-	if len(c) != 2 || c[0].Tree.Len() != 100 {
-		t.Fatalf("corpus wrong: %d instances", len(c))
 	}
 	lb := repro.ClassicalLowerBound(tr, 2)
 	if lb <= 0 {
@@ -273,7 +262,9 @@ func TestPublicPerturbation(t *testing.T) {
 // The executor's deadlock is the same public typed error as the
 // simulator's.
 func TestPublicDeadlockTyped(t *testing.T) {
-	tr, err := repro.NewTree([]repro.NodeID{repro.None}, []float64{5}, []float64{5}, nil)
+	b := repro.NewTreeBuilder(1)
+	b.AddRoot(5, 5, 0)
+	tr, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +15,11 @@ func writeTempTree(t *testing.T) string {
 	t.Helper()
 	tr := workload.MustSynthetic(workload.NewRNG(3), workload.SyntheticOptions{Nodes: 200})
 	path := filepath.Join(t.TempDir(), "t.tree")
-	if err := tree.WriteFile(path, tr); err != nil {
+	var buf bytes.Buffer
+	if err := tree.Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	return path

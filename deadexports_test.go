@@ -2,8 +2,11 @@ package repro
 
 import (
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -114,9 +117,13 @@ func internalPkgs(pkgs []*load.Package) []*load.Package {
 // or reaches through an interface, unless testOnlyMethods names it. A
 // method is reached through an interface when non-test code converts a
 // value of its receiver type to an interface type that has the method
-// (io.Reader, fmt.Stringer, core.Scheduler, …).
+// (io.Reader, fmt.Stringer, core.Scheduler, …). It also fails on any
+// exported name of package repro without a reader (see deadRootExports).
 func TestNoDeadExports(t *testing.T) {
 	pkgs := loadModule(t)
+	for _, name := range deadRootExports(t, pkgs) {
+		t.Errorf("repro.%s is exported but has no reader in cmd/, examples/, an Example of example_test.go or a repro.%s mention in %s: show a user why they want it, or delete it", name, name, strings.Join(rootDocs, " or "))
+	}
 	type span struct{ pos, end token.Pos }
 	decls := map[types.Object]span{} // candidate → its declaration
 	for _, pkg := range internalPkgs(pkgs) {
@@ -494,4 +501,82 @@ func exportedFields(pkgs []*load.Package) map[*types.Var]string {
 		}
 	}
 	return fields
+}
+
+// rootDocs are the documents whose repro.X mentions read the root API.
+var rootDocs = []string{"README.md", "doc.go"}
+
+// deadRootExports returns, sorted, the exported names of package repro
+// that have no reader. The root API is for users, so its readers are
+// what a user is shown: the packages under cmd/ and examples/, the
+// Example functions of example_test.go and a repro.X mention in
+// rootDocs. A type alias also has a reader in the signature of a
+// function that has one.
+func deadRootExports(t *testing.T, pkgs []*load.Package) []string {
+	t.Helper()
+	var root *load.Package
+	for _, pkg := range pkgs {
+		if pkg.Path == "repro" {
+			root = pkg
+		}
+	}
+	if root == nil {
+		t.Fatal("package repro is not loaded")
+	}
+	scope := root.Types.Scope()
+	read := map[string]bool{}
+	for _, pkg := range pkgs {
+		if strings.HasPrefix(pkg.Path, "repro/cmd/") || strings.HasPrefix(pkg.Path, "repro/examples/") {
+			for _, obj := range pkg.Info.Uses {
+				if obj.Parent() == scope {
+					read[obj.Name()] = true
+				}
+			}
+		}
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "example_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Example") {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "repro" {
+						read[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	mention := regexp.MustCompile(`\brepro\.([A-Z]\w*)`)
+	for _, doc := range rootDocs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range mention.FindAllSubmatch(b, -1) {
+			read[string(m[1])] = true
+		}
+	}
+	for _, f := range root.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && read[fd.Name.Name] {
+				ast.Inspect(fd.Type, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && root.Info.Uses[id] != nil && root.Info.Uses[id].Parent() == scope {
+						read[id.Name] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	var dead []string
+	for _, name := range scope.Names() {
+		if token.IsExported(name) && !read[name] {
+			dead = append(dead, name)
+		}
+	}
+	return dead
 }

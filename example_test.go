@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"errors"
 	"fmt"
 
 	"repro"
@@ -60,4 +61,45 @@ func ExampleNewActivation() {
 	fmt.Printf("Activation books %.0f, MemBooking books %.0f\n",
 		resA.PeakBooked, resB.PeakBooked)
 	// Output: Activation books 15, MemBooking books 8
+}
+
+// Simulate returns a *repro.ErrDeadlock when the scheduler stops with
+// tasks left. On a chain whose sequential peak is 8, Activation under a
+// bound of 6 finishes the leaf, then cannot book its parent's 5 units
+// beside the leaf's output.
+func ExampleErrDeadlock() {
+	b := repro.NewTreeBuilder(3)
+	n0 := b.AddRoot(2, 3, 1)
+	n1 := b.Add(n0, 2, 3, 1)
+	b.Add(n1, 2, 3, 1)
+	t, _ := b.Build()
+
+	ao, minMem := repro.MinMemPostOrder(t)
+	act, _ := repro.NewActivation(t, 6, ao, ao)
+	_, err := repro.Simulate(t, 2, act, 6)
+	var dead *repro.ErrDeadlock
+	if errors.As(err, &dead) {
+		fmt.Printf("peak %.0f; %s finished %d of %d tasks with %.0f booked\n",
+			minMem, dead.Scheduler, dead.Finished, dead.Total, dead.Booked)
+	}
+	// Output: peak 8; Activation finished 1 of 3 tasks with 3 booked
+}
+
+// A schedule decided while the tasks run copes with durations it did not
+// plan for: MemBooking, built from the nominal tree, runs every
+// perturbed realisation of it within the nominal minimum memory.
+func ExampleRealise() {
+	t, _ := repro.SyntheticTree(5, 200)
+	ao, minMem := repro.MinMemPostOrder(t)
+	models := repro.PerturbModels()
+	within := 0
+	for _, m := range models {
+		rt, _ := repro.Realise(t, m, 17)
+		s, _ := repro.NewMemBooking(t, minMem, ao, ao)
+		if res, err := repro.Simulate(rt, 4, s, minMem); err == nil && res.PeakMem <= minMem {
+			within++
+		}
+	}
+	fmt.Printf("%d of %d realisations within the bound\n", within, len(models))
+	// Output: 6 of 6 realisations within the bound
 }

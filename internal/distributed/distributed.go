@@ -15,9 +15,10 @@
 // output data against the domain's memory, and cross-domain inputs are
 // reserved at transfer admission. Unlike the shared-memory MemBooking of
 // the core package, no termination theorem is known for this setting —
-// that is precisely the open problem §8 points at — so the engine
-// detects and reports deadlocks instead, and the tests map out where
-// they start.
+// that is precisely the open problem §8 points at — so a run can stall,
+// and returns the simulator's *core.ErrDeadlock when it does; the tests
+// map out where that starts. The domains are one core.Scheduler that
+// sim.Run drives over all their processors.
 package distributed
 
 import (

@@ -1,7 +1,9 @@
 package distributed_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -201,4 +203,69 @@ func TestDistributedMemoryAudit(t *testing.T) {
 		t.Fatal("no configuration ever completed")
 	}
 	t.Logf("distributed audit: %d completed, %d deadlocked", completed, deadlocked)
+}
+
+// pinTree is randTree with a quarter of the tasks zero-duration, so
+// transfers and completions often meet within one instant, and with sizes that binary floating point cannot hold exactly, so a
+// change in the order of the memory ledger's sums shows in its bits.
+func pinTree(rng *rand.Rand, n int) *tree.Tree {
+	p := make([]tree.NodeID, n)
+	exec := make([]float64, n)
+	out := make([]float64, n)
+	tm := make([]float64, n)
+	p[0] = tree.None
+	for i := 1; i < n; i++ {
+		p[i] = tree.NodeID(rng.Intn(i))
+	}
+	for i := 0; i < n; i++ {
+		exec[i] = 0.3 * float64(rng.Intn(5))
+		out[i] = 0.1 * float64(1+rng.Intn(9))
+		tm[i] = float64(rng.Intn(4))
+	}
+	return tree.MustNew(p, exec, out, tm)
+}
+
+// TestRunPinned pins Run's outcomes bit for bit: one FNV-64a digest over
+// every run's makespan, transfer count and volume, or its deadlock's
+// Finished and Booked. Half the runs use the proportional mapping, half
+// a random one, which crosses far more edges. The constant was taken
+// from the engine's own event loop, before it became a scheduler on
+// sim.Run.
+func TestRunPinned(t *testing.T) {
+	const want = 0x683252110b2fa8f6
+	h := fnv.New64a()
+	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	rng := rand.New(rand.NewSource(233))
+	completed, deadlocked := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		tr := pinTree(rng, 1+rng.Intn(60))
+		ao, _ := order.MinMemPostOrder(tr)
+		peak, _ := order.PeakMemory(tr, ao.Seq)
+		nd := 1 + rng.Intn(4)
+		plat := distributed.Uniform(nd, 1+rng.Intn(3), peak*(0.5+2*rng.Float64()))
+		mapping := distributed.ProportionalMapping(tr, nd)
+		if trial%2 == 1 {
+			for i := range mapping {
+				mapping[i] = int32(rng.Intn(nd))
+			}
+		}
+		res, err := distributed.Run(tr, plat, mapping, ao, ao)
+		var dead *core.ErrDeadlock
+		switch {
+		case err == nil:
+			completed++
+			put(math.Float64bits(res.Makespan))
+			put(uint64(res.Transfers))
+			put(math.Float64bits(res.TransferVolume))
+		case errors.As(err, &dead):
+			deadlocked++
+			put(uint64(dead.Finished))
+			put(math.Float64bits(dead.Booked))
+		default:
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("digest %#x over %d completed and %d deadlocked runs, want %#x", got, completed, deadlocked, uint64(want))
+	}
 }

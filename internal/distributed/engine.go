@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/order"
 	"repro/internal/pqueue"
 	"repro/internal/sim"
@@ -15,9 +14,6 @@ import (
 type Result struct {
 	// Makespan is the completion time of the whole tree.
 	Makespan float64
-	// PeakMem and PeakBooked are per-domain peaks.
-	PeakMem    []float64
-	PeakBooked []float64
 	// Transfers counts cross-domain output movements; TransferVolume is
 	// their total size.
 	Transfers      int
@@ -28,7 +24,9 @@ type Result struct {
 // using a per-domain activation policy: local tasks activate in AO order
 // by booking n_i + f_i against their domain's memory; outputs crossing
 // domains are admitted into the destination's memory and arrive at the
-// instant of their admission.
+// instant of their admission. The simulator runs the domains as one
+// scheduler on Σ procs processors; a run that stalls is its
+// *core.ErrDeadlock, named "distributed".
 func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*Result, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
@@ -36,194 +34,230 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 	if len(domainOf) != t.Len() {
 		return nil, fmt.Errorf("distributed: mapping covers %d of %d tasks", len(domainOf), t.Len())
 	}
-	nd := len(plat.Domains)
+	procs := 0
+	for _, d := range plat.Domains {
+		procs += d.Procs
+	}
 	for i, d := range domainOf {
-		if d < 0 || int(d) >= nd {
+		if d < 0 || int(d) >= len(plat.Domains) {
 			return nil, fmt.Errorf("distributed: task %d mapped to unknown domain %d", i, d)
 		}
 	}
 	if !ao.TopologicalFor(t) {
 		return nil, fmt.Errorf("distributed: activation order %q is not topological", ao.Name)
 	}
-	n := t.Len()
-	res := &Result{
-		PeakMem:    make([]float64, nd),
-		PeakBooked: make([]float64, nd),
+	s := &domains{t: t, plat: plat, domainOf: domainOf, ao: ao, eo: eo}
+	r, err := sim.Run(t, procs, s, &sim.Options{NoSchedTime: true})
+	if s.err != nil {
+		return nil, s.err
 	}
-
-	// Per-domain state.
-	booked := make([]float64, nd)
-	used := make([]float64, nd)
-	freeProcs := make([]int, nd)
-	aoLocal := make([][]tree.NodeID, nd) // local tasks in AO order
-	aoIdx := make([]int, nd)
-	avail := make([]*pqueue.RankHeap, nd)
-	eps := make([]float64, nd)
-	for d := 0; d < nd; d++ {
-		freeProcs[d] = plat.Domains[d].Procs
-		avail[d] = pqueue.NewRankHeap(eo.Rank())
-		eps[d] = 1e-9 * (1 + math.Abs(plat.Domains[d].Mem))
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range ao.Seq {
-		d := domainOf[v]
-		aoLocal[d] = append(aoLocal[d], v)
+	s.res.Makespan = r.Makespan
+	return &s.res, nil
+}
+
+// domain is one domain's share of the run: its memory ledger, the
+// processors it has free, its local tasks in AO order and the outputs
+// waiting to be admitted into its memory.
+type domain struct {
+	mem, eps float64
+	booked   float64 // activations and admitted transfers
+	used     float64 // data resident in the domain's memory
+	free     int
+	ao       []tree.NodeID // local tasks in AO order; ao[next] activates next
+	next     int
+	avail    *pqueue.RankHeap // activated tasks whose inputs have all arrived
+	waiting  []tree.NodeID    // outputs to admit, FIFO
+}
+
+// domains is the per-domain activation policy as a core.Scheduler. Each
+// domain launches only on its own processors, so the simulator's single
+// pool of Σ procs never runs short.
+type domains struct {
+	t        *tree.Tree
+	plat     *Platform
+	domainOf []int32
+	ao, eo   *order.Order
+	ds       []domain
+	// activated and pending (children whose outputs have not yet reached
+	// the task's domain) gate a task's release.
+	activated []bool
+	pending   []int32
+	// arriving holds the transfers admitted in the last round, until they
+	// arrive.
+	arriving []tree.NodeID
+	sel      []tree.NodeID
+	res      Result
+	err      error // the audit's first failure
+}
+
+func (s *domains) Name() string { return "distributed" }
+
+func (s *domains) Init() error {
+	t, n := s.t, s.t.Len()
+	s.ds = make([]domain, len(s.plat.Domains))
+	for d, pd := range s.plat.Domains {
+		s.ds[d] = domain{mem: pd.Mem, eps: 1e-9 * (1 + math.Abs(pd.Mem)), free: pd.Procs, avail: pqueue.NewRankHeap(s.eo.Rank())}
 	}
-
-	activated := make([]bool, n)
-	pending := make([]int32, n) // children not yet usable by the parent
-	for i := 0; i < n; i++ {
-		pending[i] = int32(t.Degree(tree.NodeID(i)))
+	for _, v := range s.ao.Seq {
+		d := &s.ds[s.domainOf[v]]
+		d.ao = append(d.ao, v)
 	}
-
-	// Transfers waiting for destination memory, per destination domain.
-	waiting := make([][]tree.NodeID, nd)
-
-	// The simulated clock. Event ids below n are task finishes, n and
-	// above transfer arrivals; each running task or in-flight transfer
-	// owns exactly one heap entry.
-	var clock sim.Kernel
-	events := &clock.Events
-	now := 0.0
-	finished := 0
-
-	mark := func(d int) {
-		if booked[d] > res.PeakBooked[d] {
-			res.PeakBooked[d] = booked[d]
-		}
-		if used[d] > res.PeakMem[d] {
-			res.PeakMem[d] = used[d]
-		}
+	s.activated = make([]bool, n)
+	s.pending = make([]int32, n)
+	for i := range s.pending {
+		s.pending[i] = int32(t.Degree(tree.NodeID(i)))
 	}
+	return nil
+}
 
-	tryActivate := func(d int) {
-		for aoIdx[d] < len(aoLocal[d]) {
-			i := aoLocal[d][aoIdx[d]]
-			needed := t.Exec(i) + t.Out(i)
-			if booked[d]+needed > plat.Domains[d].Mem+eps[d] {
-				return
-			}
-			booked[d] += needed
-			mark(d)
-			activated[i] = true
-			aoIdx[d]++
-			if pending[i] == 0 {
-				avail[d].Push(int32(i))
-			}
-		}
-	}
-
-	admitTransfers := func(d int) {
-		// Admit waiting transfers into domain d's memory, FIFO.
-		q := waiting[d]
-		for len(q) > 0 {
-			c := q[0]
-			f := t.Out(c)
-			if booked[d]+f > plat.Domains[d].Mem+eps[d] {
-				break
-			}
-			q = q[1:]
-			booked[d] += f
-			used[d] += f
-			mark(d)
-			res.Transfers++
-			res.TransferVolume += f
-			events.Push(now, int32(int(c)+n))
-		}
-		waiting[d] = q
-	}
-
-	finishTask := func(j tree.NodeID) {
-		d := domainOf[j]
-		freeProcs[d]++
-		finished++
-		// Free execution data and every input (local children outputs
-		// and reserved cross inputs all live in this domain's memory).
+// OnFinish frees each finished task's execution data and inputs, and
+// hands its output to its parent: directly within a domain, through the
+// destination's waiting queue across domains. Transfers admitted beside a
+// zero-duration launch arrive first, at the same instant (see Select).
+func (s *domains) OnFinish(batch []tree.NodeID) {
+	s.arrive()
+	t := s.t
+	for _, j := range batch {
+		d := &s.ds[s.domainOf[j]]
+		d.free++
+		// Every input, local or transferred, lives in this domain's memory.
 		freed := t.Exec(j)
 		for _, c := range t.Children(j) {
 			freed += t.Out(c)
 		}
-		booked[d] -= freed
-		used[d] -= freed
+		d.booked -= freed
+		d.used -= freed
 		p := t.Parent(j)
-		if p == tree.None {
-			booked[d] -= t.Out(j)
-			used[d] -= t.Out(j)
+		switch {
+		case p == tree.None:
+			d.booked -= t.Out(j)
+			d.used -= t.Out(j)
+		case s.domainOf[p] == s.domainOf[j]:
+			s.release(p)
+		default:
+			dst := &s.ds[s.domainOf[p]]
+			dst.waiting = append(dst.waiting, j)
+		}
+	}
+}
+
+// Select runs the instant's rounds. In a round every domain admits
+// waiting transfers FIFO and activates in AO order, then launches on its
+// own free processors; the memory is audited; then the admitted
+// transfers arrive, and may release tasks for another round. Once a round
+// launches a zero-duration task, its transfers instead arrive with that
+// task's completion, which the simulator delivers at the same instant:
+// arrivals and same-instant completions are then retired together.
+func (s *domains) Select(int) []tree.NodeID {
+	t := s.t
+	s.sel = s.sel[:0]
+	for {
+		for d := range s.ds {
+			s.admit(d)
+			s.activate(d)
+		}
+		zeroTime := false
+		for k := range s.ds {
+			d := &s.ds[k]
+			for d.free > 0 && d.avail.Len() > 0 {
+				i := tree.NodeID(d.avail.Pop())
+				d.free--
+				d.used += t.Exec(i) + t.Out(i)
+				s.sel = append(s.sel, i)
+				zeroTime = zeroTime || t.Time(i) == 0
+			}
+		}
+		s.audit()
+		if len(s.arriving) == 0 || zeroTime {
+			return s.sel
+		}
+		s.arrive()
+	}
+}
+
+func (s *domains) BookedMemory() float64 {
+	sum := 0.0
+	for d := range s.ds {
+		sum += s.ds[d].booked
+	}
+	return sum
+}
+
+// admit books waiting transfers into domain d's memory, FIFO, while they
+// fit.
+func (s *domains) admit(d int) {
+	dd := &s.ds[d]
+	for len(dd.waiting) > 0 {
+		c := dd.waiting[0]
+		f := s.t.Out(c)
+		if dd.booked+f > dd.mem+dd.eps {
 			return
 		}
-		if domainOf[p] == d {
-			pending[p]--
-			if pending[p] == 0 && activated[p] {
-				avail[d].Push(int32(p))
-			}
+		dd.waiting = dd.waiting[1:]
+		dd.booked += f
+		dd.used += f
+		s.res.Transfers++
+		s.res.TransferVolume += f
+		s.arriving = append(s.arriving, c)
+	}
+}
+
+// activate books n_i + f_i for domain d's local tasks in AO order while
+// they fit.
+func (s *domains) activate(d int) {
+	dd := &s.ds[d]
+	for dd.next < len(dd.ao) {
+		i := dd.ao[dd.next]
+		needed := s.t.Exec(i) + s.t.Out(i)
+		if dd.booked+needed > dd.mem+dd.eps {
 			return
 		}
-		// Cross edge: queue the output for transfer to the parent's domain.
-		waiting[domainOf[p]] = append(waiting[domainOf[p]], j)
+		dd.booked += needed
+		s.activated[i] = true
+		dd.next++
+		if s.pending[i] == 0 {
+			dd.avail.Push(int32(i))
+		}
 	}
+}
 
-	finishTransfer := func(j tree.NodeID) {
-		src := domainOf[j]
-		// The output has left the source domain.
-		booked[src] -= t.Out(j)
-		used[src] -= t.Out(j)
-		p := t.Parent(j)
-		dst := domainOf[p]
-		pending[p]--
-		if pending[p] == 0 && activated[p] {
-			avail[dst].Push(int32(p))
-		}
+// arrive retires the admitted transfers: each output leaves its source
+// domain and counts as an input present at its parent.
+func (s *domains) arrive() {
+	for _, j := range s.arriving {
+		src := &s.ds[s.domainOf[j]]
+		src.booked -= s.t.Out(j)
+		src.used -= s.t.Out(j)
+		s.release(s.t.Parent(j))
 	}
+	s.arriving = s.arriving[:0]
+}
 
-	// One step of the clock: retire the task finishes and transfer
-	// arrivals of the instant, let every domain admit waiting transfers
-	// and activate, launch on the free processors, then audit the
-	// memory. The kernel's opening call (no events) is the initial
-	// activation.
-	makespan, err := clock.Run(func(at float64, ids []int32) error {
-		now = at
-		for _, id := range ids {
-			if int(id) < n {
-				finishTask(tree.NodeID(id))
-			} else {
-				finishTransfer(tree.NodeID(int(id) - n))
-			}
-		}
-		for d := 0; d < nd; d++ {
-			admitTransfers(d)
-			tryActivate(d)
-		}
-		for d := 0; d < nd; d++ {
-			for freeProcs[d] > 0 && avail[d].Len() > 0 {
-				i := tree.NodeID(avail[d].Pop())
-				freeProcs[d]--
-				used[d] += t.Exec(i) + t.Out(i)
-				mark(d)
-				events.Push(now+t.Time(i), int32(i))
-			}
-		}
-		for d := 0; d < nd; d++ {
-			if used[d] > booked[d]+eps[d] {
-				return fmt.Errorf("distributed: domain %d uses %g but booked %g at t=%g", d, used[d], booked[d], now)
-			}
-			if booked[d] > plat.Domains[d].Mem+eps[d] {
-				return fmt.Errorf("distributed: domain %d booked %g over %g at t=%g", d, booked[d], plat.Domains[d].Mem, now)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// release counts one of p's inputs present, and makes p available once
+// every input is and p is activated.
+func (s *domains) release(p tree.NodeID) {
+	s.pending[p]--
+	if s.pending[p] == 0 && s.activated[p] {
+		s.ds[s.domainOf[p]].avail.Push(int32(p))
 	}
-	if finished != n {
-		// Nothing runs, nothing is in flight, and no memory can be freed to
-		// admit more work. No termination theorem is known for private
-		// domain memories, so this is an expected outcome at tight bounds.
-		sum := 0.0
-		for _, b := range booked {
-			sum += b
+}
+
+// audit records the first domain whose resident data exceeds its
+// booking or whose booking exceeds its memory. The simulator's global
+// CheckMemory stays off: it would miss a domain over its memory while
+// another is under, and its tolerance, 1e-9·(1+ΣM), is tighter than the
+// sum of the domains' own, so it could fire where every domain is within
+// its bound.
+func (s *domains) audit() {
+	for d := 0; d < len(s.ds) && s.err == nil; d++ {
+		dd := &s.ds[d]
+		if dd.used > dd.booked+dd.eps {
+			s.err = fmt.Errorf("distributed: domain %d uses %g but booked %g", d, dd.used, dd.booked)
+		} else if dd.booked > dd.mem+dd.eps {
+			s.err = fmt.Errorf("distributed: domain %d booked %g over %g", d, dd.booked, dd.mem)
 		}
-		return nil, &core.ErrDeadlock{Scheduler: "distributed", Finished: finished, Total: n, Booked: sum}
 	}
-	res.Makespan = makespan
-	return res, nil
 }

@@ -80,16 +80,10 @@ func (c *cluster) violation() string {
 	if got := c.freeMem + reserved; math.Abs(got-c.opt.Mem) > c.eps {
 		return fmt.Sprintf("freeMem %g + Σ active slices %g = %g, want Mem %g", c.freeMem, reserved, got, c.opt.Mem)
 	}
-	if c.freeProcs+c.runningT != c.opt.Procs {
-		return fmt.Sprintf("freeProcs %d + runningT %d != Procs %d", c.freeProcs, c.runningT, c.opt.Procs)
-	}
-	if len(c.freeSlots) != c.freeProcs {
-		return fmt.Sprintf("%d free slots for %d free processors", len(c.freeSlots), c.freeProcs)
-	}
 	// Between complete and strike, a crashed slot's event has left the
 	// heap for struck while its task still runs.
-	if running != c.runningT || c.events.Len()+len(c.struck) != c.runningT {
-		return fmt.Sprintf("runningT %d, but Σ job.running = %d, %d events pending and %d slots struck", c.runningT, running, c.events.Len(), len(c.struck))
+	if busy := c.opt.Procs - len(c.freeSlots); running != busy || c.events.Len()+len(c.struck) != busy {
+		return fmt.Sprintf("%d processors busy, but Σ job.running = %d, %d events pending and %d slots struck", busy, running, c.events.Len(), len(c.struck))
 	}
 	// The release order: the active set, each entry reading what its job
 	// says, sorted by (At, Mem, idx).
@@ -165,7 +159,7 @@ func (c *cluster) staleEpoch(twin *faults.Plan, prev float64) string {
 			return fmt.Sprintf("slot %d: cached crash epoch %g, the plan's first after %g is %g", s, c.crashAt[s], prev, want)
 		}
 	}
-	if c.runningT == 0 {
+	if len(c.freeSlots) == c.opt.Procs {
 		return ""
 	}
 	if burst := twin.NextBurst(prev); c.burstAt != burst {

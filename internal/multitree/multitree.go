@@ -251,9 +251,7 @@ type cluster struct {
 	now       float64    // the current instant
 	events    pqueue.EventHeap
 	slots     []slotRec
-	freeSlots []int32
-	freeProcs int
-	runningT  int // tasks running across all jobs
+	freeSlots []int32 // the idle processors; the rest run one task each
 	freeMem   float64
 	pool      core.MemBookingPool
 	// admitDirty gates the admission pass: policies are pure functions
@@ -382,7 +380,6 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		res:        &Result{Jobs: make([]JobResult, len(specs))},
 		slots:      make([]slotRec, p),
 		freeSlots:  make([]int32, p),
-		freeProcs:  p,
 		freeMem:    opt.Mem,
 		admitDirty: true,
 		st:         State{Mem: opt.Mem},
@@ -621,15 +618,15 @@ func (c *cluster) markReady(j *job) {
 // lowest set bit of ready is the first job, in that order, whose Select
 // would not come back empty.
 func (c *cluster) dispatch() error {
-	for w := 0; w < len(c.ready) && c.freeProcs > 0; {
+	for w := 0; w < len(c.ready) && len(c.freeSlots) > 0; {
 		if c.ready[w] == 0 {
 			w++
 			continue
 		}
 		b := bits.TrailingZeros64(c.ready[w])
 		j := c.active[w<<6+b]
-		for _, nid := range j.sched.Select(c.freeProcs) {
-			if c.freeProcs == 0 {
+		for _, nid := range j.sched.Select(len(c.freeSlots)) {
+			if len(c.freeSlots) == 0 {
 				return fmt.Errorf("multitree: job %q over-selected tasks", j.spec.Name)
 			}
 			slot := c.freeSlots[len(c.freeSlots)-1]
@@ -646,9 +643,7 @@ func (c *cluster) dispatch() error {
 			c.events.Push(at, slot)
 			c.ob.Emit(obs.KindStart, c.now, int32(j.idx), int32(nid), d, 0)
 			c.res.BusyTime += d
-			c.freeProcs--
 			j.running++
-			c.runningT++
 		}
 		// A job still ready here was cut short by the processors running
 		// out, which ends the loop.
@@ -669,7 +664,7 @@ func (c *cluster) vacate(s int32) {
 // reports true once nothing runs and nothing is due, and an error when
 // the cluster is idle with work it should have been able to start.
 func (c *cluster) drained() (bool, error) {
-	if c.runningT > 0 {
+	if len(c.freeSlots) < c.opt.Procs {
 		return false, nil
 	}
 	// With every active slice ≥ its peak, an active job with no running
@@ -708,7 +703,7 @@ func (c *cluster) advance() {
 	if k := len(c.due); k > 0 && c.due[k-1].dueAt < tNext {
 		tNext = c.due[k-1].dueAt
 	}
-	if c.plan != nil && c.runningT > 0 {
+	if c.plan != nil && len(c.freeSlots) < c.opt.Procs {
 		if c.burstAt <= c.now {
 			c.burstAt = c.plan.NextBurst(c.now)
 		}
@@ -762,8 +757,6 @@ func (c *cluster) complete() {
 func (c *cluster) commit(j *job) {
 	n := len(j.batch)
 	j.running -= n
-	c.runningT -= n
-	c.freeProcs += n
 	if c.plan != nil {
 		// A failed attempt is detected at its completion instant:
 		// fail-stop, so the whole job dies and the batch — fully run — is
@@ -876,8 +869,6 @@ func (c *cluster) fail(j *job) {
 		c.res.WastedWork += c.now - rec.start
 		c.res.BusyTime -= rec.finish - c.now // charged at launch; the remainder never runs
 		c.vacate(int32(s))
-		c.freeProcs++
-		c.runningT--
 	}
 	j.running = 0
 	c.events.Filter(func(id int32) bool { return c.slots[id].job != nil })

@@ -90,41 +90,6 @@ type Wide interface {
 	Shape(i tree.NodeID) (procs int, time, workspace float64)
 }
 
-// Kernel is the simulated clock the simulated engines (this package,
-// moldable through it, distributed) run on: a queue of timed events
-// (pqueue.EventHeap, the earliest kept sorted over a heap of the rest)
-// and the one loop that drains it an instant at a time.
-type Kernel struct {
-	// Events holds the pending events. An engine's step pushes one per
-	// task it starts or transfer it admits, so the queue is empty exactly
-	// when nothing is running or in flight.
-	Events pqueue.EventHeap
-	ids    []int32 // PopBatch destination, recycled across batches
-}
-
-// Run empties the queue, calls step once at time 0 with no events — the
-// engine's initial launch — and then once per distinct event time, in
-// time order, with the IDs of every event at that instant (in push
-// order). It returns the time of the last batch when the queue runs dry,
-// or step's first error. The kernel has a single exit, so an engine
-// detects deadlock in one place: Run returned without error and tasks
-// remain unfinished, which means nothing is running and the last step
-// could launch nothing.
-func (k *Kernel) Run(step func(now float64, ids []int32) error) (float64, error) {
-	k.Events.Reset()
-	now := 0.0
-	if err := step(now, nil); err != nil {
-		return now, err
-	}
-	for k.Events.Len() > 0 {
-		now, k.ids = k.Events.PopBatch(k.ids[:0])
-		if err := step(now, k.ids); err != nil {
-			return now, err
-		}
-	}
-	return now, nil
-}
-
 // Run simulates the execution of t on p processors driven by s.
 func Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Result, error) {
 	return new(Runner).Run(t, p, s, opts)
@@ -136,12 +101,19 @@ func Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Result, error) 
 // use. A Runner is not safe for concurrent use; the sweep engine keeps one
 // per worker.
 type Runner struct {
-	k  Kernel
-	st RunState
+	// events holds one completion per running task (pqueue.EventHeap,
+	// the earliest kept sorted over a heap of the rest), so it is empty
+	// exactly when nothing runs.
+	events pqueue.EventHeap
+	ids    []int32 // PopBatch destination, recycled across batches
+	st     RunState
 }
 
-// Run simulates the execution of t on p processors driven by s: each task
-// RunState launches completes on the Kernel at its span's end.
+// Run simulates the execution of t on p processors driven by s. It
+// launches at time 0, then retires the completions an instant at a time,
+// in time order and, within an instant, in launch order: a zero-duration
+// task completes in a later batch at the same time. The run ends when
+// nothing runs; RunState.End tells a finished run from a deadlock.
 func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Result, error) {
 	if err := r.st.Start(t, p, s, opts); err != nil {
 		return nil, err
@@ -149,21 +121,26 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 	// At most min(p, n) events are pending at any instant: pre-sizing
 	// keeps every growth re-allocation out of the event loop.
 	hint := min(p, t.Len())
-	r.k.Events.Grow(hint)
-	r.k.ids = slices.Grow(r.k.ids[:0], hint)
-	end, err := r.k.Run(func(now float64, ids []int32) error {
-		r.st.Finish(ids)
+	r.events.Reset()
+	r.events.Grow(hint)
+	r.ids = slices.Grow(r.ids[:0], hint)
+	now := 0.0
+	for {
+		// r.ids is empty at the opening instant: the initial launch.
+		r.st.Finish(r.ids)
 		spans, err := r.st.Launch(now)
 		for _, sp := range spans {
-			r.k.Events.Push(sp.End, int32(sp.Node))
+			r.events.Push(sp.End, int32(sp.Node))
 		}
-		return err
-	})
-	return r.st.End(end, err)
+		if err != nil || r.events.Len() == 0 {
+			return r.st.End(now, err)
+		}
+		now, r.ids = r.events.PopBatch(r.ids[:0])
+	}
 }
 
 // RunState is the accounting of one tree's run under a scheduler, written
-// once for both clocks: Runner.Run drives it from the simulated Kernel,
+// once for both clocks: Runner.Run drives it from its simulated event queue,
 // and the live executor (internal/executor) from the completions of its
 // worker goroutines. A driver calls Start; then Finish and Launch for the
 // opening instant (no completions: the initial launch) and for every

@@ -282,19 +282,6 @@ func (p *parser) tree() (*Tree, error) {
 	return New(parent, exec, out, tm)
 }
 
-// WriteFile writes t to path in the .tree format.
-func WriteFile(path string, t *Tree) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // ReadFile reads a .tree file.
 func ReadFile(path string) (*Tree, error) {
 	f, err := os.Open(path)

@@ -195,6 +195,35 @@ func TestNoDeadExports(t *testing.T) {
 	}
 }
 
+// maxFuncLines is the longest a non-test function may be, from func to
+// its closing brace.
+const maxFuncLines = 100
+
+// TestFunctionLength fails on any function declared in a non-test file
+// of the module, outside bench/ and testdata/, that spans more than
+// maxFuncLines lines. There is no allowlist: split the function.
+func TestFunctionLength(t *testing.T) {
+	pkgs := loadModule(t)
+	fset := moduleLoader.Fset()
+	for _, pkg := range pkgs {
+		if pkg.Path == "repro/bench" || strings.HasPrefix(pkg.Path, "repro/bench/") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				start, end := fset.Position(fd.Pos()), fset.Position(fd.End())
+				if n := end.Line - start.Line + 1; n > maxFuncLines && !strings.Contains(start.Filename, "/testdata/") {
+					t.Errorf("%s: %s is %d lines, over %d: split it into named steps", start, qualified(pkg.Info.Defs[fd.Name]), n, maxFuncLines)
+				}
+			}
+		}
+	}
+}
+
 func isMethod(obj types.Object) bool {
 	f, ok := obj.(*types.Func)
 	return ok && f.Type().(*types.Signature).Recv() != nil

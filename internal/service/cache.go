@@ -75,8 +75,8 @@ type resident struct {
 	answer  *atomic.Pointer[answer]
 }
 
-// answer is one stored outcome of schedule — a response or a non-5xx
-// verdict — and the resolved options it answers. Every request it
+// answer is one stored outcome of schedule — a response or a verdict,
+// 5xx included (DESIGN §7) — and the resolved options it answers. Every request it
 // answers shares resp and herr, so neither is written once stored.
 type answer struct {
 	key  answerKey
@@ -97,13 +97,9 @@ type answerKey struct {
 	perturbSeed uint64 // zero unless perturb names a model
 }
 
+// newTreeCache returns an empty cache under the given budgets, which
+// Options.withDefaults has already floored.
 func newTreeCache(maxEntries, maxNodes int) *treeCache {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
-	if maxNodes < 1 {
-		maxNodes = 1
-	}
 	return &treeCache{
 		byKey:    make(map[uint64]resident, maxEntries),
 		byText:   make(map[textDigest]uint64, maxEntries),
@@ -263,9 +259,10 @@ func (c *treeCache) forget(key uint64) {
 	c.nodes -= r.e.Tree().Len()
 }
 
-// snapshot returns (hits, textHits, misses, entries, totalNodes).
-func (c *treeCache) snapshot() (hits, textHits, misses, entries, totalNodes int) {
+// fill copies the cache's counters and gauges into st.
+func (c *treeCache) fill(st *Stats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.textHits, c.misses, len(c.byKey), c.nodes
+	st.CacheHits, st.CacheTextHits, st.CacheMisses = c.hits, c.textHits, c.misses
+	st.CachedTrees, st.CachedNodes = len(c.byKey), c.nodes
 }

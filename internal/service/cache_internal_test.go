@@ -345,6 +345,59 @@ func TestCacheKeyDistinct(t *testing.T) {
 	}
 }
 
+// answerHitAllocs is the allocation count of one answer-slot hit of req
+// through schedule, after a first evaluation fills the slot.
+func answerHitAllocs(t *testing.T, s *Server, req *Request) float64 {
+	t.Helper()
+	if _, herr := s.schedule(req); herr != nil {
+		t.Fatalf("%d %s", herr.status, herr.body.Error)
+	}
+	hits := s.answerHits.Load()
+	allocs := testing.AllocsPerRun(20, func() { s.schedule(req) })
+	if got := s.answerHits.Load() - hits; got != 21 {
+		t.Fatalf("%d answer hits in 21 calls", got)
+	}
+	return allocs
+}
+
+// A warm inline request — a known literal whose answer is stored, the
+// svc_inline_warm path — allocates nothing through schedule's stages.
+func TestWarmAnswerHitAllocatesNothing(t *testing.T) {
+	s := New(nil)
+	t.Cleanup(s.CloseStreams)
+	_, text := inlineBody(t, 1000)
+	body, err := json.Marshal(Request{Tree: text, Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req, err := decodeBody(body, s.cache.knows); err != nil || req.lit != nil {
+		t.Fatalf("first decode: %v, literal carried %v", err, err == nil && req.lit != nil)
+	} else if _, herr := s.schedule(req); herr != nil {
+		t.Fatal(herr.body.Error)
+	}
+	req, err := decodeBody(body, s.cache.knows)
+	if err != nil || req.lit == nil {
+		t.Fatalf("second decode: %v, want the literal known", err)
+	}
+	if allocs := answerHitAllocs(t, s, req); allocs != 0 {
+		t.Errorf("a warm inline answer hit allocates %.0f times, want 0", allocs)
+	}
+}
+
+// A perturbed answer hit finds its model without building the default
+// grid, so it allocates no more than the same request unperturbed (a
+// synthetic spec regenerates its tree on every request, so neither is 0).
+func TestPerturbedHitAllocatesAsUnperturbed(t *testing.T) {
+	s := New(nil)
+	t.Cleanup(s.CloseStreams)
+	spec := &SyntheticSpec{Seed: 1, Nodes: 1000}
+	plain := answerHitAllocs(t, s, &Request{Synthetic: spec})
+	perturbed := answerHitAllocs(t, s, &Request{Synthetic: spec, Perturb: "lognormal(0.3)", PerturbSeed: 5})
+	if perturbed > plain {
+		t.Errorf("a perturbed answer hit allocates %.0f times, the unperturbed one %.0f", perturbed, plain)
+	}
+}
+
 // BenchmarkContentKey times the cache key and the instance identity on
 // a 10k-node tree: the first runs on every request that reaches the
 // content level, the second only on a perturbed evaluation.

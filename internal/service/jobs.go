@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -86,18 +87,9 @@ type jobStore struct {
 	maxTracked int   // retained records cap
 }
 
+// newJobStore returns an empty store under the given budgets, which
+// Options.withDefaults has already floored.
 func newJobStore(maxPending int, maxBytes int64, maxTracked int, ob *obs.Observer) *jobStore {
-	if maxPending < 1 {
-		maxPending = 1
-	}
-	if maxBytes < 1 {
-		maxBytes = 1
-	}
-	// Pending jobs are never evicted, so the record budget must admit
-	// every pending job or enqueueing could become impossible.
-	if maxTracked < maxPending {
-		maxTracked = maxPending
-	}
 	return &jobStore{obs: ob, start: time.Now(), byID: make(map[uint64]*jobRecord),
 		maxPending: maxPending, maxBytes: maxBytes, maxTracked: maxTracked}
 }
@@ -164,43 +156,35 @@ func (js *jobStore) setRunning(rec *jobRecord) {
 	js.emit(obs.KindQueueDepth, -1, float64(js.queued), 0)
 }
 
-// finish records the outcome of a running job and releases its
-// payload-byte reservation and retained request.
-func (js *jobStore) finish(rec *jobRecord, resp *Response, herr *httpError) {
+// settle records a pending job's outcome and releases its payload-byte
+// reservation and retained request: a running job's evaluation, or the
+// expiry of a queued one whose deadline passed before it got a worker
+// slot.
+func (js *jobStore) settle(rec *jobRecord, resp *Response, herr *httpError) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	js.running--
-	js.bytes -= rec.cost
-	rec.req = nil
-	if herr != nil {
-		rec.status = JobFailed
-		rec.errStatus = herr.status
-		rec.errBody = herr.body
-		js.failed++
-		js.emit(obs.KindDone, int32(rec.id), 0, 1)
-		return
+	expired := rec.status == JobQueued
+	if expired {
+		js.queued--
+		js.expired++
+	} else {
+		js.running--
 	}
-	rec.status = JobDone
-	rec.resp = resp
-	js.done++
-	js.emit(obs.KindDone, int32(rec.id), 0, 0)
-}
-
-// expire fails a queued job whose deadline passed before it got a
-// worker slot.
-func (js *jobStore) expire(rec *jobRecord, herr *httpError) {
-	js.mu.Lock()
-	defer js.mu.Unlock()
-	js.queued--
 	js.bytes -= rec.cost
 	rec.req = nil
-	rec.status = JobFailed
-	rec.errStatus = herr.status
-	rec.errBody = herr.body
-	js.failed++
-	js.expired++
-	js.emit(obs.KindDone, int32(rec.id), 0, 1)
-	js.emit(obs.KindQueueDepth, -1, float64(js.queued), 0)
+	failed := 0.0
+	if herr != nil {
+		rec.status, rec.errStatus, rec.errBody = JobFailed, herr.status, herr.body
+		js.failed++
+		failed = 1
+	} else {
+		rec.status, rec.resp = JobDone, resp
+		js.done++
+	}
+	js.emit(obs.KindDone, int32(rec.id), 0, failed)
+	if expired {
+		js.emit(obs.KindQueueDepth, -1, float64(js.queued), 0)
+	}
 }
 
 // pending returns the retained requests of every queued or running job,
@@ -238,12 +222,13 @@ func (js *jobStore) view(id uint64) (JobView, bool) {
 	return v, true
 }
 
-// gauges returns (queued, running, pendingBytes, done, failed,
-// expired, tracked).
-func (js *jobStore) gauges() (queued, running int, pendingBytes, done, failed, expired int64, tracked int) {
+// fill copies the store's gauges and counters into st.
+func (js *jobStore) fill(st *Stats) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	return js.queued, js.running, js.bytes, js.done, js.failed, js.expired, len(js.byID)
+	st.JobsQueued, st.JobsRunning, st.JobsPendingBytes = js.queued, js.running, js.bytes
+	st.JobsDone, st.JobsFailed, st.JobsExpired = js.done, js.failed, js.expired
+	st.JobsTracked = len(js.byID)
 }
 
 // handleJobSubmit enqueues one asynchronous job. The body is decoded
@@ -257,16 +242,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, fail(http.StatusServiceUnavailable, "shutting down: new jobs are not accepted"))
 		return
 	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-r.Context().Done():
+	if !s.acquire(r.Context()) {
 		return
 	}
-	s.enterFlight()
-	defer func() {
-		s.inFlight.Add(-1)
-		<-s.sem
-	}()
+	defer s.release()
 	req, ok := s.decodeRequest(w, r, new(bytes.Buffer))
 	if !ok {
 		return
@@ -320,42 +299,36 @@ func (s *Server) submitJob(req *Request) (*jobRecord, bool) {
 // stores the verdict, 5xx included: the evaluation is a pure function
 // of the request, so running it again would repeat the outcome. A
 // request deadline bounds the wait for a slot — a job whose turn comes
-// too late expires with 504 instead of starting — and an evaluation
-// that has started runs to completion. Async completions count into
-// the same served/rejected ledger as synchronous responses.
+// too late expires with 504 instead of starting, outside the verdict
+// ledger — and an evaluation that has started runs to completion.
+// Async completions count into the same ledger as synchronous
+// responses, before the job reads as finished.
 func (s *Server) runJob(rec *jobRecord, req *Request) {
 	defer s.jobsWG.Done()
-	if !rec.deadline.IsZero() {
-		t := time.NewTimer(time.Until(rec.deadline))
-		select {
-		case s.sem <- struct{}{}:
-			t.Stop()
-		case <-t.C:
-			s.jobs.expire(rec, fail(http.StatusGatewayTimeout, "deadline exceeded while queued for a worker slot"))
-			return
-		}
-	} else {
+	if rec.deadline.IsZero() {
 		// Back-pressure by design: a job without a deadline owes its
 		// caller an eventual run, and Drain waits for queued jobs, so
 		// the slot send must block (a contractExceptions entry).
 		s.sem <- struct{}{}
+		s.enterFlight()
+	} else {
+		ctx, cancel := context.WithDeadline(context.Background(), rec.deadline)
+		ok := s.acquire(ctx)
+		cancel()
+		if !ok {
+			s.jobs.settle(rec, nil, fail(http.StatusGatewayTimeout, "deadline exceeded while queued for a worker slot"))
+			return
+		}
 	}
-	s.enterFlight()
 	s.jobs.setRunning(rec)
 	eval := s.schedule
 	if s.evalHook != nil {
 		eval = s.evalHook
 	}
 	resp, herr := eval(req)
-	s.recordAdmission(req, herr)
-	s.inFlight.Add(-1)
-	<-s.sem
-	s.jobs.finish(rec, resp, herr)
-	if herr == nil {
-		s.served.Add(1)
-	} else if herr.status < http.StatusInternalServerError {
-		s.rejected.Add(1)
-	}
+	s.recordVerdict(req, herr)
+	s.release()
+	s.jobs.settle(rec, resp, herr)
 }
 
 // handleJobGet reports one job's lifecycle. With ?timeline=1 a done job

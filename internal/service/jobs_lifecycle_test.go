@@ -151,7 +151,7 @@ func TestJobDeadlineExpires(t *testing.T) {
 	if got.Status != JobFailed || got.ErrorStatus != http.StatusGatewayTimeout {
 		t.Fatalf("queued job: %+v, want failed with 504", got)
 	}
-	if _, _, bytes, _, _, _, _ := srv.jobs.gauges(); bytes != running.cost {
+	if bytes := srv.Stats().JobsPendingBytes; bytes != running.cost {
 		t.Fatalf("pending bytes %d after the expiry, want the running job's %d", bytes, running.cost)
 	}
 	// A 504 expiry is not a 4xx verdict: it shows in JobsExpired only.
@@ -164,7 +164,7 @@ func TestJobDeadlineExpires(t *testing.T) {
 	if got := pollDone(t, ts, running.id); got.Status != JobDone {
 		t.Fatalf("job past its deadline mid-evaluation: %+v, want done", got)
 	}
-	if _, _, bytes, _, _, _, _ := srv.jobs.gauges(); bytes != 0 {
+	if bytes := srv.Stats().JobsPendingBytes; bytes != 0 {
 		t.Fatalf("pending bytes %d after both jobs ended", bytes)
 	}
 }

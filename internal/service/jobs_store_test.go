@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// filled is the Stats the store fills in.
+func filled(js *jobStore) Stats {
+	var st Stats
+	js.fill(&st)
+	return st
+}
+
 // The pending budget is backpressure: a store whose queued+running
 // count is at the cap refuses new jobs until one finishes.
 func TestJobStorePendingBudget(t *testing.T) {
@@ -25,19 +32,19 @@ func TestJobStorePendingBudget(t *testing.T) {
 	if _, ok := js.enqueue(&Request{}, 100); ok {
 		t.Fatal("running jobs must still count against the budget")
 	}
-	js.finish(a, &Response{Makespan: 1}, nil)
+	js.settle(a, &Response{Makespan: 1}, nil)
 	if _, ok := js.enqueue(&Request{}, 100); !ok {
 		t.Fatal("enqueue refused after a slot freed")
 	}
 	js.setRunning(b)
-	js.finish(b, nil, &httpError{status: http.StatusUnprocessableEntity, body: errorBody{Error: "nope", Bound: 1, MinMemory: 2}})
+	js.settle(b, nil, &httpError{status: http.StatusUnprocessableEntity, body: errorBody{Error: "nope", Bound: 1, MinMemory: 2}})
 	v, ok := js.view(b.id)
 	if !ok || v.Status != JobFailed || v.ErrorStatus != http.StatusUnprocessableEntity || v.Bound != 1 || v.MinMemory != 2 {
 		t.Fatalf("failed view %+v", v)
 	}
-	queued, running, bytes, done, failed, _, tracked := js.gauges()
-	if queued != 1 || running != 0 || bytes != 100 || done != 1 || failed != 1 || tracked != 3 {
-		t.Fatalf("gauges %d %d %d %d %d %d", queued, running, bytes, done, failed, tracked)
+	if st := filled(js); st.JobsQueued != 1 || st.JobsRunning != 0 || st.JobsPendingBytes != 100 ||
+		st.JobsDone != 1 || st.JobsFailed != 1 || st.JobsTracked != 3 {
+		t.Fatalf("gauges %+v", st)
 	}
 }
 
@@ -52,7 +59,7 @@ func TestJobStoreEvictsOldestFinished(t *testing.T) {
 			t.Fatalf("enqueue %d refused", i)
 		}
 		js.setRunning(r)
-		js.finish(r, &Response{Makespan: float64(i)}, nil)
+		js.settle(r, &Response{Makespan: float64(i)}, nil)
 		recs = append(recs, r)
 	}
 	pending, ok := js.enqueue(&Request{}, 100)
@@ -80,16 +87,24 @@ func TestJobStoreEvictsOldestFinished(t *testing.T) {
 	}
 }
 
-// The tracked budget can never fall below the pending budget, or
-// enqueueing could wedge with nothing evictable.
-func TestJobStoreBudgetClamp(t *testing.T) {
-	js := newJobStore(8, 1<<20, 2, nil)
+// Options.withDefaults is the one place the budgets are floored: an
+// unset or non-positive budget takes its default, the tracked budget
+// never falls below the pending budget (or enqueueing could wedge with
+// nothing evictable), one maximal body always fits the byte budget, and
+// every accepted tree fits the cache.
+func TestOptionsBudgetFloors(t *testing.T) {
+	o := (&Options{MaxQueuedJobs: 8, MaxTrackedJobs: 2, MaxNodes: 100, MaxQueuedBytes: 1,
+		MaxCachedNodes: 10, MaxCachedTrees: -3}).withDefaults()
+	if o.MaxTrackedJobs != 8 || o.MaxQueuedBytes != bodyLimit(100) || o.MaxCachedNodes != 100 || o.MaxCachedTrees != 256 {
+		t.Fatalf("floored options %+v", o)
+	}
+	js := newJobStore(o.MaxQueuedJobs, o.MaxQueuedBytes, o.MaxTrackedJobs, nil)
 	for i := 0; i < 8; i++ {
 		if _, ok := js.enqueue(&Request{}, 100); !ok {
-			t.Fatalf("enqueue %d refused with a clamped tracked budget", i)
+			t.Fatalf("enqueue %d refused under the floored tracked budget", i)
 		}
 	}
-	if _, _, _, _, _, _, tracked := js.gauges(); tracked != 8 {
+	if tracked := filled(js).JobsTracked; tracked != 8 {
 		t.Fatalf("tracked %d, want 8", tracked)
 	}
 }
@@ -99,13 +114,13 @@ func TestJobStoreBudgetClamp(t *testing.T) {
 func TestJobStoreExpire(t *testing.T) {
 	js := newJobStore(4, 1<<20, 10, nil)
 	rec, _ := js.enqueue(&Request{}, 100)
-	js.expire(rec, fail(http.StatusGatewayTimeout, "deadline"))
+	js.settle(rec, nil, fail(http.StatusGatewayTimeout, "deadline"))
 	v, _ := js.view(rec.id)
 	if v.Status != JobFailed || v.ErrorStatus != http.StatusGatewayTimeout {
 		t.Fatalf("expired view: %+v", v)
 	}
-	if queued, running, bytes, _, failed, expired, _ := js.gauges(); queued != 0 || running != 0 || bytes != 0 || failed != 1 || expired != 1 {
-		t.Fatalf("ledger: %d %d %d %d %d", queued, running, bytes, failed, expired)
+	if st := filled(js); st.JobsQueued != 0 || st.JobsRunning != 0 || st.JobsPendingBytes != 0 || st.JobsFailed != 1 || st.JobsExpired != 1 {
+		t.Fatalf("ledger: %+v", st)
 	}
 	if got := js.pending(); len(got) != 0 {
 		t.Fatalf("expired job still pending: %+v", got)
@@ -137,25 +152,25 @@ func TestJobStoreConcurrentFinishEviction(t *testing.T) {
 				switch i % 3 {
 				case 0:
 					js.setRunning(rec)
-					js.finish(rec, &Response{}, nil)
+					js.settle(rec, &Response{}, nil)
 				case 1:
 					js.setRunning(rec)
-					js.finish(rec, nil, fail(http.StatusInternalServerError, "boom"))
+					js.settle(rec, nil, fail(http.StatusInternalServerError, "boom"))
 				default:
-					js.expire(rec, fail(http.StatusGatewayTimeout, "deadline"))
+					js.settle(rec, nil, fail(http.StatusGatewayTimeout, "deadline"))
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	queued, running, bytes, done, failed, _, tracked := js.gauges()
-	if queued != 0 || running != 0 || bytes != 0 {
-		t.Fatalf("pending state leaked: queued %d running %d bytes %d", queued, running, bytes)
+	st := filled(js)
+	if st.JobsQueued != 0 || st.JobsRunning != 0 || st.JobsPendingBytes != 0 {
+		t.Fatalf("pending state leaked: queued %d running %d bytes %d", st.JobsQueued, st.JobsRunning, st.JobsPendingBytes)
 	}
-	if tracked > maxTracked {
-		t.Fatalf("tracked %d over the %d budget", tracked, maxTracked)
+	if st.JobsTracked > maxTracked {
+		t.Fatalf("tracked %d over the %d budget", st.JobsTracked, maxTracked)
 	}
-	if done+failed == 0 {
+	if st.JobsDone+st.JobsFailed == 0 {
 		t.Fatal("no job completed")
 	}
 	if got := js.pending(); len(got) != 0 {
@@ -178,7 +193,7 @@ func TestJobStoreByteBudget(t *testing.T) {
 	if _, ok := js.enqueue(&Request{}, 100); ok {
 		t.Fatal("running payloads must still hold the byte budget")
 	}
-	js.finish(a, &Response{}, nil)
+	js.settle(a, &Response{}, nil)
 	b, ok := js.enqueue(&Request{}, 100)
 	if !ok {
 		t.Fatal("enqueue refused after bytes released")
@@ -187,11 +202,11 @@ func TestJobStoreByteBudget(t *testing.T) {
 	// the budget is backpressure, not a hard request-size cap (the body
 	// limit is).
 	js.setRunning(b)
-	js.finish(b, &Response{}, nil)
+	js.settle(b, &Response{}, nil)
 	if _, ok := js.enqueue(&Request{}, 10_000); !ok {
 		t.Fatal("lone over-budget request wedged")
 	}
-	if _, _, bytes, _, _, _, _ := js.gauges(); bytes != 10_000 {
+	if bytes := filled(js).JobsPendingBytes; bytes != 10_000 {
 		t.Fatalf("pending bytes %d, want 10000", bytes)
 	}
 }

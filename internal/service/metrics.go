@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"runtime/metrics"
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -24,46 +23,44 @@ import (
 // an emitter down (a stalled /streamz consumer loses frames, counted
 // on /metricsz as treesched_stream_dropped_frames_total).
 
-// enterFlight counts a worker-slot occupancy and maintains the
-// high-water mark /metricsz reports as occupancy.
-func (s *Server) enterFlight() {
-	v := s.inFlight.Add(1)
-	for {
-		hw := s.inFlightHW.Load()
-		if v <= hw || s.inFlightHW.CompareAndSwap(hw, v) {
-			return
-		}
-	}
-}
+// heuristicLabels and decisions are treesched_admissions_total's label
+// values, each sorted as /metricsz renders them. Unknown heuristic
+// names collapse into one label so a hostile client cannot grow the
+// metric's cardinality.
+var (
+	heuristicLabels = func() []string {
+		l := append([]string{"unknown"}, baseline.Names...)
+		slices.Sort(l)
+		return l
+	}()
+	decisions = [...]string{"client_error", "ok", "server_error", "unschedulable"}
+)
 
-// recordAdmission counts one evaluation verdict per (heuristic,
-// decision). Unknown heuristic names collapse into one label so a
-// hostile client cannot grow the metric's cardinality.
-func (s *Server) recordAdmission(req *Request, herr *httpError) {
-	h := req.heuristic()
-	if !slices.Contains(baseline.Names, h) {
-		h = "unknown"
-	}
+// recordVerdict is the one ledger of an evaluation's verdict, for
+// /schedule and async jobs alike: served or rejected on /statsz (a 5xx
+// is neither), and per (heuristic, decision) on /metricsz.
+func (s *Server) recordVerdict(req *Request, herr *httpError) {
 	d := "ok"
 	switch {
 	case herr == nil:
-	case herr.status == http.StatusUnprocessableEntity:
-		// The paper-relevant verdict: the bound was below the activation
-		// order's sequential peak (or the schedule deadlocked).
-		d = "unschedulable"
+		s.served.Add(1)
 	case herr.status >= http.StatusInternalServerError:
 		d = "server_error"
 	default:
+		s.rejected.Add(1)
 		d = "client_error"
+		if herr.status == http.StatusUnprocessableEntity {
+			// The paper-relevant verdict: the bound was below the
+			// activation order's sequential peak (or the schedule
+			// deadlocked).
+			d = "unschedulable"
+		}
 	}
-	s.admMu.Lock()
-	mm := s.admissions[h]
-	if mm == nil {
-		mm = make(map[string]int64)
-		s.admissions[h] = mm
+	h := slices.Index(heuristicLabels, req.heuristic())
+	if h < 0 {
+		h = slices.Index(heuristicLabels, "unknown")
 	}
-	mm[d]++
-	s.admMu.Unlock()
+	s.admissions[h][slices.Index(decisions[:], d)].Add(1)
 }
 
 // runtimeGauges samples the Go runtime metrics /metricsz republishes.
@@ -141,23 +138,13 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	writeMetric(&b, "treesched_go_goroutines", "gauge", "Live goroutines.", float64(goroutines))
 
 	fmt.Fprintf(&b, "# HELP treesched_admissions_total Evaluation verdicts per heuristic and decision.\n# TYPE treesched_admissions_total counter\n")
-	s.admMu.Lock()
-	heuristics := make([]string, 0, len(s.admissions))
-	for h := range s.admissions {
-		heuristics = append(heuristics, h)
-	}
-	sort.Strings(heuristics)
-	for _, h := range heuristics {
-		decisions := make([]string, 0, len(s.admissions[h]))
-		for d := range s.admissions[h] {
-			decisions = append(decisions, d)
-		}
-		sort.Strings(decisions)
-		for _, d := range decisions {
-			fmt.Fprintf(&b, "treesched_admissions_total{heuristic=%q,decision=%q} %d\n", h, d, s.admissions[h][d])
+	for i, h := range heuristicLabels {
+		for j, d := range decisions {
+			if n := s.admissions[i][j].Load(); n > 0 {
+				fmt.Fprintf(&b, "treesched_admissions_total{heuristic=%q,decision=%q} %d\n", h, d, n)
+			}
 		}
 	}
-	s.admMu.Unlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(b.Bytes())

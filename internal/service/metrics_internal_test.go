@@ -184,16 +184,22 @@ func TestRecordAdmissionClampsCardinality(t *testing.T) {
 	s := New(nil)
 	t.Cleanup(s.CloseStreams)
 	for i := 0; i < 5; i++ {
-		s.recordAdmission(&Request{Heuristic: fmt.Sprintf("evil-%d", i)},
+		s.recordVerdict(&Request{Heuristic: fmt.Sprintf("evil-%d", i)},
 			fail(http.StatusBadRequest, "no"))
 	}
-	s.recordAdmission(&Request{}, nil)
-	s.admMu.Lock()
-	defer s.admMu.Unlock()
-	if len(s.admissions) != 2 {
-		t.Fatalf("admission heuristic labels %v, want {unknown, MemBooking}", s.admissions)
+	s.recordVerdict(&Request{}, nil)
+	counts := map[string]int64{}
+	for i, h := range heuristicLabels {
+		for j, d := range decisions {
+			if n := s.admissions[i][j].Load(); n > 0 {
+				counts[h+"/"+d] = n
+			}
+		}
 	}
-	if s.admissions["unknown"]["client_error"] != 5 || s.admissions["MemBooking"]["ok"] != 1 {
-		t.Fatalf("admission counts %v", s.admissions)
+	if len(counts) != 2 || counts["unknown/client_error"] != 5 || counts["MemBooking/ok"] != 1 {
+		t.Fatalf("admission counts %v, want unknown/client_error 5 and MemBooking/ok 1", counts)
+	}
+	if st := s.Stats(); st.Served != 1 || st.Rejected != 5 {
+		t.Fatalf("served %d, rejected %d; want 1, 5", st.Served, st.Rejected)
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/bounds"
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/order"
 	"repro/internal/perturb"
@@ -329,11 +330,9 @@ type Server struct {
 	// shared mode.
 	obs *obs.Observer
 
-	// admissions counts /schedule verdicts per (heuristic, decision)
-	// for /metricsz. Heuristic labels are clamped to the known set so
-	// hostile requests cannot grow the metric's cardinality.
-	admMu      sync.Mutex
-	admissions map[string]map[string]int64
+	// admissions counts evaluation verdicts for /metricsz, one counter
+	// per (heuristic, decision) label pair (see recordVerdict).
+	admissions [][len(decisions)]atomic.Int64
 
 	// draining refuses new async jobs once Drain has been called;
 	// drainCh (closed by Drain) ends /streamz responses; jobsWG tracks
@@ -359,7 +358,7 @@ func New(opts *Options) *Server {
 		sem:        make(chan struct{}, o.Workers),
 		drainCh:    make(chan struct{}),
 		obs:        ob,
-		admissions: make(map[string]map[string]int64),
+		admissions: make([][len(decisions)]atomic.Int64, len(heuristicLabels)),
 	}
 }
 
@@ -448,14 +447,14 @@ type Health struct {
 // Healthz evaluates the degraded-state rules against the live gauges.
 func (s *Server) Healthz() Health {
 	var reasons []string
-	queued, running, pendingBytes, _, _, _, _ := s.jobs.gauges()
-	if pending := queued + running; pending*10 >= s.opts.MaxQueuedJobs*9 {
+	st := s.Stats()
+	if pending := st.JobsQueued + st.JobsRunning; pending*10 >= s.opts.MaxQueuedJobs*9 {
 		reasons = append(reasons, fmt.Sprintf("job queue at %d of %d", pending, s.opts.MaxQueuedJobs))
 	}
-	if pendingBytes*10 >= s.opts.MaxQueuedBytes*9 {
-		reasons = append(reasons, fmt.Sprintf("pending payload bytes at %d of %d", pendingBytes, s.opts.MaxQueuedBytes))
+	if st.JobsPendingBytes*10 >= s.opts.MaxQueuedBytes*9 {
+		reasons = append(reasons, fmt.Sprintf("pending payload bytes at %d of %d", st.JobsPendingBytes, s.opts.MaxQueuedBytes))
 	}
-	if s.inFlight.Load() >= int64(s.opts.Workers) {
+	if st.InFlight >= int64(s.opts.Workers) {
 		reasons = append(reasons, fmt.Sprintf("all %d workers busy", s.opts.Workers))
 	}
 	if s.draining.Load() {
@@ -476,27 +475,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, h)
 }
 
-// Stats returns a snapshot of the service counters.
+// Stats returns a snapshot of the service counters; the cache and the
+// job store fill in their own.
 func (s *Server) Stats() Stats {
-	hits, textHits, misses, entries, nodes := s.cache.snapshot()
-	queued, running, pendingBytes, done, failed, expired, tracked := s.jobs.gauges()
-	return Stats{
-		CacheHits:           hits,
-		CacheTextHits:       textHits,
-		CacheMisses:         misses,
-		CachedTrees:         entries,
-		CachedNodes:         nodes,
+	st := Stats{
 		InFlight:            s.inFlight.Load(),
 		Served:              s.served.Load(),
 		Rejected:            s.rejected.Load(),
 		Workers:             s.opts.Workers,
-		JobsQueued:          queued,
-		JobsRunning:         running,
-		JobsPendingBytes:    pendingBytes,
-		JobsDone:            done,
-		JobsFailed:          failed,
-		JobsTracked:         tracked,
-		JobsExpired:         expired,
 		JobsRestored:        s.restored.Load(),
 		InFlightHighWater:   s.inFlightHW.Load(),
 		StreamSubscribers:   s.obs.Subscribers(),
@@ -504,6 +490,9 @@ func (s *Server) Stats() Stats {
 		StreamDroppedEvents: s.obs.DroppedEvents(),
 		CacheAnswerHits:     int(s.answerHits.Load()),
 	}
+	s.cache.fill(&st)
+	s.jobs.fill(&st)
+	return st
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -518,22 +507,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	// One worker slot per request, taken before the body is even read:
-	// buffering and decoding a ~100MB payload is as attacker-reachable
-	// as the simulation, so the pool — not the accept loop — must bound
-	// all of it. Rejections give the slot back fast, and a client that
-	// disconnects while queued stops waiting instead of burning a slot
-	// on work nobody will read.
-	select {
-	case s.sem <- struct{}{}:
-	case <-r.Context().Done():
+	if !s.acquire(r.Context()) {
 		return
 	}
-	s.enterFlight()
-	defer func() {
-		s.inFlight.Add(-1)
-		<-s.sem
-	}()
+	defer s.release()
 	// The request is done with its body once the response is written:
 	// nothing schedule stores points into it.
 	buf := bodyPool.Get().(*bytes.Buffer)
@@ -543,15 +520,51 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, herr := s.schedule(req)
-	s.recordAdmission(req, herr)
+	s.recordVerdict(req, herr)
 	if herr != nil {
-		s.reject(w, herr)
+		writeJSON(w, herr.status, herr.body)
 		return
 	}
-	s.served.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// acquire takes a worker slot and counts its occupancy, or gives up
+// when ctx ends first. Both submission handlers take their slot before
+// the body is even read: buffering and decoding a ~100MB payload is as
+// attacker-reachable as the simulation, so the pool — not the accept
+// loop — must bound all of it. Rejections give the slot back fast, and
+// a client that disconnects while queued stops waiting instead of
+// burning a slot on work nobody will read.
+func (s *Server) acquire(ctx context.Context) bool {
+	select {
+	case s.sem <- struct{}{}:
+	case <-ctx.Done():
+		return false
+	}
+	s.enterFlight()
+	return true
+}
+
+// enterFlight counts a worker-slot occupancy and maintains the
+// high-water mark /metricsz reports as occupancy.
+func (s *Server) enterFlight() {
+	v := s.inFlight.Add(1)
+	for {
+		hw := s.inFlightHW.Load()
+		if v <= hw || s.inFlightHW.CompareAndSwap(hw, v) {
+			return
+		}
+	}
+}
+
+// release gives back a slot that acquire, or runJob's blocking send,
+// took.
+func (s *Server) release() {
+	s.inFlight.Add(-1)
+	<-s.sem
+}
+
+// reject writes a rejection that no evaluation made, counting a 4xx.
 func (s *Server) reject(w http.ResponseWriter, e *httpError) {
 	if e.status < http.StatusInternalServerError {
 		s.rejected.Add(1)
@@ -559,168 +572,190 @@ func (s *Server) reject(w http.ResponseWriter, e *httpError) {
 	writeJSON(w, e.status, e.body)
 }
 
-// schedule evaluates one request: the HTTP-free core of the handler.
-// The caller holds a worker-pool slot for the duration. A valid request
+// schedule evaluates one request, the HTTP-free core of both handlers,
+// in named stages: resolve (the resident tree), plan (every option, and
+// the admission 422), the answer-slot lookup, simulate and respond. The
+// caller holds a worker-pool slot for the duration. A valid request
 // repeating its tree's last untraced options gets the stored outcome.
-func (s *Server) schedule(req *Request) (resp *Response, herr *httpError) {
+func (s *Server) schedule(req *Request) (*Response, *httpError) {
 	r, herr := s.resolve(req)
 	if herr != nil {
 		return nil, herr
 	}
-	ct, pr := r.e.Tree(), r.e.Prepare()
-
-	procs := req.Procs
-	if procs == 0 {
-		procs = s.opts.Procs
+	p, herr := s.plan(req, r.e)
+	if herr != nil {
+		return nil, herr
 	}
-	if procs < 1 {
-		return nil, fail(http.StatusBadRequest, "procs must be positive, got %d", procs)
+	// Every option is valid and resolved, so an answer stored under the
+	// same resolved options is this request's answer. A traced response
+	// carries spans an untraced repeat must not get, so a traced request
+	// neither reads nor fills the slot; nor is anything stored when the
+	// evaluation panics, since the store below is never reached.
+	if !req.Trace {
+		if a := r.answer.Load(); a != nil && a.key == p.key {
+			s.answerHits.Add(1)
+			return a.resp, a.herr
+		}
 	}
+	ct := r.e.Tree()
+	res, heuristic, trace, herr := simulate(req, ct, &p)
+	var resp *Response
+	if herr == nil {
+		resp, herr = respond(ct, &p, res, heuristic, trace)
+	}
+	if !req.Trace {
+		r.answer.Store(&answer{key: p.key, resp: resp, herr: herr})
+	}
+	return resp, herr
+}
 
-	ao, aoName := pr.AO, order.NameMemPO
+// plan is a request's options resolved against its tree: the answer key
+// and the orders, bound and peaks the key stands for.
+type plan struct {
+	key    answerKey
+	ao, eo *order.Order
+	m      float64        // the memory bound
+	needed float64        // peak(AO), the least bound Theorem 1 covers
+	peak   float64        // the memPO peak, reported as min_memory
+	model  *perturb.Model // nil unless the request names one
+}
+
+// plan resolves every option of req against the resident entry e.
+// Admission control lives here: below the activation order's sequential
+// peak, Theorem 1's no-deadlock guarantee is void and a worker could
+// stall to no effect, so such a bound is refused with 422 and both
+// numbers before any simulation work. (peak(AO) for the default AO is
+// the memoized preparation; a custom AO costs one O(n) scan.)
+func (s *Server) plan(req *Request, e *harness.Entry) (p plan, herr *httpError) {
+	pr := e.Prepare()
+	p.key = answerKey{heuristic: req.heuristic(), procs: req.Procs, ao: order.NameMemPO, perturb: req.Perturb}
+	if p.key.procs == 0 {
+		p.key.procs = s.opts.Procs
+	}
+	if p.key.procs < 1 {
+		return p, fail(http.StatusBadRequest, "procs must be positive, got %d", p.key.procs)
+	}
+	p.ao, p.peak = pr.AO, pr.Peak
 	if req.AO != "" && req.AO != order.NameMemPO {
-		o, err := r.e.Order(req.AO)
+		o, err := e.Order(req.AO)
 		if err != nil {
-			return nil, fail(http.StatusBadRequest, "bad activation order: %v", err)
+			return p, fail(http.StatusBadRequest, "bad activation order: %v", err)
 		}
 		if !o.Topological {
-			return nil, fail(http.StatusBadRequest, "activation order %q is not topological", req.AO)
+			return p, fail(http.StatusBadRequest, "activation order %q is not topological", req.AO)
 		}
-		ao, aoName = o, req.AO
+		p.ao, p.key.ao = o, req.AO
 	}
-	eo, eoName := ao, aoName
+	p.eo, p.key.eo = p.ao, p.key.ao
 	if req.EO != "" {
-		o, err := r.e.Order(req.EO)
+		o, err := e.Order(req.EO)
 		if err != nil {
-			return nil, fail(http.StatusBadRequest, "bad execution order: %v", err)
+			return p, fail(http.StatusBadRequest, "bad execution order: %v", err)
 		}
-		eo, eoName = o, req.EO
+		p.eo, p.key.eo = o, req.EO
 	}
 
-	m := req.Mem
-	if m == 0 {
+	p.m = req.Mem
+	if p.m == 0 {
 		f := req.MemFactor
 		if f == 0 {
 			f = s.opts.MemFactor
 		}
 		if f < 0 {
-			return nil, fail(http.StatusBadRequest, "mem_factor must be positive, got %g", f)
+			return p, fail(http.StatusBadRequest, "mem_factor must be positive, got %g", f)
 		}
-		m = f * pr.Peak
+		p.m = f * pr.Peak
 	}
-	if !(m > 0) || math.IsInf(m, 0) {
+	if !(p.m > 0) || math.IsInf(p.m, 0) {
 		// NaN and +Inf reach here through factor × peak overflow or an
 		// instance whose attribute sums overflow; a non-finite bound can
 		// only produce a non-encodable result.
-		return nil, fail(http.StatusBadRequest, "memory bound must be positive and finite, got %g", m)
+		return p, fail(http.StatusBadRequest, "memory bound must be positive and finite, got %g", p.m)
 	}
+	p.key.mem = math.Float64bits(p.m)
 
-	// Admission control: below the activation order's sequential peak,
-	// Theorem 1's no-deadlock guarantee is void and a worker could stall
-	// to no effect. Reject before any simulation work, with both numbers
-	// in the body. (peak(AO) for the default AO is the memoized
-	// preparation; a custom AO costs one O(n) scan.)
-	needed := pr.Peak
-	if ao != pr.AO {
-		p, err := order.PeakMemory(ct, ao.Seq)
+	p.needed = pr.Peak
+	if p.ao != pr.AO {
+		peak, err := order.PeakMemory(e.Tree(), p.ao.Seq)
 		if err != nil {
-			return nil, fail(http.StatusBadRequest, "bad activation order: %v", err)
+			return p, fail(http.StatusBadRequest, "bad activation order: %v", err)
 		}
-		needed = p
+		p.needed = peak
 	}
-	if m < needed {
-		return nil, &httpError{status: http.StatusUnprocessableEntity, body: errorBody{
-			Error:     fmt.Sprintf("memory bound %g below the activation order's sequential peak %g: the schedule could deadlock", m, needed),
-			Bound:     m,
-			MinMemory: needed,
+	if p.m < p.needed {
+		return p, &httpError{status: http.StatusUnprocessableEntity, body: errorBody{
+			Error:     fmt.Sprintf("memory bound %g below the activation order's sequential peak %g: the schedule could deadlock", p.m, p.needed),
+			Bound:     p.m,
+			MinMemory: p.needed,
 		}}
 	}
 
-	var model perturb.Model
 	if req.Perturb != "" {
-		var ok bool
-		if model, ok = findModel(req.Perturb); !ok {
-			return nil, fail(http.StatusBadRequest, "unknown perturbation model %q (see perturb.DefaultModels)", req.Perturb)
+		if p.model = findModel(req.Perturb); p.model == nil {
+			return p, fail(http.StatusBadRequest, "unknown perturbation model %q (see perturb.DefaultModels)", req.Perturb)
 		}
+		p.key.perturbSeed = req.PerturbSeed
 	}
+	return p, nil
+}
 
-	// Every option is valid and resolved, so an answer stored under the
-	// same resolved options is this request's answer. A traced response
-	// carries spans an untraced repeat must not get, so a traced request
-	// neither reads nor fills the slot; nor is the nothing a panicking
-	// evaluation leaves behind stored.
-	k := answerKey{heuristic: req.heuristic(), procs: procs, mem: math.Float64bits(m),
-		ao: aoName, eo: eoName, perturb: req.Perturb}
-	if req.Perturb != "" {
-		k.perturbSeed = req.PerturbSeed
+// simulate runs the planned schedule: the heuristic is built from — and
+// bounded by — the nominal tree ct, and the simulator executes the
+// realisation the perturbation model draws, checking memory against the
+// bound. A deadlock is a 422 with the bound and peak(AO) in the body.
+func simulate(req *Request, ct *tree.Tree, p *plan) (*sim.Result, string, *sim.Trace, *httpError) {
+	sched, run, err := baseline.New(p.key.heuristic, ct, p.m, p.ao, p.eo)
+	if errors.Is(err, baseline.ErrUnknown) {
+		return nil, "", nil, fail(http.StatusBadRequest, "%v", err)
 	}
-	if !req.Trace {
-		if a := r.answer.Load(); a != nil && a.key == k {
-			s.answerHits.Add(1)
-			return a.resp, a.herr
-		}
-		defer func() {
-			if resp != nil || herr != nil {
-				r.answer.Store(&answer{key: k, resp: resp, herr: herr})
-			}
-		}()
+	if err != nil {
+		return nil, "", nil, fail(http.StatusBadRequest, "building scheduler: %v", err)
 	}
-
-	var factors []float64
-	if req.Perturb != "" {
+	if p.model != nil {
 		// The instance name is a digest of the content, so the
 		// realisation is a pure function of (request seed, model, tree
 		// content) — identical submissions replay identical realisations.
-		seed := perturb.Seed(req.PerturbSeed, model, instanceID(ct))
-		factors = model.Factors(ct.Len(), seed)
-	}
-
-	sched, run, err := baseline.New(req.heuristic(), ct, m, ao, eo)
-	if errors.Is(err, baseline.ErrUnknown) {
-		return nil, fail(http.StatusBadRequest, "%v", err)
-	}
-	if err != nil {
-		return nil, fail(http.StatusBadRequest, "building scheduler: %v", err)
-	}
-	if factors != nil {
-		// The scheduler above was built from — and bounded by — the
-		// nominal tree; only the executed durations change. For RedTree
-		// the run tree's first Len(ct) nodes map one-to-one onto the
-		// nominal tasks, so the nominal factor vector applies.
-		run, err = perturb.Apply(run, factors)
-		if err != nil {
-			return nil, fail(http.StatusInternalServerError, "perturbing: %v", err)
+		// For RedTree the run tree's first Len(ct) nodes map one-to-one
+		// onto the nominal tasks, so the nominal factor vector applies.
+		seed := perturb.Seed(req.PerturbSeed, *p.model, instanceID(ct))
+		if run, err = perturb.Apply(run, p.model.Factors(ct.Len(), seed)); err != nil {
+			return nil, "", nil, fail(http.StatusInternalServerError, "perturbing: %v", err)
 		}
 	}
-	opts := &sim.Options{CheckMemory: true, Bound: m, NoSchedTime: true}
+	opts := &sim.Options{CheckMemory: true, Bound: p.m, NoSchedTime: true}
 	if req.Trace {
 		opts.Trace = &sim.Trace{}
 	}
-	res, err := sim.Run(run, procs, sched, opts)
+	res, err := sim.Run(run, p.key.procs, sched, opts)
 	if err != nil {
 		var dead *core.ErrDeadlock
 		if errors.As(err, &dead) {
-			return nil, &httpError{status: http.StatusUnprocessableEntity, body: errorBody{
+			return nil, "", nil, &httpError{status: http.StatusUnprocessableEntity, body: errorBody{
 				Error:     fmt.Sprintf("schedule deadlocked: %v", dead),
-				Bound:     m,
-				MinMemory: needed,
+				Bound:     p.m,
+				MinMemory: p.needed,
 			}}
 		}
-		return nil, fail(http.StatusInternalServerError, "simulation: %v", err)
+		return nil, "", nil, fail(http.StatusInternalServerError, "simulation: %v", err)
 	}
+	return res, sched.Name(), opts.Trace, nil
+}
 
-	// Both bounds are O(n) and depend on request-chosen (procs, m), so
-	// they are computed inline rather than through the instance cache's
-	// lower-bound memo — memoizing per (tree, procs, m) would let a
-	// client grow the map without bound by varying its mem value.
+// respond reports a finished run of ct as a Response. Both bounds are
+// O(n) and depend on request-chosen (procs, m), so they are computed
+// here rather than through the instance cache's lower-bound memo —
+// memoizing per (tree, procs, m) would let a client grow the map
+// without bound by varying its mem value.
+func respond(ct *tree.Tree, p *plan, res *sim.Result, heuristic string, trace *sim.Trace) (*Response, *httpError) {
+	procs := p.key.procs
 	classical := bounds.Classical(ct, procs)
-	memLB, _ := bounds.Memory(ct, m)
-	resp = &Response{
+	memLB, _ := bounds.Memory(ct, p.m)
+	resp := &Response{
 		Nodes:       ct.Len(),
-		Heuristic:   sched.Name(),
+		Heuristic:   heuristic,
 		Procs:       procs,
-		Mem:         m,
-		MinMemory:   pr.Peak,
+		Mem:         p.m,
+		MinMemory:   p.peak,
 		Makespan:    res.Makespan,
 		PeakMem:     res.PeakMem,
 		PeakBooked:  res.PeakBooked,
@@ -738,14 +773,14 @@ func (s *Server) schedule(req *Request) (resp *Response, herr *httpError) {
 			return nil, fail(http.StatusUnprocessableEntity, "result overflows float64: instance attributes too large")
 		}
 	}
-	if opts.Trace != nil {
+	if trace != nil {
 		// Spans are recorded on the run tree; for RedTree that is the
 		// reduction transform, whose first Len(ct) nodes map one-to-one
 		// onto the submitted tasks and whose appended fictitious leaves
 		// mean nothing to the client — keep only the real tasks, so the
 		// trace always has one span per submitted task.
 		resp.Trace = make([]sim.Span, 0, ct.Len())
-		for _, sp := range opts.Trace.Spans {
+		for _, sp := range trace.Spans {
 			if int(sp.Node) < ct.Len() {
 				resp.Trace = append(resp.Trace, sp)
 			}
@@ -859,12 +894,17 @@ func (s *Server) grid(g *GridSpec, dim int) (*tree.Tree, *httpError) {
 	return res.Tree, nil
 }
 
-// findModel resolves a perturbation-model name against the default grid.
-func findModel(name string) (perturb.Model, bool) {
-	for _, m := range perturb.DefaultModels() {
-		if m.Name == name {
-			return m, true
+// models is the default perturbation grid, built once: a Model is a
+// name and a pure draw, so every request may share them.
+var models = perturb.DefaultModels()
+
+// findModel resolves a perturbation-model name against the default
+// grid, or returns nil.
+func findModel(name string) *perturb.Model {
+	for i := range models {
+		if models[i].Name == name {
+			return &models[i]
 		}
 	}
-	return perturb.Model{}, false
+	return nil
 }

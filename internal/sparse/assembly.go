@@ -93,117 +93,9 @@ func AssemblyTree(p *Pattern, perm []int32, opt *AssemblyOptions) (*AssemblyResu
 	parent = EliminationTree(pp)
 	cc := ColCounts(pp, parent)
 
-	n := p.N()
-	nchild := make([]int32, n)
-	for j := 0; j < n; j++ {
-		if parent[j] != -1 {
-			nchild[parent[j]]++
-		}
-	}
-	// Fundamental supernodes: column j joins column j-1's supernode iff
-	// j is the parent of j-1, j-1 is its only child, and the column
-	// structures nest exactly.
-	snOf := make([]int32, n)
-	var firstCol []int32
-	for j := 0; j < n; j++ {
-		if j > 0 && parent[j-1] == int32(j) && nchild[j] == 1 && cc[j] == cc[j-1]-1 {
-			snOf[j] = snOf[j-1]
-			continue
-		}
-		snOf[j] = int32(len(firstCol))
-		firstCol = append(firstCol, int32(j))
-	}
-	s := len(firstCol)
-	cols := make([]int32, s)
-	front := make([]int32, s) // front order M
-	snParent := make([]int32, s)
-	for k := 0; k < s; k++ {
-		last := int32(n - 1)
-		if k+1 < s {
-			last = firstCol[k+1] - 1
-		}
-		cols[k] = last - firstCol[k] + 1
-		front[k] = cc[firstCol[k]] + cols[k] - 1
-		if pj := parent[last]; pj == -1 {
-			snParent[k] = -1
-		} else {
-			snParent[k] = snOf[pj]
-		}
-	}
-
-	// Relaxed amalgamation with union-find contraction, children first
-	// (supernode IDs are topological because the columns are postordered).
-	into := make([]int32, s)
-	for k := range into {
-		into[k] = -1
-	}
-	var find func(k int32) int32
-	find = func(k int32) int32 {
-		for into[k] != -1 {
-			if into[into[k]] != -1 {
-				into[k] = into[into[k]]
-			}
-			k = into[k]
-		}
-		return k
-	}
-	if opt.Amalgamation > 1 {
-		for k := int32(0); k < int32(s); k++ {
-			if snParent[k] == -1 || int(cols[k]) >= opt.Amalgamation {
-				continue
-			}
-			pk := find(snParent[k])
-			// Approximate merged front: the child's columns join the
-			// parent's front.
-			m := front[pk] + cols[k]
-			if front[k] > m {
-				m = front[k]
-			}
-			front[pk] = m
-			cols[pk] += cols[k]
-			into[k] = pk
-		}
-	}
-
-	// Compact the surviving supernodes into a task tree.
-	idOf := make([]int32, s)
-	for k := range idOf {
-		idOf[k] = -1
-	}
-	var fronts []Front
-	var parents []tree.NodeID
-	for k := int32(0); k < int32(s); k++ {
-		if into[k] != -1 {
-			continue
-		}
-		idOf[k] = int32(len(fronts))
-		fronts = append(fronts, Front{Cols: cols[k], Order: front[k]})
-		parents = append(parents, tree.None) // fixed below
-	}
-	roots := 0
-	for k := int32(0); k < int32(s); k++ {
-		if into[k] != -1 {
-			continue
-		}
-		if snParent[k] == -1 {
-			roots++
-			continue
-		}
-		parents[idOf[k]] = tree.NodeID(idOf[find(snParent[k])])
-	}
-	virtual := false
-	if roots != 1 {
-		// Join the forest under a zero-cost virtual root.
-		virtual = true
-		rootID := tree.NodeID(len(fronts))
-		fronts = append(fronts, Front{})
-		for i := range parents {
-			if parents[i] == tree.None {
-				parents[i] = rootID
-			}
-		}
-		parents = append(parents, tree.None)
-	}
+	sn := fundamentalSupernodes(parent, cc)
+	sn.amalgamate(opt.Amalgamation)
+	fronts, parents, virtual := sn.compact()
 	exec := make([]float64, len(fronts))
 	out := make([]float64, len(fronts))
 	tm := make([]float64, len(fronts))
@@ -217,4 +109,135 @@ func AssemblyTree(p *Pattern, perm []int32, opt *AssemblyOptions) (*AssemblyResu
 		return nil, fmt.Errorf("sparse: assembly tree construction: %w", err)
 	}
 	return &AssemblyResult{Tree: tr, Fronts: fronts, NNZL: FactorNNZ(cc), VirtualRoot: virtual}, nil
+}
+
+// supernodes partitions the postordered columns into fronts. Supernode
+// IDs are topological, children first, because the columns are
+// postordered.
+type supernodes struct {
+	cols   []int32 // columns eliminated in each supernode
+	front  []int32 // front order M
+	parent []int32 // parent supernode, -1 at a root
+	into   []int32 // the supernode it was amalgamated into, -1 if none
+}
+
+// fundamentalSupernodes groups the columns of a postordered elimination
+// tree (parent, with column counts cc): column j joins column j-1's
+// supernode iff j is the parent of j-1, j-1 is its only child, and the
+// column structures nest exactly.
+func fundamentalSupernodes(parent, cc []int32) *supernodes {
+	n := len(parent)
+	nchild := make([]int32, n)
+	for j := 0; j < n; j++ {
+		if parent[j] != -1 {
+			nchild[parent[j]]++
+		}
+	}
+	snOf := make([]int32, n)
+	var firstCol []int32
+	for j := 0; j < n; j++ {
+		if j > 0 && parent[j-1] == int32(j) && nchild[j] == 1 && cc[j] == cc[j-1]-1 {
+			snOf[j] = snOf[j-1]
+			continue
+		}
+		snOf[j] = int32(len(firstCol))
+		firstCol = append(firstCol, int32(j))
+	}
+	s := len(firstCol)
+	sn := &supernodes{cols: make([]int32, s), front: make([]int32, s), parent: make([]int32, s), into: make([]int32, s)}
+	for k := 0; k < s; k++ {
+		last := int32(n - 1)
+		if k+1 < s {
+			last = firstCol[k+1] - 1
+		}
+		sn.cols[k] = last - firstCol[k] + 1
+		sn.front[k] = cc[firstCol[k]] + sn.cols[k] - 1
+		if pj := parent[last]; pj == -1 {
+			sn.parent[k] = -1
+		} else {
+			sn.parent[k] = snOf[pj]
+		}
+		sn.into[k] = -1
+	}
+	return sn
+}
+
+// find returns the surviving supernode k was amalgamated into (k itself
+// if it survives), halving the path on the way.
+func (sn *supernodes) find(k int32) int32 {
+	into := sn.into
+	for into[k] != -1 {
+		if into[into[k]] != -1 {
+			into[k] = into[into[k]]
+		}
+		k = into[k]
+	}
+	return k
+}
+
+// amalgamate merges every non-root supernode of fewer than minCols
+// columns into its parent (relaxed amalgamation with union-find
+// contraction, children first); minCols ≤ 1 merges nothing.
+func (sn *supernodes) amalgamate(minCols int) {
+	if minCols <= 1 {
+		return
+	}
+	for k := int32(0); k < int32(len(sn.cols)); k++ {
+		if sn.parent[k] == -1 || int(sn.cols[k]) >= minCols {
+			continue
+		}
+		pk := sn.find(sn.parent[k])
+		// Approximate merged front: the child's columns join the
+		// parent's front.
+		m := sn.front[pk] + sn.cols[k]
+		if sn.front[k] > m {
+			m = sn.front[k]
+		}
+		sn.front[pk] = m
+		sn.cols[pk] += sn.cols[k]
+		sn.into[k] = pk
+	}
+}
+
+// compact numbers the surviving supernodes into a task tree: one front
+// and one parent per task, joined under a zero-cost virtual root when
+// they form a forest (virtual reports it).
+func (sn *supernodes) compact() (fronts []Front, parents []tree.NodeID, virtual bool) {
+	s := int32(len(sn.cols))
+	idOf := make([]int32, s)
+	for k := range idOf {
+		idOf[k] = -1
+	}
+	for k := int32(0); k < s; k++ {
+		if sn.into[k] != -1 {
+			continue
+		}
+		idOf[k] = int32(len(fronts))
+		fronts = append(fronts, Front{Cols: sn.cols[k], Order: sn.front[k]})
+		parents = append(parents, tree.None) // fixed below
+	}
+	roots := 0
+	for k := int32(0); k < s; k++ {
+		if sn.into[k] != -1 {
+			continue
+		}
+		if sn.parent[k] == -1 {
+			roots++
+			continue
+		}
+		parents[idOf[k]] = tree.NodeID(idOf[sn.find(sn.parent[k])])
+	}
+	if roots != 1 {
+		// Join the forest under a zero-cost virtual root.
+		virtual = true
+		rootID := tree.NodeID(len(fronts))
+		fronts = append(fronts, Front{})
+		for i := range parents {
+			if parents[i] == tree.None {
+				parents[i] = rootID
+			}
+		}
+		parents = append(parents, tree.None)
+	}
+	return fronts, parents, virtual
 }

@@ -16,8 +16,8 @@ import (
 // state even though only O(max concurrent jobs) schedulers are ever live
 // at once. Rebind repoints an existing instance at a new (tree, bound,
 // orders) tuple reusing its state arrays, and MemBookingPool keeps
-// retired instances in size-class buckets so a stream reuses state
-// instead of reallocating it.
+// retired instances in size-class buckets (SizeClasses) so a stream
+// reuses state instead of reallocating it.
 
 // Rebind repoints the scheduler at a new tree, memory bound and order
 // pair, reusing its O(n) state arrays whenever their capacity covers the
@@ -41,7 +41,7 @@ func (s *MemBooking) Rebind(t *tree.Tree, m float64, ao, eo *order.Order) error 
 	}
 	n := t.Len()
 	if cap(s.need) < n {
-		s.alloc(1 << sizeClass(n))
+		s.alloc(1 << tree.SizeClass(n))
 	} else {
 		s.need = s.need[:n]
 		s.booked = s.booked[:n]
@@ -54,9 +54,31 @@ func (s *MemBooking) Rebind(t *tree.Tree, m float64, ao, eo *order.Order) error 
 	return nil
 }
 
-// sizeClass is ⌈log₂ n⌉: the pool bucket that serves an n-node tree,
-// and the exponent of the capacity a pooled instance is built with.
-func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
+// SizeClasses keeps recycled per-tree storage in power-of-two size-class
+// buckets: a value filed under class c holds any tree whose
+// tree.SizeClass is c without growing, so Get serves an n-node tree from
+// class tree.SizeClass(n) alone. MemBookingPool keeps its schedulers in
+// one, multitree its jobs' laid-out trees in another. The zero value is
+// ready to use; it is not safe for concurrent use.
+type SizeClasses[T any] struct {
+	buckets [33][]T
+}
+
+// Get takes a value that holds an n-node tree, if one was filed.
+func (p *SizeClasses[T]) Get(n int) (v T, ok bool) {
+	c := tree.SizeClass(n)
+	l := p.buckets[c]
+	if len(l) == 0 {
+		return v, false
+	}
+	p.buckets[c] = l[:len(l)-1]
+	return l[len(l)-1], true
+}
+
+// Put files v under class c; it must hold every tree of that class.
+func (p *SizeClasses[T]) Put(c int, v T) {
+	p.buckets[c] = append(p.buckets[c], v)
+}
 
 // MemBookingPool recycles MemBooking instances across the jobs of a
 // stream. Instances are kept in power-of-two size-class buckets keyed by
@@ -67,7 +89,7 @@ func sizeClass(n int) int { return bits.Len(uint(n - 1)) }
 // The zero value is ready to use. A pool is not safe for concurrent use;
 // each simulation loop owns its own.
 type MemBookingPool struct {
-	buckets [33][]*MemBooking
+	classes SizeClasses[*MemBooking]
 }
 
 // Get returns a scheduler for (t, m, ao, eo): a recycled instance
@@ -77,10 +99,7 @@ type MemBookingPool struct {
 // for the same tree looks in. The caller must Init (or Restore) it, as
 // with a fresh instance.
 func (p *MemBookingPool) Get(t *tree.Tree, m float64, ao, eo *order.Order) (*MemBooking, error) {
-	b := sizeClass(t.Len()) // every pooled cap ≥ 2^b ≥ n
-	if l := p.buckets[b]; len(l) > 0 {
-		s := l[len(l)-1]
-		p.buckets[b] = l[:len(l)-1]
+	if s, ok := p.classes.Get(t.Len()); ok { // every pooled cap ≥ 2^class ≥ n
 		if err := s.Rebind(t, m, ao, eo); err != nil {
 			return nil, err
 		}
@@ -90,7 +109,7 @@ func (p *MemBookingPool) Get(t *tree.Tree, m float64, ao, eo *order.Order) (*Mem
 	if err != nil {
 		return nil, err
 	}
-	s.alloc(1 << b)
+	s.alloc(1 << tree.SizeClass(t.Len()))
 	return s, nil
 }
 
@@ -118,5 +137,5 @@ func (p *MemBookingPool) Put(s *MemBooking) {
 		b = bits.Len(uint(c)) - 1 // floor(log2 cap): guarantee cap ≥ 2^b
 	}
 	s.t, s.ao, s.eo = nil, nil, nil
-	p.buckets[b] = append(p.buckets[b], s)
+	p.classes.Put(b, s)
 }

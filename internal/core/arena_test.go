@@ -3,6 +3,8 @@ package core
 import (
 	"math/bits"
 	"testing"
+
+	"repro/internal/tree"
 )
 
 // The arena oracles: a pooled, rebound scheduler must be
@@ -246,7 +248,7 @@ func TestPoolBucketMath(t *testing.T) {
 	// capacity that can hold n — spot-check the arithmetic around the
 	// class edges.
 	for _, n := range []int{1, 2, 3, 255, 256, 257, 1023, 1024} {
-		get := sizeClass(n)
+		get := tree.SizeClass(n)
 		capc := 1 << get // the capacity Get and Rebind allocate
 		put := bits.Len(uint(capc)) - 1
 		if put != get {

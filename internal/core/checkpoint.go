@@ -25,8 +25,12 @@ import (
 // task boundary (between an OnFinish batch and the next Select). It is
 // bound to the (tree, activation order, execution order) triple of the
 // scheduler that produced it; restoring into a scheduler over different
-// inputs is an error.
+// inputs is an error. The tree is bound by identity, not content: a
+// snapshot taken on a laid-out tree indexes nodes by activation
+// position, and restored into a scheduler over the tree it was laid out
+// from it would credit every node with another node's booking.
 type Checkpoint struct {
+	t         *tree.Tree
 	n         int
 	state     []uint8
 	booked    []float64
@@ -65,7 +69,7 @@ func (s *MemBooking) CheckpointInto(cp *Checkpoint) *Checkpoint {
 		cp.bbs = make([]float64, n)
 		cp.childSum = make([]float64, n)
 	}
-	cp.n = n
+	cp.t, cp.n = s.t, n
 	cp.state = cp.state[:n]
 	cp.booked = cp.booked[:n]
 	cp.bbs = cp.bbs[:n]
@@ -83,7 +87,8 @@ func (s *MemBooking) CheckpointInto(cp *Checkpoint) *Checkpoint {
 }
 
 // Restore re-enters a run from cp: the fail-stop restart. The
-// scheduler must be over the same tree and orders the checkpoint was
+// scheduler must be over the same tree (the same *tree.Tree, in the
+// same numbering) and orders the checkpoint was
 // taken from, and its current memory bound must cover the snapshot's
 // booked memory (restarting into a smaller slice would instantly
 // violate the bound). Tasks that were running at the snapshot are
@@ -98,6 +103,9 @@ func (s *MemBooking) Restore(cp *Checkpoint) error {
 	n := s.t.Len()
 	if cp == nil || cp.n != n {
 		return fmt.Errorf("core: checkpoint covers %d tasks, scheduler tree has %d", cpLen(cp), n)
+	}
+	if cp.t != s.t {
+		return fmt.Errorf("core: checkpoint taken on another tree of %d tasks (or another numbering of this one)", n)
 	}
 	if cp.aoName != s.ao.Name || cp.eoName != s.eo.Name {
 		return fmt.Errorf("core: checkpoint taken under orders (%s, %s), scheduler uses (%s, %s)",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/order"
@@ -310,6 +311,58 @@ func TestRestoreValidation(t *testing.T) {
 
 	if err := l.s.Restore(nil); err == nil {
 		t.Fatalf("nil checkpoint accepted")
+	}
+}
+
+// TestRestoreRefusesAnotherNumbering: a checkpoint taken on a laid-out
+// tree indexes nodes by activation position. Restored into a scheduler
+// over the tree it was laid out from — same size, same order names,
+// since the identity is topological in both numberings here — it would
+// credit every node with another node's booking. Restore refuses it,
+// and still takes it on the layout it came from.
+func TestRestoreRefusesAnotherNumbering(t *testing.T) {
+	src, _, _ := ckTree(t, 60, 11)
+	n := src.Len()
+	// src numbered bottom-up: every node's ID below its parent's.
+	parent := make([]tree.NodeID, n)
+	exec, out, tm := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := 0; i < n; i++ {
+		v, p := n-1-i, src.Parent(tree.NodeID(i))
+		parent[v] = tree.None
+		if p != tree.None {
+			parent[v] = tree.NodeID(n-1) - p
+		}
+		exec[v], out[v], tm[v] = src.Exec(tree.NodeID(i)), src.Out(tree.NodeID(i)), src.Time(tree.NodeID(i))
+	}
+	orig := tree.MustNew(parent, exec, out, tm)
+	ao, peak := order.MinMemPostOrder(orig)
+	lay, err := orig.LayOut(ao.Seq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids order.Identities
+	id := ids.Order(n)
+	if !id.TopologicalFor(orig) || slices.Equal(ao.Seq, id.Seq) {
+		t.Fatal("want two numberings that both admit the identity")
+	}
+	l := newCkLoop(t, lay, id, 2*peak, 3)
+	for i := 0; i < 5; i++ {
+		l.step()
+	}
+	cp := l.s.CheckpointInto(nil)
+	s, err := NewMemBooking(orig, 2*peak, id, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Restore(cp); err == nil {
+		t.Fatal("a position-space checkpoint restored into the original numbering")
+	}
+	fresh, err := NewMemBooking(lay, 2*peak, id, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Restore(cp); err != nil {
+		t.Fatalf("restore onto the layout the checkpoint came from: %v", err)
 	}
 }
 

@@ -12,15 +12,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/order"
+	"repro/internal/tree"
 	"repro/internal/workload"
 )
 
 // violation checks the cluster-state invariants that must hold between
 // any two transitions — the ledgers, one place per job, the due and
-// release orders, who owns which pooled scheduler, that the derived
-// state (positions, ready bits) equals what a rebuild from the job lists
-// would give, and that every snapshot entry still reads what its job
-// says (a policy writing through the snapshot breaks exactly that) — and
+// release orders, who owns which pooled scheduler and laid-out tree,
+// that the derived state (positions, ready bits) equals what a rebuild
+// from the job lists would give, and that every snapshot entry still
+// reads what its job says (a policy writing through the snapshot breaks
+// exactly that) — and
 // returns the first one broken ("" when all hold). It lives here, not in
 // the production loop: Run pays for no per-event assertion.
 func (c *cluster) violation() string {
@@ -75,6 +77,28 @@ func (c *cluster) violation() string {
 	for i := range c.jobs {
 		if j := &c.jobs[i]; j.sched != nil && where[j] != "active" {
 			return fmt.Sprintf("job %q holds a scheduler but is not active (%s)", j.spec.Name, cmp.Or(where[j], "outside the cluster"))
+		}
+	}
+	// Laid-out trees: a job holds one from its first admission until it
+	// is recorded — through its retry waits too, so a restart restores
+	// onto the numbering its checkpoint was taken in — of its own tree's
+	// size, and no two jobs hold the same one.
+	lays := make(map[*tree.Tree]*job, len(c.active))
+	for i := range c.jobs {
+		j := &c.jobs[i]
+		started := where[j] == "active" || where[j] != "" && j.attempt > 0
+		if (j.lay != nil) != started {
+			return fmt.Sprintf("job %q (%s, attempt %d) holds a laid-out tree: %v", j.spec.Name, cmp.Or(where[j], "outside the cluster"), j.attempt, j.lay != nil)
+		}
+		if j.lay == nil {
+			continue
+		}
+		if o, shared := lays[j.lay]; shared {
+			return fmt.Sprintf("jobs %q and %q share one laid-out tree", o.spec.Name, j.spec.Name)
+		}
+		lays[j.lay] = j
+		if j.lay.Len() != j.spec.Tree.Len() {
+			return fmt.Sprintf("job %q of %d nodes holds a layout of %d", j.spec.Name, j.spec.Tree.Len(), j.lay.Len())
 		}
 	}
 	if got := c.freeMem + reserved; math.Abs(got-c.opt.Mem) > c.eps {
@@ -239,9 +263,10 @@ func stepped(t *testing.T, name string, specs []JobSpec, mk func() *Options) *Re
 // admission policy: the memory and processor ledgers balance, free slots
 // match free processors, the due list and the releases are sorted, no
 // job sits in two of due, queue and active, a job holds a pooled scheduler
-// exactly while it is active and never one another job holds, every
-// active job knows its position, the ready bits say which schedulers
-// have work, and the policy snapshot equals a rebuild of it.
+// exactly while it is active and never one another job holds, a
+// laid-out tree from its first admission to its record, every active
+// job knows its position, the ready bits say which schedulers have
+// work, and the policy snapshot equals a rebuild of it.
 func TestClusterInvariantsEveryTransition(t *testing.T) {
 	specs, mem := faultStream(t, 21, 14)
 	for _, pol := range allPolicies() {

@@ -7,7 +7,8 @@
 // while Σ active M_j ≤ M, no admitted job can deadlock — and all
 // active jobs share the processors through one global event loop
 // (built on pqueue.EventHeap) that drives an unchanged per-tree
-// core.MemBooking scheduler per job.
+// core.MemBooking scheduler per job, each over its tree laid out in its
+// activation order.
 //
 // The simulation is a pure function of its inputs: identical job
 // specs, options and policy produce identical traces, which the
@@ -184,7 +185,13 @@ type job struct {
 	est   float64
 	dueAt float64 // when it joins the queue: its arrival, then each retry's expiry
 
-	slice     float64
+	slice float64
+	// lay is the job's tree laid out in ao's order, node ao.Seq[k]
+	// becoming k: the tree its scheduler runs on, and the numbering of
+	// its slots, batches and checkpoints. It is built at the first
+	// admission and kept until record, so a restart restores onto the
+	// numbering its checkpoint was taken in.
+	lay       *tree.Tree
 	sched     *core.MemBooking
 	pos       int // index in cluster.active while admitted
 	remaining int
@@ -203,10 +210,10 @@ type job struct {
 	peakBooked  float64          // booked-memory high-water mark of this attempt
 }
 
-// slotRec maps a completion-event id back to its job and task; at most
-// Procs records are live at once, recycled through a free list. A freed
-// slot's job is nil, which is how the fault path tells busy processors
-// from idle ones.
+// slotRec maps a completion-event id back to its job and task — the
+// task's node in the job's laid-out tree — at most Procs records are
+// live at once, recycled through a free list. A freed slot's job is
+// nil, which is how the fault path tells busy processors from idle ones.
 type slotRec struct {
 	job           *job
 	node          tree.NodeID
@@ -254,6 +261,11 @@ type cluster struct {
 	freeSlots []int32 // the idle processors; the rest run one task each
 	freeMem   float64
 	pool      core.MemBookingPool
+	// layouts recycles the storage of the jobs' laid-out trees.
+	layouts core.SizeClasses[*tree.Tree]
+	// idents holds the jobs' activation and execution order: on a
+	// laid-out tree, the identity.
+	idents order.Identities
 	// admitDirty gates the admission pass: policies are pure functions
 	// of (queue, free memory), so re-invoking them is pointless until
 	// the queue gains a member or memory returns to the pool (see the
@@ -289,8 +301,11 @@ type cluster struct {
 }
 
 // Run simulates the job stream under the options' policy. Per-job
-// schedulers are core.MemBooking over the job's memPO activation order,
-// so the admission invariant M_j ≥ peak(AO_j) makes every admitted job
+// schedulers are core.MemBooking over the job's memPO activation order
+// (JobSpec.AO when given), run on the job's tree laid out in that order
+// so that their per-node state is read nearly in sequence; node IDs in
+// observer events and fault draws are the tree's own. The admission
+// invariant M_j ≥ peak(AO_j) makes every admitted job
 // deadlock-free (Theorem 1); Run surfaces core.ErrDeadlock only if a
 // policy breaks the invariant the validator here lets through (it
 // rejects slices below peak or over the free pool up front), or if a
@@ -558,13 +573,24 @@ func (c *cluster) admit() error {
 	return nil
 }
 
-// start carves j its slice and binds it a pooled scheduler — restored
-// from the latest checkpoint on a retry, initialised otherwise — then
-// enters it in active (and the ready index) and in the snapshot's
-// release order.
+// start carves j its slice and binds it a pooled scheduler over its
+// laid-out tree — restored from the latest checkpoint on a retry,
+// initialised otherwise — then enters it in active (and the ready index)
+// and in the snapshot's release order. The first admission lays the
+// tree out.
 func (c *cluster) start(j *job, slice float64) error {
 	j.slice = slice
-	sched, err := c.pool.Get(j.spec.Tree, j.slice, j.ao, j.ao)
+	n := j.spec.Tree.Len()
+	if j.lay == nil {
+		dst, _ := c.layouts.Get(n) // nil: fresh storage
+		lay, err := j.spec.Tree.LayOut(j.ao.Seq, dst)
+		if err != nil {
+			return fmt.Errorf("multitree: job %q: activation order %q: %w", j.spec.Name, j.ao.Name, err)
+		}
+		j.lay = lay
+	}
+	id := c.idents.Order(n)
+	sched, err := c.pool.Get(j.lay, j.slice, id, id)
 	if err != nil {
 		return fmt.Errorf("multitree: job %q: %w", j.spec.Name, err)
 	}
@@ -579,7 +605,7 @@ func (c *cluster) start(j *job, slice float64) error {
 		if err := sched.Init(); err != nil {
 			return fmt.Errorf("multitree: job %q: %w", j.spec.Name, err)
 		}
-		j.remaining = j.spec.Tree.Len()
+		j.remaining = n
 	}
 	j.sched = sched
 	j.running = 0
@@ -631,7 +657,7 @@ func (c *cluster) dispatch() error {
 			}
 			slot := c.freeSlots[len(c.freeSlots)-1]
 			c.freeSlots = c.freeSlots[:len(c.freeSlots)-1]
-			d := j.spec.Tree.Time(nid)
+			d := j.lay.Time(nid)
 			c.slots[slot] = slotRec{job: j, node: nid, start: c.now, finish: c.now + d}
 			at := c.now + d
 			if c.plan != nil {
@@ -641,7 +667,9 @@ func (c *cluster) dispatch() error {
 				at = min(at, c.crashAt[slot])
 			}
 			c.events.Push(at, slot)
-			c.ob.Emit(obs.KindStart, c.now, int32(j.idx), int32(nid), d, 0)
+			if c.ob != nil { // the mapped node is a random read, not paid unobserved
+				c.ob.Emit(obs.KindStart, c.now, int32(j.idx), int32(j.ao.Seq[nid]), d, 0)
+			}
 			c.res.BusyTime += d
 			j.running++
 		}
@@ -763,14 +791,14 @@ func (c *cluster) commit(j *job) {
 		// wasted, never committed.
 		doomed := false
 		for _, nid := range j.batch {
-			if c.plan.TaskFails(j.key, int(nid), j.attempt) {
+			if c.plan.TaskFails(j.key, int(j.ao.Seq[nid]), j.attempt) {
 				doomed = true
 				break
 			}
 		}
 		if doomed {
 			for _, nid := range j.batch {
-				c.res.WastedWork += j.spec.Tree.Time(nid)
+				c.res.WastedWork += j.lay.Time(nid)
 			}
 			j.batch = j.batch[:0]
 			c.fail(j)
@@ -780,13 +808,13 @@ func (c *cluster) commit(j *job) {
 	j.sched.OnFinish(j.batch)
 	if c.fo != nil {
 		for _, nid := range j.batch {
-			j.workSinceCk += j.spec.Tree.Time(nid)
+			j.workSinceCk += j.lay.Time(nid)
 		}
 		j.sinceCk += n
 	}
 	if c.ob != nil {
 		for _, nid := range j.batch {
-			c.ob.Emit(obs.KindFinish, c.now, int32(j.idx), int32(nid), 0, 0)
+			c.ob.Emit(obs.KindFinish, c.now, int32(j.idx), int32(j.ao.Seq[nid]), 0, 0)
 		}
 	}
 	j.batch = j.batch[:0]
@@ -931,8 +959,13 @@ func dropBit(set []uint64, k int) {
 }
 
 // record writes j's final JobResult: completed, or failed for good
-// after exhausting its retries (Finish is then the final failure).
+// after exhausting its retries (Finish is then the final failure). The
+// job's laid-out tree goes back for a later job to lay out into.
 func (c *cluster) record(j *job, failed bool) {
+	// LayOut grows storage to its size class, and the pool hands it only
+	// to trees of that class, so the class of its size is its own.
+	c.layouts.Put(tree.SizeClass(j.lay.Len()), j.lay)
+	j.lay = nil
 	jr := JobResult{
 		Name: j.spec.Name, Nodes: j.spec.Tree.Len(),
 		Arrival: j.spec.Arrival, Start: j.start, Finish: c.now,

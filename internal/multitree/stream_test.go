@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/order"
 	"repro/internal/workload"
 )
 
@@ -123,5 +124,33 @@ func TestSteadyStateAllocsPerJob(t *testing.T) {
 	t.Logf("allocs/job = %.2f (pre-arena baseline: 235.5)", perJob)
 	if perJob > 60 {
 		t.Fatalf("steady-state allocations regressed: %.2f allocs/job, want ≤ 60 (pre-arena was 235.5, the hard target ≤ 164)", perJob)
+	}
+}
+
+// TestSequentialJobsReuseState is the steady state TestSteadyStateAllocsPerJob
+// does not reach (there every job is active at once, so every job needs
+// fresh state): jobs that never overlap, with precomputed orders, must
+// each get the previous job's scheduler and laid-out tree back from the
+// pools. Either one allocated per job would cost 4 or more allocations
+// per job; the run stays near 1.
+func TestSequentialJobsReuseState(t *testing.T) {
+	const jobs = 300
+	specs := make([]JobSpec, jobs)
+	for i := range specs {
+		tr := workload.MustSynthetic(workload.NewRNG(uint64(i)+12345), workload.SyntheticOptions{Nodes: 200})
+		ao, peak := order.MinMemPostOrder(tr)
+		specs[i] = JobSpec{Name: "j", Tree: tr, Arrival: float64(i) * 1e5, AO: ao, Peak: peak}
+	}
+	opt := &Options{Procs: 16, Mem: 1e7, Policy: EASY{}}
+	if _, err := Run(specs, opt); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(specs, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perJob := allocs / jobs; perJob > 2 {
+		t.Fatalf("jobs that never overlap allocate %.2f times each, want ≤ 2: a pool stopped recycling", perJob)
 	}
 }

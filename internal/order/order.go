@@ -36,6 +36,9 @@ type Order struct {
 	// Topological records whether Seq is a valid topological order.
 	Topological bool
 
+	// identity marks an order from Identities: Seq is 0, 1, …, n−1.
+	identity bool
+
 	rankOnce sync.Once
 	rank     []int32
 
@@ -52,13 +55,22 @@ type Order struct {
 // shared between the sweep engine's workers. The memoisation amortises
 // IsTopological's position buffer to one allocation per (order, tree)
 // pair, so hot callers (Rebind, on the admission path) may use it.
+//
+// An identity order needs no memo: it is topological exactly when every
+// node's ID is below its parent's, which a laid-out tree guarantees and
+// any other tree is checked for without allocating. Nor is a laid-out
+// tree ever memoized, since its storage may be laid out again under the
+// same pointer.
 func (o *Order) TopologicalFor(t *tree.Tree) bool {
 	if !o.Topological {
 		return false
 	}
+	if o.identity {
+		return len(o.Seq) == t.Len() && (t.LaidOut() || childrenFirst(t))
+	}
 	o.topoMu.Lock()
 	defer o.topoMu.Unlock()
-	if o.topoTree != t {
+	if o.topoTree != t || t.LaidOut() {
 		o.topoOK = IsTopological(t, o.Seq)
 		o.topoTree = t
 	}
@@ -70,6 +82,9 @@ func (o *Order) TopologicalFor(t *tree.Tree) bool {
 // modified. Rank is safe for concurrent use: orders are shared between
 // the sweep engine's workers.
 func (o *Order) Rank() []int32 {
+	if o.identity {
+		return o.rank // shared, set by Identities
+	}
 	o.rankOnce.Do(func() {
 		o.rank = make([]int32, len(o.Seq))
 		for i, v := range o.Seq {
@@ -77,6 +92,52 @@ func (o *Order) Rank() []int32 {
 		}
 	})
 	return o.rank
+}
+
+// childrenFirst reports whether every node of t precedes its parent in
+// ID order, that is, whether the identity is a topological order of t.
+func childrenFirst(t *tree.Tree) bool {
+	for i := 0; i < t.Len(); i++ {
+		if p := t.Parent(tree.NodeID(i)); p != tree.None && int(p) < i {
+			return false
+		}
+	}
+	return true
+}
+
+// Identities hands out identity orders — Seq is 0, 1, …, n−1 and every
+// node is its own rank — the activation and execution order of a tree
+// laid out in its activation order (tree.Tree.LayOut). All the orders
+// share two backing arrays, so one costs O(n) once, for the largest n
+// asked for, and O(1) per further size: none is built per use, and none
+// pays Rank's or IsTopological's O(n) buffers. The zero value is ready
+// to use. Identities is not safe for concurrent use; the orders it
+// returns are immutable and may be shared.
+type Identities struct {
+	seq   []tree.NodeID
+	rank  []int32
+	byLen map[int]*Order
+}
+
+// Order returns the identity order over n ≥ 1 nodes.
+func (id *Identities) Order(n int) *Order {
+	if o := id.byLen[n]; o != nil {
+		return o
+	}
+	if n > len(id.seq) {
+		// Earlier orders keep the arrays they slice.
+		c := 1 << tree.SizeClass(n)
+		id.seq, id.rank = make([]tree.NodeID, c), make([]int32, c)
+		for i := range id.seq {
+			id.seq[i], id.rank[i] = tree.NodeID(i), int32(i)
+		}
+	}
+	if id.byLen == nil {
+		id.byLen = make(map[int]*Order)
+	}
+	o := &Order{Name: "identity", Seq: id.seq[:n:n], Topological: true, identity: true, rank: id.rank[:n:n]}
+	id.byLen[n] = o
+	return o
 }
 
 // IsTopological verifies that seq is a permutation of the tree's tasks in

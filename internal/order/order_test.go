@@ -3,6 +3,7 @@ package order
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tree"
@@ -291,5 +292,73 @@ func TestMemPOStartsVerified(t *testing.T) {
 	}
 	if !o.TopologicalFor(tr) {
 		t.Error("memPO refused for its own tree after checking another")
+	}
+}
+
+// Identity orders are built once per size from two shared arrays, read
+// as the identity, and are checked topological without allocating: in
+// O(1) on a laid-out tree, by one scan of the parents on any other.
+func TestIdentities(t *testing.T) {
+	var ids Identities
+	rng := rand.New(rand.NewSource(3))
+	tr := randTree(rng, 300, true) // every parent's ID is below its children's
+	memPO, _ := MinMemPostOrder(tr)
+	lay, err := tr.LayOut(memPO.Seq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := ids.Order(300)
+	if ids.Order(300) != o || ids.Order(2) == o {
+		t.Fatal("Identities does not keep one order per size")
+	}
+	for i, v := range o.Seq {
+		if int(v) != i || o.Rank()[i] != int32(i) {
+			t.Fatalf("identity order reads %d at %d, rank %d", v, i, o.Rank()[i])
+		}
+	}
+	if !o.TopologicalFor(lay) || o.TopologicalFor(tr) {
+		t.Fatal("the identity must fit the layout and not the top-down numbered tree")
+	}
+	if big := ids.Order(5000); len(big.Seq) != 5000 || !slices.Equal(o.Seq, big.Seq[:300]) {
+		t.Fatal("growing the shared arrays broke an order")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		ids.Order(300).TopologicalFor(lay)
+		ids.Order(300).TopologicalFor(tr)
+		ids.Order(300).Rank()
+	}); allocs != 0 {
+		t.Errorf("an identity order's checks allocate %.0f times, want 0", allocs)
+	}
+	if other := ids.Order(301); other.TopologicalFor(lay) {
+		t.Error("an identity order of another size fits the layout")
+	}
+}
+
+// A laid-out tree's storage is laid out again under the same pointer,
+// so TopologicalFor's memo must not vouch for the new contents: an order
+// checked against one layout is checked again against the next.
+func TestTopologicalForChecksEachLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	a, b := randTree(rng, 200, false), randTree(rng, 200, false)
+	aPO, _ := MinMemPostOrder(a)
+	bPO, _ := MinMemPostOrder(b)
+	lay, err := a.LayOut(aPO.Seq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The layout's own natural postorder, checked once against it.
+	o := NaturalPostOrder(lay)
+	if !o.TopologicalFor(lay) {
+		t.Fatal("a natural postorder of the layout is not topological for it")
+	}
+	// The same storage now holds b, on which o is no topological order.
+	if again, err := b.LayOut(bPO.Seq, lay); err != nil || again != lay {
+		t.Fatal(err)
+	}
+	if IsTopological(lay, o.Seq) {
+		t.Fatal("want a second layout on which the order is not topological")
+	}
+	if o.TopologicalFor(lay) {
+		t.Error("TopologicalFor vouched for a re-layout from its memo")
 	}
 }

@@ -24,7 +24,9 @@ type NodeID int32
 const None NodeID = -1
 
 // Tree is an immutable rooted in-tree of tasks. Build one with New or
-// Builder; after construction the slices must not be mutated.
+// Builder; after construction the slices must not be mutated. LayOut
+// builds one too, in recycled storage: a laid-out tree is immutable
+// until its storage is passed to LayOut again.
 type Tree struct {
 	parent []NodeID
 	exec   []float64 // n_i: execution data, freed when the task completes
@@ -38,6 +40,12 @@ type Tree struct {
 	childList  []NodeID
 
 	cp float64 // critical path, taken by walk
+
+	// laid marks a tree built by LayOut, whose child lists are not in
+	// ID order: MemNeededInto sums its children through them. pos is
+	// LayOut's scratch, kept with the storage it recycles.
+	laid bool
+	pos  []NodeID
 }
 
 // New builds a tree from parallel arrays. parent[i] is the parent of node i
@@ -208,17 +216,44 @@ func (t *Tree) MemNeededAll() []float64 {
 // MemNeededInto fills m (which must have length Len) with MemNeededAll
 // and returns it: the allocation-free variant schedulers
 // rebound to a new tree use to recompute their need vector in place.
+//
+// Each node's children are added in original ID order, so a tree and
+// its layout round alike: a New tree takes them in a pass over the
+// parents, a laid-out one, whose IDs are no longer the original ones, in
+// a pass over its child lists, which keep that order. On a New tree the
+// two passes agree bit for bit, but the parent pass reads its arrays in
+// sequence where the child-list pass reads them at random: at 1M nodes
+// 14 against 24 ns/node on a random tree and 12 against 29 on a chain,
+// at 10k 4 against 5 (BenchmarkMemNeededInto, median of 5 on a 2-core VM).
 func (t *Tree) MemNeededInto(m []float64) []float64 {
 	m = m[:t.Len()]
 	for i := range m {
 		m[i] = t.exec[i] + t.out[i]
 	}
+	if t.laid {
+		t.addChildOutputs(m)
+	} else {
+		t.addParentOutputs(m)
+	}
+	return m
+}
+
+// addParentOutputs adds each node's output to its parent's m in a pass
+// over the nodes.
+func (t *Tree) addParentOutputs(m []float64) {
 	for i, p := range t.parent {
 		if p != None {
 			m[p] += t.out[i]
 		}
 	}
-	return m
+}
+
+// addChildOutputs adds each node's output to its parent's m in a pass
+// over the child lists.
+func (t *Tree) addChildOutputs(m []float64) {
+	for _, c := range t.childList {
+		m[t.parent[c]] += t.out[c]
+	}
 }
 
 // Depths returns the depth of every node (root = 0).

@@ -1,7 +1,7 @@
 // Command experiments regenerates the tables and figures of the paper's
-// evaluation. Each experiment ID corresponds to one figure (fig2 …
-// fig15) or textual result (lb, redfail, avgmem; see DESIGN.md §4) and
-// prints a TSV table.
+// evaluation. Each experiment ID names one figure or textual result
+// and prints a TSV table; DESIGN.md §4 indexes them and harness.IDs()
+// lists them (-h prints the list).
 //
 // Usage:
 //

@@ -13,7 +13,7 @@ import (
 // sequential peak memory, named traversal orders, and the normalisation
 // lower bounds. The artefacts live with the tree, so whoever holds the
 // tree's Entry holds them and dropping the Entry drops them: the sweep
-// engine keeps one per corpus tree in an InstanceCache, and the serving
+// engine keeps one per corpus tree (Engine.entry), and the serving
 // path (internal/service) keeps one per cache-resident tree, canonical
 // by content, so every per-instance computation behind a request is
 // memoized exactly as it is for the batch experiments. Safe for
@@ -107,59 +107,4 @@ func (e *Entry) LowerBound(p int, m float64) float64 {
 	e.lb[k] = lb
 	e.mu.Unlock()
 	return lb
-}
-
-// InstanceCache is the sweep engine's set of entries, one per tree
-// pointer, with the preparation traffic counted. Safe for concurrent
-// use.
-type InstanceCache struct {
-	mu      sync.Mutex
-	entries map[*tree.Tree]*Entry
-	stats   CacheStats
-}
-
-// CacheStats counts preparation traffic; hits are requested − computed.
-type CacheStats struct {
-	// PrepRequested counts preparation lookups.
-	PrepRequested int
-	// PrepComputed counts the lookups that missed and ran the O(n log n)
-	// preparation.
-	PrepComputed int
-}
-
-// NewInstanceCache returns an empty cache.
-func NewInstanceCache() *InstanceCache {
-	return &InstanceCache{entries: make(map[*tree.Tree]*Entry)}
-}
-
-// Stats returns a snapshot of the cache counters.
-func (c *InstanceCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// Entry returns t's entry, creating it on first sight.
-func (c *InstanceCache) Entry(t *tree.Tree) *Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[t]
-	if !ok {
-		e = NewEntry(t)
-		c.entries[t] = e
-	}
-	return e
-}
-
-// Prepare returns the preparation of t, computing and memoizing it on a
-// miss. Goroutines racing on the same uncached tree compute it once.
-func (c *InstanceCache) Prepare(t *tree.Tree) Prepared {
-	pr, computed := c.Entry(t).prepare()
-	c.mu.Lock()
-	c.stats.PrepRequested++
-	if computed {
-		c.stats.PrepComputed++
-	}
-	c.mu.Unlock()
-	return pr
 }

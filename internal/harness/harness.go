@@ -1,9 +1,9 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation (§6–7). Each experiment is a function from a Config to a
 // Table of rows matching the series plotted in the paper; the registry in
-// registry.go maps experiment IDs (fig2 … fig15, lb, redfail, avgmem) to
-// runners. cmd/experiments, the root BenchmarkExperiment and bench/'s
-// sweep_paper workload are thin wrappers around this package.
+// registry.go maps experiment IDs to runners (IDs lists them, DESIGN.md
+// §4 indexes them). cmd/experiments, the root BenchmarkExperiment and
+// bench/'s sweep_paper workload are thin wrappers around this package.
 package harness
 
 import (

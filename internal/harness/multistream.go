@@ -35,32 +35,39 @@ func multiStreamStudy(cfg *Config) (*Table, error) {
 	policies := multiPolicies()
 	loads := multiStreamLoads()
 
+	// One corpus per load, built deterministically from the Config seed:
+	// arrival times depend on the load, and every policy's cell at that
+	// load reads the same specs, so all policies face the identical
+	// stream.
+	type stream struct {
+		specs []multitree.JobSpec
+		info  *multitree.StreamInfo
+	}
+	streams := make([]stream, len(loads))
+	for li, load := range loads {
+		streams[li].specs, streams[li].info = multitree.MakeStream(&multitree.StreamOptions{
+			Seed: cfg.Seed, Jobs: 60, MinNodes: 40, MaxNodes: 800, Rungs: 5,
+			Procs: p, Load: load, BurstEvery: 8, BurstSize: 4,
+		})
+	}
+
 	type cell struct {
 		pol  multitree.Policy
 		load float64
-		info *multitree.StreamInfo
-		res  *multitree.Result
-		err  error
+		*stream
+		res *multitree.Result
+		err error
 	}
 	var cells []*cell
 	for _, pol := range policies {
-		for _, load := range loads {
-			cells = append(cells, &cell{pol: pol, load: load})
+		for li, load := range loads {
+			cells = append(cells, &cell{pol: pol, load: load, stream: &streams[li]})
 		}
 	}
 	eng := cfg.Engine()
 	eng.fanOut(len(cells), func(i int) {
 		c := cells[i]
-		// Small corpora per cell (tinyConfig-fast); arrival times depend
-		// on the load, so the corpus is built per cell, deterministically
-		// from the Config seed — every policy at one load faces the
-		// identical stream.
-		specs, info := multitree.MakeStream(&multitree.StreamOptions{
-			Seed: cfg.Seed, Jobs: 60, MinNodes: 40, MaxNodes: 800, Rungs: 5,
-			Procs: p, Load: c.load, BurstEvery: 8, BurstSize: 4,
-		})
-		c.info = info
-		c.res, c.err = multitree.Run(specs, &multitree.Options{Procs: p, Mem: info.Mem, Policy: c.pol})
+		c.res, c.err = multitree.Run(c.specs, &multitree.Options{Procs: p, Mem: c.info.Mem, Policy: c.pol})
 	})
 
 	for _, c := range cells {

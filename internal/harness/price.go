@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/order"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -16,57 +14,61 @@ import (
 // priority). A ratio of 1 means the bound is free; the experiment shows
 // where, on each corpus, memory stops being the binding constraint —
 // context for the paper's observation that MemBooking gets within ≈10%
-// of the lower bound by bound 3.
+// of the lower bound by bound 3. The bounded cells are Figures 8 and
+// 14's memPO/CP column, so after those figures only the unbounded
+// reference (factor +Inf) is simulated.
 func priceStudy(cfg *Config) (*Table, error) {
 	t := &Table{ID: "price",
 		Title:  "price of the memory bound: makespan vs unbounded-memory makespan",
 		Header: []string{"corpus", "mem_factor", "slowdown_mean", "slowdown_median", "slowdown_max"}}
-	for _, corpus := range []struct {
+	p := cfg.procs()
+	factors := append([]float64{math.Inf(1)}, cfg.factors()...)
+	type corpus struct {
 		name  string
-		insts []prepared
-	}{{"assembly", cfg.prepare(cfg.assembly())}, {"synthetic", cfg.prepare(cfg.synthetic())}} {
-		p := cfg.procs()
-		// Unbounded reference per tree; the schedulers are kept and Reset
-		// for the bounded runs below, so each tree allocates state once.
-		ref := make([]float64, len(corpus.insts))
-		scheds := make([]*core.MemBooking, len(corpus.insts))
-		for i, pr := range corpus.insts {
+		prep  []prepared
+		cells [][]*outcome // [instance][factor], factors[0] the reference
+	}
+	corpora := []*corpus{
+		{name: "assembly", prep: cfg.prepare(cfg.assembly())},
+		{name: "synthetic", prep: cfg.prepare(cfg.synthetic())},
+	}
+	pl := cfg.plan()
+	for _, c := range corpora {
+		for _, pr := range c.prep {
 			eo, err := cfg.Engine().orderByName(pr.inst.Tree, order.NameCP)
 			if err != nil {
 				return nil, err
 			}
-			s, err := core.NewMemBooking(pr.inst.Tree, math.Inf(1), pr.ao, eo)
-			if err != nil {
-				return nil, err
+			row := make([]*outcome, len(factors))
+			for fi, factor := range factors {
+				row[fi] = pl.want(pr, HeurMemBooking, p, factor, pr.ao, eo, false, draw{})
 			}
-			res, err := sim.Run(pr.inst.Tree, p, s, &sim.Options{NoSchedTime: true})
-			if err != nil {
-				return nil, fmt.Errorf("unbounded on %s: %w", pr.inst.Name, err)
-			}
-			ref[i] = res.Makespan
-			scheds[i] = s
+			c.cells = append(c.cells, row)
 		}
-		var runner sim.Runner
-		for _, factor := range cfg.factors() {
+	}
+	if err := pl.run(); err != nil {
+		return nil, err
+	}
+	for _, c := range corpora {
+		for i, pr := range c.prep {
+			for fi, out := range c.cells[i] {
+				if !out.ok {
+					return nil, fmt.Errorf("price: %s on %s did not complete at factor %g", HeurMemBooking, pr.inst.Name, factors[fi])
+				}
+			}
+		}
+		for fi := 1; fi < len(factors); fi++ {
 			var ratios []float64
-			for i, pr := range corpus.insts {
-				m := factor * pr.peak
-				s := scheds[i]
-				if err := s.Reset(m); err != nil {
-					return nil, err
-				}
-				res, err := runner.Run(pr.inst.Tree, p, s, &sim.Options{CheckMemory: true, Bound: m, NoSchedTime: true})
-				if err != nil {
-					return nil, fmt.Errorf("bounded on %s: %w", pr.inst.Name, err)
-				}
-				if ref[i] > 0 {
-					ratios = append(ratios, res.Makespan/ref[i])
+			for i := range c.prep {
+				ref, out := c.cells[i][0], c.cells[i][fi]
+				if ref.makespan > 0 {
+					ratios = append(ratios, out.makespan/ref.makespan)
 				}
 			}
 			sum := stats.Summarize(ratios)
-			t.Add(corpus.name, factor, sum.Mean, sum.Median, sum.Max)
+			t.Add(c.name, factors[fi], sum.Mean, sum.Median, sum.Max)
 		}
-		cfg.logf("price: %s done", corpus.name)
+		cfg.logf("price: %s done", c.name)
 	}
 	return t, nil
 }

@@ -35,7 +35,9 @@ import (
 // duration-perturbation realisation executed by the simulator ("" for
 // nominal durations): the robust experiment's realisations are a pure
 // function of (perturbation model, Config seed, instance), so the model
-// name is a content-derived key exactly like the order names.
+// name is a content-derived key exactly like the order names. timed
+// asks for a SchedTime measurement (Figures 5, 6 and 13): a timed and
+// an untimed run of the same cell are two cells.
 type cellKey struct {
 	tree    *tree.Tree
 	heur    string
@@ -43,19 +45,16 @@ type cellKey struct {
 	factor  float64
 	ao, eo  string
 	perturb string
+	timed   bool
 }
 
-// cellEntry is the memoized result of one cell. timed records whether
-// the simulation measured scheduler wall-clock time; an untimed entry
-// satisfies only untimed requests, a timed entry satisfies both.
+// cellEntry is the memoized result of one cell.
 type cellEntry struct {
-	out   outcome
-	err   error
-	timed bool
+	out outcome
+	err error
 }
 
-// cellReq asks the engine for one cell; timed requests a SchedTime
-// measurement (Figures 5, 6 and 13). factors, when non-nil, are the
+// cellReq asks the engine for one cell. factors, when non-nil, are the
 // per-task duration multipliers of the perturbation named by the key:
 // the scheduler is still built from the nominal tree with the nominal
 // bound (the information asymmetry of the paper's dynamic-scheduling
@@ -65,7 +64,6 @@ type cellReq struct {
 	ao      *order.Order
 	eo      *order.Order
 	m       float64 // factor × peak, precomputed by the planner
-	timed   bool
 	factors []float64
 	inst    string   // the instance's name, for planner.run's error
 	out     *outcome // the planner's handle; EvalAll does not touch it
@@ -90,19 +88,20 @@ type EngineStats struct {
 // Engine evaluates simulation cells in parallel and memoizes every
 // level of the computation. One Engine is attached to each Config (see
 // Config.Engine); all experiments run through the same Config share it.
-// The per-instance levels (preparation, named orders, lower bounds)
-// live in each tree's Entry (cache.go), the type the serving layer
-// reuses; the cell memo stays here. An Engine's public methods are safe
-// for use from a single experiment runner at a time (harness.Run is
+// Its tree entries, cell memo and counters share one lock. A tree's
+// Entry (cache.go, the type the serving layer reuses) holds the
+// per-instance levels (preparation, named orders, lower bounds); cells
+// holds the cell outcomes. An Engine's public methods are safe for use
+// from a single experiment runner at a time (harness.Run is
 // sequential); the parallelism lives inside EvalAll.
 type Engine struct {
 	workers   int
 	fakeClock bool
-	cache     *InstanceCache
 
-	mu    sync.Mutex
-	cells map[cellKey]*cellEntry
-	stats EngineStats
+	mu      sync.Mutex
+	entries map[*tree.Tree]*Entry
+	cells   map[cellKey]*cellEntry
+	stats   EngineStats
 }
 
 // NewEngine returns an engine running at most workers simulations
@@ -116,20 +115,28 @@ func NewEngine(workers int, fakeClock bool) *Engine {
 	return &Engine{
 		workers:   workers,
 		fakeClock: fakeClock,
-		cache:     NewInstanceCache(),
+		entries:   make(map[*tree.Tree]*Entry),
 		cells:     make(map[cellKey]*cellEntry),
 	}
 }
 
 // Stats returns a snapshot of the cache counters.
 func (e *Engine) Stats() EngineStats {
-	cs := e.cache.Stats()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.stats
-	st.PrepRequested = cs.PrepRequested
-	st.PrepComputed = cs.PrepComputed
-	return st
+	return e.stats
+}
+
+// entry returns t's entry, creating it on first sight.
+func (e *Engine) entry(t *tree.Tree) *Entry {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent, ok := e.entries[t]
+	if !ok {
+		ent = NewEntry(t)
+		e.entries[t] = ent
+	}
+	return ent
 }
 
 // newFakeClock returns a deterministic clock: each call advances one
@@ -147,12 +154,19 @@ func newFakeClock() func() time.Time {
 
 // prepare returns the per-instance artefacts shared by all runs (the
 // memPO activation order and its sequential peak), computing misses in
-// parallel and memoizing them — through the InstanceCache — for every
-// later experiment on the same Config.
+// parallel and memoizing them in each tree's entry for every later
+// experiment on the same Config. Goroutines racing on the same uncached
+// tree compute it once.
 func (e *Engine) prepare(insts []workload.Instance) []prepared {
 	out := make([]prepared, len(insts))
 	e.fanOut(len(insts), func(i int) {
-		pr := e.cache.Prepare(insts[i].Tree)
+		pr, computed := e.entry(insts[i].Tree).prepare()
+		e.mu.Lock()
+		e.stats.PrepRequested++
+		if computed {
+			e.stats.PrepComputed++
+		}
+		e.mu.Unlock()
 		out[i] = prepared{inst: insts[i], ao: pr.AO, peak: pr.Peak}
 	})
 	return out
@@ -161,13 +175,13 @@ func (e *Engine) prepare(insts []workload.Instance) []prepared {
 // orderByName returns the named order for t, memoized per tree (memPO
 // is the preparation's).
 func (e *Engine) orderByName(t *tree.Tree, name string) (*order.Order, error) {
-	return e.cache.Entry(t).Order(name)
+	return e.entry(t).Order(name)
 }
 
 // lowerBound returns bounds.Best(t, p, m), memoized; errors are folded
 // to zero exactly as normalization treats them.
 func (e *Engine) lowerBound(t *tree.Tree, p int, m float64) float64 {
-	return e.cache.Entry(t).LowerBound(p, m)
+	return e.entry(t).LowerBound(p, m)
 }
 
 // normalize returns the makespan divided by the best lower bound (the
@@ -212,11 +226,8 @@ func (e *Engine) fanOut(n int, fn func(int)) {
 
 // job is one cell a worker must simulate, bound to its memo entry.
 type job struct {
-	m       float64
-	timed   bool
-	entry   *cellEntry
-	perturb string
-	factors []float64
+	*cellReq
+	entry *cellEntry
 }
 
 // group gathers every missing cell sharing (tree, heuristic, orders,
@@ -228,7 +239,7 @@ type group struct {
 	procs int
 	ao    *order.Order
 	eo    *order.Order
-	jobs  []*job
+	jobs  []job
 }
 
 type groupKey struct {
@@ -238,74 +249,40 @@ type groupKey struct {
 	ao, eo string
 }
 
-// EvalAll computes every requested cell not already memoized. It never
-// fails itself: per-cell errors are memoized and surfaced by planner.run.
+// EvalAll computes every requested cell not already memoized; a request
+// repeated inside the batch is a hit on the entry its first copy made.
+// It never fails itself: per-cell errors are memoized and surfaced by
+// planner.run.
 func (e *Engine) EvalAll(reqs []cellReq) {
 	var (
 		groups  []*group
 		byGroup = make(map[groupKey]*group)
-		pending = make(map[cellKey]*job)
 	)
 	e.mu.Lock()
 	e.stats.CellsRequested += len(reqs)
 	for i := range reqs {
 		r := &reqs[i]
-		if jb, ok := pending[r.key]; ok {
-			// Duplicate within this batch: merge into the pending job.
-			if r.timed && !jb.timed {
-				jb.timed = true
-				jb.entry.timed = true
-			}
+		if _, ok := e.cells[r.key]; ok {
 			e.stats.CellHits++
 			continue
 		}
-		if ent, ok := e.cells[r.key]; ok {
-			if ent.timed || !r.timed {
-				e.stats.CellHits++
-				continue
-			}
-			// Upgrade: the cell was computed without timing; re-simulate
-			// with measurement. The outcome data are identical (the
-			// simulation is deterministic), only SchedTime is added.
-			ent.timed = true
-			ent.err = nil
-			pending[r.key] = e.addJob(byGroup, &groups, r, ent)
-			continue
-		}
-		ent := &cellEntry{timed: r.timed}
+		ent := new(cellEntry)
 		e.cells[r.key] = ent
-		pending[r.key] = e.addJob(byGroup, &groups, r, ent)
+		e.stats.CellsComputed++
+		gk := groupKey{r.key.tree, r.key.heur, r.key.procs, r.key.ao, r.key.eo}
+		g, ok := byGroup[gk]
+		if !ok {
+			g = &group{t: r.key.tree, heur: r.key.heur, procs: r.key.procs, ao: r.ao, eo: r.eo}
+			byGroup[gk] = g
+			groups = append(groups, g)
+		}
+		g.jobs = append(g.jobs, job{r, ent})
 	}
-	e.stats.CellsComputed += countJobs(groups)
 	e.mu.Unlock()
-	if len(groups) == 0 {
-		return
-	}
 	e.fanOut(len(groups), func(i int) {
 		var r sim.Runner
 		e.evalGroup(groups[i], &r)
 	})
-}
-
-func (e *Engine) addJob(byGroup map[groupKey]*group, groups *[]*group, r *cellReq, ent *cellEntry) *job {
-	gk := groupKey{r.key.tree, r.key.heur, r.key.procs, r.key.ao, r.key.eo}
-	g, ok := byGroup[gk]
-	if !ok {
-		g = &group{t: r.key.tree, heur: r.key.heur, procs: r.key.procs, ao: r.ao, eo: r.eo}
-		byGroup[gk] = g
-		*groups = append(*groups, g)
-	}
-	j := &job{m: r.m, timed: r.timed, entry: ent, perturb: r.key.perturb, factors: r.factors}
-	g.jobs = append(g.jobs, j)
-	return j
-}
-
-func countJobs(groups []*group) int {
-	n := 0
-	for _, g := range groups {
-		n += len(g.jobs)
-	}
-	return n
 }
 
 // evalGroup simulates every cell of a group: the group's scheduler is
@@ -337,7 +314,7 @@ func (e *Engine) evalGroup(g *group, r *sim.Runner) {
 			// the reduction transform, whose first Len(nominal) nodes map
 			// one-to-one to the nominal tasks and whose fictitious leaves
 			// have zero duration, so the nominal factor vector applies.
-			pt, ok := realised[j.perturb]
+			pt, ok := realised[j.key.perturb]
 			if !ok {
 				pt, err = perturb.Apply(nominal, j.factors)
 				if err != nil {
@@ -347,12 +324,12 @@ func (e *Engine) evalGroup(g *group, r *sim.Runner) {
 				if realised == nil {
 					realised = make(map[string]*tree.Tree)
 				}
-				realised[j.perturb] = pt
+				realised[j.key.perturb] = pt
 			}
 			run = pt
 		}
-		opts := sim.Options{CheckMemory: true, Bound: j.m, NoSchedTime: !j.timed}
-		if j.timed && e.fakeClock {
+		opts := sim.Options{CheckMemory: true, Bound: j.m, NoSchedTime: !j.key.timed}
+		if j.key.timed && e.fakeClock {
 			opts.Clock = newFakeClock()
 		}
 		res, err := r.Run(run, g.procs, s, &opts)
@@ -403,8 +380,8 @@ type draw struct {
 func (p *planner) want(pr prepared, heur string, procs int, factor float64, ao, eo *order.Order, timed bool, d draw) *outcome {
 	out := new(outcome)
 	p.reqs = append(p.reqs, cellReq{
-		key: cellKey{tree: pr.inst.Tree, heur: heur, procs: procs, factor: factor, ao: ao.Name, eo: eo.Name, perturb: d.name},
-		ao:  ao, eo: eo, m: factor * pr.peak, timed: timed, factors: d.factors,
+		key: cellKey{tree: pr.inst.Tree, heur: heur, procs: procs, factor: factor, ao: ao.Name, eo: eo.Name, perturb: d.name, timed: timed},
+		ao:  ao, eo: eo, m: factor * pr.peak, factors: d.factors,
 		inst: pr.inst.Name, out: out})
 	return out
 }

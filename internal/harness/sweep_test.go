@@ -50,6 +50,7 @@ func TestParallelMatchesSerialAllExperiments(t *testing.T) {
 
 // fig2, fig3 and fig4 sweep the same (instance, heuristic, factor) grid;
 // through the shared engine each cell must be simulated exactly once.
+// price's bounded grid is fig8's and fig14's memPO/CP column the same way.
 func TestSweepSharesCellsAcrossFigures(t *testing.T) {
 	cfg := tinyConfig()
 	if _, err := Run("fig2", cfg); err != nil {
@@ -84,31 +85,50 @@ func TestSweepSharesCellsAcrossFigures(t *testing.T) {
 	if after4.PrepComputed != len(cfg.Assembly) {
 		t.Errorf("prepared %d trees, want %d", after4.PrepComputed, len(cfg.Assembly))
 	}
-}
 
-// A timed request after an untimed run of the same cell must re-simulate
-// (to measure SchedTime); a later untimed request is then served by the
-// timed entry.
-func TestSweepTimedUpgrade(t *testing.T) {
-	cfg := tinyConfig()
-	if _, err := Run("fig2", cfg); err != nil { // untimed cells, factor 2 included
-		t.Fatal(err)
+	// price's bounded cells are fig8's and fig14's memPO/CP column: after
+	// those two it simulates only its unbounded reference, one per tree.
+	for _, id := range []string{"fig8", "fig14"} {
+		if _, err := Run(id, cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := cfg.Engine().Stats()
+	if _, err := Run("price", cfg); err != nil {
+		t.Fatal(err)
+	}
+	after := cfg.Engine().Stats()
+	if got, want := after.CellsComputed-before.CellsComputed, len(cfg.Assembly)+len(cfg.Synthetic); got != want {
+		t.Errorf("price after fig8 and fig14 simulated %d cells, want %d", got, want)
+	}
+}
+
+// A timed and an untimed run of the same cell are two memo entries:
+// fig5's timed cells at factor 2 do not serve fig7's untimed requests
+// for the same (instance, heuristic, factor), and fig6's timed requests
+// are all hits on fig5's.
+func TestSweepTimedCellsKeyed(t *testing.T) {
+	cfg := tinyConfig()
 	if _, err := Run("fig5", cfg); err != nil { // timed cells at factor 2
 		t.Fatal(err)
 	}
-	mid := cfg.Engine().Stats()
-	upgraded := len(AllHeuristics) * len(cfg.Assembly)
-	if got := mid.CellsComputed - before.CellsComputed; got != upgraded {
-		t.Errorf("fig5 simulated %d cells, want %d (timed upgrades)", got, upgraded)
+	after5 := cfg.Engine().Stats()
+	if got, want := after5.CellsComputed, len(AllHeuristics)*len(cfg.Assembly); got != want {
+		t.Errorf("fig5 simulated %d cells, want %d", got, want)
+	}
+	if _, err := Run("fig6", cfg); err != nil { // the same timed cells
+		t.Fatal(err)
+	}
+	after6 := cfg.Engine().Stats()
+	if got := after6.CellsComputed - after5.CellsComputed; got != 0 {
+		t.Errorf("fig6 re-simulated %d of fig5's timed cells", got)
 	}
 	if _, err := Run("fig7", cfg); err != nil { // untimed, factor 2, 2 heuristics
 		t.Fatal(err)
 	}
-	after := cfg.Engine().Stats()
-	if got := after.CellsComputed - mid.CellsComputed; got != 0 {
-		t.Errorf("fig7 re-simulated %d cells despite timed entries being cached", got)
+	after7 := cfg.Engine().Stats()
+	if got, want := after7.CellsComputed-after6.CellsComputed, 2*len(cfg.Assembly); got != want {
+		t.Errorf("fig7 simulated %d untimed cells, want %d", got, want)
 	}
 }
 

@@ -2,15 +2,16 @@
 // paper compares MemBooking against (§3): the simple Activation policy of
 // Agullo et al. (Algorithm 1) and the booking strategy for reduction
 // trees of Eyraud-Dubois et al. (MemBookingRedTree), including the
-// general-tree → reduction-tree transformation it requires.
+// general-tree → reduction-tree transformation it requires. Both run on
+// one Activator, Algorithm 1's cursor, and differ only in what a task
+// books and what a finished task frees; the distributed domains run on it
+// too.
 package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/order"
-	"repro/internal/pqueue"
 	"repro/internal/tree"
 )
 
@@ -22,24 +23,13 @@ import (
 // memory for every activated task even when precedence constraints make
 // simultaneous execution impossible.
 type Activation struct {
-	t  *tree.Tree
-	m  float64
-	ao *order.Order
-	eo *order.Order
+	t      *tree.Tree
+	ao, eo *order.Order
+	act    Activator
 
-	mbooked  float64
-	aoIdx    int
-	chNotFin []int32
-	active   []bool
-	avail    *pqueue.RankHeap
-	eps      float64
-	selbuf   []tree.NodeID // reusable Select result buffer
-
-	// Precomputed per-node booking amounts, shared by every run of this
-	// scheduler (they depend only on the tree): actNeed[i] = n_i + f_i is
+	// Per-node amounts, computed once per tree: actNeed[i] = n_i + f_i is
 	// booked at activation, finFree[i] = n_i + Σ_children f_c is freed
-	// when i finishes. They make tryActivate and OnFinish single array
-	// reads instead of child-list walks.
+	// when i finishes.
 	actNeed []float64
 	finFree []float64
 }
@@ -52,102 +42,57 @@ func NewActivation(t *tree.Tree, m float64, ao, eo *order.Order) (*Activation, e
 	if len(eo.Seq) != t.Len() {
 		return nil, fmt.Errorf("activation: execution order %q covers %d of %d tasks", eo.Name, len(eo.Seq), t.Len())
 	}
-	return &Activation{t: t, m: m, ao: ao, eo: eo}, nil
+	s := &Activation{t: t, ao: ao, eo: eo}
+	if err := s.Reset(m); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Name implements core.Scheduler.
 func (s *Activation) Name() string { return "Activation" }
 
 // BookedMemory implements core.Scheduler.
-func (s *Activation) BookedMemory() float64 { return s.mbooked }
+func (s *Activation) BookedMemory() float64 { return s.act.Booked() }
 
 // Init implements core.Scheduler. Calling it again after a run rebuilds
 // the state in place, reusing the O(n) slices and the heap.
 func (s *Activation) Init() error {
-	n := s.t.Len()
-	if s.chNotFin == nil {
-		s.chNotFin = make([]int32, n)
-		s.active = make([]bool, n)
-		s.avail = pqueue.NewRankHeap(nil)
-		s.actNeed = make([]float64, n)
-		s.finFree = make([]float64, n)
-		for i := 0; i < n; i++ {
+	if s.actNeed == nil {
+		s.actNeed = make([]float64, s.t.Len())
+		s.finFree = make([]float64, s.t.Len())
+		for i := range s.actNeed {
 			id := tree.NodeID(i)
 			s.actNeed[i] = s.t.Exec(id) + s.t.Out(id)
 			s.finFree[i] = s.t.Exec(id)
 		}
-		for i := 0; i < n; i++ {
-			id := tree.NodeID(i)
-			if p := s.t.Parent(id); p != tree.None {
-				s.finFree[p] += s.t.Out(id)
+		for i := range s.actNeed {
+			if p := s.t.Parent(tree.NodeID(i)); p != tree.None {
+				s.finFree[p] += s.t.Out(tree.NodeID(i))
 			}
 		}
 	}
-	s.avail.Reset(s.eo.Rank())
-	s.mbooked = 0
-	s.aoIdx = 0
-	s.eps = 1e-9 * (1 + math.Abs(s.m))
-	for i := 0; i < n; i++ {
-		s.chNotFin[i] = int32(s.t.Degree(tree.NodeID(i)))
-		s.active[i] = false
-	}
-	s.tryActivate()
+	s.act.Start(s.t, s.ao.Seq, s.actNeed, s.eo.Rank())
+	s.act.Activate()
 	return nil
 }
 
 // Reset rebinds the scheduler to a new memory bound so the same instance
 // can be re-run without reallocating; the next Init rebuilds the state.
-func (s *Activation) Reset(m float64) error {
-	if m < 0 || math.IsNaN(m) {
-		return fmt.Errorf("activation: invalid memory bound %v", m)
-	}
-	s.m = m
-	return nil
-}
-
-// tryActivate books n_i + f_i for the next tasks of AO while they fit.
-func (s *Activation) tryActivate() {
-	for s.aoIdx < len(s.ao.Seq) {
-		i := s.ao.Seq[s.aoIdx]
-		needed := s.actNeed[i]
-		if s.mbooked+needed > s.m+s.eps {
-			return
-		}
-		s.mbooked += needed
-		s.active[i] = true
-		s.aoIdx++
-		if s.chNotFin[i] == 0 {
-			s.avail.Push(int32(i))
-		}
-	}
-}
+func (s *Activation) Reset(m float64) error { return s.act.Bind("activation", m) }
 
 // OnFinish implements core.Scheduler: the finished task's execution data
 // and its children's outputs are freed (its own output stays booked for
 // the parent), then activation resumes.
 func (s *Activation) OnFinish(batch []tree.NodeID) {
 	for _, j := range batch {
-		s.mbooked -= s.finFree[j]
+		s.act.Free(s.finFree[j])
 		if p := s.t.Parent(j); p != tree.None {
-			s.chNotFin[p]--
-			if s.chNotFin[p] == 0 && s.active[p] {
-				s.avail.Push(int32(p))
-			}
+			s.act.Release(p)
 		}
 	}
-	s.tryActivate()
+	s.act.Activate()
 }
 
 // Select implements core.Scheduler.
-func (s *Activation) Select(free int) []tree.NodeID {
-	if free <= 0 || s.avail.Len() == 0 {
-		return nil
-	}
-	out := s.selbuf[:0]
-	for free > 0 && s.avail.Len() > 0 {
-		out = append(out, tree.NodeID(s.avail.Pop()))
-		free--
-	}
-	s.selbuf = out
-	return out
-}
+func (s *Activation) Select(free int) []tree.NodeID { return s.act.Select(free) }

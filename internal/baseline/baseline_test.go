@@ -114,6 +114,16 @@ func TestActivationRejectsBadOrders(t *testing.T) {
 	if _, err := baseline.NewActivation(tr, 1, po, short); err == nil {
 		t.Error("short EO accepted")
 	}
+	// A bad bound would deadlock at once; both constructors refuse it
+	// with the check Reset makes.
+	for _, m := range []float64{-1, math.NaN()} {
+		if _, err := baseline.NewActivation(tr, m, po, po); err == nil {
+			t.Errorf("Activation accepted bound %v", m)
+		}
+		if _, err := baseline.NewMemBookingRedTree(tr, m, po, po); err == nil {
+			t.Errorf("MemBookingRedTree accepted bound %v", m)
+		}
+	}
 }
 
 func TestToReductionTreeProperties(t *testing.T) {

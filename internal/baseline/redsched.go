@@ -2,10 +2,8 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/order"
-	"repro/internal/pqueue"
 	"repro/internal/tree"
 )
 
@@ -27,9 +25,8 @@ import (
 // Activation and can fail to complete under tight bounds, which is
 // exactly the behaviour the paper reports.
 type MemBookingRedTree struct {
-	orig *tree.Tree
-	red  *RedTree
-	m    float64
+	red *RedTree
+	act Activator
 
 	aoSeq  []tree.NodeID // activation order on the transformed tree
 	eoRank []int32       // execution priority on the transformed tree
@@ -38,14 +35,6 @@ type MemBookingRedTree struct {
 	up   []float64 // Up(i): kept booked for ancestors after i finishes
 	keep []float64 // f_i + Up(i): kept booked when i finishes
 	pool []float64 // booked memory attributed to i's completed children + A_i
-
-	mbooked  float64
-	aoIdx    int
-	chNotFin []int32
-	active   []bool
-	avail    *pqueue.RankHeap
-	eps      float64
-	selbuf   []tree.NodeID // reusable Select result buffer
 }
 
 // NewMemBookingRedTree builds the scheduler from the original tree and
@@ -59,7 +48,10 @@ func NewMemBookingRedTree(t *tree.Tree, m float64, ao, eo *order.Order) (*MemBoo
 		return nil, fmt.Errorf("redtree: execution order %q covers %d of %d tasks", eo.Name, len(eo.Seq), t.Len())
 	}
 	red := ToReductionTree(t)
-	s := &MemBookingRedTree{orig: t, red: red, m: m}
+	s := &MemBookingRedTree{red: red}
+	if err := s.Reset(m); err != nil {
+		return nil, err
+	}
 	// One fictitious-child index serves both order extensions (the map
 	// this replaced was rebuilt per order and dominated construction on
 	// large trees).
@@ -71,11 +63,7 @@ func NewMemBookingRedTree(t *tree.Tree, m float64, ao, eo *order.Order) (*MemBoo
 		fict[p] = tree.NodeID(red.Orig + k)
 	}
 	s.aoSeq = extendSeq(red, fict, ao.Seq)
-	eoSeq := extendSeq(red, fict, eo.Seq)
-	s.eoRank = make([]int32, red.Tree.Len())
-	for i, v := range eoSeq {
-		s.eoRank[v] = int32(i)
-	}
+	s.eoRank = (&order.Order{Seq: extendSeq(red, fict, eo.Seq)}).Rank()
 	return s, nil
 }
 
@@ -101,28 +89,34 @@ func (s *MemBookingRedTree) Tree() *tree.Tree { return s.red.Tree }
 func (s *MemBookingRedTree) Name() string { return "MemBookingRedTree" }
 
 // BookedMemory implements core.Scheduler.
-func (s *MemBookingRedTree) BookedMemory() float64 { return s.mbooked }
+func (s *MemBookingRedTree) BookedMemory() float64 { return s.act.Booked() }
 
-// Init implements core.Scheduler: computes the static booking plan
-// (Book, A, capacities and transmissions Up) and activates the first
-// nodes. The plan depends only on the tree, so calling Init again after
-// a run (or a Reset to a new bound) keeps it and rebuilds only the run
-// state, in place.
+// Init implements core.Scheduler: it computes the static booking plan
+// on the first call and activates the first nodes. The plan depends only
+// on the tree, so a later Init (after a run, or a Reset to a new bound)
+// keeps it and rebuilds only the run state, in place.
 func (s *MemBookingRedTree) Init() error {
+	// pool is allocated once the (fallible) plan is complete, so a failed
+	// first Init leaves nothing half-built behind this guard.
+	if s.pool == nil {
+		if err := s.plan(); err != nil {
+			return err
+		}
+	}
+	clear(s.pool)
+	s.act.Start(s.red.Tree, s.aoSeq, s.a, s.eoRank)
+	s.activate()
+	return nil
+}
+
+// plan computes Book, A, the capacities and the transmissions Up.
+func (s *MemBookingRedTree) plan() error {
 	rt := s.red.Tree
 	n := rt.Len()
-	// Reuse only when a previous Init completed: chNotFin is allocated
-	// after the (fallible) plan computation, so a failed first Init does
-	// not leave a half-built scheduler behind the reuse guard.
-	if s.chNotFin != nil {
-		s.reinit()
-		return nil
-	}
 	book := make([]float64, n)
 	s.a = make([]float64, n)
 	s.up = make([]float64, n)
 	s.keep = make([]float64, n)
-	s.pool = make([]float64, n)
 	cap_ := make([]float64, n) // Σ A over subtree − f_i
 	td := rt.TopDown()
 	for i := n - 1; i >= 0; i-- {
@@ -133,15 +127,8 @@ func (s *MemBookingRedTree) Init() error {
 			sumOut += rt.Out(c)
 			sumA += cap_[c] + rt.Out(c) // Σ A over child subtree
 		}
-		b := sumOut + rt.Out(v)
-		if sumBook > b {
-			b = sumBook
-		}
-		book[v] = b
-		s.a[v] = b - sumBook
-		if s.a[v] < 0 {
-			s.a[v] = 0
-		}
+		book[v] = max(sumBook, sumOut+rt.Out(v))
+		s.a[v] = book[v] - sumBook
 		cap_[v] = sumA + s.a[v] - rt.Out(v)
 	}
 	// Transmissions, top-down: each node must still hold Up(i) for its
@@ -173,62 +160,27 @@ func (s *MemBookingRedTree) Init() error {
 			s.up[c] = give
 			need -= give
 		}
-		if need > 1e-9*(1+s.m) {
+		if _, tol := s.act.Bound(); need > tol {
 			return fmt.Errorf("redtree: infeasible transmission plan at node %d (short by %g)", v, need)
 		}
 	}
 	for i := 0; i < n; i++ {
 		s.keep[i] = rt.Out(tree.NodeID(i)) + s.up[i]
 	}
-
-	s.chNotFin = make([]int32, n)
-	s.active = make([]bool, n)
-	s.avail = pqueue.NewRankHeap(nil)
-	s.reinit()
+	s.pool = make([]float64, n)
 	return nil
-}
-
-// reinit rebuilds the per-run state, reusing the allocated slices and
-// the static plan.
-func (s *MemBookingRedTree) reinit() {
-	rt := s.red.Tree
-	s.avail.Reset(s.eoRank)
-	s.mbooked = 0
-	s.aoIdx = 0
-	s.eps = 1e-9 * (1 + math.Abs(s.m))
-	for i := 0; i < rt.Len(); i++ {
-		s.chNotFin[i] = int32(rt.Degree(tree.NodeID(i)))
-		s.active[i] = false
-		s.pool[i] = 0
-	}
-	s.tryActivate()
 }
 
 // Reset rebinds the scheduler to a new memory bound so the same instance
 // can be re-run without recomputing the plan or reallocating; the next
 // Init rebuilds the run state.
-func (s *MemBookingRedTree) Reset(m float64) error {
-	if m < 0 || math.IsNaN(m) {
-		return fmt.Errorf("redtree: invalid memory bound %v", m)
-	}
-	s.m = m
-	return nil
-}
+func (s *MemBookingRedTree) Reset(m float64) error { return s.act.Bind("redtree", m) }
 
-// tryActivate books A_i for the next tasks of AO while they fit.
-func (s *MemBookingRedTree) tryActivate() {
-	for s.aoIdx < len(s.aoSeq) {
-		i := s.aoSeq[s.aoIdx]
-		if s.mbooked+s.a[i] > s.m+s.eps {
-			return
-		}
-		s.mbooked += s.a[i]
+// activate books A_i for the next tasks of AO while they fit, and
+// attributes each to its node's pool.
+func (s *MemBookingRedTree) activate() {
+	for _, i := range s.act.Activate() {
 		s.pool[i] += s.a[i]
-		s.active[i] = true
-		s.aoIdx++
-		if s.chNotFin[i] == 0 {
-			s.avail.Push(int32(i))
-		}
 	}
 }
 
@@ -243,30 +195,16 @@ func (s *MemBookingRedTree) OnFinish(batch []tree.NodeID) {
 		if freed < 0 {
 			freed = 0
 		}
-		s.mbooked -= freed
+		s.act.Free(freed)
 		if p := rt.Parent(j); p != tree.None {
 			s.pool[p] += keep
-			s.chNotFin[p]--
-			if s.chNotFin[p] == 0 && s.active[p] {
-				s.avail.Push(int32(p))
-			}
+			s.act.Release(p)
 		} else {
-			s.mbooked -= keep
+			s.act.Free(keep)
 		}
 	}
-	s.tryActivate()
+	s.activate()
 }
 
 // Select implements core.Scheduler.
-func (s *MemBookingRedTree) Select(free int) []tree.NodeID {
-	if free <= 0 || s.avail.Len() == 0 {
-		return nil
-	}
-	out := s.selbuf[:0]
-	for free > 0 && s.avail.Len() > 0 {
-		out = append(out, tree.NodeID(s.avail.Pop()))
-		free--
-	}
-	s.selbuf = out
-	return out
-}
+func (s *MemBookingRedTree) Select(free int) []tree.NodeID { return s.act.Select(free) }

@@ -95,7 +95,7 @@ type MemBooking struct {
 	// showed dominating Init on high-fanout trees.
 	aoPos int
 
-	actf      *pqueue.RankHeap
+	actf      pqueue.RankHeap
 	remaining int
 	selbuf    []tree.NodeID // reusable Select result buffer
 
@@ -162,7 +162,7 @@ func (s *MemBooking) ReleaseTransient(amount float64) {
 }
 
 // alloc gives the scheduler the six O(n) state arrays of its tree,
-// with room for c nodes, and the execution heap if it has none yet.
+// with room for c nodes.
 // Init and Restore size a fresh instance exactly (c = n); Rebind and the
 // pool round c up to the size class so a recycled instance serves it.
 func (s *MemBooking) alloc(c int) {
@@ -173,9 +173,6 @@ func (s *MemBooking) alloc(c int) {
 	s.childSum = make([]float64, n, c)
 	s.state = make([]uint8, n, c)
 	s.chNotFin = make([]int32, n, c)
-	if s.actf == nil {
-		s.actf = pqueue.NewRankHeap(nil)
-	}
 }
 
 // Init implements Scheduler: it marks every node unactivated and runs

@@ -10,10 +10,11 @@
 // transfer arrives at its admission instant, so what the model studies
 // is the memory a crossing edge holds, not its time on the wire.
 //
-// The scheduling policy is an activation scheme per domain: within each
-// domain tasks are activated in AO order by booking their execution and
-// output data against the domain's memory, and cross-domain inputs are
-// reserved at transfer admission. Unlike the shared-memory MemBooking of
+// The scheduling policy is an activation scheme per domain: each domain
+// is a baseline.Activator over its local tasks, activating them in AO
+// order by booking their execution and output data against the domain's
+// memory, and cross-domain inputs are booked through it at transfer
+// admission. Unlike the shared-memory MemBooking of
 // the core package, no termination theorem is known for this setting —
 // that is precisely the open problem §8 points at — so a run can stall,
 // and returns the simulator's *core.ErrDeadlock when it does; the tests

@@ -86,34 +86,52 @@ func TestProportionalMappingSubtreeCoherent(t *testing.T) {
 	}
 }
 
-func TestSingleDomainMatchesActivation(t *testing.T) {
+// FuzzSingleDomainMatchesActivation checks that one domain is the
+// Activation baseline bit for bit: the same makespan when both complete,
+// the same Finished and Booked when both deadlock. Bounds range from half
+// to three times AO's sequential peak, p from 1 to 4, and EO is AO or the
+// critical-path order, as in baseline.TestBaselinesPinned.
+func FuzzSingleDomainMatchesActivation(f *testing.F) {
 	rng := rand.New(rand.NewSource(211))
-	for trial := 0; trial < 30; trial++ {
-		tr := randTree(rng, 1+rng.Intn(60))
+	for k := 0; k < 200; k++ {
+		f.Add(rng.Int63(), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(4)), rng.Intn(2) == 1)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, fRaw, pRaw uint8, cp bool) {
+		tr := pinTree(rand.New(rand.NewSource(seed)), 1+int(nRaw)%60)
 		ao, _ := order.MinMemPostOrder(tr)
 		peak, err := order.PeakMemory(tr, ao.Seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := 2 * peak
-		act, _ := baseline.NewActivation(tr, m, ao, ao)
-		want, err := sim.Run(tr, 4, act, nil)
+		m := peak * (0.5 + 2.5*float64(fRaw)/255)
+		p := 1 + int(pRaw)%4
+		eo := ao
+		if cp {
+			eo = order.CriticalPathOrder(tr)
+		}
+		act, err := baseline.NewActivation(tr, m, ao, eo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plat := distributed.Uniform(1, 4, m)
-		got, err := distributed.Run(tr, plat, distributed.ProportionalMapping(tr, 1), ao, ao)
-		if err != nil {
-			t.Fatal(err)
+		want, wantErr := sim.Run(tr, p, act, nil)
+		got, gotErr := distributed.Run(tr, distributed.Uniform(1, p, m), make([]int32, tr.Len()), ao, eo)
+		var wantDead, gotDead *core.ErrDeadlock
+		switch {
+		case wantErr == nil && gotErr == nil:
+			if math.Float64bits(got.Makespan) != math.Float64bits(want.Makespan) {
+				t.Fatalf("single-domain makespan %v != Activation %v (n=%d)", got.Makespan, want.Makespan, tr.Len())
+			}
+			if got.Transfers != 0 {
+				t.Fatalf("single domain produced %d transfers", got.Transfers)
+			}
+		case errors.As(wantErr, &wantDead) && errors.As(gotErr, &gotDead):
+			if gotDead.Finished != wantDead.Finished || math.Float64bits(gotDead.Booked) != math.Float64bits(wantDead.Booked) {
+				t.Fatalf("single-domain deadlock %v != Activation's %v", gotDead, wantDead)
+			}
+		default:
+			t.Fatalf("single domain: %v; Activation: %v", gotErr, wantErr)
 		}
-		if math.Abs(got.Makespan-want.Makespan) > 1e-9 {
-			t.Fatalf("single-domain makespan %g != Activation %g (n=%d)",
-				got.Makespan, want.Makespan, tr.Len())
-		}
-		if got.Transfers != 0 {
-			t.Fatalf("single domain produced %d transfers", got.Transfers)
-		}
-	}
+	})
 }
 
 func TestDistributedCompletesWithAmpleMemory(t *testing.T) {
@@ -169,6 +187,9 @@ func TestDistributedValidation(t *testing.T) {
 	}
 	if _, err := distributed.Run(tr, plat, []int32{0, 0}, ao, ao); err == nil {
 		t.Error("wrong-length mapping accepted")
+	}
+	if _, err := distributed.Run(tr, distributed.Uniform(1, 1, math.NaN()), []int32{0}, ao, ao); err == nil {
+		t.Error("NaN memory accepted")
 	}
 	cp := order.CriticalPathOrder(tr)
 	if _, err := distributed.Run(tr, plat, []int32{0}, cp, cp); err == nil {

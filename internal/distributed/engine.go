@@ -2,10 +2,9 @@ package distributed
 
 import (
 	"fmt"
-	"math"
 
+	"repro/internal/baseline"
 	"repro/internal/order"
-	"repro/internal/pqueue"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -58,18 +57,14 @@ func Run(t *tree.Tree, plat *Platform, domainOf []int32, ao, eo *order.Order) (*
 	return &s.res, nil
 }
 
-// domain is one domain's share of the run: its memory ledger, the
-// processors it has free, its local tasks in AO order and the outputs
-// waiting to be admitted into its memory.
+// domain is one domain's share of the run: an Activator over its local
+// tasks, booking their activations and the transfers it admits, the data
+// resident in its memory, its free processors and the outputs waiting.
 type domain struct {
-	mem, eps float64
-	booked   float64 // activations and admitted transfers
-	used     float64 // data resident in the domain's memory
-	free     int
-	ao       []tree.NodeID // local tasks in AO order; ao[next] activates next
-	next     int
-	avail    *pqueue.RankHeap // activated tasks whose inputs have all arrived
-	waiting  []tree.NodeID    // outputs to admit, FIFO
+	act     baseline.Activator
+	used    float64
+	free    int
+	waiting []tree.NodeID // outputs to admit into its memory, FIFO
 }
 
 // domains is the per-domain activation policy as a core.Scheduler. Each
@@ -80,11 +75,10 @@ type domains struct {
 	plat     *Platform
 	domainOf []int32
 	ao, eo   *order.Order
-	ds       []domain
-	// activated and pending (children whose outputs have not yet reached
-	// the task's domain) gate a task's release.
-	activated []bool
-	pending   []int32
+	// ds share one need array (n_i + f_i) and one set of activation
+	// flags and input counters: an input is present once it has reached
+	// its task's domain.
+	ds []domain
 	// arriving holds the transfers admitted in the last round, until they
 	// arrive.
 	arriving []tree.NodeID
@@ -96,19 +90,24 @@ type domains struct {
 func (s *domains) Name() string { return "distributed" }
 
 func (s *domains) Init() error {
-	t, n := s.t, s.t.Len()
+	t := s.t
+	need := make([]float64, t.Len())
+	for i := range need {
+		need[i] = t.Exec(tree.NodeID(i)) + t.Out(tree.NodeID(i))
+	}
 	s.ds = make([]domain, len(s.plat.Domains))
-	for d, pd := range s.plat.Domains {
-		s.ds[d] = domain{mem: pd.Mem, eps: 1e-9 * (1 + math.Abs(pd.Mem)), free: pd.Procs, avail: pqueue.NewRankHeap(s.eo.Rank())}
-	}
+	local := make([][]tree.NodeID, len(s.ds))
 	for _, v := range s.ao.Seq {
-		d := &s.ds[s.domainOf[v]]
-		d.ao = append(d.ao, v)
+		local[s.domainOf[v]] = append(local[s.domainOf[v]], v)
 	}
-	s.activated = make([]bool, n)
-	s.pending = make([]int32, n)
-	for i := range s.pending {
-		s.pending[i] = int32(t.Degree(tree.NodeID(i)))
+	// Domain 0 holds the shared state, which every domain joins.
+	s.ds[0].act.Start(t, nil, need, s.eo.Rank())
+	for d, pd := range s.plat.Domains {
+		s.ds[d].free = pd.Procs
+		s.ds[d].act.Join(&s.ds[0].act, local[d])
+		if err := s.ds[d].act.Bind("distributed", pd.Mem); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -128,15 +127,15 @@ func (s *domains) OnFinish(batch []tree.NodeID) {
 		for _, c := range t.Children(j) {
 			freed += t.Out(c)
 		}
-		d.booked -= freed
+		d.act.Free(freed)
 		d.used -= freed
 		p := t.Parent(j)
 		switch {
 		case p == tree.None:
-			d.booked -= t.Out(j)
+			d.act.Free(t.Out(j))
 			d.used -= t.Out(j)
 		case s.domainOf[p] == s.domainOf[j]:
-			s.release(p)
+			d.act.Release(p)
 		default:
 			dst := &s.ds[s.domainOf[p]]
 			dst.waiting = append(dst.waiting, j)
@@ -157,13 +156,12 @@ func (s *domains) Select(int) []tree.NodeID {
 	for {
 		for d := range s.ds {
 			s.admit(d)
-			s.activate(d)
+			s.ds[d].act.Activate()
 		}
 		zeroTime := false
 		for k := range s.ds {
 			d := &s.ds[k]
-			for d.free > 0 && d.avail.Len() > 0 {
-				i := tree.NodeID(d.avail.Pop())
+			for _, i := range d.act.Select(d.free) {
 				d.free--
 				d.used += t.Exec(i) + t.Out(i)
 				s.sel = append(s.sel, i)
@@ -181,7 +179,7 @@ func (s *domains) Select(int) []tree.NodeID {
 func (s *domains) BookedMemory() float64 {
 	sum := 0.0
 	for d := range s.ds {
-		sum += s.ds[d].booked
+		sum += s.ds[d].act.Booked()
 	}
 	return sum
 }
@@ -193,34 +191,14 @@ func (s *domains) admit(d int) {
 	for len(dd.waiting) > 0 {
 		c := dd.waiting[0]
 		f := s.t.Out(c)
-		if dd.booked+f > dd.mem+dd.eps {
+		if !dd.act.Book(f) {
 			return
 		}
 		dd.waiting = dd.waiting[1:]
-		dd.booked += f
 		dd.used += f
 		s.res.Transfers++
 		s.res.TransferVolume += f
 		s.arriving = append(s.arriving, c)
-	}
-}
-
-// activate books n_i + f_i for domain d's local tasks in AO order while
-// they fit.
-func (s *domains) activate(d int) {
-	dd := &s.ds[d]
-	for dd.next < len(dd.ao) {
-		i := dd.ao[dd.next]
-		needed := s.t.Exec(i) + s.t.Out(i)
-		if dd.booked+needed > dd.mem+dd.eps {
-			return
-		}
-		dd.booked += needed
-		s.activated[i] = true
-		dd.next++
-		if s.pending[i] == 0 {
-			dd.avail.Push(int32(i))
-		}
 	}
 }
 
@@ -229,20 +207,12 @@ func (s *domains) activate(d int) {
 func (s *domains) arrive() {
 	for _, j := range s.arriving {
 		src := &s.ds[s.domainOf[j]]
-		src.booked -= s.t.Out(j)
+		src.act.Free(s.t.Out(j))
 		src.used -= s.t.Out(j)
-		s.release(s.t.Parent(j))
+		p := s.t.Parent(j)
+		s.ds[s.domainOf[p]].act.Release(p)
 	}
 	s.arriving = s.arriving[:0]
-}
-
-// release counts one of p's inputs present, and makes p available once
-// every input is and p is activated.
-func (s *domains) release(p tree.NodeID) {
-	s.pending[p]--
-	if s.pending[p] == 0 && s.activated[p] {
-		s.ds[s.domainOf[p]].avail.Push(int32(p))
-	}
 }
 
 // audit records the first domain whose resident data exceeds its
@@ -254,10 +224,12 @@ func (s *domains) release(p tree.NodeID) {
 func (s *domains) audit() {
 	for d := 0; d < len(s.ds) && s.err == nil; d++ {
 		dd := &s.ds[d]
-		if dd.used > dd.booked+dd.eps {
-			s.err = fmt.Errorf("distributed: domain %d uses %g but booked %g", d, dd.used, dd.booked)
-		} else if dd.booked > dd.mem+dd.eps {
-			s.err = fmt.Errorf("distributed: domain %d booked %g over %g", d, dd.booked, dd.mem)
+		booked := dd.act.Booked()
+		m, tol := dd.act.Bound()
+		if dd.used > booked+tol {
+			s.err = fmt.Errorf("distributed: domain %d uses %g but booked %g", d, dd.used, booked)
+		} else if booked > m+tol {
+			s.err = fmt.Errorf("distributed: domain %d booked %g over %g", d, booked, m)
 		}
 	}
 }

@@ -98,7 +98,8 @@ func BenchmarkRankHeapPushPop(b *testing.B) {
 	for i, v := range rng.Perm(n) {
 		rank[i] = int32(v)
 	}
-	h := NewRankHeap(rank)
+	var h RankHeap
+	h.Reset(rank)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Reset(rank)

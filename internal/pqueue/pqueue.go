@@ -18,7 +18,8 @@ import "slices"
 // million-entry heaps the sift comparisons then read contiguous heap
 // memory instead of making two random lookups into a multi-megabyte rank
 // array per comparison, which profiles showed dominating the per-event
-// scheduling cost of high-fanout trees.
+// scheduling cost of high-fanout trees. The zero RankHeap is empty and
+// has no rank: Reset binds one before the first Push.
 type RankHeap struct {
 	items []ranked
 	rank  []int32
@@ -30,17 +31,12 @@ type ranked struct {
 	id  int32
 }
 
-// NewRankHeap returns a heap ordered by rank. The rank slice is captured by
-// reference; it must not change for items currently in the heap.
-func NewRankHeap(rank []int32) *RankHeap {
-	return &RankHeap{rank: rank}
-}
-
 // Len returns the number of queued items.
 func (h *RankHeap) Len() int { return len(h.items) }
 
 // Reset empties the heap and rebinds it to rank, keeping the item
-// storage for reuse.
+// storage for reuse. The rank slice is captured by reference; it must
+// not change for items in the heap.
 func (h *RankHeap) Reset(rank []int32) {
 	h.items = h.items[:0]
 	h.rank = rank

@@ -12,7 +12,8 @@ import (
 
 func TestRankHeapOrdering(t *testing.T) {
 	rank := []int32{5, 3, 9, 1, 7, 0}
-	h := NewRankHeap(rank)
+	var h RankHeap
+	h.Reset(rank)
 	for i := int32(0); i < 6; i++ {
 		h.Push(i)
 	}
@@ -36,7 +37,8 @@ func TestRankHeapRandomAgainstSort(t *testing.T) {
 		for i, p := range perm {
 			rank[i] = int32(p)
 		}
-		h := NewRankHeap(rank)
+		var h RankHeap
+		h.Reset(rank)
 		order := rng.Perm(n)
 		var popped []int32
 		// Interleave pushes and pops.
@@ -55,7 +57,8 @@ func TestRankHeapRandomAgainstSort(t *testing.T) {
 		// Check: every element popped after an element pushed before it and
 		// still present must have had larger rank is complex under
 		// interleaving; instead, drain-only check on a second heap.
-		h2 := NewRankHeap(rank)
+		var h2 RankHeap
+		h2.Reset(rank)
 		for i := 0; i < n; i++ {
 			h2.Push(int32(i))
 		}
@@ -74,7 +77,8 @@ func TestRankHeapRandomAgainstSort(t *testing.T) {
 
 func TestRankHeapMin(t *testing.T) {
 	rank := []int32{2, 1}
-	h := NewRankHeap(rank)
+	var h RankHeap
+	h.Reset(rank)
 	h.Push(0)
 	h.Push(1)
 	if got := h.Pop(); got != 1 {

@@ -89,12 +89,20 @@ func CriticalPathOrder(t *Tree) *Order { return order.CriticalPathOrder(t) }
 // NewMemBooking builds the paper's MemBooking scheduler for memory bound
 // m, activation order ao (topological) and execution order eo.
 func NewMemBooking(t *Tree, m float64, ao, eo *Order) (Scheduler, error) {
-	return core.NewMemBooking(t, m, ao, eo)
+	s, err := core.NewMemBooking(t, m, ao, eo)
+	if err != nil {
+		return nil, err // a nil *core.MemBooking would be a non-nil Scheduler
+	}
+	return s, nil
 }
 
 // NewActivation builds the baseline Activation scheduler (Agullo et al.).
 func NewActivation(t *Tree, m float64, ao, eo *Order) (Scheduler, error) {
-	return baseline.NewActivation(t, m, ao, eo)
+	s, err := baseline.NewActivation(t, m, ao, eo)
+	if err != nil {
+		return nil, err // a nil *baseline.Activation would be a non-nil Scheduler
+	}
+	return s, nil
 }
 
 // NewMemBookingRedTree builds the reduction-tree booking baseline. The

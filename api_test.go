@@ -279,3 +279,26 @@ func TestPublicDeadlockTyped(t *testing.T) {
 		t.Fatalf("executor deadlock is %T, want *repro.ErrDeadlock", execErr)
 	}
 }
+
+// A constructor that fails returns a nil Scheduler, not a nil pointer
+// boxed in a non-nil interface that a caller testing s == nil would go
+// on to call.
+func TestPublicSchedulerNilOnError(t *testing.T) {
+	tr, err := repro.SyntheticTree(1, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := repro.CriticalPathOrder(tr) // not topological: no activation order
+	for _, c := range []struct {
+		name  string
+		build func(*repro.Tree, float64, *repro.Order, *repro.Order) (repro.Scheduler, error)
+	}{{"MemBooking", repro.NewMemBooking}, {"Activation", repro.NewActivation}} {
+		s, err := c.build(tr, 1e9, cp, cp)
+		if err == nil {
+			t.Fatalf("%s: a non-topological activation order was accepted", c.name)
+		}
+		if s != nil {
+			t.Errorf("%s: error %q came with a non-nil Scheduler %T", c.name, err, s)
+		}
+	}
+}

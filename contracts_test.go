@@ -22,8 +22,7 @@ type contractSite struct{ analyzer, fn string }
 // with the reason the contract holds there anyway. Keep them rare:
 // each is a claim the analyzer cannot check.
 var contractExceptions = map[contractSite]string{
-	{"detfree", "repro/internal/harness.IDs"}:               "the keys are sorted before they can reach output",
-	{"goroleak", "repro/internal/service.(*Server).runJob"}: "back-pressure by design: a job without a deadline owes its caller an eventual run, and Drain waits for queued jobs, so the slot send must block",
+	{"detfree", "repro/internal/harness.IDs"}: "the keys are sorted before they can reach output",
 }
 
 // TestContracts runs the determinism (detfree), typed-error (errtyped)

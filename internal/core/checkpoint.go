@@ -43,9 +43,6 @@ type Checkpoint struct {
 	eoName    string
 }
 
-// Remaining returns the number of unfinished tasks in the snapshot.
-func (cp *Checkpoint) Remaining() int { return cp.remaining }
-
 // BookedMemory returns the total booked memory in the snapshot: the
 // floor any restore bound must clear.
 func (cp *Checkpoint) BookedMemory() float64 { return cp.mbooked + cp.transient }

@@ -181,7 +181,7 @@ func TestCheckpointRestoreParallelKill(t *testing.T) {
 				}
 			}
 			cp := ref.s.CheckpointInto(nil)
-			finishedAt := tr.Len() - cp.Remaining()
+			finishedAt := tr.Len() - cp.remaining
 
 			runOut := func(s *MemBooking) []tree.NodeID {
 				l := &ckLoop{t: tr, s: s, procs: procs}
@@ -380,8 +380,8 @@ func TestCheckpointIntoReuses(t *testing.T) {
 			t.Fatalf("CheckpointInto reallocated")
 		}
 	}
-	if cp.Remaining() != 0 {
-		t.Fatalf("final checkpoint has %d remaining", cp.Remaining())
+	if cp.remaining != 0 {
+		t.Fatalf("final checkpoint has %d remaining", cp.remaining)
 	}
 }
 

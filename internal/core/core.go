@@ -372,6 +372,9 @@ func (s *MemBooking) Select(free int) []tree.NodeID {
 // each one with a Select.
 func (s *MemBooking) Available() int { return s.actf.Len() }
 
+// Remaining returns how many tasks have not finished.
+func (s *MemBooking) Remaining() int { return s.remaining }
+
 // check verifies the proof invariants (Lemmas 2–5) when CheckInvariants
 // is enabled. The first violation is kept in InvariantErr. It is
 // diagnostic-only and off by default, so its boxing and closure

@@ -239,20 +239,30 @@ func (b Backoff) Delay(key Key, retry int) float64 {
 	if b.Base <= 0 {
 		return 0
 	}
-	d := b.Base
-	for i := 0; i < retry; i++ {
-		d *= 2
-		if b.Cap > 0 && d >= b.Cap {
-			d = b.Cap
-			break
-		}
-	}
-	if b.Cap > 0 && d > b.Cap {
-		d = b.Cap
-	}
+	d := b.capped(retry)
 	if b.Jitter > 0 {
 		u := float64(splitmix64(uint64(key)^uint64(retry)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
 		d *= 1 + b.Jitter*u
+	}
+	return d
+}
+
+// Longest bounds Delay(key, retry) from above over every key and every
+// retry < retries: the last retry's delay stretched by the full Jitter,
+// 0 when there is no retry.
+func (b Backoff) Longest(retries int) float64 {
+	if b.Base <= 0 || retries == 0 {
+		return 0
+	}
+	return b.capped(retries-1) * (1 + max(b.Jitter, 0))
+}
+
+// capped is the delay before jitter, Base·2^retry capped when Cap > 0.
+// Ldexp is exact, as doubling retry times is, up to overflow to +Inf.
+func (b Backoff) capped(retry int) float64 {
+	d := math.Ldexp(b.Base, retry)
+	if b.Cap > 0 {
+		d = min(d, b.Cap)
 	}
 	return d
 }

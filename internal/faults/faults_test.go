@@ -382,6 +382,70 @@ func TestBackoff(t *testing.T) {
 	}
 }
 
+// doublingDelay is Delay as a loop that doubles Base retry times,
+// stopping at Cap: the reference Backoff.Delay's closed form must match
+// bit for bit.
+func doublingDelay(b Backoff, key Key, retry int) float64 {
+	if b.Base <= 0 {
+		return 0
+	}
+	d := b.Base
+	for i := 0; i < retry; i++ {
+		d *= 2
+		if b.Cap > 0 && d >= b.Cap {
+			d = b.Cap
+			break
+		}
+	}
+	if b.Cap > 0 && d > b.Cap {
+		d = b.Cap
+	}
+	if b.Jitter > 0 {
+		u := float64(splitmix64(uint64(key)^uint64(retry)*0x9e3779b97f4a7c15)>>11) / (1 << 53)
+		d *= 1 + b.Jitter*u
+	}
+	return d
+}
+
+// TestBackoffMatchesDoubling: Delay equals the doubling loop bit for bit
+// over retries 0–1100 at the edge values of Base and Cap (zero,
+// subnormal, huge, the largest float, +Inf, NaN) and on random bit
+// patterns, and Longest(n) is at least every Delay(key, r) with r < n.
+func TestBackoffMatchesDoubling(t *testing.T) {
+	const retries = 1100
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
+	edges := []float64{0, -1, 5e-324, 2.2250738585072014e-308, 0.5, 1, 3, 1e300, math.MaxFloat64, math.Inf(1), math.NaN()}
+	keys := []Key{JobKey("a"), JobKey("b")}
+	check := func(b Backoff) {
+		t.Helper()
+		nan := math.IsNaN(b.Base) || math.IsNaN(b.Cap) || math.IsNaN(b.Jitter)
+		most := 0.0 // the longest Delay of the retries before r
+		for r := 0; r <= retries; r++ {
+			if l := b.Longest(r); !nan && l < most {
+				t.Fatalf("%+v: Longest(%d) = %g under an earlier retry's delay %g", b, r, l, most)
+			}
+			for _, k := range keys {
+				got, want := b.Delay(k, r), doublingDelay(b, k, r)
+				if !same(got, want) {
+					t.Fatalf("%+v: Delay(%d, %d) = %g, the doubling loop gives %g", b, k, r, got, want)
+				}
+				most = max(most, got)
+			}
+		}
+	}
+	for _, base := range edges {
+		for _, cp := range edges {
+			for _, jit := range []float64{0, -0.2, 0.5, 1e300, math.NaN()} {
+				check(Backoff{Base: base, Cap: cp, Jitter: jit})
+			}
+		}
+	}
+	rng := workload.NewRNG(55)
+	for i := 0; i < 200; i++ {
+		check(Backoff{Base: math.Float64frombits(rng.Uint64()), Cap: math.Float64frombits(rng.Uint64()), Jitter: rng.Float64()})
+	}
+}
+
 // TestModelValidation: constructors reject out-of-domain parameters.
 func TestModelValidation(t *testing.T) {
 	for name, fn := range map[string]func(){

@@ -191,14 +191,13 @@ type job struct {
 	// its slots, batches and checkpoints. It is built at the first
 	// admission and kept until record, so a restart restores onto the
 	// numbering its checkpoint was taken in.
-	lay       *tree.Tree
-	sched     *core.MemBooking
-	pos       int // index in cluster.active while admitted
-	remaining int
-	running   int
-	start     float64
-	estEnd    float64
-	batch     []tree.NodeID // per-round completion buffer
+	lay     *tree.Tree
+	sched   *core.MemBooking
+	pos     int // index in cluster.active while admitted
+	running int
+	start   float64
+	estEnd  float64
+	batch   []tree.NodeID // per-round completion buffer
 
 	// Fault-mode state.
 	key         faults.Key       // the fault plan's and the backoff's draw key, hashed once
@@ -278,18 +277,12 @@ type cluster struct {
 	// the clock and the free memory on it.
 	st State
 
-	// Fault mode keeps the plan's answers as state instead of asking per
-	// instant: crashAt[s] is slot s's first crash epoch after the instant
-	// it was last looked up at, burstAt the same for bursts. Either is
-	// current while it lies ahead of the clock and looked up again once
-	// the clock has reached it — a slot's as dispatch makes it busy, the
-	// burst's in advance — so a plan query happens per epoch passed, not
-	// per busy slot per instant. A busy slot's completion event is pushed
-	// at min(finish, crashAt), so the event heap alone says when anything
-	// next happens to a running task. struck holds the slots complete
-	// popped at this instant whose task did not finish: the processor's
-	// crash epoch came first. strike empties it.
-	crashAt []float64
+	// In fault mode the plan is the one record of epochs: a busy slot's
+	// event is pushed at min(finish, its processor's next crash epoch), so
+	// the event heap alone says when anything next happens to a running
+	// task, and burstAt is the burst epoch the latest advance saw (+Inf
+	// when nothing ran). struck holds the slots complete popped at this
+	// instant whose task did not finish; strike empties it.
 	burstAt float64
 	struck  []int32
 
@@ -404,9 +397,6 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 	}
 	if c.fo != nil {
 		c.plan = c.fo.Plan
-		if c.plan != nil {
-			c.crashAt = make([]float64, p)
-		}
 		if c.fo.Checkpoint != nil {
 			c.ckpol = c.fo.Checkpoint
 		}
@@ -417,7 +407,7 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		// an uncapped one doubles past the largest float within ~1000
 		// retries.
 		b := c.fo.Backoff
-		for _, v := range [...]float64{b.Base, b.Cap, b.Jitter, longestDelay(b, c.fo.MaxRetries)} {
+		for _, v := range [...]float64{b.Base, b.Cap, b.Jitter, b.Longest(c.fo.MaxRetries)} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("multitree: retry backoff %+v is not finite over %d retries", b, c.fo.MaxRetries)
 			}
@@ -450,19 +440,6 @@ func newCluster(specs []JobSpec, opt *Options) (*cluster, error) {
 		c.freeSlots[i] = int32(p - 1 - i) // pop order 0,1,2,…
 	}
 	return c, nil
-}
-
-// longestDelay bounds the backoff of any of maxRetries retries from
-// above: min(Cap, Base·2^(maxRetries−1)) stretched by the full Jitter.
-func longestDelay(b faults.Backoff, maxRetries int) float64 {
-	if b.Base <= 0 || maxRetries == 0 {
-		return 0
-	}
-	d := math.Ldexp(b.Base, maxRetries-1)
-	if b.Cap > 0 {
-		d = min(d, b.Cap)
-	}
-	return d * (1 + max(b.Jitter, 0))
 }
 
 // join moves every job due by now from the due list to the admission
@@ -600,12 +577,8 @@ func (c *cluster) start(j *job, slice float64) error {
 		if err := sched.Restore(j.cp); err != nil {
 			return fmt.Errorf("multitree: job %q restart: %w", j.spec.Name, err)
 		}
-		j.remaining = j.cp.Remaining()
-	} else {
-		if err := sched.Init(); err != nil {
-			return fmt.Errorf("multitree: job %q: %w", j.spec.Name, err)
-		}
-		j.remaining = n
+	} else if err := sched.Init(); err != nil {
+		return fmt.Errorf("multitree: job %q: %w", j.spec.Name, err)
 	}
 	j.sched = sched
 	j.running = 0
@@ -621,7 +594,6 @@ func (c *cluster) start(j *job, slice float64) error {
 	c.freeMem -= j.slice
 	j.pos = len(c.active)
 	c.active = append(c.active, j)
-	c.st.Active = len(c.active)
 	c.st.Releases = slices.Insert(c.st.Releases, c.releaseAt(j), Release{At: j.estEnd, Mem: j.slice, j: j})
 	if j.pos>>6 == len(c.ready) {
 		c.ready = append(c.ready, 0)
@@ -661,10 +633,7 @@ func (c *cluster) dispatch() error {
 			c.slots[slot] = slotRec{job: j, node: nid, start: c.now, finish: c.now + d}
 			at := c.now + d
 			if c.plan != nil {
-				if c.crashAt[slot] <= c.now {
-					c.crashAt[slot] = c.plan.NextCrash(int(slot), c.now)
-				}
-				at = min(at, c.crashAt[slot])
+				at = min(at, c.plan.NextCrash(int(slot), c.now))
 			}
 			c.events.Push(at, slot)
 			if c.ob != nil { // the mapped node is a random read, not paid unobserved
@@ -702,7 +671,7 @@ func (c *cluster) drained() (bool, error) {
 	if len(c.active) > 0 {
 		j := c.active[0]
 		return false, fmt.Errorf("multitree: job %q stalled the cluster: %w", j.spec.Name,
-			&core.ErrDeadlock{Scheduler: j.sched.Name(), Finished: j.spec.Tree.Len() - j.remaining,
+			&core.ErrDeadlock{Scheduler: j.sched.Name(), Finished: j.spec.Tree.Len() - j.sched.Remaining(),
 				Total: j.spec.Tree.Len(), Booked: j.sched.BookedMemory()})
 	}
 	if len(c.due) > 0 {
@@ -719,10 +688,7 @@ func (c *cluster) drained() (bool, error) {
 // advance moves the clock to the next instant: the earliest of the next
 // event (a completion, or in fault mode a busy slot's crash epoch), the
 // next due job (an arrival or a retry expiry), and — in fault mode,
-// while anything runs — the next burst epoch.
-// A cached burst epoch at or behind the clock is stale (the zero value
-// always is) and looked up afresh; one still ahead is, by being the
-// first epoch after an earlier instant, also the first after this one.
+// while anything runs — the next burst epoch, kept in burstAt for strike.
 func (c *cluster) advance() {
 	tNext := math.Inf(1)
 	if c.events.Len() > 0 {
@@ -731,10 +697,9 @@ func (c *cluster) advance() {
 	if k := len(c.due); k > 0 && c.due[k-1].dueAt < tNext {
 		tNext = c.due[k-1].dueAt
 	}
+	c.burstAt = math.Inf(1)
 	if c.plan != nil && len(c.freeSlots) < c.opt.Procs {
-		if c.burstAt <= c.now {
-			c.burstAt = c.plan.NextBurst(c.now)
-		}
+		c.burstAt = c.plan.NextBurst(c.now)
 		tNext = min(tNext, c.burstAt)
 	}
 	c.res.AvgQueue += float64(len(c.st.Queue)) * (tNext - c.now)
@@ -818,9 +783,8 @@ func (c *cluster) commit(j *job) {
 		}
 	}
 	j.batch = j.batch[:0]
-	j.remaining -= n
 	c.res.Events += n
-	if j.remaining == 0 {
+	if j.sched.Remaining() == 0 {
 		c.record(j, false)
 		c.retire(j)
 		return
@@ -852,9 +816,8 @@ func (c *cluster) checkpoint(j *job) {
 // completions have committed: a crash kills the job running on that
 // processor, in slot order, then a burst kills every job with running
 // work. A struck slot whose job a commit has failed already is free by
-// now and skipped. The burst epoch is read from its cache: one at this
-// instant was looked up by the advance that stopped here, and had
-// nothing run then, nothing would run now.
+// now and skipped. A burst strikes when the advance that stopped here saw
+// one at this instant; had nothing run then, nothing would run now.
 func (c *cluster) strike() {
 	if c.plan == nil {
 		return
@@ -932,7 +895,6 @@ func (c *cluster) retire(j *job) {
 	c.freeMem += j.slice
 	c.admitDirty = true
 	c.active = slices.Delete(c.active, j.pos, j.pos+1)
-	c.st.Active = len(c.active)
 	for _, later := range c.active[j.pos:] {
 		later.pos--
 	}

@@ -65,8 +65,6 @@ type State struct {
 	FreeMem float64
 	// Queue lists waiting jobs in arrival order.
 	Queue []QueuedJob
-	// Active counts the admitted, unfinished jobs.
-	Active int
 	// Releases holds one entry per active job, sorted ascending by
 	// (At, Mem): the order EASY's shadow walk consumes. The simulator
 	// maintains the sort incrementally — admissions insert, completions
@@ -249,7 +247,7 @@ func (e EASY) Admit(st *State) []Admission {
 		free -= st.Queue[next].Peak
 		next++
 	}
-	if next >= len(st.Queue) || st.Active+len(out) == 0 {
+	if next >= len(st.Queue) || len(st.Releases)+len(out) == 0 {
 		return out
 	}
 	head := st.Queue[next]

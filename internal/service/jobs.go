@@ -305,20 +305,17 @@ func (s *Server) submitJob(req *Request) (*jobRecord, bool) {
 // responses, before the job reads as finished.
 func (s *Server) runJob(rec *jobRecord, req *Request) {
 	defer s.jobsWG.Done()
-	if rec.deadline.IsZero() {
-		// Back-pressure by design: a job without a deadline owes its
-		// caller an eventual run, and Drain waits for queued jobs, so
-		// the slot send must block (a contractExceptions entry).
-		s.sem <- struct{}{}
-		s.enterFlight()
-	} else {
-		ctx, cancel := context.WithDeadline(context.Background(), rec.deadline)
-		ok := s.acquire(ctx)
-		cancel()
-		if !ok {
-			s.jobs.settle(rec, nil, fail(http.StatusGatewayTimeout, "deadline exceeded while queued for a worker slot"))
-			return
-		}
+	// Back-pressure by design: a job without a deadline owes its caller a
+	// run, and Drain waits for queued jobs, so it waits as long as it takes.
+	ctx, cancel := context.Background(), func() {}
+	if !rec.deadline.IsZero() {
+		ctx, cancel = context.WithDeadline(ctx, rec.deadline)
+	}
+	ok := s.acquire(ctx)
+	cancel()
+	if !ok {
+		s.jobs.settle(rec, nil, fail(http.StatusGatewayTimeout, "deadline exceeded while queued for a worker slot"))
+		return
 	}
 	s.jobs.setRunning(rec)
 	eval := s.schedule

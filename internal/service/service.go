@@ -557,8 +557,7 @@ func (s *Server) enterFlight() {
 	}
 }
 
-// release gives back a slot that acquire, or runJob's blocking send,
-// took.
+// release gives back a slot that acquire took.
 func (s *Server) release() {
 	s.inFlight.Add(-1)
 	<-s.sem

@@ -148,19 +148,18 @@ func (r *Runner) Run(t *tree.Tree, p int, s core.Scheduler, opts *Options) (*Res
 // returns; then End once nothing is running. The zero value is ready for
 // Start, and a RunState reused across runs keeps its buffers.
 type RunState struct {
-	t        *tree.Tree
-	s        core.Scheduler
-	wide     Wide
-	opts     *Options
-	wall     func() time.Time // nil when the scheduler's time is not measured
-	entered  time.Time        // when Finish handed the instant to the scheduler
-	res      *Result
-	used     float64 // model memory currently resident
-	eps      float64 // CheckMemory's tolerance, relative to opts.Bound
-	free     int
-	finished int
-	batch    []tree.NodeID // OnFinish destination, recycled across instants
-	spans    []Span        // Launch's result, recycled across instants
+	t       *tree.Tree
+	s       core.Scheduler
+	wide    Wide
+	opts    *Options
+	wall    func() time.Time // nil when the scheduler's time is not measured
+	entered time.Time        // when Finish handed the instant to the scheduler
+	res     *Result
+	used    float64 // model memory currently resident
+	eps     float64 // CheckMemory's tolerance, relative to opts.Bound
+	free    int
+	batch   []tree.NodeID // OnFinish destination, recycled across instants
+	spans   []Span        // Launch's result, recycled across instants
 }
 
 // Start begins a run of t on p processors driven by s: it checks the
@@ -212,7 +211,6 @@ func (st *RunState) Finish(ids []int32) {
 			q, _, extra = st.wide.Shape(j)
 		}
 		st.free += q
-		st.finished++
 		st.res.Events++
 		st.used -= t.Exec(j) + extra
 		for _, c := range t.Children(j) {
@@ -302,8 +300,8 @@ func (st *RunState) End(now float64, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n := st.t.Len(); st.finished != n {
-		return nil, &core.ErrDeadlock{Scheduler: st.s.Name(), Finished: st.finished, Total: n, Booked: st.s.BookedMemory()}
+	if n := st.t.Len(); st.res.Events != n {
+		return nil, &core.ErrDeadlock{Scheduler: st.s.Name(), Finished: st.res.Events, Total: n, Booked: st.s.BookedMemory()}
 	}
 	st.res.Makespan = now
 	return st.res, nil

@@ -36,13 +36,13 @@ func pinTree(rng *rand.Rand, n int) *tree.Tree {
 	return tree.MustNew(p, exec, out, tm)
 }
 
-// TestBaselinesPinned pins both baselines' outcomes bit for bit: one
-// FNV-64a digest over every run's makespan, peak memory, peak booking
-// and event count, or its deadlock's Finished and Booked. Bounds range
-// from half to three times AO's sequential peak, p from 1 to 4, and EO
-// is AO or the critical-path order.
+// TestBaselinesPinned pins both baselines' and MemBooking's outcomes
+// bit for bit: one FNV-64a digest over every run's makespan, peak
+// memory, peak booking and event count, or its deadlock's Finished and
+// Booked. Bounds range from half to three times AO's sequential peak, p
+// from 1 to 4, and EO is AO or the critical-path order.
 func TestBaselinesPinned(t *testing.T) {
-	const want = 0x5e8cb06a496566d9
+	const want = 0x3bd9b38193108b50
 	h := fnv.New64a()
 	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 	rng := rand.New(rand.NewSource(239))
@@ -60,7 +60,7 @@ func TestBaselinesPinned(t *testing.T) {
 		if rng.Intn(2) == 1 {
 			eo = order.CriticalPathOrder(tr)
 		}
-		for _, name := range []string{"Activation", "MemBookingRedTree"} {
+		for _, name := range []string{"Activation", "MemBookingRedTree", "MemBooking"} {
 			s, run, err := baseline.New(name, tr, m, ao, eo)
 			if err != nil {
 				t.Fatal(err)

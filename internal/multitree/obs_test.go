@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"os"
@@ -184,16 +185,7 @@ func TestEventsGolden(t *testing.T) {
 				t.Fatalf("%s: too tame to pin anything (restarts %d, checkpoints %d)", name, res.Restarts, res.Checkpoints)
 			}
 			h := fnv.New64a()
-			var b []byte
-			for _, ev := range evs {
-				b = binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(ev.Time))
-				b = binary.LittleEndian.AppendUint32(b, uint32(ev.Job))
-				b = binary.LittleEndian.AppendUint32(b, uint32(ev.Node))
-				b = append(b, byte(ev.Kind))
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ev.A))
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ev.B))
-				h.Write(b)
-			}
+			hashEvents(h, evs)
 			fmt.Fprintf(&got, "%s %d %016x\n", name, len(evs), h.Sum64())
 		}
 	}
@@ -209,5 +201,20 @@ func TestEventsGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("event stream digests differ from %s\n--- want ---\n%s--- got ---\n%s", path, want, got.Bytes())
+	}
+}
+
+// hashEvents writes every event's time, job, node, kind and payloads
+// into h.
+func hashEvents(h hash.Hash, evs []obs.Event) {
+	var b []byte
+	for _, ev := range evs {
+		b = binary.LittleEndian.AppendUint64(b[:0], math.Float64bits(ev.Time))
+		b = binary.LittleEndian.AppendUint32(b, uint32(ev.Job))
+		b = binary.LittleEndian.AppendUint32(b, uint32(ev.Node))
+		b = append(b, byte(ev.Kind))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ev.A))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ev.B))
+		h.Write(b)
 	}
 }

@@ -56,7 +56,7 @@ func (s *Activation) Name() string { return "Activation" }
 func (s *Activation) BookedMemory() float64 { return s.act.Booked() }
 
 // Init implements core.Scheduler. Calling it again after a run rebuilds
-// the state in place, reusing the O(n) slices and the heap.
+// the state in place, reusing the O(n) slices and the ready set.
 func (s *Activation) Init() error {
 	if s.actNeed == nil {
 		s.actNeed = make([]float64, s.t.Len())
@@ -72,7 +72,7 @@ func (s *Activation) Init() error {
 			}
 		}
 	}
-	s.act.Start(s.t, s.ao.Seq, s.actNeed, s.eo.Rank())
+	s.act.Start(s.t, s.ao.Seq, s.actNeed, s.eo)
 	s.act.Activate()
 	return nil
 }

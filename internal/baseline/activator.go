@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/order"
 	"repro/internal/pqueue"
 	"repro/internal/tree"
 )
@@ -20,9 +21,10 @@ type Activator struct {
 	next    int
 	need    []float64 // need[i] is booked when i activates
 	active  []bool
-	pending []int32 // inputs of each task not yet present
-	rank    []int32 // EO rank of each task
-	ready   pqueue.RankHeap
+	pending []int32        // inputs of each task not yet present
+	rank    []int32        // EO rank of each task
+	eo      []tree.NodeID  // tasks in EO order: eo[rank[i]] = i
+	ready   pqueue.RankSet // EO ranks of the ready tasks
 	booked  float64
 	m, eps  float64
 	sel     []tree.NodeID // reusable Select result buffer
@@ -43,10 +45,10 @@ func (a *Activator) Bind(name string, m float64) error {
 func (a *Activator) Bound() (m, tol float64) { return a.m, a.eps }
 
 // Start begins a run over seq, tasks of t in AO order, that books
-// need[i] when i activates and readies tasks by rank: nothing is
+// need[i] when i activates and hands ready tasks out in eo: nothing is
 // activated, booked or ready, and every task of t waits for all its
 // children. It keeps the storage of the previous run.
-func (a *Activator) Start(t *tree.Tree, seq []tree.NodeID, need []float64, rank []int32) {
+func (a *Activator) Start(t *tree.Tree, seq []tree.NodeID, need []float64, eo *order.Order) {
 	if n := t.Len(); len(a.pending) != n {
 		a.active, a.pending = make([]bool, n), make([]int32, n)
 	}
@@ -54,17 +56,17 @@ func (a *Activator) Start(t *tree.Tree, seq []tree.NodeID, need []float64, rank 
 		a.active[i] = false
 		a.pending[i] = int32(t.Degree(tree.NodeID(i)))
 	}
-	a.need, a.rank = need, rank
+	a.need, a.rank, a.eo = need, eo.Rank(), eo.Seq
 	a.Join(a, seq)
 }
 
 // Join begins a run over seq, other tasks of o's tree, sharing o's need,
-// ranks, activation flags and input counters. A task is readied by the
-// activator whose seq holds it.
+// execution order, activation flags and input counters. A task is
+// readied by the activator whose seq holds it.
 func (a *Activator) Join(o *Activator, seq []tree.NodeID) {
 	a.seq, a.next, a.booked = seq, 0, 0
-	a.need, a.rank, a.active, a.pending = o.need, o.rank, o.active, o.pending
-	a.ready.Reset(o.rank)
+	a.need, a.rank, a.eo, a.active, a.pending = o.need, o.rank, o.eo, o.active, o.pending
+	a.ready.Reset(len(o.rank))
 }
 
 // Booked returns the memory booked.
@@ -93,7 +95,7 @@ func (a *Activator) Activate() []tree.NodeID {
 		}
 		a.active[i] = true
 		if a.pending[i] == 0 {
-			a.ready.Push(int32(i))
+			a.ready.Push(a.rank[i])
 		}
 	}
 	return a.seq[from:a.next]
@@ -104,7 +106,7 @@ func (a *Activator) Activate() []tree.NodeID {
 func (a *Activator) Release(p tree.NodeID) {
 	a.pending[p]--
 	if a.pending[p] == 0 && a.active[p] {
-		a.ready.Push(int32(p))
+		a.ready.Push(a.rank[p])
 	}
 }
 
@@ -116,7 +118,7 @@ func (a *Activator) Select(free int) []tree.NodeID {
 	}
 	out := a.sel[:0]
 	for ; free > 0 && a.ready.Len() > 0; free-- {
-		out = append(out, tree.NodeID(a.ready.Pop()))
+		out = append(out, a.eo[a.ready.PopMin()])
 	}
 	a.sel = out
 	return out

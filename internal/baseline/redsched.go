@@ -28,8 +28,8 @@ type MemBookingRedTree struct {
 	red *RedTree
 	act Activator
 
-	aoSeq  []tree.NodeID // activation order on the transformed tree
-	eoRank []int32       // execution priority on the transformed tree
+	aoSeq []tree.NodeID // activation order on the transformed tree
+	eo    *order.Order  // execution order on the transformed tree
 
 	a    []float64 // A_i: booked at activation
 	up   []float64 // Up(i): kept booked for ancestors after i finishes
@@ -63,7 +63,7 @@ func NewMemBookingRedTree(t *tree.Tree, m float64, ao, eo *order.Order) (*MemBoo
 		fict[p] = tree.NodeID(red.Orig + k)
 	}
 	s.aoSeq = extendSeq(red, fict, ao.Seq)
-	s.eoRank = (&order.Order{Seq: extendSeq(red, fict, eo.Seq)}).Rank()
+	s.eo = &order.Order{Seq: extendSeq(red, fict, eo.Seq)}
 	return s, nil
 }
 
@@ -104,7 +104,7 @@ func (s *MemBookingRedTree) Init() error {
 		}
 	}
 	clear(s.pool)
-	s.act.Start(s.red.Tree, s.aoSeq, s.a, s.eoRank)
+	s.act.Start(s.red.Tree, s.aoSeq, s.a, s.eo)
 	s.activate()
 	return nil
 }

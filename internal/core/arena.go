@@ -11,7 +11,7 @@ import (
 
 // This file is the scheduler-state arena: the allocation recycling layer
 // behind job-stream simulations. A MemBooking instance owns six O(n)
-// slices plus the execution heap; a stream of thousands of jobs that
+// slices plus the ready set; a stream of thousands of jobs that
 // builds a fresh scheduler per admission allocates O(total jobs × n)
 // state even though only O(max concurrent jobs) schedulers are ever live
 // at once. Rebind repoints an existing instance at a new (tree, bound,

@@ -13,7 +13,7 @@ import (
 // cheap — a run is fully described by the per-node state vector (which
 // tasks finished, which are activated), the booked map, the
 // BookedBySubtree vector and its cached child aggregate; no event-loop
-// or heap state needs saving, because the execution heap and the
+// or queue state needs saving, because the ready set and the
 // activation cursor are derivable from the state vector in O(n). A
 // Restore rebuilds the scheduler mid-schedule without re-running
 // preparation (the tree and orders are kept), with every in-flight task
@@ -92,7 +92,7 @@ func (s *MemBooking) CheckpointInto(cp *Checkpoint) *Checkpoint {
 // demoted to activated — their booking is intact, so the engine
 // re-selects and re-executes them; that lost work is exactly the
 // fail-stop model's wasted work. Restore reuses the scheduler's O(n)
-// state and rebuilds the execution heap and the activation cursor from
+// state and rebuilds the ready set and the activation cursor from
 // the state vector, so a restart never re-runs preparation. Restore
 // runs once per fault recovery — not per event — so its per-restart
 // scratch is off the hot-path allocation budget.
@@ -136,8 +136,8 @@ func (s *MemBooking) Restore(cp *Checkpoint) error {
 			s.state[i] = stateACT
 		}
 	}
-	// The child counter, the activation cursor and the execution heap
-	// are pure functions of the state vector: rebuild them in O(n). The
+	// The child counter, the activation cursor and the ready set are
+	// pure functions of the state vector: rebuild them in O(n). The
 	// activated nodes always form a prefix of the activation order (see
 	// the aoPos field comment), so the cursor is the first position whose
 	// node is not yet activated.
@@ -156,10 +156,11 @@ func (s *MemBooking) Restore(cp *Checkpoint) error {
 			break
 		}
 	}
-	s.actf.Reset(s.eo.Rank())
+	s.rank = s.eo.Rank()
+	s.actf.Reset(n)
 	for i := 0; i < n; i++ {
 		if s.state[i] == stateACT && s.chNotFin[i] == 0 {
-			s.actf.Push(int32(i))
+			s.actf.Push(s.rank[i])
 		}
 	}
 	// Memory freed between the snapshot and the failure is free again

@@ -95,7 +95,8 @@ type MemBooking struct {
 	// showed dominating Init on high-fanout trees.
 	aoPos int
 
-	actf      pqueue.RankHeap
+	actf      pqueue.RankSet // EO ranks of the activated tasks whose children have finished
+	rank      []int32        // EO rank of each task
 	remaining int
 	selbuf    []tree.NodeID // reusable Select result buffer
 
@@ -179,13 +180,14 @@ func (s *MemBooking) alloc(c int) {
 // the first activation round. Init may be called again after a run (and
 // after an optional Reset to a new bound): the second and later calls
 // rebuild the run state in place, reusing the six O(n) slices and the
-// execution heap, so re-running a scheduler allocates nothing.
+// ready set, so re-running a scheduler allocates nothing.
 func (s *MemBooking) Init() error {
 	n := s.t.Len()
 	if s.need == nil {
 		s.alloc(n)
 	}
-	s.actf.Reset(s.eo.Rank())
+	s.rank = s.eo.Rank()
+	s.actf.Reset(n)
 	s.aoPos = 0
 	s.mbooked = 0
 	s.transient = 0
@@ -248,7 +250,7 @@ func (s *MemBooking) dispatchMemory(j tree.NodeID) {
 	s.bbs[j] = 0
 	s.chNotFin[i]--
 	if s.chNotFin[i] == 0 && s.state[i] == stateACT {
-		s.actf.Push(int32(i))
+		s.actf.Push(s.rank[i])
 	}
 	// The output of j survives, booked at its parent.
 	fj := s.t.Out(j)
@@ -332,7 +334,7 @@ func (s *MemBooking) updateCandAct() {
 		}
 		s.state[i] = stateACT
 		if s.chNotFin[i] == 0 {
-			s.actf.Push(int32(i))
+			s.actf.Push(s.rank[i])
 		}
 	}
 }
@@ -356,7 +358,7 @@ func (s *MemBooking) Select(free int) []tree.NodeID {
 	}
 	out := s.selbuf[:0]
 	for free > 0 && s.actf.Len() > 0 {
-		i := tree.NodeID(s.actf.Pop())
+		i := s.eo.Seq[s.actf.PopMin()]
 		s.state[i] = stateRUN
 		out = append(out, i)
 		free--

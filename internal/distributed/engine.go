@@ -101,7 +101,7 @@ func (s *domains) Init() error {
 		local[s.domainOf[v]] = append(local[s.domainOf[v]], v)
 	}
 	// Domain 0 holds the shared state, which every domain joins.
-	s.ds[0].act.Start(t, nil, need, s.eo.Rank())
+	s.ds[0].act.Start(t, nil, need, s.eo)
 	for d, pd := range s.plat.Domains {
 		s.ds[d].free = pd.Procs
 		s.ds[d].act.Join(&s.ds[0].act, local[d])

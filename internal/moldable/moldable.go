@@ -125,11 +125,9 @@ type MemBookingMoldable struct {
 	profile *Profile
 	procs   int
 	// width[i] is the processor count granted to task i by the Select
-	// that started it.
+	// that started it: a running task holds ExtraMem(i, width[i]) of
+	// workspace until it finishes.
 	width []int32
-	// extra[i] is the workspace reserved for a running task, to be
-	// released when it finishes.
-	extra map[tree.NodeID]float64
 }
 
 var _ sim.Wide = (*MemBookingMoldable)(nil)
@@ -155,7 +153,6 @@ func NewMemBookingMoldable(t *tree.Tree, m float64, ao, eo *order.Order, prof *P
 		profile: prof,
 		procs:   procs,
 		width:   make([]int32, t.Len()),
-		extra:   make(map[tree.NodeID]float64),
 	}, nil
 }
 
@@ -172,10 +169,7 @@ func (s *MemBookingMoldable) BookedMemory() float64 { return s.inner.BookedMemor
 // before the rigid bookkeeping runs.
 func (s *MemBookingMoldable) OnFinish(batch []tree.NodeID) {
 	for _, j := range batch {
-		if w, ok := s.extra[j]; ok {
-			s.inner.ReleaseTransient(w)
-			delete(s.extra, j)
-		}
+		s.inner.ReleaseTransient(s.profile.ExtraMem(j, int(s.width[j])))
 	}
 	s.inner.OnFinish(batch)
 }
@@ -206,7 +200,6 @@ func (s *MemBookingMoldable) Select(free int) []tree.NodeID {
 				continue // workspace does not fit; keep the task narrow
 			}
 			s.width[id]++
-			s.extra[id] += s.profile.Workspace[id]
 			leftover--
 			progressed = true
 		}

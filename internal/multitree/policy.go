@@ -49,15 +49,14 @@ type Release struct {
 // must join allPolicies() for the grid to cover it.
 //
 // Policies must be pure functions of (Now, Mem, FreeMem, Queue,
-// Releases, Active): the simulator re-invokes Admit only when the
-// queue gains members or memory returns to the pool, because between
-// those events a pure policy's decision can only stay empty — advancing
-// Now alone never makes an infeasible admission feasible (EASY's
-// endsInTime test only flips from true to false as Now grows). In
-// particular policies cannot key on the free processors, nor on anything
-// else about the tasks of the active jobs: processors churn every event
-// without changing memory feasibility, so the snapshot carries no
-// per-event field.
+// Releases): the simulator re-invokes Admit only when the queue gains
+// members or memory returns to the pool, because between those events a
+// pure policy's decision can only stay empty — advancing Now alone never
+// makes an infeasible admission feasible (EASY's endsInTime test only
+// flips from true to false as Now grows). In particular policies cannot
+// key on the free processors, nor on anything else about the tasks of
+// the active jobs: processors churn every event without changing memory
+// feasibility, so the snapshot carries no per-event field.
 type State struct {
 	Now float64
 	// Mem is the pool size; FreeMem is Mem − Σ active slices.

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// Benchmarks of the heaps on the simulator's access patterns: a steady
-// state of ~p pending events drained in same-time batches (the discrete
-// event loop), and bulk push/pop (the schedulers' CAND/ACTf heaps).
+// Benchmarks of the event queue on the simulator's access patterns: a
+// steady state of ~p pending events drained in same-time batches (the
+// discrete event loop).
 
 // eventTimes builds n event times drawn from k distinct values, so
 // same-time batches of average size n/k occur — the workload PopBatch
@@ -88,26 +88,5 @@ func BenchmarkEventHeapSteadyState(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkRankHeapPushPop(b *testing.B) {
-	const n = 4096
-	rng := rand.New(rand.NewSource(11))
-	rank := make([]int32, n)
-	for i, v := range rng.Perm(n) {
-		rank[i] = int32(v)
-	}
-	var h RankHeap
-	h.Reset(rank)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Reset(rank)
-		for j := int32(0); j < n; j++ {
-			h.Push(j)
-		}
-		for h.Len() > 0 {
-			h.Pop()
-		}
 	}
 }

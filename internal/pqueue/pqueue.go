@@ -1,95 +1,76 @@
-// Package pqueue provides the small typed priority queues used by the
-// schedulers and the event-driven simulator. The schedulers need heaps of
-// node IDs keyed by a precomputed rank (a position in an activation or
-// execution order): RankHeap, a binary heap. The simulator needs a queue
-// of timed events: EventHeap, a sorted array of the earliest events over
-// a binary heap of the rest, so that the minimum and each same-time batch
-// are read off the array's tail. Implementing them directly (rather than
-// through container/heap's interface indirection) keeps the per-event
-// scheduling cost low, which §5.1 of the paper insists on.
+// Package pqueue provides the two small typed queues of the schedulers
+// and the event-driven simulator. The schedulers keep their ready tasks
+// by a precomputed rank (a position in an execution order): RankSet, a
+// bitset over the ranks. The simulator needs a queue of timed events:
+// EventHeap, a sorted array of the earliest events over a binary heap of
+// the rest, so that the minimum and each same-time batch are read off
+// the array's tail. Implementing them directly (rather than through
+// container/heap's interface indirection) keeps the per-event scheduling
+// cost low, which §5.1 of the paper insists on.
 package pqueue
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
-// RankHeap is a min-heap of int32 items ordered by a caller-supplied rank
-// array: the item with the smallest rank[item] is at the top. It is the
-// structure behind the ACTf heap of Algorithm 5. The rank of an item is
-// read once, at Push, and stored next to it in the heap entry: on
-// million-entry heaps the sift comparisons then read contiguous heap
-// memory instead of making two random lookups into a multi-megabyte rank
-// array per comparison, which profiles showed dominating the per-event
-// scheduling cost of high-fanout trees. The zero RankHeap is empty and
-// has no rank: Reset binds one before the first Push.
-type RankHeap struct {
-	items []ranked
-	rank  []int32
+// RankSet is a set of distinct ranks 0 … n−1 that gives up its smallest
+// first: the ready set ACTf of Algorithm 5, keyed by EO rank. It keeps
+// one bit per rank and one summary bit per 64-rank word, so Push sets
+// two bits and PopMin takes two TrailingZeros64 after a summary scan
+// from the lowest-word hint. The zero RankSet holds no rank: Reset
+// sizes it before the first Push.
+type RankSet struct {
+	words []uint64 // bit r%64 of words[r/64] is set iff rank r is in the set
+	sum   []uint64 // bit w%64 of sum[w/64] is set iff words[w] is not zero
+	lo    int      // every word below words[lo] is zero
+	n     int
 }
 
-// ranked is one heap entry: the item and its rank at Push time.
-type ranked struct {
-	key int32
-	id  int32
+// Len returns the number of ranks in the set.
+func (s *RankSet) Len() int { return s.n }
+
+// Reset empties the set and sizes it for ranks 0 … n−1, keeping its
+// storage for reuse.
+func (s *RankSet) Reset(n int) {
+	nw := (n + 63) >> 6
+	ns := (nw + 63) >> 6
+	s.words = slices.Grow(s.words[:0], nw)[:nw]
+	s.sum = slices.Grow(s.sum[:0], ns)[:ns]
+	clear(s.words)
+	clear(s.sum)
+	s.lo, s.n = nw, 0
 }
 
-// Len returns the number of queued items.
-func (h *RankHeap) Len() int { return len(h.items) }
-
-// Reset empties the heap and rebinds it to rank, keeping the item
-// storage for reuse. The rank slice is captured by reference; it must
-// not change for items in the heap.
-func (h *RankHeap) Reset(rank []int32) {
-	h.items = h.items[:0]
-	h.rank = rank
+// Push adds rank r, which must not be in the set, in O(1).
+func (s *RankSet) Push(r int32) {
+	w := int(r >> 6)
+	s.words[w] |= 1 << (r & 63)
+	s.sum[w>>6] |= 1 << (w & 63)
+	s.lo = min(s.lo, w)
+	s.n++
 }
 
-// Push inserts an item in O(log n).
-func (h *RankHeap) Push(x int32) {
-	h.items = append(h.items, ranked{key: h.rank[x], id: x})
-	h.up(len(h.items) - 1)
-}
-
-// Pop removes and returns the smallest-rank item in O(log n).
-func (h *RankHeap) Pop() int32 {
-	top := h.items[0].id
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	if last > 0 {
-		h.down(0)
+// PopMin removes and returns the smallest rank. It panics on an empty
+// set.
+func (s *RankSet) PopMin() int32 {
+	w := s.lo
+	if s.words[w] == 0 {
+		// The summary bits below lo are clear, as their words are.
+		i := w >> 6
+		for s.sum[i] == 0 {
+			i++
+		}
+		w = i<<6 | bits.TrailingZeros64(s.sum[i])
+		s.lo = w
 	}
-	return top
-}
-
-func (h *RankHeap) less(i, j int) bool { return h.items[i].key < h.items[j].key }
-
-func (h *RankHeap) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
+	x := s.words[w]
+	s.words[w] = x & (x - 1)
+	if x&(x-1) == 0 {
+		s.sum[w>>6] &^= 1 << (w & 63)
 	}
-}
-
-func (h *RankHeap) down(i int) {
-	n := len(h.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
-		i = small
-	}
+	s.n--
+	return int32(w<<6 | bits.TrailingZeros64(x))
 }
 
 // Event is a timed entry in the simulator's event queue.

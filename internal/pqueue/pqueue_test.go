@@ -10,85 +10,6 @@ import (
 	"testing/quick"
 )
 
-func TestRankHeapOrdering(t *testing.T) {
-	rank := []int32{5, 3, 9, 1, 7, 0}
-	var h RankHeap
-	h.Reset(rank)
-	for i := int32(0); i < 6; i++ {
-		h.Push(i)
-	}
-	want := []int32{5, 3, 1, 0, 4, 2} // sorted by rank 0,1,3,5,7,9
-	for _, w := range want {
-		if got := h.Pop(); got != w {
-			t.Fatalf("Pop = %d, want %d", got, w)
-		}
-	}
-	if h.Len() != 0 {
-		t.Fatalf("heap not empty")
-	}
-}
-
-func TestRankHeapRandomAgainstSort(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(200)
-		rank := make([]int32, n)
-		perm := rng.Perm(n)
-		for i, p := range perm {
-			rank[i] = int32(p)
-		}
-		var h RankHeap
-		h.Reset(rank)
-		order := rng.Perm(n)
-		var popped []int32
-		// Interleave pushes and pops.
-		for _, x := range order {
-			h.Push(int32(x))
-			if rng.Intn(3) == 0 && h.Len() > 0 {
-				popped = append(popped, h.Pop())
-			}
-		}
-		for h.Len() > 0 {
-			popped = append(popped, h.Pop())
-		}
-		if len(popped) != n {
-			return false
-		}
-		// Check: every element popped after an element pushed before it and
-		// still present must have had larger rank is complex under
-		// interleaving; instead, drain-only check on a second heap.
-		var h2 RankHeap
-		h2.Reset(rank)
-		for i := 0; i < n; i++ {
-			h2.Push(int32(i))
-		}
-		var drained []int32
-		for h2.Len() > 0 {
-			drained = append(drained, h2.Pop())
-		}
-		return sort.SliceIsSorted(drained, func(i, j int) bool {
-			return rank[drained[i]] < rank[drained[j]]
-		})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRankHeapMin(t *testing.T) {
-	rank := []int32{2, 1}
-	var h RankHeap
-	h.Reset(rank)
-	h.Push(0)
-	h.Push(1)
-	if got := h.Pop(); got != 1 {
-		t.Fatalf("first Pop = %d, want the smallest-rank item 1", got)
-	}
-	if got := h.Pop(); got != 0 {
-		t.Fatalf("second Pop = %d, want 0", got)
-	}
-}
-
 // refQueue is the naive reference EventHeap is checked against: a slice
 // kept sorted by (Time, Seq), each push inserted where it belongs.
 type refQueue struct {
@@ -394,6 +315,60 @@ func FuzzEventHeap(f *testing.F) {
 		}
 		if d := drainBoth(&h, &r); d != "" {
 			t.Fatal(d)
+		}
+	})
+}
+
+// FuzzRankSet runs byte-coded sequences of Push, PopMin and Reset, each
+// op one code byte and a 16-bit argument, on sets of 1, 64, 4,096 ± 1
+// and 1<<16 ranks, and checks every PopMin and Len against a sorted
+// slice. A Reset to another size reuses the storage of a set that may
+// still hold ranks.
+func FuzzRankSet(f *testing.F) {
+	sizes := []int{1, 64, 4095, 4096, 4097, 1 << 16}
+	f.Add(uint8(0), []byte{0, 0, 0, 2, 0, 0, 2, 0, 0})
+	f.Add(uint8(4), []byte{0, 16, 1, 0, 0, 63, 0, 15, 255, 2, 0, 0, 0, 0, 64, 2, 0, 0, 3, 0, 1, 0, 0, 9})
+	f.Add(uint8(5), []byte{0, 255, 255, 0, 0, 0, 2, 0, 0, 0, 128, 0, 0, 16, 0, 2, 0, 0, 2, 0, 0, 2, 0, 0})
+	rng := rand.New(rand.NewSource(3))
+	for size := range sizes {
+		ops := make([]byte, 3000)
+		rng.Read(ops)
+		f.Add(uint8(size), ops)
+	}
+	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
+		n := sizes[int(size)%len(sizes)]
+		var s RankSet
+		s.Reset(n)
+		var ref []int32 // the ranks in the set, sorted
+		for k := 0; k+2 < len(ops); k += 3 {
+			arg := int(ops[k+1])<<8 | int(ops[k+2])
+			switch ops[k] % 8 {
+			case 0, 1, 2, 3: // push a rank not yet in the set
+				r := int32(arg % n)
+				if i, found := slices.BinarySearch(ref, r); !found {
+					s.Push(r)
+					ref = slices.Insert(ref, i, r)
+				}
+			case 4, 5, 6:
+				if len(ref) > 0 {
+					if got := s.PopMin(); got != ref[0] {
+						t.Fatalf("op %d: PopMin = %d, want %d", k/3, got, ref[0])
+					}
+					ref = ref[1:]
+				}
+			case 7:
+				n = sizes[arg%len(sizes)]
+				s.Reset(n)
+				ref = ref[:0]
+			}
+			if s.Len() != len(ref) {
+				t.Fatalf("op %d: Len = %d, want %d", k/3, s.Len(), len(ref))
+			}
+		}
+		for _, want := range ref {
+			if got := s.PopMin(); got != want {
+				t.Fatalf("drain: PopMin = %d, want %d", got, want)
+			}
 		}
 	})
 }

@@ -137,11 +137,13 @@ func largeSpecs() []largeSpec {
 	return specs
 }
 
-// largePrepared caches built tier instances (tree + memPO order + peak)
-// across the scheduler sub-benchmarks that share them.
+// largePrepared caches built tier instances (tree + memPO order + peak,
+// and the critical-path order MemBooking-CP executes in) across the
+// scheduler sub-benchmarks that share them.
 type largePrepared struct {
 	t    *tree.Tree
 	ao   *order.Order
+	cp   *order.Order
 	peak float64
 }
 
@@ -158,13 +160,16 @@ func largeInstance(spec largeSpec) largePrepared {
 	}
 	t := spec.build()
 	ao, peak := order.MinMemPostOrder(t)
-	pr := largePrepared{t: t, ao: ao, peak: peak}
+	pr := largePrepared{t: t, ao: ao, cp: order.CriticalPathOrder(t), peak: peak}
 	largeCache[spec.name] = pr
 	return pr
 }
 
+// BenchmarkSchedPerEventLarge runs every scheduler with EO = AO, and
+// MemBooking-CP with EO = the critical-path order: the one row whose
+// ready-set pops land far from each other.
 func BenchmarkSchedPerEventLarge(b *testing.B) {
-	for _, sched := range []string{"MemBooking", "Activation", "RedTree"} {
+	for _, sched := range []string{"MemBooking", "MemBooking-CP", "Activation", "RedTree"} {
 		for _, spec := range largeSpecs() {
 			sched, spec := sched, spec
 			b.Run(sched+"/"+spec.name, func(b *testing.B) {
@@ -186,6 +191,8 @@ func benchLargeCell(b *testing.B, sched string, spec largeSpec) {
 	switch sched {
 	case "MemBooking":
 		s, err = core.NewMemBooking(inst.t, 2*inst.peak, inst.ao, inst.ao)
+	case "MemBooking-CP":
+		s, err = core.NewMemBooking(inst.t, 2*inst.peak, inst.ao, inst.cp)
 	case "Activation":
 		s, err = baseline.NewActivation(inst.t, 2*inst.peak, inst.ao, inst.ao)
 	case "RedTree":

@@ -38,9 +38,7 @@ var testOnlyMethods = map[string]string{
 
 // testOnlyFields are exported struct fields under internal/ that only
 // tests set, each an oracle switch a test turns on.
-var testOnlyFields = map[string]string{
-	"repro/internal/core.MemBooking.CheckInvariants": "the Lemma 2–5 checker the core tests run after every event",
-}
+var testOnlyFields = map[string]string{}
 
 // testOnlyReadFields are exported struct fields under internal/ that
 // only tests read, each an oracle a test checks other code against.

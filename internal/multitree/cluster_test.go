@@ -22,8 +22,9 @@ import (
 // that the derived state (positions, ready bits) equals what a rebuild
 // from the job lists would give, and that every snapshot entry still
 // reads what its job says (a policy writing through the snapshot breaks
-// exactly that) — and
-// returns the first one broken ("" when all hold). It lives here, not in
+// exactly that), and that no active job's Lemma 2–5 checker has fired
+// (stepped turns the checkers on) — and returns the first one broken
+// ("" when all hold). It lives here, not in
 // the production loop: Run pays for no per-event assertion.
 func (c *cluster) violation() string {
 	reserved, running := 0.0, 0
@@ -68,6 +69,9 @@ func (c *cluster) violation() string {
 		running += j.running
 		if j.sched == nil {
 			return fmt.Sprintf("active job %q has no scheduler", j.spec.Name)
+		}
+		if err := j.sched.InvariantErr; err != nil {
+			return fmt.Sprintf("active job %q broke a Lemma: %v", j.spec.Name, err)
 		}
 		if o, shared := owner[j.sched]; shared {
 			return fmt.Sprintf("active jobs %q and %q share one scheduler", o.spec.Name, j.spec.Name)
@@ -182,13 +186,18 @@ func (c *cluster) staleEpoch(twin *faults.Plan, prev float64) string {
 
 // stepped drives the cluster through step — the loop Run runs — and
 // checks the state invariants after every transition rather than only
-// on the final Result; after advance and after complete — the states
-// strike reads — the burst epoch is checked against a twin plan. The run must end with every job out of the cluster and equal
-// Run's result on the same inputs. mk builds the run's options afresh on
+// on the final Result, with every job's MemBooking re-checking Lemmas
+// 2–5 after every event; after advance and after complete — the states
+// strike reads — the burst epoch is checked against a twin plan. The
+// run must end with every job out of the cluster and equal Run's result
+// on the same inputs: the stepped cluster lays every job out inline, Run
+// takes most layouts from its helper. mk builds the run's options afresh on
 // each call (a fault plan is single-use): one for the stepped run, one
 // for the twin, one for Run.
 func stepped(t *testing.T, name string, specs []JobSpec, mk func() *Options) *Result {
 	t.Helper()
+	checkInvariants = true // Run, the reference below, runs without
+	defer func() { checkInvariants = false }()
 	c, err := newCluster(specs, mk())
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -235,6 +244,7 @@ func stepped(t *testing.T, name string, specs []JobSpec, mk func() *Options) *Re
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	checkInvariants = false
 	want, err := Run(specs, mk())
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)

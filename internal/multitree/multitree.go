@@ -23,6 +23,8 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bounds"
 	"repro/internal/core"
@@ -188,10 +190,12 @@ type job struct {
 	slice float64
 	// lay is the job's tree laid out in ao's order, node ao.Seq[k]
 	// becoming k: the tree its scheduler runs on, and the numbering of
-	// its slots, batches and checkpoints. It is built at the first
-	// admission and kept until record, so a restart restores onto the
+	// its slots, batches and checkpoints. It is built ahead of the first
+	// admission by Run's layout helper or at it by start, as claim
+	// decides, and kept until record, so a restart restores onto the
 	// numbering its checkpoint was taken in.
 	lay     *tree.Tree
+	claim   atomic.Int32 // who lays the job out: layFree, layBusy, layReady or layInline
 	sched   *core.MemBooking
 	pos     int // index in cluster.active while admitted
 	running int
@@ -260,8 +264,15 @@ type cluster struct {
 	freeSlots []int32 // the idle processors; the rest run one task each
 	freeMem   float64
 	pool      core.MemBookingPool
-	// layouts recycles the storage of the jobs' laid-out trees.
+	// layouts recycles the storage of the jobs' laid-out trees. Run's
+	// layout helper takes from it too, so it is used under layMu.
+	layMu   sync.Mutex
 	layouts core.SizeClasses[*tree.Tree]
+	// ahead holds one token per job the layout helper has claimed and no
+	// admission has taken yet, so at most aheadMax; laid wakes a start
+	// waiting for the helper to settle a claim. Both are nil when no
+	// helper runs.
+	ahead, laid chan struct{}
 	// idents holds the jobs' activation and execution order: on a
 	// laid-out tree, the identity.
 	idents order.Identities
@@ -302,12 +313,16 @@ type cluster struct {
 // deadlock-free (Theorem 1); Run surfaces core.ErrDeadlock only if a
 // policy breaks the invariant the validator here lets through (it
 // rejects slices below peak or over the free pool up front), or if a
-// precomputed JobSpec.Peak understates the order's peak.
+// precomputed JobSpec.Peak understates the order's peak. A helper
+// goroutine lays the jobs' trees out ahead of their first admissions;
+// Run stops it and waits for it on every return.
 func Run(specs []JobSpec, opt *Options) (*Result, error) {
 	c, err := newCluster(specs, opt)
 	if err != nil {
 		return nil, err
 	}
+	stop := c.layAhead()
+	defer stop()
 	// Every emission in the loop is an array store behind one branch
 	// (obs.Emit is nil-safe and allocation-free), so the fault-free fast
 	// path and the steady-state alloc guarantee hold with telemetry on.
@@ -320,6 +335,105 @@ func Run(specs []JobSpec, opt *Options) (*Result, error) {
 			return c.result()
 		}
 	}
+}
+
+// aheadMax bounds the layouts the helper holds that no admission has
+// taken yet: enough to ride out a burst of admissions, and few enough
+// that the storage it pins stays small beside the active jobs'.
+const aheadMax = 8
+
+// The states of job.claim. A job's first layout is built by whichever of
+// the helper and start claims it first; the helper's becomes start's
+// only through layReady.
+const (
+	layFree   int32 = iota // unclaimed
+	layBusy                // the helper is laying it out
+	layReady               // the helper's layout is in lay, for start to take
+	layInline              // start lays it out itself
+)
+
+// layAhead starts Run's layout helper, prepare, over the jobs in the
+// order they are due, and returns what stops it and waits for it to
+// exit.
+func (c *cluster) layAhead() (stop func()) {
+	c.ahead, c.laid = make(chan struct{}, aheadMax), make(chan struct{}, 1)
+	quit, done := make(chan struct{}), make(chan struct{})
+	due := slices.Clone(c.due) // the event loop edits c.due in place
+	go func() {
+		defer close(done)
+		c.prepare(due, quit)
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
+}
+
+// prepare is the layout helper: it walks the jobs in the order they are
+// due — due's tail first — and lays each one's tree out in its
+// activation order ahead of its first admission, on a core the event
+// loop leaves idle. A layout is a pure function of (tree, AO), so who
+// builds it moves no decision. It claims a job before laying it out,
+// skips one start claimed first, and hands a job whose layout fails back
+// unclaimed, for start to lay out again and report. It returns once it
+// has walked every job, or when quit closes.
+func (c *cluster) prepare(due []*job, quit <-chan struct{}) {
+	for k := len(due) - 1; k >= 0; k-- {
+		j := due[k]
+		if j.claim.Load() != layFree {
+			continue
+		}
+		select {
+		case c.ahead <- struct{}{}:
+		case <-quit:
+			return
+		}
+		if !j.claim.CompareAndSwap(layFree, layBusy) {
+			<-c.ahead
+			continue
+		}
+		if lay, err := c.layOut(j); err != nil {
+			j.claim.Store(layFree)
+			<-c.ahead
+		} else {
+			j.lay = lay
+			j.claim.Store(layReady)
+		}
+		select {
+		case c.laid <- struct{}{}:
+		default: // a wake-up is pending already
+		}
+	}
+}
+
+// layOutFirst gives j, at its first admission, its laid-out tree: the
+// helper's when the helper claimed j, waiting only while the helper is
+// partway through it, and one laid out here otherwise.
+func (c *cluster) layOutFirst(j *job) (err error) {
+	for {
+		if j.claim.CompareAndSwap(layFree, layInline) {
+			j.lay, err = c.layOut(j)
+			return err
+		}
+		if j.claim.Load() == layReady {
+			<-c.ahead
+			return nil
+		}
+		<-c.laid
+	}
+}
+
+// layOut lays j's tree out in its activation order, into recycled
+// storage of its size class when there is some.
+func (c *cluster) layOut(j *job) (*tree.Tree, error) {
+	c.layMu.Lock()
+	dst, _ := c.layouts.Get(j.spec.Tree.Len()) // nil: fresh storage
+	c.layMu.Unlock()
+	lay, err := j.spec.Tree.LayOut(j.ao.Seq, dst)
+	if err != nil {
+		return nil, fmt.Errorf("multitree: job %q: activation order %q: %w", j.spec.Name, j.ao.Name, err)
+	}
+	return lay, nil
 }
 
 // transition names a step of the cluster loop, in the order of one
@@ -550,27 +664,30 @@ func (c *cluster) admit() error {
 	return nil
 }
 
+// checkInvariants turns on every job scheduler's Lemma 2–5 checker
+// (core.MemBooking.CheckInvariants), O(n) per event. Only tests set it.
+var checkInvariants bool
+
 // start carves j its slice and binds it a pooled scheduler over its
 // laid-out tree — restored from the latest checkpoint on a retry,
 // initialised otherwise — then enters it in active (and the ready index)
-// and in the snapshot's release order. The first admission lays the
-// tree out.
+// and in the snapshot's release order. The first admission stamps the
+// job's start and takes its laid-out tree.
 func (c *cluster) start(j *job, slice float64) error {
 	j.slice = slice
-	n := j.spec.Tree.Len()
-	if j.lay == nil {
-		dst, _ := c.layouts.Get(n) // nil: fresh storage
-		lay, err := j.spec.Tree.LayOut(j.ao.Seq, dst)
-		if err != nil {
-			return fmt.Errorf("multitree: job %q: activation order %q: %w", j.spec.Name, j.ao.Name, err)
+	if j.attempt == 0 {
+		j.start = c.now // a retry keeps its original start
+		if err := c.layOutFirst(j); err != nil {
+			return err
 		}
-		j.lay = lay
 	}
+	n := j.spec.Tree.Len()
 	id := c.idents.Order(n)
 	sched, err := c.pool.Get(j.lay, j.slice, id, id)
 	if err != nil {
 		return fmt.Errorf("multitree: job %q: %w", j.spec.Name, err)
 	}
+	sched.CheckInvariants = checkInvariants
 	if j.cp != nil {
 		// The admission floor guarantees the slice covers the snapshot's
 		// booked memory.
@@ -582,9 +699,6 @@ func (c *cluster) start(j *job, slice float64) error {
 	}
 	j.sched = sched
 	j.running = 0
-	if j.attempt == 0 {
-		j.start = c.now // first admission; a retry keeps its original start
-	}
 	j.estEnd = c.now + j.est
 	if c.fo != nil {
 		j.sinceCk = 0
@@ -926,7 +1040,9 @@ func dropBit(set []uint64, k int) {
 func (c *cluster) record(j *job, failed bool) {
 	// LayOut grows storage to its size class, and the pool hands it only
 	// to trees of that class, so the class of its size is its own.
+	c.layMu.Lock()
 	c.layouts.Put(tree.SizeClass(j.lay.Len()), j.lay)
+	c.layMu.Unlock()
 	j.lay = nil
 	jr := JobResult{
 		Name: j.spec.Name, Nodes: j.spec.Tree.Len(),

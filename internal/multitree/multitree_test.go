@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -246,6 +248,51 @@ func TestPolicyViolationsRejected(t *testing.T) {
 			t.Fatalf("%s: violation accepted", bp.name)
 		}
 	}
+}
+
+// TestRunStopsItsHelper fails Run while its layout helper is going, the
+// two ways a started run can fail: a job whose activation order is not a
+// permutation of its tree (first in the due order, in the middle, last),
+// and a policy that turns bad at its sixth pass. Run must report the
+// error a cluster stepped by hand, which lays every job out inline,
+// reports — the helper hands a layout it cannot build back to start — and
+// must have stopped and waited for the helper by the time it returns.
+func TestRunStopsItsHelper(t *testing.T) {
+	specs := stream(t, 5, 24, []int{40, 80, 120}, PoissonArrivals(), 30)
+	mem := 2 * maxPeak(specs)
+	check := func(name string, specs []JobSpec, mk func() *Options) {
+		c, err := newCluster(specs, mk())
+		for ran := stepJoin; err == nil && ran != stepEnd; {
+			ran, err = c.step()
+		}
+		if err == nil {
+			t.Fatalf("%s: the hand-stepped run succeeded", name)
+		}
+		if _, got := Run(specs, mk()); got == nil || got.Error() != err.Error() {
+			t.Errorf("%s: Run returned %v, want %v", name, got, err)
+		}
+		buf := make([]byte, 1<<20)
+		if n := strings.Count(string(buf[:runtime.Stack(buf, true)]), ".(*cluster).prepare("); n != 0 {
+			t.Errorf("%s: %d layout helpers still running after Run returned", name, n)
+		}
+	}
+	for _, bad := range []int{0, 11, len(specs) - 1} {
+		specs := slices.Clone(specs)
+		ao, peak := order.MinMemPostOrder(specs[bad].Tree)
+		seq := slices.Clone(ao.Seq)
+		seq[1] = seq[0]
+		specs[bad].AO, specs[bad].Peak = &order.Order{Name: "dup", Seq: seq}, peak
+		check(fmt.Sprintf("job %d's AO repeats a node", bad), specs, func() *Options { return &Options{Procs: 3, Mem: mem} })
+	}
+	check("a policy turns bad mid-run", specs, func() *Options {
+		passes := 0
+		return &Options{Procs: 3, Mem: mem, Policy: badPolicy{"midrun", func(st *State) []Admission {
+			if passes++; passes == 6 {
+				return []Admission{{Queue: len(st.Queue), Slice: st.FreeMem}}
+			}
+			return FCFS{}.Admit(st)
+		}}}
+	})
 }
 
 // A job whose minimal slice exceeds the whole pool can never be

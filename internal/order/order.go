@@ -164,21 +164,6 @@ func IsTopological(t *tree.Tree, seq []tree.NodeID) bool {
 	return true
 }
 
-// childCSR copies the tree's child lists into a mutable CSR: the children
-// of node i occupy sorted[start[i]:start[i+1]]. Callers sort the per-node
-// segments in place.
-func childCSR(t *tree.Tree) (sorted []tree.NodeID, start []int32) {
-	n := t.Len()
-	sorted = make([]tree.NodeID, 0, n)
-	start = make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		start[i] = int32(len(sorted))
-		sorted = append(sorted, t.Children(tree.NodeID(i))...)
-	}
-	start[n] = int32(len(sorted))
-	return sorted, start
-}
-
 // sortByKeyDesc stably sorts ids by non-increasing key[id]. Child lists
 // are short in practice, so small segments use an insertion sort instead
 // of paying sort.SliceStable's interface indirection.
@@ -226,7 +211,7 @@ func postOrderCSR(t *tree.Tree, sorted []tree.NodeID, start []int32) []tree.Node
 // postOrderSorted produces a postorder traversal where the children of
 // every node are visited by decreasing key.
 func postOrderSorted(t *tree.Tree, key []float64) []tree.NodeID {
-	sorted, start := childCSR(t)
+	sorted, start := t.ChildCSR()
 	for i := 0; i < t.Len(); i++ {
 		sortByKeyDesc(sorted[start[i]:start[i+1]], key)
 	}
@@ -250,7 +235,7 @@ func MinMemPostOrder(t *tree.Tree) (*Order, float64) {
 	// bottom-up peak computation (the keys of v's children are final when
 	// v is reached); the traversal below reuses the sorted lists instead
 	// of sorting a second copy.
-	sorted, start := childCSR(t)
+	sorted, start := t.ChildCSR()
 	td := t.TopDown()
 	for i := n - 1; i >= 0; i-- {
 		v := td[i]

@@ -15,6 +15,7 @@ package tree
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // NodeID identifies a task. IDs are dense indices in [0, Len()).
@@ -187,6 +188,13 @@ func (t *Tree) Parent(i NodeID) NodeID { return t.parent[i] }
 // storage and must not be modified.
 func (t *Tree) Children(i NodeID) []NodeID {
 	return t.childList[t.childStart[i]:t.childStart[i+1]]
+}
+
+// ChildCSR returns a copy of every child list in one CSR: the children
+// of i, in the order Children(i) gives them, are list[start[i]:start[i+1]].
+// The copy is the caller's to edit.
+func (t *Tree) ChildCSR() (list []NodeID, start []int32) {
+	return slices.Clone(t.childList), slices.Clone(t.childStart)
 }
 
 // Degree returns the number of children of i.
